@@ -115,7 +115,7 @@ def ingest(
             counters.non_quic_port += 1
             continue
         packets = split_coalesced(d.payload)
-        if not packets or not is_plausible_quic(d.payload, config):
+        if not is_plausible_quic(packets, config):
             # short-header traffic is counted separately; it is valid QUIC
             # but carries nothing the long-header analyses consume
             if not packets and d.payload and d.payload[0] and not d.payload[0] & 0x80:

@@ -17,6 +17,7 @@ from .ingest import CaptureRecord, Session, sessionize
 from .scid import (
     CLOUDFLARE_SCID_LENGTH,
     FACEBOOK_SCID_OCTETS,
+    CodecError,
     decode_facebook_scid,
     detect_cloudflare_signature,
     low_host_id,
@@ -110,7 +111,7 @@ def _facebook_scheme(scids: Sequence[bytes]) -> bool:
     for s in scids:
         try:
             decode_facebook_scid(s)
-        except Exception:
+        except CodecError:
             return False
     return True
 
@@ -135,7 +136,7 @@ def extract_features(
             continue
         try:
             fields = decode_facebook_scid(s)
-        except Exception:
+        except CodecError:
             continue
         if fields.scid_version == 1:
             v1_fields.append(fields)

@@ -140,7 +140,8 @@ class PcapReader:
         self.path = Path(path)
         self.counters = CaptureCounters()
         try:
-            header = self.path.open("rb").read(24)
+            with self.path.open("rb") as fh:
+                header = fh.read(24)
         except OSError as exc:
             raise UnreadableCapture(f"cannot open {self.path}: {exc}") from exc
         if len(header) < 24:

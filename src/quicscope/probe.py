@@ -19,7 +19,7 @@ from typing import Callable, Iterable, Iterator, Optional, Protocol
 
 import numpy as np
 
-from .scid import decode_facebook_scid
+from .scid import CodecError, decode_facebook_scid
 from .sim import QUIC_PORT, DeploymentSimulator, NotAVip
 from .wire import Datagram, LongHeader, PacketType, encode_long_header, split_coalesced
 
@@ -278,7 +278,7 @@ def harvest_host_ids(
         else:
             try:
                 harvest.observations.append((index, codec(reply.server_scid)))
-            except Exception:
+            except CodecError:
                 harvest.failures += 1
         if (
             harvest.attempts >= FAILURE_ABORT_MIN_ATTEMPTS
@@ -418,7 +418,10 @@ def detect_lb_type(
     client CID while reusing the held server CID. An immediate follow-up
     success indicates 5-tuple balancing; a window of timeouts that ends in a
     success indicates CID-aware balancing (the window tracks the server's
-    connection-state lifetime). Unsuitable for anycast targets.
+    connection-state lifetime). A single timeout between successes is a
+    5-tuple collision, not a window: under 5-tuple balancing the fresh tuple
+    can hash onto the instance holding the idle connection, which discards
+    it; probing then goes on. Unsuitable for anycast targets.
     """
     rng = random.Random(seed)
     first_port = rng.randint(40000, 65000)
@@ -428,6 +431,7 @@ def detect_lb_type(
     held_host = _try_decode(codec, held.server_scid)
     start = transport.now()
     first_fail: Optional[float] = None
+    failures = 0
     port = first_port
     while transport.now() - start < max_wait:
         transport.sleep(probe_interval)
@@ -436,6 +440,10 @@ def detect_lb_type(
         if reply is None:
             if first_fail is None:
                 first_fail = transport.now()
+            failures += 1
+            continue
+        if failures == 1:
+            first_fail, failures = None, 0
             continue
         followup_host = _try_decode(codec, reply.server_scid)
         if first_fail is None:
@@ -458,7 +466,7 @@ def _try_decode(codec: Optional[Codec], scid: bytes) -> Optional[int]:
         return None
     try:
         return codec(scid)
-    except Exception:
+    except CodecError:
         return None
 
 

@@ -24,6 +24,7 @@ import numpy as np
 
 from .scid import (
     FACEBOOK_SCID_OCTETS,
+    CodecError,
     FacebookScidFields,
     decode_facebook_scid,
     encode_facebook_scid,
@@ -323,7 +324,7 @@ class FrontendCluster:
             return None
         try:
             return decode_facebook_scid(dcid).host_id
-        except Exception:
+        except CodecError:
             return None
 
 

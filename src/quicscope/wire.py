@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from importlib import resources
 from pathlib import Path
-from typing import Iterator, Optional
+from typing import Iterator, Optional, Sequence
 
 MAX_CID_LENGTH = 20
 
@@ -386,13 +386,15 @@ class PlausibilityConfig:
     allow_unknown: bool = False
 
 
-def is_plausible_quic(payload: bytes, config: Optional[PlausibilityConfig] = None) -> bool:
-    """True iff the payload parses to at least one long-header packet whose
-    version is 0 (negotiation), registered, or permitted by config. CID bounds
-    are enforced by the parser itself."""
+def is_plausible_quic(
+    packets: Sequence[LongHeader], config: Optional[PlausibilityConfig] = None
+) -> bool:
+    """True iff at least one of a datagram's packets (as returned by
+    split_coalesced) carries version 0 (negotiation), a registered version, or
+    one permitted by config. CID bounds are enforced by the parser itself."""
     if config is None:
         config = PlausibilityConfig()
-    for pkt in split_coalesced(payload):
+    for pkt in packets:
         if pkt.version == 0 or config.registry.known(pkt.version):
             return True
         if config.allow_greased and is_greased_version(pkt.version):

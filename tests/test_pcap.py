@@ -1,6 +1,9 @@
 """pcap round trips plus reader behavior on ethernet framing and bad input."""
 
+import gc
 import struct
+import sys
+import warnings
 
 import pytest
 
@@ -109,6 +112,20 @@ def test_not_a_pcap(tmp_path):
     path.write_bytes(b"this is not a capture file, promise")
     with pytest.raises(UnreadableCapture):
         PcapReader(path)
+
+
+def test_header_read_closes_file(tmp_path, monkeypatch):
+    path = tmp_path / "t.pcap"
+    write_pcap(path, make_datagrams())
+    # a leaked handle raises its ResourceWarning inside the file's finalizer,
+    # where Python can only hand it to sys.unraisablehook
+    unraisable = []
+    monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", ResourceWarning)
+        PcapReader(path)
+        gc.collect()
+    assert unraisable == []
 
 
 def test_missing_file(tmp_path):

@@ -3,6 +3,8 @@ Jaccard clustering, and load-balancer-type detection."""
 
 
 
+import random
+
 import pytest
 
 from quicscope.probe import (
@@ -212,6 +214,25 @@ class TestDetectLbType:
 
         verdict = detect_lb_type("203.0.113.1", transport, codec=facebook_host_codec, seed=12)
         assert verdict.kind == LbType.FIVE_TUPLE
+        assert verdict.followup_host_id != verdict.held_host_id
+
+    def test_five_tuple_first_followup_collision(self):
+        # the first follow-up's fresh 5-tuple hashes onto the instance holding
+        # the idle connection, which discards it; that single timeout is no
+        # CID-aware window
+        sim = make_sim(l7lb_count=24, mode=RoutingMode.FIVE_TUPLE)
+        transport = SimulatorTransport(sim, seed=7)
+        first_port = random.Random(7).randint(40000, 65000)
+
+        def instance(port):
+            return sim.clusters[0].rendezvous((transport.client_ip, "203.0.113.1", port, 443, 17))
+
+        assert instance(first_port - 1) is instance(first_port)
+        from quicscope.probe import facebook_host_codec
+
+        verdict = detect_lb_type("203.0.113.1", transport, codec=facebook_host_codec, seed=7)
+        assert verdict.kind == LbType.FIVE_TUPLE
+        assert verdict.fail_window is None
         assert verdict.followup_host_id != verdict.held_host_id
 
     def test_deterministic_given_seed(self):

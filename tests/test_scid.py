@@ -1,7 +1,12 @@
 """SCID analysis: codec vs. an independent bit-packing oracle, nybble
 statistics, uniformity calibration, and scheme classification."""
 
+import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +22,7 @@ from quicscope.scid import (
     PositionVerdict,
     SchemeKind,
     UnknownScidVersion,
+    chi2_sf_15,
     classify_scheme,
     decode_facebook_scid,
     detect_cloudflare_signature,
@@ -225,6 +231,44 @@ class TestUniformityTest:
         scids = [bytes(8) for _ in range(100)]
         with pytest.raises(InsufficientSamples):
             uniformity_test(nybble_frequencies(scids), min_samples=500)
+
+
+def chi2_15_tail_by_integration(x: float, steps: int = 20000) -> float:
+    """1 - CDF of chi-square(15) by composite Simpson over the density
+    t^6.5 e^(-t/2) / (2^7.5 Gamma(7.5)) on [0, x]."""
+    log_norm = 7.5 * math.log(2) + math.lgamma(7.5)
+
+    def density(t: float) -> float:
+        return math.exp(6.5 * math.log(t) - t / 2 - log_norm) if t > 0 else 0.0
+
+    h = x / steps
+    total = density(0.0) + density(x)
+    for i in range(1, steps):
+        total += (4 if i % 2 else 2) * density(i * h)
+    return 1.0 - total * h / 3
+
+
+class TestChiSquareTail:
+    @pytest.mark.parametrize(
+        "critical,p", [(24.9958, 0.05), (30.5779, 0.01), (37.6973, 0.001)]
+    )
+    def test_tabulated_critical_values(self, critical, p):
+        assert abs(chi2_sf_15(critical) - p) < 1e-6
+
+    @pytest.mark.parametrize("x", [0.01, 0.5, 2.0, 7.0, 14.0, 24.9958, 37.6973, 60.0, 120.0, 200.0])
+    def test_matches_numeric_integration(self, x):
+        assert abs(chi2_sf_15(x) - chi2_15_tail_by_integration(x)) < 1e-10
+
+    def test_non_positive_statistic(self):
+        assert chi2_sf_15(0.0) == 1.0
+        assert chi2_sf_15(-3.0) == 1.0
+
+    def test_cli_import_leaves_scipy_out(self):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        code = "import sys, quicscope.cli; print('scipy' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "False"
 
 
 class TestClassifyScheme:

@@ -273,28 +273,27 @@ class TestClassifyDirection:
 
 class TestPlausibility:
     def test_valid_initial_is_plausible(self):
-        assert is_plausible_quic(HAND_INITIAL)
+        assert is_plausible_quic(split_coalesced(HAND_INITIAL))
 
     def test_all_zero_payload(self):
-        assert not is_plausible_quic(b"\x00" * 1200)
+        assert not is_plausible_quic(split_coalesced(b"\x00" * 1200))
 
     def test_unknown_version_strict(self):
         h = LongHeader.build(PacketType.INITIAL, 0xDEAD0001, b"\xaa" * 8, b"\xbb" * 8, payload=b"x")
-        assert not is_plausible_quic(encode_long_header(h))
+        assert not is_plausible_quic([h])
 
     def test_unknown_version_allowed_by_config(self):
         h = LongHeader.build(PacketType.INITIAL, 0xDEAD0001, b"\xaa" * 8, b"\xbb" * 8, payload=b"x")
         cfg = PlausibilityConfig(allow_unknown=True)
-        assert is_plausible_quic(encode_long_header(h), cfg)
+        assert is_plausible_quic([h], cfg)
 
     def test_greased_version_flag(self):
         h = LongHeader.build(PacketType.INITIAL, 0x1A2A3A4A, b"\xaa" * 8, b"\xbb" * 8, payload=b"x")
-        data = encode_long_header(h)
-        assert not is_plausible_quic(data)
-        assert is_plausible_quic(data, PlausibilityConfig(allow_greased=True))
+        assert not is_plausible_quic([h])
+        assert is_plausible_quic([h], PlausibilityConfig(allow_greased=True))
 
     def test_negotiation_version_always_plausible(self):
-        assert is_plausible_quic(HAND_VN)
+        assert is_plausible_quic(split_coalesced(HAND_VN))
 
 
 class TestVersionRegistry:
