@@ -1,5 +1,6 @@
 """CLI subcommands: pipeline wiring, manifests, exit codes, reproducibility."""
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -263,26 +264,66 @@ class TestProbeCommand:
 
 
 class TestReproducibility:
-    def test_same_args_byte_identical(self, deploy_config, prefix_table, tmp_path):
-        def run_all(base: Path) -> dict[str, bytes]:
-            run("simulate", "--config", deploy_config, "--out-dir", base / "sim")
-            run("ingest", "--capture", base / "sim" / "capture.pcap", "--prefix-table", prefix_table, "--out-dir", base / "ing")
-            run("fingerprint", "--sessions", base / "ing" / "sessions.jsonl", "--datagrams", base / "ing" / "datagrams.jsonl", "--out-dir", base / "fp", "--min-scids", "40")
-            run("report", "--in-dir", base / "fp", "--out-dir", base / "rep")
-            return {
-                str(p.relative_to(base)): p.read_bytes()
-                for p in sorted(base.rglob("*"))
-                if p.is_file()
-            }
+    # sha256 of every non-manifest output of the chain below; manifests
+    # record absolute input paths, so they differ between directories.
+    GOLDEN = {
+        "fp/lengths.tsv": "38e7dde6ec9cca8d1294bcf4330e474e75b80c28629921d7e82523b1e6b0ff96",
+        "fp/matches.tsv": "163993a2ea63686d4c8a356c0a148bd47af2a8a2028122bf119053eebd8b8eab",
+        "fp/packet_types.tsv": "953b3ba23b0dac03cffe36388dd37c8b746189c6ff466cdc7b16617b8c78f269",
+        "fp/resends.tsv": "141762aa1335a15aa30ee856583222ae7a41dff86103b2c8ccc5a3c4fa97e1d6",
+        "fp/rto.tsv": "7c5fd2317bca281f423367d008bf492fd3934342410c4e441a48406ce423efdc",
+        "fp/version_tally.tsv": "7f9b59d8b67ef63a1283acf8aaa14d86ab5e0a1c7944c7c38f1e7db894aa78d2",
+        "ing/counters.tsv": "a498276733084cb5b970b238c7b39eaa8ebc094687b634a1ff0a1d08d0d3c681",
+        "ing/datagrams.jsonl": "9bbf33308860aad2b032ddedfebf0ee11347011f8bf69cc452c0ed608e393a37",
+        "ing/sessions.jsonl": "d65735669057f225bc3ef454fb1dcde2cef1ed5a47ca34609912fef000c3d500",
+        "probe/clusters.tsv": "5e81cad906676f3f9315c5a8c6220ed1fbf855d229ff7c1faa4f8ccecc9a196b",
+        "probe/discovery.tsv": "3867deb00ae24e139036a7d85e201bd65614327031247c41bcd4df796c59b2c4",
+        "probe/harvest.tsv": "996f707f4fa1380cd816b006ffd12e35905d523f5ca1eb2bb639d6d21f5a8f94",
+        "probe/unique.tsv": "00503c475310b77db5ae7bf1b8f120db52b9312e2851bd81611aae17eba62e4a",
+        "rep/deployment_table.tsv": "0130fd0118e5e8b0e2a151f6d9f7fdd962b02c5b533ab33a214dde24e1ec5e27",
+        "rep/packet_type_table.tsv": "29e408c0757d72042039056056a9b87b58f91ac6e35c79ee98622c32fc5f744b",
+        "rep/version_table.tsv": "855278d9cf9337a174951475ad081050f5a39ed96673804ef3e7eb425bf3fa08",
+        "scid/nybbles.tsv": "d17f4740c5dc08736d9cee61bb1a82c01814ebddafdf72eea3c8eaad0b9e5bdf",
+        "scid/schemes.tsv": "19d75040bee2a1f4f6f082aa4877e1ba4fd29bd2373914dfe9be3f455b9acc2b",
+        "scid/scid_lengths.tsv": "1af621fb732766b85d096f6797b9bb98cd0a26b76039828dbdda27aa02fecded",
+        "scid/uniformity.tsv": "2943aad008b7a920f069e6a3e4d4420c6f724f93368e036fbf88fefd860db1f4",
+        "sim/capture.pcap": "df7e02511bba91c4c8ba691c18bf6a8640f6b53e185a46abcbde66f75b4d31dd",
+        "sim/pairs.tsv": "c9ed2860d0575e0adfa77b649e42a55a9641a061917d26a095bb39e60c1ebc2f",
+        "sim/truth.jsonl": "a46ce16ba1099a9c20763f43873b79e52583b74e81401b7a628aa3022eb0e5a0",
+    }
 
+    @staticmethod
+    def run_all(base: Path, deploy_config: Path, prefix_table: Path) -> dict[str, bytes]:
+        assert run("simulate", "--config", deploy_config, "--out-dir", base / "sim") == 0
+        assert run("ingest", "--capture", base / "sim" / "capture.pcap", "--prefix-table", prefix_table, "--out-dir", base / "ing") == 0
+        assert run("fingerprint", "--sessions", base / "ing" / "sessions.jsonl", "--datagrams", base / "ing" / "datagrams.jsonl", "--out-dir", base / "fp", "--min-scids", "40") == 0
+        assert run("scid", "--datagrams", base / "ing" / "datagrams.jsonl", "--pairs", base / "sim" / "pairs.tsv", "--out-dir", base / "scid", "--min-samples", "40") == 0
+        assert run("probe", "--sim-config", deploy_config, "--mode", "harvest", "--targets", "all", "--handshakes", "200", "--seed", "5", "--out-dir", base / "probe") == 0
+        assert run("report", "--in-dir", base / "fp", "--out-dir", base / "rep") == 0
+        return {
+            p.relative_to(base).as_posix(): p.read_bytes()
+            for p in sorted(base.rglob("*"))
+            if p.is_file()
+        }
+
+    def test_same_args_byte_identical(self, deploy_config, prefix_table, tmp_path):
         base = tmp_path / "runs"
-        first = run_all(base)
+        first = self.run_all(base, deploy_config, prefix_table)
         for p in sorted(base.rglob("*"), reverse=True):
             p.unlink() if p.is_file() else p.rmdir()
-        second = run_all(base)
+        second = self.run_all(base, deploy_config, prefix_table)
         assert first.keys() == second.keys()
         for name in first:
             assert first[name] == second[name], f"{name} differs between runs"
+
+    def test_outputs_match_golden_digests(self, deploy_config, prefix_table, tmp_path):
+        outputs = self.run_all(tmp_path / "runs", deploy_config, prefix_table)
+        digests = {
+            name: hashlib.sha256(data).hexdigest()
+            for name, data in outputs.items()
+            if not name.endswith("manifest.json")
+        }
+        assert digests == self.GOLDEN
 
 
 class TestJsonlFormat:
