@@ -341,9 +341,8 @@ def cmd_scid(args) -> int:
         for s in scids_all:
             by_length.setdefault(len(s), []).append(s)
         for length in sorted(by_length):
-            length_rows.append((op, length, len(set(by_length[length]))))
-        for length in sorted(by_length):
             group = by_length[length]
+            length_rows.append((op, length, len(group)))
             matrix = scid.nybble_frequencies(group)
             for pos, value, count, rel in matrix.rows():
                 nybble_rows.append((op, length, pos, value, count, rel))

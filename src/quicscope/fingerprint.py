@@ -8,14 +8,13 @@ histogram binning choice.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from importlib import resources
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
 from .ingest import CaptureRecord, Session
 from .scid import ScidScheme, SchemeKind
+from .sim import read_profiles
 from .wire import Direction, PacketType, TYPE_LABELS, VersionRegistry
 
 DEFAULT_MIN_SESSIONS = 30
@@ -275,14 +274,8 @@ class FingerprintProfile:
 def load_known_profiles(path: Optional[str | Path] = None) -> list[FingerprintProfile]:
     """Load the known-configuration table (ships with measured defaults for
     the three profiled hypergiants; the file is editable)."""
-    if path is None:
-        ref = resources.files("quicscope").joinpath("data/profiles.json")
-        with resources.as_file(ref) as p:
-            raw = json.loads(Path(p).read_text())
-    else:
-        raw = json.loads(Path(path).read_text())
     profiles = []
-    for operator, cfg in raw["profiles"].items():
+    for operator, cfg in read_profiles(path).items():
         lo, hi = cfg["retransmission_range"]
         profiles.append(
             FingerprintProfile(

@@ -203,11 +203,6 @@ class PrefixTable:
         return None
 
 
-def map_to_as(ip: str, table: PrefixTable) -> Optional[tuple[int, str]]:
-    """Longest-prefix match of `ip`; None when no prefix covers it."""
-    return table.lookup(ip)
-
-
 def annotate_operators(
     records: Iterable[CaptureRecord], table: PrefixTable
 ) -> Iterator[CaptureRecord]:

@@ -8,7 +8,7 @@ arrive as a plain `ip<TAB>label` file.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -158,12 +158,6 @@ def extract_features(
     )
 
 
-def low_host_id_predicate(fields) -> bool:
-    """Detection predicate from the v1 host-ID field: the 9 most significant
-    bits must be zero (host_id < 128)."""
-    return low_host_id(fields)
-
-
 @dataclass(frozen=True)
 class RuleParams:
     """Thresholds shared by all rules; loadable from a JSON rule-set file."""
@@ -180,21 +174,15 @@ class RuleParams:
     @classmethod
     def load(cls, path: str | Path) -> "RuleParams":
         raw = json.loads(Path(path).read_text())
-        shapes = raw.get("reference_shapes")
-        return cls(
-            target_operator=raw.get("target_operator", "Facebook"),
-            rto_reference=raw.get("rto_reference", 0.4),
-            rto_tolerance=raw.get("rto_tolerance", 0.25),
-            backoff_reference=raw.get("backoff_reference", 2.0),
-            backoff_tolerance=raw.get("backoff_tolerance", 0.5),
-            count_range=tuple(raw.get("count_range", (7, 9))),
-            expected_coalescence=raw.get("expected_coalescence", False),
-            reference_shapes=(
-                frozenset((tuple(types), length) for types, length in shapes)
-                if shapes
-                else None
-            ),
+        # keys that are not fields, such as _comment, are ignored
+        params = {f.name: raw[f.name] for f in fields(cls) if f.name in raw}
+        if "count_range" in params:
+            params["count_range"] = tuple(params["count_range"])
+        shapes = params.get("reference_shapes")
+        params["reference_shapes"] = (
+            frozenset((tuple(types), length) for types, length in shapes) if shapes else None
         )
+        return cls(**params)
 
 
 def _rto_matches(features: SourceFeatures, params: RuleParams) -> bool:

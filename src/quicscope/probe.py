@@ -20,8 +20,14 @@ from typing import Callable, Iterable, Iterator, Optional, Protocol
 import numpy as np
 
 from .scid import CodecError, decode_facebook_scid
-from .sim import QUIC_PORT, DeploymentSimulator, NotAVip
-from .wire import Datagram, LongHeader, PacketType, encode_long_header, split_coalesced
+from .sim import (
+    QUIC_PORT,
+    DeploymentSimulator,
+    NotAVip,
+    client_ack_payload,
+    client_initial_payload,
+)
+from .wire import Datagram, split_coalesced
 
 DEFAULT_PROBE_INTERVAL = 1.0
 DEFAULT_MAX_WAIT = 600.0
@@ -101,32 +107,28 @@ class SimulatorTransport:
             dcid = self.rng.randbytes(8)
         if scid is None:
             scid = self.rng.randbytes(8)
-        initial = LongHeader.build(
-            PacketType.INITIAL, 0x00000001, dcid=dcid, scid=scid, payload=b"\x5a" * 120
-        )
-        body = encode_long_header(initial)
-        body += b"\x00" * max(0, 1200 - len(body))
-        mark = len(self.inbox)
+        # only this handshake's response is read, so nothing older is kept
+        self.inbox.clear()
         try:
             self.sim.deliver(
-                Datagram(self.sim.clock.now, self.client_ip, vip, src_port, QUIC_PORT, body)
+                Datagram(
+                    self.sim.clock.now, self.client_ip, vip, src_port, QUIC_PORT,
+                    client_initial_payload(dcid, scid),
+                )
             )
         except NotAVip as exc:
             raise TransportUnavailable(str(exc)) from exc
-        for d in self.inbox[mark:]:
+        for d in self.inbox:
             if d.src_ip != vip or d.dst_port != src_port:
                 continue
             packets = split_coalesced(d.payload)
             if not packets:
                 continue
             server_scid = packets[0].scid.data
-            ack = LongHeader.build(
-                PacketType.INITIAL, 0x00000001, dcid=server_scid, scid=scid, payload=b"\x01"
-            )
             self.sim.deliver(
                 Datagram(
                     self.sim.clock.now, self.client_ip, vip, src_port, QUIC_PORT,
-                    encode_long_header(ack),
+                    client_ack_payload(server_scid, scid),
                 )
             )
             return HandshakeReply(server_scid=server_scid, vip=vip, src_port=src_port, client_scid=scid)
@@ -176,17 +178,12 @@ class RawNetworkTransport:
             dcid = self.rng.randbytes(8)
         if scid is None:
             scid = self.rng.randbytes(8)
-        initial = LongHeader.build(
-            PacketType.INITIAL, 0x00000001, dcid=dcid, scid=scid, payload=b"\x5a" * 120
-        )
-        body = encode_long_header(initial)
-        body += b"\x00" * max(0, 1200 - len(body))
         sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
         try:
             sock.bind((self.client_ip, src_port))
             sock.settimeout(self.timeout)
             self._last_send = time.monotonic()
-            sock.sendto(body, (vip, QUIC_PORT))
+            sock.sendto(client_initial_payload(dcid, scid), (vip, QUIC_PORT))
             data, _addr = sock.recvfrom(65535)
         except OSError:
             return None
@@ -417,8 +414,9 @@ def detect_lb_type(
     probe_interval attempt a follow-up handshake from a fresh 5-tuple and
     client CID while reusing the held server CID. An immediate follow-up
     success indicates 5-tuple balancing; a window of timeouts that ends in a
-    success indicates CID-aware balancing (the window tracks the server's
-    connection-state lifetime). A single timeout between successes is a
+    success indicates CID-aware balancing (the window, from the held
+    handshake to that success, tracks the server's connection-state
+    lifetime). A single timeout between successes is a
     5-tuple collision, not a window: under 5-tuple balancing the fresh tuple
     can hash onto the instance holding the idle connection, which discards
     it; probing then goes on. Unsuitable for anycast targets.
@@ -430,7 +428,6 @@ def detect_lb_type(
         raise TransportUnavailable(f"initial handshake with {vip} failed")
     held_host = _try_decode(codec, held.server_scid)
     start = transport.now()
-    first_fail: Optional[float] = None
     failures = 0
     port = first_port
     while transport.now() - start < max_wait:
@@ -438,15 +435,13 @@ def detect_lb_type(
         port = port - 1 if port > 1024 else 65535
         reply = transport.handshake(vip, port, dcid=held.server_scid, scid=rng.randbytes(8))
         if reply is None:
-            if first_fail is None:
-                first_fail = transport.now()
             failures += 1
             continue
         if failures == 1:
-            first_fail, failures = None, 0
+            failures = 0
             continue
         followup_host = _try_decode(codec, reply.server_scid)
-        if first_fail is None:
+        if failures == 0:
             return LbTypeVerdict(
                 LbType.FIVE_TUPLE,
                 held_host_id=held_host,
@@ -454,7 +449,7 @@ def detect_lb_type(
             )
         return LbTypeVerdict(
             LbType.CID_AWARE,
-            fail_window=transport.now() - first_fail,
+            fail_window=transport.now() - start,
             held_host_id=held_host,
             followup_host_id=followup_host,
         )

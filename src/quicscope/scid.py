@@ -298,15 +298,3 @@ def detect_cloudflare_signature(scids: Sequence[ConnectionId | bytes]) -> bool:
         len(s) == CLOUDFLARE_SCID_LENGTH and s[0] == CLOUDFLARE_FIRST_OCTET for s in data
     )
 
-
-def scid_length_stats(
-    scids_per_operator: dict[str, Sequence[ConnectionId | bytes]],
-) -> dict[str, dict[int, int]]:
-    """Unique-SCID counts per (operator, SCID length)."""
-    out: dict[str, dict[int, int]] = {}
-    for operator, scids in scids_per_operator.items():
-        lengths: dict[int, set[bytes]] = {}
-        for s in _as_bytes(scids):
-            lengths.setdefault(len(s), set()).add(s)
-        out[operator] = {length: len(unique) for length, unique in sorted(lengths.items())}
-    return out

@@ -39,6 +39,23 @@ DEFAULT_STATE_LIFETIME = 240.0
 DEFAULT_VERSION = 0x00000001
 
 
+def client_initial_payload(dcid: bytes, scid: bytes) -> bytes:
+    """A client's first Initial, zero-padded to the 1,200-byte minimum
+    datagram size of RFC 9000 section 14.1."""
+    initial = LongHeader.build(
+        PacketType.INITIAL, DEFAULT_VERSION, dcid=dcid, scid=scid, payload=INITIAL_FILLER
+    )
+    return encode_long_header(initial).ljust(1200, b"\x00")
+
+
+def client_ack_payload(server_scid: bytes, client_scid: bytes) -> bytes:
+    """The unpadded client Initial that acknowledges a server's response."""
+    ack = LongHeader.build(
+        PacketType.INITIAL, DEFAULT_VERSION, dcid=server_scid, scid=client_scid, payload=b"\x01"
+    )
+    return encode_long_header(ack)
+
+
 class SimError(ValueError):
     pass
 
@@ -57,6 +74,10 @@ class ScidSchemeKind(Enum):
     CLOUDFLARE_FIXED = "cloudflare_fixed"
     ECHO_CLIENT_DCID = "echo_client_dcid"
     UNIFORM_RANDOM = "uniform_random"
+
+
+# codec version field of each structured-SCID scheme
+FACEBOOK_SCID_VERSIONS = {ScidSchemeKind.FACEBOOK_V1: 1, ScidSchemeKind.FACEBOOK_V2: 2}
 
 
 class RoutingMode(Enum):
@@ -86,17 +107,20 @@ class StackProfile:
             raise InvalidConfig("max_retransmissions must be >= 0")
 
 
-def _default_profiles_raw() -> dict:
-    ref = resources.files("quicscope").joinpath("data/profiles.json")
-    with resources.as_file(ref) as p:
-        return json.loads(Path(p).read_text())
+def read_profiles(path: Optional[str | Path]) -> dict[str, dict]:
+    """Operator -> configuration from a profiles table; the shipped table
+    when `path` is None."""
+    if path is None:
+        text = resources.files("quicscope").joinpath("data/profiles.json").read_text()
+    else:
+        text = Path(path).read_text()
+    return json.loads(text)["profiles"]
 
 
-def default_stack_profile(operator: str, path: Optional[str | Path] = None) -> StackProfile:
-    """Stack profile for a named operator from the shipped (or given) table."""
-    raw = json.loads(Path(path).read_text()) if path else _default_profiles_raw()
+def default_stack_profile(operator: str) -> StackProfile:
+    """Stack profile for a named operator from the shipped table."""
     try:
-        cfg = raw["profiles"][operator]
+        cfg = read_profiles(None)[operator]
     except KeyError as exc:
         raise InvalidConfig(f"no profile for operator {operator!r}") from exc
     return StackProfile(
@@ -111,19 +135,12 @@ def default_stack_profile(operator: str, path: Optional[str | Path] = None) -> S
     )
 
 
-class ConnState(Enum):
-    PENDING = "pending"
-    ESTABLISHED = "established"
-
-
 @dataclass
 class Connection:
     server_cid: bytes
     client_cid: bytes
     five_tuple: tuple
-    created_at: float
     expires_at: float
-    state: ConnState = ConnState.PENDING
     resend_events: list = field(default_factory=list)
 
     def live(self, now: float) -> bool:
@@ -220,9 +237,6 @@ class VirtualClock:
         if t > self.now:
             self.now = t
 
-    def pending(self) -> int:
-        return sum(1 for _, _, e in self._heap if not e.cancelled)
-
 
 # --- routing -----------------------------------------------------------------
 
@@ -278,7 +292,7 @@ class FrontendCluster:
         if len(set(host_ids)) != len(host_ids):
             raise InvalidConfig("duplicate host IDs in cluster")
         width = 24 if profile.scid_scheme == ScidSchemeKind.FACEBOOK_V2 else 16
-        if profile.scid_scheme in (ScidSchemeKind.FACEBOOK_V1, ScidSchemeKind.FACEBOOK_V2):
+        if profile.scid_scheme in FACEBOOK_SCID_VERSIONS:
             if max(host_ids) >= 1 << width:
                 raise InvalidConfig(f"host ID exceeds {width}-bit scheme width")
         self.vips = list(vips)
@@ -315,10 +329,7 @@ class FrontendCluster:
         self.cid_directory[cid] = (instance, expires_at)
 
     def decode_host_id(self, dcid: bytes) -> Optional[int]:
-        if self.profile.scid_scheme not in (
-            ScidSchemeKind.FACEBOOK_V1,
-            ScidSchemeKind.FACEBOOK_V2,
-        ):
+        if self.profile.scid_scheme not in FACEBOOK_SCID_VERSIONS:
             return None
         if len(dcid) != FACEBOOK_SCID_OCTETS:
             return None
@@ -487,9 +498,6 @@ class FloodResult:
         """(server SCID, client DCID) pairs for echo-scheme verification."""
         return [(t.server_scid, t.client_dcid) for t in self.truth]
 
-    def operator_by_vip(self) -> dict[str, str]:
-        return {t.vip: t.operator for t in self.truth}
-
 
 class DeploymentSimulator:
     """Single-threaded deterministic event loop over one deployment."""
@@ -536,22 +544,12 @@ class DeploymentSimulator:
         scheme = profile.scid_scheme
         for _ in range(8):
             worker_id: Optional[int] = None
-            if scheme == ScidSchemeKind.FACEBOOK_V1:
+            if scheme in FACEBOOK_SCID_VERSIONS:
                 worker_id = self.rng.randrange(instance.workers)
-                scid = bytes(
-                    encode_facebook_scid(
-                        FacebookScidFields(1, instance.host_id, worker_id, profile.process_id),
-                        random_bits_seed=self.rng.getrandbits(64),
-                    )
+                fields = FacebookScidFields(
+                    FACEBOOK_SCID_VERSIONS[scheme], instance.host_id, worker_id, profile.process_id
                 )
-            elif scheme == ScidSchemeKind.FACEBOOK_V2:
-                worker_id = self.rng.randrange(instance.workers)
-                scid = bytes(
-                    encode_facebook_scid(
-                        FacebookScidFields(2, instance.host_id, worker_id, profile.process_id),
-                        random_bits_seed=self.rng.getrandbits(64),
-                    )
-                )
+                scid = bytes(encode_facebook_scid(fields, random_bits_seed=self.rng.getrandbits(64)))
             elif scheme == ScidSchemeKind.CLOUDFLARE_FIXED:
                 scid = b"\x01" + self.rng.randbytes(profile.scid_length - 1)
             elif scheme == ScidSchemeKind.ECHO_CLIENT_DCID:
@@ -624,7 +622,6 @@ class DeploymentSimulator:
             server_cid=scid,
             client_cid=client_initial.scid.data,
             five_tuple=(client_addr[0], vip, client_addr[1], QUIC_PORT, PROTO_UDP),
-            created_at=now,
             expires_at=now + instance.state_lifetime,
         )
         instance.connection_table[scid] = conn
@@ -653,24 +650,25 @@ class DeploymentSimulator:
             conn.resend_events.append(self.clock.schedule(at, emit_round))
         return conn
 
-    def deliver(self, d: Datagram) -> None:
-        """Process one client datagram arriving at a VIP at the current time."""
+    def deliver(self, d: Datagram) -> Optional[Connection]:
+        """Process one client datagram arriving at a VIP at the current time;
+        returns the connection it opened, if any."""
         cluster = self.cluster_for(d.dst_ip)
         packets = split_coalesced(d.payload)
         if not packets:
-            return
+            return None
         packet = packets[0]
         tup = five_tuple_of(d)
         instance = route(cluster, tup, dcid=packet.dcid.data, now=self.clock.now)
         disposition, conn = handle_packet(instance, packet, tup, self.clock.now)
         if disposition == Disposition.NEW_CONNECTION:
-            self.serve_initial(cluster, instance, packet, (d.src_ip, d.src_port), d.dst_ip)
-        elif disposition == Disposition.ACCEPT and conn is not None:
+            return self.serve_initial(cluster, instance, packet, (d.src_ip, d.src_port), d.dst_ip)
+        if disposition == Disposition.ACCEPT and conn is not None:
             # consistent continuation from the client confirms the handshake
-            conn.state = ConnState.ESTABLISHED
             for event in conn.resend_events:
                 event.cancel()
             conn.resend_events.clear()
+        return None
 
     # -- flood scenario --
 
@@ -697,24 +695,16 @@ class DeploymentSimulator:
                 src_port = self.rng.randint(1024, 65535)
                 dcid = self.rng.randbytes(8)
                 scid = self.rng.randbytes(8)
-                initial = LongHeader.build(
-                    PacketType.INITIAL, DEFAULT_VERSION, dcid=dcid, scid=scid, payload=INITIAL_FILLER
-                )
-                body = encode_long_header(initial)
-                if len(body) < 1200:
-                    body += b"\x00" * (1200 - len(body))
-                d = Datagram(self.clock.now, src, vip, src_port, QUIC_PORT, body)
-                self.deliver(d)
-                if flood.ack_probability > 0 and self.rng.random() < flood.ack_probability:
-                    server_scid = self.truth[-1].server_scid
-                    ack = LongHeader.build(
-                        PacketType.INITIAL,
-                        DEFAULT_VERSION,
-                        dcid=server_scid,
-                        scid=scid,
-                        payload=b"\x01",
-                    )
-                    ack_body = encode_long_header(ack)
+                body = client_initial_payload(dcid, scid)
+                conn = self.deliver(Datagram(self.clock.now, src, vip, src_port, QUIC_PORT, body))
+                # the ACK draw happens whether or not a connection opened, so
+                # the random stream does not depend on it
+                if (
+                    flood.ack_probability > 0
+                    and self.rng.random() < flood.ack_probability
+                    and conn is not None
+                ):
+                    ack_body = client_ack_payload(conn.server_cid, scid)
 
                     def send_ack() -> None:
                         self.deliver(

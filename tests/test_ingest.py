@@ -9,7 +9,6 @@ from quicscope.ingest import (
     SessionKey,
     annotate_operators,
     ingest,
-    map_to_as,
     sanitize,
     sessionize,
 )
@@ -125,16 +124,16 @@ class TestPrefixTable:
                 (net("128.64.3.0/24"), 65001, "small"),
             ]
         )
-        assert map_to_as("128.64.3.10", table) == (65001, "small")
-        assert map_to_as("128.64.4.10", table) == (65000, "big")
+        assert table.lookup("128.64.3.10") == (65001, "small")
+        assert table.lookup("128.64.4.10") == (65000, "big")
 
     def test_unknown_ip(self):
         table = PrefixTable([(net("198.51.100.0/24"), 64512, "ExampleCDN")])
-        assert map_to_as("8.8.8.8", table) is None
+        assert table.lookup("8.8.8.8") is None
 
     def test_single_operator_label(self):
         table = PrefixTable([(net("198.51.100.0/24"), 32934, "Facebook")])
-        assert map_to_as("198.51.100.77", table) == (32934, "Facebook")
+        assert table.lookup("198.51.100.77") == (32934, "Facebook")
 
     def test_order_independence(self):
         entries = [
@@ -151,7 +150,7 @@ class TestPrefixTable:
         f = tmp_path / "prefixes.tsv"
         f.write_text("198.51.100.0/24\t32934\tFacebook\n203.0.113.0/24\t13335\tCloudflare\n")
         table = PrefixTable.load(f)
-        assert map_to_as("203.0.113.8", table) == (13335, "Cloudflare")
+        assert table.lookup("203.0.113.8") == (13335, "Cloudflare")
 
     def test_annotate_operators_uses_server_side(self):
         table = PrefixTable([(net("198.51.100.0/24"), 32934, "Facebook")])

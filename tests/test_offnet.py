@@ -17,7 +17,6 @@ from quicscope.offnet import (
     collect_source_inputs,
     evaluate,
     extract_features,
-    low_host_id_predicate,
 )
 from quicscope.scid import FacebookScidFields, encode_facebook_scid
 from quicscope.sim import DeploymentConfig, FloodConfig, ClusterConfig, RoutingMode, default_stack_profile, simulate_flood
@@ -111,9 +110,9 @@ class TestExtractFeatures:
 class TestLowHostIdPredicate:
     @pytest.mark.parametrize("host,expected", [(5, True), (127, True), (128, False)])
     def test_predicate(self, host, expected):
-        from quicscope.scid import decode_facebook_scid
+        from quicscope.scid import decode_facebook_scid, low_host_id
 
-        assert low_host_id_predicate(decode_facebook_scid(facebook_scid(host))) is expected
+        assert low_host_id(decode_facebook_scid(facebook_scid(host))) is expected
 
 
 class TestClassify:

@@ -74,6 +74,14 @@ class TestHarvest:
         expected = 1 - (1 - 1 / 400) ** 1000
         assert abs(len(harvest.unique_ids) / 400 - expected) < 0.05
 
+    def test_inbox_stays_bounded(self):
+        # each handshake reads only its own response round; earlier rounds
+        # must not pile up over a campaign
+        sim = make_sim(l7lb_count=30)
+        transport = SimulatorTransport(sim, seed=4)
+        harvest_host_ids("203.0.113.1", 300, transport)
+        assert len(transport.inbox) <= 2
+
     def test_unknown_vip_unavailable(self):
         sim = make_sim()
         transport = SimulatorTransport(sim)
@@ -206,6 +214,15 @@ class TestDetectLbType:
         verdict = detect_lb_type("203.0.113.1", transport, codec=None, seed=11)
         assert verdict.kind == LbType.CID_AWARE
         assert abs(verdict.fail_window - 240.0) <= 1.0 + 1e-9
+
+    def test_cid_aware_fail_window_from_held_handshake(self):
+        # the window runs from the held handshake, not from the first failed
+        # follow-up one probe interval later
+        sim = make_sim(l7lb_count=60, mode=RoutingMode.CID_AWARE, operator="Facebook")
+        transport = SimulatorTransport(sim, seed=11)
+        verdict = detect_lb_type("203.0.113.1", transport, probe_interval=5.0, codec=None, seed=11)
+        assert verdict.kind == LbType.CID_AWARE
+        assert verdict.fail_window == pytest.approx(240.0, abs=1e-9)
 
     def test_five_tuple_immediate_followup(self):
         sim = make_sim(l7lb_count=60, mode=RoutingMode.FIVE_TUPLE, operator="Facebook")

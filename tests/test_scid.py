@@ -29,7 +29,6 @@ from quicscope.scid import (
     encode_facebook_scid,
     low_host_id,
     nybble_frequencies,
-    scid_length_stats,
     uniformity_test,
 )
 from quicscope.wire import ConnectionId
@@ -339,16 +338,36 @@ class TestCloudflareSignature:
 
 
 class TestScidLengthStats:
-    def test_unique_per_length(self):
-        stats = scid_length_stats({"Facebook": [b"\x01" * 8, b"\x01" * 8, b"\x02" * 8]})
-        assert stats == {"Facebook": {8: 2}}
+    """Unique-SCID counts per length, as `quicscope scid --scids` writes them
+    to scid_lengths.tsv."""
 
-    def test_mixed_lengths(self):
-        stats = scid_length_stats({"Remaining": [b"\x01" * 8, b"\x02" * 20]})
-        assert stats == {"Remaining": {8: 1, 20: 1}}
+    @staticmethod
+    def length_stats(tmp_path, scids) -> dict[int, int]:
+        from quicscope.cli import main
 
-    def test_synthetic_facebook_population(self):
+        scid_file = tmp_path / "scids.txt"
+        scid_file.write_text("\n".join(s.hex() for s in scids))
+        out = tmp_path / "out"
+        assert main(["scid", "--scids", str(scid_file), "--out-dir", str(out)]) == 0
+        header, *rows = (out / "scid_lengths.tsv").read_text().splitlines()
+        assert header == "operator\tlength\tunique_scids"
+        stats = {}
+        for row in rows:
+            population, length, unique = row.split("\t")
+            assert population == "all"
+            stats[int(length)] = int(unique)
+        return stats
+
+    def test_unique_per_length(self, tmp_path):
+        stats = self.length_stats(tmp_path, [b"\x01" * 8, b"\x01" * 8, b"\x02" * 8])
+        assert stats == {8: 2}
+
+    def test_mixed_lengths(self, tmp_path):
+        stats = self.length_stats(tmp_path, [b"\x01" * 8, b"\x02" * 20])
+        assert stats == {8: 1, 20: 1}
+
+    def test_synthetic_facebook_population(self, tmp_path):
         rng = np.random.default_rng(6)
         unique = {rng.bytes(8) for _ in range(5000)}
-        stats = scid_length_stats({"Facebook": list(unique)})
-        assert stats["Facebook"] == {8: len(unique)}
+        stats = self.length_stats(tmp_path, list(unique))
+        assert stats == {8: len(unique)}

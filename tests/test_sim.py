@@ -252,6 +252,26 @@ class TestHandlePacket:
         assert after == Disposition.NEW_CONNECTION
 
 
+class TestDeliver:
+    def test_returns_the_connection_it_opened(self):
+        from quicscope.sim import client_ack_payload
+        from quicscope.wire import Datagram, encode_long_header
+
+        sim = DeploymentSimulator(DeploymentConfig(clusters=[cluster_config()], seed=9))
+        vip = sim.clusters[0].vips[0]
+
+        def from_client(payload):
+            return Datagram(sim.clock.now, "10.0.0.1", vip, 4000, 443, payload)
+
+        conn = sim.deliver(from_client(encode_long_header(client_initial(scid=b"\x20" * 8))))
+        assert conn is not None
+        assert conn.server_cid == sim.truth[-1].server_scid
+        assert conn.resend_events
+        # the ACK continues that connection, opens none, and stops its resends
+        assert sim.deliver(from_client(client_ack_payload(conn.server_cid, b"\x20" * 8))) is None
+        assert not conn.resend_events
+
+
 class TestFloodDeterminism:
     def make_config(self, seed):
         return DeploymentConfig(
