@@ -434,8 +434,7 @@ def cmd_classify(args) -> int:
         if row.operator is not None:
             labeled_sources.add(row.src_ip)
         if row.operator == params.target_operator:
-            types = tuple(fp.TYPE_LABELS[p.packet_type] for p in row.packets)
-            reference_shapes.add((types, row.datagram_length))
+            reference_shapes.add((row.types, row.datagram_length))
     if reference_shapes and params.reference_shapes is None:
         params = replace(params, reference_shapes=frozenset(reference_shapes))
 
@@ -623,10 +622,11 @@ def cmd_report(args) -> int:
     out = _out_dir(args)
 
     def maybe_rows(name: str) -> list[dict[str, str]]:
-        path = in_dir / name
-        if not path.exists():
-            return []
-        return tables.read_table(path)[1]
+        # a table written with --format jsonl sits next to its .tsv name
+        for path in (in_dir / name, (in_dir / name).with_suffix(".jsonl")):
+            if path.exists():
+                return tables.read_table(path)[1]
+        return []
 
     tally_rows = maybe_rows("version_tally.tsv")
     versions = sorted({r["version"] for r in tally_rows})
@@ -786,28 +786,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    try:
-        return args.handler(args)
-    except (
-        FileNotFoundError,
-        UnreadableCapture,
-        sim.InvalidConfig,
-        json.JSONDecodeError,
-        ValueError,
-    ) as exc:
-        if isinstance(exc, _PRECONDITION_ERRORS):
-            print(f"quicscope: {exc}", file=sys.stderr)
-            return EXIT_PRECONDITION
-        print(f"quicscope: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except _PRECONDITION_ERRORS as exc:
-        print(f"quicscope: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
-
-
 _PRECONDITION_ERRORS = (
     fp.InsufficientData,
     scid.InsufficientSamples,
@@ -816,6 +794,19 @@ _PRECONDITION_ERRORS = (
     offnet.UnknownRule,
     probe.ProbeError,
 )
+
+
+def main(argv: Optional[list[str]] = None) -> int:
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    try:
+        return args.handler(args)
+    except _PRECONDITION_ERRORS as exc:
+        print(f"quicscope: {exc}", file=sys.stderr)
+        return EXIT_PRECONDITION
+    except (FileNotFoundError, UnreadableCapture, ValueError) as exc:
+        print(f"quicscope: {exc}", file=sys.stderr)
+        return EXIT_INPUT
 
 
 if __name__ == "__main__":

@@ -15,7 +15,7 @@ from typing import Iterable, Optional, Sequence
 from .ingest import CaptureRecord, Session
 from .scid import ScidScheme, SchemeKind
 from .sim import read_profiles
-from .wire import Direction, PacketType, TYPE_LABELS, VersionRegistry
+from .wire import Direction, PacketType, VersionRegistry
 
 DEFAULT_MIN_SESSIONS = 30
 RTO_MATCH_TOLERANCE = 0.25
@@ -84,10 +84,6 @@ def version_tally(sessions: Iterable[Session], registry: VersionRegistry) -> Ver
     return tally
 
 
-def _datagram_category(packets: Sequence) -> str:
-    return " & ".join(TYPE_LABELS[p.packet_type] for p in packets)
-
-
 @dataclass
 class PacketTypeStats:
     """Datagram counts per (operator, packet-type-or-coalesced category)."""
@@ -121,7 +117,7 @@ def packet_type_stats(records: Iterable[CaptureRecord]) -> PacketTypeStats:
     combination such as `Initial & Handshake` is its own category."""
     out = PacketTypeStats()
     for record in records:
-        out.add(record.operator or "Unknown", _datagram_category(record.packets))
+        out.add(record.operator or "Unknown", " & ".join(record.types))
     return out
 
 
@@ -141,9 +137,6 @@ class LengthHistogram:
         ranked = sorted(bucket.items(), key=lambda item: (-item[1], item[0]))
         return [(types, length, n) for (types, length), n in ranked[:k]]
 
-    def shapes(self, operator: str) -> set[tuple[tuple[str, ...], int]]:
-        return set(self.counts.get(operator, {}))
-
     def merge(self, other: "LengthHistogram") -> "LengthHistogram":
         merged = LengthHistogram({op: dict(bucket) for op, bucket in self.counts.items()})
         for op, bucket in other.counts.items():
@@ -155,8 +148,7 @@ class LengthHistogram:
 def length_histogram(records: Iterable[CaptureRecord]) -> LengthHistogram:
     out = LengthHistogram()
     for record in records:
-        types = tuple(TYPE_LABELS[p.packet_type] for p in record.packets)
-        out.add(record.operator or "Unknown", types, record.datagram_length)
+        out.add(record.operator or "Unknown", record.types, record.datagram_length)
     return out
 
 

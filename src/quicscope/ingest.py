@@ -15,6 +15,7 @@ from typing import Iterable, Iterator, NamedTuple, Optional
 
 from .pcap import PcapReader
 from .wire import (
+    TYPE_LABELS,
     Datagram,
     Direction,
     LongHeader,
@@ -28,35 +29,31 @@ from .wire import (
 DEFAULT_IDLE_GAP = 60.0
 
 
-@dataclass
+@dataclass(slots=True)
 class CaptureRecord:
     """One QUIC datagram with its parsed long-header packets.
 
-    `operator`/`asn` identify the server side (source of a response,
-    destination of a request) and are filled in by annotate_operators.
+    `ingest()` yields these and `tables.load_datagrams` reads them back; a
+    loaded packet keeps only its type, version and CIDs. `operator`/`asn`
+    identify the server side (source of a response, destination of a
+    request) and are filled in by annotate_operators.
     """
 
-    datagram: Datagram
+    timestamp: float
+    src_ip: str
+    dst_ip: str
+    src_port: int
+    dst_port: int
     direction: Direction
+    datagram_length: int
     packets: list[LongHeader]
     operator: Optional[str] = None
     asn: Optional[int] = None
 
     @property
-    def timestamp(self) -> float:
-        return self.datagram.timestamp
-
-    @property
-    def src_ip(self) -> str:
-        return self.datagram.src_ip
-
-    @property
-    def dst_ip(self) -> str:
-        return self.datagram.dst_ip
-
-    @property
-    def datagram_length(self) -> int:
-        return len(self.datagram.payload)
+    def types(self) -> tuple[str, ...]:
+        """Display labels of the packet types, in datagram order."""
+        return tuple(TYPE_LABELS[p.packet_type] for p in self.packets)
 
 
 @dataclass
@@ -128,7 +125,9 @@ def ingest(
             counters.responses_seen += 1
         else:
             counters.requests_seen += 1
-        yield CaptureRecord(d, direction, packets)
+        yield CaptureRecord(
+            d.timestamp, d.src_ip, d.dst_ip, d.src_port, d.dst_port, direction, len(d.payload), packets
+        )
 
 
 class ScannerList:
@@ -166,7 +165,7 @@ def sanitize(
     traffic, and backscatter sources are the measurement signal. Idempotent.
     """
     for record in records:
-        if record.direction == Direction.REQUEST and record.datagram.src_ip in scanners:
+        if record.direction == Direction.REQUEST and record.src_ip in scanners:
             if counters is not None:
                 counters.requests_dropped += 1
             continue
@@ -244,14 +243,14 @@ class Session:
     start_ts: float = 0.0
 
 
-def sessionize(records: Iterable, idle_gap: float = DEFAULT_IDLE_GAP) -> list[Session]:
+def sessionize(records: Iterable[CaptureRecord], idle_gap: float = DEFAULT_IDLE_GAP) -> list[Session]:
     """Group timestamp-ordered records into sessions.
 
     Every long-header packet lands in exactly one session; a coalesced
     datagram contributes one timeline entry per inner packet at the same
     offset. A gap of `idle_gap` seconds or more closes the session and a
-    later packet under the same key opens a new one. Accepts anything
-    record-shaped (live CaptureRecords or rows loaded from a store).
+    later packet under the same key opens a new one. Records may come
+    live from ingest() or loaded from a datagram store.
     """
     finished: list[Session] = []
     open_sessions: dict[SessionKey, tuple[Session, float]] = {}

@@ -22,7 +22,7 @@ from .scid import (
     detect_cloudflare_signature,
     low_host_id,
 )
-from .wire import Direction, TYPE_LABELS
+from .wire import Direction
 
 NOT_OPERATOR = "NotOperator"
 DEFAULT_SOURCE_MIN_SESSIONS = 5
@@ -90,8 +90,7 @@ def collect_source_inputs(
     for record in responses:
         src = record.src_ip
         entry = inputs.setdefault(src, SourceInputs(source=src))
-        types = tuple(TYPE_LABELS[p.packet_type] for p in record.packets)
-        entry.shapes.add((types, record.datagram_length))
+        entry.shapes.add((record.types, record.datagram_length))
         if len(record.packets) > 1:
             entry.any_coalesced = True
         for packet in record.packets:

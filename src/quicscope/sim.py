@@ -141,7 +141,7 @@ class Connection:
     client_cid: bytes
     five_tuple: tuple
     expires_at: float
-    resend_events: list = field(default_factory=list)
+    resend: Optional[Event] = None
 
     def live(self, now: float) -> bool:
         return now < self.expires_at
@@ -410,6 +410,12 @@ class FloodConfig:
     ack_delay: float = 0.05
 
 
+def _required(section: dict, key: str, where: str):
+    if key not in section:
+        raise InvalidConfig(f"deployment config: {where} is missing {key!r}")
+    return section[key]
+
+
 @dataclass
 class DeploymentConfig:
     clusters: list[ClusterConfig]
@@ -431,9 +437,9 @@ class DeploymentConfig:
                 p = c["profile"]
                 profile = StackProfile(
                     operator=p.get("operator", operator or "custom"),
-                    initial_rto=p["initial_rto"],
+                    initial_rto=_required(p, "initial_rto", f"cluster {i} profile"),
                     backoff_base=p.get("backoff_base", 2.0),
-                    max_retransmissions=p["max_retransmissions"],
+                    max_retransmissions=_required(p, "max_retransmissions", f"cluster {i} profile"),
                     coalescence=p.get("coalescence", False),
                     scid_scheme=ScidSchemeKind(p.get("scid_scheme", "uniform_random")),
                     scid_length=p.get("scid_length", 8),
@@ -445,7 +451,9 @@ class DeploymentConfig:
                 profile = default_stack_profile(operator)
             else:
                 raise InvalidConfig(f"cluster {i}: neither operator nor profile given")
-            vips = c.get("vips") or _generate_ips(c["vip_base"], c["vip_count"])
+            vips = c.get("vips") or _generate_ips(
+                _required(c, "vip_base", f"cluster {i}"), _required(c, "vip_count", f"cluster {i}")
+            )
             clusters.append(
                 ClusterConfig(
                     vips=vips,
@@ -462,10 +470,12 @@ class DeploymentConfig:
         flood = None
         if "flood" in raw:
             f = raw["flood"]
-            sources = f.get("sources") or _generate_ips(f["source_base"], f["source_count"])
+            sources = f.get("sources") or _generate_ips(
+                _required(f, "source_base", "flood"), _required(f, "source_count", "flood")
+            )
             flood = FloodConfig(
                 sources=sources,
-                duration=f["duration"],
+                duration=_required(f, "duration", "flood"),
                 sessions_per_vip=f.get("sessions_per_vip"),
                 arrival_window=f.get("arrival_window", 0.0),
                 ack_probability=f.get("ack_probability", 0.0),
@@ -640,14 +650,15 @@ class DeploymentSimulator:
             )
         )
 
-        def emit_round() -> None:
+        def emit_round(k: int) -> None:
+            # each round schedules only the next, so an ACK cancels one event
             for d in self._response_datagrams(cluster, conn, client_addr, vip):
                 self._emit(d)
+            if k < profile.max_retransmissions:
+                at = now + profile.initial_rto * profile.backoff_base**k
+                conn.resend = self.clock.schedule(at, lambda: emit_round(k + 1))
 
-        emit_round()
-        for k in range(profile.max_retransmissions):
-            at = now + profile.initial_rto * profile.backoff_base**k
-            conn.resend_events.append(self.clock.schedule(at, emit_round))
+        emit_round(0)
         return conn
 
     def deliver(self, d: Datagram) -> Optional[Connection]:
@@ -665,9 +676,9 @@ class DeploymentSimulator:
             return self.serve_initial(cluster, instance, packet, (d.src_ip, d.src_port), d.dst_ip)
         if disposition == Disposition.ACCEPT and conn is not None:
             # consistent continuation from the client confirms the handshake
-            for event in conn.resend_events:
-                event.cancel()
-            conn.resend_events.clear()
+            if conn.resend is not None:
+                conn.resend.cancel()
+                conn.resend = None
         return None
 
     # -- flood scenario --

@@ -1,20 +1,21 @@
 """Line-delimited stores and plot-ready tables.
 
-Sessions and datagram summaries travel between pipeline stages as JSONL;
-analysis outputs land as delimited text with a one-line header (or JSONL in
-structured-record mode). All writers are byte-deterministic for identical
-inputs, which is what makes whole-pipeline runs reproducible.
+Sessions and datagrams travel between pipeline stages as JSONL. The datagram
+store keeps each packet's type, version and CIDs, and loads back as the same
+`ingest.CaptureRecord` that ingest() yields. Analysis outputs land as TSV with
+a one-line header, or as JSONL records with `--format jsonl`; read_table reads
+either form, so both feed the next stage. All writers are byte-deterministic
+for identical inputs, which is what makes whole-pipeline runs reproducible.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
 from .ingest import CaptureRecord, Session, SessionKey, TimelineEntry
-from .wire import ConnectionId, Direction, PacketType
+from .wire import ConnectionId, Direction, LongHeader, PacketType
 
 
 def fmt_value(value) -> str:
@@ -36,12 +37,7 @@ def write_table(
     """Write a table as TSV (default) or JSONL records; returns the path."""
     path = Path(path)
     if fmt == "jsonl":
-        path = path.with_suffix(".jsonl")
-        with path.open("w") as fh:
-            for row in rows:
-                record = {col: (None if v is None else v) for col, v in zip(header, row)}
-                fh.write(json.dumps(record, sort_keys=True) + "\n")
-        return path
+        return write_jsonl(path.with_suffix(".jsonl"), (dict(zip(header, row)) for row in rows))
     with path.open("w") as fh:
         fh.write("\t".join(header) + "\n")
         for row in rows:
@@ -50,8 +46,12 @@ def write_table(
 
 
 def read_table(path: str | Path) -> tuple[list[str], list[dict[str, str]]]:
-    """Read a TSV table back as (header, rows-as-string-dicts); empty cells
-    come back as empty strings."""
+    """Read a table back as (header, rows-as-string-dicts). A `.jsonl` table
+    has its cells formatted as the TSV writer would; empty cells come back as
+    empty strings."""
+    if Path(path).suffix == ".jsonl":
+        rows = [{col: fmt_value(v) for col, v in record.items()} for record in read_jsonl(path)]
+        return (list(rows[0]) if rows else []), rows
     lines = Path(path).read_text().splitlines()
     if not lines:
         return [], []
@@ -123,31 +123,6 @@ def load_sessions(path: str | Path) -> list[Session]:
 # --- datagram store ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PacketSummary:
-    packet_type: PacketType
-    version: int
-    scid: ConnectionId
-    dcid: ConnectionId
-
-
-@dataclass(frozen=True)
-class DatagramRow:
-    """Stored per-datagram summary; satisfies the record protocol the
-    fingerprint and classifier stages consume."""
-
-    timestamp: float
-    src_ip: str
-    dst_ip: str
-    src_port: int
-    dst_port: int
-    direction: Direction
-    datagram_length: int
-    packets: tuple[PacketSummary, ...]
-    operator: Optional[str] = None
-    asn: Optional[int] = None
-
-
 def save_datagrams(path: str | Path, records: Iterable[CaptureRecord]) -> Path:
     def rows():
         for r in records:
@@ -155,8 +130,8 @@ def save_datagrams(path: str | Path, records: Iterable[CaptureRecord]) -> Path:
                 "ts": r.timestamp,
                 "src": r.src_ip,
                 "dst": r.dst_ip,
-                "sport": r.datagram.src_port,
-                "dport": r.datagram.dst_port,
+                "sport": r.src_port,
+                "dport": r.dst_port,
                 "direction": r.direction.value,
                 "length": r.datagram_length,
                 "operator": r.operator,
@@ -169,20 +144,22 @@ def save_datagrams(path: str | Path, records: Iterable[CaptureRecord]) -> Path:
     return write_jsonl(path, rows())
 
 
-def load_datagrams(path: str | Path) -> list[DatagramRow]:
+def load_datagrams(path: str | Path) -> list[CaptureRecord]:
+    """Read a datagram store back as records whose packets carry only type,
+    version and CIDs."""
     rows = []
     for raw in read_jsonl(path):
-        packets = tuple(
-            PacketSummary(
+        packets = [
+            LongHeader(
                 PacketType(ptype),
                 version,
-                ConnectionId(bytes.fromhex(scid)),
                 ConnectionId(bytes.fromhex(dcid)),
+                ConnectionId(bytes.fromhex(scid)),
             )
             for ptype, version, scid, dcid in raw["packets"]
-        )
+        ]
         rows.append(
-            DatagramRow(
+            CaptureRecord(
                 timestamp=raw["ts"],
                 src_ip=raw["src"],
                 dst_ip=raw["dst"],

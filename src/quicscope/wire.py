@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from importlib import resources
 from pathlib import Path
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 MAX_CID_LENGTH = 20
 
@@ -372,9 +372,6 @@ class VersionRegistry:
 
     def label(self, version: int) -> Optional[str]:
         return self._entries.get(version)
-
-    def items(self) -> Iterator[tuple[int, str]]:
-        return iter(sorted(self._entries.items()))
 
 
 @dataclass(frozen=True)

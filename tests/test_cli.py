@@ -50,6 +50,13 @@ class TestSimulate:
     def test_missing_config_is_input_error(self, tmp_path):
         assert run("simulate", "--config", tmp_path / "nope.json", "--out-dir", tmp_path / "o") == 2
 
+    def test_missing_config_key_is_input_error(self, tmp_path, capsys):
+        cluster = {k: v for k, v in DEPLOY["clusters"][0].items() if k != "vip_base"}
+        config = tmp_path / "deploy.json"
+        config.write_text(json.dumps(dict(DEPLOY, clusters=[cluster])))
+        assert run("simulate", "--config", config, "--out-dir", tmp_path / "o") == 2
+        assert "vip_base" in capsys.readouterr().err
+
     def test_usage_error_exit_1(self):
         assert pytest.raises(SystemExit, run, "simulate").value.code == 1
 
@@ -333,3 +340,24 @@ class TestJsonlFormat:
         pairs = (out / "pairs.jsonl").read_text().splitlines()
         record = json.loads(pairs[0])
         assert set(record) == {"operator", "server_scid", "client_dcid"}
+
+    def test_jsonl_outputs_feed_the_next_stage(self, deploy_config, prefix_table, tmp_path):
+        # pairs and fingerprint tables written as JSONL must give the same
+        # downstream tables as their TSV twins
+        ing = tmp_path / "ing"
+        outputs = {}
+        for fmt in ("tsv", "jsonl"):
+            sim_out, fp_out = tmp_path / f"sim-{fmt}", tmp_path / f"fp-{fmt}"
+            assert run("simulate", "--config", deploy_config, "--out-dir", sim_out, "--format", fmt) == 0
+            if fmt == "tsv":
+                assert run("ingest", "--capture", sim_out / "capture.pcap", "--prefix-table", prefix_table, "--out-dir", ing) == 0
+            assert run("fingerprint", "--sessions", ing / "sessions.jsonl", "--datagrams", ing / "datagrams.jsonl", "--out-dir", fp_out, "--min-scids", "40", "--format", fmt) == 0
+            assert run("scid", "--datagrams", ing / "datagrams.jsonl", "--pairs", sim_out / f"pairs.{fmt}", "--out-dir", tmp_path / f"scid-{fmt}", "--min-samples", "40") == 0
+            assert run("report", "--in-dir", fp_out, "--out-dir", tmp_path / f"rep-{fmt}") == 0
+            outputs[fmt] = (
+                (tmp_path / f"scid-{fmt}" / "schemes.tsv").read_text(),
+                (tmp_path / f"rep-{fmt}" / "deployment_table.tsv").read_text(),
+            )
+        schemes, deployment = outputs["tsv"]
+        assert "Facebook" in schemes and "Facebook" in deployment
+        assert outputs["jsonl"] == outputs["tsv"]

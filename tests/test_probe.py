@@ -82,6 +82,14 @@ class TestHarvest:
         harvest_host_ids("203.0.113.1", 300, transport)
         assert len(transport.inbox) <= 2
 
+    def test_acked_handshake_leaves_one_resend_event(self):
+        # a connection keeps only its next resend pending, so each ACKed
+        # handshake leaves one cancelled event in the clock's heap
+        sim = make_sim(l7lb_count=30)
+        transport = SimulatorTransport(sim, seed=4)
+        harvest_host_ids("203.0.113.1", 300, transport)
+        assert len(sim.clock._heap) == 300
+
     def test_unknown_vip_unavailable(self):
         sim = make_sim()
         transport = SimulatorTransport(sim)

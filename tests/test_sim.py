@@ -266,10 +266,10 @@ class TestDeliver:
         conn = sim.deliver(from_client(encode_long_header(client_initial(scid=b"\x20" * 8))))
         assert conn is not None
         assert conn.server_cid == sim.truth[-1].server_scid
-        assert conn.resend_events
+        assert conn.resend is not None
         # the ACK continues that connection, opens none, and stops its resends
         assert sim.deliver(from_client(client_ack_payload(conn.server_cid, b"\x20" * 8))) is None
-        assert not conn.resend_events
+        assert conn.resend is None
 
 
 class TestFloodDeterminism:

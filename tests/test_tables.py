@@ -1,0 +1,66 @@
+"""Datagram store: records loaded back equal the records ingest yielded."""
+
+import ipaddress
+
+from quicscope import tables
+from quicscope.fingerprint import length_histogram, packet_type_stats
+from quicscope.ingest import CaptureRecord, PrefixTable, annotate_operators, ingest
+from quicscope.wire import Direction, PacketType
+
+from conftest import make_request, make_response
+
+
+def stored_fields(record: CaptureRecord) -> tuple:
+    """Every field the store keeps; packets keep type, version and CIDs."""
+    return (
+        record.timestamp,
+        record.src_ip,
+        record.dst_ip,
+        record.src_port,
+        record.dst_port,
+        record.direction,
+        record.datagram_length,
+        [(p.packet_type, p.version, p.dcid, p.scid) for p in record.packets],
+        record.operator,
+        record.asn,
+    )
+
+
+def live_records() -> list[CaptureRecord]:
+    table = PrefixTable([(ipaddress.ip_network("198.51.100.0/24"), 32934, "Facebook")])
+    datagrams = [
+        make_response(0.0, types=(PacketType.INITIAL, PacketType.HANDSHAKE), pad_to=1200),
+        make_response(0.25, scid=b"\x01" * 20, dcid=b""),
+        make_response(0.5, src="192.0.2.7", types=(PacketType.HANDSHAKE,), version=0xFF00001D),
+        make_request(0.75),
+    ]
+    return list(annotate_operators(ingest(datagrams), table))
+
+
+class TestDatagramStore:
+    def test_round_trip_keeps_every_stored_field(self, tmp_path):
+        live = live_records()
+        assert len(live) == 4
+        assert {r.direction for r in live} == {Direction.REQUEST, Direction.RESPONSE}
+        assert {r.operator for r in live} == {"Facebook", None}
+        loaded = tables.load_datagrams(tables.save_datagrams(tmp_path / "datagrams.jsonl", live))
+        assert all(isinstance(r, CaptureRecord) for r in loaded)
+        assert [stored_fields(r) for r in loaded] == [stored_fields(r) for r in live]
+        assert [r.types for r in loaded] == [r.types for r in live]
+
+    def test_stats_agree_on_live_and_loaded_records(self, tmp_path):
+        live = live_records()
+        loaded = tables.load_datagrams(tables.save_datagrams(tmp_path / "datagrams.jsonl", live))
+        assert packet_type_stats(loaded).counts == packet_type_stats(live).counts
+        assert length_histogram(loaded).counts == length_histogram(live).counts
+        assert packet_type_stats(live).counts["Facebook"]["Initial & Handshake"] == 1
+
+
+class TestReadTable:
+    def test_jsonl_cells_read_as_tsv_cells(self, tmp_path):
+        header = ["operator", "share", "flag", "missing"]
+        rows = [("Facebook", 0.123456789, True, None), ("Google", 2.0, False, 7)]
+        tsv = tables.write_table(tmp_path / "t.tsv", header, rows)
+        jsonl = tables.write_table(tmp_path / "t.tsv", header, rows, fmt="jsonl")
+        assert jsonl.suffix == ".jsonl"
+        assert tables.read_table(jsonl)[1] == tables.read_table(tsv)[1]
