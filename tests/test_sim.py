@@ -1,6 +1,8 @@
 """Deployment simulator: cluster construction, routing, response schedules,
 connection-state semantics, and capture determinism."""
 
+import hashlib
+
 import pytest
 
 from quicscope.fingerprint import resend_rounds
@@ -122,6 +124,44 @@ class TestRoute:
         dcid = bytes(encode_facebook_scid(FacebookScidFields(1, 37, 2, 0), random_bits_seed=5))
         tup = ("10.0.0.1", cluster.vips[0], 7777, 443, 17)
         assert route(cluster, tup, dcid=dcid).host_id == 37
+
+
+class TestRendezvousGolden:
+    """Five-tuple -> host ID assignments of a 24-instance cluster, pinned so
+    that any rewrite of the rendezvous hash routes every flow as before."""
+
+    EXPECTED = [
+        1018, 1008, 1006, 1008, 1010, 1018, 1015, 1020, 1016, 1022, 1007, 1011, 1015, 1006, 1002, 1010,
+        1008, 1019, 1005, 1016, 1002, 1012, 1020, 1007, 1007, 1016, 1003, 1001, 1012, 1010, 1001, 1017,
+    ]
+    SWEEP_SHA256 = "8a753ccf506a391771becd4283baac0bad438ea7fdfa17943d6f39874287cd84"
+
+    @pytest.fixture
+    def cluster(self):
+        return build_cluster(
+            ClusterConfig(
+                vips=["157.240.1.1", "157.240.1.2"],
+                l7lb_count=24,
+                host_id_base=1000,
+                profile=profile("Facebook"),
+                name="edge",
+            )
+        )
+
+    def test_fixed_assignments(self, cluster):
+        tuples = [
+            (f"10.{i % 7}.{i % 13}.{i % 251}", cluster.vips[i % 2], 1024 + 997 * i % 64000, 443, 17)
+            for i in range(32)
+        ]
+        assert [route(cluster, t).host_id for t in tuples] == self.EXPECTED
+
+    def test_port_sweep_digest(self, cluster):
+        ids = [
+            cluster.rendezvous((f"198.51.100.{i % 256}", cluster.vips[i % 2], 1024 + i, 443, 17)).host_id
+            for i in range(5000)
+        ]
+        assert len(set(ids)) == 24
+        assert hashlib.sha256(",".join(map(str, ids)).encode()).hexdigest() == self.SWEEP_SHA256
 
 
 class TestVirtualClock:
