@@ -17,8 +17,6 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Iterable, Iterator, Optional, Protocol
 
-import numpy as np
-
 from .scid import CodecError, decode_facebook_scid
 from .sim import (
     QUIC_PORT,
@@ -333,16 +331,9 @@ class ClusterReport:
     def jaccard(self, vip_a: str, vip_b: str) -> float:
         return jaccard(self.signatures[vip_a], self.signatures[vip_b])
 
-    def matrix(self) -> np.ndarray:
+    def matrix(self) -> list[list[float]]:
         """Full symmetric Jaccard matrix in self.vips order."""
-        sigs = sorted({self.signatures[v] for v in self.vips}, key=sorted)
-        sig_index = {s: i for i, s in enumerate(sigs)}
-        pair = np.ones((len(sigs), len(sigs)))
-        for i, a in enumerate(sigs):
-            for j in range(i + 1, len(sigs)):
-                pair[i, j] = pair[j, i] = jaccard(a, sigs[j])
-        idx = np.array([sig_index[self.signatures[v]] for v in self.vips])
-        return pair[np.ix_(idx, idx)]
+        return [[self.jaccard(a, b) for b in self.vips] for a in self.vips]
 
 
 def cluster_vips(

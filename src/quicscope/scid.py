@@ -13,8 +13,6 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Optional, Sequence
 
-import numpy as np
-
 from .wire import ConnectionId
 
 DEFAULT_ALPHA = 0.001
@@ -60,28 +58,32 @@ def _as_bytes(scids: Iterable[ConnectionId | bytes]) -> list[bytes]:
     return [bytes(s) for s in scids]
 
 
+# octet value -> its high / low nybble, for bytes.translate
+_HIGH_NYBBLE = bytes(b >> 4 for b in range(256))
+_LOW_NYBBLE = bytes(b & 0x0F for b in range(256))
+
+
 @dataclass(frozen=True)
 class NybbleFrequencyMatrix:
     """Counts of nybble values by position over an SCID population."""
 
-    counts: np.ndarray  # shape (positions, 16), int64
+    counts: tuple[tuple[int, ...], ...]  # one 16-tuple per position
     total: int
 
     @property
     def positions(self) -> int:
-        return self.counts.shape[0]
+        return len(self.counts)
 
-    def relative(self) -> np.ndarray:
+    def relative(self) -> tuple[tuple[float, ...], ...]:
         if self.total == 0:
-            return np.zeros_like(self.counts, dtype=float)
-        return self.counts / self.total
+            return tuple((0.0,) * 16 for _ in self.counts)
+        return tuple(tuple(c / self.total for c in row) for row in self.counts)
 
     def rows(self) -> Iterable[tuple[int, int, int, float]]:
         """(position, value, count, relative frequency) rows for export."""
-        rel = self.relative()
-        for pos in range(self.positions):
+        for pos, (row, rel) in enumerate(zip(self.counts, self.relative())):
             for value in range(16):
-                yield pos, value, int(self.counts[pos, value]), float(rel[pos, value])
+                yield pos, value, row[value], rel[value]
 
     def merge(self, other: "NybbleFrequencyMatrix") -> "NybbleFrequencyMatrix":
         """Exact combination of per-shard matrices over the same SCID length."""
@@ -91,7 +93,11 @@ class NybbleFrequencyMatrix:
             return self
         if self.positions != other.positions:
             raise MixedLengths("cannot merge matrices of different SCID lengths")
-        return NybbleFrequencyMatrix(self.counts + other.counts, self.total + other.total)
+        counts = tuple(
+            tuple(a + b for a, b in zip(mine, theirs))
+            for mine, theirs in zip(self.counts, other.counts)
+        )
+        return NybbleFrequencyMatrix(counts, self.total + other.total)
 
 
 def nybble_frequencies(scids: Sequence[ConnectionId | bytes]) -> NybbleFrequencyMatrix:
@@ -99,19 +105,19 @@ def nybble_frequencies(scids: Sequence[ConnectionId | bytes]) -> NybbleFrequency
     octet 0. All SCIDs must share one length."""
     data = _as_bytes(scids)
     if not data:
-        return NybbleFrequencyMatrix(np.zeros((0, 16), dtype=np.int64), 0)
+        return NybbleFrequencyMatrix((), 0)
     lengths = {len(s) for s in data}
     if len(lengths) != 1:
         raise MixedLengths(f"population mixes SCID lengths {sorted(lengths)}")
     octets = lengths.pop()
-    arr = np.frombuffer(b"".join(data), dtype=np.uint8).reshape(len(data), octets)
-    nybbles = np.empty((len(data), octets * 2), dtype=np.uint8)
-    nybbles[:, 0::2] = arr >> 4
-    nybbles[:, 1::2] = arr & 0x0F
-    counts = np.stack(
-        [np.bincount(nybbles[:, pos], minlength=16) for pos in range(octets * 2)]
-    ).astype(np.int64)
-    return NybbleFrequencyMatrix(counts, len(data))
+    blob = b"".join(data)
+    counts = []
+    for octet in range(octets):
+        column = blob[octet::octets]
+        for table in (_HIGH_NYBBLE, _LOW_NYBBLE):
+            nybbles = column.translate(table)
+            counts.append(tuple(nybbles.count(value) for value in range(16)))
+    return NybbleFrequencyMatrix(tuple(counts), len(data))
 
 
 def chi2_sf_15(x: float) -> float:
@@ -130,6 +136,24 @@ def chi2_sf_15(x: float) -> float:
     return math.erfc(math.sqrt(x / 2)) + math.sqrt(2 * x / math.pi) * math.exp(-x / 2) * series
 
 
+def position_chi2(row: Sequence[int], total: int) -> float:
+    """Pearson chi-square statistic of one position's 16 counts against the
+    uniform 1/16 law.
+
+    The 16 terms are added pairwise (t_i + t_(i+8), then a balanced tree over
+    the eight partial sums), the order this statistic has always been summed
+    in; a left-to-right sum can differ in the last place and flip a verdict
+    that sits on the threshold.
+    """
+    expected = total / 16.0
+    terms = []
+    for count in row:
+        delta = count - expected
+        terms.append(delta * delta / expected)
+    r = [terms[i] + terms[i + 8] for i in range(8)]
+    return ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+
+
 class PositionVerdict(Enum):
     UNIFORM = "uniform"
     SKEWED = "skewed"
@@ -145,11 +169,9 @@ def uniformity_test(
     if matrix.total < min_samples:
         raise InsufficientSamples(f"{matrix.total} SCIDs < required {min_samples}")
     threshold = alpha / matrix.positions
-    expected = matrix.total / 16.0
     verdicts = []
-    for pos in range(matrix.positions):
-        chi2 = float(((matrix.counts[pos] - expected) ** 2 / expected).sum())
-        p_value = chi2_sf_15(chi2)
+    for row in matrix.counts:
+        p_value = chi2_sf_15(position_chi2(row, matrix.total))
         verdicts.append(
             PositionVerdict.SKEWED if p_value < threshold else PositionVerdict.UNIFORM
         )

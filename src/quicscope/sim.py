@@ -20,8 +20,6 @@ from importlib import resources
 from pathlib import Path
 from typing import Callable, Optional
 
-import numpy as np
-
 from .scid import (
     FACEBOOK_SCID_OCTETS,
     CodecError,
@@ -241,11 +239,7 @@ class VirtualClock:
 # --- routing -----------------------------------------------------------------
 
 
-def _splitmix64(x: np.ndarray) -> np.ndarray:
-    z = x + np.uint64(0x9E3779B97F4A7C15)
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    return z ^ (z >> np.uint64(31))
+_MASK64 = (1 << 64) - 1
 
 
 def _key64(text: str) -> int:
@@ -303,17 +297,26 @@ class FrontendCluster:
         self.name = name
         self.by_host_id = {inst.host_id: inst for inst in instances}
         self.cid_directory: dict[bytes, tuple[L7LBInstance, float]] = {}
-        self._instance_keys = np.array(
-            [_key64(f"l7lb|{name}|{inst.host_id}") for inst in instances], dtype=np.uint64
-        )
+        self._instance_keys = [_key64(f"l7lb|{name}|{inst.host_id}") for inst in instances]
 
     def host_id_set(self) -> set[int]:
         return set(self.by_host_id)
 
     def rendezvous(self, five_tuple: tuple) -> L7LBInstance:
-        tuple_key = np.uint64(_key64("|".join(str(part) for part in five_tuple)))
-        weights = _splitmix64(self._instance_keys ^ tuple_key)
-        return self.instances[int(weights.argmax())]
+        """The instance whose splitmix64(instance key ^ tuple key) weight is
+        highest; the first one on a tie."""
+        tuple_key = _key64("|".join(str(part) for part in five_tuple))
+        best = -1
+        pick = 0
+        for i, key in enumerate(self._instance_keys):
+            z = ((key ^ tuple_key) + 0x9E3779B97F4A7C15) & _MASK64
+            z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+            z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+            z ^= z >> 31
+            if z > best:
+                best = z
+                pick = i
+        return self.instances[pick]
 
     def directory_lookup(self, cid: bytes, now: float) -> Optional[L7LBInstance]:
         hit = self.cid_directory.get(cid)

@@ -12,10 +12,17 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence, TypeVar
 
 from .ingest import CaptureRecord, Session, SessionKey, TimelineEntry
 from .wire import ConnectionId, Direction, LongHeader, PacketType
+
+T = TypeVar("T")
+
+
+class StoreError(ValueError):
+    """A session or datagram store row the loader cannot read; the message
+    names the file, the line and, for a missing field, the key."""
 
 
 def fmt_value(value) -> str:
@@ -76,6 +83,23 @@ def read_jsonl(path: str | Path) -> Iterable[dict]:
                 yield json.loads(line)
 
 
+def _load_store(path: str | Path, from_row: Callable[[dict], T]) -> list[T]:
+    """Build one object per non-blank line of a JSONL store, turning a row
+    that is not valid JSON or lacks a field into a StoreError."""
+    out = []
+    with Path(path).open() as fh:
+        for lineno, line in enumerate(fh, 1):
+            if not line.strip():
+                continue
+            try:
+                out.append(from_row(json.loads(line)))
+            except KeyError as exc:
+                raise StoreError(f"{path}:{lineno}: missing key {exc.args[0]!r}") from None
+            except (TypeError, ValueError) as exc:
+                raise StoreError(f"{path}:{lineno}: {exc}") from None
+    return out
+
+
 # --- session store -----------------------------------------------------------
 
 
@@ -98,26 +122,26 @@ def save_sessions(path: str | Path, sessions: Iterable[Session]) -> Path:
     return write_jsonl(path, rows())
 
 
+def _session_from_row(raw: dict) -> Session:
+    key = SessionKey(raw["src"], raw["dst"], bytes.fromhex(raw["scid"]), bytes.fromhex(raw["dcid"]))
+    timeline = [
+        TimelineEntry(offset, PacketType(ptype), length, coalesced)
+        for offset, ptype, length, coalesced in raw["timeline"]
+    ]
+    return Session(
+        key=key,
+        timeline=timeline,
+        direction=Direction(raw["direction"]),
+        version=raw["version"],
+        operator=raw.get("operator"),
+        asn=raw.get("asn"),
+        start_ts=raw.get("start_ts", 0.0),
+    )
+
+
 def load_sessions(path: str | Path) -> list[Session]:
-    sessions = []
-    for raw in read_jsonl(path):
-        key = SessionKey(raw["src"], raw["dst"], bytes.fromhex(raw["scid"]), bytes.fromhex(raw["dcid"]))
-        timeline = [
-            TimelineEntry(offset, PacketType(ptype), length, coalesced)
-            for offset, ptype, length, coalesced in raw["timeline"]
-        ]
-        sessions.append(
-            Session(
-                key=key,
-                timeline=timeline,
-                direction=Direction(raw["direction"]),
-                version=raw["version"],
-                operator=raw.get("operator"),
-                asn=raw.get("asn"),
-                start_ts=raw.get("start_ts", 0.0),
-            )
-        )
-    return sessions
+    """Read a session store back; a malformed row raises StoreError."""
+    return _load_store(path, _session_from_row)
 
 
 # --- datagram store ----------------------------------------------------------
@@ -144,35 +168,34 @@ def save_datagrams(path: str | Path, records: Iterable[CaptureRecord]) -> Path:
     return write_jsonl(path, rows())
 
 
+def _datagram_from_row(raw: dict) -> CaptureRecord:
+    packets = [
+        LongHeader(
+            PacketType(ptype),
+            version,
+            ConnectionId(bytes.fromhex(dcid)),
+            ConnectionId(bytes.fromhex(scid)),
+        )
+        for ptype, version, scid, dcid in raw["packets"]
+    ]
+    return CaptureRecord(
+        timestamp=raw["ts"],
+        src_ip=raw["src"],
+        dst_ip=raw["dst"],
+        src_port=raw["sport"],
+        dst_port=raw["dport"],
+        direction=Direction(raw["direction"]),
+        datagram_length=raw["length"],
+        packets=packets,
+        operator=raw.get("operator"),
+        asn=raw.get("asn"),
+    )
+
+
 def load_datagrams(path: str | Path) -> list[CaptureRecord]:
     """Read a datagram store back as records whose packets carry only type,
-    version and CIDs."""
-    rows = []
-    for raw in read_jsonl(path):
-        packets = [
-            LongHeader(
-                PacketType(ptype),
-                version,
-                ConnectionId(bytes.fromhex(dcid)),
-                ConnectionId(bytes.fromhex(scid)),
-            )
-            for ptype, version, scid, dcid in raw["packets"]
-        ]
-        rows.append(
-            CaptureRecord(
-                timestamp=raw["ts"],
-                src_ip=raw["src"],
-                dst_ip=raw["dst"],
-                src_port=raw["sport"],
-                dst_port=raw["dport"],
-                direction=Direction(raw["direction"]),
-                datagram_length=raw["length"],
-                packets=packets,
-                operator=raw.get("operator"),
-                asn=raw.get("asn"),
-            )
-        )
-    return rows
+    version and CIDs; a malformed row raises StoreError."""
+    return _load_store(path, _datagram_from_row)
 
 
 # --- run manifest ------------------------------------------------------------

@@ -1,8 +1,22 @@
 """Shared builders for synthetic datagrams, records, and captures."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from quicscope.wire import Datagram, LongHeader, PacketType, encode_long_header
+
+
+def run_python(*args, **kwargs) -> subprocess.CompletedProcess:
+    """Run a fresh interpreter on `args` with this checkout's src on its path."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run(
+        [sys.executable, *map(str, args)], env=env, capture_output=True, text=True, timeout=60, **kwargs
+    )
 
 
 def make_response(

@@ -8,6 +8,8 @@ import pytest
 
 from quicscope.cli import main
 
+from conftest import run_python
+
 DEPLOY = {
     "seed": 7,
     "operator": "Facebook",
@@ -361,3 +363,28 @@ class TestJsonlFormat:
         schemes, deployment = outputs["tsv"]
         assert "Facebook" in schemes and "Facebook" in deployment
         assert outputs["jsonl"] == outputs["tsv"]
+
+
+class TestStoreRows:
+    """A store row missing a field is an input error (exit 2) that names the
+    file, line and key; no traceback reaches the user."""
+
+    def test_session_row_missing_key(self, tmp_path):
+        sessions, datagrams = tmp_path / "sessions.jsonl", tmp_path / "datagrams.jsonl"
+        sessions.write_text("\n" + json.dumps({"src": "1.2.3.4"}) + "\n")
+        datagrams.write_text("")
+        out = run_python(
+            "-m", "quicscope.cli", "fingerprint",
+            "--sessions", sessions, "--datagrams", datagrams, "--out-dir", tmp_path / "fp",
+        )
+        assert out.returncode == 2
+        assert f"{sessions}:2: missing key 'dst'" in out.stderr
+        assert "Traceback" not in out.stderr
+
+    def test_datagram_row_missing_key(self, tmp_path):
+        datagrams = tmp_path / "datagrams.jsonl"
+        datagrams.write_text(json.dumps({"ts": 1.0}) + "\n")
+        out = run_python("-m", "quicscope.cli", "scid", "--datagrams", datagrams, "--out-dir", tmp_path / "scid")
+        assert out.returncode == 2
+        assert f"{datagrams}:1: missing key 'packets'" in out.stderr
+        assert "Traceback" not in out.stderr

@@ -2,11 +2,7 @@
 statistics, uniformity calibration, and scheme classification."""
 
 import math
-import os
 import random
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,9 +25,12 @@ from quicscope.scid import (
     encode_facebook_scid,
     low_host_id,
     nybble_frequencies,
+    position_chi2,
     uniformity_test,
 )
 from quicscope.wire import ConnectionId
+
+from conftest import run_python
 
 
 def oracle_pack(fields: FacebookScidFields) -> bytes:
@@ -168,9 +167,9 @@ class TestNybbleFrequencies:
         ]
         m = nybble_frequencies(scids)
         # version bits "01" pin the high half of position 0 to nybbles 4-7
-        assert m.counts[0][:4].sum() == 0
-        assert m.counts[0][8:].sum() == 0
-        assert m.counts[0][4:8].sum() == 10000
+        assert sum(m.counts[0][:4]) == 0
+        assert sum(m.counts[0][8:]) == 0
+        assert sum(m.counts[0][4:8]) == 10000
 
     def test_empty_population(self):
         m = nybble_frequencies([])
@@ -185,7 +184,7 @@ class TestNybbleFrequencies:
         rng = np.random.default_rng(5)
         scids = [rng.bytes(8) for _ in range(777)]
         m = nybble_frequencies(scids)
-        assert (m.counts.sum(axis=1) == m.total).all()
+        assert all(sum(row) == m.total for row in m.counts)
 
     def test_accepts_connection_ids(self):
         m = nybble_frequencies([ConnectionId(b"\xab" * 8)] * 3)
@@ -198,11 +197,26 @@ class TestNybbleFrequencies:
         whole = nybble_frequencies(scids)
         merged = nybble_frequencies(scids[:251]).merge(nybble_frequencies(scids[251:]))
         assert merged.total == whole.total
-        assert (merged.counts == whole.counts).all()
+        assert merged.counts == whole.counts
 
     def test_merge_rejects_mixed_lengths(self):
         with pytest.raises(MixedLengths):
             nybble_frequencies([b"\x01" * 8]).merge(nybble_frequencies([b"\x01" * 20]))
+
+    @pytest.mark.parametrize("octets", [1, 8, 20])
+    def test_matches_naive_count(self, octets):
+        rng = random.Random(octets)
+        # uniform SCIDs plus a skewed share, so the counts are not all alike
+        scids = [rng.randbytes(octets) for _ in range(1500)]
+        scids += [bytes(rng.choice(b"\x00\x01\x1f\xf0") for _ in range(octets)) for _ in range(500)]
+        expected = [[0] * 16 for _ in range(2 * octets)]
+        for s in scids:
+            for octet, value in enumerate(s):
+                expected[2 * octet][value >> 4] += 1
+                expected[2 * octet + 1][value & 0x0F] += 1
+        m = nybble_frequencies(scids)
+        assert m.total == len(scids)
+        assert m.counts == tuple(tuple(row) for row in expected)
 
 
 class TestUniformityTest:
@@ -230,6 +244,43 @@ class TestUniformityTest:
         scids = [bytes(8) for _ in range(100)]
         with pytest.raises(InsufficientSamples):
             uniformity_test(nybble_frequencies(scids), min_samples=500)
+
+    def test_statistic_matches_numpy_exactly(self):
+        # numpy is the oracle here: the statistic was once computed as below
+        rng = np.random.default_rng(77)
+        for total in [500, 501, 4096, 9973, 100000]:
+            for row in rng.multinomial(total, [1 / 16] * 16, size=400):
+                expected = total / 16.0
+                oracle = float(((row - expected) ** 2 / expected).sum())
+                assert position_chi2(tuple(int(c) for c in row), total) == oracle
+
+    def test_verdicts_follow_numpy_statistic(self):
+        rng = random.Random(21)
+        scids = [
+            bytes(
+                encode_facebook_scid(
+                    FacebookScidFields(1, rng.randint(0, 65535), rng.randint(0, 255), 0),
+                    random_bits_seed=rng.getrandbits(32),
+                )
+            )
+            for _ in range(3000)
+        ]
+        m = nybble_frequencies(scids)
+        expected = m.total / 16.0
+        threshold = 0.001 / m.positions
+        oracle = [
+            chi2_sf_15(float(((np.asarray(row) - expected) ** 2 / expected).sum())) < threshold
+            for row in m.counts
+        ]
+        verdicts = uniformity_test(m, alpha=0.001)
+        assert [v == PositionVerdict.SKEWED for v in verdicts] == oracle
+        assert any(oracle) and not all(oracle)
+
+
+def modules_after_cli_import() -> set[str]:
+    """Names in sys.modules of a fresh interpreter after `import quicscope.cli`."""
+    out = run_python("-c", "import sys, quicscope.cli; print('\\n'.join(sys.modules))", check=True)
+    return set(out.stdout.split())
 
 
 def chi2_15_tail_by_integration(x: float, steps: int = 20000) -> float:
@@ -263,11 +314,10 @@ class TestChiSquareTail:
         assert chi2_sf_15(-3.0) == 1.0
 
     def test_cli_import_leaves_scipy_out(self):
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-        code = "import sys, quicscope.cli; print('scipy' in sys.modules)"
-        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-        assert out.stdout.strip() == "False"
+        assert "scipy" not in modules_after_cli_import()
+
+    def test_cli_import_leaves_numpy_out(self):
+        assert "numpy" not in modules_after_cli_import()
 
 
 class TestClassifyScheme:

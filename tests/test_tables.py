@@ -1,6 +1,10 @@
 """Datagram store: records loaded back equal the records ingest yielded."""
 
 import ipaddress
+import json
+import re
+
+import pytest
 
 from quicscope import tables
 from quicscope.fingerprint import length_histogram, packet_type_stats
@@ -54,6 +58,22 @@ class TestDatagramStore:
         assert packet_type_stats(loaded).counts == packet_type_stats(live).counts
         assert length_histogram(loaded).counts == length_histogram(live).counts
         assert packet_type_stats(live).counts["Facebook"]["Initial & Handshake"] == 1
+
+    @pytest.mark.parametrize(
+        "bad_row,message",
+        [
+            ("{not json", "Expecting property name"),
+            (json.dumps({"ts": 1.0, "packets": 5}), "not iterable"),
+            (json.dumps({"ts": 1.0, "packets": [["X", 1, "", ""]]}), "'X' is not a valid PacketType"),
+        ],
+    )
+    def test_malformed_row_names_file_and_line(self, tmp_path, bad_row, message):
+        path = tables.save_datagrams(tmp_path / "datagrams.jsonl", live_records()[:2])
+        with path.open("a") as fh:
+            fh.write(bad_row + "\n")
+        with pytest.raises(tables.StoreError, match=f"^{re.escape(str(path))}:3: ") as excinfo:
+            tables.load_datagrams(path)
+        assert message in str(excinfo.value)
 
 
 class TestReadTable:
