@@ -27,7 +27,7 @@ from .ingest import (
     sanitize,
     sessionize,
 )
-from .pcap import UnreadableCapture, write_pcap
+from .pcap import PcapWriter, UnreadableCapture
 from .wire import Direction, PlausibilityConfig, VersionRegistry
 
 EXIT_OK = 0
@@ -77,10 +77,18 @@ def cmd_simulate(args) -> int:
     config = sim.DeploymentConfig.from_json(config_path)
     if args.seed is not None:
         config = replace(config, seed=args.seed)
-    result = sim.simulate_flood(config)
+    if config.flood is None:
+        raise sim.InvalidConfig("deployment config has no flood section")
     out = _out_dir(args)
     capture_path = out / "capture.pcap"
-    write_pcap(capture_path, result.datagrams)
+    try:
+        with capture_path.open("wb") as fh:
+            capture = PcapWriter(fh)
+            result = sim.simulate_flood(config, capture)
+    except BaseException:
+        # no manifest names a capture cut short, so none is left behind
+        capture_path.unlink(missing_ok=True)
+        raise
     truth_path = tables.write_jsonl(
         out / "truth.jsonl",
         (
@@ -111,9 +119,9 @@ def cmd_simulate(args) -> int:
         config.seed,
         {"config": str(config_path)},
         [capture_path.name, truth_path.name, pairs_path.name],
-        parameters={"datagrams": len(result.datagrams), "handshakes": len(result.truth)},
+        parameters={"datagrams": capture.records, "handshakes": len(result.truth)},
     )
-    print(f"simulate: {len(result.truth)} handshakes, {len(result.datagrams)} datagrams -> {capture_path}")
+    print(f"simulate: {len(result.truth)} handshakes, {capture.records} datagrams -> {capture_path}")
     return EXIT_OK
 
 
@@ -302,7 +310,7 @@ def cmd_fingerprint(args) -> int:
 
 
 def _load_pairs(path: Path) -> dict[str, list[tuple[bytes, bytes]]]:
-    _, rows = tables.read_table(path)
+    _, rows = tables.read_table(path, columns=("operator", "server_scid", "client_dcid"))
     pairs: dict[str, list[tuple[bytes, bytes]]] = {}
     for row in rows:
         pairs.setdefault(row["operator"], []).append(
@@ -314,8 +322,7 @@ def _load_pairs(path: Path) -> dict[str, list[tuple[bytes, bytes]]]:
 def cmd_scid(args) -> int:
     populations: dict[str, list[bytes]] = {}
     if args.scids:
-        hex_lines = Path(_require(args.scids, "SCID file")).read_text().splitlines()
-        populations["all"] = [bytes.fromhex(line.strip()) for line in hex_lines if line.strip()]
+        populations["all"] = tables.load_lines(_require(args.scids, "SCID file"), bytes.fromhex)
     elif args.datagrams:
         rows = tables.load_datagrams(_require(args.datagrams, "datagram store"))
         for row in rows:
@@ -621,14 +628,14 @@ def cmd_report(args) -> int:
     in_dir = Path(args.in_dir)
     out = _out_dir(args)
 
-    def maybe_rows(name: str) -> list[dict[str, str]]:
+    def maybe_rows(name: str, columns: tuple[str, ...]) -> list[dict[str, str]]:
         # a table written with --format jsonl sits next to its .tsv name
         for path in (in_dir / name, (in_dir / name).with_suffix(".jsonl")):
             if path.exists():
-                return tables.read_table(path)[1]
+                return tables.read_table(path, columns)[1]
         return []
 
-    tally_rows = maybe_rows("version_tally.tsv")
+    tally_rows = maybe_rows("version_tally.tsv", ("version", "role", "share"))
     versions = sorted({r["version"] for r in tally_rows})
     version_out = []
     for version in versions:
@@ -646,7 +653,7 @@ def cmd_report(args) -> int:
         fmt=args.format,
     )
 
-    type_rows = maybe_rows("packet_types.tsv")
+    type_rows = maybe_rows("packet_types.tsv", ("operator", "category", "percent"))
     operators = sorted({r["operator"] for r in type_rows})
     categories = sorted({r["category"] for r in type_rows})
     type_out = []
@@ -663,8 +670,8 @@ def cmd_report(args) -> int:
         fmt=args.format,
     )
 
-    match_rows = {r["operator"]: r for r in maybe_rows("matches.tsv")}
-    rto_rows = {r["operator"]: r for r in maybe_rows("rto.tsv")}
+    match_rows = {r["operator"]: r for r in maybe_rows("matches.tsv", ("operator",))}
+    rto_rows = {r["operator"]: r for r in maybe_rows("rto.tsv", ("operator", "count_p5", "count_p95"))}
     deployment_out = []
     for op in sorted(set(match_rows) | set(rto_rows)):
         match = match_rows.get(op, {})

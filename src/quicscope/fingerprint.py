@@ -268,16 +268,21 @@ def load_known_profiles(path: Optional[str | Path] = None) -> list[FingerprintPr
     the three profiled hypergiants; the file is editable)."""
     profiles = []
     for operator, cfg in read_profiles(path).items():
-        lo, hi = cfg["retransmission_range"]
-        profiles.append(
-            FingerprintProfile(
-                operator=operator,
-                rto=RtoEstimate(cfg["initial_rto"], cfg["backoff_base"], (lo, hi), 0),
-                coalescence=cfg["coalescence"],
-                server_chosen_ids=cfg["server_chosen_ids"],
-                structured_scids=cfg["structured_scids"],
+        try:
+            lo, hi = cfg["retransmission_range"]
+            profiles.append(
+                FingerprintProfile(
+                    operator=operator,
+                    rto=RtoEstimate(cfg["initial_rto"], cfg["backoff_base"], (lo, hi), 0),
+                    coalescence=cfg["coalescence"],
+                    server_chosen_ids=cfg["server_chosen_ids"],
+                    structured_scids=cfg["structured_scids"],
+                )
             )
-        )
+        except KeyError as exc:
+            raise FingerprintError(f"{path}: profile {operator!r} is missing key {exc.args[0]!r}") from None
+        except (TypeError, ValueError) as exc:
+            raise FingerprintError(f"{path}: profile {operator!r}: {exc}") from None
     return profiles
 
 

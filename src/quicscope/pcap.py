@@ -194,26 +194,25 @@ class PcapReader:
 
 
 class PcapWriter:
-    """Write Datagrams into a little-endian microsecond raw-IP pcap."""
+    """Write IPv4 packets into a little-endian microsecond raw-IP pcap, one
+    record per write, in call order; `records` counts the records written."""
 
     def __init__(self, fh: BinaryIO, snaplen: int = 65535):
         self._fh = fh
+        self.records = 0
         fh.write(_GLOBAL_HEADER.pack(MAGIC_USEC_LE, 2, 4, 0, 0, snaplen, LINKTYPE_RAW_IP))
 
-    def write(self, d: Datagram) -> None:
-        packet = build_ipv4_udp(d)
-        usec_total = int(round(d.timestamp * 1e6))
-        sec, usec = divmod(usec_total, 1_000_000)
+    def write(self, timestamp: float, packet: bytes) -> None:
+        sec, usec = divmod(int(round(timestamp * 1e6)), 1_000_000)
         self._fh.write(_RECORD_HEADER.pack(sec, usec, len(packet), len(packet)))
         self._fh.write(packet)
+        self.records += 1
 
 
 def write_pcap(path: str | Path, datagrams: Iterator[Datagram] | list[Datagram]) -> int:
     """Write all datagrams to `path`; returns the record count."""
-    count = 0
     with Path(path).open("wb") as fh:
         writer = PcapWriter(fh)
         for d in datagrams:
-            writer.write(d)
-            count += 1
-    return count
+            writer.write(d.timestamp, build_ipv4_udp(d))
+    return writer.records

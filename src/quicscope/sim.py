@@ -5,6 +5,12 @@ machines: connection-ID generation per operator scheme, retransmission
 schedules, 5-tuple or CID-aware routing, and silent discard of packets that
 are inconsistent with live connection state. A seeded virtual clock makes
 every scenario replayable down to identical capture bytes.
+
+Each connection's response round is encoded once; its resend rounds repeat
+the same bytes at later clock times. Datagrams for a registered probe inbox
+land there; all others stream to the pcap writer the simulator is given, in
+emission order, and are dropped when it has none. Ground-truth rows are kept
+only in the list the simulator is given, so probe campaigns keep none.
 """
 
 from __future__ import annotations
@@ -27,6 +33,7 @@ from .scid import (
     decode_facebook_scid,
     encode_facebook_scid,
 )
+from .pcap import PcapWriter, build_ipv4_udp
 from .wire import Datagram, LongHeader, PacketType, encode_long_header, split_coalesced
 
 QUIC_PORT = 443
@@ -205,7 +212,10 @@ class Event:
         self.cancelled = False
 
     def cancel(self) -> None:
+        # the heap keeps a cancelled event until its time comes, which a probe
+        # harvest never reaches, so let go of the callback and what it holds
         self.cancelled = True
+        self.fn = None
 
 
 class VirtualClock:
@@ -504,18 +514,23 @@ class SessionTruth:
 
 @dataclass
 class FloodResult:
-    datagrams: list[Datagram]
     truth: list[SessionTruth]
-
-    def echo_pairs(self) -> list[tuple[bytes, bytes]]:
-        """(server SCID, client DCID) pairs for echo-scheme verification."""
-        return [(t.server_scid, t.client_dcid) for t in self.truth]
 
 
 class DeploymentSimulator:
-    """Single-threaded deterministic event loop over one deployment."""
+    """Single-threaded deterministic event loop over one deployment.
 
-    def __init__(self, config: DeploymentConfig):
+    Server datagrams to an address with a registered inbox go to that inbox;
+    the rest go to `capture`, or nowhere when it is None. A `SessionTruth` row
+    per served handshake is appended to `truth` when it is given.
+    """
+
+    def __init__(
+        self,
+        config: DeploymentConfig,
+        capture: Optional[PcapWriter] = None,
+        truth: Optional[list[SessionTruth]] = None,
+    ):
         self.config = config
         self.clock = VirtualClock()
         self.rng = random.Random(config.seed)
@@ -526,21 +541,14 @@ class DeploymentSimulator:
                 if vip in self.vip_map:
                     raise InvalidConfig(f"VIP {vip} assigned to two clusters")
                 self.vip_map[vip] = cluster
-        self.capture: list[Datagram] = []
-        self.truth: list[SessionTruth] = []
+        self._capture = capture
+        self.truth = truth
         self._inboxes: dict[str, list[Datagram]] = {}
 
     # -- plumbing --
 
     def register_inbox(self, ip: str) -> list[Datagram]:
         return self._inboxes.setdefault(ip, [])
-
-    def _emit(self, d: Datagram) -> None:
-        inbox = self._inboxes.get(d.dst_ip)
-        if inbox is not None:
-            inbox.append(d)
-        else:
-            self.capture.append(d)
 
     def cluster_for(self, vip: str) -> FrontendCluster:
         cluster = self.vip_map.get(vip)
@@ -627,7 +635,8 @@ class DeploymentSimulator:
     ) -> Connection:
         """Open a connection and emit the response schedule: one immediate
         round plus up to max_retransmissions resend rounds at offsets
-        initial_rto * backoff_base**k, cancelled by a client ACK."""
+        initial_rto * backoff_base**k, cancelled by a client ACK. The round is
+        built once; every resend repeats its bytes at the resend's time."""
         profile = cluster.profile
         now = self.clock.now
         scid, worker_id = self._generate_scid(cluster, instance, client_initial)
@@ -639,27 +648,54 @@ class DeploymentSimulator:
         )
         instance.connection_table[scid] = conn
         cluster.register_cid(scid, instance, conn.expires_at)
-        self.truth.append(
-            SessionTruth(
-                vip=vip,
-                source=client_addr[0],
-                source_port=client_addr[1],
-                operator=profile.operator,
-                server_scid=scid,
-                client_dcid=client_initial.dcid.data,
-                client_scid=client_initial.scid.data,
-                host_id=instance.host_id,
-                worker_id=worker_id,
+        if self.truth is not None:
+            self.truth.append(
+                SessionTruth(
+                    vip=vip,
+                    source=client_addr[0],
+                    source_port=client_addr[1],
+                    operator=profile.operator,
+                    server_scid=scid,
+                    client_dcid=client_initial.dcid.data,
+                    client_scid=client_initial.scid.data,
+                    host_id=instance.host_id,
+                    worker_id=worker_id,
+                )
             )
-        )
+
+        # IP ID 0 and TTL 64 leave the checksums depending only on addresses,
+        # ports and payload, so every round's packets are the same bytes
+        datagrams = self._response_datagrams(cluster, conn, client_addr, vip)
+        inbox = self._inboxes.get(client_addr[0])
+        if inbox is not None:
+            inbox.extend(datagrams)
+
+            def resend(at: float) -> None:
+                inbox.extend(
+                    Datagram(at, d.src_ip, d.dst_ip, d.src_port, d.dst_port, d.payload) for d in datagrams
+                )
+
+        else:
+            # with no capture the rounds still run, writing nothing, so an ACK
+            # cancels the same resend either way
+            packets = [build_ipv4_udp(d) for d in datagrams] if self._capture is not None else []
+
+            def resend(at: float) -> None:
+                for packet in packets:
+                    self._capture.write(at, packet)
+
+            resend(now)
 
         def emit_round(k: int) -> None:
-            # each round schedules only the next, so an ACK cancels one event
-            for d in self._response_datagrams(cluster, conn, client_addr, vip):
-                self._emit(d)
+            # round 0 went out above; each round schedules only the next, so
+            # an ACK cancels one event
+            if k:
+                resend(self.clock.now)
             if k < profile.max_retransmissions:
                 at = now + profile.initial_rto * profile.backoff_base**k
                 conn.resend = self.clock.schedule(at, lambda: emit_round(k + 1))
+            else:
+                conn.resend = None
 
         emit_round(0)
         return conn
@@ -686,7 +722,7 @@ class DeploymentSimulator:
 
     # -- flood scenario --
 
-    def run_flood(self, flood: FloodConfig) -> FloodResult:
+    def run_flood(self, flood: FloodConfig) -> None:
         vips = [vip for cluster in self.clusters for vip in cluster.vips]
         arrivals: list[tuple[float, str, str]] = []  # (time, source, vip)
         if flood.sessions_per_vip is not None:
@@ -732,11 +768,14 @@ class DeploymentSimulator:
         for at, src, vip in arrivals:
             self.clock.schedule(at, make_injector(src, vip))
         self.clock.run_until(flood.duration)
-        return FloodResult(datagrams=list(self.capture), truth=list(self.truth))
 
 
-def simulate_flood(config: DeploymentConfig) -> FloodResult:
-    """Run the configured flood; deterministic given (config, seed)."""
+def simulate_flood(config: DeploymentConfig, capture: Optional[PcapWriter] = None) -> FloodResult:
+    """Run the configured flood, streaming its capture to `capture`;
+    deterministic given (config, seed)."""
     if config.flood is None:
         raise InvalidConfig("deployment config has no flood section")
-    return DeploymentSimulator(config).run_flood(config.flood)
+    truth: list[SessionTruth] = []
+    simulator = DeploymentSimulator(config, capture=capture, truth=truth)
+    simulator.run_flood(config.flood)
+    return FloodResult(truth=truth)

@@ -21,8 +21,8 @@ T = TypeVar("T")
 
 
 class StoreError(ValueError):
-    """A session or datagram store row the loader cannot read; the message
-    names the file, the line and, for a missing field, the key."""
+    """A store, table or list row the loader cannot read; the message names
+    the file, the line and, for a missing field, the key."""
 
 
 def fmt_value(value) -> str:
@@ -52,19 +52,27 @@ def write_table(
     return path
 
 
-def read_table(path: str | Path) -> tuple[list[str], list[dict[str, str]]]:
+def read_table(path: str | Path, columns: Sequence[str] = ()) -> tuple[list[str], list[dict[str, str]]]:
     """Read a table back as (header, rows-as-string-dicts). A `.jsonl` table
     has its cells formatted as the TSV writer would; empty cells come back as
-    empty strings."""
+    empty strings. A row that is not valid JSON or lacks one of `columns`
+    raises StoreError naming the file and the line."""
+
+    def checked(row: dict[str, str]) -> dict[str, str]:
+        for col in columns:
+            if col not in row:
+                raise KeyError(col)
+        return row
+
     if Path(path).suffix == ".jsonl":
-        rows = [{col: fmt_value(v) for col, v in record.items()} for record in read_jsonl(path)]
+        rows = load_lines(path, lambda line: checked({col: fmt_value(v) for col, v in json.loads(line).items()}))
         return (list(rows[0]) if rows else []), rows
-    lines = Path(path).read_text().splitlines()
-    if not lines:
+    with Path(path).open() as fh:
+        first = fh.readline().rstrip("\r\n")
+    if not first:
         return [], []
-    header = lines[0].split("\t")
-    rows = [dict(zip(header, line.split("\t"))) for line in lines[1:] if line]
-    return header, rows
+    header = first.split("\t")
+    return header, load_lines(path, lambda line: checked(dict(zip(header, line.split("\t")))), skip=1)
 
 
 def write_jsonl(path: str | Path, records: Iterable[dict]) -> Path:
@@ -75,29 +83,28 @@ def write_jsonl(path: str | Path, records: Iterable[dict]) -> Path:
     return path
 
 
-def read_jsonl(path: str | Path) -> Iterable[dict]:
-    with Path(path).open() as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                yield json.loads(line)
-
-
-def _load_store(path: str | Path, from_row: Callable[[dict], T]) -> list[T]:
-    """Build one object per non-blank line of a JSONL store, turning a row
-    that is not valid JSON or lacks a field into a StoreError."""
+def load_lines(path: str | Path, from_line: Callable[[str], T], skip: int = 0) -> list[T]:
+    """Build one object per non-blank line of `path` after the first `skip`,
+    turning a line `from_line` cannot read into a StoreError that names the
+    file, the line and, for a missing field, the key."""
     out = []
     with Path(path).open() as fh:
         for lineno, line in enumerate(fh, 1):
-            if not line.strip():
+            if lineno <= skip or not line.strip():
                 continue
             try:
-                out.append(from_row(json.loads(line)))
+                out.append(from_line(line.rstrip("\r\n")))
             except KeyError as exc:
                 raise StoreError(f"{path}:{lineno}: missing key {exc.args[0]!r}") from None
             except (TypeError, ValueError) as exc:
                 raise StoreError(f"{path}:{lineno}: {exc}") from None
     return out
+
+
+def _load_store(path: str | Path, from_row: Callable[[dict], T]) -> list[T]:
+    """Build one object per row of a JSONL store; a row that is not valid
+    JSON or that `from_row` cannot read raises StoreError."""
+    return load_lines(path, lambda line: from_row(json.loads(line)))
 
 
 # --- session store -----------------------------------------------------------

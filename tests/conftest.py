@@ -7,6 +7,8 @@ from pathlib import Path
 
 import pytest
 
+from quicscope.pcap import PcapReader, PcapWriter
+from quicscope.sim import DeploymentConfig, FloodResult, simulate_flood
 from quicscope.wire import Datagram, LongHeader, PacketType, encode_long_header
 
 
@@ -17,6 +19,14 @@ def run_python(*args, **kwargs) -> subprocess.CompletedProcess:
     return subprocess.run(
         [sys.executable, *map(str, args)], env=env, capture_output=True, text=True, timeout=60, **kwargs
     )
+
+
+def simulate_to_pcap(config: DeploymentConfig, path: Path) -> tuple[FloodResult, list[Datagram]]:
+    """Run `config`'s flood with its capture streamed to the pcap at `path`;
+    returns the flood result and the capture's datagrams read back."""
+    with Path(path).open("wb") as fh:
+        result = simulate_flood(config, PcapWriter(fh))
+    return result, list(PcapReader(path).datagrams())
 
 
 def make_response(

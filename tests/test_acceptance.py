@@ -7,6 +7,7 @@ pass/fail line per criterion via the test names.
 import json
 import random
 import time
+from pathlib import Path
 
 import numpy as np
 
@@ -28,7 +29,6 @@ from quicscope.sim import (
     FloodConfig,
     RoutingMode,
     default_stack_profile,
-    simulate_flood,
 )
 from quicscope.wire import (
     LongHeader,
@@ -41,6 +41,7 @@ from quicscope.wire import (
     TruncatedPacket,
 )
 
+from conftest import simulate_to_pcap
 from test_scid import oracle_pack
 
 
@@ -63,7 +64,7 @@ OPERATOR_VIP_BASE = {
 }
 
 
-def simulate_operator(operator: str, sessions: int = 600, seed: int = 42):
+def simulate_operator(operator: str, capture: Path, sessions: int = 600, seed: int = 42):
     config = DeploymentConfig(
         clusters=[
             ClusterConfig(
@@ -80,10 +81,10 @@ def simulate_operator(operator: str, sessions: int = 600, seed: int = 42):
         ),
         seed=seed,
     )
-    return simulate_flood(config)
+    return simulate_to_pcap(config, capture)
 
 
-def test_criterion_1_known_profile_round_trip():
+def test_criterion_1_known_profile_round_trip(tmp_path):
     import ipaddress
 
     start = time.monotonic()
@@ -95,9 +96,9 @@ def test_criterion_1_known_profile_round_trip():
     configured = {"Cloudflare": 4, "Facebook": 8, "Google": 4}
 
     for operator in ("Cloudflare", "Facebook", "Google"):
-        result = simulate_operator(operator)
+        result, datagrams = simulate_operator(operator, tmp_path / f"{operator}.pcap")
         assert len(result.truth) >= 500
-        records = list(annotate_operators(ingest(result.datagrams), table))
+        records = list(annotate_operators(ingest(datagrams), table))
         sessions = sessionize(records)
         assert len(sessions) >= 500
         assert all(s.operator == operator for s in sessions)
@@ -116,9 +117,8 @@ def test_criterion_1_known_profile_round_trip():
         if operator == "Google":
             # passively random; the echo is only visible with paired DCIDs
             assert scheme.kind == SchemeKind.RANDOM
-            pairs = result.echo_pairs()
             paired = scid.classify_scheme(
-                [s for s, _ in pairs], client_dcids=[d for _, d in pairs]
+                [t.server_scid for t in result.truth], client_dcids=[t.client_dcid for t in result.truth]
             )
             assert paired.kind == SchemeKind.ECHO_OF_CLIENT_DCID
         else:
@@ -311,7 +311,7 @@ def test_criterion_6_lb_type_detection():
 # --- criterion 7: classifier metrics ------------------------------------------
 
 
-def test_criterion_7_classifier_metrics():
+def test_criterion_7_classifier_metrics(tmp_path):
     # exact arithmetic on a hand-built confusion matrix
     metrics = offnet.EvalMetrics.from_counts(tp=3, fp=1, tn=5, fn=1)
     assert metrics.tpr == 0.75
@@ -355,8 +355,8 @@ def test_criterion_7_classifier_metrics():
         flood=FloodConfig(sources=["100.64.0.1"], duration=0.2, sessions_per_vip=1),
         seed=77,
     )
-    result = simulate_flood(config)
-    records = list(ingest(result.datagrams))
+    _, datagrams = simulate_to_pcap(config, tmp_path / "capture.pcap")
+    records = list(ingest(datagrams))
     inputs = offnet.collect_source_inputs(records)
     truth_labels = {vip: "Facebook" for vip in config.clusters[0].vips}
     truth_labels.update({vip: offnet.NOT_OPERATOR for vip in bg_vips})

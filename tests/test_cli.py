@@ -62,6 +62,23 @@ class TestSimulate:
     def test_usage_error_exit_1(self):
         assert pytest.raises(SystemExit, run, "simulate").value.code == 1
 
+    def test_config_without_flood_leaves_no_output(self, tmp_path):
+        config = tmp_path / "deploy.json"
+        config.write_text(json.dumps({k: v for k, v in DEPLOY.items() if k != "flood"}))
+        out = tmp_path / "o"
+        assert run("simulate", "--config", config, "--out-dir", out) == 2
+        assert not out.exists()
+
+    def test_failed_run_leaves_no_capture(self, deploy_config, tmp_path, monkeypatch):
+        def fail(config, capture):
+            capture.write(0.0, b"partial")
+            raise OSError("disk full")
+
+        monkeypatch.setattr("quicscope.sim.simulate_flood", fail)
+        with pytest.raises(OSError):
+            run("simulate", "--config", deploy_config, "--out-dir", tmp_path / "o")
+        assert not (tmp_path / "o" / "capture.pcap").exists()
+
 
 class TestIngest:
     def test_full_ingest(self, deploy_config, prefix_table, tmp_path):
@@ -366,8 +383,9 @@ class TestJsonlFormat:
 
 
 class TestStoreRows:
-    """A store row missing a field is an input error (exit 2) that names the
-    file, line and key; no traceback reaches the user."""
+    """A store, table, list or profile entry missing a field or holding a
+    bad value is an input error (exit 2) that names the file and the line or
+    key; no traceback reaches the user."""
 
     def test_session_row_missing_key(self, tmp_path):
         sessions, datagrams = tmp_path / "sessions.jsonl", tmp_path / "datagrams.jsonl"
@@ -387,4 +405,44 @@ class TestStoreRows:
         out = run_python("-m", "quicscope.cli", "scid", "--datagrams", datagrams, "--out-dir", tmp_path / "scid")
         assert out.returncode == 2
         assert f"{datagrams}:1: missing key 'packets'" in out.stderr
+        assert "Traceback" not in out.stderr
+
+    def test_pairs_table_without_client_dcid(self, tmp_path):
+        scids, pairs = tmp_path / "scids.txt", tmp_path / "pairs.tsv"
+        scids.write_text("abcd\n")
+        pairs.write_text("operator\tserver_scid\nFacebook\tabcd\n")
+        out = run_python(
+            "-m", "quicscope.cli", "scid", "--scids", scids, "--pairs", pairs, "--out-dir", tmp_path / "scid",
+        )
+        assert out.returncode == 2
+        assert f"{pairs}:2: missing key 'client_dcid'" in out.stderr
+        assert "Traceback" not in out.stderr
+
+    def test_scid_list_line_not_hex(self, tmp_path):
+        scids = tmp_path / "scids.txt"
+        scids.write_text("abcd\n\nzz-not-hex\n")
+        out = run_python("-m", "quicscope.cli", "scid", "--scids", scids, "--out-dir", tmp_path / "scid")
+        assert out.returncode == 2
+        assert f"{scids}:3: non-hexadecimal" in out.stderr
+        assert "Traceback" not in out.stderr
+
+    def test_profile_table_missing_key(self, tmp_path):
+        sessions, datagrams, profiles = (tmp_path / n for n in ("sessions.jsonl", "datagrams.jsonl", "prof.json"))
+        sessions.write_text("")
+        datagrams.write_text("")
+        profiles.write_text(json.dumps({"profiles": {"X": {"initial_rto": 1.0}}}))
+        out = run_python(
+            "-m", "quicscope.cli", "fingerprint", "--sessions", sessions, "--datagrams", datagrams,
+            "--profiles", profiles, "--out-dir", tmp_path / "fp",
+        )
+        assert out.returncode == 2
+        assert f"{profiles}: profile 'X' is missing key 'retransmission_range'" in out.stderr
+        assert "Traceback" not in out.stderr
+
+    def test_report_table_missing_column(self, tmp_path):
+        tally = tmp_path / "version_tally.tsv"
+        tally.write_text("version\tshare\n0x00000001\t1\n")
+        out = run_python("-m", "quicscope.cli", "report", "--in-dir", tmp_path, "--out-dir", tmp_path / "report")
+        assert out.returncode == 2
+        assert f"{tally}:2: missing key 'role'" in out.stderr
         assert "Traceback" not in out.stderr

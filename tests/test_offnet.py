@@ -19,9 +19,9 @@ from quicscope.offnet import (
     extract_features,
 )
 from quicscope.scid import FacebookScidFields, encode_facebook_scid
-from quicscope.sim import DeploymentConfig, FloodConfig, ClusterConfig, RoutingMode, default_stack_profile, simulate_flood
+from quicscope.sim import DeploymentConfig, FloodConfig, ClusterConfig, RoutingMode, default_stack_profile
 
-from conftest import make_response
+from conftest import make_response, simulate_to_pcap
 
 
 def features(**overrides) -> SourceFeatures:
@@ -43,7 +43,7 @@ def facebook_scid(host, worker=1, seed=0):
 
 
 class TestExtractFeatures:
-    def run_flood(self, operator, sources=3, l7lb=4, host_base=0):
+    def run_flood(self, tmp_path, operator, sources=3, l7lb=4, host_base=0):
         cfg = DeploymentConfig(
             clusters=[
                 ClusterConfig(
@@ -57,12 +57,12 @@ class TestExtractFeatures:
             flood=FloodConfig(sources=[f"100.64.0.{i + 1}" for i in range(sources)], duration=60.0),
             seed=21,
         )
-        result = simulate_flood(cfg)
-        records = list(ingest(result.datagrams))
+        _, datagrams = simulate_to_pcap(cfg, tmp_path / "capture.pcap")
+        records = list(ingest(datagrams))
         return collect_source_inputs(records)
 
-    def test_facebook_source_features(self):
-        inputs = self.run_flood("Facebook")
+    def test_facebook_source_features(self, tmp_path):
+        inputs = self.run_flood(tmp_path, "Facebook")
         # the source is the VIP that emitted the backscatter
         f = extract_features(inputs["203.0.113.1"], min_rto_sessions=3)
         assert f.scid_scheme_match == "Facebook"
@@ -72,14 +72,14 @@ class TestExtractFeatures:
         assert abs(f.rto_signature.initial_rto - 0.4) < 0.01
         assert f.low_host_id is True
 
-    def test_high_host_ids_not_low(self):
-        inputs = self.run_flood("Facebook", host_base=9000)
+    def test_high_host_ids_not_low(self, tmp_path):
+        inputs = self.run_flood(tmp_path, "Facebook", host_base=9000)
         f = extract_features(inputs["203.0.113.1"], min_rto_sessions=3)
         assert f.scid_scheme_match == "Facebook"
         assert f.low_host_id is False
 
-    def test_cloudflare_scheme_match(self):
-        inputs = self.run_flood("Cloudflare")
+    def test_cloudflare_scheme_match(self, tmp_path):
+        inputs = self.run_flood(tmp_path, "Cloudflare")
         f = extract_features(inputs["203.0.113.1"], min_rto_sessions=3)
         assert f.scid_scheme_match == "Cloudflare"
         assert f.coalescence

@@ -90,6 +90,16 @@ class TestHarvest:
         harvest_host_ids("203.0.113.1", 300, transport)
         assert len(sim.clock._heap) == 300
 
+    def test_cancelled_resends_release_their_callback(self):
+        # a harvest never advances the clock, so the heap keeps every
+        # cancelled event; none may keep its closure and response bytes alive
+        sim = make_sim(l7lb_count=30)
+        transport = SimulatorTransport(sim, seed=4)
+        harvest_host_ids("203.0.113.1", 300, transport)
+        cancelled = [event for _, _, event in sim.clock._heap if event.cancelled]
+        assert len(cancelled) == 300
+        assert all(event.fn is None for event in cancelled)
+
     def test_unknown_vip_unavailable(self):
         sim = make_sim()
         transport = SimulatorTransport(sim)

@@ -2,11 +2,14 @@
 connection-state semantics, and capture determinism."""
 
 import hashlib
+import struct
+import tracemalloc
 
 import pytest
 
 from quicscope.fingerprint import resend_rounds
 from quicscope.ingest import ingest, sessionize
+from quicscope.pcap import PcapWriter
 from quicscope.scid import decode_facebook_scid
 from quicscope.sim import (
     ClusterConfig,
@@ -25,6 +28,8 @@ from quicscope.sim import (
     simulate_flood,
 )
 from quicscope.wire import LongHeader, PacketType, split_coalesced
+
+from conftest import simulate_to_pcap
 
 
 def profile(operator="Facebook", **overrides):
@@ -191,65 +196,65 @@ class TestVirtualClock:
 
 
 class TestServeInitial:
-    def run_session(self, operator, duration=60.0):
+    def run_session(self, tmp_path, operator, duration=60.0):
         cfg = DeploymentConfig(
             clusters=[cluster_config(operator=operator)],
             flood=FloodConfig(sources=["100.64.0.1"], duration=duration),
             seed=3,
         )
-        return simulate_flood(cfg)
+        return simulate_to_pcap(cfg, tmp_path / "capture.pcap")
 
-    def test_facebook_separate_datagram_rounds(self):
-        result = self.run_session("Facebook")
+    def test_facebook_separate_datagram_rounds(self, tmp_path):
+        result, datagrams = self.run_session(tmp_path, "Facebook")
         prof = default_stack_profile("Facebook")
         # 1 + max_retransmissions rounds, two datagrams each
-        assert len(result.datagrams) == (1 + prof.max_retransmissions) * 2
-        times = sorted({d.timestamp for d in result.datagrams})
+        assert len(datagrams) == (1 + prof.max_retransmissions) * 2
+        times = sorted({d.timestamp for d in datagrams})
         expected = [0.0] + [prof.initial_rto * 2.0**k for k in range(prof.max_retransmissions)]
         assert times == pytest.approx(expected)
-        assert all(len(split_coalesced(d.payload)) == 1 for d in result.datagrams)
+        assert all(len(split_coalesced(d.payload)) == 1 for d in datagrams)
 
-    def test_google_coalesced_rounds_echo_scid(self):
-        result = self.run_session("Google")
+    def test_google_coalesced_rounds_echo_scid(self, tmp_path):
+        result, datagrams = self.run_session(tmp_path, "Google")
         prof = default_stack_profile("Google")
-        assert len(result.datagrams) == 1 + prof.max_retransmissions
-        for d in result.datagrams:
+        assert len(datagrams) == 1 + prof.max_retransmissions
+        for d in datagrams:
             packets = split_coalesced(d.payload)
             assert [p.packet_type for p in packets] == [PacketType.INITIAL, PacketType.HANDSHAKE]
         truth = result.truth[0]
         assert truth.server_scid == truth.client_dcid[:8]
 
-    def test_facebook_scid_encodes_serving_instance(self):
-        result = self.run_session("Facebook")
+    def test_facebook_scid_encodes_serving_instance(self, tmp_path):
+        result, _ = self.run_session(tmp_path, "Facebook")
         truth = result.truth[0]
         fields = decode_facebook_scid(truth.server_scid)
         assert fields.scid_version == 1
         assert fields.host_id == truth.host_id
         assert fields.worker_id == truth.worker_id
 
-    def test_cloudflare_signature_scids(self):
-        result = self.run_session("Cloudflare")
+    def test_cloudflare_signature_scids(self, tmp_path):
+        result, _ = self.run_session(tmp_path, "Cloudflare")
         truth = result.truth[0]
         assert len(truth.server_scid) == 20
         assert truth.server_scid[0] == 0x01
 
-    def test_duration_shorter_than_rto(self):
-        result = self.run_session("Facebook", duration=0.2)
-        assert len(result.datagrams) == 2  # single round: Initial + Handshake
+    def test_duration_shorter_than_rto(self, tmp_path):
+        _, datagrams = self.run_session(tmp_path, "Facebook", duration=0.2)
+        assert len(datagrams) == 2  # single round: Initial + Handshake
 
-    def test_ack_cancels_resends(self):
+    def test_ack_cancels_resends(self, tmp_path):
         cfg = DeploymentConfig(
             clusters=[cluster_config(operator="Facebook")],
             flood=FloodConfig(sources=["100.64.0.1"], duration=60.0, ack_probability=1.0),
             seed=3,
         )
-        result = simulate_flood(cfg)
-        assert len(result.datagrams) == 2  # only round 0 before the ACK landed
+        _, datagrams = simulate_to_pcap(cfg, tmp_path / "capture.pcap")
+        assert len(datagrams) == 2  # only round 0 before the ACK landed
 
-    def test_padding_policy_applied(self):
-        result = self.run_session("Facebook")
+    def test_padding_policy_applied(self, tmp_path):
+        _, datagrams = self.run_session(tmp_path, "Facebook")
         initial_datagrams = [
-            d for d in result.datagrams
+            d for d in datagrams
             if split_coalesced(d.payload)[0].packet_type == PacketType.INITIAL
         ]
         assert all(len(d.payload) == 1200 for d in initial_datagrams)
@@ -297,7 +302,7 @@ class TestDeliver:
         from quicscope.sim import client_ack_payload
         from quicscope.wire import Datagram, encode_long_header
 
-        sim = DeploymentSimulator(DeploymentConfig(clusters=[cluster_config()], seed=9))
+        sim = DeploymentSimulator(DeploymentConfig(clusters=[cluster_config()], seed=9), truth=[])
         vip = sim.clusters[0].vips[0]
 
         def from_client(payload):
@@ -321,13 +326,9 @@ class TestFloodDeterminism:
         )
 
     def test_identical_seed_identical_capture(self, tmp_path):
-        from quicscope.pcap import write_pcap
-
-        a = simulate_flood(self.make_config(7))
-        b = simulate_flood(self.make_config(7))
         pa, pb = tmp_path / "a.pcap", tmp_path / "b.pcap"
-        write_pcap(pa, a.datagrams)
-        write_pcap(pb, b.datagrams)
+        simulate_to_pcap(self.make_config(7), pa)
+        simulate_to_pcap(self.make_config(7), pb)
         assert pa.read_bytes() == pb.read_bytes()
 
     def test_different_seed_differs(self):
@@ -335,16 +336,16 @@ class TestFloodDeterminism:
         b = simulate_flood(self.make_config(8))
         assert [t.server_scid for t in a.truth] != [t.server_scid for t in b.truth]
 
-    def test_rounds_bounded_by_config(self):
-        result = simulate_flood(self.make_config(7))
+    def test_rounds_bounded_by_config(self, tmp_path):
+        _, datagrams = simulate_to_pcap(self.make_config(7), tmp_path / "capture.pcap")
         prof = default_stack_profile("Facebook")
-        records = list(ingest(result.datagrams))
+        records = list(ingest(datagrams))
         sessions = sessionize(records)
         assert len(sessions) == 39
         for s in sessions:
             assert len(resend_rounds(s)) <= 1 + prof.max_retransmissions
 
-    def test_resend_mode_matches_configured_range(self):
+    def test_resend_mode_matches_configured_range(self, tmp_path):
         from quicscope.fingerprint import packet_type_stats, resend_count_distribution
 
         for operator, low, high in (("Facebook", 7, 9), ("Google", 3, 6)):
@@ -353,8 +354,8 @@ class TestFloodDeterminism:
                 flood=FloodConfig(sources=[f"100.64.1.{i}" for i in range(1, 50)], duration=60.0),
                 seed=2,
             )
-            result = simulate_flood(cfg)
-            records = list(ingest(result.datagrams))
+            _, datagrams = simulate_to_pcap(cfg, tmp_path / f"{operator}.pcap")
+            records = list(ingest(datagrams))
             for r in records:
                 r.operator = operator
             sessions = sessionize(records)
@@ -379,6 +380,70 @@ class TestFloodDeterminism:
         for t in result.truth:
             per_vip[t.vip] = per_vip.get(t.vip, 0) + 1
         assert per_vip == {vip: 3 for vip in cfg.clusters[0].vips}
+
+
+def pcap_records(path):
+    """(timestamp, packet bytes) of every record in a pcap we wrote."""
+    data = path.read_bytes()
+    records, offset = [], 24
+    while offset < len(data):
+        sec, usec, length, _ = struct.unpack_from("<IIII", data, offset)
+        offset += 16
+        records.append((sec + usec / 1e6, data[offset : offset + length]))
+        offset += length
+    return records
+
+
+class TestStreamedCapture:
+    def flood_config(self, retransmissions, sources=1000):
+        return DeploymentConfig(
+            clusters=[
+                ClusterConfig(
+                    vips=["203.0.113.1", "203.0.113.2"],
+                    l7lb_count=8,
+                    profile=profile("Facebook", max_retransmissions=retransmissions),
+                )
+            ],
+            flood=FloodConfig(sources=[f"100.64.{i // 250}.{i % 250 + 1}" for i in range(sources)], duration=60.0),
+            seed=5,
+        )
+
+    def stream_flood(self, path, retransmissions):
+        with path.open("wb") as fh:
+            capture = PcapWriter(fh)
+            simulate_flood(self.flood_config(retransmissions), capture)
+        assert capture.records == 1000 * 2 * (1 + retransmissions)
+
+    def test_peak_memory_independent_of_rounds(self, tmp_path):
+        # the capture streams to disk, so eight resend rounds per handshake
+        # cost no more memory than one; a capture held in memory reads over
+        # three times higher at eight. An untraced first run fills the
+        # interpreter's free lists, whose reuse tracemalloc does not see, so
+        # neither traced run reads high for going first; the 1.5 bound leaves
+        # room for what allocator noise remains.
+        self.stream_flood(tmp_path / "warm-up.pcap", 1)
+        peaks = {}
+        for retransmissions in (1, 8):
+            tracemalloc.start()
+            try:
+                self.stream_flood(tmp_path / f"r{retransmissions}.pcap", retransmissions)
+                peaks[retransmissions] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[8] <= 1.5 * peaks[1]
+        assert peaks[1] <= 1.5 * peaks[8]
+
+    def test_rounds_repeat_identical_packets(self, tmp_path):
+        path = tmp_path / "capture.pcap"
+        simulate_to_pcap(self.flood_config(8, sources=1), path)
+        records = pcap_records(path)
+        assert len(records) == 2 * 9
+        rounds = [records[i : i + 2] for i in range(0, len(records), 2)]
+        for later in rounds[1:]:
+            assert [packet for _, packet in later] == [packet for _, packet in rounds[0]]
+        times = [r[0][0] for r in rounds]
+        assert all(r[1][0] == t for r, t in zip(rounds, times))
+        assert times == sorted(set(times))
 
 
 class TestDeploymentConfigJson:
