@@ -407,6 +407,19 @@ class TestStoreRows:
         assert f"{datagrams}:1: missing key 'packets'" in out.stderr
         assert "Traceback" not in out.stderr
 
+    def test_datagram_row_cid_too_long(self, tmp_path):
+        datagrams = tmp_path / "d.jsonl"
+        row = {
+            "ts": 1.0, "src": "198.51.100.1", "dst": "172.16.5.5", "sport": 443, "dport": 50000,
+            "direction": "response", "length": 100, "operator": "Facebook", "asn": 32934,
+            "packets": [["initial", 1, "ab" * 21, "cd" * 8]],
+        }
+        datagrams.write_text(json.dumps(row) + "\n")
+        out = run_python("-m", "quicscope.cli", "scid", "--datagrams", datagrams, "--out-dir", tmp_path / "scid")
+        assert out.returncode == 2
+        assert f"{datagrams}:1: CID of 21 octets exceeds 20" in out.stderr
+        assert "Traceback" not in out.stderr
+
     def test_pairs_table_without_client_dcid(self, tmp_path):
         scids, pairs = tmp_path / "scids.txt", tmp_path / "pairs.tsv"
         scids.write_text("abcd\n")

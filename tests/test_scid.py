@@ -1,6 +1,7 @@
 """SCID analysis: codec vs. an independent bit-packing oracle, nybble
 statistics, uniformity calibration, and scheme classification."""
 
+import hashlib
 import math
 import random
 
@@ -136,6 +137,26 @@ class TestFacebookCodec:
     def test_round_trip_property(self, version, host, big_host, worker, process, seed):
         fields = FacebookScidFields(version, big_host if version == 2 else host, worker, process)
         assert decode_facebook_scid(encode_facebook_scid(fields, seed)) == fields
+
+
+class TestFacebookScidGolden:
+    """sha256 of encode_facebook_scid over 200 seeds per layout, pinned so a
+    rewrite of the random-bit filler keeps every SCID byte-identical."""
+
+    EXPECTED = {
+        1: "6087d04342317bc87252ecb8110fc2b36d5986a6c757ebc1ad59a2264cc7643e",
+        2: "3eadaa338a5c8359a55b569a28a42d22c5e5f694c66a645ff8ef7b702ae46630",
+    }
+
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_digest_over_seeds(self, version):
+        width = 16 if version == 1 else 24
+        digest = hashlib.sha256()
+        for i in range(200):
+            fields = FacebookScidFields(version, (i * 7919) % (1 << width), i % 256, i % 2)
+            seed = (i * 0x9E3779B97F4A7C15) & ((1 << 64) - 1)
+            digest.update(bytes(encode_facebook_scid(fields, random_bits_seed=seed)))
+        assert digest.hexdigest() == self.EXPECTED[version]
 
 
 class TestLowHostId:

@@ -13,6 +13,7 @@ from quicscope.pcap import PcapWriter
 from quicscope.scid import decode_facebook_scid
 from quicscope.sim import (
     ClusterConfig,
+    Connection,
     DeploymentConfig,
     DeploymentSimulator,
     Disposition,
@@ -22,6 +23,8 @@ from quicscope.sim import (
     RoutingMode,
     VirtualClock,
     build_cluster,
+    client_ack_payload,
+    client_initial_payload,
     default_stack_profile,
     handle_packet,
     route,
@@ -315,6 +318,54 @@ class TestDeliver:
         # the ACK continues that connection, opens none, and stops its resends
         assert sim.deliver(from_client(client_ack_payload(conn.server_cid, b"\x20" * 8))) is None
         assert conn.resend is None
+
+
+class TestEncodedBytesGolden:
+    """The client payloads and one response round per shipped profile, pinned
+    byte for byte so a rewrite of the long-header encoder changes no output."""
+
+    def test_client_initial_payload(self):
+        payload = client_initial_payload(b"\x10" * 8, b"\x20" * 8)
+        assert len(payload) == 1200
+        assert payload[:40].hex() == (
+            "c0000000010810101010101010100820202020202020200040785a5a5a5a5a5a5a5a5a5a5a5a5a5a"
+        )
+        assert hashlib.sha256(payload).hexdigest() == (
+            "ef9079109ecd5065735c3f7ee0eb388bc597eb98b8e48d9556e4618f51bdc3cd"
+        )
+
+    def test_client_ack_payload(self):
+        payload = client_ack_payload(b"\x30" * 8, b"\x20" * 8)
+        assert payload.hex() == "c000000001083030303030303030082020202020202020000101"
+
+    # operator, profile overrides, server CID -> (payload lengths, sha256 of the payloads)
+    ROUNDS = {
+        "facebook-separate": ("Facebook", {}, b"\x41" * 8),
+        "facebook-unpadded": ("Facebook", {"padding_policy": {}}, b"\x41" * 8),
+        "google-coalesced": ("Google", {}, b"\x10" * 8),
+        "cloudflare-coalesced": ("Cloudflare", {}, b"\x01" + b"\x42" * 19),
+    }
+    EXPECTED = {
+        "facebook-separate": ([1200, 115], "d5a1052b422764221b0d9efadfb4cd29f0f913fdad7bad208701efacafe755d3"),
+        "facebook-unpadded": ([146, 115], "ea11183c7946c3a5b49dbef0844c94f1586aa2f2d7a988a0cc34996a355c973e"),
+        "google-coalesced": ([1252], "e7784af709f5821dee2854f9b44269cc20c68bf8a2324e7bcdcea67d34832b68"),
+        "cloudflare-coalesced": ([1250], "73ab751c1aecc8788db3f54f2e1a794b29ce5cbace934f108ec34affef94e732"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(ROUNDS))
+    def test_response_round(self, case):
+        operator, overrides, server_cid = self.ROUNDS[case]
+        cfg = ClusterConfig(vips=["203.0.113.1"], l7lb_count=1, profile=profile(operator, **overrides))
+        sim = DeploymentSimulator(DeploymentConfig(clusters=[cfg], seed=1))
+        conn = Connection(server_cid, b"\x20" * 8, ("10.0.0.1", "203.0.113.1", 5555, 443, 17), 240.0)
+        datagrams = sim._response_datagrams(sim.clusters[0], conn, ("10.0.0.1", 5555), "203.0.113.1")
+        assert all(
+            (d.timestamp, d.src_ip, d.dst_ip, d.src_port, d.dst_port) == (0.0, "203.0.113.1", "10.0.0.1", 443, 5555)
+            for d in datagrams
+        )
+        lengths = [len(d.payload) for d in datagrams]
+        digest = hashlib.sha256(b"".join(d.payload for d in datagrams)).hexdigest()
+        assert (lengths, digest) == self.EXPECTED[case]
 
 
 class TestFloodDeterminism:
