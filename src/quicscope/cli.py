@@ -20,8 +20,6 @@ from . import fingerprint as fp
 from . import offnet, probe, scid, sim, tables
 from .ingest import (
     IngestCounters,
-    PrefixTable,
-    ScannerList,
     annotate_operators,
     ingest,
     sanitize,
@@ -132,10 +130,10 @@ def cmd_ingest(args) -> int:
     capture = _require(args.capture, "capture file")
     prefix_table = None
     if args.prefix_table:
-        prefix_table = PrefixTable.load(_require(args.prefix_table, "prefix table"))
+        prefix_table = tables.load_prefix_table(_require(args.prefix_table, "prefix table"))
     scanners = None
     if args.scanner_list:
-        scanners = ScannerList.load(_require(args.scanner_list, "scanner list"))
+        scanners = tables.load_scanner_list(_require(args.scanner_list, "scanner list"))
     registry = _registry(args)
     plausibility = PlausibilityConfig(
         registry=registry,
@@ -189,7 +187,7 @@ def _response_scids(rows, operator: str) -> list[bytes]:
     for row in rows:
         if row.operator != operator or row.direction != Direction.RESPONSE:
             continue
-        out.extend(p.scid.data for p in row.packets)
+        out.extend(p.scid for p in row.packets)
     return sorted(set(out))
 
 
@@ -310,12 +308,13 @@ def cmd_fingerprint(args) -> int:
 
 
 def _load_pairs(path: Path) -> dict[str, list[tuple[bytes, bytes]]]:
-    _, rows = tables.read_table(path, columns=("operator", "server_scid", "client_dcid"))
+    rows = tables.read_table(
+        path,
+        from_row=lambda row: (row["operator"], bytes.fromhex(row["server_scid"]), bytes.fromhex(row["client_dcid"])),
+    )
     pairs: dict[str, list[tuple[bytes, bytes]]] = {}
-    for row in rows:
-        pairs.setdefault(row["operator"], []).append(
-            (bytes.fromhex(row["server_scid"]), bytes.fromhex(row["client_dcid"]))
-        )
+    for operator, server_scid, client_dcid in rows:
+        pairs.setdefault(operator, []).append((server_scid, client_dcid))
     return pairs
 
 
@@ -331,7 +330,7 @@ def cmd_scid(args) -> int:
             op = row.operator or "Unknown"
             if args.operator and op != args.operator:
                 continue
-            populations.setdefault(op, []).extend(p.scid.data for p in row.packets)
+            populations.setdefault(op, []).extend(p.scid for p in row.packets)
     else:
         raise FileNotFoundError("need --scids or --datagrams")
     populations = {op: sorted(set(scids)) for op, scids in populations.items()}
@@ -632,7 +631,7 @@ def cmd_report(args) -> int:
         # a table written with --format jsonl sits next to its .tsv name
         for path in (in_dir / name, (in_dir / name).with_suffix(".jsonl")):
             if path.exists():
-                return tables.read_table(path, columns)[1]
+                return tables.read_table(path, columns)
         return []
 
     tally_rows = maybe_rows("version_tally.tsv", ("version", "role", "share"))

@@ -136,16 +136,6 @@ class ScannerList:
     def __init__(self, networks: Iterable[ipaddress.IPv4Network] = ()):
         self._networks = sorted(set(networks), key=lambda n: (int(n.network_address), n.prefixlen))
 
-    @classmethod
-    def load(cls, path: str | Path) -> "ScannerList":
-        networks = []
-        for raw in Path(path).read_text().splitlines():
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            networks.append(ipaddress.ip_network(line if "/" in line else line + "/32"))
-        return cls(networks)
-
     def __contains__(self, ip: str) -> bool:
         addr = ipaddress.ip_address(ip)
         return any(addr in net for net in self._networks)
@@ -180,17 +170,6 @@ class PrefixTable:
         for network, asn, label in entries:
             bucket = self._by_length.setdefault(network.prefixlen, {})
             bucket[int(network.network_address)] = (asn, label)
-
-    @classmethod
-    def load(cls, path: str | Path) -> "PrefixTable":
-        entries = []
-        for raw in Path(path).read_text().splitlines():
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            prefix, asn, label = line.split("\t")
-            entries.append((ipaddress.ip_network(prefix), int(asn), label))
-        return cls(entries)
 
     def lookup(self, ip: str) -> Optional[tuple[int, str]]:
         addr = int(ipaddress.ip_address(ip))
@@ -262,8 +241,8 @@ def sessionize(records: Iterable[CaptureRecord], idle_gap: float = DEFAULT_IDLE_
             key = SessionKey(
                 record.src_ip,
                 record.dst_ip,
-                packet.scid.data,
-                packet.dcid.data,
+                packet.scid,
+                packet.dcid,
             )
             entry = open_sessions.get(key)
             if entry is not None and ts - entry[1] < idle_gap:

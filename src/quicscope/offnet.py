@@ -94,7 +94,7 @@ def collect_source_inputs(
         if len(record.packets) > 1:
             entry.any_coalesced = True
         for packet in record.packets:
-            entry.scids.append(packet.scid.data)
+            entry.scids.append(packet.scid)
     for session in sessionize(responses, idle_gap=idle_gap):
         src = session.key.src_ip
         if src in inputs:

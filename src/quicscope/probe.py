@@ -122,7 +122,7 @@ class SimulatorTransport:
             packets = split_coalesced(d.payload)
             if not packets:
                 continue
-            server_scid = packets[0].scid.data
+            server_scid = packets[0].scid
             self.sim.deliver(
                 Datagram(
                     self.sim.clock.now, self.client_ip, vip, src_port, QUIC_PORT,
@@ -191,7 +191,7 @@ class RawNetworkTransport:
         if not packets:
             return None
         return HandshakeReply(
-            server_scid=packets[0].scid.data, vip=vip, src_port=src_port, client_scid=scid
+            server_scid=packets[0].scid, vip=vip, src_port=src_port, client_scid=scid
         )
 
 
@@ -282,16 +282,6 @@ def harvest_host_ids(
             raise ExcessiveFailureRate(
                 f"{harvest.failures}/{harvest.attempts} probes to {vip} failed"
             )
-    return harvest
-
-
-def harvest_from_ids(vip: str, host_ids: Iterable[int]) -> HostIdHarvest:
-    """Synthesize a complete harvest from a known instance set (ground truth
-    shortcut for clustering over many VIPs)."""
-    harvest = HostIdHarvest(vip=vip)
-    for index, host_id in enumerate(sorted(set(host_ids))):
-        harvest.observations.append((index, host_id))
-        harvest.attempts += 1
     return harvest
 
 

@@ -13,8 +13,6 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Optional, Sequence
 
-from .wire import ConnectionId
-
 DEFAULT_ALPHA = 0.001
 DEFAULT_MIN_SAMPLES = 500
 ECHO_PREFIX_OCTETS = 8
@@ -52,10 +50,6 @@ class UnknownScidVersion(CodecError):
     def __init__(self, version: int):
         super().__init__(f"SCID version bits decode to {version}, expected 1 or 2")
         self.version = version
-
-
-def _as_bytes(scids: Iterable[ConnectionId | bytes]) -> list[bytes]:
-    return [bytes(s) for s in scids]
 
 
 # octet value -> its high / low nybble, for bytes.translate
@@ -100,24 +94,23 @@ class NybbleFrequencyMatrix:
         return NybbleFrequencyMatrix(counts, self.total + other.total)
 
 
-def nybble_frequencies(scids: Sequence[ConnectionId | bytes]) -> NybbleFrequencyMatrix:
+def nybble_frequencies(scids: Sequence[bytes]) -> NybbleFrequencyMatrix:
     """Count nybble values per position; position 0 is the high nybble of
     octet 0. All SCIDs must share one length."""
-    data = _as_bytes(scids)
-    if not data:
+    if not scids:
         return NybbleFrequencyMatrix((), 0)
-    lengths = {len(s) for s in data}
+    lengths = {len(s) for s in scids}
     if len(lengths) != 1:
         raise MixedLengths(f"population mixes SCID lengths {sorted(lengths)}")
     octets = lengths.pop()
-    blob = b"".join(data)
+    blob = b"".join(scids)
     counts = []
     for octet in range(octets):
         column = blob[octet::octets]
         for table in (_HIGH_NYBBLE, _LOW_NYBBLE):
             nybbles = column.translate(table)
             counts.append(tuple(nybbles.count(value) for value in range(16)))
-    return NybbleFrequencyMatrix(tuple(counts), len(data))
+    return NybbleFrequencyMatrix(tuple(counts), len(scids))
 
 
 def chi2_sf_15(x: float) -> float:
@@ -195,8 +188,8 @@ class ScidScheme:
 
 
 def classify_scheme(
-    scids: Sequence[ConnectionId | bytes],
-    client_dcids: Optional[Sequence[ConnectionId | bytes]] = None,
+    scids: Sequence[bytes],
+    client_dcids: Optional[Sequence[bytes]] = None,
     alpha: float = DEFAULT_ALPHA,
     min_samples: int = DEFAULT_MIN_SAMPLES,
     echo_threshold: float = ECHO_MATCH_THRESHOLD,
@@ -209,7 +202,7 @@ def classify_scheme(
     capture loss). Otherwise positional uniformity decides.
     """
     if client_dcids is not None:
-        pairs = list(zip(_as_bytes(scids), _as_bytes(client_dcids)))
+        pairs = list(zip(scids, client_dcids))
         if pairs:
             matches = sum(
                 1
@@ -259,9 +252,21 @@ def _extract_bits(raw: int, start: int, width: int) -> int:
     return (raw >> shift) & ((1 << width) - 1)
 
 
+def _free_bits(layout: dict[str, tuple[int, int]]) -> tuple[int, ...]:
+    """Bit positions (0 = most significant) outside a layout's fields."""
+    used = {b for start, width in [_VERSION_FIELD, *layout.values()] for b in range(start, start + width)}
+    return tuple(bit for bit in range(64) if bit not in used)
+
+
+# per layout: the mask of each random bit, in ascending bit order
+_FB_RANDOM_MASKS = {
+    version: tuple(1 << (63 - bit) for bit in _free_bits(layout)) for version, layout in _FB_LAYOUTS.items()
+}
+
+
 def encode_facebook_scid(
     fields: FacebookScidFields, random_bits_seed: Optional[int] = None
-) -> ConnectionId:
+) -> bytes:
     """Pack fields into an 8-octet SCID.
 
     Bits outside the field layout are zero when no seed is given, otherwise
@@ -269,30 +274,34 @@ def encode_facebook_scid(
     follows fields.scid_version; version values outside {1, 2} are packed
     with the v1 layout and will not decode.
     """
-    layout = _FB_LAYOUTS.get(fields.scid_version, _FB_LAYOUTS[1])
+    version = fields.scid_version if fields.scid_version in _FB_LAYOUTS else 1
+    layout = _FB_LAYOUTS[version]
     acc = _pack_bits(0, fields.scid_version, *_VERSION_FIELD, name="scid_version")
     acc = _pack_bits(acc, fields.host_id, *layout["host_id"], name="host_id")
     acc = _pack_bits(acc, fields.worker_id, *layout["worker_id"], name="worker_id")
     acc = _pack_bits(acc, fields.process_id, *layout["process_id"], name="process_id")
     if random_bits_seed is not None:
-        rng = random.Random(random_bits_seed)
-        used = {b for start, width in [_VERSION_FIELD, *layout.values()] for b in range(start, start + width)}
-        for bit in range(64):
-            if bit not in used and rng.getrandbits(1):
-                acc |= 1 << (63 - bit)
-    return ConnectionId(acc.to_bytes(FACEBOOK_SCID_OCTETS, "big"))
+        masks = _FB_RANDOM_MASKS[version]
+        # one 32-bit word per free bit: CPython's getrandbits(1) is the top
+        # bit of the next word, and getrandbits(32 * n) stacks n words from
+        # the least significant end, so word i's top bit is the i-th draw
+        words = random.Random(random_bits_seed).getrandbits(32 * len(masks))
+        top_octets = words.to_bytes(4 * len(masks), "little")[3::4]
+        for mask, octet in zip(masks, top_octets):
+            if octet & 0x80:
+                acc |= mask
+    return acc.to_bytes(FACEBOOK_SCID_OCTETS, "big")
 
 
-def decode_facebook_scid(scid: ConnectionId | bytes) -> FacebookScidFields:
+def decode_facebook_scid(scid: bytes) -> FacebookScidFields:
     """Inverse of encode_facebook_scid over the field bits.
 
     Raises BadLength for anything but 8 octets and UnknownScidVersion when
     the version bits are not 1 or 2 (the exception carries the decoded value).
     """
-    raw_bytes = bytes(scid)
-    if len(raw_bytes) != FACEBOOK_SCID_OCTETS:
-        raise BadLength(f"expected {FACEBOOK_SCID_OCTETS} octets, got {len(raw_bytes)}")
-    raw = int.from_bytes(raw_bytes, "big")
+    if len(scid) != FACEBOOK_SCID_OCTETS:
+        raise BadLength(f"expected {FACEBOOK_SCID_OCTETS} octets, got {len(scid)}")
+    raw = int.from_bytes(scid, "big")
     version = _extract_bits(raw, *_VERSION_FIELD)
     layout = _FB_LAYOUTS.get(version)
     if layout is None:
@@ -311,12 +320,11 @@ def low_host_id(fields: FacebookScidFields) -> bool:
     return fields.host_id < 1 << (16 - LOW_HOST_ID_ZERO_BITS)
 
 
-def detect_cloudflare_signature(scids: Sequence[ConnectionId | bytes]) -> bool:
+def detect_cloudflare_signature(scids: Sequence[bytes]) -> bool:
     """True iff every SCID is 20 octets starting with 0x01."""
-    data = _as_bytes(scids)
-    if not data:
+    if not scids:
         raise ScidAnalysisError("signature check needs at least one SCID")
     return all(
-        len(s) == CLOUDFLARE_SCID_LENGTH and s[0] == CLOUDFLARE_FIRST_OCTET for s in data
+        len(s) == CLOUDFLARE_SCID_LENGTH and s[0] == CLOUDFLARE_FIRST_OCTET for s in scids
     )
 

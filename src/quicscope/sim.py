@@ -47,18 +47,12 @@ DEFAULT_VERSION = 0x00000001
 def client_initial_payload(dcid: bytes, scid: bytes) -> bytes:
     """A client's first Initial, zero-padded to the 1,200-byte minimum
     datagram size of RFC 9000 section 14.1."""
-    initial = LongHeader.build(
-        PacketType.INITIAL, DEFAULT_VERSION, dcid=dcid, scid=scid, payload=INITIAL_FILLER
-    )
-    return encode_long_header(initial).ljust(1200, b"\x00")
+    return encode_long_header(PacketType.INITIAL, DEFAULT_VERSION, dcid, scid, INITIAL_FILLER).ljust(1200, b"\x00")
 
 
 def client_ack_payload(server_scid: bytes, client_scid: bytes) -> bytes:
     """The unpadded client Initial that acknowledges a server's response."""
-    ack = LongHeader.build(
-        PacketType.INITIAL, DEFAULT_VERSION, dcid=server_scid, scid=client_scid, payload=b"\x01"
-    )
-    return encode_long_header(ack)
+    return encode_long_header(PacketType.INITIAL, DEFAULT_VERSION, server_scid, client_scid, b"\x01")
 
 
 class SimError(ValueError):
@@ -187,15 +181,15 @@ def handle_packet(
     live server CID is the canonical case. An unknown-CID Initial opens a new
     connection; a consistent continuation is accepted.
     """
-    conn = instance.lookup(packet.dcid.data, now)
+    conn = instance.lookup(packet.dcid, now)
     if conn is not None:
-        fresh_initial = packet.packet_type == PacketType.INITIAL and (
-            packet.scid.data != conn.client_cid or five_tuple != conn.five_tuple
+        fresh_initial = packet.packet_type is PacketType.INITIAL and (
+            packet.scid != conn.client_cid or five_tuple != conn.five_tuple
         )
         if fresh_initial:
             return Disposition.SILENT_DISCARD, conn
         return Disposition.ACCEPT, conn
-    if packet.packet_type == PacketType.INITIAL:
+    if packet.packet_type is PacketType.INITIAL:
         return Disposition.NEW_CONNECTION, None
     return Disposition.SILENT_DISCARD, None
 
@@ -308,9 +302,6 @@ class FrontendCluster:
         self.by_host_id = {inst.host_id: inst for inst in instances}
         self.cid_directory: dict[bytes, tuple[L7LBInstance, float]] = {}
         self._instance_keys = [_key64(f"l7lb|{name}|{inst.host_id}") for inst in instances]
-
-    def host_id_set(self) -> set[int]:
-        return set(self.by_host_id)
 
     def rendezvous(self, five_tuple: tuple) -> L7LBInstance:
         """The instance whose splitmix64(instance key ^ tuple key) weight is
@@ -570,11 +561,11 @@ class DeploymentSimulator:
                 fields = FacebookScidFields(
                     FACEBOOK_SCID_VERSIONS[scheme], instance.host_id, worker_id, profile.process_id
                 )
-                scid = bytes(encode_facebook_scid(fields, random_bits_seed=self.rng.getrandbits(64)))
+                scid = encode_facebook_scid(fields, random_bits_seed=self.rng.getrandbits(64))
             elif scheme == ScidSchemeKind.CLOUDFLARE_FIXED:
                 scid = b"\x01" + self.rng.randbytes(profile.scid_length - 1)
             elif scheme == ScidSchemeKind.ECHO_CLIENT_DCID:
-                prefix = client_initial.dcid.data[:8]
+                prefix = client_initial.dcid[:8]
                 if len(prefix) < 8:
                     prefix += self.rng.randbytes(8 - len(prefix))
                 return prefix, None
@@ -593,20 +584,9 @@ class DeploymentSimulator:
     ) -> list[Datagram]:
         """Build the datagrams of one response round (Initial + Handshake)."""
         profile = cluster.profile
-        initial = LongHeader.build(
-            PacketType.INITIAL,
-            profile.version,
-            dcid=conn.client_cid,
-            scid=conn.server_cid,
-            payload=INITIAL_FILLER,
-        )
-        handshake = LongHeader.build(
-            PacketType.HANDSHAKE,
-            profile.version,
-            dcid=conn.client_cid,
-            scid=conn.server_cid,
-            payload=HANDSHAKE_FILLER,
-        )
+        dcid, scid = conn.client_cid, conn.server_cid
+        initial = encode_long_header(PacketType.INITIAL, profile.version, dcid, scid, INITIAL_FILLER)
+        handshake = encode_long_header(PacketType.HANDSHAKE, profile.version, dcid, scid, HANDSHAKE_FILLER)
         policy = profile.padding_policy
 
         def pad(payload: bytes, category: str) -> bytes:
@@ -618,11 +598,11 @@ class DeploymentSimulator:
         now = self.clock.now
         dst_ip, dst_port = client_addr
         if profile.coalescence:
-            body = pad(encode_long_header(initial) + encode_long_header(handshake), "Initial & Handshake")
+            body = pad(initial + handshake, "Initial & Handshake")
             return [Datagram(now, vip, dst_ip, QUIC_PORT, dst_port, body)]
         return [
-            Datagram(now, vip, dst_ip, QUIC_PORT, dst_port, pad(encode_long_header(initial), "Initial")),
-            Datagram(now, vip, dst_ip, QUIC_PORT, dst_port, pad(encode_long_header(handshake), "Handshake")),
+            Datagram(now, vip, dst_ip, QUIC_PORT, dst_port, pad(initial, "Initial")),
+            Datagram(now, vip, dst_ip, QUIC_PORT, dst_port, pad(handshake, "Handshake")),
         ]
 
     def serve_initial(
@@ -642,7 +622,7 @@ class DeploymentSimulator:
         scid, worker_id = self._generate_scid(cluster, instance, client_initial)
         conn = Connection(
             server_cid=scid,
-            client_cid=client_initial.scid.data,
+            client_cid=client_initial.scid,
             five_tuple=(client_addr[0], vip, client_addr[1], QUIC_PORT, PROTO_UDP),
             expires_at=now + instance.state_lifetime,
         )
@@ -656,8 +636,8 @@ class DeploymentSimulator:
                     source_port=client_addr[1],
                     operator=profile.operator,
                     server_scid=scid,
-                    client_dcid=client_initial.dcid.data,
-                    client_scid=client_initial.scid.data,
+                    client_dcid=client_initial.dcid,
+                    client_scid=client_initial.scid,
                     host_id=instance.host_id,
                     worker_id=worker_id,
                 )
@@ -709,7 +689,7 @@ class DeploymentSimulator:
             return None
         packet = packets[0]
         tup = five_tuple_of(d)
-        instance = route(cluster, tup, dcid=packet.dcid.data, now=self.clock.now)
+        instance = route(cluster, tup, dcid=packet.dcid, now=self.clock.now)
         disposition, conn = handle_packet(instance, packet, tup, self.clock.now)
         if disposition == Disposition.NEW_CONNECTION:
             return self.serve_initial(cluster, instance, packet, (d.src_ip, d.src_port), d.dst_ip)

@@ -6,16 +6,19 @@ store keeps each packet's type, version and CIDs, and loads back as the same
 a one-line header, or as JSONL records with `--format jsonl`; read_table reads
 either form, so both feed the next stage. All writers are byte-deterministic
 for identical inputs, which is what makes whole-pipeline runs reproducible.
+Every reader here, the prefix-table and scanner-list readers included, turns
+a line it cannot read into a StoreError that names the file and the line.
 """
 
 from __future__ import annotations
 
+import ipaddress
 import json
 from pathlib import Path
 from typing import Callable, Iterable, Optional, Sequence, TypeVar
 
-from .ingest import CaptureRecord, Session, SessionKey, TimelineEntry
-from .wire import ConnectionId, Direction, LongHeader, PacketType
+from .ingest import CaptureRecord, PrefixTable, ScannerList, Session, SessionKey, TimelineEntry
+from .wire import Direction, LongHeader, PacketType, check_cid_lengths
 
 T = TypeVar("T")
 
@@ -52,27 +55,26 @@ def write_table(
     return path
 
 
-def read_table(path: str | Path, columns: Sequence[str] = ()) -> tuple[list[str], list[dict[str, str]]]:
-    """Read a table back as (header, rows-as-string-dicts). A `.jsonl` table
-    has its cells formatted as the TSV writer would; empty cells come back as
-    empty strings. A row that is not valid JSON or lacks one of `columns`
-    raises StoreError naming the file and the line."""
+def read_table(
+    path: str | Path, columns: Sequence[str] = (), from_row: Optional[Callable[[dict[str, str]], T]] = None
+) -> list:
+    """Read a table's rows back as string dicts, or as what `from_row` makes
+    of each. A `.jsonl` table has its cells formatted as the TSV writer
+    would; empty cells come back as empty strings. A row that is not valid
+    JSON, lacks one of `columns` or that `from_row` cannot read raises
+    StoreError naming the file and the line."""
 
-    def checked(row: dict[str, str]) -> dict[str, str]:
+    def checked(row: dict[str, str]):
         for col in columns:
             if col not in row:
                 raise KeyError(col)
-        return row
+        return row if from_row is None else from_row(row)
 
     if Path(path).suffix == ".jsonl":
-        rows = load_lines(path, lambda line: checked({col: fmt_value(v) for col, v in json.loads(line).items()}))
-        return (list(rows[0]) if rows else []), rows
+        return load_lines(path, lambda line: checked({col: fmt_value(v) for col, v in json.loads(line).items()}))
     with Path(path).open() as fh:
-        first = fh.readline().rstrip("\r\n")
-    if not first:
-        return [], []
-    header = first.split("\t")
-    return header, load_lines(path, lambda line: checked(dict(zip(header, line.split("\t")))), skip=1)
+        header = fh.readline().rstrip("\r\n").split("\t")
+    return load_lines(path, lambda line: checked(dict(zip(header, line.split("\t")))), skip=1)
 
 
 def write_jsonl(path: str | Path, records: Iterable[dict]) -> Path:
@@ -99,6 +101,31 @@ def load_lines(path: str | Path, from_line: Callable[[str], T], skip: int = 0) -
             except (TypeError, ValueError) as exc:
                 raise StoreError(f"{path}:{lineno}: {exc}") from None
     return out
+
+
+def _load_listing(path: str | Path, from_entry: Callable[[str], T]) -> list[T]:
+    """Build one object per entry of a hand-edited list: a stripped line that
+    is neither blank nor a `#` comment."""
+    entries = load_lines(path, lambda line: None if line.lstrip().startswith("#") else from_entry(line.strip()))
+    return [entry for entry in entries if entry is not None]
+
+
+def load_scanner_list(path: str | Path) -> ScannerList:
+    """Read a scanner list: one IPv4 prefix or exact address per line."""
+    return ScannerList(_load_listing(path, lambda line: ipaddress.ip_network(line if "/" in line else line + "/32")))
+
+
+def _prefix_entry(line: str) -> tuple[ipaddress.IPv4Network, int, str]:
+    fields = line.split("\t")
+    if len(fields) != 3:
+        raise ValueError(f"expected 3 tab-separated fields (prefix, ASN, operator), got {len(fields)}")
+    prefix, asn, label = fields
+    return ipaddress.ip_network(prefix), int(asn), label
+
+
+def load_prefix_table(path: str | Path) -> PrefixTable:
+    """Read a prefix table: `prefix<TAB>ASN<TAB>operator` per line."""
+    return PrefixTable(_load_listing(path, _prefix_entry))
 
 
 def _load_store(path: str | Path, from_row: Callable[[dict], T]) -> list[T]:
@@ -176,15 +203,11 @@ def save_datagrams(path: str | Path, records: Iterable[CaptureRecord]) -> Path:
 
 
 def _datagram_from_row(raw: dict) -> CaptureRecord:
-    packets = [
-        LongHeader(
-            PacketType(ptype),
-            version,
-            ConnectionId(bytes.fromhex(dcid)),
-            ConnectionId(bytes.fromhex(scid)),
-        )
-        for ptype, version, scid, dcid in raw["packets"]
-    ]
+    packets = []
+    for ptype, version, scid, dcid in raw["packets"]:
+        dcid, scid = bytes.fromhex(dcid), bytes.fromhex(scid)
+        check_cid_lengths(dcid, scid)
+        packets.append(LongHeader(PacketType(ptype), version, dcid, scid))
     return CaptureRecord(
         timestamp=raw["ts"],
         src_ip=raw["src"],

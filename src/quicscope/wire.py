@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from importlib import resources
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 MAX_CID_LENGTH = 20
 
@@ -58,7 +58,9 @@ _TYPE_BITS = {
     2: PacketType.HANDSHAKE,
     3: PacketType.RETRY,
 }
-_BITS_FOR_TYPE = {v: k for k, v in _TYPE_BITS.items()}
+# canonical first octet per type: form and fixed bits set, low bits zero
+_FIRST_BYTE = {t: FORM_BIT | FIXED_BIT | (bits << 4) for bits, t in _TYPE_BITS.items()}
+_FIRST_BYTE[PacketType.VERSION_NEGOTIATION] = FORM_BIT | FIXED_BIT
 
 # Display names used in packet-type and length tables.
 TYPE_LABELS = {
@@ -74,30 +76,6 @@ class Direction(Enum):
     REQUEST = "request"
     RESPONSE = "response"
     NON_QUIC = "non_quic"
-
-
-@dataclass(frozen=True)
-class ConnectionId:
-    """A QUIC connection identifier, 0-20 octets."""
-
-    data: bytes
-
-    def __post_init__(self) -> None:
-        if len(self.data) > MAX_CID_LENGTH:
-            raise InvalidCidLength(f"CID of {len(self.data)} octets exceeds {MAX_CID_LENGTH}")
-
-    @property
-    def length(self) -> int:
-        return len(self.data)
-
-    def hex(self) -> str:
-        return self.data.hex()
-
-    def __bytes__(self) -> bytes:
-        return self.data
-
-    def __len__(self) -> int:
-        return len(self.data)
 
 
 def encode_varint(value: int) -> bytes:
@@ -119,22 +97,20 @@ def decode_varint(buf: bytes, offset: int) -> tuple[int, int]:
     """Return (value, octets consumed) for the varint at `offset`."""
     if offset >= len(buf):
         raise TruncatedPacket("varint starts past end of buffer")
-    length = 1 << (buf[offset] >> 6)
+    first = buf[offset]
+    if first < 0x40:
+        return first, 1
+    length = 1 << (first >> 6)
     if offset + length > len(buf):
         raise TruncatedPacket("buffer ends inside varint")
-    value = buf[offset] & 0x3F
+    value = first & 0x3F
     for i in range(1, length):
         value = (value << 8) | buf[offset + i]
     return value, length
 
 
-def varint_length(value: int) -> int:
-    return len(encode_varint(value))
-
-
-@dataclass(frozen=True)
-class LongHeader:
-    """A decoded QUIC long-header packet.
+class LongHeader(NamedTuple):
+    """A decoded QUIC long-header packet; its CIDs are plain bytes.
 
     `payload` carries the opaque region after the header: packet number plus
     protected payload for Initial/0-RTT/Handshake, the supported-version list
@@ -144,8 +120,8 @@ class LongHeader:
 
     packet_type: PacketType
     version: int
-    dcid: ConnectionId
-    scid: ConnectionId
+    dcid: bytes
+    scid: bytes
     token: bytes = b""
     payload: bytes = b""
     first_byte: int = FORM_BIT | FIXED_BIT
@@ -158,40 +134,9 @@ class LongHeader:
     @property
     def payload_length(self) -> Optional[int]:
         """Value of the wire Length field; absent for Retry/VersionNegotiation."""
-        if self.packet_type in (PacketType.RETRY, PacketType.VERSION_NEGOTIATION):
+        if self.packet_type is PacketType.RETRY or self.packet_type is PacketType.VERSION_NEGOTIATION:
             return None
         return len(self.payload)
-
-    @classmethod
-    def build(
-        cls,
-        packet_type: PacketType,
-        version: int,
-        dcid: ConnectionId | bytes,
-        scid: ConnectionId | bytes,
-        token: bytes = b"",
-        payload: bytes = b"",
-    ) -> "LongHeader":
-        """Construct a canonical header (fixed bit set, low type bits zero)."""
-        if isinstance(dcid, bytes):
-            dcid = ConnectionId(dcid)
-        if isinstance(scid, bytes):
-            scid = ConnectionId(scid)
-        if (packet_type == PacketType.VERSION_NEGOTIATION) != (version == 0):
-            raise WireError("version 0 is reserved for (and required by) version negotiation")
-        if token and packet_type != PacketType.INITIAL:
-            raise WireError("only Initial packets carry a token")
-        if packet_type == PacketType.VERSION_NEGOTIATION:
-            first = FORM_BIT | FIXED_BIT
-        else:
-            first = FORM_BIT | FIXED_BIT | (_BITS_FOR_TYPE[packet_type] << 4)
-        wire = 1 + 4 + 1 + dcid.length + 1 + scid.length
-        if packet_type == PacketType.INITIAL:
-            wire += varint_length(len(token)) + len(token)
-        if packet_type in (PacketType.INITIAL, PacketType.ZERO_RTT, PacketType.HANDSHAKE):
-            wire += varint_length(len(payload))
-        wire += len(payload)
-        return cls(packet_type, version, dcid, scid, token, payload, first, wire)
 
 
 def parse_long_header(payload: bytes, offset: int = 0) -> LongHeader:
@@ -201,88 +146,105 @@ def parse_long_header(payload: bytes, offset: int = 0) -> LongHeader:
     declared CID length above 20, and TruncatedPacket when the buffer ends
     inside any field.
     """
-    if offset >= len(payload):
+    end = len(payload)
+    if offset >= end:
         raise TruncatedPacket("offset past end of payload")
     first = payload[offset]
     if not first & FORM_BIT:
         raise NotLongHeader(f"form bit clear in first octet 0x{first:02x}")
-    pos = offset + 1
-    if pos + 4 > len(payload):
+    pos = offset + 5
+    if pos > end:
         raise TruncatedPacket("payload ends inside version field")
-    version = struct.unpack_from(">I", payload, pos)[0]
-    pos += 4
+    version = struct.unpack_from(">I", payload, offset + 1)[0]
 
-    cids = []
-    for name in ("DCID", "SCID"):
-        if pos >= len(payload):
-            raise TruncatedPacket(f"payload ends before {name} length octet")
-        cid_len = payload[pos]
-        pos += 1
-        if cid_len > MAX_CID_LENGTH:
-            raise InvalidCidLength(f"{name} length {cid_len} exceeds {MAX_CID_LENGTH}")
-        if pos + cid_len > len(payload):
-            raise TruncatedPacket(f"payload ends inside {name}")
-        cids.append(ConnectionId(payload[pos : pos + cid_len]))
-        pos += cid_len
-    dcid, scid = cids
+    if pos >= end:
+        raise TruncatedPacket("payload ends before DCID length octet")
+    cid_len = payload[pos]
+    if cid_len > MAX_CID_LENGTH:
+        raise InvalidCidLength(f"DCID length {cid_len} exceeds {MAX_CID_LENGTH}")
+    pos += 1
+    if pos + cid_len > end:
+        raise TruncatedPacket("payload ends inside DCID")
+    dcid = payload[pos : pos + cid_len]
+    pos += cid_len
+    if pos >= end:
+        raise TruncatedPacket("payload ends before SCID length octet")
+    cid_len = payload[pos]
+    if cid_len > MAX_CID_LENGTH:
+        raise InvalidCidLength(f"SCID length {cid_len} exceeds {MAX_CID_LENGTH}")
+    pos += 1
+    if pos + cid_len > end:
+        raise TruncatedPacket("payload ends inside SCID")
+    scid = payload[pos : pos + cid_len]
+    pos += cid_len
 
     token = b""
     if version == 0:
         packet_type = PacketType.VERSION_NEGOTIATION
         body = payload[pos:]
-        pos = len(payload)
+        pos = end
     else:
         packet_type = _TYPE_BITS[(first & TYPE_MASK) >> 4]
-        if packet_type == PacketType.INITIAL:
+        if packet_type is PacketType.INITIAL:
             token_len, consumed = decode_varint(payload, pos)
             pos += consumed
-            if pos + token_len > len(payload):
+            if pos + token_len > end:
                 raise TruncatedPacket("payload ends inside Initial token")
             token = payload[pos : pos + token_len]
             pos += token_len
-        if packet_type == PacketType.RETRY:
+        if packet_type is PacketType.RETRY:
             body = payload[pos:]
-            pos = len(payload)
+            pos = end
         else:
             length, consumed = decode_varint(payload, pos)
             pos += consumed
-            if pos + length > len(payload):
+            if pos + length > end:
                 raise TruncatedPacket("payload ends inside declared packet length")
             body = payload[pos : pos + length]
             pos += length
 
-    return LongHeader(
-        packet_type=packet_type,
-        version=version,
-        dcid=dcid,
-        scid=scid,
-        token=token,
-        payload=body,
-        first_byte=first,
-        wire_length=pos - offset,
-    )
+    return LongHeader(packet_type, version, dcid, scid, token, body, first, pos - offset)
 
 
-def encode_long_header(header: LongHeader, payload: Optional[bytes] = None) -> bytes:
-    """Serialize a long-header packet; inverse of parse_long_header for
-    canonically built headers. `payload` overrides header.payload when given."""
-    body = header.payload if payload is None else payload
-    if header.dcid.length > MAX_CID_LENGTH or header.scid.length > MAX_CID_LENGTH:
-        raise InvalidCidLength("CID exceeds 20 octets")
-    out = bytearray()
-    out.append(header.first_byte | FORM_BIT)
-    out += struct.pack(">I", header.version)
-    out.append(header.dcid.length)
-    out += header.dcid.data
-    out.append(header.scid.length)
-    out += header.scid.data
-    if header.packet_type == PacketType.INITIAL:
-        out += encode_varint(len(header.token))
-        out += header.token
-    if header.packet_type in (PacketType.INITIAL, PacketType.ZERO_RTT, PacketType.HANDSHAKE):
-        out += encode_varint(len(body))
-    out += body
-    return bytes(out)
+def check_cid_lengths(dcid: bytes, scid: bytes) -> None:
+    """Raise InvalidCidLength when either CID is longer than 20 octets."""
+    if len(dcid) > MAX_CID_LENGTH or len(scid) > MAX_CID_LENGTH:
+        raise InvalidCidLength(f"CID of {max(len(dcid), len(scid))} octets exceeds {MAX_CID_LENGTH}")
+
+
+def encode_long_header(
+    packet_type: PacketType,
+    version: int,
+    dcid: bytes,
+    scid: bytes,
+    payload: bytes = b"",
+    token: bytes = b"",
+    first_byte: Optional[int] = None,
+) -> bytes:
+    """Serialize one long-header packet; the inverse of parse_long_header.
+
+    Without `first_byte` the header is canonical: fixed bit set, low type
+    bits zero. Pass a parsed header's first_byte to keep its reserved and
+    packet-number-length bits. Raises InvalidCidLength for a CID above 20
+    octets, and WireError when the version is 0 on anything but Version
+    Negotiation (or not 0 on it), or when a packet other than Initial
+    carries a token.
+    """
+    check_cid_lengths(dcid, scid)
+    if (packet_type is PacketType.VERSION_NEGOTIATION) != (version == 0):
+        raise WireError("version 0 is reserved for (and required by) version negotiation")
+    if packet_type is PacketType.INITIAL:
+        tail = encode_varint(len(token)) + token + encode_varint(len(payload))
+    elif token:
+        raise WireError("only Initial packets carry a token")
+    elif packet_type is PacketType.HANDSHAKE or packet_type is PacketType.ZERO_RTT:
+        tail = encode_varint(len(payload))
+    else:
+        tail = b""
+    if first_byte is None:
+        first_byte = _FIRST_BYTE[packet_type]
+    head = struct.pack(">BIB", first_byte | FORM_BIT, version, len(dcid))
+    return head + dcid + bytes((len(scid),)) + scid + tail + payload
 
 
 def split_coalesced(datagram_payload: bytes) -> list[LongHeader]:

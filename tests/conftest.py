@@ -8,8 +8,9 @@ from pathlib import Path
 import pytest
 
 from quicscope.pcap import PcapReader, PcapWriter
+from quicscope.probe import HostIdHarvest
 from quicscope.sim import DeploymentConfig, FloodResult, simulate_flood
-from quicscope.wire import Datagram, LongHeader, PacketType, encode_long_header
+from quicscope.wire import Datagram, PacketType, encode_long_header
 
 
 def run_python(*args, **kwargs) -> subprocess.CompletedProcess:
@@ -42,10 +43,7 @@ def make_response(
     payload: bytes = b"\x11" * 40,
 ) -> Datagram:
     """Server->telescope datagram holding one or more coalesced packets."""
-    body = b"".join(
-        encode_long_header(LongHeader.build(t, version, dcid, scid, payload=payload))
-        for t in types
-    )
+    body = b"".join(encode_long_header(t, version, dcid, scid, payload) for t in types)
     if pad_to and len(body) < pad_to:
         body += b"\x00" * (pad_to - len(body))
     return Datagram(ts, src, dst, 443, dst_port, body)
@@ -60,10 +58,18 @@ def make_request(
     dcid: bytes = b"\xdd" * 8,
     version: int = 1,
 ) -> Datagram:
-    body = encode_long_header(
-        LongHeader.build(PacketType.INITIAL, version, dcid, scid, payload=b"\x22" * 30)
-    )
+    body = encode_long_header(PacketType.INITIAL, version, dcid, scid, b"\x22" * 30)
     return Datagram(ts, src, dst, src_port, 443, body)
+
+
+def harvest_from_ids(vip: str, host_ids) -> HostIdHarvest:
+    """A complete harvest of a known instance set, one handshake per host ID
+    in ascending order: ground truth for clustering over many VIPs."""
+    harvest = HostIdHarvest(vip=vip)
+    for index, host_id in enumerate(sorted(set(host_ids))):
+        harvest.observations.append((index, host_id))
+        harvest.attempts += 1
+    return harvest
 
 
 @pytest.fixture

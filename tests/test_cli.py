@@ -431,6 +431,37 @@ class TestStoreRows:
         assert f"{pairs}:2: missing key 'client_dcid'" in out.stderr
         assert "Traceback" not in out.stderr
 
+    def test_pairs_table_cell_not_hex(self, tmp_path):
+        scids, pairs = tmp_path / "scids.txt", tmp_path / "pairs.tsv"
+        scids.write_text("abcd\n")
+        pairs.write_text("operator\tserver_scid\tclient_dcid\nFacebook\tzz\tabcd\n")
+        out = run_python(
+            "-m", "quicscope.cli", "scid", "--scids", scids, "--pairs", pairs, "--out-dir", tmp_path / "scid",
+        )
+        assert out.returncode == 2
+        assert f"{pairs}:2: non-hexadecimal" in out.stderr
+        assert "Traceback" not in out.stderr
+
+    @pytest.mark.parametrize(
+        "option, text, message",
+        [
+            ("--prefix-table", "# prefixes\n198.51.100.0/24\tAS32934\tFacebook\n", ":2: invalid literal for int()"),
+            ("--prefix-table", "198.51.100.0/24 32934 Facebook\n", ":1: expected 3 tab-separated fields"),
+            ("--scanner-list", "203.0.113.99\n\n192.0.2.0/33\n", ":3: '192.0.2.0/33' does not appear to be"),
+        ],
+        ids=["asn-not-integer", "space-separated", "prefix-length-33"],
+    )
+    def test_ingest_list_entry_invalid(self, tmp_path, option, text, message):
+        listing, capture = tmp_path / "listing.txt", tmp_path / "capture.pcap"
+        listing.write_text(text)
+        capture.write_bytes(b"")
+        out = run_python(
+            "-m", "quicscope.cli", "ingest", "--capture", capture, option, listing, "--out-dir", tmp_path / "ing",
+        )
+        assert out.returncode == 2
+        assert f"{listing}{message}" in out.stderr
+        assert "Traceback" not in out.stderr
+
     def test_scid_list_line_not_hex(self, tmp_path):
         scids = tmp_path / "scids.txt"
         scids.write_text("abcd\n\nzz-not-hex\n")

@@ -12,6 +12,7 @@ from quicscope.ingest import (
     sanitize,
     sessionize,
 )
+from quicscope import tables
 from quicscope.pcap import write_pcap
 from quicscope.wire import Datagram, Direction, PacketType
 
@@ -110,7 +111,7 @@ class TestSanitize:
     def test_exact_ip_entry(self, tmp_path):
         listing = tmp_path / "scanners.txt"
         listing.write_text("# well known scanners\n203.0.113.99\n198.18.0.0/15\n")
-        scanners = ScannerList.load(listing)
+        scanners = tables.load_scanner_list(listing)
         assert "203.0.113.99" in scanners
         assert "203.0.113.98" not in scanners
         assert "198.18.4.4" in scanners
@@ -149,7 +150,7 @@ class TestPrefixTable:
     def test_load_from_tsv(self, tmp_path):
         f = tmp_path / "prefixes.tsv"
         f.write_text("198.51.100.0/24\t32934\tFacebook\n203.0.113.0/24\t13335\tCloudflare\n")
-        table = PrefixTable.load(f)
+        table = tables.load_prefix_table(f)
         assert table.lookup("203.0.113.8") == (13335, "Cloudflare")
 
     def test_annotate_operators_uses_server_side(self):

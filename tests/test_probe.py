@@ -19,7 +19,6 @@ from quicscope.probe import (
     cluster_vips,
     detect_lb_type,
     discovery_curve,
-    harvest_from_ids,
     harvest_host_ids,
     jaccard,
     port_sequence,
@@ -32,6 +31,8 @@ from quicscope.sim import (
     RoutingMode,
     default_stack_profile,
 )
+
+from conftest import harvest_from_ids
 
 
 def make_sim(l7lb_count=40, mode=RoutingMode.FIVE_TUPLE, operator="Facebook", vip_count=1, seed=5):
@@ -62,7 +63,7 @@ class TestHarvest:
         sim = make_sim(l7lb_count=30)
         transport = SimulatorTransport(sim, seed=2)
         harvest = harvest_host_ids("203.0.113.1", 500, transport)
-        assert harvest.unique_ids <= sim.clusters[0].host_id_set()
+        assert harvest.unique_ids <= set(sim.clusters[0].by_host_id)
         assert harvest.failures == 0
 
     def test_uniform_discovery_expectation(self):
@@ -120,7 +121,7 @@ class TestHarvest:
         harvests = run_campaign(campaign, transport)
         assert set(harvests) == set(sim.clusters[0].vips)
         for h in harvests.values():
-            assert h.unique_ids <= sim.clusters[0].host_id_set()
+            assert h.unique_ids <= set(sim.clusters[0].by_host_id)
 
 
 class TestPortSequence:

@@ -29,7 +29,7 @@ from quicscope.scid import (
     position_chi2,
     uniformity_test,
 )
-from quicscope.wire import ConnectionId
+from quicscope.wire import PacketType, encode_long_header, parse_long_header
 
 from conftest import run_python
 
@@ -208,7 +208,9 @@ class TestNybbleFrequencies:
         assert all(sum(row) == m.total for row in m.counts)
 
     def test_accepts_connection_ids(self):
-        m = nybble_frequencies([ConnectionId(b"\xab" * 8)] * 3)
+        # CIDs as the wire parser returns them
+        packet = parse_long_header(encode_long_header(PacketType.INITIAL, 1, b"", b"\xab" * 8))
+        m = nybble_frequencies([packet.scid] * 3)
         assert m.total == 3
         assert m.counts[0][0xA] == 3
 

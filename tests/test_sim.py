@@ -30,7 +30,7 @@ from quicscope.sim import (
     route,
     simulate_flood,
 )
-from quicscope.wire import LongHeader, PacketType, split_coalesced
+from quicscope.wire import PacketType, encode_long_header, parse_long_header, split_coalesced
 
 from conftest import simulate_to_pcap
 
@@ -56,7 +56,7 @@ def cluster_config(vip_count=1, l7lb_count=4, mode=RoutingMode.FIVE_TUPLE, opera
 
 
 def client_initial(dcid=b"\x10" * 8, scid=b"\x20" * 8):
-    return LongHeader.build(PacketType.INITIAL, 1, dcid=dcid, scid=scid, payload=b"\x5a" * 50)
+    return parse_long_header(encode_long_header(PacketType.INITIAL, 1, dcid, scid, b"\x5a" * 50))
 
 
 class TestBuildCluster:
@@ -64,7 +64,7 @@ class TestBuildCluster:
         cluster = build_cluster(cluster_config(vip_count=22, l7lb_count=453))
         assert len(cluster.vips) == 22
         assert len(cluster.instances) == 453
-        assert len(cluster.host_id_set()) == 453
+        assert len(set(cluster.by_host_id)) == 453
 
     def test_minimal_cluster(self):
         cluster = build_cluster(cluster_config(vip_count=1, l7lb_count=1))
@@ -86,7 +86,7 @@ class TestBuildCluster:
         cfg = cluster_config(l7lb_count=5)
         cfg.host_id_base = 100
         cluster = build_cluster(cfg)
-        assert cluster.host_id_set() == {100, 101, 102, 103, 104}
+        assert set(cluster.by_host_id) == {100, 101, 102, 103, 104}
 
 
 class TestRoute:
@@ -118,7 +118,7 @@ class TestRoute:
         vip = cluster.vips[0]
         initial = client_initial()
         tup = ("10.0.0.1", vip, 5555, 443, 17)
-        instance = route(cluster, tup, dcid=initial.dcid.data, now=0.0)
+        instance = route(cluster, tup, dcid=initial.dcid, now=0.0)
         conn = sim.serve_initial(cluster, instance, initial, ("10.0.0.1", 5555), vip)
         # any 5-tuple now reaches the connection's instance via its CID
         other_tup = ("99.99.99.99", vip, 11111, 443, 17)
@@ -129,7 +129,7 @@ class TestRoute:
         cluster = build_cluster(cfg)
         from quicscope.scid import FacebookScidFields, encode_facebook_scid
 
-        dcid = bytes(encode_facebook_scid(FacebookScidFields(1, 37, 2, 0), random_bits_seed=5))
+        dcid = encode_facebook_scid(FacebookScidFields(1, 37, 2, 0), random_bits_seed=5)
         tup = ("10.0.0.1", cluster.vips[0], 7777, 443, 17)
         assert route(cluster, tup, dcid=dcid).host_id == 37
 
@@ -303,7 +303,7 @@ class TestHandlePacket:
 class TestDeliver:
     def test_returns_the_connection_it_opened(self):
         from quicscope.sim import client_ack_payload
-        from quicscope.wire import Datagram, encode_long_header
+        from quicscope.wire import Datagram
 
         sim = DeploymentSimulator(DeploymentConfig(clusters=[cluster_config()], seed=9), truth=[])
         vip = sim.clusters[0].vips[0]
@@ -311,7 +311,7 @@ class TestDeliver:
         def from_client(payload):
             return Datagram(sim.clock.now, "10.0.0.1", vip, 4000, 443, payload)
 
-        conn = sim.deliver(from_client(encode_long_header(client_initial(scid=b"\x20" * 8))))
+        conn = sim.deliver(from_client(encode_long_header(PacketType.INITIAL, 1, b"\x10" * 8, b"\x20" * 8, b"\x5a" * 50)))
         assert conn is not None
         assert conn.server_cid == sim.truth[-1].server_scid
         assert conn.resend is not None

@@ -83,12 +83,12 @@ class TestReadTable:
         tsv = tables.write_table(tmp_path / "t.tsv", header, rows)
         jsonl = tables.write_table(tmp_path / "t.tsv", header, rows, fmt="jsonl")
         assert jsonl.suffix == ".jsonl"
-        assert tables.read_table(jsonl)[1] == tables.read_table(tsv)[1]
+        assert tables.read_table(jsonl) == tables.read_table(tsv)
 
     @pytest.mark.parametrize("fmt", ["tsv", "jsonl"])
     def test_missing_column_names_file_and_line(self, tmp_path, fmt):
         path = tables.write_table(tmp_path / "t.tsv", ["operator"], [("Facebook",), ("Google",)], fmt=fmt)
-        assert tables.read_table(path, columns=("operator",))[1][1] == {"operator": "Google"}
+        assert tables.read_table(path, columns=("operator",))[1] == {"operator": "Google"}
         line = 2 if fmt == "tsv" else 1
         with pytest.raises(tables.StoreError, match=f"^{re.escape(str(path))}:{line}: missing key 'share'"):
             tables.read_table(path, columns=("operator", "share"))

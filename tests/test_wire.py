@@ -21,6 +21,7 @@ from quicscope.wire import (
     PlausibilityConfig,
     TruncatedPacket,
     VersionRegistry,
+    WireError,
     classify_direction,
     decode_varint,
     encode_long_header,
@@ -64,8 +65,8 @@ class TestParseLongHeader:
         h = parse_long_header(HAND_INITIAL)
         assert h.packet_type == PacketType.INITIAL
         assert h.version == 1
-        assert h.dcid.length == 8 and h.dcid.data == b"\xaa" * 8
-        assert h.scid.length == 8 and h.scid.data == b"\xbb" * 8
+        assert h.dcid == b"\xaa" * 8 and len(h.dcid) == 8
+        assert h.scid == b"\xbb" * 8 and len(h.scid) == 8
         assert h.token_length == 0
         assert h.payload == b"hello"
         assert h.payload_length == 5
@@ -155,30 +156,46 @@ class TestVarint:
             encode_varint(1 << 62)
 
 
+def round_trip(packet_type, version, dcid, scid, token=b"", payload=b""):
+    """Encode the fields, parse them back, and require the same header; a
+    parsed header re-encodes to the same bytes through its first byte."""
+    data = encode_long_header(packet_type, version, dcid, scid, payload, token)
+    h = parse_long_header(data)
+    assert h == LongHeader(packet_type, version, dcid, scid, token, payload, data[0], len(data))
+    assert encode_long_header(h.packet_type, h.version, h.dcid, h.scid, h.payload, h.token, h.first_byte) == data
+    return h
+
+
 class TestEncode:
     def test_encode_matches_hand_layout(self):
-        h = LongHeader.build(PacketType.INITIAL, 1, b"\xaa" * 8, b"\xbb" * 8, payload=b"hello")
         expected = bytes.fromhex("c0" "00000001" "08" + "aa" * 8 + "08" + "bb" * 8 + "00" "05") + b"hello"
-        assert encode_long_header(h) == expected
+        assert encode_long_header(PacketType.INITIAL, 1, b"\xaa" * 8, b"\xbb" * 8, b"hello") == expected
+        # a parsed header's first byte keeps its reserved and packet-number bits
+        h = parse_long_header(HAND_INITIAL)
+        assert encode_long_header(h.packet_type, h.version, h.dcid, h.scid, h.payload, h.token, h.first_byte) == HAND_INITIAL
 
     def test_round_trip_identity(self):
-        h = LongHeader.build(PacketType.INITIAL, 1, b"\x01" * 8, b"\x02" * 8, payload=b"xyz")
-        assert parse_long_header(encode_long_header(h)) == h
+        h = round_trip(PacketType.INITIAL, 1, b"\x01" * 8, b"\x02" * 8, payload=b"xyz")
+        assert h.first_byte == 0xC0
 
     def test_version_negotiation_round_trip(self):
         versions = bytes.fromhex("00000001") + bytes.fromhex("faceb002")
-        h = LongHeader.build(PacketType.VERSION_NEGOTIATION, 0, b"\xaa" * 8, b"\xbb" * 8, payload=versions)
-        back = parse_long_header(encode_long_header(h))
-        assert back == h
+        back = round_trip(PacketType.VERSION_NEGOTIATION, 0, b"\xaa" * 8, b"\xbb" * 8, payload=versions)
         assert back.packet_type == PacketType.VERSION_NEGOTIATION
 
     def test_oversized_scid_rejected(self):
-        with pytest.raises(InvalidCidLength):
-            LongHeader.build(PacketType.INITIAL, 1, b"\x01" * 8, b"\x02" * 21)
+        with pytest.raises(InvalidCidLength, match="CID of 21 octets exceeds 20"):
+            encode_long_header(PacketType.INITIAL, 1, b"\x01" * 8, b"\x02" * 21)
 
     def test_build_rejects_mismatched_version_zero(self):
-        with pytest.raises(Exception):
-            LongHeader.build(PacketType.INITIAL, 0, b"", b"")
+        with pytest.raises(WireError):
+            encode_long_header(PacketType.INITIAL, 0, b"", b"")
+        with pytest.raises(WireError):
+            encode_long_header(PacketType.VERSION_NEGOTIATION, 1, b"", b"")
+
+    def test_token_only_on_initial(self):
+        with pytest.raises(WireError, match="only Initial"):
+            encode_long_header(PacketType.HANDSHAKE, 1, b"", b"", b"x", token=b"t")
 
     @given(
         packet_type=st.sampled_from([PacketType.INITIAL, PacketType.ZERO_RTT, PacketType.HANDSHAKE]),
@@ -192,22 +209,20 @@ class TestEncode:
     def test_round_trip_property(self, packet_type, version, dcid, scid, token, payload):
         if packet_type != PacketType.INITIAL:
             token = b""
-        h = LongHeader.build(packet_type, version, dcid, scid, token=token, payload=payload)
-        assert parse_long_header(encode_long_header(h)) == h
+        round_trip(packet_type, version, dcid, scid, token=token, payload=payload)
 
 
 class TestSplitCoalesced:
     def test_initial_then_handshake(self):
-        initial = LongHeader.build(PacketType.INITIAL, 1, b"\xaa" * 8, b"\xbb" * 8, payload=b"i" * 40)
-        handshake = LongHeader.build(PacketType.HANDSHAKE, 1, b"\xaa" * 8, b"\xbb" * 8, payload=b"h" * 30)
-        data = encode_long_header(initial) + encode_long_header(handshake)
+        initial = encode_long_header(PacketType.INITIAL, 1, b"\xaa" * 8, b"\xbb" * 8, b"i" * 40)
+        handshake = encode_long_header(PacketType.HANDSHAKE, 1, b"\xaa" * 8, b"\xbb" * 8, b"h" * 30)
+        data = initial + handshake
         got = split_coalesced(data)
         assert [p.packet_type for p in got] == [PacketType.INITIAL, PacketType.HANDSHAKE]
         assert sum(p.wire_length for p in got) == len(data)
 
     def test_padding_to_1200_ignored(self):
-        initial = LongHeader.build(PacketType.INITIAL, 1, b"\xaa" * 8, b"\xbb" * 8, payload=b"i" * 40)
-        data = encode_long_header(initial)
+        data = encode_long_header(PacketType.INITIAL, 1, b"\xaa" * 8, b"\xbb" * 8, b"i" * 40)
         data += b"\x00" * (1200 - len(data))
         got = split_coalesced(data)
         assert len(got) == 1 and got[0].packet_type == PacketType.INITIAL
@@ -217,8 +232,8 @@ class TestSplitCoalesced:
         assert split_coalesced(b"") == []
 
     def test_garbage_after_valid_packet(self):
-        initial = LongHeader.build(PacketType.INITIAL, 1, b"\xaa" * 4, b"\xbb" * 4, payload=b"x")
-        data = encode_long_header(initial) + b"\x85\x01"  # long-header-ish but truncated
+        initial = encode_long_header(PacketType.INITIAL, 1, b"\xaa" * 4, b"\xbb" * 4, b"x")
+        data = initial + b"\x85\x01"  # long-header-ish but truncated
         got = split_coalesced(data)
         assert len(got) == 1
 
@@ -228,14 +243,13 @@ class TestSplitCoalesced:
             n = rng.randint(1, 3)
             data = b""
             for _ in range(n):
-                h = LongHeader.build(
+                data += encode_long_header(
                     PacketType.HANDSHAKE,
                     1,
                     rng.randbytes(rng.randint(0, 20)),
                     rng.randbytes(rng.randint(0, 20)),
-                    payload=rng.randbytes(rng.randint(0, 60)),
+                    rng.randbytes(rng.randint(0, 60)),
                 )
-                data += encode_long_header(h)
             padding = rng.randint(0, 100)
             data += b"\x00" * padding
             got = split_coalesced(data)
@@ -279,16 +293,16 @@ class TestPlausibility:
         assert not is_plausible_quic(split_coalesced(b"\x00" * 1200))
 
     def test_unknown_version_strict(self):
-        h = LongHeader.build(PacketType.INITIAL, 0xDEAD0001, b"\xaa" * 8, b"\xbb" * 8, payload=b"x")
+        h = parse_long_header(encode_long_header(PacketType.INITIAL, 0xDEAD0001, b"\xaa" * 8, b"\xbb" * 8, b"x"))
         assert not is_plausible_quic([h])
 
     def test_unknown_version_allowed_by_config(self):
-        h = LongHeader.build(PacketType.INITIAL, 0xDEAD0001, b"\xaa" * 8, b"\xbb" * 8, payload=b"x")
+        h = parse_long_header(encode_long_header(PacketType.INITIAL, 0xDEAD0001, b"\xaa" * 8, b"\xbb" * 8, b"x"))
         cfg = PlausibilityConfig(allow_unknown=True)
         assert is_plausible_quic([h], cfg)
 
     def test_greased_version_flag(self):
-        h = LongHeader.build(PacketType.INITIAL, 0x1A2A3A4A, b"\xaa" * 8, b"\xbb" * 8, payload=b"x")
+        h = parse_long_header(encode_long_header(PacketType.INITIAL, 0x1A2A3A4A, b"\xaa" * 8, b"\xbb" * 8, b"x"))
         assert not is_plausible_quic([h])
         assert is_plausible_quic([h], PlausibilityConfig(allow_greased=True))
 
