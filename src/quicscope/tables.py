@@ -112,7 +112,7 @@ def _load_listing(path: str | Path, from_entry: Callable[[str], T]) -> list[T]:
 
 def load_scanner_list(path: str | Path) -> ScannerList:
     """Read a scanner list: one IPv4 prefix or exact address per line."""
-    return ScannerList(_load_listing(path, lambda line: ipaddress.ip_network(line if "/" in line else line + "/32")))
+    return ScannerList(_load_listing(path, ipaddress.IPv4Network))
 
 
 def _prefix_entry(line: str) -> tuple[ipaddress.IPv4Network, int, str]:
@@ -120,7 +120,8 @@ def _prefix_entry(line: str) -> tuple[ipaddress.IPv4Network, int, str]:
     if len(fields) != 3:
         raise ValueError(f"expected 3 tab-separated fields (prefix, ASN, operator), got {len(fields)}")
     prefix, asn, label = fields
-    return ipaddress.ip_network(prefix), int(asn), label
+    # captures are IPv4 only, and lookups mask addresses to 32 bits
+    return ipaddress.IPv4Network(prefix), int(asn), label
 
 
 def load_prefix_table(path: str | Path) -> PrefixTable:

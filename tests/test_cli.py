@@ -447,9 +447,10 @@ class TestStoreRows:
         [
             ("--prefix-table", "# prefixes\n198.51.100.0/24\tAS32934\tFacebook\n", ":2: invalid literal for int()"),
             ("--prefix-table", "198.51.100.0/24 32934 Facebook\n", ":1: expected 3 tab-separated fields"),
-            ("--scanner-list", "203.0.113.99\n\n192.0.2.0/33\n", ":3: '192.0.2.0/33' does not appear to be"),
+            ("--prefix-table", "2001:db8::/48\t64496\tExample\n", ":1: Expected 4 octets in '2001:db8::'"),
+            ("--scanner-list", "203.0.113.99\n\n192.0.2.0/33\n", ":3: '33' is not a valid netmask"),
         ],
-        ids=["asn-not-integer", "space-separated", "prefix-length-33"],
+        ids=["asn-not-integer", "space-separated", "ipv6-prefix", "prefix-length-33"],
     )
     def test_ingest_list_entry_invalid(self, tmp_path, option, text, message):
         listing, capture = tmp_path / "listing.txt", tmp_path / "capture.pcap"
