@@ -4,29 +4,23 @@ Subcommands: simulate, ingest, fingerprint, scid, classify, probe, report.
 Every run writes a manifest next to its outputs; identical manifests yield
 byte-identical outputs. Exit codes: 0 success, 1 usage, 2 input error,
 3 analysis precondition unmet.
+
+Each subcommand imports the modules it runs when it runs, so a stage (or
+`--version`) never pays for loading the others.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
-from dataclasses import replace
-from pathlib import Path
-from typing import Optional
+from typing import TYPE_CHECKING
 
-from . import __version__
-from . import fingerprint as fp
-from . import offnet, probe, scid, sim, tables
-from .ingest import (
-    IngestCounters,
-    annotate_operators,
-    ingest,
-    sanitize,
-    sessionize,
-)
-from .pcap import PcapWriter, UnreadableCapture
-from .wire import Direction, PlausibilityConfig, VersionRegistry
+from . import PreconditionError, __version__
+
+if TYPE_CHECKING:
+    from pathlib import Path
+
+    from .wire import VersionRegistry
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -37,6 +31,8 @@ ANYCAST_WARNING = (
     "warning: load-balancer probing against real networks is unreliable under "
     "IP anycast; follow-up probes may reach a different site entirely"
 )
+# the values of probe.PortStrategy, named here so the parser needs no probe import
+PORT_STRATEGIES = ("decreasing_from_max", "random_seeded")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -46,7 +42,9 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _require(path: Optional[str], what: str) -> Optional[Path]:
+def _require(path: str | None, what: str) -> Path | None:
+    from pathlib import Path
+
     if path is None:
         return None
     p = Path(path)
@@ -56,12 +54,17 @@ def _require(path: Optional[str], what: str) -> Optional[Path]:
 
 
 def _registry(args) -> VersionRegistry:
+    from . import tables
+    from .wire import VersionRegistry
+
     if getattr(args, "registry", None):
-        return VersionRegistry.load(_require(args.registry, "version registry"))
+        return tables.load_version_registry(_require(args.registry, "version registry"))
     return VersionRegistry.default()
 
 
 def _out_dir(args) -> Path:
+    from pathlib import Path
+
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     return out
@@ -71,6 +74,11 @@ def _out_dir(args) -> Path:
 
 
 def cmd_simulate(args) -> int:
+    from dataclasses import replace
+
+    from . import sim, tables
+    from .pcap import PcapWriter
+
     config_path = _require(args.config, "deployment config")
     config = sim.DeploymentConfig.from_json(config_path)
     if args.seed is not None:
@@ -127,6 +135,10 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_ingest(args) -> int:
+    from . import tables
+    from .ingest import IngestCounters, annotate_operators, ingest, sanitize, sessionize
+    from .wire import PlausibilityConfig
+
     capture = _require(args.capture, "capture file")
     prefix_table = None
     if args.prefix_table:
@@ -183,6 +195,8 @@ def cmd_ingest(args) -> int:
 
 
 def _response_scids(rows, operator: str) -> list[bytes]:
+    from .wire import Direction
+
     out = []
     for row in rows:
         if row.operator != operator or row.direction != Direction.RESPONSE:
@@ -192,6 +206,8 @@ def _response_scids(rows, operator: str) -> list[bytes]:
 
 
 def cmd_fingerprint(args) -> int:
+    from . import fingerprint as fp, scid, tables
+
     sessions = tables.load_sessions(_require(args.sessions, "session store"))
     rows = tables.load_datagrams(_require(args.datagrams, "datagram store"))
     registry = _registry(args)
@@ -308,6 +324,8 @@ def cmd_fingerprint(args) -> int:
 
 
 def _load_pairs(path: Path) -> dict[str, list[tuple[bytes, bytes]]]:
+    from . import tables
+
     rows = tables.read_table(
         path,
         from_row=lambda row: (row["operator"], bytes.fromhex(row["server_scid"]), bytes.fromhex(row["client_dcid"])),
@@ -319,6 +337,9 @@ def _load_pairs(path: Path) -> dict[str, list[tuple[bytes, bytes]]]:
 
 
 def cmd_scid(args) -> int:
+    from . import scid, tables
+    from .wire import Direction
+
     populations: dict[str, list[bytes]] = {}
     if args.scids:
         populations["all"] = tables.load_lines(_require(args.scids, "SCID file"), bytes.fromhex)
@@ -426,6 +447,11 @@ def cmd_scid(args) -> int:
 
 
 def cmd_classify(args) -> int:
+    from dataclasses import replace
+
+    from . import offnet, tables
+    from .wire import Direction
+
     rows = tables.load_datagrams(_require(args.datagrams, "datagram store"))
     truth = offnet.GroundTruth.load(_require(args.truth, "ground-truth labels"))
     params = offnet.RuleParams.load(_require(args.rules, "rule set")) if args.rules else offnet.RuleParams()
@@ -520,6 +546,10 @@ def cmd_classify(args) -> int:
 
 
 def _build_transport(args):
+    from dataclasses import replace
+
+    from . import probe, sim
+
     if args.transport == "sim":
         config = sim.DeploymentConfig.from_json(_require(args.sim_config, "deployment config"))
         if args.seed is not None:
@@ -532,9 +562,26 @@ def _build_transport(args):
     return probe.RawNetworkTransport(seed=args.seed or 0), []
 
 
+def _port_strategy(value):
+    if value not in PORT_STRATEGIES:
+        raise ValueError(f"expected one of {', '.join(PORT_STRATEGIES)}, got {value!r}")
+    return value
+
+
 def cmd_probe(args) -> int:
+    from . import probe, tables
+
     if args.campaign_config:
-        raw = json.loads(Path(_require(args.campaign_config, "campaign config")).read_text())
+        raw = tables.read_json_fields(
+            _require(args.campaign_config, "campaign config"),
+            {
+                "targets": tables.list_of(tables.of_type(str)),
+                "handshakes_per_vip": tables.of_type(int),
+                "port_strategy": _port_strategy,
+                "inter_probe_gap": tables.of_type(float),
+                "seed": tables.of_type(int),
+            },
+        )
         args.targets = ",".join(raw.get("targets", [])) or args.targets
         args.handshakes = raw.get("handshakes_per_vip", args.handshakes)
         args.port_strategy = raw.get("port_strategy", args.port_strategy)
@@ -624,6 +671,10 @@ def cmd_probe(args) -> int:
 
 
 def cmd_report(args) -> int:
+    from pathlib import Path
+
+    from . import tables
+
     in_dir = Path(args.in_dir)
     out = _out_dir(args)
 
@@ -776,7 +827,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--targets", default="all", help="comma-separated VIPs or 'all'")
     p.add_argument("--mode", choices=("harvest", "lbtype"), default="harvest")
     p.add_argument("--handshakes", type=int, default=1000)
-    p.add_argument("--port-strategy", choices=[s.value for s in probe.PortStrategy], default="decreasing_from_max")
+    p.add_argument("--port-strategy", choices=PORT_STRATEGIES, default="decreasing_from_max")
     p.add_argument("--inter-probe-gap", type=float, default=0.0)
     p.add_argument("--probe-interval", type=float, default=1.0)
     p.add_argument("--max-wait", type=float, default=600.0)
@@ -792,25 +843,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_PRECONDITION_ERRORS = (
-    fp.InsufficientData,
-    scid.InsufficientSamples,
-    scid.MixedLengths,
-    offnet.MissingLabel,
-    offnet.UnknownRule,
-    probe.ProbeError,
-)
-
-
-def main(argv: Optional[list[str]] = None) -> int:
+def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except _PRECONDITION_ERRORS as exc:
+    except PreconditionError as exc:
         print(f"quicscope: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
-    except (FileNotFoundError, UnreadableCapture, ValueError) as exc:
+    except (FileNotFoundError, ValueError) as exc:
         print(f"quicscope: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -12,9 +12,10 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
+from . import PreconditionError
 from .ingest import CaptureRecord, Session
 from .scid import ScidScheme, SchemeKind
-from .sim import read_profiles
+from .tables import read_profiles
 from .wire import Direction, PacketType, VersionRegistry
 
 DEFAULT_MIN_SESSIONS = 30
@@ -29,7 +30,7 @@ class FingerprintError(ValueError):
     pass
 
 
-class InsufficientData(FingerprintError):
+class InsufficientData(FingerprintError, PreconditionError):
     pass
 
 

@@ -9,8 +9,10 @@ accumulates per-key state. Input captures are expected in timestamp order
 from __future__ import annotations
 
 import ipaddress
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from pathlib import Path
+from socket import inet_aton
 from typing import Iterable, Iterator, NamedTuple, Optional
 
 from .pcap import PcapReader
@@ -131,17 +133,23 @@ def ingest(
 
 
 class ScannerList:
-    """Acknowledged scan-project source prefixes and exact addresses."""
+    """Acknowledged scan-project source prefixes and exact addresses, held as
+    sorted, merged (first, last) address ranges."""
 
     def __init__(self, networks: Iterable[ipaddress.IPv4Network] = ()):
-        self._networks = sorted(set(networks), key=lambda n: (int(n.network_address), n.prefixlen))
+        ranges: list[list[int]] = []
+        for first, last in sorted((int(n.network_address), int(n.broadcast_address)) for n in networks):
+            if ranges and first <= ranges[-1][1] + 1:
+                ranges[-1][1] = max(ranges[-1][1], last)
+            else:
+                ranges.append([first, last])
+        self._firsts = [first for first, _ in ranges]
+        self._lasts = [last for _, last in ranges]
 
     def __contains__(self, ip: str) -> bool:
-        addr = ipaddress.ip_address(ip)
-        return any(addr in net for net in self._networks)
-
-    def __len__(self) -> int:
-        return len(self._networks)
+        addr = int.from_bytes(inet_aton(ip), "big")
+        i = bisect_right(self._firsts, addr) - 1
+        return i >= 0 and addr <= self._lasts[i]
 
 
 def sanitize(
@@ -166,16 +174,19 @@ class PrefixTable:
     """Longest-prefix-match table mapping IPv4 addresses to (ASN, operator)."""
 
     def __init__(self, entries: Iterable[tuple[ipaddress.IPv4Network, int, str]] = ()):
-        self._by_length: dict[int, dict[int, tuple[int, str]]] = {}
+        by_length: dict[int, dict[int, tuple[int, str]]] = {}
         for network, asn, label in entries:
-            bucket = self._by_length.setdefault(network.prefixlen, {})
-            bucket[int(network.network_address)] = (asn, label)
+            by_length.setdefault(network.prefixlen, {})[int(network.network_address)] = (asn, label)
+        # (netmask, network address -> entry), longest prefix first
+        self._buckets = [
+            ((0xFFFFFFFF << (32 - length)) & 0xFFFFFFFF, by_length[length])
+            for length in sorted(by_length, reverse=True)
+        ]
 
     def lookup(self, ip: str) -> Optional[tuple[int, str]]:
-        addr = int(ipaddress.ip_address(ip))
-        for length in sorted(self._by_length, reverse=True):
-            masked = addr & (0xFFFFFFFF << (32 - length)) & 0xFFFFFFFF
-            hit = self._by_length[length].get(masked)
+        addr = int.from_bytes(inet_aton(ip), "big")
+        for mask, bucket in self._buckets:
+            hit = bucket.get(addr & mask)
             if hit is not None:
                 return hit
         return None

@@ -7,11 +7,11 @@ arrive as a plain `ip<TAB>label` file.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence
 
+from . import PreconditionError
 from .fingerprint import InsufficientData, RtoEstimate, estimate_rto
 from .ingest import CaptureRecord, Session, sessionize
 from .scid import (
@@ -22,6 +22,7 @@ from .scid import (
     detect_cloudflare_signature,
     low_host_id,
 )
+from .tables import list_of, load_listing, of_type, read_json_fields
 from .wire import Direction
 
 NOT_OPERATOR = "NotOperator"
@@ -44,11 +45,11 @@ class ClassifierError(ValueError):
     pass
 
 
-class UnknownRule(ClassifierError):
+class UnknownRule(ClassifierError, PreconditionError):
     pass
 
 
-class MissingLabel(ClassifierError):
+class MissingLabel(ClassifierError, PreconditionError):
     pass
 
 
@@ -172,16 +173,50 @@ class RuleParams:
 
     @classmethod
     def load(cls, path: str | Path) -> "RuleParams":
-        raw = json.loads(Path(path).read_text())
-        # keys that are not fields, such as _comment, are ignored
-        params = {f.name: raw[f.name] for f in fields(cls) if f.name in raw}
-        if "count_range" in params:
-            params["count_range"] = tuple(params["count_range"])
-        shapes = params.get("reference_shapes")
-        params["reference_shapes"] = (
-            frozenset((tuple(types), length) for types, length in shapes) if shapes else None
-        )
-        return cls(**params)
+        """Read a JSON rule set; keys that are not fields, such as _comment,
+        are ignored. A bad value raises StoreError naming the file and the key."""
+        return cls(**read_json_fields(path, _RULE_FIELDS))
+
+
+_number = of_type(float)
+
+
+def _positive(value) -> float:
+    if _number(value) <= 0:
+        raise ValueError(f"expected a positive number, got {value}")
+    return value
+
+
+def _count_range(value) -> tuple[float, float]:
+    pair = list_of(_number)(value)
+    if len(pair) != 2:
+        raise ValueError(f"expected [low, high], got {pair}")
+    return tuple(pair)
+
+
+def _shape(value) -> tuple[tuple[str, ...], int]:
+    if not isinstance(value, list) or len(value) != 2:
+        raise ValueError(f"expected [[packet type, ...], datagram length], got {value}")
+    return tuple(list_of(of_type(str))(value[0])), _number(value[1])
+
+
+def _reference_shapes(value) -> Optional[frozenset[tuple[tuple[str, ...], int]]]:
+    # null or empty: the shapes come from on-net reference traffic at run time
+    if value is None:
+        return None
+    return frozenset(list_of(_shape)(value)) or None
+
+
+_RULE_FIELDS = {
+    "target_operator": of_type(str),
+    "rto_reference": _positive,
+    "rto_tolerance": _number,
+    "backoff_reference": _number,
+    "backoff_tolerance": _number,
+    "count_range": _count_range,
+    "expected_coalescence": of_type(bool),
+    "reference_shapes": _reference_shapes,
+}
 
 
 def _rto_matches(features: SourceFeatures, params: RuleParams) -> bool:
@@ -249,20 +284,21 @@ class GroundTruth:
 
     @classmethod
     def load(cls, path: str | Path) -> "GroundTruth":
-        labels = {}
-        for raw in Path(path).read_text().splitlines():
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            ip, _, label = line.partition("\t")
-            labels[ip] = label.strip()
-        return cls(labels)
+        """Read `address<TAB>label` lines; `#` starts a comment line."""
+        return cls(dict(load_listing(path, _truth_entry)))
 
     def __contains__(self, ip: str) -> bool:
         return ip in self.labels
 
     def __getitem__(self, ip: str) -> str:
         return self.labels[ip]
+
+
+def _truth_entry(line: str) -> tuple[str, str]:
+    fields = line.split("\t")
+    if len(fields) != 2:
+        raise ValueError(f"expected 2 tab-separated fields (address, label), got {len(fields)}")
+    return fields[0], fields[1].strip()
 
 
 @dataclass(frozen=True)

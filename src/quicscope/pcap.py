@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from socket import inet_ntoa
 from pathlib import Path
 from typing import BinaryIO, Iterator
 
@@ -25,7 +26,7 @@ _GLOBAL_HEADER = struct.Struct("<IHHiIII")
 _RECORD_HEADER = struct.Struct("<IIII")
 
 
-class UnreadableCapture(IOError):
+class UnreadableCapture(ValueError):
     """The capture file cannot be opened or is not a classic pcap file."""
 
 
@@ -62,10 +63,6 @@ def _ip_checksum(data: bytes) -> int:
 
 def _ip_to_bytes(ip: str) -> bytes:
     return bytes(int(part) for part in ip.split("."))
-
-
-def _bytes_to_ip(raw: bytes) -> str:
-    return ".".join(str(b) for b in raw)
 
 
 def build_ipv4_udp(d: Datagram) -> bytes:
@@ -105,8 +102,8 @@ def parse_ipv4_udp(packet: bytes, timestamp: float, counters: CaptureCounters) -
     if len(packet) < ihl + 8:
         counters.malformed += 1
         return None
-    src_ip = _bytes_to_ip(packet[12:16])
-    dst_ip = _bytes_to_ip(packet[16:20])
+    src_ip = inet_ntoa(packet[12:16])
+    dst_ip = inet_ntoa(packet[16:20])
     src_port, dst_port, udp_len = struct.unpack_from(">HHH", packet, ihl)
     if udp_len < 8:
         counters.malformed += 1

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Iterable, Iterator, Optional, Protocol
 
+from . import PreconditionError
 from .scid import CodecError, decode_facebook_scid
 from .sim import (
     QUIC_PORT,
@@ -34,7 +35,7 @@ FAILURE_ABORT_RATE = 0.5
 FAILURE_ABORT_MIN_ATTEMPTS = 20
 
 
-class ProbeError(RuntimeError):
+class ProbeError(RuntimeError, PreconditionError):
     pass
 
 

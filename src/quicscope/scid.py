@@ -13,6 +13,8 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Optional, Sequence
 
+from . import PreconditionError
+
 DEFAULT_ALPHA = 0.001
 DEFAULT_MIN_SAMPLES = 500
 ECHO_PREFIX_OCTETS = 8
@@ -26,11 +28,11 @@ class ScidAnalysisError(ValueError):
     pass
 
 
-class MixedLengths(ScidAnalysisError):
+class MixedLengths(ScidAnalysisError, PreconditionError):
     """Nybble statistics need a single-length population; group by length first."""
 
 
-class InsufficientSamples(ScidAnalysisError):
+class InsufficientSamples(ScidAnalysisError, PreconditionError):
     pass
 
 

@@ -22,7 +22,6 @@ import json
 import random
 from dataclasses import dataclass, field
 from enum import Enum
-from importlib import resources
 from pathlib import Path
 from typing import Callable, Optional
 
@@ -34,6 +33,7 @@ from .scid import (
     encode_facebook_scid,
 )
 from .pcap import PcapWriter, build_ipv4_udp
+from .tables import read_profiles
 from .wire import Datagram, LongHeader, PacketType, encode_long_header, split_coalesced
 
 QUIC_PORT = 443
@@ -104,16 +104,6 @@ class StackProfile:
             raise InvalidConfig("initial_rto must be positive")
         if self.max_retransmissions < 0:
             raise InvalidConfig("max_retransmissions must be >= 0")
-
-
-def read_profiles(path: Optional[str | Path]) -> dict[str, dict]:
-    """Operator -> configuration from a profiles table; the shipped table
-    when `path` is None."""
-    if path is None:
-        text = resources.files("quicscope").joinpath("data/profiles.json").read_text()
-    else:
-        text = Path(path).read_text()
-    return json.loads(text)["profiles"]
 
 
 def default_stack_profile(operator: str) -> StackProfile:

@@ -1,24 +1,28 @@
-"""Line-delimited stores and plot-ready tables.
+"""Line-delimited stores, plot-ready tables and the readers of every input file.
 
 Sessions and datagrams travel between pipeline stages as JSONL. The datagram
 store keeps each packet's type, version and CIDs, and loads back as the same
-`ingest.CaptureRecord` that ingest() yields. Analysis outputs land as TSV with
-a one-line header, or as JSONL records with `--format jsonl`; read_table reads
+`ingest.CaptureRecord` that ingest() yields; its writer formats each row with
+one fixed-schema format string whose output equals
+`json.dumps(row, sort_keys=True)`. Analysis outputs land as TSV with a
+one-line header, or as JSONL records with `--format jsonl`; read_table reads
 either form, so both feed the next stage. All writers are byte-deterministic
 for identical inputs, which is what makes whole-pipeline runs reproducible.
-Every reader here, the prefix-table and scanner-list readers included, turns
-a line it cannot read into a StoreError that names the file and the line.
+Every reader here, the prefix-table, scanner-list, version-registry, profile
+and JSON-settings readers included, turns a line or value it cannot read
+into a StoreError that names the file and the line or key.
 """
 
 from __future__ import annotations
 
 import ipaddress
 import json
+from importlib import resources
 from pathlib import Path
-from typing import Callable, Iterable, Optional, Sequence, TypeVar
+from typing import Any, Callable, Iterable, Optional, Sequence, TypeVar
 
 from .ingest import CaptureRecord, PrefixTable, ScannerList, Session, SessionKey, TimelineEntry
-from .wire import Direction, LongHeader, PacketType, check_cid_lengths
+from .wire import Direction, LongHeader, PacketType, VersionRegistry, check_cid_lengths, registry_entry
 
 T = TypeVar("T")
 
@@ -103,7 +107,7 @@ def load_lines(path: str | Path, from_line: Callable[[str], T], skip: int = 0) -
     return out
 
 
-def _load_listing(path: str | Path, from_entry: Callable[[str], T]) -> list[T]:
+def load_listing(path: str | Path, from_entry: Callable[[str], T]) -> list[T]:
     """Build one object per entry of a hand-edited list: a stripped line that
     is neither blank nor a `#` comment."""
     entries = load_lines(path, lambda line: None if line.lstrip().startswith("#") else from_entry(line.strip()))
@@ -112,7 +116,7 @@ def _load_listing(path: str | Path, from_entry: Callable[[str], T]) -> list[T]:
 
 def load_scanner_list(path: str | Path) -> ScannerList:
     """Read a scanner list: one IPv4 prefix or exact address per line."""
-    return ScannerList(_load_listing(path, ipaddress.IPv4Network))
+    return ScannerList(load_listing(path, ipaddress.IPv4Network))
 
 
 def _prefix_entry(line: str) -> tuple[ipaddress.IPv4Network, int, str]:
@@ -126,7 +130,69 @@ def _prefix_entry(line: str) -> tuple[ipaddress.IPv4Network, int, str]:
 
 def load_prefix_table(path: str | Path) -> PrefixTable:
     """Read a prefix table: `prefix<TAB>ASN<TAB>operator` per line."""
-    return PrefixTable(_load_listing(path, _prefix_entry))
+    return PrefixTable(load_listing(path, _prefix_entry))
+
+
+def load_version_registry(path: str | Path) -> VersionRegistry:
+    """Read a version registry: `hex_version<TAB>label` per line."""
+    return VersionRegistry(dict(filter(None, load_lines(path, registry_entry))))
+
+
+_JSON_TYPES = {dict: "object", list: "array", str: "string", int: "integer", float: "number", bool: "boolean"}
+
+
+def of_type(*kinds: type) -> Callable[[Any], Any]:
+    """A parser for read_json_fields that accepts a JSON value of one of
+    `kinds`: float accepts any number, and true and false are no numbers."""
+    accepted = kinds + (int,) if float in kinds else kinds
+    names = " or ".join(_JSON_TYPES[kind] for kind in kinds)
+
+    def parse(value: Any) -> Any:
+        if not isinstance(value, accepted) or (isinstance(value, bool) and bool not in kinds):
+            raise TypeError(f"expected {names}, got {json.dumps(value)}")
+        return value
+
+    return parse
+
+
+def list_of(parse: Callable[[Any], T]) -> Callable[[Any], list[T]]:
+    """A parser for read_json_fields that accepts a list of what `parse` accepts."""
+    return lambda value: [parse(item) for item in of_type(list)(value)]
+
+
+_json_object = of_type(dict)
+
+
+def read_json_fields(
+    path: str | Path, parsers: dict[str, Callable[[Any], T]], required: Sequence[str] = ()
+) -> dict[str, T]:
+    """Read the JSON object in `path` and parse each key `parsers` names with
+    its parser; other keys, such as `_comment`, are ignored. Invalid JSON, a
+    top level that is not an object, a missing `required` key or a value its
+    parser rejects raises StoreError naming the file and the key."""
+    try:
+        raw = _json_object(json.loads(Path(path).read_text()))
+    except (TypeError, ValueError) as exc:
+        raise StoreError(f"{path}: {exc}") from None
+    out = {}
+    for key, parse in parsers.items():
+        if key not in raw:
+            if key in required:
+                raise StoreError(f"{path}: missing key {key!r}")
+            continue
+        try:
+            out[key] = parse(raw[key])
+        except (TypeError, ValueError) as exc:
+            raise StoreError(f"{path}: key {key!r}: {exc}") from None
+    return out
+
+
+def read_profiles(path: Optional[str | Path]) -> dict[str, dict]:
+    """Operator -> configuration from a profiles table; the shipped table
+    when `path` is None."""
+    if path is None:
+        return json.loads(resources.files("quicscope").joinpath("data/profiles.json").read_text())["profiles"]
+    return read_json_fields(path, {"profiles": _json_object}, required=("profiles",))["profiles"]
 
 
 def _load_store(path: str | Path, from_row: Callable[[dict], T]) -> list[T]:
@@ -157,16 +223,29 @@ def save_sessions(path: str | Path, sessions: Iterable[Session]) -> Path:
     return write_jsonl(path, rows())
 
 
+_DIRECTIONS = {d.value: d for d in Direction}
+_PACKET_TYPES = {t.value: t for t in PacketType}
+
+
+def _member(members: dict[str, T], enum: Callable[[Any], T], value: Any) -> T:
+    """The member stored under `value`; the enum's own call raises its
+    message for a value that names none."""
+    try:
+        return members[value]
+    except (KeyError, TypeError):
+        return enum(value)
+
+
 def _session_from_row(raw: dict) -> Session:
     key = SessionKey(raw["src"], raw["dst"], bytes.fromhex(raw["scid"]), bytes.fromhex(raw["dcid"]))
     timeline = [
-        TimelineEntry(offset, PacketType(ptype), length, coalesced)
+        TimelineEntry(offset, _member(_PACKET_TYPES, PacketType, ptype), length, coalesced)
         for offset, ptype, length, coalesced in raw["timeline"]
     ]
     return Session(
         key=key,
         timeline=timeline,
-        direction=Direction(raw["direction"]),
+        direction=_member(_DIRECTIONS, Direction, raw["direction"]),
         version=raw["version"],
         operator=raw.get("operator"),
         asn=raw.get("asn"),
@@ -182,51 +261,72 @@ def load_sessions(path: str | Path) -> list[Session]:
 # --- datagram store ----------------------------------------------------------
 
 
+# One row with its keys in sorted order. It equals json.dumps(row,
+# sort_keys=True) for what ingest yields: finite timestamps (%r is the float
+# repr json uses), dotted addresses and hex CIDs that need no escaping, and
+# operator names, which go through json.dumps once per distinct name.
+_DATAGRAM_ROW = (
+    '{"asn": %s, "direction": "%s", "dport": %d, "dst": "%s", "length": %d, '
+    '"operator": %s, "packets": [%s], "sport": %d, "src": "%s", "ts": %r}\n'
+)
+_PACKET_HEAD = {t: f'["{t.value}", ' for t in PacketType}
+
+
 def save_datagrams(path: str | Path, records: Iterable[CaptureRecord]) -> Path:
-    def rows():
-        for r in records:
-            yield {
-                "ts": r.timestamp,
-                "src": r.src_ip,
-                "dst": r.dst_ip,
-                "sport": r.src_port,
-                "dport": r.dst_port,
-                "direction": r.direction.value,
-                "length": r.datagram_length,
-                "operator": r.operator,
-                "asn": r.asn,
-                "packets": [
-                    [p.packet_type.value, p.version, p.scid.hex(), p.dcid.hex()] for p in r.packets
-                ],
-            }
+    operators: dict[Optional[str], str] = {None: "null"}
 
-    return write_jsonl(path, rows())
+    def operator_text(name: Optional[str]) -> str:
+        text = operators.get(name)
+        if text is None:
+            text = operators[name] = json.dumps(name)
+        return text
 
-
-def _datagram_from_row(raw: dict) -> CaptureRecord:
-    packets = []
-    for ptype, version, scid, dcid in raw["packets"]:
-        dcid, scid = bytes.fromhex(dcid), bytes.fromhex(scid)
-        check_cid_lengths(dcid, scid)
-        packets.append(LongHeader(PacketType(ptype), version, dcid, scid))
-    return CaptureRecord(
-        timestamp=raw["ts"],
-        src_ip=raw["src"],
-        dst_ip=raw["dst"],
-        src_port=raw["sport"],
-        dst_port=raw["dport"],
-        direction=Direction(raw["direction"]),
-        datagram_length=raw["length"],
-        packets=packets,
-        operator=raw.get("operator"),
-        asn=raw.get("asn"),
-    )
+    path = Path(path)
+    with path.open("w") as fh:
+        fh.writelines(
+            _DATAGRAM_ROW
+            % (
+                "null" if r.asn is None else r.asn,
+                r.direction.value,
+                r.dst_port,
+                r.dst_ip,
+                r.datagram_length,
+                operator_text(r.operator),
+                ", ".join(
+                    f'{_PACKET_HEAD[p.packet_type]}{p.version}, "{p.scid.hex()}", "{p.dcid.hex()}"]' for p in r.packets
+                ),
+                r.src_port,
+                r.src_ip,
+                r.timestamp,
+            )
+            for r in records
+        )
+    return path
 
 
 def load_datagrams(path: str | Path) -> list[CaptureRecord]:
     """Read a datagram store back as records whose packets carry only type,
-    version and CIDs; a malformed row raises StoreError."""
-    return _load_store(path, _datagram_from_row)
+    version and CIDs; a malformed row raises StoreError. Each distinct CID
+    text is decoded and length-checked once per load."""
+    cids: dict[str, bytes] = {}
+
+    def from_row(raw: dict) -> CaptureRecord:
+        packets = []
+        for ptype, version, scid_text, dcid_text in raw["packets"]:
+            try:
+                dcid, scid = cids[dcid_text], cids[scid_text]
+            except (KeyError, TypeError):
+                dcid, scid = bytes.fromhex(dcid_text), bytes.fromhex(scid_text)
+                check_cid_lengths(dcid, scid)
+                cids[dcid_text], cids[scid_text] = dcid, scid
+            packets.append(LongHeader(_member(_PACKET_TYPES, PacketType, ptype), version, dcid, scid))
+        ts, src, dst, sport, dport = raw["ts"], raw["src"], raw["dst"], raw["sport"], raw["dport"]
+        direction = _member(_DIRECTIONS, Direction, raw["direction"])
+        return CaptureRecord(
+            ts, src, dst, sport, dport, direction, raw["length"], packets, raw.get("operator"), raw.get("asn")
+        )
+
+    return _load_store(path, from_row)
 
 
 # --- run manifest ------------------------------------------------------------

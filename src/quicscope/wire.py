@@ -11,7 +11,6 @@ import struct
 from dataclasses import dataclass, field
 from enum import Enum
 from importlib import resources
-from pathlib import Path
 from typing import NamedTuple, Optional, Sequence
 
 MAX_CID_LENGTH = 20
@@ -301,33 +300,31 @@ def is_greased_version(version: int) -> bool:
     return (version & GREASE_MASK) == GREASE_PATTERN
 
 
+def registry_entry(line: str) -> Optional[tuple[int, str]]:
+    """(version, label) from one `hex_version<TAB>label` registry line; None
+    for a blank line or a `#` comment."""
+    line = line.strip()
+    if not line or line.startswith("#"):
+        return None
+    version_text, _, label = line.partition("\t")
+    return int(version_text, 16), label.strip()
+
+
 class VersionRegistry:
     """Known QUIC version numbers and their display labels.
 
-    Loaded from a text file with one `hex_version<TAB>label` line per entry;
-    `#` starts a comment. Editing the file is the supported way to track new
-    version allocations.
+    Read from a text file with one `hex_version<TAB>label` line per entry
+    (see registry_entry; `tables.load_version_registry` reads a user's file).
+    Editing the file is the supported way to track new version allocations.
     """
 
     def __init__(self, entries: dict[int, str]):
         self._entries = dict(entries)
 
     @classmethod
-    def load(cls, path: str | Path) -> "VersionRegistry":
-        entries: dict[int, str] = {}
-        for raw in Path(path).read_text().splitlines():
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            version_text, _, label = line.partition("\t")
-            entries[int(version_text, 16)] = label.strip()
-        return cls(entries)
-
-    @classmethod
     def default(cls) -> "VersionRegistry":
-        ref = resources.files("quicscope").joinpath("data/version_registry.tsv")
-        with resources.as_file(ref) as path:
-            return cls.load(path)
+        text = resources.files("quicscope").joinpath("data/version_registry.tsv").read_text()
+        return cls(dict(filter(None, map(registry_entry, text.splitlines()))))
 
     def known(self, version: int) -> bool:
         return version in self._entries

@@ -262,6 +262,14 @@ class TestProbeCommand:
         assert len(unique) == 2
         assert unique[1].split("\t")[1] == "120"
 
+    def test_unknown_port_strategy_is_usage_error(self, tmp_path):
+        from quicscope.cli import PORT_STRATEGIES
+        from quicscope.probe import PortStrategy
+
+        assert PORT_STRATEGIES == tuple(s.value for s in PortStrategy)
+        rc = pytest.raises(SystemExit, run, "probe", "--port-strategy", "bogus", "--out-dir", tmp_path / "p")
+        assert rc.value.code == 1
+
     def test_unreachable_target_is_precondition_error(self, deploy_config, tmp_path):
         rc = run(
             "probe", "--sim-config", deploy_config, "--targets", "10.9.9.9",
@@ -484,6 +492,63 @@ class TestStoreRows:
         assert f"{profiles}: profile 'X' is missing key 'retransmission_range'" in out.stderr
         assert "Traceback" not in out.stderr
 
+    def test_registry_line_not_hex(self, tmp_path):
+        registry, capture = tmp_path / "reg.tsv", tmp_path / "capture.pcap"
+        registry.write_text("zz\tbogus\n")
+        capture.write_bytes(b"")
+        out = run_python(
+            "-m", "quicscope.cli", "ingest", "--capture", capture, "--registry", registry,
+            "--out-dir", tmp_path / "ing",
+        )
+        assert out.returncode == 2
+        assert f"{registry}:1: invalid literal for int() with base 16: 'zz'" in out.stderr
+        assert "Traceback" not in out.stderr
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ('{"count_range": 5}', ": key 'count_range': expected array, got 5"),
+            ("5", ": expected object, got 5"),
+            ('{"reference_shapes": [[["Initial"]]]}', ": key 'reference_shapes': expected [[packet type"),
+            ('{"rto_reference": 0.4,}', ": Expecting property name"),
+        ],
+        ids=["count-range-not-list", "not-an-object", "shape-without-length", "json-syntax"],
+    )
+    def test_rule_set_invalid(self, tmp_path, text, message):
+        datagrams, truth, rules = tmp_path / "d.jsonl", tmp_path / "truth.tsv", tmp_path / "rules.json"
+        datagrams.write_text("")
+        truth.write_text("198.18.0.1\tFacebook\n")
+        rules.write_text(text)
+        out = run_python(
+            "-m", "quicscope.cli", "classify", "--datagrams", datagrams, "--truth", truth, "--rules", rules,
+            "--out-dir", tmp_path / "cls",
+        )
+        assert out.returncode == 2
+        assert f"{rules}{message}" in out.stderr
+        assert "Traceback" not in out.stderr
+
+    def test_truth_line_space_separated(self, tmp_path):
+        datagrams, truth = tmp_path / "d.jsonl", tmp_path / "truth.tsv"
+        datagrams.write_text("")
+        truth.write_text("198.18.0.1 Facebook\n")
+        out = run_python(
+            "-m", "quicscope.cli", "classify", "--datagrams", datagrams, "--truth", truth,
+            "--out-dir", tmp_path / "cls",
+        )
+        assert out.returncode == 2
+        assert f"{truth}:1: expected 2 tab-separated fields (address, label)" in out.stderr
+        assert "Traceback" not in out.stderr
+
+    def test_campaign_config_not_an_object(self, tmp_path):
+        campaign = tmp_path / "campaign.json"
+        campaign.write_text("[]")
+        out = run_python(
+            "-m", "quicscope.cli", "probe", "--campaign-config", campaign, "--out-dir", tmp_path / "probe",
+        )
+        assert out.returncode == 2
+        assert f"{campaign}: expected object, got []" in out.stderr
+        assert "Traceback" not in out.stderr
+
     def test_report_table_missing_column(self, tmp_path):
         tally = tmp_path / "version_tally.tsv"
         tally.write_text("version\tshare\n0x00000001\t1\n")
@@ -491,3 +556,59 @@ class TestStoreRows:
         assert out.returncode == 2
         assert f"{tally}:2: missing key 'role'" in out.stderr
         assert "Traceback" not in out.stderr
+
+
+class TestStageImports:
+    """Each stage loads only the quicscope modules it runs."""
+
+    # runs main() on argv, then prints the loaded quicscope.* modules
+    SCRIPT = (
+        "import sys\n"
+        "from quicscope.cli import main\n"
+        "try:\n"
+        "    code = main(sys.argv[1:])\n"
+        "except SystemExit as exc:\n"
+        "    code = exc.code\n"
+        "print(' '.join(sorted(m for m in sys.modules if m.startswith('quicscope.'))))\n"
+        "sys.exit(code)\n"
+    )
+
+    def loaded(self, *argv) -> set[str]:
+        out = run_python("-c", self.SCRIPT, *argv)
+        assert out.returncode == 0, out.stderr
+        return {name.removeprefix("quicscope.") for name in out.stdout.splitlines()[-1].split()}
+
+    @pytest.fixture
+    def ingested(self, tmp_path, prefix_table):
+        from quicscope.pcap import write_pcap
+        from conftest import make_request, make_response
+
+        capture, scanners = tmp_path / "capture.pcap", tmp_path / "scanners.txt"
+        write_pcap(capture, [make_response(0.0), make_request(0.5), make_response(1.0)])
+        scanners.write_text("172.16.5.0/24\n")
+        argv = ("ingest", "--capture", capture, "--prefix-table", prefix_table, "--scanner-list", scanners)
+        return argv, tmp_path / "ing"
+
+    def test_version_loads_only_cli(self):
+        assert self.loaded("--version") == {"cli"}
+
+    def test_ingest_leaves_analysis_and_simulator_out(self, ingested):
+        argv, out = ingested
+        loaded = self.loaded(*argv, "--out-dir", out)
+        assert {"ingest", "pcap", "tables", "wire"} <= loaded
+        assert not loaded & {"sim", "probe", "offnet", "fingerprint", "scid"}
+
+    def test_analysis_stages_leave_simulator_out(self, ingested, tmp_path):
+        argv, ing = ingested
+        assert run(*argv, "--out-dir", ing) == 0
+        truth = tmp_path / "truth.tsv"
+        truth.write_text("198.51.100.1\tFacebook\n")
+        fingerprint = self.loaded(
+            "fingerprint", "--sessions", ing / "sessions.jsonl", "--datagrams", ing / "datagrams.jsonl",
+            "--out-dir", tmp_path / "fp",
+        )
+        classify = self.loaded(
+            "classify", "--datagrams", ing / "datagrams.jsonl", "--truth", truth, "--out-dir", tmp_path / "cls",
+        )
+        assert "fingerprint" in fingerprint and "offnet" in classify
+        assert not (fingerprint | classify) & {"sim", "probe"}

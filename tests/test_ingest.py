@@ -91,6 +91,15 @@ class TestSanitize:
         records = list(ingest([make_request(0.0), make_response(0.1)]))
         assert list(sanitize(records, ScannerList())) == records
 
+    def test_nested_and_adjacent_prefixes(self):
+        scanners = ScannerList(
+            [net("10.0.0.0/8"), net("10.1.0.0/16"), net("10.1.2.3/32"), net("11.0.0.0/8"), net("192.0.2.8/30")]
+        )
+        for ip in ("10.0.0.0", "10.1.2.3", "10.200.0.1", "11.255.255.255", "192.0.2.8", "192.0.2.11"):
+            assert ip in scanners, ip
+        for ip in ("9.255.255.255", "12.0.0.0", "192.0.2.7", "192.0.2.12", "0.0.0.0", "255.255.255.255"):
+            assert ip not in scanners, ip
+
     def test_idempotent(self):
         scanners = ScannerList([net("172.16.5.0/24"), net("10.1.0.0/16")])
         records = list(

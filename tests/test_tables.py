@@ -9,7 +9,7 @@ import pytest
 from quicscope import tables
 from quicscope.fingerprint import length_histogram, packet_type_stats
 from quicscope.ingest import CaptureRecord, PrefixTable, annotate_operators, ingest
-from quicscope.wire import Direction, PacketType
+from quicscope.wire import Direction, LongHeader, PacketType
 
 from conftest import make_request, make_response
 
@@ -58,6 +58,48 @@ class TestDatagramStore:
         assert packet_type_stats(loaded).counts == packet_type_stats(live).counts
         assert length_histogram(loaded).counts == length_histogram(live).counts
         assert packet_type_stats(live).counts["Facebook"]["Initial & Handshake"] == 1
+
+    def test_rows_equal_sorted_json_dumps(self, tmp_path):
+        def packet(ptype, version, octet):
+            return LongHeader(ptype, version, bytes([octet]) * 8, bytes([octet + 1]) * 20)
+
+        coalesced = [
+            packet(PacketType.INITIAL, 1, 0x01),
+            packet(PacketType.HANDSHAKE, 1, 0x03),
+            packet(PacketType.ZERO_RTT, 0xFF00001D, 0x05),
+        ]
+        records = [
+            CaptureRecord(7, "198.51.100.1", "172.16.5.5", 443, 50000, Direction.RESPONSE, 1200, coalesced,
+                          'Say "cheese" \\ co', 32934),
+            CaptureRecord(1700000000.123456, "192.0.2.7", "172.16.0.1", 443, 1, Direction.RESPONSE, 42,
+                          [packet(PacketType.RETRY, 0xFACEB002, 0x07)], "Café ✓ 東京", 0),
+            CaptureRecord(0.1 + 0.2, "172.16.5.5", "198.51.100.1", 50000, 443, Direction.REQUEST, 1200,
+                          [LongHeader(PacketType.VERSION_NEGOTIATION, 0, b"", b"")], None, None),
+            CaptureRecord(1e-07, "10.0.0.1", "10.0.0.2", 443, 443, Direction.RESPONSE, 0, [], "Facebook", None),
+        ]
+        # the store's row as json.dumps writes it
+        reference = "".join(
+            json.dumps(
+                {
+                    "ts": r.timestamp,
+                    "src": r.src_ip,
+                    "dst": r.dst_ip,
+                    "sport": r.src_port,
+                    "dport": r.dst_port,
+                    "direction": r.direction.value,
+                    "length": r.datagram_length,
+                    "operator": r.operator,
+                    "asn": r.asn,
+                    "packets": [[p.packet_type.value, p.version, p.scid.hex(), p.dcid.hex()] for p in r.packets],
+                },
+                sort_keys=True,
+            )
+            + "\n"
+            for r in records
+        )
+        path = tables.save_datagrams(tmp_path / "datagrams.jsonl", records)
+        assert path.read_bytes() == reference.encode()
+        assert [stored_fields(r) for r in tables.load_datagrams(path)] == [stored_fields(r) for r in records]
 
     @pytest.mark.parametrize(
         "bad_row,message",

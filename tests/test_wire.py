@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from quicscope.tables import load_version_registry
 from quicscope.wire import (
     Datagram,
     Direction,
@@ -321,7 +322,7 @@ class TestVersionRegistry:
     def test_load_custom_file(self, tmp_path):
         f = tmp_path / "reg.tsv"
         f.write_text("# comment\n0x00000099\tmy-version\n")
-        reg = VersionRegistry.load(f)
+        reg = load_version_registry(f)
         assert reg.known(0x99) and reg.label(0x99) == "my-version"
         assert not reg.known(1)
 
