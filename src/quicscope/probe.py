@@ -322,10 +322,6 @@ class ClusterReport:
     def jaccard(self, vip_a: str, vip_b: str) -> float:
         return jaccard(self.signatures[vip_a], self.signatures[vip_b])
 
-    def matrix(self) -> list[list[float]]:
-        """Full symmetric Jaccard matrix in self.vips order."""
-        return [[self.jaccard(a, b) for b in self.vips] for a in self.vips]
-
 
 def cluster_vips(
     harvests: dict[str, HostIdHarvest] | Iterable[HostIdHarvest],

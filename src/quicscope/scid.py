@@ -7,11 +7,11 @@ at position 7 - (b % 8), i.e. bit 0 is the most significant bit of octet 0.
 
 from __future__ import annotations
 
+import _random
 import math
-import random
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from . import PreconditionError
 
@@ -234,8 +234,7 @@ _FB_LAYOUTS = {
 _VERSION_FIELD = (0, 2)
 
 
-@dataclass(frozen=True)
-class FacebookScidFields:
+class FacebookScidFields(NamedTuple):
     scid_version: int
     host_id: int
     worker_id: int
@@ -254,16 +253,27 @@ def _extract_bits(raw: int, start: int, width: int) -> int:
     return (raw >> shift) & ((1 << width) - 1)
 
 
-def _free_bits(layout: dict[str, tuple[int, int]]) -> tuple[int, ...]:
-    """Bit positions (0 = most significant) outside a layout's fields."""
+def _free_runs(layout: dict[str, tuple[int, int]]) -> tuple[int, tuple[tuple[int, int, int], ...]]:
+    """A layout's free-bit count, and (first, end, shift) per contiguous run
+    of free bits: the run's slice of the free bits in ascending order, and
+    the shift that puts that slice in place in the 64-bit SCID."""
     used = {b for start, width in [_VERSION_FIELD, *layout.values()] for b in range(start, start + width)}
-    return tuple(bit for bit in range(64) if bit not in used)
+    free = [bit for bit in range(64) if bit not in used]
+    runs = []
+    first = 0
+    for i, bit in enumerate(free):
+        if i + 1 == len(free) or free[i + 1] != bit + 1:
+            runs.append((first, i + 1, 63 - bit))
+            first = i + 1
+    return len(free), tuple(runs)
 
 
-# per layout: the mask of each random bit, in ascending bit order
-_FB_RANDOM_MASKS = {
-    version: tuple(1 << (63 - bit) for bit in _free_bits(layout)) for version, layout in _FB_LAYOUTS.items()
-}
+_FB_RANDOM_RUNS = {version: _free_runs(layout) for version, layout in _FB_LAYOUTS.items()}
+# octet -> b"1" when its top bit is set, else b"0", for bytes.translate
+_TOP_BIT_DIGIT = bytes(0x31 if octet & 0x80 else 0x30 for octet in range(256))
+# reseeded on every call, so no state carries from one SCID to the next;
+# seed(n) gives the stream random.Random(n) would
+_RANDOM_BITS = _random.Random(0)
 
 
 def encode_facebook_scid(
@@ -283,15 +293,15 @@ def encode_facebook_scid(
     acc = _pack_bits(acc, fields.worker_id, *layout["worker_id"], name="worker_id")
     acc = _pack_bits(acc, fields.process_id, *layout["process_id"], name="process_id")
     if random_bits_seed is not None:
-        masks = _FB_RANDOM_MASKS[version]
+        count, runs = _FB_RANDOM_RUNS[version]
         # one 32-bit word per free bit: CPython's getrandbits(1) is the top
         # bit of the next word, and getrandbits(32 * n) stacks n words from
         # the least significant end, so word i's top bit is the i-th draw
-        words = random.Random(random_bits_seed).getrandbits(32 * len(masks))
-        top_octets = words.to_bytes(4 * len(masks), "little")[3::4]
-        for mask, octet in zip(masks, top_octets):
-            if octet & 0x80:
-                acc |= mask
+        _RANDOM_BITS.seed(random_bits_seed)
+        words = _RANDOM_BITS.getrandbits(32 * count)
+        digits = words.to_bytes(4 * count, "little")[3::4].translate(_TOP_BIT_DIGIT)
+        for first, end, shift in runs:
+            acc |= int(digits[first:end], 2) << shift
     return acc.to_bytes(FACEBOOK_SCID_OCTETS, "big")
 
 
@@ -309,10 +319,10 @@ def decode_facebook_scid(scid: bytes) -> FacebookScidFields:
     if layout is None:
         raise UnknownScidVersion(version)
     return FacebookScidFields(
-        scid_version=version,
-        host_id=_extract_bits(raw, *layout["host_id"]),
-        worker_id=_extract_bits(raw, *layout["worker_id"]),
-        process_id=_extract_bits(raw, *layout["process_id"]),
+        version,
+        _extract_bits(raw, *layout["host_id"]),
+        _extract_bits(raw, *layout["worker_id"]),
+        _extract_bits(raw, *layout["process_id"]),
     )
 
 

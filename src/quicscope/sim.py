@@ -18,7 +18,6 @@ from __future__ import annotations
 import hashlib
 import heapq
 import ipaddress
-import json
 import random
 from dataclasses import dataclass, field
 from enum import Enum
@@ -33,7 +32,7 @@ from .scid import (
     encode_facebook_scid,
 )
 from .pcap import PcapWriter, build_ipv4_udp
-from .tables import read_profiles
+from .tables import StoreError, list_of, object_of, of_type, read_json_fields, read_profiles
 from .wire import Datagram, LongHeader, PacketType, encode_long_header, split_coalesced
 
 QUIC_PORT = 443
@@ -124,8 +123,11 @@ def default_stack_profile(operator: str) -> StackProfile:
     )
 
 
-@dataclass
+@dataclass(slots=True)
 class Connection:
+    """One server connection; every probe handshake keeps one for the state
+    lifetime, so it carries no per-instance dict."""
+
     server_cid: bytes
     client_cid: bytes
     five_tuple: tuple
@@ -292,11 +294,19 @@ class FrontendCluster:
         self.by_host_id = {inst.host_id: inst for inst in instances}
         self.cid_directory: dict[bytes, tuple[L7LBInstance, float]] = {}
         self._instance_keys = [_key64(f"l7lb|{name}|{inst.host_id}") for inst in instances]
+        self._last_pick: tuple[Optional[tuple], Optional[L7LBInstance]] = (None, None)
 
     def rendezvous(self, five_tuple: tuple) -> L7LBInstance:
         """The instance whose splitmix64(instance key ^ tuple key) weight is
-        highest; the first one on a tie."""
-        tuple_key = _key64("|".join(str(part) for part in five_tuple))
+        highest; the first one on a tie.
+
+        The instances never change, so the last (5-tuple, instance) pick is
+        kept: a client's ACK, sent on the 5-tuple its Initial was just routed
+        by, is not hashed again."""
+        last_tuple, last_instance = self._last_pick
+        if five_tuple == last_tuple:
+            return last_instance
+        tuple_key = _key64("%s|%s|%s|%s|%s" % five_tuple)
         best = -1
         pick = 0
         for i, key in enumerate(self._instance_keys):
@@ -307,7 +317,9 @@ class FrontendCluster:
             if z > best:
                 best = z
                 pick = i
-        return self.instances[pick]
+        instance = self.instances[pick]
+        self._last_pick = (five_tuple, instance)
+        return instance
 
     def directory_lookup(self, cid: bytes, now: float) -> Optional[L7LBInstance]:
         hit = self.cid_directory.get(cid)
@@ -406,8 +418,54 @@ class FloodConfig:
 
 def _required(section: dict, key: str, where: str):
     if key not in section:
-        raise InvalidConfig(f"deployment config: {where} is missing {key!r}")
+        raise InvalidConfig(f"{where} is missing {key!r}")
     return section[key]
+
+
+_str, _int, _number = of_type(str), of_type(int), of_type(float)
+_PROFILE_FIELDS = {
+    "operator": _str,
+    "initial_rto": _number,
+    "backoff_base": _number,
+    "max_retransmissions": _int,
+    "coalescence": of_type(bool),
+    "scid_scheme": ScidSchemeKind,
+    "scid_length": _int,
+    "version": _int,
+    "process_id": _int,
+    "padding_policy": lambda value: {category: _int(size) for category, size in of_type(dict)(value).items()},
+}
+_CLUSTER_FIELDS = {
+    "operator": _str,
+    "profile": object_of(_PROFILE_FIELDS),
+    "vips": list_of(_str),
+    "vip_base": _str,
+    "vip_count": _int,
+    "l7lb_count": _int,
+    "host_ids": list_of(_int),
+    "host_id_base": _int,
+    "workers": _int,
+    "routing_mode": RoutingMode,
+    "state_lifetime": _number,
+    "name": _str,
+}
+_FLOOD_FIELDS = {
+    "sources": list_of(_str),
+    "source_base": _str,
+    "source_count": _int,
+    "duration": _number,
+    "sessions_per_vip": _int,
+    "arrival_window": _number,
+    "ack_probability": _number,
+    "ack_delay": _number,
+}
+# the value types of a deployment config; from_dict checks which keys it needs
+_DEPLOYMENT_FIELDS = {
+    "operator": _str,
+    "clusters": list_of(object_of(_CLUSTER_FIELDS)),
+    "flood": object_of(_FLOOD_FIELDS),
+    "seed": _int,
+}
 
 
 @dataclass
@@ -418,8 +476,13 @@ class DeploymentConfig:
 
     @classmethod
     def from_json(cls, path: str | Path) -> "DeploymentConfig":
-        raw = json.loads(Path(path).read_text())
-        return cls.from_dict(raw)
+        """Read a deployment config file; a value of the wrong type, or one
+        from_dict rejects, raises StoreError naming the file and the key."""
+        raw = read_json_fields(path, _DEPLOYMENT_FIELDS)
+        try:
+            return cls.from_dict(raw)
+        except ValueError as exc:
+            raise StoreError(f"{path}: {exc}") from None
 
     @classmethod
     def from_dict(cls, raw: dict) -> "DeploymentConfig":
@@ -656,19 +719,25 @@ class DeploymentSimulator:
 
             resend(now)
 
-        def emit_round(k: int) -> None:
-            # round 0 went out above; each round schedules only the next, so
-            # an ACK cancels one event
-            if k:
-                resend(self.clock.now)
-            if k < profile.max_retransmissions:
-                at = now + profile.initial_rto * profile.backoff_base**k
-                conn.resend = self.clock.schedule(at, lambda: emit_round(k + 1))
-            else:
-                conn.resend = None
-
-        emit_round(0)
+        self._emit_round(conn, profile, resend, now, 0)
         return conn
+
+    def _emit_round(
+        self, conn: Connection, profile: StackProfile, resend: Callable[[float], None], start: float, k: int
+    ) -> None:
+        """Resend round k of the schedule that opened at `start`, then
+        schedule round k + 1. Round 0 went out in serve_initial, and each
+        round schedules only the next, so an ACK cancels one event. A method,
+        not a closure in serve_initial: a closure that schedules itself is a
+        reference cycle, which would keep each connection's response
+        datagrams until the garbage collector runs."""
+        if k:
+            resend(self.clock.now)
+        if k < profile.max_retransmissions:
+            at = start + profile.initial_rto * profile.backoff_base**k
+            conn.resend = self.clock.schedule(at, lambda: self._emit_round(conn, profile, resend, start, k + 1))
+        else:
+            conn.resend = None
 
     def deliver(self, d: Datagram) -> Optional[Connection]:
         """Process one client datagram arriving at a VIP at the current time;

@@ -163,28 +163,40 @@ def list_of(parse: Callable[[Any], T]) -> Callable[[Any], list[T]]:
 _json_object = of_type(dict)
 
 
+def object_of(parsers: dict[str, Callable[[Any], T]], required: Sequence[str] = ()) -> Callable[[Any], dict[str, T]]:
+    """A parser for read_json_fields that accepts an object and parses each
+    key `parsers` names with its parser; other keys, such as `_comment`, are
+    ignored. A missing `required` key or a value its parser rejects raises
+    ValueError naming the key."""
+
+    def parse(value: Any) -> dict[str, T]:
+        raw = _json_object(value)
+        out = {}
+        for key, parse_value in parsers.items():
+            if key not in raw:
+                if key in required:
+                    raise ValueError(f"missing key {key!r}")
+                continue
+            try:
+                out[key] = parse_value(raw[key])
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"key {key!r}: {exc}") from None
+        return out
+
+    return parse
+
+
 def read_json_fields(
     path: str | Path, parsers: dict[str, Callable[[Any], T]], required: Sequence[str] = ()
 ) -> dict[str, T]:
-    """Read the JSON object in `path` and parse each key `parsers` names with
-    its parser; other keys, such as `_comment`, are ignored. Invalid JSON, a
-    top level that is not an object, a missing `required` key or a value its
-    parser rejects raises StoreError naming the file and the key."""
+    """Read the JSON object in `path` and parse its keys as object_of does.
+    Invalid JSON, a top level that is not an object, a missing `required` key
+    or a value its parser rejects raises StoreError naming the file and the
+    key."""
     try:
-        raw = _json_object(json.loads(Path(path).read_text()))
+        return object_of(parsers, required)(json.loads(Path(path).read_text()))
     except (TypeError, ValueError) as exc:
         raise StoreError(f"{path}: {exc}") from None
-    out = {}
-    for key, parse in parsers.items():
-        if key not in raw:
-            if key in required:
-                raise StoreError(f"{path}: missing key {key!r}")
-            continue
-        try:
-            out[key] = parse(raw[key])
-        except (TypeError, ValueError) as exc:
-            raise StoreError(f"{path}: key {key!r}: {exc}") from None
-    return out
 
 
 def read_profiles(path: Optional[str | Path]) -> dict[str, dict]:

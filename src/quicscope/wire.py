@@ -267,10 +267,7 @@ def split_coalesced(datagram_payload: bytes) -> list[LongHeader]:
     return packets
 
 
-@dataclass(frozen=True)
-class Datagram:
-    """One captured UDP datagram."""
-
+class _DatagramFields(NamedTuple):
     timestamp: float
     src_ip: str
     dst_ip: str
@@ -278,10 +275,18 @@ class Datagram:
     dst_port: int
     payload: bytes
 
-    def __post_init__(self) -> None:
-        for port in (self.src_port, self.dst_port):
-            if not 0 <= port <= 65535:
-                raise ValueError(f"port {port} out of range")
+
+class Datagram(_DatagramFields):
+    """One captured UDP datagram: an immutable tuple whose ports are checked."""
+
+    __slots__ = ()
+
+    def __new__(cls, timestamp: float, src_ip: str, dst_ip: str, src_port: int, dst_port: int, payload: bytes):
+        if not 0 <= src_port <= 65535:
+            raise ValueError(f"port {src_port} out of range")
+        if not 0 <= dst_port <= 65535:
+            raise ValueError(f"port {dst_port} out of range")
+        return tuple.__new__(cls, (timestamp, src_ip, dst_ip, src_port, dst_port, payload))
 
 
 def classify_direction(d: Datagram) -> Direction:

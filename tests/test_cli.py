@@ -549,6 +549,25 @@ class TestStoreRows:
         assert f"{campaign}: expected object, got []" in out.stderr
         assert "Traceback" not in out.stderr
 
+    @pytest.mark.parametrize("command", ["simulate", "probe"])
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("[]", ": expected object, got []"),
+            ('{"clusters": 5}', ": key 'clusters': expected array, got 5"),
+            ('{"clusters": [{"vip_base": "198.51.100.0", "vip_count": "2"}]}', ": key 'clusters': key 'vip_count': "),
+            ('{"clusters": [{"vip_count": 2, "operator": "Facebook"}]}', ": cluster 0 is missing 'vip_base'"),
+        ],
+    )
+    def test_deployment_config_bad_shape(self, tmp_path, command, text, message):
+        config = tmp_path / "deploy.json"
+        config.write_text(text)
+        flag = "--config" if command == "simulate" else "--sim-config"
+        out = run_python("-m", "quicscope.cli", command, flag, config, "--out-dir", tmp_path / "out")
+        assert out.returncode == 2
+        assert f"{config}{message}" in out.stderr
+        assert "Traceback" not in out.stderr
+
     def test_report_table_missing_column(self, tmp_path):
         tally = tmp_path / "version_tally.tsv"
         tally.write_text("version\tshare\n0x00000001\t1\n")

@@ -2,7 +2,7 @@
 Jaccard clustering, and load-balancer-type detection."""
 
 
-
+import gc
 import random
 
 import pytest
@@ -82,6 +82,19 @@ class TestHarvest:
         transport = SimulatorTransport(sim, seed=4)
         harvest_host_ids("203.0.113.1", 300, transport)
         assert len(transport.inbox) <= 2
+
+    def test_handshakes_leave_no_reference_cycles(self):
+        # refcounting alone must free each response round; a cycle would
+        # hold the datagrams until the garbage collector runs
+        sim = make_sim(l7lb_count=30)
+        transport = SimulatorTransport(sim, seed=4)
+        gc.collect()
+        gc.disable()
+        try:
+            harvest_host_ids("203.0.113.1", 50, transport)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_acked_handshake_leaves_one_resend_event(self):
         # a connection keeps only its next resend pending, so each ACKed
@@ -220,7 +233,8 @@ class TestJaccardClustering:
             "b": harvest_from_ids("b", [1, 2]),
             "c": harvest_from_ids("c", [9]),
         }
-        m = cluster_vips(harvests).matrix()
+        report = cluster_vips(harvests)
+        m = [[report.jaccard(a, b) for b in report.vips] for a in report.vips]
         assert len(m) == 3 and all(len(row) == 3 for row in m)
         assert m == [list(column) for column in zip(*m)]
         assert [m[i][i] for i in range(3)] == [1.0] * 3

@@ -159,6 +159,49 @@ class TestFacebookScidGolden:
         assert digest.hexdigest() == self.EXPECTED[version]
 
 
+def reference_random_bits(fields: FacebookScidFields, seed: int) -> bytes:
+    """oracle_pack plus the free bits, set one mask at a time: free bit i
+    (ascending, 0 = most significant) takes the top bit of 32-bit word i of
+    random.Random(seed).getrandbits(32 * n), the bit getrandbits(1) would
+    draw i-th. Out-of-range versions use the v1 layout."""
+    if fields.scid_version == 2:
+        used = set(range(0, 2)) | set(range(8, 41))
+    else:
+        used = set(range(0, 27))
+    free = [bit for bit in range(64) if bit not in used]
+    words = random.Random(seed).getrandbits(32 * len(free))
+    acc = int.from_bytes(oracle_pack(fields), "big")
+    for i, bit in enumerate(free):
+        if (words >> (32 * i + 31)) & 1:
+            acc |= 1 << (63 - bit)
+    return acc.to_bytes(8, "big")
+
+
+class TestFacebookScidRandomBits:
+    """encode_facebook_scid's free bits against the per-bit reference, over
+    1,000 seeds per layout and for a version with no layout of its own."""
+
+    @pytest.mark.parametrize("version", [1, 2, 3])
+    def test_matches_per_bit_reference(self, version):
+        width = 24 if version == 2 else 16
+        rng = random.Random(version)
+        for i in range(1000):
+            fields = FacebookScidFields(version, rng.randrange(1 << width), rng.randrange(256), i % 2)
+            seed = i if i < 500 else rng.getrandbits(64)
+            assert encode_facebook_scid(fields, random_bits_seed=seed) == reference_random_bits(fields, seed)
+
+    def test_reference_draws_like_getrandbits_one(self):
+        fields = FacebookScidFields(2, 77, 5, 1)
+        free = [bit for bit in range(64) if not (bit < 2 or 8 <= bit < 41)]
+        for seed in range(20):
+            rng = random.Random(seed)
+            acc = int.from_bytes(oracle_pack(fields), "big")
+            for bit in free:
+                if rng.getrandbits(1):
+                    acc |= 1 << (63 - bit)
+            assert reference_random_bits(fields, seed) == acc.to_bytes(8, "big")
+
+
 class TestLowHostId:
     @pytest.mark.parametrize("host,expected", [(5, True), (127, True), (128, False), (9000, False), (0, True)])
     def test_boundary(self, host, expected):

@@ -102,6 +102,21 @@ class TestRoute:
         for _ in range(10):
             assert route(cluster, tup) is first
 
+    def test_repeated_and_interleaved_tuples_route_as_fresh(self):
+        cfg = cluster_config(l7lb_count=24)
+        cluster = build_cluster(cfg)
+
+        def fresh(tup):
+            return build_cluster(cfg).rendezvous(tup).host_id
+
+        a = ("10.0.0.1", cluster.vips[0], 4321, 443, 17)
+        b = next(
+            tup for port in range(1024, 2048)
+            if fresh(tup := ("10.0.0.1", cluster.vips[0], port, 443, 17)) != fresh(a)
+        )
+        sequence = [a, a, b, a, b, b]
+        assert [route(cluster, tup).host_id for tup in sequence] == [fresh(tup) for tup in sequence]
+
     def test_port_variation_spreads_over_instances(self):
         cluster = build_cluster(cluster_config(l7lb_count=400))
         hit = set()
