@@ -4,6 +4,7 @@ connection-state semantics, and capture determinism."""
 import hashlib
 import struct
 import tracemalloc
+from dataclasses import asdict, fields
 
 import pytest
 
@@ -12,6 +13,10 @@ from quicscope.ingest import ingest, sessionize
 from quicscope.pcap import PcapWriter
 from quicscope.scid import decode_facebook_scid
 from quicscope.sim import (
+    _CLUSTER_FIELDS,
+    _DEPLOYMENT_FIELDS,
+    _FLOOD_FIELDS,
+    _PROFILE_FIELDS,
     ClusterConfig,
     Connection,
     DeploymentConfig,
@@ -21,6 +26,8 @@ from quicscope.sim import (
     InvalidConfig,
     NotAVip,
     RoutingMode,
+    ScidSchemeKind,
+    StackProfile,
     VirtualClock,
     build_cluster,
     client_ack_payload,
@@ -550,3 +557,156 @@ class TestDeploymentConfigJson:
     def test_missing_profile_rejected(self):
         with pytest.raises(InvalidConfig):
             DeploymentConfig.from_dict({"clusters": [{"vips": ["1.2.3.4"], "l7lb_count": 1}]})
+
+
+# every field of every section from_dict builds, defaults included
+FLOOD_DEFAULTS = {"sessions_per_vip": None, "arrival_window": 0.0, "ack_probability": 0.0, "ack_delay": 0.05}
+CLUSTER_DEFAULTS = {
+    "l7lb_count": 0,
+    "host_ids": None,
+    "host_id_base": 0,
+    "workers": 4,
+    "routing_mode": RoutingMode.FIVE_TUPLE,
+    "state_lifetime": 240.0,
+}
+
+
+class TestDeploymentConfigFields:
+    def test_readme_walkthrough_config(self):
+        raw = {
+            "seed": 7,
+            "operator": "Facebook",
+            "clusters": [
+                {"vip_base": "198.51.100.0", "vip_count": 2, "l7lb_count": 24, "routing_mode": "five_tuple"}
+            ],
+            "flood": {"source_base": "100.64.0.0", "source_count": 600, "duration": 60.0},
+        }
+        facebook = {
+            "operator": "Facebook",
+            "initial_rto": 0.4,
+            "backoff_base": 2.0,
+            "max_retransmissions": 8,
+            "coalescence": False,
+            "scid_scheme": ScidSchemeKind.FACEBOOK_V1,
+            "scid_length": 8,
+            "version": 1,
+            "process_id": 0,
+            "padding_policy": {"Initial": 1200},
+        }
+        assert asdict(DeploymentConfig.from_dict(raw)) == {
+            "clusters": [
+                dict(
+                    CLUSTER_DEFAULTS,
+                    vips=["198.51.100.0", "198.51.100.1"],
+                    l7lb_count=24,
+                    profile=facebook,
+                    name="cluster0",
+                )
+            ],
+            "flood": dict(
+                FLOOD_DEFAULTS, sources=[f"100.64.{i // 256}.{i % 256}" for i in range(600)], duration=60.0
+            ),
+            "seed": 7,
+        }
+
+    def test_explicit_profile_defaults(self):
+        raw = {
+            "clusters": [
+                {"vips": ["198.51.100.1"], "host_ids": [5, 9], "profile": {"initial_rto": 0.5, "max_retransmissions": 2}},
+                {
+                    "operator": "lab",
+                    "vips": ["198.51.100.2"],
+                    "l7lb_count": 3,
+                    "host_id_base": 10,
+                    "workers": 2,
+                    "routing_mode": "cid_aware",
+                    "state_lifetime": 30.0,
+                    "name": "edge",
+                    "profile": {
+                        "initial_rto": 1.5,
+                        "backoff_base": 1.5,
+                        "max_retransmissions": 0,
+                        "coalescence": True,
+                        "scid_scheme": "cloudflare_fixed",
+                        "scid_length": 20,
+                        "version": 0xFF00001D,
+                        "process_id": 1,
+                        "padding_policy": {"Initial & Handshake": 1250},
+                    },
+                },
+            ]
+        }
+        assert asdict(DeploymentConfig.from_dict(raw)) == {
+            "clusters": [
+                dict(
+                    CLUSTER_DEFAULTS,
+                    vips=["198.51.100.1"],
+                    host_ids=[5, 9],
+                    profile={
+                        "operator": "custom",
+                        "initial_rto": 0.5,
+                        "backoff_base": 2.0,
+                        "max_retransmissions": 2,
+                        "coalescence": False,
+                        "scid_scheme": ScidSchemeKind.UNIFORM_RANDOM,
+                        "scid_length": 8,
+                        "version": 1,
+                        "process_id": 0,
+                        "padding_policy": {},
+                    },
+                    name="cluster0",
+                ),
+                {
+                    "vips": ["198.51.100.2"],
+                    "l7lb_count": 3,
+                    "host_ids": None,
+                    "host_id_base": 10,
+                    "workers": 2,
+                    "routing_mode": RoutingMode.CID_AWARE,
+                    "state_lifetime": 30.0,
+                    "profile": {
+                        "operator": "lab",
+                        "initial_rto": 1.5,
+                        "backoff_base": 1.5,
+                        "max_retransmissions": 0,
+                        "coalescence": True,
+                        "scid_scheme": ScidSchemeKind.CLOUDFLARE_FIXED,
+                        "scid_length": 20,
+                        "version": 0xFF00001D,
+                        "process_id": 1,
+                        "padding_policy": {"Initial & Handshake": 1250},
+                    },
+                    "name": "edge",
+                },
+            ],
+            "flood": None,
+            "seed": 0,
+        }
+
+    def test_minimal_flood(self):
+        raw = {
+            "operator": "Google",
+            "clusters": [{"vips": ["203.0.113.1"], "l7lb_count": 1}],
+            "flood": {"sources": ["100.64.0.1"], "duration": 1.0},
+        }
+        cfg = DeploymentConfig.from_dict(raw)
+        assert asdict(cfg.flood) == dict(FLOOD_DEFAULTS, sources=["100.64.0.1"], duration=1.0)
+        assert cfg.clusters[0].profile == default_stack_profile("Google")
+        assert (cfg.clusters[0].name, cfg.seed) == ("cluster0", 0)
+
+    @pytest.mark.parametrize(
+        "table,cls",
+        [
+            (_PROFILE_FIELDS, StackProfile),
+            (_CLUSTER_FIELDS, ClusterConfig),
+            (_FLOOD_FIELDS, FloodConfig),
+            (_DEPLOYMENT_FIELDS, DeploymentConfig),
+        ],
+        ids=["profile", "cluster", "flood", "deployment"],
+    )
+    def test_field_tables_declare_dataclass_fields(self, table, cls):
+        # a table key is a field of its dataclass or a key from_dict derives fields from
+        derived = {"operator", "profile", "vip_base", "vip_count", "source_base", "source_count"}
+        names = {f.name for f in fields(cls)}
+        assert set(table) <= names | derived
+        assert names <= set(table)
