@@ -84,13 +84,13 @@ def cmd_simulate(args) -> int:
     if args.seed is not None:
         config = replace(config, seed=args.seed)
     if config.flood is None:
-        raise sim.InvalidConfig("deployment config has no flood section")
+        raise tables.StoreError(f"{config_path}: missing key 'flood'")
     out = _out_dir(args)
     capture_path = out / "capture.pcap"
     try:
         with capture_path.open("wb") as fh:
             capture = PcapWriter(fh)
-            result = sim.simulate_flood(config, capture)
+            truth = sim.simulate_flood(config, capture)
     except BaseException:
         # no manifest names a capture cut short, so none is left behind
         capture_path.unlink(missing_ok=True)
@@ -109,13 +109,13 @@ def cmd_simulate(args) -> int:
                 "host_id": t.host_id,
                 "worker_id": t.worker_id,
             }
-            for t in result.truth
+            for t in truth
         ),
     )
     pairs_path = tables.write_table(
         out / "pairs.tsv",
         ["operator", "server_scid", "client_dcid"],
-        [(t.operator, t.server_scid.hex(), t.client_dcid.hex()) for t in result.truth],
+        [(t.operator, t.server_scid.hex(), t.client_dcid.hex()) for t in truth],
         fmt=args.format,
     )
     tables.write_manifest(
@@ -125,9 +125,9 @@ def cmd_simulate(args) -> int:
         config.seed,
         {"config": str(config_path)},
         [capture_path.name, truth_path.name, pairs_path.name],
-        parameters={"datagrams": capture.records, "handshakes": len(result.truth)},
+        parameters={"datagrams": capture.records, "handshakes": len(truth)},
     )
-    print(f"simulate: {len(result.truth)} handshakes, {capture.records} datagrams -> {capture_path}")
+    print(f"simulate: {len(truth)} handshakes, {capture.records} datagrams -> {capture_path}")
     return EXIT_OK
 
 
@@ -194,15 +194,20 @@ def cmd_ingest(args) -> int:
 # --- fingerprint -------------------------------------------------------------
 
 
-def _response_scids(rows, operator: str) -> list[bytes]:
+def _by_operator(items) -> dict:
+    """Operator -> its items in input order, in one pass; items with no
+    operator are left out."""
+    groups: dict = {}
+    for item in items:
+        if item.operator is not None:
+            groups.setdefault(item.operator, []).append(item)
+    return groups
+
+
+def _response_scids(rows) -> list[bytes]:
     from .wire import Direction
 
-    out = []
-    for row in rows:
-        if row.operator != operator or row.direction != Direction.RESPONSE:
-            continue
-        out.extend(p.scid for p in row.packets)
-    return sorted(set(out))
+    return sorted({p.scid for row in rows if row.direction == Direction.RESPONSE for p in row.packets})
 
 
 def cmd_fingerprint(args) -> int:
@@ -246,8 +251,9 @@ def cmd_fingerprint(args) -> int:
         fmt=args.format,
     )
 
-    operators = sorted({s.operator for s in sessions if s.operator is not None})
-    by_operator = {op: [s for s in sessions if s.operator == op] for op in operators}
+    by_operator = _by_operator(sessions)
+    rows_by_operator = _by_operator(rows)
+    operators = sorted(by_operator)
     resend_rows = []
     for op in operators:
         for count, n in fp.resend_count_distribution(by_operator[op]).items():
@@ -276,14 +282,13 @@ def cmd_fingerprint(args) -> int:
                 estimate.max_retransmissions[1],
             )
         )
-        scids = _response_scids(rows, op)
+        op_rows = rows_by_operator.get(op, [])
         scheme = None
         try:
-            scheme = scid.classify_scheme(scids, alpha=args.alpha, min_samples=args.min_scids)
+            scheme = scid.classify_scheme(_response_scids(op_rows), alpha=args.alpha, min_samples=args.min_scids)
         except scid.ScidAnalysisError:
             pass
-        op_rows = [r for r in rows if r.operator == op]
-        profile = fp.observed_profile(op, by_operator[op], op_rows, scheme, min_sessions=args.min_sessions)
+        profile = fp.observed_profile(op, estimate, op_rows, scheme)
         matched = fp.match_profile(profile, known)
         match_rows.append(
             (

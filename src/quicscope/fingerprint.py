@@ -1,7 +1,6 @@
 """Per-operator stack fingerprinting: version usage, coalescence, packet
 lengths, and retransmission timing, matched against known configurations.
 
-All statistics are associative aggregations, so shards can be merged exactly.
 RTO estimation is median-based: robust to capture jitter and free of any
 histogram binning choice.
 """
@@ -65,13 +64,6 @@ class VersionTally:
             for (role, label), n in sorted(self.counts.items())
         ]
 
-    def merge(self, other: "VersionTally") -> "VersionTally":
-        """Exact shard combination; tallies are associative-commutative."""
-        merged = VersionTally(dict(self.counts))
-        for (role, label), n in other.counts.items():
-            merged.add(role, label, n)
-        return merged
-
 
 def version_tally(sessions: Iterable[Session], registry: VersionRegistry) -> VersionTally:
     """Count each session once under its negotiated version label; versions
@@ -102,16 +94,6 @@ class PacketTypeStats:
             return {}
         return {cat: 100.0 * n / total for cat, n in sorted(bucket.items())}
 
-    def coalesced_share(self, operator: str) -> float:
-        return sum(pct for cat, pct in self.percentages(operator).items() if "&" in cat)
-
-    def merge(self, other: "PacketTypeStats") -> "PacketTypeStats":
-        merged = PacketTypeStats({op: dict(bucket) for op, bucket in self.counts.items()})
-        for op, bucket in other.counts.items():
-            for category, n in bucket.items():
-                merged.add(op, category, n)
-        return merged
-
 
 def packet_type_stats(records: Iterable[CaptureRecord]) -> PacketTypeStats:
     """Tabulate datagrams by their packet-type combination; a coalesced
@@ -137,13 +119,6 @@ class LengthHistogram:
         bucket = self.counts.get(operator, {})
         ranked = sorted(bucket.items(), key=lambda item: (-item[1], item[0]))
         return [(types, length, n) for (types, length), n in ranked[:k]]
-
-    def merge(self, other: "LengthHistogram") -> "LengthHistogram":
-        merged = LengthHistogram({op: dict(bucket) for op, bucket in self.counts.items()})
-        for op, bucket in other.counts.items():
-            for (types, length), n in bucket.items():
-                merged.add(op, types, length, n)
-        return merged
 
 
 def length_histogram(records: Iterable[CaptureRecord]) -> LengthHistogram:
@@ -314,14 +289,13 @@ def match_profile(
 
 def observed_profile(
     operator: str,
-    sessions: Sequence[Session],
+    rto: RtoEstimate,
     records: Iterable[CaptureRecord],
     scheme: Optional[ScidScheme] = None,
-    min_sessions: int = DEFAULT_MIN_SESSIONS,
 ) -> FingerprintProfile:
-    """Assemble the observed fingerprint of one operator from its sessions,
-    records, and (optionally) an SCID scheme classification."""
-    rto = estimate_rto(sessions, min_sessions=min_sessions)
+    """Assemble the observed fingerprint of one operator from the RTO
+    estimate of its sessions, its records, and (optionally) an SCID scheme
+    classification."""
     coalescence = any(len(r.packets) > 1 for r in records)
     structured = scheme is not None and scheme.kind == SchemeKind.STRUCTURED
     server_chosen = scheme is None or scheme.kind != SchemeKind.ECHO_OF_CLIENT_DCID

@@ -51,16 +51,9 @@ class ExcessiveFailureRate(ProbeError):
     pass
 
 
-@dataclass(frozen=True)
-class HandshakeReply:
-    server_scid: bytes
-    vip: str
-    src_port: int
-    client_scid: bytes
-
-
 class Transport(Protocol):
-    """Minimal surface the campaign logic needs from any transport."""
+    """Minimal surface the campaign logic needs from any transport. A
+    handshake returns the server's SCID, or None when no response came."""
 
     def now(self) -> float: ...
 
@@ -72,7 +65,7 @@ class Transport(Protocol):
         src_port: int,
         dcid: Optional[bytes] = None,
         scid: Optional[bytes] = None,
-    ) -> Optional[HandshakeReply]: ...
+    ) -> Optional[bytes]: ...
 
 
 class SimulatorTransport:
@@ -101,7 +94,7 @@ class SimulatorTransport:
         src_port: int,
         dcid: Optional[bytes] = None,
         scid: Optional[bytes] = None,
-    ) -> Optional[HandshakeReply]:
+    ) -> Optional[bytes]:
         if dcid is None:
             dcid = self.rng.randbytes(8)
         if scid is None:
@@ -130,7 +123,7 @@ class SimulatorTransport:
                     client_ack_payload(server_scid, scid),
                 )
             )
-            return HandshakeReply(server_scid=server_scid, vip=vip, src_port=src_port, client_scid=scid)
+            return server_scid
         return None
 
 
@@ -166,7 +159,7 @@ class RawNetworkTransport:
         src_port: int,
         dcid: Optional[bytes] = None,
         scid: Optional[bytes] = None,
-    ) -> Optional[HandshakeReply]:
+    ) -> Optional[bytes]:
         import socket
         import time
 
@@ -189,11 +182,7 @@ class RawNetworkTransport:
         finally:
             sock.close()
         packets = split_coalesced(data)
-        if not packets:
-            return None
-        return HandshakeReply(
-            server_scid=packets[0].scid, vip=vip, src_port=src_port, client_scid=scid
-        )
+        return packets[0].scid if packets else None
 
 
 class PortStrategy(Enum):
@@ -267,13 +256,13 @@ def harvest_host_ids(
     for index, port in enumerate(port_sequence(port_strategy, n, seed=seed)):
         if inter_probe_gap and index:
             transport.sleep(inter_probe_gap)
-        reply = transport.handshake(vip, port)
+        server_scid = transport.handshake(vip, port)
         harvest.attempts += 1
-        if reply is None:
+        if server_scid is None:
             harvest.failures += 1
         else:
             try:
-                harvest.observations.append((index, codec(reply.server_scid)))
+                harvest.observations.append((index, codec(server_scid)))
             except CodecError:
                 harvest.failures += 1
         if (
@@ -401,24 +390,24 @@ def detect_lb_type(
     """
     rng = random.Random(seed)
     first_port = rng.randint(40000, 65000)
-    held = transport.handshake(vip, first_port)
-    if held is None:
+    held_scid = transport.handshake(vip, first_port)
+    if held_scid is None:
         raise TransportUnavailable(f"initial handshake with {vip} failed")
-    held_host = _try_decode(codec, held.server_scid)
+    held_host = _try_decode(codec, held_scid)
     start = transport.now()
     failures = 0
     port = first_port
     while transport.now() - start < max_wait:
         transport.sleep(probe_interval)
         port = port - 1 if port > 1024 else 65535
-        reply = transport.handshake(vip, port, dcid=held.server_scid, scid=rng.randbytes(8))
-        if reply is None:
+        server_scid = transport.handshake(vip, port, dcid=held_scid, scid=rng.randbytes(8))
+        if server_scid is None:
             failures += 1
             continue
         if failures == 1:
             failures = 0
             continue
-        followup_host = _try_decode(codec, reply.server_scid)
+        followup_host = _try_decode(codec, server_scid)
         if failures == 0:
             return LbTypeVerdict(
                 LbType.FIVE_TUPLE,

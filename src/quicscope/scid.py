@@ -81,20 +81,6 @@ class NybbleFrequencyMatrix:
             for value in range(16):
                 yield pos, value, row[value], rel[value]
 
-    def merge(self, other: "NybbleFrequencyMatrix") -> "NybbleFrequencyMatrix":
-        """Exact combination of per-shard matrices over the same SCID length."""
-        if self.total == 0:
-            return other
-        if other.total == 0:
-            return self
-        if self.positions != other.positions:
-            raise MixedLengths("cannot merge matrices of different SCID lengths")
-        counts = tuple(
-            tuple(a + b for a, b in zip(mine, theirs))
-            for mine, theirs in zip(self.counts, other.counts)
-        )
-        return NybbleFrequencyMatrix(counts, self.total + other.total)
-
 
 def nybble_frequencies(scids: Sequence[bytes]) -> NybbleFrequencyMatrix:
     """Count nybble values per position; position 0 is the high nybble of

@@ -18,8 +18,9 @@ from __future__ import annotations
 import hashlib
 import heapq
 import ipaddress
+import json
 import random
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from enum import Enum
 from pathlib import Path
 from typing import Callable, Optional
@@ -32,8 +33,8 @@ from .scid import (
     encode_facebook_scid,
 )
 from .pcap import PcapWriter, build_ipv4_udp
-from .tables import StoreError, list_of, object_of, of_type, read_json_fields, read_profiles
-from .wire import Datagram, LongHeader, PacketType, encode_long_header, split_coalesced
+from .tables import StoreError, list_of, object_of, of_type, read_profiles
+from .wire import MAX_CID_LENGTH, Datagram, LongHeader, PacketType, encode_long_header, split_coalesced
 
 QUIC_PORT = 443
 PROTO_UDP = 17
@@ -89,10 +90,10 @@ class StackProfile:
 
     operator: str
     initial_rto: float
-    backoff_base: float
     max_retransmissions: int
-    coalescence: bool
-    scid_scheme: ScidSchemeKind
+    backoff_base: float = 2.0
+    coalescence: bool = False
+    scid_scheme: ScidSchemeKind = ScidSchemeKind.UNIFORM_RANDOM
     scid_length: int = 8
     version: int = DEFAULT_VERSION
     process_id: int = 0
@@ -103,23 +104,20 @@ class StackProfile:
             raise InvalidConfig("initial_rto must be positive")
         if self.max_retransmissions < 0:
             raise InvalidConfig("max_retransmissions must be >= 0")
+        # connections are keyed by server CID, so an empty one is not unique
+        if not 1 <= self.scid_length <= MAX_CID_LENGTH:
+            raise InvalidConfig(f"scid_length must be 1 to {MAX_CID_LENGTH}")
 
 
 def default_stack_profile(operator: str) -> StackProfile:
-    """Stack profile for a named operator from the shipped table."""
+    """Stack profile for a named operator from the shipped table, whose
+    simulator keys are read by the profile field table."""
     try:
         cfg = read_profiles(None)[operator]
     except KeyError as exc:
         raise InvalidConfig(f"no profile for operator {operator!r}") from exc
     return StackProfile(
-        operator=operator,
-        initial_rto=cfg["initial_rto"],
-        backoff_base=cfg["backoff_base"],
-        max_retransmissions=cfg["simulated_retransmissions"],
-        coalescence=cfg["coalescence"],
-        scid_scheme=ScidSchemeKind(cfg["scid_scheme"]),
-        scid_length=cfg.get("scid_length", 8),
-        padding_policy=dict(cfg.get("padding_policy", {})),
+        operator=operator, max_retransmissions=cfg["simulated_retransmissions"], **object_of(_PROFILE_FIELDS)(cfg)
     )
 
 
@@ -248,52 +246,65 @@ def five_tuple_of(d: Datagram) -> tuple:
 
 @dataclass
 class ClusterConfig:
+    """One cluster's VIPs and L7LB instances: an explicit host-ID list, or
+    `l7lb_count` sequential IDs from `host_id_base`. Checked when built, so a
+    config that reads is one the simulator can run."""
+
     vips: list[str]
+    profile: StackProfile
     l7lb_count: int = 0
     host_ids: Optional[list[int]] = None
     host_id_base: int = 0
     workers: int = 4
     routing_mode: RoutingMode = RoutingMode.FIVE_TUPLE
     state_lifetime: float = DEFAULT_STATE_LIFETIME
-    profile: Optional[StackProfile] = None
     name: str = ""
+
+    def __post_init__(self) -> None:
+        if not self.vips:
+            raise InvalidConfig("cluster needs at least one VIP")
+        host_ids = self.instance_host_ids()
+        if not host_ids:
+            raise InvalidConfig("cluster needs at least one L7LB instance")
+        if len(set(host_ids)) != len(host_ids):
+            raise InvalidConfig("duplicate host IDs in cluster")
+        if self.workers < 1:
+            raise InvalidConfig("workers must be >= 1")
+        version = FACEBOOK_SCID_VERSIONS.get(self.profile.scid_scheme)
+        if version is not None:
+            # the lowest and highest IDs the cluster's SCIDs carry must fit the codec's fields
+            try:
+                for host_id in (min(host_ids), max(host_ids)):
+                    encode_facebook_scid(
+                        FacebookScidFields(version, host_id, self.workers - 1, self.profile.process_id)
+                    )
+            except CodecError as exc:
+                raise InvalidConfig(str(exc)) from None
+
+    def instance_host_ids(self) -> list[int]:
+        if self.host_ids is not None:
+            return list(self.host_ids)
+        return list(range(self.host_id_base, self.host_id_base + self.l7lb_count))
 
 
 class FrontendCluster:
-    """VIPs fronting a set of L7LB instances under one routing policy.
+    """A cluster config's VIPs fronting its L7LB instances under one routing
+    policy. Every VIP maps to the full instance set. The rendezvous keys hash
+    the cluster's name, which defaults to its first VIP."""
 
-    Every VIP maps to the full instance set; host IDs are unique within the
-    cluster.
-    """
-
-    def __init__(
-        self,
-        vips: list[str],
-        instances: list[L7LBInstance],
-        routing_mode: RoutingMode,
-        profile: StackProfile,
-        name: str = "",
-    ):
-        if not vips:
-            raise InvalidConfig("cluster needs at least one VIP")
-        if not instances:
-            raise InvalidConfig("cluster needs at least one L7LB instance")
-        host_ids = [inst.host_id for inst in instances]
-        if len(set(host_ids)) != len(host_ids):
-            raise InvalidConfig("duplicate host IDs in cluster")
-        width = 24 if profile.scid_scheme == ScidSchemeKind.FACEBOOK_V2 else 16
-        if profile.scid_scheme in FACEBOOK_SCID_VERSIONS:
-            if max(host_ids) >= 1 << width:
-                raise InvalidConfig(f"host ID exceeds {width}-bit scheme width")
-        self.vips = list(vips)
-        self.vip_set = set(vips)
-        self.instances = instances
-        self.routing_mode = routing_mode
-        self.profile = profile
-        self.name = name
-        self.by_host_id = {inst.host_id: inst for inst in instances}
+    def __init__(self, config: ClusterConfig):
+        self.vips = list(config.vips)
+        self.vip_set = set(config.vips)
+        self.instances = [
+            L7LBInstance(host_id=h, workers=config.workers, state_lifetime=config.state_lifetime)
+            for h in config.instance_host_ids()
+        ]
+        self.routing_mode = config.routing_mode
+        self.profile = config.profile
+        self.name = config.name or config.vips[0]
+        self.by_host_id = {inst.host_id: inst for inst in self.instances}
         self.cid_directory: dict[bytes, tuple[L7LBInstance, float]] = {}
-        self._instance_keys = [_key64(f"l7lb|{name}|{inst.host_id}") for inst in instances]
+        self._instance_keys = [_key64(f"l7lb|{self.name}|{inst.host_id}") for inst in self.instances]
         self._last_pick: tuple[Optional[tuple], Optional[L7LBInstance]] = (None, None)
 
     def rendezvous(self, five_tuple: tuple) -> L7LBInstance:
@@ -345,32 +356,6 @@ class FrontendCluster:
             return None
 
 
-def build_cluster(config: ClusterConfig) -> FrontendCluster:
-    """Materialize a cluster: requested VIPs and L7LB instances with either an
-    explicit host-ID list or sequential IDs from `host_id_base`."""
-    if config.profile is None:
-        raise InvalidConfig("cluster config needs a stack profile")
-    if config.host_ids is not None:
-        host_ids = list(config.host_ids)
-        if len(set(host_ids)) != len(host_ids):
-            raise InvalidConfig("explicit host ID list contains duplicates")
-    else:
-        if config.l7lb_count < 1:
-            raise InvalidConfig("l7lb_count must be >= 1")
-        host_ids = list(range(config.host_id_base, config.host_id_base + config.l7lb_count))
-    instances = [
-        L7LBInstance(host_id=h, workers=config.workers, state_lifetime=config.state_lifetime)
-        for h in host_ids
-    ]
-    return FrontendCluster(
-        vips=config.vips,
-        instances=instances,
-        routing_mode=config.routing_mode,
-        profile=config.profile,
-        name=config.name or (config.vips[0] if config.vips else "cluster"),
-    )
-
-
 def route(
     cluster: FrontendCluster,
     five_tuple: tuple,
@@ -399,11 +384,6 @@ def route(
 # --- deployment + flood ------------------------------------------------------
 
 
-def _generate_ips(base: str, count: int) -> list[str]:
-    start = int(ipaddress.ip_address(base))
-    return [str(ipaddress.ip_address(start + i)) for i in range(count)]
-
-
 @dataclass
 class FloodConfig:
     """Spoofed-source flood: who spoofs, how long, and whether anyone ACKs."""
@@ -415,6 +395,13 @@ class FloodConfig:
     ack_probability: float = 0.0
     ack_delay: float = 0.05
 
+    def __post_init__(self) -> None:
+        if not self.sources:
+            raise InvalidConfig("flood needs at least one source")
+        # an arrival or ACK before clock time 0 cannot be scheduled
+        if self.arrival_window < 0 or self.ack_delay < 0:
+            raise InvalidConfig("arrival_window and ack_delay must be >= 0")
+
 
 def _required(section: dict, key: str, where: str):
     if key not in section:
@@ -422,12 +409,35 @@ def _required(section: dict, key: str, where: str):
     return section[key]
 
 
+def _address_range(section: dict, stem: str, where: str) -> list[str]:
+    """The `{stem}_count` consecutive addresses from `{stem}_base`."""
+    start = int(ipaddress.ip_address(_required(section, f"{stem}_base", where)))
+    return [str(ipaddress.ip_address(start + i)) for i in range(_required(section, f"{stem}_count", where))]
+
+
+def _build(cls, section: dict, where: str):
+    """`cls` from the keys of a parsed section that are its fields; the other
+    keys are the ones from_dict derives fields from. A field with no default
+    that the section lacks raises InvalidConfig naming it."""
+    values = {}
+    for f in fields(cls):
+        if f.name in section:
+            values[f.name] = section[f.name]
+        elif f.default is MISSING and f.default_factory is MISSING:
+            raise InvalidConfig(f"{where} is missing {f.name!r}")
+    return cls(**values)
+
+
+# One table per config section: the JSON type of each key. A key is a field
+# of the section's dataclass, which holds its default, or one of the keys
+# from_dict derives fields from: operator, profile, vip_base, vip_count,
+# source_base and source_count.
 _str, _int, _number = of_type(str), of_type(int), of_type(float)
 _PROFILE_FIELDS = {
     "operator": _str,
     "initial_rto": _number,
-    "backoff_base": _number,
     "max_retransmissions": _int,
+    "backoff_base": _number,
     "coalescence": of_type(bool),
     "scid_scheme": ScidSchemeKind,
     "scid_length": _int,
@@ -437,10 +447,10 @@ _PROFILE_FIELDS = {
 }
 _CLUSTER_FIELDS = {
     "operator": _str,
-    "profile": object_of(_PROFILE_FIELDS),
     "vips": list_of(_str),
     "vip_base": _str,
     "vip_count": _int,
+    "profile": object_of(_PROFILE_FIELDS),
     "l7lb_count": _int,
     "host_ids": list_of(_int),
     "host_id_base": _int,
@@ -459,7 +469,6 @@ _FLOOD_FIELDS = {
     "ack_probability": _number,
     "ack_delay": _number,
 }
-# the value types of a deployment config; from_dict checks which keys it needs
 _DEPLOYMENT_FIELDS = {
     "operator": _str,
     "clusters": list_of(object_of(_CLUSTER_FIELDS)),
@@ -470,75 +479,59 @@ _DEPLOYMENT_FIELDS = {
 
 @dataclass
 class DeploymentConfig:
+    """Clusters with disjoint VIPs, an optional flood and the seed."""
+
     clusters: list[ClusterConfig]
     flood: Optional[FloodConfig] = None
     seed: int = 0
 
+    def __post_init__(self) -> None:
+        if not self.clusters:
+            raise InvalidConfig("deployment needs at least one cluster")
+        seen: set[str] = set()
+        for vip in (vip for cluster in self.clusters for vip in cluster.vips):
+            if vip in seen:
+                raise InvalidConfig(f"VIP {vip} assigned to two clusters")
+            seen.add(vip)
+
     @classmethod
     def from_json(cls, path: str | Path) -> "DeploymentConfig":
-        """Read a deployment config file; a value of the wrong type, or one
-        from_dict rejects, raises StoreError naming the file and the key."""
-        raw = read_json_fields(path, _DEPLOYMENT_FIELDS)
+        """Read a deployment config file; invalid JSON, or a config from_dict
+        rejects, raises StoreError naming the file and the key."""
         try:
-            return cls.from_dict(raw)
-        except ValueError as exc:
+            return cls.from_dict(json.loads(Path(path).read_text()))
+        except (TypeError, ValueError) as exc:
             raise StoreError(f"{path}: {exc}") from None
 
     @classmethod
     def from_dict(cls, raw: dict) -> "DeploymentConfig":
-        default_operator = raw.get("operator")
-        clusters = []
-        for i, c in enumerate(raw.get("clusters", [])):
-            operator = c.get("operator", default_operator)
+        """A config from its JSON object, every check included: each section
+        is parsed by its field table and built into its dataclass. Derived
+        here are a cluster's profile (its own, whose operator defaults to the
+        cluster's or the top-level `operator`, else "custom"; or the shipped
+        profile of that operator), a cluster's name `cluster{i}`, and the
+        `vips` and `sources` ranges for an absent or empty list."""
+        raw = object_of(_DEPLOYMENT_FIELDS)(raw)
+        clusters = _required(raw, "clusters", "deployment config")
+        for i, c in enumerate(clusters):
+            where = f"cluster {i}"
+            operator = c.get("operator", raw.get("operator"))
             if "profile" in c:
-                p = c["profile"]
-                profile = StackProfile(
-                    operator=p.get("operator", operator or "custom"),
-                    initial_rto=_required(p, "initial_rto", f"cluster {i} profile"),
-                    backoff_base=p.get("backoff_base", 2.0),
-                    max_retransmissions=_required(p, "max_retransmissions", f"cluster {i} profile"),
-                    coalescence=p.get("coalescence", False),
-                    scid_scheme=ScidSchemeKind(p.get("scid_scheme", "uniform_random")),
-                    scid_length=p.get("scid_length", 8),
-                    version=p.get("version", DEFAULT_VERSION),
-                    process_id=p.get("process_id", 0),
-                    padding_policy=dict(p.get("padding_policy", {})),
-                )
+                profile = {"operator": operator or "custom", **c["profile"]}
+                c["profile"] = _build(StackProfile, profile, f"{where} profile")
             elif operator is not None:
-                profile = default_stack_profile(operator)
+                c["profile"] = default_stack_profile(operator)
             else:
-                raise InvalidConfig(f"cluster {i}: neither operator nor profile given")
-            vips = c.get("vips") or _generate_ips(
-                _required(c, "vip_base", f"cluster {i}"), _required(c, "vip_count", f"cluster {i}")
-            )
-            clusters.append(
-                ClusterConfig(
-                    vips=vips,
-                    l7lb_count=c.get("l7lb_count", 0),
-                    host_ids=c.get("host_ids"),
-                    host_id_base=c.get("host_id_base", 0),
-                    workers=c.get("workers", 4),
-                    routing_mode=RoutingMode(c.get("routing_mode", "five_tuple")),
-                    state_lifetime=c.get("state_lifetime", DEFAULT_STATE_LIFETIME),
-                    profile=profile,
-                    name=c.get("name", f"cluster{i}"),
-                )
-            )
-        flood = None
+                raise InvalidConfig(f"{where}: neither operator nor profile given")
+            if not c.get("vips"):
+                c["vips"] = _address_range(c, "vip", where)
+            clusters[i] = _build(ClusterConfig, {"name": f"cluster{i}", **c}, where)
         if "flood" in raw:
-            f = raw["flood"]
-            sources = f.get("sources") or _generate_ips(
-                _required(f, "source_base", "flood"), _required(f, "source_count", "flood")
-            )
-            flood = FloodConfig(
-                sources=sources,
-                duration=_required(f, "duration", "flood"),
-                sessions_per_vip=f.get("sessions_per_vip"),
-                arrival_window=f.get("arrival_window", 0.0),
-                ack_probability=f.get("ack_probability", 0.0),
-                ack_delay=f.get("ack_delay", 0.05),
-            )
-        return cls(clusters=clusters, flood=flood, seed=raw.get("seed", 0))
+            flood = raw["flood"]
+            if not flood.get("sources"):
+                flood["sources"] = _address_range(flood, "source", "flood")
+            raw["flood"] = _build(FloodConfig, flood, "flood")
+        return _build(cls, raw, "deployment config")
 
 
 @dataclass
@@ -554,11 +547,6 @@ class SessionTruth:
     client_scid: bytes
     host_id: int
     worker_id: Optional[int]
-
-
-@dataclass
-class FloodResult:
-    truth: list[SessionTruth]
 
 
 class DeploymentSimulator:
@@ -578,13 +566,8 @@ class DeploymentSimulator:
         self.config = config
         self.clock = VirtualClock()
         self.rng = random.Random(config.seed)
-        self.clusters = [build_cluster(c) for c in config.clusters]
-        self.vip_map: dict[str, FrontendCluster] = {}
-        for cluster in self.clusters:
-            for vip in cluster.vips:
-                if vip in self.vip_map:
-                    raise InvalidConfig(f"VIP {vip} assigned to two clusters")
-                self.vip_map[vip] = cluster
+        self.clusters = [FrontendCluster(c) for c in config.clusters]
+        self.vip_map = {vip: cluster for cluster in self.clusters for vip in cluster.vips}
         self._capture = capture
         self.truth = truth
         self._inboxes: dict[str, list[Datagram]] = {}
@@ -809,12 +792,10 @@ class DeploymentSimulator:
         self.clock.run_until(flood.duration)
 
 
-def simulate_flood(config: DeploymentConfig, capture: Optional[PcapWriter] = None) -> FloodResult:
-    """Run the configured flood, streaming its capture to `capture`;
-    deterministic given (config, seed)."""
-    if config.flood is None:
-        raise InvalidConfig("deployment config has no flood section")
+def simulate_flood(config: DeploymentConfig, capture: Optional[PcapWriter] = None) -> list[SessionTruth]:
+    """Run the flood of a config that has one, streaming its capture to
+    `capture`; returns a truth row per served handshake. Deterministic given
+    (config, seed)."""
     truth: list[SessionTruth] = []
-    simulator = DeploymentSimulator(config, capture=capture, truth=truth)
-    simulator.run_flood(config.flood)
-    return FloodResult(truth=truth)
+    DeploymentSimulator(config, capture=capture, truth=truth).run_flood(config.flood)
+    return truth

@@ -9,7 +9,7 @@ import pytest
 
 from quicscope.pcap import PcapReader, PcapWriter
 from quicscope.probe import HostIdHarvest
-from quicscope.sim import DeploymentConfig, FloodResult, simulate_flood
+from quicscope.sim import DeploymentConfig, SessionTruth, simulate_flood
 from quicscope.wire import Datagram, PacketType, encode_long_header
 
 
@@ -22,12 +22,12 @@ def run_python(*args, **kwargs) -> subprocess.CompletedProcess:
     )
 
 
-def simulate_to_pcap(config: DeploymentConfig, path: Path) -> tuple[FloodResult, list[Datagram]]:
+def simulate_to_pcap(config: DeploymentConfig, path: Path) -> tuple[list[SessionTruth], list[Datagram]]:
     """Run `config`'s flood with its capture streamed to the pcap at `path`;
-    returns the flood result and the capture's datagrams read back."""
+    returns the truth rows and the capture's datagrams read back."""
     with Path(path).open("wb") as fh:
-        result = simulate_flood(config, PcapWriter(fh))
-    return result, list(PcapReader(path).datagrams())
+        truth = simulate_flood(config, PcapWriter(fh))
+    return truth, list(PcapReader(path).datagrams())
 
 
 def make_response(

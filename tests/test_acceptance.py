@@ -96,8 +96,8 @@ def test_criterion_1_known_profile_round_trip(tmp_path):
     configured = {"Cloudflare": 4, "Facebook": 8, "Google": 4}
 
     for operator in ("Cloudflare", "Facebook", "Google"):
-        result, datagrams = simulate_operator(operator, tmp_path / f"{operator}.pcap")
-        assert len(result.truth) >= 500
+        truth, datagrams = simulate_operator(operator, tmp_path / f"{operator}.pcap")
+        assert len(truth) >= 500
         records = list(annotate_operators(ingest(datagrams), table))
         sessions = sessionize(records)
         assert len(sessions) >= 500
@@ -118,7 +118,7 @@ def test_criterion_1_known_profile_round_trip(tmp_path):
             # passively random; the echo is only visible with paired DCIDs
             assert scheme.kind == SchemeKind.RANDOM
             paired = scid.classify_scheme(
-                [t.server_scid for t in result.truth], client_dcids=[t.client_dcid for t in result.truth]
+                [t.server_scid for t in truth], client_dcids=[t.client_dcid for t in truth]
             )
             assert paired.kind == SchemeKind.ECHO_OF_CLIENT_DCID
         else:
@@ -126,7 +126,7 @@ def test_criterion_1_known_profile_round_trip(tmp_path):
         if operator == "Cloudflare":
             assert scid.detect_cloudflare_signature(scids)
 
-        observed = fp.observed_profile(operator, sessions, records, scheme)
+        observed = fp.observed_profile(operator, estimate, records, scheme)
         assert fp.match_profile(observed, known) == operator
 
     elapsed = time.monotonic() - start

@@ -568,6 +568,63 @@ class TestStoreRows:
         assert f"{config}{message}" in out.stderr
         assert "Traceback" not in out.stderr
 
+    @pytest.mark.parametrize(
+        "command,cluster,message",
+        [
+            ("simulate", {"vips": ["1.2.3.4"], "l7lb_count": 2}, ": VIP 1.2.3.4 assigned to two clusters"),
+            ("probe", {"vips": ["1.2.3.5"], "host_ids": [1, 1]}, ": duplicate host IDs in cluster"),
+            ("simulate", {"vips": ["1.2.3.5"], "l7lb_count": 0}, ": cluster needs at least one L7LB instance"),
+            ("probe", {"vips": ["1.2.3.5"], "host_ids": [1 << 16]}, ": host_id 65536 does not fit in 16 bits"),
+            ("simulate", {"vips": ["1.2.3.5"], "l7lb_count": 1, "workers": 0}, ": workers must be >= 1"),
+            ("simulate", {"vips": ["1.2.3.5"], "l7lb_count": 1, "workers": 257}, ": worker_id 256 does not fit in 8 bits"),
+            (
+                "simulate",
+                {"vips": ["1.2.3.5"], "l7lb_count": 1, "profile": {"initial_rto": 1.0, "max_retransmissions": 1, "scid_length": 21}},
+                ": scid_length must be 1 to 20",
+            ),
+        ],
+        ids=[
+            "vip-in-two-clusters", "duplicate-host-ids", "no-instances", "host-id-width", "no-workers",
+            "worker-id-width", "scid-length",
+        ],
+    )
+    def test_deployment_config_rejected_before_any_output(self, tmp_path, command, cluster, message):
+        config = tmp_path / "deploy.json"
+        clusters = [{"vips": ["1.2.3.4"], "l7lb_count": 2}, cluster]
+        config.write_text(json.dumps(dict(DEPLOY, clusters=clusters)))
+        flag = "--config" if command == "simulate" else "--sim-config"
+        out = run_python("-m", "quicscope.cli", command, flag, config, "--out-dir", tmp_path / "out")
+        assert out.returncode == 2
+        assert f"{config}{message}" in out.stderr
+        assert "Traceback" not in out.stderr
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ('{"clusters": [], "flood": {"sources": ["100.64.0.1"], "duration": 1.0}}', ": deployment needs at least one cluster"),
+            ('{"flood": {"sources": ["100.64.0.1"], "duration": 1.0}}', ": deployment config is missing 'clusters'"),
+            ('{"operator": "Facebook", "clusters": [{"vips": ["1.2.3.4"], "l7lb_count": 1}]}', ": missing key 'flood'"),
+            (
+                json.dumps(dict(DEPLOY, flood={"source_base": "100.64.0.0", "source_count": 0, "sessions_per_vip": 2, "duration": 1.0})),
+                ": flood needs at least one source",
+            ),
+            (
+                json.dumps(dict(DEPLOY, flood={"sources": ["100.64.0.1"], "duration": 1.0, "arrival_window": -1.0})),
+                ": arrival_window and ack_delay must be >= 0",
+            ),
+        ],
+        ids=["empty-clusters", "no-clusters", "no-flood", "no-sources", "negative-arrival-window"],
+    )
+    def test_simulate_config_rejected_before_any_output(self, tmp_path, text, message):
+        config = tmp_path / "deploy.json"
+        config.write_text(text)
+        out = run_python("-m", "quicscope.cli", "simulate", "--config", config, "--out-dir", tmp_path / "out")
+        assert out.returncode == 2
+        assert f"{config}{message}" in out.stderr
+        assert "Traceback" not in out.stderr
+        assert not (tmp_path / "out").exists()
+
     def test_report_table_missing_column(self, tmp_path):
         tally = tmp_path / "version_tally.tsv"
         tally.write_text("version\tshare\n0x00000001\t1\n")

@@ -99,13 +99,6 @@ class TestVersionTally:
         b = version_tally(sessions[::-1], registry)
         assert a.counts == b.counts
 
-    def test_shard_merge_is_exact(self):
-        registry = VersionRegistry.default()
-        sessions = [session_from_offsets([0.0], version=v) for v in (1, 1, 0xFACEB002, 0xFF00001D)]
-        whole = version_tally(sessions, registry)
-        merged = version_tally(sessions[:2], registry).merge(version_tally(sessions[2:], registry))
-        assert whole.counts == merged.counts
-
 
 class TestPacketTypeStats:
     def test_coalesced_is_its_own_category(self):
@@ -131,7 +124,7 @@ class TestPacketTypeStats:
         for r in records:
             r.operator = "Facebook"
         stats = packet_type_stats(records)
-        assert stats.coalesced_share("Facebook") == 0.0
+        assert stats.percentages("Facebook") == {"Initial": 100.0}
 
     def test_single_initial_corpus(self):
         records = list(ingest([make_response(0.0)]))
@@ -151,24 +144,6 @@ class TestPacketTypeStats:
         records = list(ingest(datagrams))
         stats = packet_type_stats(records)
         assert abs(sum(stats.percentages("Unknown").values()) - 100.0) < 0.01
-
-    def test_shard_merge_is_exact(self):
-        rng = random.Random(6)
-        datagrams = [
-            make_response(
-                0.01 * i,
-                dst=f"172.16.{i % 5}.9",
-                types=(PacketType.INITIAL, PacketType.HANDSHAKE) if i % 3 else (PacketType.INITIAL,),
-            )
-            for i in range(60)
-        ]
-        records = list(ingest(datagrams))
-        whole = packet_type_stats(records)
-        merged = packet_type_stats(records[:20]).merge(packet_type_stats(records[20:]))
-        assert whole.counts == merged.counts
-        hist_whole = length_histogram(records)
-        hist_merged = length_histogram(records[:33]).merge(length_histogram(records[33:]))
-        assert hist_whole.counts == hist_merged.counts
 
 
 class TestLengthHistogram:

@@ -257,18 +257,6 @@ class TestNybbleFrequencies:
         assert m.total == 3
         assert m.counts[0][0xA] == 3
 
-    def test_shard_merge_is_exact(self):
-        rng = np.random.default_rng(44)
-        scids = [rng.bytes(8) for _ in range(600)]
-        whole = nybble_frequencies(scids)
-        merged = nybble_frequencies(scids[:251]).merge(nybble_frequencies(scids[251:]))
-        assert merged.total == whole.total
-        assert merged.counts == whole.counts
-
-    def test_merge_rejects_mixed_lengths(self):
-        with pytest.raises(MixedLengths):
-            nybble_frequencies([b"\x01" * 8]).merge(nybble_frequencies([b"\x01" * 20]))
-
     @pytest.mark.parametrize("octets", [1, 8, 20])
     def test_matches_naive_count(self, octets):
         rng = random.Random(octets)

@@ -23,13 +23,13 @@ from quicscope.sim import (
     DeploymentSimulator,
     Disposition,
     FloodConfig,
+    FrontendCluster,
     InvalidConfig,
     NotAVip,
     RoutingMode,
     ScidSchemeKind,
     StackProfile,
     VirtualClock,
-    build_cluster,
     client_ack_payload,
     client_initial_payload,
     default_stack_profile,
@@ -68,42 +68,36 @@ def client_initial(dcid=b"\x10" * 8, scid=b"\x20" * 8):
 
 class TestBuildCluster:
     def test_asia_median_cluster(self):
-        cluster = build_cluster(cluster_config(vip_count=22, l7lb_count=453))
+        cluster = FrontendCluster(cluster_config(vip_count=22, l7lb_count=453))
         assert len(cluster.vips) == 22
         assert len(cluster.instances) == 453
         assert len(set(cluster.by_host_id)) == 453
 
     def test_minimal_cluster(self):
-        cluster = build_cluster(cluster_config(vip_count=1, l7lb_count=1))
+        cluster = FrontendCluster(cluster_config(vip_count=1, l7lb_count=1))
         assert len(cluster.instances) == 1
 
     def test_duplicate_host_ids_rejected(self):
-        cfg = cluster_config()
-        cfg.host_ids = [1, 2, 2]
-        with pytest.raises(InvalidConfig):
-            build_cluster(cfg)
+        with pytest.raises(InvalidConfig, match="duplicate host IDs"):
+            cluster_config(host_ids=[1, 2, 2])
 
     def test_host_id_exceeding_scheme_width(self):
-        cfg = cluster_config()
-        cfg.host_ids = [1 << 16]
-        with pytest.raises(InvalidConfig):
-            build_cluster(cfg)
+        with pytest.raises(InvalidConfig, match="host_id 65536 does not fit in 16 bits"):
+            cluster_config(host_ids=[1 << 16])
 
     def test_sequential_from_base(self):
-        cfg = cluster_config(l7lb_count=5)
-        cfg.host_id_base = 100
-        cluster = build_cluster(cfg)
+        cluster = FrontendCluster(cluster_config(l7lb_count=5, host_id_base=100))
         assert set(cluster.by_host_id) == {100, 101, 102, 103, 104}
 
 
 class TestRoute:
     def test_not_a_vip(self):
-        cluster = build_cluster(cluster_config())
+        cluster = FrontendCluster(cluster_config())
         with pytest.raises(NotAVip):
             route(cluster, ("10.0.0.1", "8.8.8.8", 1234, 443, 17))
 
     def test_same_tuple_same_instance(self):
-        cluster = build_cluster(cluster_config(l7lb_count=100))
+        cluster = FrontendCluster(cluster_config(l7lb_count=100))
         tup = ("10.0.0.1", cluster.vips[0], 4321, 443, 17)
         first = route(cluster, tup)
         for _ in range(10):
@@ -111,10 +105,10 @@ class TestRoute:
 
     def test_repeated_and_interleaved_tuples_route_as_fresh(self):
         cfg = cluster_config(l7lb_count=24)
-        cluster = build_cluster(cfg)
+        cluster = FrontendCluster(cfg)
 
         def fresh(tup):
-            return build_cluster(cfg).rendezvous(tup).host_id
+            return FrontendCluster(cfg).rendezvous(tup).host_id
 
         a = ("10.0.0.1", cluster.vips[0], 4321, 443, 17)
         b = next(
@@ -125,7 +119,7 @@ class TestRoute:
         assert [route(cluster, tup).host_id for tup in sequence] == [fresh(tup) for tup in sequence]
 
     def test_port_variation_spreads_over_instances(self):
-        cluster = build_cluster(cluster_config(l7lb_count=400))
+        cluster = FrontendCluster(cluster_config(l7lb_count=400))
         hit = set()
         for port in range(10000):
             tup = ("10.0.0.1", cluster.vips[0], 65535 - port, 443, 17)
@@ -148,7 +142,7 @@ class TestRoute:
 
     def test_cid_aware_host_id_decode(self):
         cfg = cluster_config(mode=RoutingMode.CID_AWARE, l7lb_count=50, operator="Facebook")
-        cluster = build_cluster(cfg)
+        cluster = FrontendCluster(cfg)
         from quicscope.scid import FacebookScidFields, encode_facebook_scid
 
         dcid = encode_facebook_scid(FacebookScidFields(1, 37, 2, 0), random_bits_seed=5)
@@ -168,7 +162,7 @@ class TestRendezvousGolden:
 
     @pytest.fixture
     def cluster(self):
-        return build_cluster(
+        return FrontendCluster(
             ClusterConfig(
                 vips=["157.240.1.1", "157.240.1.2"],
                 l7lb_count=24,
@@ -230,7 +224,7 @@ class TestServeInitial:
         return simulate_to_pcap(cfg, tmp_path / "capture.pcap")
 
     def test_facebook_separate_datagram_rounds(self, tmp_path):
-        result, datagrams = self.run_session(tmp_path, "Facebook")
+        _, datagrams = self.run_session(tmp_path, "Facebook")
         prof = default_stack_profile("Facebook")
         # 1 + max_retransmissions rounds, two datagrams each
         assert len(datagrams) == (1 + prof.max_retransmissions) * 2
@@ -240,26 +234,25 @@ class TestServeInitial:
         assert all(len(split_coalesced(d.payload)) == 1 for d in datagrams)
 
     def test_google_coalesced_rounds_echo_scid(self, tmp_path):
-        result, datagrams = self.run_session(tmp_path, "Google")
+        truth, datagrams = self.run_session(tmp_path, "Google")
         prof = default_stack_profile("Google")
         assert len(datagrams) == 1 + prof.max_retransmissions
         for d in datagrams:
             packets = split_coalesced(d.payload)
             assert [p.packet_type for p in packets] == [PacketType.INITIAL, PacketType.HANDSHAKE]
-        truth = result.truth[0]
-        assert truth.server_scid == truth.client_dcid[:8]
+        assert truth[0].server_scid == truth[0].client_dcid[:8]
 
     def test_facebook_scid_encodes_serving_instance(self, tmp_path):
-        result, _ = self.run_session(tmp_path, "Facebook")
-        truth = result.truth[0]
+        rows, _ = self.run_session(tmp_path, "Facebook")
+        truth = rows[0]
         fields = decode_facebook_scid(truth.server_scid)
         assert fields.scid_version == 1
         assert fields.host_id == truth.host_id
         assert fields.worker_id == truth.worker_id
 
     def test_cloudflare_signature_scids(self, tmp_path):
-        result, _ = self.run_session(tmp_path, "Cloudflare")
-        truth = result.truth[0]
+        rows, _ = self.run_session(tmp_path, "Cloudflare")
+        truth = rows[0]
         assert len(truth.server_scid) == 20
         assert truth.server_scid[0] == 0x01
 
@@ -407,7 +400,7 @@ class TestFloodDeterminism:
     def test_different_seed_differs(self):
         a = simulate_flood(self.make_config(7))
         b = simulate_flood(self.make_config(8))
-        assert [t.server_scid for t in a.truth] != [t.server_scid for t in b.truth]
+        assert [t.server_scid for t in a] != [t.server_scid for t in b]
 
     def test_rounds_bounded_by_config(self, tmp_path):
         _, datagrams = simulate_to_pcap(self.make_config(7), tmp_path / "capture.pcap")
@@ -438,9 +431,9 @@ class TestFloodDeterminism:
             stats = packet_type_stats(records)
             if operator == "Google":
                 # coalescing stack: the combined category dominates outright
-                assert stats.coalesced_share(operator) > 50.0
+                assert stats.percentages(operator)["Initial & Handshake"] > 50.0
             else:
-                assert stats.coalesced_share(operator) == 0.0
+                assert not any("&" in category for category in stats.percentages(operator))
 
     def test_sessions_per_vip(self):
         cfg = DeploymentConfig(
@@ -448,9 +441,8 @@ class TestFloodDeterminism:
             flood=FloodConfig(sources=["100.64.9.9"], duration=0.1, sessions_per_vip=3),
             seed=1,
         )
-        result = simulate_flood(cfg)
         per_vip = {}
-        for t in result.truth:
+        for t in simulate_flood(cfg):
             per_vip[t.vip] = per_vip.get(t.vip, 0) + 1
         assert per_vip == {vip: 3 for vip in cfg.clusters[0].vips}
 
