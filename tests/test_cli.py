@@ -360,6 +360,49 @@ class TestReproducibility:
         assert digests == self.GOLDEN
 
 
+class TestClassifyGolden:
+    # on-net Facebook VIPs (in the prefix table), off-net Facebook VIPs with
+    # low and with high host IDs, and coalescing background servers with
+    # random SCIDs and Facebook's retransmission timing
+    DEPLOY = {
+        "seed": 11,
+        "clusters": [
+            {"name": "onnet", "operator": "Facebook", "vip_base": "157.240.8.1", "vip_count": 3,
+             "l7lb_count": 12, "host_id_base": 4000},
+            {"name": "offnet", "operator": "Facebook", "vip_base": "45.60.0.1", "vip_count": 4,
+             "l7lb_count": 6, "host_id_base": 20},
+            {"name": "offnet-high", "operator": "Facebook", "vip_base": "45.61.0.1", "vip_count": 2,
+             "l7lb_count": 6, "host_id_base": 9000},
+            {"name": "background", "vip_base": "198.18.0.1", "vip_count": 6, "l7lb_count": 4,
+             "profile": {"operator": "background", "initial_rto": 0.4, "max_retransmissions": 8,
+                         "coalescence": True, "scid_scheme": "uniform_random"}},
+        ],
+        "flood": {"source_base": "100.64.0.0", "source_count": 15, "sessions_per_vip": 5,
+                  "duration": 140.0, "arrival_window": 30.0},
+    }
+    # sha256 of classify's outputs for the chain below
+    GOLDEN = {
+        "features.tsv": "6e68658c278368ce3e89f97faeac0369a9edd06be01e2cdaea3ea7f58fb7e90e",
+        "metrics.tsv": "398ce97dc2cfd85881c7599fc99d914262d9d416a2d7b9b7972fb536dd236a39",
+        "predictions.tsv": "ff4b5718b39a5b4062415d4f6a52c927093ebbb5e94572df10b1493a21189661",
+    }
+
+    def test_outputs_match_golden_digests(self, tmp_path):
+        config, prefixes, truth = tmp_path / "deploy.json", tmp_path / "prefixes.tsv", tmp_path / "truth.tsv"
+        config.write_text(json.dumps(self.DEPLOY))
+        prefixes.write_text("157.240.0.0/16\t32934\tFacebook\n")
+        labels = [f"157.240.8.{i}\tFacebook" for i in range(1, 4)]
+        labels += [f"45.60.0.{i}\tFacebook" for i in range(1, 5)]
+        labels += [f"45.61.0.{i}\tFacebook" for i in range(1, 3)]
+        labels += [f"198.18.0.{i}\tNotOperator" for i in range(1, 7)]
+        truth.write_text("\n".join(labels) + "\n")
+        assert run("simulate", "--config", config, "--out-dir", tmp_path / "sim") == 0
+        assert run("ingest", "--capture", tmp_path / "sim" / "capture.pcap", "--prefix-table", prefixes, "--out-dir", tmp_path / "ing") == 0
+        assert run("classify", "--datagrams", tmp_path / "ing" / "datagrams.jsonl", "--truth", truth, "--out-dir", tmp_path / "cls") == 0
+        digests = {name: hashlib.sha256((tmp_path / "cls" / name).read_bytes()).hexdigest() for name in self.GOLDEN}
+        assert digests == self.GOLDEN
+
+
 class TestJsonlFormat:
     def test_structured_record_mode(self, deploy_config, tmp_path):
         out = tmp_path / "sim"
