@@ -194,24 +194,24 @@ def cmd_ingest(args) -> int:
 # --- fingerprint -------------------------------------------------------------
 
 
-def _by_operator(items) -> dict:
-    """Operator -> its items in input order, in one pass; items with no
-    operator are left out."""
+def _group(items, key) -> dict:
+    """key(item) -> its items in input order, in one pass; items whose key
+    is None are left out."""
     groups: dict = {}
     for item in items:
-        if item.operator is not None:
-            groups.setdefault(item.operator, []).append(item)
+        k = key(item)
+        if k is not None:
+            groups.setdefault(k, []).append(item)
     return groups
 
 
-def _response_scids(rows) -> list[bytes]:
-    from .wire import Direction
-
-    return sorted({p.scid for row in rows if row.direction == Direction.RESPONSE for p in row.packets})
+def _operator_or_unknown(record) -> str:
+    return record.operator or "Unknown"
 
 
 def cmd_fingerprint(args) -> int:
     from . import fingerprint as fp, scid, tables
+    from .ingest import Traits, group_traits
 
     sessions = tables.load_sessions(_require(args.sessions, "session store"))
     rows = tables.load_datagrams(_require(args.datagrams, "datagram store"))
@@ -227,23 +227,22 @@ def cmd_fingerprint(args) -> int:
         fmt=args.format,
     )
 
-    stats = fp.packet_type_stats(rows)
+    traits = group_traits(rows, _operator_or_unknown)
     stats_rows = []
-    for operator in sorted(stats.counts):
-        for category, pct in stats.percentages(operator).items():
-            stats_rows.append((operator, category, stats.counts[operator][category], pct))
+    hist_rows = []
+    for operator in sorted(traits):
+        counts = traits[operator].type_counts()
+        total = sum(counts.values())
+        for category, n in sorted(counts.items()):
+            stats_rows.append((operator, category, n, 100.0 * n / total))
+        for types, length, n in traits[operator].top_shapes(args.top_lengths):
+            hist_rows.append((operator, ",".join(types), length, n))
     stats_path = tables.write_table(
         out / "packet_types.tsv",
         ["operator", "category", "datagrams", "percent"],
         stats_rows,
         fmt=args.format,
     )
-
-    hist = fp.length_histogram(rows)
-    hist_rows = []
-    for operator in sorted(hist.counts):
-        for types, length, count in hist.top(operator, k=args.top_lengths):
-            hist_rows.append((operator, ",".join(types), length, count))
     hist_path = tables.write_table(
         out / "lengths.tsv",
         ["operator", "types", "length", "count"],
@@ -251,8 +250,7 @@ def cmd_fingerprint(args) -> int:
         fmt=args.format,
     )
 
-    by_operator = _by_operator(sessions)
-    rows_by_operator = _by_operator(rows)
+    by_operator = _group(sessions, lambda session: session.operator)
     operators = sorted(by_operator)
     resend_rows = []
     for op in operators:
@@ -282,13 +280,14 @@ def cmd_fingerprint(args) -> int:
                 estimate.max_retransmissions[1],
             )
         )
-        op_rows = rows_by_operator.get(op, [])
+        # a session store from another capture may name an operator the datagram store lacks
+        op_traits = traits.get(op, Traits())
         scheme = None
         try:
-            scheme = scid.classify_scheme(_response_scids(op_rows), alpha=args.alpha, min_samples=args.min_scids)
+            scheme = scid.classify_scheme(sorted(op_traits.scids), alpha=args.alpha, min_samples=args.min_scids)
         except scid.ScidAnalysisError:
             pass
-        profile = fp.observed_profile(op, estimate, op_rows, scheme)
+        profile = fp.observed_profile(op, estimate, op_traits, scheme)
         matched = fp.match_profile(profile, known)
         match_rows.append(
             (
@@ -343,23 +342,18 @@ def _load_pairs(path: Path) -> dict[str, list[tuple[bytes, bytes]]]:
 
 def cmd_scid(args) -> int:
     from . import scid, tables
+    from .ingest import group_traits
     from .wire import Direction
 
-    populations: dict[str, list[bytes]] = {}
     if args.scids:
-        populations["all"] = tables.load_lines(_require(args.scids, "SCID file"), bytes.fromhex)
+        populations = {"all": sorted(set(tables.load_lines(_require(args.scids, "SCID file"), bytes.fromhex)))}
     elif args.datagrams:
         rows = tables.load_datagrams(_require(args.datagrams, "datagram store"))
-        for row in rows:
-            if row.direction != Direction.RESPONSE:
-                continue
-            op = row.operator or "Unknown"
-            if args.operator and op != args.operator:
-                continue
-            populations.setdefault(op, []).extend(p.scid for p in row.packets)
+        responses = (row for row in rows if row.direction is Direction.RESPONSE)
+        traits = group_traits(responses, _operator_or_unknown, shapes=False)
+        populations = {op: sorted(t.scids) for op, t in traits.items() if not args.operator or op == args.operator}
     else:
         raise FileNotFoundError("need --scids or --datagrams")
-    populations = {op: sorted(set(scids)) for op, scids in populations.items()}
 
     pairs = _load_pairs(_require(args.pairs, "pairs file")) if args.pairs else {}
     out = _out_dir(args)
@@ -455,28 +449,29 @@ def cmd_classify(args) -> int:
     from dataclasses import replace
 
     from . import offnet, tables
+    from .ingest import group_traits, sessionize
     from .wire import Direction
 
     rows = tables.load_datagrams(_require(args.datagrams, "datagram store"))
     truth = offnet.GroundTruth.load(_require(args.truth, "ground-truth labels"))
     params = offnet.RuleParams.load(_require(args.rules, "rule set")) if args.rules else offnet.RuleParams()
 
-    inputs = offnet.collect_source_inputs(rows, idle_gap=args.idle_gap)
-    # on-net rows of the target operator provide the packet-length reference
-    reference_shapes = set()
-    labeled_sources = set()
-    for row in rows:
-        if row.direction != Direction.RESPONSE:
-            continue
-        if row.operator is not None:
-            labeled_sources.add(row.src_ip)
-        if row.operator == params.target_operator:
-            reference_shapes.add((row.types, row.datagram_length))
+    responses = [row for row in rows if row.direction is Direction.RESPONSE]
+    traits = group_traits(responses, lambda row: (row.src_ip, row.operator))
+    sessions = _group(sessionize(responses, idle_gap=args.idle_gap), lambda session: session.key.src_ip)
+    # on-net responses of the target operator provide the packet-length reference
+    reference_shapes = frozenset(
+        shape for (_, operator), t in traits.items() if operator == params.target_operator for shape in t.shapes
+    )
     if reference_shapes and params.reference_shapes is None:
-        params = replace(params, reference_shapes=frozenset(reference_shapes))
+        params = replace(params, reference_shapes=reference_shapes)
 
-    candidates = sorted(src for src in inputs if src not in labeled_sources)
-    features = {src: offnet.extract_features(inputs[src], min_rto_sessions=args.min_rto_sessions) for src in candidates}
+    labeled_sources = {src for src, operator in traits if operator is not None}
+    candidates = sorted(src for src, _ in traits if src not in labeled_sources)
+    features = {
+        src: offnet.extract_features(traits[src, None], sessions.get(src, []), min_rto_sessions=args.min_rto_sessions)
+        for src in candidates
+    }
 
     rules = offnet.RULE_NAMES if args.rule == "all" else (args.rule,)
     for rule in rules:

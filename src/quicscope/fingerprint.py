@@ -12,7 +12,7 @@ from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
 from . import PreconditionError
-from .ingest import CaptureRecord, Session
+from .ingest import Session, Traits
 from .scid import ScidScheme, SchemeKind
 from .tables import read_profiles
 from .wire import Direction, PacketType, VersionRegistry
@@ -75,57 +75,6 @@ def version_tally(sessions: Iterable[Session], registry: VersionRegistry) -> Ver
         label = registry.label(session.version)
         tally.add(role, label if label is not None else OTHERS_LABEL)
     return tally
-
-
-@dataclass
-class PacketTypeStats:
-    """Datagram counts per (operator, packet-type-or-coalesced category)."""
-
-    counts: dict[str, dict[str, int]] = field(default_factory=dict)
-
-    def add(self, operator: str, category: str, n: int = 1) -> None:
-        bucket = self.counts.setdefault(operator, {})
-        bucket[category] = bucket.get(category, 0) + n
-
-    def percentages(self, operator: str) -> dict[str, float]:
-        bucket = self.counts.get(operator, {})
-        total = sum(bucket.values())
-        if total == 0:
-            return {}
-        return {cat: 100.0 * n / total for cat, n in sorted(bucket.items())}
-
-
-def packet_type_stats(records: Iterable[CaptureRecord]) -> PacketTypeStats:
-    """Tabulate datagrams by their packet-type combination; a coalesced
-    combination such as `Initial & Handshake` is its own category."""
-    out = PacketTypeStats()
-    for record in records:
-        out.add(record.operator or "Unknown", " & ".join(record.types))
-    return out
-
-
-@dataclass
-class LengthHistogram:
-    """Counts keyed by (packet-type tuple, datagram length) per operator."""
-
-    counts: dict[str, dict[tuple[tuple[str, ...], int], int]] = field(default_factory=dict)
-
-    def add(self, operator: str, types: tuple[str, ...], length: int, n: int = 1) -> None:
-        bucket = self.counts.setdefault(operator, {})
-        key = (types, length)
-        bucket[key] = bucket.get(key, 0) + n
-
-    def top(self, operator: str, k: int = 7) -> list[tuple[tuple[str, ...], int, int]]:
-        bucket = self.counts.get(operator, {})
-        ranked = sorted(bucket.items(), key=lambda item: (-item[1], item[0]))
-        return [(types, length, n) for (types, length), n in ranked[:k]]
-
-
-def length_histogram(records: Iterable[CaptureRecord]) -> LengthHistogram:
-    out = LengthHistogram()
-    for record in records:
-        out.add(record.operator or "Unknown", record.types, record.datagram_length)
-    return out
 
 
 @dataclass(frozen=True)
@@ -290,19 +239,18 @@ def match_profile(
 def observed_profile(
     operator: str,
     rto: RtoEstimate,
-    records: Iterable[CaptureRecord],
+    traits: Traits,
     scheme: Optional[ScidScheme] = None,
 ) -> FingerprintProfile:
     """Assemble the observed fingerprint of one operator from the RTO
-    estimate of its sessions, its records, and (optionally) an SCID scheme
-    classification."""
-    coalescence = any(len(r.packets) > 1 for r in records)
+    estimate of its sessions, the traits of its datagrams, and (optionally)
+    an SCID scheme classification."""
     structured = scheme is not None and scheme.kind == SchemeKind.STRUCTURED
     server_chosen = scheme is None or scheme.kind != SchemeKind.ECHO_OF_CLIENT_DCID
     return FingerprintProfile(
         operator=operator,
         rto=rto,
-        coalescence=coalescence,
+        coalescence=traits.coalescence,
         server_chosen_ids=server_chosen,
         structured_scids=structured,
     )

@@ -2,8 +2,9 @@
 
 The pipeline is ingest -> sanitize -> annotate_operators -> sessionize. Each
 stage is a stateless per-record transform except sessionization, which
-accumulates per-key state. Input captures are expected in timestamp order
-(standard for single-vantage telescope files); ordering is not re-checked.
+accumulates per-key state. The analyses group records with one fold,
+group_traits. Input captures are expected in timestamp order (standard for
+single-vantage telescope files); ordering is not re-checked.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from pathlib import Path
 from socket import inet_aton
-from typing import Iterable, Iterator, NamedTuple, Optional
+from typing import Callable, Hashable, Iterable, Iterator, NamedTuple, Optional
 
 from .pcap import PcapReader
 from .wire import (
@@ -231,6 +232,57 @@ class Session:
     operator: Optional[str] = None
     asn: Optional[int] = None
     start_ts: float = 0.0
+
+
+@dataclass(slots=True)
+class Traits:
+    """What the analyses read of one group of records: the datagrams per
+    shape, a shape being the (packet-type labels, datagram length) pair,
+    and the SCIDs of the group's responses."""
+
+    shapes: dict[tuple[tuple[str, ...], int], int] = field(default_factory=dict)
+    scids: set[bytes] = field(default_factory=set)
+
+    def type_counts(self) -> dict[str, int]:
+        """Datagrams per packet-type combination over all lengths; a
+        coalesced combination such as `Initial & Handshake` is its own
+        category."""
+        counts: dict[str, int] = {}
+        for (types, _), n in self.shapes.items():
+            category = " & ".join(types)
+            counts[category] = counts.get(category, 0) + n
+        return counts
+
+    def top_shapes(self, k: int) -> list[tuple[tuple[str, ...], int, int]]:
+        """The k most common (types, length, datagrams), ties by shape."""
+        ranked = sorted(self.shapes.items(), key=lambda item: (-item[1], item[0]))
+        return [(types, length, n) for (types, length), n in ranked[:k]]
+
+    @property
+    def coalescence(self) -> bool:
+        """True iff some datagram carries two or more packets."""
+        return any(len(types) > 1 for types, _ in self.shapes)
+
+
+def group_traits(
+    records: Iterable[CaptureRecord], key: Callable[[CaptureRecord], Hashable], shapes: bool = True
+) -> dict[Hashable, Traits]:
+    """Fold records into the Traits of each key(record), in one pass.
+    `shapes=False` leaves every shape count empty, for callers that read
+    only SCIDs."""
+    groups: dict[Hashable, Traits] = {}
+    response = Direction.RESPONSE
+    for record in records:
+        k = key(record)
+        traits = groups.get(k)
+        if traits is None:
+            traits = groups[k] = Traits()
+        if shapes:
+            shape = (record.types, record.datagram_length)
+            traits.shapes[shape] = traits.shapes.get(shape, 0) + 1
+        if record.direction is response:
+            traits.scids.update([p.scid for p in record.packets])
+    return groups
 
 
 def sessionize(records: Iterable[CaptureRecord], idle_gap: float = DEFAULT_IDLE_GAP) -> list[Session]:

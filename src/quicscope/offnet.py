@@ -7,15 +7,14 @@ arrive as a plain `ip<TAB>label` file.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
 
 from . import PreconditionError
 from .fingerprint import InsufficientData, RtoEstimate, estimate_rto
-from .ingest import CaptureRecord, Session, sessionize
+from .ingest import Session, Traits
 from .scid import (
-    CLOUDFLARE_SCID_LENGTH,
     FACEBOOK_SCID_OCTETS,
     CodecError,
     decode_facebook_scid,
@@ -23,7 +22,6 @@ from .scid import (
     low_host_id,
 )
 from .tables import list_of, load_listing, of_type, read_json_fields
-from .wire import Direction
 
 NOT_OPERATOR = "NotOperator"
 DEFAULT_SOURCE_MIN_SESSIONS = 5
@@ -62,7 +60,6 @@ class SourceFeatures:
     one SCID decoded under the Facebook v1 layout.
     """
 
-    source: str
     scid_structured: bool
     scid_scheme_match: Optional[str]
     coalescence: bool
@@ -71,89 +68,40 @@ class SourceFeatures:
     low_host_id: Optional[bool]
 
 
-@dataclass
-class SourceInputs:
-    """Raw per-source material the feature extractor consumes."""
-
-    source: str
-    sessions: list[Session] = field(default_factory=list)
-    scids: list[bytes] = field(default_factory=list)
-    shapes: set[tuple[tuple[str, ...], int]] = field(default_factory=set)
-    any_coalesced: bool = False
-
-
-def collect_source_inputs(
-    records: Sequence[CaptureRecord], idle_gap: float = 60.0
-) -> dict[str, SourceInputs]:
-    """Group response traffic by source address and sessionize it."""
-    inputs: dict[str, SourceInputs] = {}
-    responses = [r for r in records if r.direction == Direction.RESPONSE]
-    for record in responses:
-        src = record.src_ip
-        entry = inputs.setdefault(src, SourceInputs(source=src))
-        entry.shapes.add((record.types, record.datagram_length))
-        if len(record.packets) > 1:
-            entry.any_coalesced = True
-        for packet in record.packets:
-            entry.scids.append(packet.scid)
-    for session in sessionize(responses, idle_gap=idle_gap):
-        src = session.key.src_ip
-        if src in inputs:
-            inputs[src].sessions.append(session)
-    return inputs
-
-
-def _facebook_scheme(scids: Sequence[bytes]) -> bool:
-    if not scids:
-        return False
-    if any(len(s) != FACEBOOK_SCID_OCTETS for s in scids):
-        return False
-    for s in scids:
-        try:
-            decode_facebook_scid(s)
-        except CodecError:
-            return False
-    return True
-
-
 def extract_features(
-    inputs: SourceInputs, min_rto_sessions: int = DEFAULT_SOURCE_MIN_SESSIONS
+    traits: Traits,
+    sessions: Sequence[Session],
+    min_rto_sessions: int = DEFAULT_SOURCE_MIN_SESSIONS,
 ) -> SourceFeatures:
-    """Deterministically assemble the feature vector of one source."""
-    unique_scids = sorted(set(inputs.scids))
+    """Deterministically assemble the feature vector of one source from the
+    traits of its responses and their sessions. Each unique SCID is decoded
+    once."""
+    scids = traits.scids
+    decoded = []
+    for s in scids:
+        if len(s) == FACEBOOK_SCID_OCTETS:
+            try:
+                decoded.append(decode_facebook_scid(s))
+            except CodecError:
+                pass
     scheme_match: Optional[str] = None
-    if unique_scids:
-        if all(len(s) == CLOUDFLARE_SCID_LENGTH for s in unique_scids) and detect_cloudflare_signature(
-            unique_scids
-        ):
+    if scids:
+        if detect_cloudflare_signature(scids):
             scheme_match = "Cloudflare"
-        elif _facebook_scheme(unique_scids):
+        elif len(decoded) == len(scids):
             scheme_match = "Facebook"
-    low: Optional[bool] = None
-    v1_fields = []
-    for s in unique_scids:
-        if len(s) != FACEBOOK_SCID_OCTETS:
-            continue
-        try:
-            fields = decode_facebook_scid(s)
-        except CodecError:
-            continue
-        if fields.scid_version == 1:
-            v1_fields.append(fields)
-    if v1_fields:
-        low = all(low_host_id(f) for f in v1_fields)
-    rto: Optional[RtoEstimate] = None
+    v1_fields = [f for f in decoded if f.scid_version == 1]
+    low = all(low_host_id(f) for f in v1_fields) if v1_fields else None
     try:
-        rto = estimate_rto(inputs.sessions, min_sessions=min_rto_sessions)
+        rto: Optional[RtoEstimate] = estimate_rto(sessions, min_sessions=min_rto_sessions)
     except InsufficientData:
         rto = None
     return SourceFeatures(
-        source=inputs.source,
         scid_structured=scheme_match is not None,
         scid_scheme_match=scheme_match,
-        coalescence=inputs.any_coalesced,
+        coalescence=traits.coalescence,
         rto_signature=rto,
-        length_signature=frozenset(inputs.shapes),
+        length_signature=frozenset(traits.shapes),
         low_host_id=low,
     )
 

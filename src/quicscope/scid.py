@@ -11,7 +11,7 @@ import _random
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import Collection, Iterable, NamedTuple, Optional, Sequence
 
 from . import PreconditionError
 
@@ -149,6 +149,9 @@ def uniformity_test(
     Bonferroni-corrected across positions."""
     if matrix.total < min_samples:
         raise InsufficientSamples(f"{matrix.total} SCIDs < required {min_samples}")
+    if matrix.positions == 0:
+        # zero-length SCIDs (RFC 9000 allows them) have no nybble to test
+        raise InsufficientSamples("SCIDs have no nybble positions")
     threshold = alpha / matrix.positions
     verdicts = []
     for row in matrix.counts:
@@ -318,7 +321,7 @@ def low_host_id(fields: FacebookScidFields) -> bool:
     return fields.host_id < 1 << (16 - LOW_HOST_ID_ZERO_BITS)
 
 
-def detect_cloudflare_signature(scids: Sequence[bytes]) -> bool:
+def detect_cloudflare_signature(scids: Collection[bytes]) -> bool:
     """True iff every SCID is 20 octets starting with 0x01."""
     if not scids:
         raise ScidAnalysisError("signature check needs at least one SCID")

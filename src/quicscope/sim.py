@@ -401,6 +401,11 @@ class FloodConfig:
         # an arrival or ACK before clock time 0 cannot be scheduled
         if self.arrival_window < 0 or self.ack_delay < 0:
             raise InvalidConfig("arrival_window and ack_delay must be >= 0")
+        # either would run a flood that emits nothing
+        if self.duration < 0:
+            raise InvalidConfig(f"duration must be >= 0, got {self.duration}")
+        if self.sessions_per_vip is not None and self.sessions_per_vip < 1:
+            raise InvalidConfig(f"sessions_per_vip must be >= 1, got {self.sessions_per_vip}")
 
 
 def _required(section: dict, key: str, where: str):
@@ -411,8 +416,8 @@ def _required(section: dict, key: str, where: str):
 
 def _address_range(section: dict, stem: str, where: str) -> list[str]:
     """The `{stem}_count` consecutive addresses from `{stem}_base`."""
-    start = int(ipaddress.ip_address(_required(section, f"{stem}_base", where)))
-    return [str(ipaddress.ip_address(start + i)) for i in range(_required(section, f"{stem}_count", where))]
+    base = ipaddress.IPv4Address(_required(section, f"{stem}_base", where))
+    return [str(base + i) for i in range(_required(section, f"{stem}_count", where))]
 
 
 def _build(cls, section: dict, where: str):
@@ -428,11 +433,19 @@ def _build(cls, section: dict, where: str):
     return cls(**values)
 
 
+_str, _int, _number = of_type(str), of_type(int), of_type(float)
+
+
+def _ipv4(value) -> str:
+    """A dotted IPv4 address, kept as written; anything else raises ValueError."""
+    ipaddress.IPv4Address(_str(value))
+    return value
+
+
 # One table per config section: the JSON type of each key. A key is a field
 # of the section's dataclass, which holds its default, or one of the keys
 # from_dict derives fields from: operator, profile, vip_base, vip_count,
 # source_base and source_count.
-_str, _int, _number = of_type(str), of_type(int), of_type(float)
 _PROFILE_FIELDS = {
     "operator": _str,
     "initial_rto": _number,
@@ -447,8 +460,8 @@ _PROFILE_FIELDS = {
 }
 _CLUSTER_FIELDS = {
     "operator": _str,
-    "vips": list_of(_str),
-    "vip_base": _str,
+    "vips": list_of(_ipv4),
+    "vip_base": _ipv4,
     "vip_count": _int,
     "profile": object_of(_PROFILE_FIELDS),
     "l7lb_count": _int,
@@ -460,8 +473,8 @@ _CLUSTER_FIELDS = {
     "name": _str,
 }
 _FLOOD_FIELDS = {
-    "sources": list_of(_str),
-    "source_base": _str,
+    "sources": list_of(_ipv4),
+    "source_base": _ipv4,
     "source_count": _int,
     "duration": _number,
     "sessions_per_vip": _int,

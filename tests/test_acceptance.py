@@ -14,7 +14,7 @@ import numpy as np
 from quicscope import fingerprint as fp
 from quicscope import offnet, probe, scid
 from quicscope.cli import main as cli_main
-from quicscope.ingest import PrefixTable, annotate_operators, ingest, sessionize
+from quicscope.ingest import PrefixTable, annotate_operators, group_traits, ingest, sessionize
 from quicscope.scid import (
     FacebookScidFields,
     PositionVerdict,
@@ -109,10 +109,10 @@ def test_criterion_1_known_profile_round_trip(tmp_path):
         lo, hi = estimate.max_retransmissions
         assert lo <= configured[operator] <= hi
 
-        coalesced = any(len(r.packets) > 1 for r in records)
-        assert coalesced == default_stack_profile(operator).coalescence
+        traits = group_traits(records, lambda r: r.operator or "Unknown")[operator]
+        assert traits.coalescence == default_stack_profile(operator).coalescence
 
-        scids = sorted({p.scid for r in records for p in r.packets})
+        scids = sorted(traits.scids)
         scheme = scid.classify_scheme(scids)
         if operator == "Google":
             # passively random; the echo is only visible with paired DCIDs
@@ -126,7 +126,7 @@ def test_criterion_1_known_profile_round_trip(tmp_path):
         if operator == "Cloudflare":
             assert scid.detect_cloudflare_signature(scids)
 
-        observed = fp.observed_profile(operator, estimate, records, scheme)
+        observed = fp.observed_profile(operator, estimate, traits, scheme)
         assert fp.match_profile(observed, known) == operator
 
     elapsed = time.monotonic() - start
@@ -357,14 +357,17 @@ def test_criterion_7_classifier_metrics(tmp_path):
     )
     _, datagrams = simulate_to_pcap(config, tmp_path / "capture.pcap")
     records = list(ingest(datagrams))
-    inputs = offnet.collect_source_inputs(records)
+    traits = group_traits(records, lambda r: r.src_ip)
+    sessions = {}
+    for session in sessionize(records):
+        sessions.setdefault(session.key.src_ip, []).append(session)
     truth_labels = {vip: "Facebook" for vip in config.clusters[0].vips}
     truth_labels.update({vip: offnet.NOT_OPERATOR for vip in bg_vips})
     truth = offnet.GroundTruth(truth_labels)
 
     predictions = {}
-    for source, source_inputs in inputs.items():
-        features = offnet.extract_features(source_inputs)
+    for source, source_traits in traits.items():
+        features = offnet.extract_features(source_traits, sessions[source])
         predictions[source] = offnet.classify(features, "SCID off-net (low host ID)")
     metrics = offnet.evaluate(predictions, truth, "Facebook")
 

@@ -200,6 +200,41 @@ class TestScidCommand:
     def test_needs_some_input(self, tmp_path):
         assert run("scid", "--out-dir", tmp_path / "o") == 2
 
+    @staticmethod
+    def save_store(path, datagrams, operators):
+        from quicscope import tables
+        from quicscope.ingest import ingest
+
+        records = list(ingest(datagrams))
+        for record in records:
+            record.operator = operators(record)
+        return tables.save_datagrams(path, records)
+
+    def test_zero_length_scids_are_insufficient_data(self, tmp_path):
+        from conftest import make_response
+
+        datagrams = [make_response(0.1 * i, scid=b"", dst=f"172.16.0.{i}") for i in range(5)]
+        store = self.save_store(tmp_path / "d.jsonl", datagrams, lambda record: None)
+        out = run_python("-m", "quicscope.cli", "scid", "--datagrams", store, "--min-samples", "1", "--out-dir", tmp_path / "scid")
+        assert out.returncode == 0, out.stderr
+        assert "Traceback" not in out.stderr
+        schemes = (tmp_path / "scid" / "schemes.tsv").read_text().splitlines()
+        assert schemes[1].split("\t") == ["Unknown", "1", "0", "insufficient_data", "", "false"]
+
+    def test_operator_with_only_requests_has_no_population(self, tmp_path):
+        from conftest import make_request, make_response
+
+        datagrams = [make_response(0.1 * i, scid=bytes([i]) * 8, dst=f"172.16.0.{i}") for i in range(4)]
+        datagrams += [make_request(1 + 0.1 * i, dst="192.0.2.9") for i in range(4)]
+        store = self.save_store(
+            tmp_path / "d.jsonl", datagrams, lambda record: "Responder" if record.src_ip == "198.51.100.1" else "Requested"
+        )
+        assert run("scid", "--datagrams", store, "--min-samples", "1", "--out-dir", tmp_path / "scid") == 0
+        lengths = (tmp_path / "scid" / "scid_lengths.tsv").read_text().splitlines()
+        assert lengths[1:] == ["Responder\t8\t4"]
+        schemes = (tmp_path / "scid" / "schemes.tsv").read_text()
+        assert "Requested" not in schemes
+
 
 class TestClassifyCommand:
     def test_missing_truth_label_is_precondition_error(self, deploy_config, tmp_path):
@@ -618,6 +653,7 @@ class TestStoreRows:
             ("probe", {"vips": ["1.2.3.5"], "host_ids": [1, 1]}, ": duplicate host IDs in cluster"),
             ("simulate", {"vips": ["1.2.3.5"], "l7lb_count": 0}, ": cluster needs at least one L7LB instance"),
             ("probe", {"vips": ["1.2.3.5"], "host_ids": [1 << 16]}, ": host_id 65536 does not fit in 16 bits"),
+            ("probe", {"vips": ["300.1.1.1"], "l7lb_count": 1}, ": key 'clusters': key 'vips': Octet 300 (> 255) not permitted in '300.1.1.1'"),
             ("simulate", {"vips": ["1.2.3.5"], "l7lb_count": 1, "workers": 0}, ": workers must be >= 1"),
             ("simulate", {"vips": ["1.2.3.5"], "l7lb_count": 1, "workers": 257}, ": worker_id 256 does not fit in 8 bits"),
             (
@@ -627,7 +663,7 @@ class TestStoreRows:
             ),
         ],
         ids=[
-            "vip-in-two-clusters", "duplicate-host-ids", "no-instances", "host-id-width", "no-workers",
+            "vip-in-two-clusters", "duplicate-host-ids", "no-instances", "host-id-width", "vip-not-ipv4", "no-workers",
             "worker-id-width", "scid-length",
         ],
     )
@@ -656,8 +692,23 @@ class TestStoreRows:
                 json.dumps(dict(DEPLOY, flood={"sources": ["100.64.0.1"], "duration": 1.0, "arrival_window": -1.0})),
                 ": arrival_window and ack_delay must be >= 0",
             ),
+            (
+                json.dumps(dict(DEPLOY, flood={"sources": ["nohost"], "duration": 1.0})),
+                ": key 'flood': key 'sources': Expected 4 octets in 'nohost'",
+            ),
+            (
+                json.dumps(dict(DEPLOY, flood={"sources": ["100.64.0.1"], "duration": -5, "sessions_per_vip": 2})),
+                ": duration must be >= 0, got -5",
+            ),
+            (
+                json.dumps(dict(DEPLOY, flood={"sources": ["100.64.0.1"], "duration": 5, "sessions_per_vip": -2})),
+                ": sessions_per_vip must be >= 1, got -2",
+            ),
         ],
-        ids=["empty-clusters", "no-clusters", "no-flood", "no-sources", "negative-arrival-window"],
+        ids=[
+            "empty-clusters", "no-clusters", "no-flood", "no-sources", "negative-arrival-window", "source-not-ipv4",
+            "negative-duration", "negative-sessions-per-vip",
+        ],
     )
     def test_simulate_config_rejected_before_any_output(self, tmp_path, text, message):
         config = tmp_path / "deploy.json"

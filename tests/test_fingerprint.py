@@ -9,14 +9,12 @@ from quicscope.fingerprint import (
     InsufficientData,
     RtoEstimate,
     estimate_rto,
-    length_histogram,
     load_known_profiles,
     match_profile,
-    packet_type_stats,
     resend_count_distribution,
     version_tally,
 )
-from quicscope.ingest import Session, SessionKey, TimelineEntry, ingest
+from quicscope.ingest import Session, SessionKey, TimelineEntry, group_traits, ingest
 from quicscope.wire import Direction, PacketType, VersionRegistry
 
 from conftest import make_response
@@ -100,6 +98,17 @@ class TestVersionTally:
         assert a.counts == b.counts
 
 
+def traits_by_operator(records):
+    """The fold as fingerprint keys it."""
+    return group_traits(records, lambda r: r.operator or "Unknown")
+
+
+def percentages(traits) -> dict[str, float]:
+    counts = traits.type_counts()
+    total = sum(counts.values())
+    return {category: 100.0 * n / total for category, n in sorted(counts.items())}
+
+
 class TestPacketTypeStats:
     def test_coalesced_is_its_own_category(self):
         records = list(
@@ -112,8 +121,10 @@ class TestPacketTypeStats:
         )
         for r in records:
             r.operator = "Google"
-        stats = packet_type_stats(records)
-        pct = stats.percentages("Google")
+        traits = traits_by_operator(records)["Google"]
+        assert traits.type_counts() == {"Initial & Handshake": 1, "Initial": 1}
+        assert traits.coalescence
+        pct = percentages(traits)
         assert pct["Initial & Handshake"] == 50.0
         assert pct["Initial"] == 50.0
 
@@ -123,13 +134,13 @@ class TestPacketTypeStats:
         )
         for r in records:
             r.operator = "Facebook"
-        stats = packet_type_stats(records)
-        assert stats.percentages("Facebook") == {"Initial": 100.0}
+        traits = traits_by_operator(records)["Facebook"]
+        assert percentages(traits) == {"Initial": 100.0}
+        assert not traits.coalescence
 
     def test_single_initial_corpus(self):
         records = list(ingest([make_response(0.0)]))
-        stats = packet_type_stats(records)
-        assert stats.percentages("Unknown") == {"Initial": 100.0}
+        assert percentages(traits_by_operator(records)["Unknown"]) == {"Initial": 100.0}
 
     def test_percentages_sum_to_100(self):
         rng = random.Random(2)
@@ -142,8 +153,9 @@ class TestPacketTypeStats:
             )
             datagrams.append(make_response(0.01 * i, dst=f"172.16.{i % 9}.1", types=types))
         records = list(ingest(datagrams))
-        stats = packet_type_stats(records)
-        assert abs(sum(stats.percentages("Unknown").values()) - 100.0) < 0.01
+        traits = traits_by_operator(records)["Unknown"]
+        assert sum(traits.type_counts().values()) == 200
+        assert abs(sum(percentages(traits).values()) - 100.0) < 0.01
 
 
 class TestLengthHistogram:
@@ -151,8 +163,7 @@ class TestLengthHistogram:
         records = list(
             ingest([make_response(0.1 * i, dst=f"172.16.0.{i}", pad_to=1200) for i in range(5)])
         )
-        hist = length_histogram(records)
-        top = hist.top("Unknown", 1)
+        top = traits_by_operator(records)["Unknown"].top_shapes(1)
         assert top == [(("Initial",), 1200, 5)]
 
     def test_coalesced_key(self):
@@ -165,12 +176,51 @@ class TestLengthHistogram:
                 ]
             )
         )
-        hist = length_histogram(records)
-        assert hist.top("Unknown") == [(("Initial", "Handshake"), 1252, 1)]
+        assert traits_by_operator(records)["Unknown"].top_shapes(7) == [(("Initial", "Handshake"), 1252, 1)]
 
     def test_empty(self):
-        hist = length_histogram([])
-        assert hist.top("anyone") == []
+        assert traits_by_operator([]) == {}
+
+    def test_ties_rank_by_shape(self):
+        records = list(
+            ingest(
+                [make_response(0.1 * i, dst=f"172.16.0.{i}", pad_to=1300) for i in range(3)]
+                + [make_response(1 + 0.1 * i, dst=f"172.16.1.{i}", pad_to=1200) for i in range(3)]
+                + [make_response(2.0, dst="172.16.2.1", pad_to=1250)]
+            )
+        )
+        assert traits_by_operator(records)["Unknown"].top_shapes(2) == [
+            (("Initial",), 1200, 3),
+            (("Initial",), 1300, 3),
+        ]
+
+
+class TestGroupTraits:
+    def test_scids_come_from_responses_only(self):
+        from conftest import make_request
+
+        records = list(
+            ingest([make_response(0.0, scid=b"\x01" * 8), make_request(0.5, scid=b"\x02" * 8)])
+        )
+        traits = traits_by_operator(records)["Unknown"]
+        assert traits.scids == {b"\x01" * 8}
+        assert sum(traits.shapes.values()) == 2
+
+    def test_operator_with_only_requests_has_no_scids(self):
+        from conftest import make_request
+
+        records = list(ingest([make_request(0.1 * i, dst="192.0.2.9") for i in range(3)]))
+        for r in records:
+            r.operator = "Requested"
+        traits = traits_by_operator(records)["Requested"]
+        assert traits.scids == set()
+        assert traits.type_counts() == {"Initial": 3}
+
+    def test_without_shapes_keeps_scids(self):
+        records = list(ingest([make_response(0.1 * i, scid=bytes([i]) * 8) for i in range(3)]))
+        traits = group_traits(records, lambda r: r.src_ip, shapes=False)
+        assert traits["198.51.100.1"].shapes == {}
+        assert traits["198.51.100.1"].scids == {bytes([i]) * 8 for i in range(3)}
 
 
 class TestEstimateRto:

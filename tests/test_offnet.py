@@ -5,7 +5,7 @@ import random
 import pytest
 
 from quicscope.fingerprint import RtoEstimate
-from quicscope.ingest import ingest
+from quicscope.ingest import group_traits, ingest, sessionize
 from quicscope.offnet import (
     NOT_OPERATOR,
     GroundTruth,
@@ -14,19 +14,18 @@ from quicscope.offnet import (
     SourceFeatures,
     UnknownRule,
     classify,
-    collect_source_inputs,
     evaluate,
     extract_features,
 )
 from quicscope.scid import FacebookScidFields, encode_facebook_scid
 from quicscope.sim import DeploymentConfig, FloodConfig, ClusterConfig, RoutingMode, default_stack_profile
+from quicscope.wire import Direction
 
 from conftest import make_response, simulate_to_pcap
 
 
 def features(**overrides) -> SourceFeatures:
     base = dict(
-        source="192.0.2.1",
         scid_structured=False,
         scid_scheme_match=None,
         coalescence=False,
@@ -36,6 +35,15 @@ def features(**overrides) -> SourceFeatures:
     )
     base.update(overrides)
     return SourceFeatures(**base)
+
+
+def source_features(records, source, min_rto_sessions=5) -> SourceFeatures:
+    """Features of one source address, folded from its response records
+    the way classify folds them."""
+    responses = [r for r in records if r.direction is Direction.RESPONSE]
+    traits = group_traits(responses, lambda r: r.src_ip)
+    sessions = [s for s in sessionize(responses) if s.key.src_ip == source]
+    return extract_features(traits[source], sessions, min_rto_sessions=min_rto_sessions)
 
 
 def facebook_scid(host, worker=1, seed=0):
@@ -58,13 +66,12 @@ class TestExtractFeatures:
             seed=21,
         )
         _, datagrams = simulate_to_pcap(cfg, tmp_path / "capture.pcap")
-        records = list(ingest(datagrams))
-        return collect_source_inputs(records)
+        return list(ingest(datagrams))
 
     def test_facebook_source_features(self, tmp_path):
-        inputs = self.run_flood(tmp_path, "Facebook")
+        records = self.run_flood(tmp_path, "Facebook")
         # the source is the VIP that emitted the backscatter
-        f = extract_features(inputs["203.0.113.1"], min_rto_sessions=3)
+        f = source_features(records, "203.0.113.1", min_rto_sessions=3)
         assert f.scid_scheme_match == "Facebook"
         assert f.scid_structured
         assert not f.coalescence
@@ -73,21 +80,20 @@ class TestExtractFeatures:
         assert f.low_host_id is True
 
     def test_high_host_ids_not_low(self, tmp_path):
-        inputs = self.run_flood(tmp_path, "Facebook", host_base=9000)
-        f = extract_features(inputs["203.0.113.1"], min_rto_sessions=3)
+        records = self.run_flood(tmp_path, "Facebook", host_base=9000)
+        f = source_features(records, "203.0.113.1", min_rto_sessions=3)
         assert f.scid_scheme_match == "Facebook"
         assert f.low_host_id is False
 
     def test_cloudflare_scheme_match(self, tmp_path):
-        inputs = self.run_flood(tmp_path, "Cloudflare")
-        f = extract_features(inputs["203.0.113.1"], min_rto_sessions=3)
+        records = self.run_flood(tmp_path, "Cloudflare")
+        f = source_features(records, "203.0.113.1", min_rto_sessions=3)
         assert f.scid_scheme_match == "Cloudflare"
         assert f.coalescence
 
     def test_single_packet_source_has_no_rto(self):
         records = list(ingest([make_response(0.0, src="198.51.100.9")]))
-        inputs = collect_source_inputs(records)
-        f = extract_features(inputs["198.51.100.9"])
+        f = source_features(records, "198.51.100.9")
         assert f.rto_signature is None
 
     def test_random_scids_do_not_match_facebook(self):
@@ -101,10 +107,33 @@ class TestExtractFeatures:
                 ]
             )
         )
-        inputs = collect_source_inputs(records)
-        f = extract_features(inputs["198.51.100.9"])
+        f = source_features(records, "198.51.100.9")
         # seeded draw picks at least one scid with version bits outside {1,2}
         assert f.scid_scheme_match is None
+
+    def test_mixed_lengths_match_no_scheme(self):
+        scids = [facebook_scid(5), facebook_scid(6, seed=1), b"\x01" * 20]
+        records = list(
+            ingest([make_response(0.1 * i, src="198.51.100.9", scid=s, dst=f"172.16.0.{i}") for i, s in enumerate(scids)])
+        )
+        f = source_features(records, "198.51.100.9")
+        assert f.scid_scheme_match is None
+        assert not f.scid_structured
+        # the two 8-octet SCIDs still decode under the v1 layout
+        assert f.low_host_id is True
+
+    def test_each_unique_scid_decoded_once(self, monkeypatch):
+        import quicscope.offnet as offnet
+
+        calls = []
+        decode = offnet.decode_facebook_scid
+        monkeypatch.setattr(offnet, "decode_facebook_scid", lambda s: calls.append(s) or decode(s))
+        scids = [facebook_scid(5), facebook_scid(6, seed=1), b"\x01" * 20]
+        datagrams = [
+            make_response(0.1 * i, src="198.51.100.9", scid=scids[i % 3], dst=f"172.16.0.{i}") for i in range(9)
+        ]
+        source_features(list(ingest(datagrams)), "198.51.100.9")
+        assert sorted(calls) == sorted(scids[:2])
 
 
 class TestLowHostIdPredicate:

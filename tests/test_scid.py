@@ -299,6 +299,11 @@ class TestUniformityTest:
         with pytest.raises(InsufficientSamples):
             uniformity_test(nybble_frequencies(scids), min_samples=500)
 
+    @pytest.mark.parametrize("scids", [[b""] * 3, []], ids=["zero-length", "empty"])
+    def test_no_positions_is_insufficient(self, scids):
+        with pytest.raises(InsufficientSamples, match="no nybble positions"):
+            uniformity_test(nybble_frequencies(scids), min_samples=0)
+
     def test_statistic_matches_numpy_exactly(self):
         # numpy is the oracle here: the statistic was once computed as below
         rng = np.random.default_rng(77)

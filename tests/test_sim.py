@@ -2,6 +2,7 @@
 connection-state semantics, and capture determinism."""
 
 import hashlib
+import re
 import struct
 import tracemalloc
 from dataclasses import asdict, fields
@@ -9,7 +10,7 @@ from dataclasses import asdict, fields
 import pytest
 
 from quicscope.fingerprint import resend_rounds
-from quicscope.ingest import ingest, sessionize
+from quicscope.ingest import group_traits, ingest, sessionize
 from quicscope.pcap import PcapWriter
 from quicscope.scid import decode_facebook_scid
 from quicscope.sim import (
@@ -412,7 +413,7 @@ class TestFloodDeterminism:
             assert len(resend_rounds(s)) <= 1 + prof.max_retransmissions
 
     def test_resend_mode_matches_configured_range(self, tmp_path):
-        from quicscope.fingerprint import packet_type_stats, resend_count_distribution
+        from quicscope.fingerprint import resend_count_distribution
 
         for operator, low, high in (("Facebook", 7, 9), ("Google", 3, 6)):
             cfg = DeploymentConfig(
@@ -428,12 +429,12 @@ class TestFloodDeterminism:
             hist = resend_count_distribution(sessions)
             mode = max(hist, key=hist.get)
             assert low <= mode <= high
-            stats = packet_type_stats(records)
+            counts = group_traits(records, lambda r: r.operator)[operator].type_counts()
             if operator == "Google":
                 # coalescing stack: the combined category dominates outright
-                assert stats.percentages(operator)["Initial & Handshake"] > 50.0
+                assert counts["Initial & Handshake"] > sum(counts.values()) / 2
             else:
-                assert not any("&" in category for category in stats.percentages(operator))
+                assert not any("&" in category for category in counts)
 
     def test_sessions_per_vip(self):
         cfg = DeploymentConfig(
@@ -685,6 +686,39 @@ class TestDeploymentConfigFields:
         assert asdict(cfg.flood) == dict(FLOOD_DEFAULTS, sources=["100.64.0.1"], duration=1.0)
         assert cfg.clusters[0].profile == default_stack_profile("Google")
         assert (cfg.clusters[0].name, cfg.seed) == ("cluster0", 0)
+
+    @pytest.mark.parametrize(
+        "cluster,flood,message",
+        [
+            ({"vips": ["300.1.1.1"]}, {}, "key 'vips': Octet 300 (> 255) not permitted in '300.1.1.1'"),
+            ({"vips": ["2001:db8::1"]}, {}, "key 'vips': Expected 4 octets in '2001:db8::1'"),
+            ({"vips": [], "vip_base": "nohost", "vip_count": 2}, {}, "key 'vip_base': Expected 4 octets in 'nohost'"),
+            ({"vips": [], "vip_base": "255.255.255.255", "vip_count": 2}, {}, "4294967296 (>= 2**32) is not permitted as an IPv4 address"),
+            ({}, {"sources": ["nohost"]}, "key 'sources': Expected 4 octets in 'nohost'"),
+            ({}, {"sources": [], "source_base": "100.64.0.256", "source_count": 1}, "key 'source_base': Octet 256 (> 255) not permitted"),
+            ({}, {"duration": -5.0}, "duration must be >= 0, got -5.0"),
+            ({}, {"sessions_per_vip": 0}, "sessions_per_vip must be >= 1, got 0"),
+            ({}, {"sessions_per_vip": -2}, "sessions_per_vip must be >= 1, got -2"),
+        ],
+        ids=[
+            "vip-octet", "vip-ipv6", "vip-base-name", "vip-range-past-end", "source-name", "source-base-octet",
+            "negative-duration", "no-sessions-per-vip", "negative-sessions-per-vip",
+        ],
+    )
+    def test_rejected_values(self, cluster, flood, message):
+        raw = {
+            "clusters": [{"operator": "Google", "vips": ["203.0.113.1"], "l7lb_count": 1, **cluster}],
+            "flood": {"sources": ["100.64.0.1"], "duration": 1.0, **flood},
+        }
+        with pytest.raises(ValueError, match=re.escape(message)):
+            DeploymentConfig.from_dict(raw)
+
+    def test_zero_duration_is_accepted(self):
+        raw = {
+            "clusters": [{"operator": "Google", "vips": ["203.0.113.1"], "l7lb_count": 1}],
+            "flood": {"sources": ["100.64.0.1"], "duration": 0.0, "sessions_per_vip": 1},
+        }
+        assert DeploymentConfig.from_dict(raw).flood.duration == 0.0
 
     @pytest.mark.parametrize(
         "table,cls",

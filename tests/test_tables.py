@@ -7,8 +7,7 @@ import re
 import pytest
 
 from quicscope import tables
-from quicscope.fingerprint import length_histogram, packet_type_stats
-from quicscope.ingest import CaptureRecord, PrefixTable, annotate_operators, ingest
+from quicscope.ingest import CaptureRecord, PrefixTable, annotate_operators, group_traits, ingest
 from quicscope.wire import Direction, LongHeader, PacketType
 
 from conftest import make_request, make_response
@@ -55,9 +54,9 @@ class TestDatagramStore:
     def test_stats_agree_on_live_and_loaded_records(self, tmp_path):
         live = live_records()
         loaded = tables.load_datagrams(tables.save_datagrams(tmp_path / "datagrams.jsonl", live))
-        assert packet_type_stats(loaded).counts == packet_type_stats(live).counts
-        assert length_histogram(loaded).counts == length_histogram(live).counts
-        assert packet_type_stats(live).counts["Facebook"]["Initial & Handshake"] == 1
+        for key in (lambda r: r.operator or "Unknown", lambda r: (r.src_ip, r.operator)):
+            assert group_traits(loaded, key) == group_traits(live, key)
+        assert group_traits(live, lambda r: r.operator)["Facebook"].type_counts()["Initial & Handshake"] == 1
 
     def test_rows_equal_sorted_json_dumps(self, tmp_path):
         def packet(ptype, version, octet):
