@@ -70,6 +70,15 @@ def _out_dir(args) -> Path:
     return out
 
 
+def _write_manifest(args, outputs: list[Path], seed: int | None = None, **counts: int) -> None:
+    """Record every option of the run as parsed (paths as given), so that no
+    option that changes an output can be left out of the manifest."""
+    from . import tables
+
+    arguments = {k: v for k, v in vars(args).items() if k not in ("handler", "subcommand", "out_dir")}
+    tables.write_manifest(args.out_dir, args.subcommand, __version__, seed, arguments, [p.name for p in outputs], counts)
+
+
 # --- simulate ----------------------------------------------------------------
 
 
@@ -118,14 +127,8 @@ def cmd_simulate(args) -> int:
         [(t.operator, t.server_scid.hex(), t.client_dcid.hex()) for t in truth],
         fmt=args.format,
     )
-    tables.write_manifest(
-        out,
-        "simulate",
-        __version__,
-        config.seed,
-        {"config": str(config_path)},
-        [capture_path.name, truth_path.name, pairs_path.name],
-        parameters={"datagrams": capture.records, "handshakes": len(truth)},
+    _write_manifest(
+        args, [capture_path, truth_path, pairs_path], config.seed, datagrams=capture.records, handshakes=len(truth)
     )
     print(f"simulate: {len(truth)} handshakes, {capture.records} datagrams -> {capture_path}")
     return EXIT_OK
@@ -170,20 +173,7 @@ def cmd_ingest(args) -> int:
         sorted(counters.as_dict().items()),
         fmt=args.format,
     )
-    tables.write_manifest(
-        out,
-        "ingest",
-        __version__,
-        None,
-        {
-            "capture": str(capture),
-            "prefix_table": args.prefix_table,
-            "scanner_list": args.scanner_list,
-            "registry": args.registry,
-        },
-        [sessions_path.name, datagrams_path.name, counters_path.name],
-        parameters={"idle_gap": args.idle_gap, "sessions": len(sessions), "records": len(records)},
-    )
+    _write_manifest(args, [sessions_path, datagrams_path, counters_path], sessions=len(sessions), records=len(records))
     print(
         f"ingest: {counters.emitted} records, {len(sessions)} sessions, "
         f"{counters.removed_fraction():.1%} removed by sanitization"
@@ -311,15 +301,7 @@ def cmd_fingerprint(args) -> int:
         match_rows,
         fmt=args.format,
     )
-    tables.write_manifest(
-        out,
-        "fingerprint",
-        __version__,
-        None,
-        {"sessions": args.sessions, "datagrams": args.datagrams, "profiles": args.profiles, "registry": args.registry},
-        [p.name for p in (tally_path, stats_path, hist_path, resends_path, rto_path, match_path)],
-        parameters={"min_sessions": args.min_sessions, "alpha": args.alpha, "min_scids": args.min_scids},
-    )
+    _write_manifest(args, [tally_path, stats_path, hist_path, resends_path, rto_path, match_path])
     print(f"fingerprint: {len(operators)} operators, {len(match_rows)} matched rows")
     return EXIT_OK
 
@@ -346,7 +328,10 @@ def cmd_scid(args) -> int:
     from .wire import Direction
 
     if args.scids:
-        populations = {"all": sorted(set(tables.load_lines(_require(args.scids, "SCID file"), bytes.fromhex)))}
+        scids = sorted(set(tables.load_lines(_require(args.scids, "SCID file"), bytes.fromhex)))
+        if not scids:
+            raise scid.InsufficientSamples(f"{args.scids}: no SCIDs to analyze")
+        populations = {"all": scids}
     elif args.datagrams:
         rows = tables.load_datagrams(_require(args.datagrams, "datagram store"))
         responses = (row for row in rows if row.direction is Direction.RESPONSE)
@@ -429,15 +414,7 @@ def cmd_scid(args) -> int:
         length_rows,
         fmt=args.format,
     )
-    tables.write_manifest(
-        out,
-        "scid",
-        __version__,
-        None,
-        {"datagrams": args.datagrams, "scids": args.scids, "pairs": args.pairs},
-        [p.name for p in (nybbles_path, uniformity_path, schemes_path, lengths_path)],
-        parameters={"alpha": args.alpha, "min_samples": args.min_samples},
-    )
+    _write_manifest(args, [nybbles_path, uniformity_path, schemes_path, lengths_path])
     print(f"scid: {len(populations)} populations analyzed")
     return EXIT_OK
 
@@ -529,15 +506,7 @@ def cmd_classify(args) -> int:
         metric_rows,
         fmt=args.format,
     )
-    tables.write_manifest(
-        out,
-        "classify",
-        __version__,
-        None,
-        {"datagrams": args.datagrams, "truth": args.truth, "rules": args.rules},
-        [p.name for p in (features_path, predictions_path, metrics_path)],
-        parameters={"rule": args.rule, "min_rto_sessions": args.min_rto_sessions},
-    )
+    _write_manifest(args, [features_path, predictions_path, metrics_path])
     print(f"classify: {len(candidates)} candidate sources, {len(rules)} rules")
     return EXIT_OK
 
@@ -595,12 +564,9 @@ def cmd_probe(args) -> int:
             raise FileNotFoundError("--targets all requires --transport sim with a deployment config")
     else:
         targets = [t for t in args.targets.split(",") if t]
-    codec = probe.facebook_host_codec if args.codec == "facebook" else None
     out = _out_dir(args)
     outputs = []
     if args.mode == "harvest":
-        if codec is None:
-            raise FileNotFoundError("harvest mode needs a host-ID codec (--codec facebook)")
         campaign = probe.ProbeCampaign(
             targets=targets,
             handshakes_per_vip=args.handshakes,
@@ -608,7 +574,7 @@ def cmd_probe(args) -> int:
             inter_probe_gap=args.inter_probe_gap,
             seed=args.seed or 0,
         )
-        harvests = probe.run_campaign(campaign, transport, codec=codec)
+        harvests = probe.run_campaign(campaign, transport)
         harvest_rows = []
         unique_rows = []
         curve_rows = []
@@ -635,7 +601,6 @@ def cmd_probe(args) -> int:
                 transport,
                 probe_interval=args.probe_interval,
                 max_wait=args.max_wait,
-                codec=codec,
                 seed=args.seed or 0,
             )
             verdict_rows.append(
@@ -649,20 +614,7 @@ def cmd_probe(args) -> int:
                 fmt=args.format,
             )
         )
-    tables.write_manifest(
-        out,
-        "probe",
-        __version__,
-        args.seed,
-        {"sim_config": args.sim_config},
-        [p.name for p in outputs],
-        parameters={
-            "mode": args.mode,
-            "targets": args.targets,
-            "handshakes": args.handshakes,
-            "port_strategy": args.port_strategy,
-        },
-    )
+    _write_manifest(args, outputs, args.seed)
     print(f"probe: mode={args.mode}, {len(targets)} targets")
     return EXIT_OK
 
@@ -746,14 +698,7 @@ def cmd_report(args) -> int:
         deployment_out,
         fmt=args.format,
     )
-    tables.write_manifest(
-        out,
-        "report",
-        __version__,
-        None,
-        {"in_dir": str(in_dir)},
-        [version_path.name, types_path.name, deployment_path.name],
-    )
+    _write_manifest(args, [version_path, types_path, deployment_path])
     print(f"report: {len(deployment_out)} operators summarized")
     return EXIT_OK
 
@@ -769,11 +714,11 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--out-dir", required=True, help="directory for outputs and the run manifest")
         p.add_argument("--format", choices=("tsv", "jsonl"), default="tsv")
-        p.add_argument("--seed", type=int, default=None)
 
     p = sub.add_parser("simulate", help="generate synthetic backscatter from a deployment config")
     common(p)
     p.add_argument("--config", required=True, help="deployment config (JSON)")
+    p.add_argument("--seed", type=int, default=None, help="overrides the config's seed")
     p.set_defaults(handler=cmd_simulate)
 
     p = sub.add_parser("ingest", help="read a capture, filter QUIC, sessionize")
@@ -822,6 +767,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("probe", help="active campaigns (simulator loopback by default)")
     common(p)
     p.add_argument("--transport", choices=("sim", "raw"), default="sim")
+    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--sim-config", default=None)
     p.add_argument("--campaign-config", default=None, help="JSON campaign file (targets, handshakes_per_vip, port_strategy, inter_probe_gap, seed)")
     p.add_argument("--targets", default="all", help="comma-separated VIPs or 'all'")
@@ -832,7 +778,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--probe-interval", type=float, default=1.0)
     p.add_argument("--max-wait", type=float, default=600.0)
     p.add_argument("--threshold", type=float, default=0.5)
-    p.add_argument("--codec", choices=("facebook", "none"), default="facebook")
     p.set_defaults(handler=cmd_probe)
 
     p = sub.add_parser("report", help="join analysis outputs into summary tables")

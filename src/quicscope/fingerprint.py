@@ -14,7 +14,7 @@ from typing import Iterable, Optional, Sequence
 from . import PreconditionError
 from .ingest import Session, Traits
 from .scid import ScidScheme, SchemeKind
-from .tables import read_profiles
+from .tables import list_of, object_of, of_type, read_profiles
 from .wire import Direction, PacketType, VersionRegistry
 
 DEFAULT_MIN_SESSIONS = 30
@@ -188,26 +188,39 @@ class FingerprintProfile:
     structured_scids: bool
 
 
+def _int_pair(value) -> tuple[int, int]:
+    lo, hi = list_of(of_type(int))(value)
+    return lo, hi
+
+
+_KNOWN_PROFILE_FIELDS = {
+    "retransmission_range": _int_pair,
+    "initial_rto": of_type(float),
+    "backoff_base": of_type(float),
+    "coalescence": of_type(bool),
+    "server_chosen_ids": of_type(bool),
+    "structured_scids": of_type(bool),
+}
+_known_profile = object_of(_KNOWN_PROFILE_FIELDS, required=tuple(_KNOWN_PROFILE_FIELDS))
+
+
 def load_known_profiles(path: Optional[str | Path] = None) -> list[FingerprintProfile]:
     """Load the known-configuration table (ships with measured defaults for
-    the three profiled hypergiants; the file is editable)."""
+    the three profiled hypergiants; the file is editable). A matching key
+    that is missing or of the wrong JSON type raises FingerprintError naming
+    the file, the profile and the key."""
     profiles = []
-    for operator, cfg in read_profiles(path).items():
+    for operator, raw in read_profiles(path).items():
         try:
-            lo, hi = cfg["retransmission_range"]
-            profiles.append(
-                FingerprintProfile(
-                    operator=operator,
-                    rto=RtoEstimate(cfg["initial_rto"], cfg["backoff_base"], (lo, hi), 0),
-                    coalescence=cfg["coalescence"],
-                    server_chosen_ids=cfg["server_chosen_ids"],
-                    structured_scids=cfg["structured_scids"],
-                )
-            )
+            cfg = _known_profile(raw)
+            rto = RtoEstimate(cfg["initial_rto"], cfg["backoff_base"], cfg["retransmission_range"], 0)
         except KeyError as exc:
             raise FingerprintError(f"{path}: profile {operator!r} is missing key {exc.args[0]!r}") from None
         except (TypeError, ValueError) as exc:
             raise FingerprintError(f"{path}: profile {operator!r}: {exc}") from None
+        profiles.append(
+            FingerprintProfile(operator, rto, cfg["coalescence"], cfg["server_chosen_ids"], cfg["structured_scids"])
+        )
     return profiles
 
 

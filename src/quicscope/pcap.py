@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from socket import inet_ntoa
+from socket import inet_aton, inet_ntoa
 from pathlib import Path
 from typing import BinaryIO, Iterator
 
@@ -61,14 +61,10 @@ def _ip_checksum(data: bytes) -> int:
     return ~total & 0xFFFF
 
 
-def _ip_to_bytes(ip: str) -> bytes:
-    return bytes(int(part) for part in ip.split("."))
-
-
 def build_ipv4_udp(d: Datagram) -> bytes:
     """Serialize a Datagram as an IPv4+UDP packet (deterministic fields)."""
-    src = _ip_to_bytes(d.src_ip)
-    dst = _ip_to_bytes(d.dst_ip)
+    src = inet_aton(d.src_ip)
+    dst = inet_aton(d.dst_ip)
     udp_len = 8 + len(d.payload)
     total_len = 20 + udp_len
     header = struct.pack(">BBHHHBBH4s4s", 0x45, 0, total_len, 0, 0, 64, 17, 0, src, dst)

@@ -15,7 +15,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Iterable, Iterator, Optional, Protocol
+from typing import Iterable, Iterator, Optional, Protocol
 
 from . import PreconditionError
 from .scid import CodecError, decode_facebook_scid
@@ -228,24 +228,24 @@ class HostIdHarvest:
         return {host_id for _, host_id in self.observations}
 
 
-Codec = Callable[[bytes], int]
-
-
-def facebook_host_codec(scid: bytes) -> int:
-    return decode_facebook_scid(scid).host_id
+def _host_id(scid: bytes) -> Optional[int]:
+    """The host ID of a Facebook SCID; None for an SCID that does not decode."""
+    try:
+        return decode_facebook_scid(scid).host_id
+    except CodecError:
+        return None
 
 
 def harvest_host_ids(
     vip: str,
     n: int,
     transport: Transport,
-    codec: Codec = facebook_host_codec,
     port_strategy: PortStrategy = PortStrategy.DECREASING_FROM_MAX,
     inter_probe_gap: float = 0.0,
     seed: int = 0,
 ) -> HostIdHarvest:
     """Complete up to n handshakes against one VIP, varying the client port,
-    and decode the host ID out of each server SCID.
+    and decode the host ID out of each server SCID as a Facebook SCID.
 
     Individual failures (timeouts, undecodable SCIDs) are recorded and do not
     stop the harvest, but a failure rate above 50% aborts the campaign.
@@ -258,13 +258,11 @@ def harvest_host_ids(
             transport.sleep(inter_probe_gap)
         server_scid = transport.handshake(vip, port)
         harvest.attempts += 1
-        if server_scid is None:
+        host_id = None if server_scid is None else _host_id(server_scid)
+        if host_id is None:
             harvest.failures += 1
         else:
-            try:
-                harvest.observations.append((index, codec(server_scid)))
-            except CodecError:
-                harvest.failures += 1
+            harvest.observations.append((index, host_id))
         if (
             harvest.attempts >= FAILURE_ABORT_MIN_ATTEMPTS
             and harvest.failures / harvest.attempts > FAILURE_ABORT_RATE
@@ -372,7 +370,6 @@ def detect_lb_type(
     transport: Transport,
     probe_interval: float = DEFAULT_PROBE_INTERVAL,
     max_wait: float = DEFAULT_MAX_WAIT,
-    codec: Optional[Codec] = None,
     seed: int = 0,
 ) -> LbTypeVerdict:
     """Infer the load-balancer type of a VIP from connection-state probing.
@@ -393,7 +390,7 @@ def detect_lb_type(
     held_scid = transport.handshake(vip, first_port)
     if held_scid is None:
         raise TransportUnavailable(f"initial handshake with {vip} failed")
-    held_host = _try_decode(codec, held_scid)
+    held_host = _host_id(held_scid)
     start = transport.now()
     failures = 0
     port = first_port
@@ -407,7 +404,7 @@ def detect_lb_type(
         if failures == 1:
             failures = 0
             continue
-        followup_host = _try_decode(codec, server_scid)
+        followup_host = _host_id(server_scid)
         if failures == 0:
             return LbTypeVerdict(
                 LbType.FIVE_TUPLE,
@@ -423,19 +420,9 @@ def detect_lb_type(
     return LbTypeVerdict(LbType.INCONCLUSIVE, held_host_id=held_host)
 
 
-def _try_decode(codec: Optional[Codec], scid: bytes) -> Optional[int]:
-    if codec is None:
-        return None
-    try:
-        return codec(scid)
-    except CodecError:
-        return None
-
-
 def run_campaign(
     campaign: ProbeCampaign,
     transport: Transport,
-    codec: Codec = facebook_host_codec,
 ) -> dict[str, HostIdHarvest]:
     """Harvest every campaign target; per-VIP campaigns are independent."""
     harvests = {}
@@ -444,7 +431,6 @@ def run_campaign(
             vip,
             campaign.handshakes_per_vip,
             transport,
-            codec=codec,
             port_strategy=campaign.port_strategy,
             inter_probe_gap=campaign.inter_probe_gap,
             seed=campaign.seed,

@@ -166,8 +166,8 @@ _json_object = of_type(dict)
 def object_of(parsers: dict[str, Callable[[Any], T]], required: Sequence[str] = ()) -> Callable[[Any], dict[str, T]]:
     """A parser for read_json_fields that accepts an object and parses each
     key `parsers` names with its parser; other keys, such as `_comment`, are
-    ignored. A missing `required` key or a value its parser rejects raises
-    ValueError naming the key."""
+    ignored. A missing `required` key raises KeyError, and a value its parser
+    rejects ValueError, naming the key."""
 
     def parse(value: Any) -> dict[str, T]:
         raw = _json_object(value)
@@ -175,7 +175,7 @@ def object_of(parsers: dict[str, Callable[[Any], T]], required: Sequence[str] = 
         for key, parse_value in parsers.items():
             if key not in raw:
                 if key in required:
-                    raise ValueError(f"missing key {key!r}")
+                    raise KeyError(key)
                 continue
             try:
                 out[key] = parse_value(raw[key])
@@ -195,6 +195,8 @@ def read_json_fields(
     key."""
     try:
         return object_of(parsers, required)(json.loads(Path(path).read_text()))
+    except KeyError as exc:
+        raise StoreError(f"{path}: missing key {exc.args[0]!r}") from None
     except (TypeError, ValueError) as exc:
         raise StoreError(f"{path}: {exc}") from None
 
@@ -318,8 +320,9 @@ def save_datagrams(path: str | Path, records: Iterable[CaptureRecord]) -> Path:
 
 def load_datagrams(path: str | Path) -> list[CaptureRecord]:
     """Read a datagram store back as records whose packets carry only type,
-    version and CIDs; a malformed row raises StoreError. Each distinct CID
-    text is decoded and length-checked once per load."""
+    version and CIDs; a malformed row, or one with no packet, raises
+    StoreError. Each distinct CID text is decoded and length-checked once
+    per load."""
     cids: dict[str, bytes] = {}
 
     def from_row(raw: dict) -> CaptureRecord:
@@ -332,6 +335,8 @@ def load_datagrams(path: str | Path) -> list[CaptureRecord]:
                 check_cid_lengths(dcid, scid)
                 cids[dcid_text], cids[scid_text] = dcid, scid
             packets.append(LongHeader(_member(_PACKET_TYPES, PacketType, ptype), version, dcid, scid))
+        if not packets:
+            raise ValueError("datagram row has no packets")
         ts, src, dst, sport, dport = raw["ts"], raw["src"], raw["dst"], raw["sport"], raw["dport"]
         direction = _member(_DIRECTIONS, Direction, raw["direction"])
         return CaptureRecord(
@@ -349,20 +354,22 @@ def write_manifest(
     subcommand: str,
     tool_version: str,
     seed: Optional[int],
-    inputs: dict[str, Optional[str]],
+    arguments: dict[str, Any],
     outputs: list[str],
-    parameters: Optional[dict] = None,
+    counts: dict[str, int],
 ) -> Path:
-    """Every run documents itself; identical manifests imply byte-identical
-    outputs, so nothing time- or host-dependent belongs in here."""
+    """Every run documents itself: the options it ran with (`arguments`) and
+    the seed that drove it. Identical manifests imply byte-identical outputs,
+    so nothing time- or host-dependent belongs in here; `counts` only
+    records what the run derived."""
     manifest = {
         "tool": "quicscope",
         "tool_version": tool_version,
         "subcommand": subcommand,
         "seed": seed,
-        "inputs": {k: (str(v) if v is not None else None) for k, v in sorted(inputs.items())},
+        "arguments": arguments,
         "outputs": sorted(outputs),
-        "parameters": parameters or {},
+        "counts": counts,
     }
     path = Path(out_dir) / "manifest.json"
     path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")

@@ -285,7 +285,7 @@ def test_criterion_6_lb_type_detection():
     runs = []
     for _ in range(2):
         transport = probe.SimulatorTransport(lb_sim(RoutingMode.CID_AWARE, 6), seed=6)
-        runs.append(probe.detect_lb_type("198.51.100.1", transport, codec=None, seed=6))
+        runs.append(probe.detect_lb_type("198.51.100.1", transport, seed=6))
     assert runs[0] == runs[1]
     verdict = runs[0]
     assert verdict.kind == probe.LbType.CID_AWARE
@@ -294,11 +294,7 @@ def test_criterion_6_lb_type_detection():
     runs = []
     for _ in range(2):
         transport = probe.SimulatorTransport(lb_sim(RoutingMode.FIVE_TUPLE, 6), seed=6)
-        runs.append(
-            probe.detect_lb_type(
-                "198.51.100.1", transport, codec=probe.facebook_host_codec, seed=6
-            )
-        )
+        runs.append(probe.detect_lb_type("198.51.100.1", transport, seed=6))
     assert runs[0] == runs[1]
     verdict = runs[0]
     assert verdict.kind == probe.LbType.FIVE_TUPLE

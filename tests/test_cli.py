@@ -200,6 +200,14 @@ class TestScidCommand:
     def test_needs_some_input(self, tmp_path):
         assert run("scid", "--out-dir", tmp_path / "o") == 2
 
+    def test_empty_scid_file_is_precondition_error(self, tmp_path):
+        scids = tmp_path / "empty.txt"
+        scids.write_text("\n")
+        out = run_python("-m", "quicscope.cli", "scid", "--scids", scids, "--out-dir", tmp_path / "scid")
+        assert out.returncode == 3
+        assert f"{scids}: no SCIDs to analyze" in out.stderr
+        assert "Traceback" not in out.stderr
+
     @staticmethod
     def save_store(path, datagrams, operators):
         from quicscope import tables
@@ -395,6 +403,85 @@ class TestReproducibility:
         assert digests == self.GOLDEN
 
 
+class TestManifest:
+    """Each manifest records every option of its run, so runs that differ in
+    any option write different manifests."""
+
+    @pytest.fixture(scope="class")
+    def chain(self, tmp_path_factory) -> Path:
+        # each stage writes to a directory named after its subcommand
+        base = tmp_path_factory.mktemp("chain")
+        config, truth = base / "deploy.json", base / "truth.tsv"
+        config.write_text(json.dumps(DEPLOY))
+        truth.write_text("198.51.100.0\tFacebook\n198.51.100.1\tFacebook\n")
+        store = base / "ingest" / "datagrams.jsonl"
+        assert run("simulate", "--config", config, "--out-dir", base / "simulate") == 0
+        assert run("ingest", "--capture", base / "simulate" / "capture.pcap", "--out-dir", base / "ingest") == 0
+        assert run("fingerprint", "--sessions", base / "ingest" / "sessions.jsonl", "--datagrams", store, "--out-dir", base / "fingerprint") == 0
+        assert run("scid", "--datagrams", store, "--min-samples", "40", "--out-dir", base / "scid") == 0
+        assert run("classify", "--datagrams", store, "--truth", truth, "--out-dir", base / "classify") == 0
+        assert run("probe", "--sim-config", config, "--handshakes", "20", "--seed", "5", "--out-dir", base / "probe") == 0
+        assert run("report", "--in-dir", base / "fingerprint", "--out-dir", base / "report") == 0
+        return base
+
+    @staticmethod
+    def manifest(out: Path) -> dict:
+        return json.loads((out / "manifest.json").read_text())
+
+    @pytest.mark.parametrize("subcommand", ["simulate", "ingest", "fingerprint", "scid", "classify", "probe", "report"])
+    def test_arguments_name_every_option(self, chain, subcommand):
+        import argparse
+
+        from quicscope.cli import build_parser
+
+        (subparsers,) = (a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        dests = {action.dest for action in subparsers.choices[subcommand]._actions} - {"out_dir", "help"}
+        manifest = self.manifest(chain / subcommand)
+        assert manifest["subcommand"] == subcommand
+        assert set(manifest["arguments"]) == dests
+
+    def test_counts_and_seed(self, chain):
+        simulate, ingest, probe = (self.manifest(chain / name) for name in ("simulate", "ingest", "probe"))
+        assert simulate["seed"] == DEPLOY["seed"] and simulate["arguments"]["seed"] is None
+        assert set(simulate["counts"]) == {"datagrams", "handshakes"}
+        assert set(ingest["counts"]) == {"sessions", "records"} and ingest["seed"] is None
+        assert probe["seed"] == 5 and probe["counts"] == {}
+
+    @pytest.mark.parametrize(
+        "argv, option, values",
+        [
+            (["fingerprint", "--sessions", "{base}/ingest/sessions.jsonl", "--datagrams", "{base}/ingest/datagrams.jsonl"], "--top-lengths", ("7", "1")),
+            (["scid", "--datagrams", "{base}/ingest/datagrams.jsonl", "--min-samples", "40"], "--operator", (None, "Nobody")),
+            (["probe", "--sim-config", "{base}/deploy.json", "--handshakes", "20", "--seed", "5"], "--threshold", ("0.5", "0.9")),
+        ],
+        ids=["fingerprint-top-lengths", "scid-operator", "probe-threshold"],
+    )
+    def test_runs_differing_in_one_option_differ_in_manifest(self, chain, tmp_path, argv, option, values):
+        argv = [a.format(base=chain) for a in argv]
+        manifests = []
+        for index, value in enumerate(values):
+            out = tmp_path / str(index)
+            assert run(*argv, *([option, value] if value is not None else []), "--out-dir", out) == 0
+            manifests.append((out / "manifest.json").read_text())
+        assert manifests[0] != manifests[1]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["ingest", "--capture", "c.pcap"],
+            ["fingerprint", "--sessions", "s.jsonl", "--datagrams", "d.jsonl"],
+            ["scid", "--scids", "s.txt"],
+            ["classify", "--datagrams", "d.jsonl", "--truth", "t.tsv"],
+            ["report", "--in-dir", "in"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_seed_is_a_usage_error_where_nothing_is_seeded(self, tmp_path, capsys, argv):
+        exit = pytest.raises(SystemExit, run, *argv, "--seed", "3", "--out-dir", tmp_path / "o")
+        assert exit.value.code == 1
+        assert "unrecognized arguments: --seed 3" in capsys.readouterr().err
+
+
 class TestClassifyGolden:
     # on-net Facebook VIPs (in the prefix table), off-net Facebook VIPs with
     # low and with high host IDs, and coalescing background servers with
@@ -493,6 +580,18 @@ class TestStoreRows:
         assert f"{datagrams}:1: missing key 'packets'" in out.stderr
         assert "Traceback" not in out.stderr
 
+    def test_datagram_row_without_packets(self, tmp_path):
+        datagrams = tmp_path / "d.jsonl"
+        row = {
+            "ts": 1.0, "src": "198.51.100.1", "dst": "172.16.5.5", "sport": 443, "dport": 50000,
+            "direction": "response", "length": 100, "operator": "Facebook", "asn": 32934, "packets": [],
+        }
+        datagrams.write_text(json.dumps(row) + "\n")
+        out = run_python("-m", "quicscope.cli", "scid", "--datagrams", datagrams, "--out-dir", tmp_path / "scid")
+        assert out.returncode == 2
+        assert f"{datagrams}:1: datagram row has no packets" in out.stderr
+        assert "Traceback" not in out.stderr
+
     def test_datagram_row_cid_too_long(self, tmp_path):
         datagrams = tmp_path / "d.jsonl"
         row = {
@@ -568,6 +667,29 @@ class TestStoreRows:
         )
         assert out.returncode == 2
         assert f"{profiles}: profile 'X' is missing key 'retransmission_range'" in out.stderr
+        assert "Traceback" not in out.stderr
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("coalescence", "false", "expected boolean, got \"false\""),
+            ("initial_rto", True, "expected number, got true"),
+        ],
+    )
+    def test_profile_table_matching_key_wrong_type(self, tmp_path, key, value, message):
+        from quicscope import tables
+
+        sessions, datagrams, profiles = (tmp_path / n for n in ("sessions.jsonl", "datagrams.jsonl", "prof.json"))
+        sessions.write_text("")
+        datagrams.write_text("")
+        shipped = tables.read_profiles(None)
+        profiles.write_text(json.dumps({"profiles": dict(shipped, Facebook=dict(shipped["Facebook"], **{key: value}))}))
+        out = run_python(
+            "-m", "quicscope.cli", "fingerprint", "--sessions", sessions, "--datagrams", datagrams,
+            "--profiles", profiles, "--out-dir", tmp_path / "fp",
+        )
+        assert out.returncode == 2
+        assert f"{profiles}: profile 'Facebook': key '{key}': {message}" in out.stderr
         assert "Traceback" not in out.stderr
 
     def test_registry_line_not_hex(self, tmp_path):

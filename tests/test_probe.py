@@ -244,7 +244,7 @@ class TestDetectLbType:
     def test_cid_aware_fail_window(self):
         sim = make_sim(l7lb_count=60, mode=RoutingMode.CID_AWARE, operator="Facebook")
         transport = SimulatorTransport(sim, seed=11)
-        verdict = detect_lb_type("203.0.113.1", transport, codec=None, seed=11)
+        verdict = detect_lb_type("203.0.113.1", transport, seed=11)
         assert verdict.kind == LbType.CID_AWARE
         assert abs(verdict.fail_window - 240.0) <= 1.0 + 1e-9
 
@@ -253,16 +253,14 @@ class TestDetectLbType:
         # follow-up one probe interval later
         sim = make_sim(l7lb_count=60, mode=RoutingMode.CID_AWARE, operator="Facebook")
         transport = SimulatorTransport(sim, seed=11)
-        verdict = detect_lb_type("203.0.113.1", transport, probe_interval=5.0, codec=None, seed=11)
+        verdict = detect_lb_type("203.0.113.1", transport, probe_interval=5.0, seed=11)
         assert verdict.kind == LbType.CID_AWARE
         assert verdict.fail_window == pytest.approx(240.0, abs=1e-9)
 
     def test_five_tuple_immediate_followup(self):
         sim = make_sim(l7lb_count=60, mode=RoutingMode.FIVE_TUPLE, operator="Facebook")
         transport = SimulatorTransport(sim, seed=12)
-        from quicscope.probe import facebook_host_codec
-
-        verdict = detect_lb_type("203.0.113.1", transport, codec=facebook_host_codec, seed=12)
+        verdict = detect_lb_type("203.0.113.1", transport, seed=12)
         assert verdict.kind == LbType.FIVE_TUPLE
         assert verdict.followup_host_id != verdict.held_host_id
 
@@ -278,9 +276,7 @@ class TestDetectLbType:
             return sim.clusters[0].rendezvous((transport.client_ip, "203.0.113.1", port, 443, 17))
 
         assert instance(first_port - 1) is instance(first_port)
-        from quicscope.probe import facebook_host_codec
-
-        verdict = detect_lb_type("203.0.113.1", transport, codec=facebook_host_codec, seed=7)
+        verdict = detect_lb_type("203.0.113.1", transport, seed=7)
         assert verdict.kind == LbType.FIVE_TUPLE
         assert verdict.fail_window is None
         assert verdict.followup_host_id != verdict.held_host_id
@@ -290,7 +286,7 @@ class TestDetectLbType:
         for _ in range(2):
             sim = make_sim(l7lb_count=20, mode=RoutingMode.CID_AWARE)
             transport = SimulatorTransport(sim, seed=13)
-            results.append(detect_lb_type("203.0.113.1", transport, codec=None, seed=13))
+            results.append(detect_lb_type("203.0.113.1", transport, seed=13))
         assert results[0] == results[1]
 
     def test_unreachable_vip(self):

@@ -98,7 +98,11 @@ class TestDatagramStore:
         )
         path = tables.save_datagrams(tmp_path / "datagrams.jsonl", records)
         assert path.read_bytes() == reference.encode()
-        assert [stored_fields(r) for r in tables.load_datagrams(path)] == [stored_fields(r) for r in records]
+        # ingest never yields a datagram without a packet, and the loader rejects its row
+        with pytest.raises(tables.StoreError, match=f"^{re.escape(str(path))}:4: datagram row has no packets"):
+            tables.load_datagrams(path)
+        path = tables.save_datagrams(tmp_path / "datagrams.jsonl", records[:3])
+        assert [stored_fields(r) for r in tables.load_datagrams(path)] == [stored_fields(r) for r in records[:3]]
 
     @pytest.mark.parametrize(
         "bad_row,message",
