@@ -139,10 +139,11 @@ def cmd_simulate(args) -> int:
 
 def cmd_ingest(args) -> int:
     from . import tables
-    from .ingest import IngestCounters, annotate_operators, ingest, sanitize, sessionize
+    from .ingest import IngestCounters, Sessionizer, annotate_operators, ingest, sanitize
+    from .pcap import PcapReader
     from .wire import PlausibilityConfig
 
-    capture = _require(args.capture, "capture file")
+    capture_path = _require(args.capture, "capture file")
     prefix_table = None
     if args.prefix_table:
         prefix_table = tables.load_prefix_table(_require(args.prefix_table, "prefix table"))
@@ -155,25 +156,36 @@ def cmd_ingest(args) -> int:
         allow_greased=args.allow_greased,
         allow_unknown=args.allow_unknown_versions,
     )
+    # a file that is not a capture fails here, before any output exists
+    capture = PcapReader(capture_path)
     counters = IngestCounters()
-    stream = ingest(capture, plausibility, counters=counters)
+    stream = ingest(capture.datagrams(), plausibility, counters=counters)
     if scanners is not None:
         stream = sanitize(stream, scanners, counters)
     if prefix_table is not None:
         stream = annotate_operators(stream, prefix_table)
-    records = list(stream)
-    sessions = sessionize(records, idle_gap=args.idle_gap)
+    sessionizer = Sessionizer(args.idle_gap)
 
     out = _out_dir(args)
-    sessions_path = tables.save_sessions(out / "sessions.jsonl", sessions)
-    datagrams_path = tables.save_datagrams(out / "datagrams.jsonl", records)
+    datagrams_path, sessions_path = out / "datagrams.jsonl", out / "sessions.jsonl"
+    try:
+        tables.save_datagrams(datagrams_path, map(sessionizer.add, stream))
+        sessions = sessionizer.sessions()
+        tables.save_sessions(sessions_path, sessions)
+    except BaseException:
+        # no manifest names a store cut short, so none is left behind
+        datagrams_path.unlink(missing_ok=True)
+        sessions_path.unlink(missing_ok=True)
+        raise
     counters_path = tables.write_table(
         out / "counters.tsv",
         ["metric", "value"],
         sorted(counters.as_dict().items()),
         fmt=args.format,
     )
-    _write_manifest(args, [sessions_path, datagrams_path, counters_path], sessions=len(sessions), records=len(records))
+    # sanitization is the only step after ingest() that drops records
+    records = counters.emitted - counters.requests_dropped
+    _write_manifest(args, [sessions_path, datagrams_path, counters_path], sessions=len(sessions), records=records)
     print(
         f"ingest: {counters.emitted} records, {len(sessions)} sessions, "
         f"{counters.removed_fraction():.1%} removed by sanitization"
@@ -204,7 +216,7 @@ def cmd_fingerprint(args) -> int:
     from .ingest import Traits, group_traits
 
     sessions = tables.load_sessions(_require(args.sessions, "session store"))
-    rows = tables.load_datagrams(_require(args.datagrams, "datagram store"))
+    traits = group_traits(tables.load_datagrams(_require(args.datagrams, "datagram store")), _operator_or_unknown)
     registry = _registry(args)
     known = fp.load_known_profiles(args.profiles and _require(args.profiles, "profile table"))
     out = _out_dir(args)
@@ -217,7 +229,6 @@ def cmd_fingerprint(args) -> int:
         fmt=args.format,
     )
 
-    traits = group_traits(rows, _operator_or_unknown)
     stats_rows = []
     hist_rows = []
     for operator in sorted(traits):
@@ -426,16 +437,17 @@ def cmd_classify(args) -> int:
     from dataclasses import replace
 
     from . import offnet, tables
-    from .ingest import group_traits, sessionize
+    from .ingest import Sessionizer, group_traits
     from .wire import Direction
 
     rows = tables.load_datagrams(_require(args.datagrams, "datagram store"))
     truth = offnet.GroundTruth.load(_require(args.truth, "ground-truth labels"))
     params = offnet.RuleParams.load(_require(args.rules, "rule set")) if args.rules else offnet.RuleParams()
 
-    responses = [row for row in rows if row.direction is Direction.RESPONSE]
+    sessionizer = Sessionizer(args.idle_gap)
+    responses = (sessionizer.add(row) for row in rows if row.direction is Direction.RESPONSE)
     traits = group_traits(responses, lambda row: (row.src_ip, row.operator))
-    sessions = _group(sessionize(responses, idle_gap=args.idle_gap), lambda session: session.key.src_ip)
+    sessions = _group(sessionizer.sessions(), lambda session: session.key.src_ip)
     # on-net responses of the target operator provide the packet-length reference
     reference_shapes = frozenset(
         shape for (_, operator), t in traits.items() if operator == params.target_operator for shape in t.shapes
@@ -515,20 +527,27 @@ def cmd_classify(args) -> int:
 
 
 def _build_transport(args):
+    """The probe transport and the VIPs it knows. Resolves `args.seed` to the
+    one seed the run uses: --seed (or the campaign file's), else the
+    deployment config's seed, else 0."""
     from dataclasses import replace
 
     from . import probe, sim
 
     if args.transport == "sim":
         config = sim.DeploymentConfig.from_json(_require(args.sim_config, "deployment config"))
-        if args.seed is not None:
+        if args.seed is None:
+            args.seed = config.seed
+        else:
             config = replace(config, seed=args.seed)
         simulator = sim.DeploymentSimulator(config)
         transport = probe.SimulatorTransport(simulator, seed=config.seed)
         all_vips = [vip for cluster in simulator.clusters for vip in cluster.vips]
         return transport, all_vips
     print(ANYCAST_WARNING, file=sys.stderr)
-    return probe.RawNetworkTransport(seed=args.seed or 0), []
+    if args.seed is None:
+        args.seed = 0
+    return probe.RawNetworkTransport(seed=args.seed), []
 
 
 def _port_strategy(value):
@@ -572,7 +591,7 @@ def cmd_probe(args) -> int:
             handshakes_per_vip=args.handshakes,
             port_strategy=probe.PortStrategy(args.port_strategy),
             inter_probe_gap=args.inter_probe_gap,
-            seed=args.seed or 0,
+            seed=args.seed,
         )
         harvests = probe.run_campaign(campaign, transport)
         harvest_rows = []
@@ -601,7 +620,7 @@ def cmd_probe(args) -> int:
                 transport,
                 probe_interval=args.probe_interval,
                 max_wait=args.max_wait,
-                seed=args.seed or 0,
+                seed=args.seed,
             )
             verdict_rows.append(
                 (vip, verdict.kind.value, verdict.fail_window, verdict.held_host_id, verdict.followup_host_id)
@@ -767,7 +786,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("probe", help="active campaigns (simulator loopback by default)")
     common(p)
     p.add_argument("--transport", choices=("sim", "raw"), default="sim")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument(
+        "--seed", type=int, default=None, help="seeds the campaign and the simulator (default: the config's seed, or 0)"
+    )
     p.add_argument("--sim-config", default=None)
     p.add_argument("--campaign-config", default=None, help="JSON campaign file (targets, handshakes_per_vip, port_strategy, inter_probe_gap, seed)")
     p.add_argument("--targets", default="all", help="comma-separated VIPs or 'all'")

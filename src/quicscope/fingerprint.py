@@ -100,11 +100,7 @@ def resend_rounds(session: Session, tolerance: float = ROUND_MERGE_TOLERANCE) ->
     ships Initial and Handshake as two datagrams still counts one round per
     timeout, matching how retransmission counts are reported.
     """
-    offsets = sorted(
-        e.offset
-        for e in session.timeline
-        if e.packet_type in (PacketType.INITIAL, PacketType.HANDSHAKE)
-    )
+    offsets = sorted(session.timeline.offsets((PacketType.INITIAL, PacketType.HANDSHAKE)))
     rounds: list[float] = []
     for off in offsets:
         if not rounds or off - rounds[-1] > tolerance:

@@ -1,22 +1,24 @@
 """Telescope capture ingestion: filtering, sanitization, AS mapping, sessions.
 
-The pipeline is ingest -> sanitize -> annotate_operators -> sessionize. Each
-stage is a stateless per-record transform except sessionization, which
-accumulates per-key state. The analyses group records with one fold,
-group_traits. Input captures are expected in timestamp order (standard for
-single-vantage telescope files); ordering is not re-checked.
+The pipeline is ingest -> sanitize -> annotate_operators -> Sessionizer. Each
+stage is a lazy per-record transform except the Sessionizer, a fold fed one
+record at a time that keeps per-session state, so a capture streams through
+without being held. The analyses group records with one fold, group_traits.
+Input captures are expected in timestamp order (standard for single-vantage
+telescope files); ordering is not re-checked.
 """
 
 from __future__ import annotations
 
 import ipaddress
+import struct
 from bisect import bisect_right
+from collections.abc import Collection, Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
 from socket import inet_aton
 from typing import Callable, Hashable, Iterable, Iterator, NamedTuple, Optional
 
-from .pcap import PcapReader
 from .wire import (
     TYPE_LABELS,
     Datagram,
@@ -36,10 +38,10 @@ DEFAULT_IDLE_GAP = 60.0
 class CaptureRecord:
     """One QUIC datagram with its parsed long-header packets.
 
-    `ingest()` yields these and `tables.load_datagrams` reads them back; a
-    loaded packet keeps only its type, version and CIDs. `operator`/`asn`
-    identify the server side (source of a response, destination of a
-    request) and are filled in by annotate_operators.
+    `ingest()` yields these and `tables.load_datagrams` yields them back one
+    store row at a time; a loaded packet keeps only its type, version and
+    CIDs. `operator`/`asn` identify the server side (source of a response,
+    destination of a request) and are filled in by annotate_operators.
     """
 
     timestamp: float
@@ -98,11 +100,14 @@ def ingest(
     """Yield plausible QUIC records from a pcap path or datagram iterable.
 
     Non-QUIC ports and implausible payloads are counted, never emitted.
-    Raises UnreadableCapture for files that are not classic pcap.
+    A path is read when iteration starts, and raises UnreadableCapture for a
+    file that is not classic pcap.
     """
     if counters is None:
         counters = IngestCounters()
     if isinstance(capture_source, (str, Path)):
+        from .pcap import PcapReader  # the analyses import this module but read no capture
+
         datagrams: Iterable[Datagram] = PcapReader(capture_source).datagrams()
     else:
         datagrams = capture_source
@@ -221,12 +226,56 @@ class TimelineEntry(NamedTuple):
     coalesced: bool
 
 
-@dataclass
+_PACKET_TYPES = tuple(PacketType)
+_PACKET_TYPE_CODES = {t: code for code, t in enumerate(_PACKET_TYPES)}
+
+
+class Timeline(Sequence[TimelineEntry]):
+    """A session's timeline: one entry per packet, packed 14 bytes each into
+    one buffer, read back as TimelineEntry.
+
+    Held as a tuple with its own float and int, an entry takes about 150
+    bytes, and a session's memory grows with its datagrams; packed, the
+    session's fixed fields dominate it."""
+
+    __slots__ = ("_packed",)
+    _ENTRY = struct.Struct("<dBI?")
+
+    def __init__(self) -> None:
+        self._packed = bytearray()
+
+    def add(self, offset: float, packet_type: PacketType, datagram_length: int, coalesced: bool) -> None:
+        try:
+            self._packed += self._ENTRY.pack(offset, _PACKET_TYPE_CODES[packet_type], datagram_length, coalesced)
+        except struct.error as exc:  # a session store row can hold any JSON value
+            raise ValueError(f"timeline entry [{offset!r}, {packet_type}, {datagram_length!r}]: {exc}") from None
+
+    def __len__(self) -> int:
+        return len(self._packed) // self._ENTRY.size
+
+    def __getitem__(self, index: int) -> TimelineEntry:
+        at = range(len(self))[index] * self._ENTRY.size  # IndexError past either end
+        offset, code, length, coalesced = self._ENTRY.unpack_from(self._packed, at)
+        return TimelineEntry(offset, _PACKET_TYPES[code], length, coalesced)
+
+    def __iter__(self) -> Iterator[TimelineEntry]:
+        # tuple.__new__ skips the per-entry Python call of TimelineEntry(...)
+        new, entry, types = tuple.__new__, TimelineEntry, _PACKET_TYPES
+        return (new(entry, (o, types[c], n, b)) for o, c, n, b in self._ENTRY.iter_unpack(self._packed))
+
+    def offsets(self, packet_types: Collection[PacketType]) -> list[float]:
+        """The offsets of the entries of `packet_types`, in timeline order,
+        read without building an entry each."""
+        codes = {_PACKET_TYPE_CODES[t] for t in packet_types}
+        return [offset for offset, code, _, _ in self._ENTRY.iter_unpack(self._packed) if code in codes]
+
+
+@dataclass(slots=True)
 class Session:
     """Ordered per-key packet timeline, offsets relative to the first packet."""
 
     key: SessionKey
-    timeline: list[TimelineEntry] = field(default_factory=list)
+    timeline: Timeline = field(default_factory=Timeline)
     direction: Direction = Direction.RESPONSE
     version: int = 0
     operator: Optional[str] = None
@@ -285,21 +334,30 @@ def group_traits(
     return groups
 
 
-def sessionize(records: Iterable[CaptureRecord], idle_gap: float = DEFAULT_IDLE_GAP) -> list[Session]:
-    """Group timestamp-ordered records into sessions.
+class Sessionizer:
+    """The session rule as a fold: add() timestamp-ordered records one at a
+    time, then read sessions().
 
     Every long-header packet lands in exactly one session; a coalesced
     datagram contributes one timeline entry per inner packet at the same
     offset. A gap of `idle_gap` seconds or more closes the session and a
-    later packet under the same key opens a new one. Records may come
-    live from ingest() or loaded from a datagram store.
+    later packet under the same key opens a new one. Records may come live
+    from ingest() or loaded from a datagram store. The fold keeps the
+    sessions, not the records.
     """
-    finished: list[Session] = []
-    open_sessions: dict[SessionKey, tuple[Session, float]] = {}
-    for record in records:
+
+    def __init__(self, idle_gap: float = DEFAULT_IDLE_GAP):
+        self.idle_gap = idle_gap
+        self._finished: list[Session] = []
+        self._open: dict[SessionKey, tuple[Session, float]] = {}
+
+    def add(self, record: CaptureRecord) -> CaptureRecord:
+        """Fold one record in; returns it, so the fold can sit in a stream
+        that another consumer drains, as in `map(sessionizer.add, records)`."""
         ts = record.timestamp
         length = record.datagram_length
         coalesced = len(record.packets) > 1
+        open_sessions = self._open
         for packet in record.packets:
             key = SessionKey(
                 record.src_ip,
@@ -308,11 +366,11 @@ def sessionize(records: Iterable[CaptureRecord], idle_gap: float = DEFAULT_IDLE_
                 packet.dcid,
             )
             entry = open_sessions.get(key)
-            if entry is not None and ts - entry[1] < idle_gap:
+            if entry is not None and ts - entry[1] < self.idle_gap:
                 session = entry[0]
             else:
                 if entry is not None:
-                    finished.append(entry[0])
+                    self._finished.append(entry[0])
                 session = Session(
                     key=key,
                     direction=record.direction,
@@ -321,10 +379,12 @@ def sessionize(records: Iterable[CaptureRecord], idle_gap: float = DEFAULT_IDLE_
                     asn=record.asn,
                     start_ts=ts,
                 )
-            session.timeline.append(
-                TimelineEntry(ts - session.start_ts, packet.packet_type, length, coalesced)
-            )
+            session.timeline.add(ts - session.start_ts, packet.packet_type, length, coalesced)
             open_sessions[key] = (session, ts)
-    finished.extend(session for session, _ in open_sessions.values())
-    finished.sort(key=lambda s: (s.start_ts, s.key))
-    return finished
+        return record
+
+    def sessions(self) -> list[Session]:
+        """Every session folded so far, ordered by (start_ts, key)."""
+        sessions = self._finished + [session for session, _ in self._open.values()]
+        sessions.sort(key=lambda s: (s.start_ts, s.key))
+        return sessions

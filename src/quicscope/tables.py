@@ -1,10 +1,11 @@
 """Line-delimited stores, plot-ready tables and the readers of every input file.
 
 Sessions and datagrams travel between pipeline stages as JSONL. The datagram
-store keeps each packet's type, version and CIDs, and loads back as the same
-`ingest.CaptureRecord` that ingest() yields; its writer formats each row with
-one fixed-schema format string whose output equals
-`json.dumps(row, sort_keys=True)`. Analysis outputs land as TSV with a
+store keeps each packet's type, version and CIDs; its writer drains a record
+stream as it goes and formats each row with one fixed-schema format string
+whose output equals `json.dumps(row, sort_keys=True)`, and its loader yields
+the rows one at a time as the same `ingest.CaptureRecord` that ingest()
+yields, so neither holds the store. Analysis outputs land as TSV with a
 one-line header, or as JSONL records with `--format jsonl`; read_table reads
 either form, so both feed the next stage. All writers are byte-deterministic
 for identical inputs, which is what makes whole-pipeline runs reproducible.
@@ -19,10 +20,14 @@ import ipaddress
 import json
 from importlib import resources
 from pathlib import Path
-from typing import Any, Callable, Iterable, Optional, Sequence, TypeVar
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Optional, Sequence, TypeVar
 
-from .ingest import CaptureRecord, PrefixTable, ScannerList, Session, SessionKey, TimelineEntry
 from .wire import Direction, LongHeader, PacketType, VersionRegistry, check_cid_lengths, registry_entry
+
+# The store and list readers import ingest's types where they build them, so
+# a stage that reads only tables (report) does not load ingest.
+if TYPE_CHECKING:
+    from .ingest import CaptureRecord, PrefixTable, ScannerList, Session
 
 T = TypeVar("T")
 
@@ -75,10 +80,10 @@ def read_table(
         return row if from_row is None else from_row(row)
 
     if Path(path).suffix == ".jsonl":
-        return load_lines(path, lambda line: checked({col: fmt_value(v) for col, v in json.loads(line).items()}))
+        return list(load_lines(path, lambda line: checked({col: fmt_value(v) for col, v in json.loads(line).items()})))
     with Path(path).open() as fh:
         header = fh.readline().rstrip("\r\n").split("\t")
-    return load_lines(path, lambda line: checked(dict(zip(header, line.split("\t")))), skip=1)
+    return list(load_lines(path, lambda line: checked(dict(zip(header, line.split("\t")))), skip=1))
 
 
 def write_jsonl(path: str | Path, records: Iterable[dict]) -> Path:
@@ -89,22 +94,22 @@ def write_jsonl(path: str | Path, records: Iterable[dict]) -> Path:
     return path
 
 
-def load_lines(path: str | Path, from_line: Callable[[str], T], skip: int = 0) -> list[T]:
-    """Build one object per non-blank line of `path` after the first `skip`,
-    turning a line `from_line` cannot read into a StoreError that names the
-    file, the line and, for a missing field, the key."""
-    out = []
+def load_lines(path: str | Path, from_line: Callable[[str], T], skip: int = 0) -> Iterator[T]:
+    """Yield one object per non-blank line of `path` after the first `skip`,
+    reading the file as the caller iterates and turning a line `from_line`
+    cannot read into a StoreError that names the file, the line and, for a
+    missing field, the key."""
     with Path(path).open() as fh:
         for lineno, line in enumerate(fh, 1):
             if lineno <= skip or not line.strip():
                 continue
             try:
-                out.append(from_line(line.rstrip("\r\n")))
+                item = from_line(line.rstrip("\r\n"))
             except KeyError as exc:
                 raise StoreError(f"{path}:{lineno}: missing key {exc.args[0]!r}") from None
             except (TypeError, ValueError) as exc:
                 raise StoreError(f"{path}:{lineno}: {exc}") from None
-    return out
+            yield item
 
 
 def load_listing(path: str | Path, from_entry: Callable[[str], T]) -> list[T]:
@@ -116,6 +121,8 @@ def load_listing(path: str | Path, from_entry: Callable[[str], T]) -> list[T]:
 
 def load_scanner_list(path: str | Path) -> ScannerList:
     """Read a scanner list: one IPv4 prefix or exact address per line."""
+    from .ingest import ScannerList
+
     return ScannerList(load_listing(path, ipaddress.IPv4Network))
 
 
@@ -130,6 +137,8 @@ def _prefix_entry(line: str) -> tuple[ipaddress.IPv4Network, int, str]:
 
 def load_prefix_table(path: str | Path) -> PrefixTable:
     """Read a prefix table: `prefix<TAB>ASN<TAB>operator` per line."""
+    from .ingest import PrefixTable
+
     return PrefixTable(load_listing(path, _prefix_entry))
 
 
@@ -209,8 +218,8 @@ def read_profiles(path: Optional[str | Path]) -> dict[str, dict]:
     return read_json_fields(path, {"profiles": _json_object}, required=("profiles",))["profiles"]
 
 
-def _load_store(path: str | Path, from_row: Callable[[dict], T]) -> list[T]:
-    """Build one object per row of a JSONL store; a row that is not valid
+def _load_store(path: str | Path, from_row: Callable[[dict], T]) -> Iterator[T]:
+    """Yield one object per row of a JSONL store; a row that is not valid
     JSON or that `from_row` cannot read raises StoreError."""
     return load_lines(path, lambda line: from_row(json.loads(line)))
 
@@ -251,11 +260,12 @@ def _member(members: dict[str, T], enum: Callable[[Any], T], value: Any) -> T:
 
 
 def _session_from_row(raw: dict) -> Session:
+    from .ingest import Session, SessionKey, Timeline
+
     key = SessionKey(raw["src"], raw["dst"], bytes.fromhex(raw["scid"]), bytes.fromhex(raw["dcid"]))
-    timeline = [
-        TimelineEntry(offset, _member(_PACKET_TYPES, PacketType, ptype), length, coalesced)
-        for offset, ptype, length, coalesced in raw["timeline"]
-    ]
+    timeline = Timeline()
+    for offset, ptype, length, coalesced in raw["timeline"]:
+        timeline.add(offset, _member(_PACKET_TYPES, PacketType, ptype), length, coalesced)
     return Session(
         key=key,
         timeline=timeline,
@@ -269,7 +279,7 @@ def _session_from_row(raw: dict) -> Session:
 
 def load_sessions(path: str | Path) -> list[Session]:
     """Read a session store back; a malformed row raises StoreError."""
-    return _load_store(path, _session_from_row)
+    return list(_load_store(path, _session_from_row))
 
 
 # --- datagram store ----------------------------------------------------------
@@ -318,11 +328,14 @@ def save_datagrams(path: str | Path, records: Iterable[CaptureRecord]) -> Path:
     return path
 
 
-def load_datagrams(path: str | Path) -> list[CaptureRecord]:
-    """Read a datagram store back as records whose packets carry only type,
-    version and CIDs; a malformed row, or one with no packet, raises
-    StoreError. Each distinct CID text is decoded and length-checked once
-    per load."""
+def load_datagrams(path: str | Path) -> Iterator[CaptureRecord]:
+    """Yield a datagram store's rows, as the caller iterates, as records
+    whose packets carry only type, version and CIDs; a malformed row, or one
+    with no packet, raises StoreError when it is reached, so a caller reads
+    the whole store before it writes anything. Each distinct CID text is
+    decoded and length-checked once per load."""
+    from .ingest import CaptureRecord
+
     cids: dict[str, bytes] = {}
 
     def from_row(raw: dict) -> CaptureRecord:

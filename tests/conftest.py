@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from quicscope.ingest import DEFAULT_IDLE_GAP, Session, Sessionizer
 from quicscope.pcap import PcapReader, PcapWriter
 from quicscope.probe import HostIdHarvest
 from quicscope.sim import DeploymentConfig, SessionTruth, simulate_flood
@@ -28,6 +29,14 @@ def simulate_to_pcap(config: DeploymentConfig, path: Path) -> tuple[list[Session
     with Path(path).open("wb") as fh:
         truth = simulate_flood(config, PcapWriter(fh))
     return truth, list(PcapReader(path).datagrams())
+
+
+def sessions_of(records, idle_gap: float = DEFAULT_IDLE_GAP) -> list[Session]:
+    """The sessions of `records`, folded one at a time."""
+    sessionizer = Sessionizer(idle_gap)
+    for record in records:
+        sessionizer.add(record)
+    return sessionizer.sessions()
 
 
 def make_response(

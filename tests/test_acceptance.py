@@ -14,7 +14,7 @@ import numpy as np
 from quicscope import fingerprint as fp
 from quicscope import offnet, probe, scid
 from quicscope.cli import main as cli_main
-from quicscope.ingest import PrefixTable, annotate_operators, group_traits, ingest, sessionize
+from quicscope.ingest import PrefixTable, annotate_operators, group_traits, ingest
 from quicscope.scid import (
     FacebookScidFields,
     PositionVerdict,
@@ -41,7 +41,7 @@ from quicscope.wire import (
     TruncatedPacket,
 )
 
-from conftest import harvest_from_ids, simulate_to_pcap
+from conftest import harvest_from_ids, sessions_of, simulate_to_pcap
 from test_scid import oracle_pack
 
 
@@ -99,7 +99,7 @@ def test_criterion_1_known_profile_round_trip(tmp_path):
         truth, datagrams = simulate_operator(operator, tmp_path / f"{operator}.pcap")
         assert len(truth) >= 500
         records = list(annotate_operators(ingest(datagrams), table))
-        sessions = sessionize(records)
+        sessions = sessions_of(records)
         assert len(sessions) >= 500
         assert all(s.operator == operator for s in sessions)
 
@@ -355,7 +355,7 @@ def test_criterion_7_classifier_metrics(tmp_path):
     records = list(ingest(datagrams))
     traits = group_traits(records, lambda r: r.src_ip)
     sessions = {}
-    for session in sessionize(records):
+    for session in sessions_of(records):
         sessions.setdefault(session.key.src_ip, []).append(session)
     truth_labels = {vip: "Facebook" for vip in config.clusters[0].vips}
     truth_labels.update({vip: offnet.NOT_OPERATOR for vip in bg_vips})

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -133,6 +134,34 @@ class TestIngest:
         bad = tmp_path / "bad.pcap"
         bad.write_bytes(b"not a capture at all, sorry")
         assert run("ingest", "--capture", bad, "--out-dir", tmp_path / "o") == 2
+        assert not (tmp_path / "o").exists()
+
+    def test_missing_scanner_list_no_partial_output(self, deploy_config, tmp_path):
+        sim_out, ing = tmp_path / "sim", tmp_path / "ing"
+        run("simulate", "--config", deploy_config, "--out-dir", sim_out)
+        rc = run(
+            "ingest", "--capture", sim_out / "capture.pcap", "--scanner-list", tmp_path / "missing.txt", "--out-dir", ing
+        )
+        assert rc == 2
+        assert not ing.exists()
+
+    def test_failed_run_leaves_no_partial_stores(self, deploy_config, tmp_path, monkeypatch):
+        from quicscope.pcap import PcapReader
+
+        sim_out, ing = tmp_path / "sim", tmp_path / "ing"
+        run("simulate", "--config", deploy_config, "--out-dir", sim_out)
+        read = PcapReader.datagrams
+
+        def fail_midway(reader):
+            for index, datagram in enumerate(read(reader)):
+                if index == 20:
+                    raise OSError("read error")
+                yield datagram
+
+        monkeypatch.setattr(PcapReader, "datagrams", fail_midway)
+        with pytest.raises(OSError):
+            run("ingest", "--capture", sim_out / "capture.pcap", "--out-dir", ing)
+        assert not (ing / "datagrams.jsonl").exists() and not (ing / "sessions.jsonl").exists()
 
 
 class TestFingerprintAndReport:
@@ -447,6 +476,16 @@ class TestManifest:
         assert set(ingest["counts"]) == {"sessions", "records"} and ingest["seed"] is None
         assert probe["seed"] == 5 and probe["counts"] == {}
 
+    def test_probe_without_seed_records_the_seed_it_ran_with(self, chain, tmp_path):
+        argv = ("probe", "--sim-config", chain / "deploy.json", "--handshakes", "20")
+        assert run(*argv, "--out-dir", tmp_path / "unseeded") == 0
+        assert run(*argv, "--seed", str(DEPLOY["seed"]), "--out-dir", tmp_path / "seeded") == 0
+        unseeded, seeded = self.manifest(tmp_path / "unseeded"), self.manifest(tmp_path / "seeded")
+        # the deployment config's seed drives both the simulator and the campaign
+        assert unseeded["seed"] == seeded["seed"] == DEPLOY["seed"]
+        for name in unseeded["outputs"]:
+            assert (tmp_path / "unseeded" / name).read_bytes() == (tmp_path / "seeded" / name).read_bytes()
+
     @pytest.mark.parametrize(
         "argv, option, values",
         [
@@ -525,6 +564,70 @@ class TestClassifyGolden:
         assert digests == self.GOLDEN
 
 
+class TestStreamedStages:
+    """Ingest and classify stream the records: eight resend rounds per
+    handshake cost them no more memory than one, where a stage holding every
+    record needs about four times as much."""
+
+    SOURCES = [f"100.64.{i // 250}.{i % 250 + 1}" for i in range(1000)]
+
+    @pytest.fixture(scope="class")
+    def captures(self, tmp_path_factory) -> dict[int, Path]:
+        from dataclasses import replace
+
+        from quicscope.pcap import PcapWriter
+        from quicscope.sim import ClusterConfig, DeploymentConfig, FloodConfig, default_stack_profile, simulate_flood
+
+        base = tmp_path_factory.mktemp("floods")
+        paths = {}
+        for retransmissions in (1, 8):
+            profile = replace(default_stack_profile("Facebook"), max_retransmissions=retransmissions)
+            config = DeploymentConfig(
+                clusters=[ClusterConfig(vips=["203.0.113.1", "203.0.113.2"], l7lb_count=8, profile=profile)],
+                flood=FloodConfig(sources=self.SOURCES, duration=60.0),
+                seed=5,
+            )
+            paths[retransmissions] = base / f"r{retransmissions}.pcap"
+            with paths[retransmissions].open("wb") as fh:
+                simulate_flood(config, PcapWriter(fh))
+        return paths
+
+    @staticmethod
+    def peak(*argv) -> int:
+        """tracemalloc's peak over one in-process run of the CLI."""
+        tracemalloc.start()
+        try:
+            assert run(*argv) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def peaks(self, stage_argv) -> dict[int, int]:
+        # an untraced first run fills the interpreter's free lists and
+        # imports the stage's modules, so neither traced run pays for that
+        assert run(*stage_argv(1, "warm-up")) == 0
+        return {rounds: self.peak(*stage_argv(rounds, f"r{rounds}")) for rounds in (1, 8)}
+
+    def test_ingest_peak_memory_independent_of_rounds(self, captures, tmp_path):
+        peaks = self.peaks(lambda rounds, name: ("ingest", "--capture", captures[rounds], "--out-dir", tmp_path / name))
+        assert peaks[8] <= 1.5 * peaks[1]
+        assert peaks[1] <= 1.5 * peaks[8]
+
+    def test_classify_peak_memory_independent_of_rounds(self, captures, tmp_path):
+        truth = tmp_path / "truth.tsv"
+        truth.write_text("203.0.113.1\tFacebook\n203.0.113.2\tFacebook\n")
+        for rounds in (1, 8):
+            assert run("ingest", "--capture", captures[rounds], "--out-dir", tmp_path / f"ing{rounds}") == 0
+        peaks = self.peaks(
+            lambda rounds, name: (
+                "classify", "--datagrams", tmp_path / f"ing{rounds}" / "datagrams.jsonl", "--truth", truth,
+                "--out-dir", tmp_path / name,
+            )
+        )
+        assert peaks[8] <= 1.5 * peaks[1]
+        assert peaks[1] <= 1.5 * peaks[8]
+
+
 class TestJsonlFormat:
     def test_structured_record_mode(self, deploy_config, tmp_path):
         out = tmp_path / "sim"
@@ -591,6 +694,56 @@ class TestStoreRows:
         assert out.returncode == 2
         assert f"{datagrams}:1: datagram row has no packets" in out.stderr
         assert "Traceback" not in out.stderr
+
+    @pytest.mark.parametrize(
+        "stage, argv",
+        [
+            ("fingerprint", ["--sessions", "{dir}/sessions.jsonl"]),
+            ("scid", []),
+            ("classify", ["--truth", "{dir}/truth.tsv"]),
+        ],
+        ids=["fingerprint", "scid", "classify"],
+    )
+    def test_datagram_store_last_row_malformed(self, tmp_path, stage, argv):
+        # the store is read as the stage runs, so a bad row at its end must
+        # still stop the stage before it writes anything
+        from quicscope import tables
+        from quicscope.ingest import ingest
+        from conftest import make_response
+
+        records = list(ingest([make_response(0.1 * i, dst=f"172.16.0.{i}") for i in range(5)]))
+        store = tables.save_datagrams(tmp_path / "datagrams.jsonl", records)
+        with store.open("a") as fh:
+            fh.write(json.dumps({"ts": 9.0, "src": "198.51.100.1"}) + "\n")
+        (tmp_path / "sessions.jsonl").write_text("")
+        (tmp_path / "truth.tsv").write_text("198.51.100.1\tFacebook\n")
+        out_dir = tmp_path / "out"
+        out = run_python(
+            "-m", "quicscope.cli", stage, "--datagrams", store, *(a.format(dir=tmp_path) for a in argv),
+            "--out-dir", out_dir,
+        )
+        assert out.returncode == 2
+        assert f"{store}:6: missing key " in out.stderr
+        assert "Traceback" not in out.stderr
+        assert not out_dir.exists()
+
+    def test_session_row_timeline_value_out_of_range(self, tmp_path):
+        sessions, datagrams = tmp_path / "sessions.jsonl", tmp_path / "datagrams.jsonl"
+        row = {
+            "src": "198.51.100.1", "dst": "172.16.5.5", "scid": "bb", "dcid": "aa", "direction": "response",
+            "version": 1, "operator": "Facebook", "asn": 32934, "start_ts": 0.0,
+            "timeline": [[0.0, "initial", 1200, False], [0.4, "initial", -1, False]],
+        }
+        sessions.write_text(json.dumps(row) + "\n")
+        datagrams.write_text("")
+        out = run_python(
+            "-m", "quicscope.cli", "fingerprint",
+            "--sessions", sessions, "--datagrams", datagrams, "--out-dir", tmp_path / "fp",
+        )
+        assert out.returncode == 2
+        assert f"{sessions}:1: timeline entry [0.4, initial, -1]" in out.stderr
+        assert "Traceback" not in out.stderr
+        assert not (tmp_path / "fp").exists()
 
     def test_datagram_row_cid_too_long(self, tmp_path):
         datagrams = tmp_path / "d.jsonl"
@@ -899,8 +1052,15 @@ class TestStageImports:
             "fingerprint", "--sessions", ing / "sessions.jsonl", "--datagrams", ing / "datagrams.jsonl",
             "--out-dir", tmp_path / "fp",
         )
+        scid = self.loaded("scid", "--datagrams", ing / "datagrams.jsonl", "--min-samples", "1", "--out-dir", tmp_path / "scid")
         classify = self.loaded(
             "classify", "--datagrams", ing / "datagrams.jsonl", "--truth", truth, "--out-dir", tmp_path / "cls",
         )
-        assert "fingerprint" in fingerprint and "offnet" in classify
-        assert not (fingerprint | classify) & {"sim", "probe"}
+        assert "fingerprint" in fingerprint and "scid" in scid and "offnet" in classify
+        # the analyses read the datagram store, never a capture
+        assert not (fingerprint | scid | classify) & {"sim", "probe", "pcap"}
+
+    def test_report_leaves_capture_side_out(self, tmp_path):
+        loaded = self.loaded("report", "--in-dir", tmp_path / "nothing", "--out-dir", tmp_path / "rep")
+        assert "tables" in loaded
+        assert not loaded & {"ingest", "pcap", "sim", "probe", "fingerprint", "scid", "offnet"}

@@ -14,10 +14,10 @@ from quicscope.fingerprint import (
     resend_count_distribution,
     version_tally,
 )
-from quicscope.ingest import Session, SessionKey, TimelineEntry, group_traits, ingest
+from quicscope.ingest import Session, SessionKey, Timeline, group_traits, ingest
 from quicscope.wire import Direction, PacketType, VersionRegistry
 
-from conftest import make_response
+from conftest import make_response, sessions_of
 
 
 def session_from_offsets(
@@ -30,10 +30,9 @@ def session_from_offsets(
 ):
     """Build a Session directly from resend offsets (one entry per offset)."""
     key = SessionKey("198.51.100.1", "172.16.0.9", b"s" * 7 + key_suffix, b"d" * 8)
-    timeline = [
-        TimelineEntry(o, (types[i] if types else PacketType.INITIAL), 1200, False)
-        for i, o in enumerate(offsets)
-    ]
+    timeline = Timeline()
+    for i, o in enumerate(offsets):
+        timeline.add(o, (types[i] if types else PacketType.INITIAL), 1200, False)
     return Session(key=key, timeline=timeline, direction=direction, version=version, operator=operator)
 
 
@@ -61,10 +60,9 @@ class TestVersionTally:
 
     def test_session_counted_once_despite_many_datagrams(self):
         registry = VersionRegistry.default()
-        from quicscope.ingest import sessionize
 
         records = list(ingest([make_response(t) for t in (0.0, 0.3, 0.6, 0.9, 1.2)]))
-        sessions = sessionize(records)
+        sessions = sessions_of(records)
         tally = version_tally(sessions, registry)
         assert tally.counts == {("server", "QUICv1"): 1}
 

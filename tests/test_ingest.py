@@ -10,13 +10,12 @@ from quicscope.ingest import (
     annotate_operators,
     ingest,
     sanitize,
-    sessionize,
 )
 from quicscope import tables
 from quicscope.pcap import write_pcap
 from quicscope.wire import Datagram, Direction, PacketType
 
-from conftest import make_request, make_response
+from conftest import make_request, make_response, sessions_of
 
 
 def net(s):
@@ -173,7 +172,7 @@ class TestSessionize:
     def test_resend_series_is_one_session(self):
         offsets = [0.0, 0.4, 0.8, 1.6, 3.2, 6.4, 9.0, 11.1, 13.0, 14.5]
         records = list(ingest([make_response(1000.0 + o) for o in offsets]))
-        sessions = sessionize(records)
+        sessions = sessions_of(records)
         assert len(sessions) == 1
         assert len(sessions[0].timeline) == 10
         assert sessions[0].timeline[0].offset == 0.0
@@ -181,7 +180,7 @@ class TestSessionize:
 
     def test_idle_gap_splits_sessions(self):
         records = list(ingest([make_response(0.0), make_response(600.0)]))
-        sessions = sessionize(records, idle_gap=60.0)
+        sessions = sessions_of(records, idle_gap=60.0)
         assert len(sessions) == 2
         assert all(s.timeline[0].offset == 0.0 for s in sessions)
 
@@ -189,14 +188,14 @@ class TestSessionize:
         records = list(
             ingest([make_response(0.0, dcid=b"\x01" * 8), make_response(0.1, dcid=b"\x02" * 8)])
         )
-        sessions = sessionize(records)
+        sessions = sessions_of(records)
         assert len(sessions) == 2
 
     def test_coalesced_entries_share_offset(self):
         records = list(
             ingest([make_response(5.0, types=(PacketType.INITIAL, PacketType.HANDSHAKE))])
         )
-        sessions = sessionize(records)
+        sessions = sessions_of(records)
         assert len(sessions) == 1
         tl = sessions[0].timeline
         assert len(tl) == 2
@@ -219,14 +218,14 @@ class TestSessionize:
             )
         records = list(ingest(datagrams))
         total_packets = sum(len(r.packets) for r in records)
-        sessions = sessionize(records)
+        sessions = sessions_of(records)
         assert sum(len(s.timeline) for s in sessions) == total_packets
         keys = [(s.key, s.start_ts) for s in sessions]
         assert len(keys) == len(set(keys))
 
     def test_offsets_non_decreasing(self):
         records = list(ingest([make_response(t) for t in (0.0, 0.5, 0.5, 2.0)]))
-        sessions = sessionize(records)
+        sessions = sessions_of(records)
         for s in sessions:
             offsets = [e.offset for e in s.timeline]
             assert offsets == sorted(offsets)
@@ -235,7 +234,7 @@ class TestSessionize:
     def test_session_carries_metadata(self):
         table = PrefixTable([(net("198.51.100.0/24"), 15169, "Google")])
         records = annotate_operators(ingest([make_response(0.0, version=1)]), table)
-        sessions = sessionize(records)
+        sessions = sessions_of(records)
         assert sessions[0].operator == "Google"
         assert sessions[0].version == 1
         assert sessions[0].direction == Direction.RESPONSE

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from quicscope.fingerprint import RtoEstimate
-from quicscope.ingest import group_traits, ingest, sessionize
+from quicscope.ingest import group_traits, ingest
 from quicscope.offnet import (
     NOT_OPERATOR,
     GroundTruth,
@@ -21,7 +21,7 @@ from quicscope.scid import FacebookScidFields, encode_facebook_scid
 from quicscope.sim import DeploymentConfig, FloodConfig, ClusterConfig, RoutingMode, default_stack_profile
 from quicscope.wire import Direction
 
-from conftest import make_response, simulate_to_pcap
+from conftest import make_response, sessions_of, simulate_to_pcap
 
 
 def features(**overrides) -> SourceFeatures:
@@ -42,7 +42,7 @@ def source_features(records, source, min_rto_sessions=5) -> SourceFeatures:
     the way classify folds them."""
     responses = [r for r in records if r.direction is Direction.RESPONSE]
     traits = group_traits(responses, lambda r: r.src_ip)
-    sessions = [s for s in sessionize(responses) if s.key.src_ip == source]
+    sessions = [s for s in sessions_of(responses) if s.key.src_ip == source]
     return extract_features(traits[source], sessions, min_rto_sessions=min_rto_sessions)
 
 

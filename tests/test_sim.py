@@ -10,7 +10,7 @@ from dataclasses import asdict, fields
 import pytest
 
 from quicscope.fingerprint import resend_rounds
-from quicscope.ingest import group_traits, ingest, sessionize
+from quicscope.ingest import group_traits, ingest
 from quicscope.pcap import PcapWriter
 from quicscope.scid import decode_facebook_scid
 from quicscope.sim import (
@@ -40,7 +40,7 @@ from quicscope.sim import (
 )
 from quicscope.wire import PacketType, encode_long_header, parse_long_header, split_coalesced
 
-from conftest import simulate_to_pcap
+from conftest import sessions_of, simulate_to_pcap
 
 
 def profile(operator="Facebook", **overrides):
@@ -407,7 +407,7 @@ class TestFloodDeterminism:
         _, datagrams = simulate_to_pcap(self.make_config(7), tmp_path / "capture.pcap")
         prof = default_stack_profile("Facebook")
         records = list(ingest(datagrams))
-        sessions = sessionize(records)
+        sessions = sessions_of(records)
         assert len(sessions) == 39
         for s in sessions:
             assert len(resend_rounds(s)) <= 1 + prof.max_retransmissions
@@ -425,7 +425,7 @@ class TestFloodDeterminism:
             records = list(ingest(datagrams))
             for r in records:
                 r.operator = operator
-            sessions = sessionize(records)
+            sessions = sessions_of(records)
             hist = resend_count_distribution(sessions)
             mode = max(hist, key=hist.get)
             assert low <= mode <= high

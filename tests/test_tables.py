@@ -46,14 +46,14 @@ class TestDatagramStore:
         assert len(live) == 4
         assert {r.direction for r in live} == {Direction.REQUEST, Direction.RESPONSE}
         assert {r.operator for r in live} == {"Facebook", None}
-        loaded = tables.load_datagrams(tables.save_datagrams(tmp_path / "datagrams.jsonl", live))
+        loaded = list(tables.load_datagrams(tables.save_datagrams(tmp_path / "datagrams.jsonl", live)))
         assert all(isinstance(r, CaptureRecord) for r in loaded)
         assert [stored_fields(r) for r in loaded] == [stored_fields(r) for r in live]
         assert [r.types for r in loaded] == [r.types for r in live]
 
     def test_stats_agree_on_live_and_loaded_records(self, tmp_path):
         live = live_records()
-        loaded = tables.load_datagrams(tables.save_datagrams(tmp_path / "datagrams.jsonl", live))
+        loaded = list(tables.load_datagrams(tables.save_datagrams(tmp_path / "datagrams.jsonl", live)))
         for key in (lambda r: r.operator or "Unknown", lambda r: (r.src_ip, r.operator)):
             assert group_traits(loaded, key) == group_traits(live, key)
         assert group_traits(live, lambda r: r.operator)["Facebook"].type_counts()["Initial & Handshake"] == 1
@@ -100,7 +100,7 @@ class TestDatagramStore:
         assert path.read_bytes() == reference.encode()
         # ingest never yields a datagram without a packet, and the loader rejects its row
         with pytest.raises(tables.StoreError, match=f"^{re.escape(str(path))}:4: datagram row has no packets"):
-            tables.load_datagrams(path)
+            list(tables.load_datagrams(path))
         path = tables.save_datagrams(tmp_path / "datagrams.jsonl", records[:3])
         assert [stored_fields(r) for r in tables.load_datagrams(path)] == [stored_fields(r) for r in records[:3]]
 
@@ -117,7 +117,7 @@ class TestDatagramStore:
         with path.open("a") as fh:
             fh.write(bad_row + "\n")
         with pytest.raises(tables.StoreError, match=f"^{re.escape(str(path))}:3: ") as excinfo:
-            tables.load_datagrams(path)
+            list(tables.load_datagrams(path))
         assert message in str(excinfo.value)
 
 
