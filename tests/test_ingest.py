@@ -2,11 +2,15 @@
 
 import ipaddress
 
+import pytest
+
 from quicscope.ingest import (
     IngestCounters,
     PrefixTable,
     ScannerList,
     SessionKey,
+    Timeline,
+    TimelineEntry,
     annotate_operators,
     ingest,
     sanitize,
@@ -244,3 +248,38 @@ class TestSessionize:
         key_b = SessionKey("1.1.1.1", "2.2.2.2", b"\x01", b"\x03")
         assert key_a != key_b
         assert key_a == SessionKey("1.1.1.1", "2.2.2.2", b"\x01", b"\x02")
+
+
+class TestTimeline:
+    ENTRIES = [
+        TimelineEntry(0.0, PacketType.INITIAL, 1200, True),
+        TimelineEntry(0.0, PacketType.HANDSHAKE, 1200, True),
+        TimelineEntry(0.1 + 0.2, PacketType.ZERO_RTT, 65535, False),
+        TimelineEntry(1e-07, PacketType.RETRY, 0, False),
+    ]
+
+    def timeline(self) -> Timeline:
+        timeline = Timeline()
+        for entry in self.ENTRIES:
+            timeline.add(*entry)
+        return timeline
+
+    def test_entries_read_back_exactly(self):
+        timeline = self.timeline()
+        assert len(timeline) == 4
+        assert list(timeline) == self.ENTRIES
+        assert all(type(e) is TimelineEntry for e in timeline)
+        assert [timeline[i] for i in range(-4, 4)] == self.ENTRIES * 2
+        with pytest.raises(IndexError):
+            timeline[4]
+
+    def test_offsets_of_packet_types_in_order(self):
+        timeline = self.timeline()
+        assert timeline.offsets((PacketType.INITIAL, PacketType.ZERO_RTT)) == [0.0, 0.1 + 0.2]
+        assert timeline.offsets(()) == []
+
+    @pytest.mark.parametrize("offset, length", [("0.5", 1200), (0.5, -1), (0.5, 1.5), (0.5, 1 << 32)])
+    def test_value_no_entry_can_hold_is_value_error(self, offset, length):
+        with pytest.raises(ValueError, match=r"^timeline entry \["):
+            Timeline().add(offset, PacketType.INITIAL, length, False)
+
