@@ -147,29 +147,30 @@ def estimate_rto(
     least three resends). Retransmission count reported as the 5th-95th
     percentile range of per-session resend counts.
     """
-    qualifying: list[list[float]] = []
+    # one pass that keeps what the medians need, not each session's rounds
+    first_offsets: list[float] = []
+    ratios: list[float] = []
+    counts: list[int] = []
     for session in sessions:
         rounds = resend_rounds(session)
-        if len(rounds) >= 3:  # first response + >= 2 resends
-            qualifying.append(rounds)
-    if len(qualifying) < min_sessions:
-        raise InsufficientData(
-            f"{len(qualifying)} sessions with >=2 resends, need {min_sessions}"
-        )
-    first_offsets = [rounds[1] for rounds in qualifying]
-    ratios: list[float] = []
-    for rounds in qualifying:
+        if len(rounds) < 3:  # first response + >= 2 resends
+            continue
+        first_offsets.append(rounds[1])
         resends = rounds[1:]
         gaps = [b - a for a, b in zip(resends, resends[1:])]
         ratios.extend(b / a for a, b in zip(gaps, gaps[1:]) if a > 0)
+        counts.append(len(rounds) - 1)
+    if len(counts) < min_sessions:
+        raise InsufficientData(
+            f"{len(counts)} sessions with >=2 resends, need {min_sessions}"
+        )
     if not ratios:
         raise InsufficientData("no session has enough resends to estimate backoff")
-    counts = [len(rounds) - 1 for rounds in qualifying]
     return RtoEstimate(
         initial_rto=_median(first_offsets),
         backoff_base=_median(ratios),
         max_retransmissions=(_percentile(counts, 0.05), _percentile(counts, 0.95)),
-        sample_count=len(qualifying),
+        sample_count=len(counts),
     )
 
 
