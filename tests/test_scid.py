@@ -88,6 +88,47 @@ class TestFacebookCodec:
         with pytest.raises(BadLength):
             decode_facebook_scid(b"\x01" * 20)
 
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            (FacebookScidFields(4, 0, 0, 0), "scid_version 4 does not fit in 2 bits"),
+            (FacebookScidFields(-1, 0, 0, 0), "scid_version -1 does not fit in 2 bits"),
+            (FacebookScidFields(1, 1 << 16, 0, 0), "host_id 65536 does not fit in 16 bits"),
+            (FacebookScidFields(2, 1 << 24, 0, 0), "host_id 16777216 does not fit in 24 bits"),
+            (FacebookScidFields(3, 1 << 16, 0, 0), "host_id 65536 does not fit in 16 bits"),
+            (FacebookScidFields(1, -1, 0, 0), "host_id -1 does not fit in 16 bits"),
+            (FacebookScidFields(2, 0, 256, 0), "worker_id 256 does not fit in 8 bits"),
+            (FacebookScidFields(1, 0, -3, 0), "worker_id -3 does not fit in 8 bits"),
+            (FacebookScidFields(2, 0, 0, 2), "process_id 2 does not fit in 1 bits"),
+            (FacebookScidFields(1, 0, 0, -1), "process_id -1 does not fit in 1 bits"),
+            # fields are checked in order, so the first bad one is named
+            (FacebookScidFields(1, -1, 256, 2), "host_id -1 does not fit in 16 bits"),
+        ],
+    )
+    def test_field_overflow_messages(self, fields, message):
+        with pytest.raises(FieldOverflow) as exc:
+            encode_facebook_scid(fields, random_bits_seed=1)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("version", [0, 3])
+    def test_versions_outside_layouts_pack_as_v1(self, version):
+        fields = FacebookScidFields(version, 0xBEEF, 0xA5, 1)
+        assert encode_facebook_scid(fields) == oracle_pack(fields)
+        # the random bits fill the v1 free bits exactly as for version 1
+        v1 = encode_facebook_scid(fields._replace(scid_version=1), random_bits_seed=9)
+        other = encode_facebook_scid(fields, random_bits_seed=9)
+        assert bytes([v1[0] & 0x3F | version << 6]) + v1[1:] == other
+        with pytest.raises(UnknownScidVersion) as exc:
+            decode_facebook_scid(other)
+        assert exc.value.version == version
+        assert str(exc.value) == f"SCID version bits decode to {version}, expected 1 or 2"
+
+    @pytest.mark.parametrize("length", [0, 7, 9, 20])
+    def test_bad_length_message(self, length):
+        with pytest.raises(BadLength) as exc:
+            decode_facebook_scid(b"\x41" * length)
+        assert str(exc.value) == f"expected 8 octets, got {length}"
+
     def test_decode_inverts_oracle(self):
         rng = random.Random(42)
         for _ in range(2000):

@@ -189,6 +189,51 @@ class TestRendezvousGolden:
         assert hashlib.sha256(",".join(map(str, ids)).encode()).hexdigest() == self.SWEEP_SHA256
 
 
+def reference_rendezvous(name: str, host_ids: list[int], five_tuple: tuple) -> int:
+    """The host ID whose splitmix64(instance key ^ tuple key) weight is
+    highest, first on a tie, computed one instance at a time."""
+
+    def key64(text: str) -> int:
+        return int.from_bytes(hashlib.blake2b(text.encode(), digest_size=8).digest(), "big")
+
+    mask = (1 << 64) - 1
+    tuple_key = key64("%s|%s|%s|%s|%s" % five_tuple)
+    best, pick = -1, None
+    for host_id in host_ids:
+        z = ((key64(f"l7lb|{name}|{host_id}") ^ tuple_key) + 0x9E3779B97F4A7C15) & mask
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+        z ^= z >> 31
+        if z > best:
+            best, pick = z, host_id
+    return pick
+
+
+class TestRendezvousEquivalence:
+    """FrontendCluster.rendezvous picks what the one-instance-at-a-time
+    splitmix64 loop picks, on fresh tuples and on repeats of the last one."""
+
+    @pytest.mark.parametrize("n", [1, 2, 17, 24, 64, 400])
+    def test_matches_reference_loop(self, n):
+        import random
+
+        rng = random.Random(n)
+        cfg = cluster_config(vip_count=2, l7lb_count=n, host_id_base=rng.randrange(1000), name=f"c{n}")
+        cluster = FrontendCluster(cfg)
+        host_ids = cfg.instance_host_ids()
+        for _ in range(200):
+            tup = (
+                f"{rng.randrange(1, 224)}.{rng.randrange(256)}.{rng.randrange(256)}.{rng.randrange(256)}",
+                rng.choice(cluster.vips),
+                rng.randint(1024, 65535),
+                443,
+                17,
+            )
+            expected = reference_rendezvous(cfg.name, host_ids, tup)
+            assert cluster.rendezvous(tup).host_id == expected  # uncached
+            assert cluster.rendezvous(tup).host_id == expected  # the kept last pick
+
+
 class TestVirtualClock:
     def test_ordering_and_ties(self):
         clock = VirtualClock()
