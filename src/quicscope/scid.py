@@ -221,6 +221,7 @@ _FB_LAYOUTS = {
     2: {"host_id": (8, 24), "worker_id": (32, 8), "process_id": (40, 1)},
 }
 _VERSION_FIELD = (0, 2)
+_VERSION_SHIFT = 64 - sum(_VERSION_FIELD)
 
 
 class FacebookScidFields(NamedTuple):
@@ -230,34 +231,28 @@ class FacebookScidFields(NamedTuple):
     process_id: int
 
 
-def _pack_bits(acc: int, value: int, start: int, width: int, name: str) -> int:
-    if value < 0 or value >= 1 << width:
-        raise FieldOverflow(f"{name} {value} does not fit in {width} bits")
-    shift = 64 - start - width
-    return acc | (value << shift)
-
-
-def _extract_bits(raw: int, start: int, width: int) -> int:
-    shift = 64 - start - width
-    return (raw >> shift) & ((1 << width) - 1)
-
-
-def _free_runs(layout: dict[str, tuple[int, int]]) -> tuple[int, tuple[tuple[int, int, int], ...]]:
-    """A layout's free-bit count, and (first, end, shift) per contiguous run
-    of free bits: the run's slice of the free bits in ascending order, and
-    the shift that puts that slice in place in the 64-bit SCID."""
-    used = {b for start, width in [_VERSION_FIELD, *layout.values()] for b in range(start, start + width)}
+def _fb_codec(layout: dict[str, tuple[int, int]]) -> tuple:
+    """A layout's codec tables, built once:
+    - a packer (shift, limit, width, name) per field, in FacebookScidFields order;
+    - an extractor (shift, mask) per field after the version;
+    - the free-bit count, and (drop, mask, shift) per contiguous run of free
+      bits, which cuts the run's slice out of the free bits drawn in
+      ascending order (first bit most significant) and puts it in place."""
+    spans = [("scid_version", _VERSION_FIELD), *layout.items()]
+    packers = tuple((64 - start - width, 1 << width, width, name) for name, (start, width) in spans)
+    extractors = tuple((64 - start - width, (1 << width) - 1) for start, width in layout.values())
+    used = {bit for _, (start, width) in spans for bit in range(start, start + width)}
     free = [bit for bit in range(64) if bit not in used]
     runs = []
     first = 0
     for i, bit in enumerate(free):
         if i + 1 == len(free) or free[i + 1] != bit + 1:
-            runs.append((first, i + 1, 63 - bit))
+            runs.append((len(free) - i - 1, (1 << (i + 1 - first)) - 1, 63 - bit))
             first = i + 1
-    return len(free), tuple(runs)
+    return packers, extractors, len(free), tuple(runs)
 
 
-_FB_RANDOM_RUNS = {version: _free_runs(layout) for version, layout in _FB_LAYOUTS.items()}
+_FB_CODECS = {version: _fb_codec(layout) for version, layout in _FB_LAYOUTS.items()}
 # octet -> b"1" when its top bit is set, else b"0", for bytes.translate
 _TOP_BIT_DIGIT = bytes(0x31 if octet & 0x80 else 0x30 for octet in range(256))
 # reseeded on every call, so no state carries from one SCID to the next;
@@ -275,22 +270,21 @@ def encode_facebook_scid(
     follows fields.scid_version; version values outside {1, 2} are packed
     with the v1 layout and will not decode.
     """
-    version = fields.scid_version if fields.scid_version in _FB_LAYOUTS else 1
-    layout = _FB_LAYOUTS[version]
-    acc = _pack_bits(0, fields.scid_version, *_VERSION_FIELD, name="scid_version")
-    acc = _pack_bits(acc, fields.host_id, *layout["host_id"], name="host_id")
-    acc = _pack_bits(acc, fields.worker_id, *layout["worker_id"], name="worker_id")
-    acc = _pack_bits(acc, fields.process_id, *layout["process_id"], name="process_id")
+    packers, _, count, runs = _FB_CODECS.get(fields.scid_version) or _FB_CODECS[1]
+    acc = 0
+    for value, (shift, limit, width, name) in zip(fields, packers):
+        if value < 0 or value >= limit:
+            raise FieldOverflow(f"{name} {value} does not fit in {width} bits")
+        acc |= value << shift
     if random_bits_seed is not None:
-        count, runs = _FB_RANDOM_RUNS[version]
         # one 32-bit word per free bit: CPython's getrandbits(1) is the top
         # bit of the next word, and getrandbits(32 * n) stacks n words from
         # the least significant end, so word i's top bit is the i-th draw
         _RANDOM_BITS.seed(random_bits_seed)
         words = _RANDOM_BITS.getrandbits(32 * count)
-        digits = words.to_bytes(4 * count, "little")[3::4].translate(_TOP_BIT_DIGIT)
-        for first, end, shift in runs:
-            acc |= int(digits[first:end], 2) << shift
+        drawn = int(words.to_bytes(4 * count, "little")[3::4].translate(_TOP_BIT_DIGIT), 2)
+        for drop, mask, shift in runs:
+            acc |= (drawn >> drop & mask) << shift
     return acc.to_bytes(FACEBOOK_SCID_OCTETS, "big")
 
 
@@ -303,15 +297,13 @@ def decode_facebook_scid(scid: bytes) -> FacebookScidFields:
     if len(scid) != FACEBOOK_SCID_OCTETS:
         raise BadLength(f"expected {FACEBOOK_SCID_OCTETS} octets, got {len(scid)}")
     raw = int.from_bytes(scid, "big")
-    version = _extract_bits(raw, *_VERSION_FIELD)
-    layout = _FB_LAYOUTS.get(version)
-    if layout is None:
+    version = raw >> _VERSION_SHIFT
+    codec = _FB_CODECS.get(version)
+    if codec is None:
         raise UnknownScidVersion(version)
+    (host_shift, host_mask), (worker_shift, worker_mask), (process_shift, process_mask) = codec[1]
     return FacebookScidFields(
-        version,
-        _extract_bits(raw, *layout["host_id"]),
-        _extract_bits(raw, *layout["worker_id"]),
-        _extract_bits(raw, *layout["process_id"]),
+        version, raw >> host_shift & host_mask, raw >> worker_shift & worker_mask, raw >> process_shift & process_mask
     )
 
 

@@ -15,15 +15,19 @@ only in the list the simulator is given, so probe campaigns keep none.
 
 from __future__ import annotations
 
-import hashlib
 import heapq
 import ipaddress
 import json
 import random
+import struct
 from dataclasses import MISSING, dataclass, field, fields
 from enum import Enum
 from pathlib import Path
-from typing import Callable, Optional
+from typing import TYPE_CHECKING, Callable, Optional
+
+# the built-in that hashlib.blake2b names; hashlib would also load OpenSSL
+# through _hashlib, about 2.8 MB of a stage's peak RSS
+from _blake2 import blake2b
 
 from .scid import (
     FACEBOOK_SCID_OCTETS,
@@ -32,9 +36,12 @@ from .scid import (
     decode_facebook_scid,
     encode_facebook_scid,
 )
-from .pcap import PcapWriter, build_ipv4_udp
 from .tables import StoreError, list_of, object_of, of_type, read_profiles
 from .wire import MAX_CID_LENGTH, Datagram, LongHeader, PacketType, encode_long_header, split_coalesced
+
+if TYPE_CHECKING:
+    # pcap (and socket with it) loads only where a capture is written
+    from .pcap import PcapWriter
 
 QUIC_PORT = 443
 PROTO_UDP = 17
@@ -234,10 +241,11 @@ class VirtualClock:
 
 
 _MASK64 = (1 << 64) - 1
+_LANE_BITS = 128  # a 64x64-bit product fits in one lane
 
 
 def _key64(text: str) -> int:
-    return int.from_bytes(hashlib.blake2b(text.encode(), digest_size=8).digest(), "big")
+    return int.from_bytes(blake2b(text.encode(), digest_size=8).digest(), "big")
 
 
 def five_tuple_of(d: Datagram) -> tuple:
@@ -301,15 +309,31 @@ class FrontendCluster:
         ]
         self.routing_mode = config.routing_mode
         self.profile = config.profile
+        # the codec version of a Facebook scheme, else None; read per handshake
+        self.scid_version = FACEBOOK_SCID_VERSIONS.get(config.profile.scid_scheme)
         self.name = config.name or config.vips[0]
         self.by_host_id = {inst.host_id: inst for inst in self.instances}
         self.cid_directory: dict[bytes, tuple[L7LBInstance, float]] = {}
-        self._instance_keys = [_key64(f"l7lb|{self.name}|{inst.host_id}") for inst in self.instances]
+        # instance i's 64-bit key sits in the low half of lane i, bits 128i up
+        n = len(self.instances)
+        self._lanes_ones = sum(1 << (_LANE_BITS * i) for i in range(n))
+        self._lanes_mask = self._lanes_ones * _MASK64
+        self._lanes_golden = self._lanes_ones * 0x9E3779B97F4A7C15
+        self._lanes_keys = sum(
+            _key64(f"l7lb|{self.name}|{inst.host_id}") << (_LANE_BITS * i) for i, inst in enumerate(self.instances)
+        )
+        self._lanes_read = struct.Struct("<" + "Q8x" * n).unpack
+        self._lanes_octets = n * _LANE_BITS // 8
         self._last_pick: tuple[Optional[tuple], Optional[L7LBInstance]] = (None, None)
 
     def rendezvous(self, five_tuple: tuple) -> L7LBInstance:
         """The instance whose splitmix64(instance key ^ tuple key) weight is
         highest; the first one on a tie.
+
+        Every instance's splitmix64 runs at once, in its own 128-bit lane of
+        one int: each lane is cut back to 64 bits before a multiply, so the
+        product stays in the lane, and a right shift's spill from the lane
+        above lands in the upper half, which the next mask or the read clears.
 
         The instances never change, so the last (5-tuple, instance) pick is
         kept: a client's ACK, sent on the 5-tuple its Initial was just routed
@@ -317,18 +341,12 @@ class FrontendCluster:
         last_tuple, last_instance = self._last_pick
         if five_tuple == last_tuple:
             return last_instance
-        tuple_key = _key64("%s|%s|%s|%s|%s" % five_tuple)
-        best = -1
-        pick = 0
-        for i, key in enumerate(self._instance_keys):
-            z = ((key ^ tuple_key) + 0x9E3779B97F4A7C15) & _MASK64
-            z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-            z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-            z ^= z >> 31
-            if z > best:
-                best = z
-                pick = i
-        instance = self.instances[pick]
+        mask = self._lanes_mask
+        z = ((self._lanes_keys ^ _key64("%s|%s|%s|%s|%s" % five_tuple) * self._lanes_ones) + self._lanes_golden) & mask
+        z = ((z ^ (z >> 30)) & mask) * 0xBF58476D1CE4E5B9 & mask
+        z = ((z ^ (z >> 27)) & mask) * 0x94D049BB133111EB & mask
+        weights = self._lanes_read((z ^ (z >> 31)).to_bytes(self._lanes_octets, "little"))
+        instance = self.instances[weights.index(max(weights))]
         self._last_pick = (five_tuple, instance)
         return instance
 
@@ -346,9 +364,7 @@ class FrontendCluster:
         self.cid_directory[cid] = (instance, expires_at)
 
     def decode_host_id(self, dcid: bytes) -> Optional[int]:
-        if self.profile.scid_scheme not in FACEBOOK_SCID_VERSIONS:
-            return None
-        if len(dcid) != FACEBOOK_SCID_OCTETS:
+        if self.scid_version is None or len(dcid) != FACEBOOK_SCID_OCTETS:
             return None
         try:
             return decode_facebook_scid(dcid).host_id
@@ -605,15 +621,13 @@ class DeploymentSimulator:
         scheme = profile.scid_scheme
         for _ in range(8):
             worker_id: Optional[int] = None
-            if scheme in FACEBOOK_SCID_VERSIONS:
+            if cluster.scid_version is not None:
                 worker_id = self.rng.randrange(instance.workers)
-                fields = FacebookScidFields(
-                    FACEBOOK_SCID_VERSIONS[scheme], instance.host_id, worker_id, profile.process_id
-                )
+                fields = FacebookScidFields(cluster.scid_version, instance.host_id, worker_id, profile.process_id)
                 scid = encode_facebook_scid(fields, random_bits_seed=self.rng.getrandbits(64))
-            elif scheme == ScidSchemeKind.CLOUDFLARE_FIXED:
+            elif scheme is ScidSchemeKind.CLOUDFLARE_FIXED:
                 scid = b"\x01" + self.rng.randbytes(profile.scid_length - 1)
-            elif scheme == ScidSchemeKind.ECHO_CLIENT_DCID:
+            elif scheme is ScidSchemeKind.ECHO_CLIENT_DCID:
                 prefix = client_initial.dcid[:8]
                 if len(prefix) < 8:
                     prefix += self.rng.randbytes(8 - len(prefix))
@@ -636,22 +650,17 @@ class DeploymentSimulator:
         dcid, scid = conn.client_cid, conn.server_cid
         initial = encode_long_header(PacketType.INITIAL, profile.version, dcid, scid, INITIAL_FILLER)
         handshake = encode_long_header(PacketType.HANDSHAKE, profile.version, dcid, scid, HANDSHAKE_FILLER)
-        policy = profile.padding_policy
-
-        def pad(payload: bytes, category: str) -> bytes:
-            target = policy.get(category, 0)
-            if len(payload) < target:
-                payload += b"\x00" * (target - len(payload))
-            return payload
-
+        if profile.coalescence:
+            bodies = ((initial + handshake, "Initial & Handshake"),)
+        else:
+            bodies = ((initial, "Initial"), (handshake, "Handshake"))
         now = self.clock.now
         dst_ip, dst_port = client_addr
-        if profile.coalescence:
-            body = pad(initial + handshake, "Initial & Handshake")
-            return [Datagram(now, vip, dst_ip, QUIC_PORT, dst_port, body)]
+        policy = profile.padding_policy
+        # zero-padded up to the category's size in the padding policy
         return [
-            Datagram(now, vip, dst_ip, QUIC_PORT, dst_port, pad(initial, "Initial")),
-            Datagram(now, vip, dst_ip, QUIC_PORT, dst_port, pad(handshake, "Handshake")),
+            Datagram(now, vip, dst_ip, QUIC_PORT, dst_port, body.ljust(policy.get(category, 0), b"\x00"))
+            for body, category in bodies
         ]
 
     def serve_initial(
@@ -707,7 +716,11 @@ class DeploymentSimulator:
         else:
             # with no capture the rounds still run, writing nothing, so an ACK
             # cancels the same resend either way
-            packets = [build_ipv4_udp(d) for d in datagrams] if self._capture is not None else []
+            packets = []
+            if self._capture is not None:
+                from .pcap import build_ipv4_udp
+
+                packets = [build_ipv4_udp(d) for d in datagrams]
 
             def resend(at: float) -> None:
                 for packet in packets:

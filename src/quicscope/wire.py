@@ -47,18 +47,19 @@ class PacketType(Enum):
     RETRY = "retry"
     VERSION_NEGOTIATION = "version_negotiation"
 
+    # Members compare by identity, so they may hash by it too: Enum's own
+    # __hash__ runs in Python on every lookup of a member-keyed table. No
+    # output iterates a set of members, whose order this would change.
+    __hash__ = object.__hash__
+
     def __str__(self) -> str:
         return self.value
 
 
-_TYPE_BITS = {
-    0: PacketType.INITIAL,
-    1: PacketType.ZERO_RTT,
-    2: PacketType.HANDSHAKE,
-    3: PacketType.RETRY,
-}
+# long-header type bits (first octet, bits 4-5) -> type
+_TYPE_BITS = (PacketType.INITIAL, PacketType.ZERO_RTT, PacketType.HANDSHAKE, PacketType.RETRY)
 # canonical first octet per type: form and fixed bits set, low bits zero
-_FIRST_BYTE = {t: FORM_BIT | FIXED_BIT | (bits << 4) for bits, t in _TYPE_BITS.items()}
+_FIRST_BYTE = {t: FORM_BIT | FIXED_BIT | (bits << 4) for bits, t in enumerate(_TYPE_BITS)}
 _FIRST_BYTE[PacketType.VERSION_NEGOTIATION] = FORM_BIT | FIXED_BIT
 
 # Display names used in packet-type and length tables.
@@ -138,12 +139,20 @@ class LongHeader(NamedTuple):
         return len(self.payload)
 
 
+_U32 = struct.Struct(">I").unpack_from
+_HEAD = struct.Struct(">BIB").pack
+_U16 = struct.Struct(">H").pack
+# LongHeader's own __new__ is a Python function; its fields are checked here
+_new_header = tuple.__new__
+
+
 def parse_long_header(payload: bytes, offset: int = 0) -> LongHeader:
     """Decode one long-header packet starting at `offset`.
 
     Raises NotLongHeader if the form bit is clear, InvalidCidLength for a
     declared CID length above 20, and TruncatedPacket when the buffer ends
-    inside any field.
+    inside any field. The varints a handshake carries (a 1-octet token
+    length, a 1- or 2-octet Length) are read in place.
     """
     end = len(payload)
     if offset >= end:
@@ -154,7 +163,7 @@ def parse_long_header(payload: bytes, offset: int = 0) -> LongHeader:
     pos = offset + 5
     if pos > end:
         raise TruncatedPacket("payload ends inside version field")
-    version = struct.unpack_from(">I", payload, offset + 1)[0]
+    version = _U32(payload, offset + 1)[0]
 
     if pos >= end:
         raise TruncatedPacket("payload ends before DCID length octet")
@@ -185,8 +194,12 @@ def parse_long_header(payload: bytes, offset: int = 0) -> LongHeader:
     else:
         packet_type = _TYPE_BITS[(first & TYPE_MASK) >> 4]
         if packet_type is PacketType.INITIAL:
-            token_len, consumed = decode_varint(payload, pos)
-            pos += consumed
+            if pos < end and payload[pos] < 0x40:
+                token_len = payload[pos]
+                pos += 1
+            else:
+                token_len, consumed = decode_varint(payload, pos)
+                pos += consumed
             if pos + token_len > end:
                 raise TruncatedPacket("payload ends inside Initial token")
             token = payload[pos : pos + token_len]
@@ -195,14 +208,21 @@ def parse_long_header(payload: bytes, offset: int = 0) -> LongHeader:
             body = payload[pos:]
             pos = end
         else:
-            length, consumed = decode_varint(payload, pos)
-            pos += consumed
+            if pos + 1 < end and payload[pos] >> 6 == 1:
+                length = (payload[pos] & 0x3F) << 8 | payload[pos + 1]
+                pos += 2
+            elif pos < end and payload[pos] < 0x40:
+                length = payload[pos]
+                pos += 1
+            else:
+                length, consumed = decode_varint(payload, pos)
+                pos += consumed
             if pos + length > end:
                 raise TruncatedPacket("payload ends inside declared packet length")
             body = payload[pos : pos + length]
             pos += length
 
-    return LongHeader(packet_type, version, dcid, scid, token, body, first, pos - offset)
+    return _new_header(LongHeader, (packet_type, version, dcid, scid, token, body, first, pos - offset))
 
 
 def check_cid_lengths(dcid: bytes, scid: bytes) -> None:
@@ -229,21 +249,24 @@ def encode_long_header(
     Negotiation (or not 0 on it), or when a packet other than Initial
     carries a token.
     """
-    check_cid_lengths(dcid, scid)
+    dcid_length, scid_length = len(dcid), len(scid)
+    if dcid_length > MAX_CID_LENGTH or scid_length > MAX_CID_LENGTH:
+        check_cid_lengths(dcid, scid)  # raises, naming the longer CID
     if (packet_type is PacketType.VERSION_NEGOTIATION) != (version == 0):
         raise WireError("version 0 is reserved for (and required by) version negotiation")
-    if packet_type is PacketType.INITIAL:
-        tail = encode_varint(len(token)) + token + encode_varint(len(payload))
-    elif token:
+    if token and packet_type is not PacketType.INITIAL:
         raise WireError("only Initial packets carry a token")
-    elif packet_type is PacketType.HANDSHAKE or packet_type is PacketType.ZERO_RTT:
-        tail = encode_varint(len(payload))
-    else:
-        tail = b""
     if first_byte is None:
         first_byte = _FIRST_BYTE[packet_type]
-    head = struct.pack(">BIB", first_byte | FORM_BIT, version, len(dcid))
-    return head + dcid + bytes((len(scid),)) + scid + tail + payload
+    head = _HEAD(first_byte | FORM_BIT, version, dcid_length) + dcid + bytes((scid_length,)) + scid
+    if packet_type is PacketType.RETRY or packet_type is PacketType.VERSION_NEGOTIATION:
+        return head + payload
+    # the Length varint, its 1- and 2-octet forms built in place
+    n = len(payload)
+    length = bytes((n,)) if n < 0x40 else _U16(n | 0x4000) if n < 0x4000 else encode_varint(n)
+    if packet_type is PacketType.INITIAL:
+        return head + (encode_varint(len(token)) + token if token else b"\x00") + length + payload
+    return head + length + payload
 
 
 def split_coalesced(datagram_payload: bytes) -> list[LongHeader]:

@@ -128,6 +128,37 @@ class TestParseLongHeader:
         assert h.token_length == 3
         assert h.payload == b"pp"
 
+    @pytest.mark.parametrize(
+        "token_len, length",
+        [
+            ("00", "05"),  # the shortest forms a handshake carries
+            ("4003", "4005"),  # 2-octet forms of small values
+            ("80000003", "c000000000000005"),  # 4- and 8-octet forms
+            ("03", "4105"),  # a 2-octet Length over 63
+        ],
+    )
+    def test_varint_widths_and_their_truncations(self, token_len, length):
+        head = bytes.fromhex("c0" "00000001" "00" "00")
+        token = b"TOK"[: int(bytes.fromhex(token_len)[-1])]
+        body_len = decode_varint(bytes.fromhex(length), 0)[0]
+        pkt = head + bytes.fromhex(token_len) + token + bytes.fromhex(length) + b"b" * body_len
+        h = parse_long_header(pkt)
+        assert (h.token, h.payload, h.wire_length) == (token, b"b" * body_len, len(pkt))
+        # each cut names the field it ends in
+        length_at = len(head) + len(token_len) // 2 + len(token)
+        expected = {len(head): "varint starts past end of buffer", length_at: "varint starts past end of buffer"}
+        for cut in range(len(head) + 1, len(head) + len(token_len) // 2):
+            expected[cut] = "buffer ends inside varint"
+        for cut in range(len(head) + len(token_len) // 2, length_at):
+            expected[cut] = "payload ends inside Initial token"
+        for cut in range(length_at + 1, length_at + len(length) // 2):
+            expected[cut] = "buffer ends inside varint"
+        for cut in range(length_at + len(length) // 2, len(pkt)):
+            expected[cut] = "payload ends inside declared packet length"
+        for cut, message in expected.items():
+            with pytest.raises(TruncatedPacket, match=message):
+                parse_long_header(pkt[:cut])
+
 
 class TestVarint:
     @pytest.mark.parametrize(
