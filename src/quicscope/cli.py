@@ -583,8 +583,7 @@ def cmd_probe(args) -> int:
             raise FileNotFoundError("--targets all requires --transport sim with a deployment config")
     else:
         targets = [t for t in args.targets.split(",") if t]
-    out = _out_dir(args)
-    outputs = []
+    # every value is checked before the output directory is made
     if args.mode == "harvest":
         campaign = probe.ProbeCampaign(
             targets=targets,
@@ -593,6 +592,13 @@ def cmd_probe(args) -> int:
             inter_probe_gap=args.inter_probe_gap,
             seed=args.seed,
         )
+        if len(targets) >= 2:
+            probe.check_threshold(args.threshold)
+    else:
+        probe.check_lbtype_timing(args.probe_interval, args.max_wait)
+    out = _out_dir(args)
+    outputs = []
+    if args.mode == "harvest":
         harvests = probe.run_campaign(campaign, transport)
         harvest_rows = []
         unique_rows = []

@@ -12,6 +12,7 @@ different site entirely.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 from enum import Enum
@@ -212,6 +213,9 @@ class ProbeCampaign:
     def __post_init__(self) -> None:
         if self.handshakes_per_vip < 1:
             raise ProbeError("handshakes_per_vip must be >= 1")
+        # a negative or NaN gap would be slept as no gap at all
+        if not 0 <= self.inter_probe_gap < math.inf:
+            raise ProbeError(f"inter_probe_gap must be a finite number >= 0, got {self.inter_probe_gap}")
 
 
 @dataclass
@@ -310,6 +314,12 @@ class ClusterReport:
         return jaccard(self.signatures[vip_a], self.signatures[vip_b])
 
 
+def check_threshold(threshold: float) -> None:
+    """Raise ProbeError unless `threshold` is a Jaccard similarity, in [0, 1]."""
+    if not 0 <= threshold <= 1:
+        raise ProbeError(f"threshold must be in [0, 1], got {threshold}")
+
+
 def cluster_vips(
     harvests: dict[str, HostIdHarvest] | Iterable[HostIdHarvest],
     threshold: float = DEFAULT_JACCARD_THRESHOLD,
@@ -320,6 +330,7 @@ def cluster_vips(
     keeps hypergiant-scale inputs (thousands of VIPs sharing a few hundred
     distinct sets) fast.
     """
+    check_threshold(threshold)
     if not isinstance(harvests, dict):
         harvests = {h.vip: h for h in harvests}
     if len(harvests) < 2:
@@ -365,6 +376,16 @@ class LbTypeVerdict:
             raise ProbeError("CID-aware verdict requires a positive fail window")
 
 
+def check_lbtype_timing(probe_interval: float, max_wait: float) -> None:
+    """Raise ProbeError unless both are positive and finite. detect_lb_type
+    sleeps probe_interval between follow-ups until max_wait has passed, so a
+    zero, negative or NaN interval never advances the clock and probes
+    forever, and a wait that is not positive never probes."""
+    for name, value in (("probe_interval", probe_interval), ("max_wait", max_wait)):
+        if not 0 < value < math.inf:
+            raise ProbeError(f"{name} must be a positive finite number of seconds, got {value}")
+
+
 def detect_lb_type(
     vip: str,
     transport: Transport,
@@ -385,6 +406,7 @@ def detect_lb_type(
     can hash onto the instance holding the idle connection, which discards
     it; probing then goes on. Unsuitable for anycast targets.
     """
+    check_lbtype_timing(probe_interval, max_wait)
     rng = random.Random(seed)
     first_port = rng.randint(40000, 65000)
     held_scid = transport.handshake(vip, first_port)

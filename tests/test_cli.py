@@ -342,6 +342,41 @@ class TestProbeCommand:
         rc = pytest.raises(SystemExit, run, "probe", "--port-strategy", "bogus", "--out-dir", tmp_path / "p")
         assert rc.value.code == 1
 
+    @pytest.fixture
+    def no_handshakes(self, monkeypatch):
+        from quicscope.probe import SimulatorTransport
+
+        def handshake(*args, **kwargs):
+            raise AssertionError("a handshake was made")
+
+        monkeypatch.setattr(SimulatorTransport, "handshake", handshake)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("--mode", "lbtype", "--probe-interval", "0"),
+            ("--mode", "lbtype", "--probe-interval", "-1"),
+            ("--mode", "lbtype", "--probe-interval", "nan"),
+            ("--mode", "lbtype", "--max-wait", "-5"),
+            ("--inter-probe-gap", "-1"),
+            ("--threshold", "2"),
+            ("--handshakes", "0"),
+        ],
+        ids=" ".join,
+    )
+    def test_bad_values_exit_3_before_any_handshake(self, deploy_config, tmp_path, no_handshakes, argv):
+        out = tmp_path / "p"
+        rc = run("probe", "--sim-config", deploy_config, "--targets", "all", *argv, "--out-dir", out, "--seed", "1")
+        assert rc == 3
+        assert not out.exists()
+
+    def test_campaign_file_gap_checked_before_any_handshake(self, deploy_config, tmp_path, no_handshakes):
+        campaign = tmp_path / "campaign.json"
+        campaign.write_text(json.dumps({"targets": ["198.51.100.0"], "inter_probe_gap": -1.0}))
+        out = tmp_path / "p"
+        assert run("probe", "--sim-config", deploy_config, "--campaign-config", campaign, "--out-dir", out) == 3
+        assert not out.exists()
+
     def test_unreachable_target_is_precondition_error(self, deploy_config, tmp_path):
         rc = run(
             "probe", "--sim-config", deploy_config, "--targets", "10.9.9.9",
@@ -1006,7 +1041,8 @@ class TestStoreRows:
 class TestStageImports:
     """Each stage loads only the quicscope modules it runs."""
 
-    # runs main() on argv, then prints the loaded quicscope.* modules
+    # runs main() on argv, then prints the loaded quicscope.* modules, and
+    # socket if it was loaded
     SCRIPT = (
         "import sys\n"
         "from quicscope.cli import main\n"
@@ -1014,7 +1050,7 @@ class TestStageImports:
         "    code = main(sys.argv[1:])\n"
         "except SystemExit as exc:\n"
         "    code = exc.code\n"
-        "print(' '.join(sorted(m for m in sys.modules if m.startswith('quicscope.'))))\n"
+        "print(' '.join(sorted(m for m in sys.modules if m.startswith('quicscope.') or m == 'socket')))\n"
         "sys.exit(code)\n"
     )
 
@@ -1059,6 +1095,14 @@ class TestStageImports:
         assert "fingerprint" in fingerprint and "scid" in scid and "offnet" in classify
         # the analyses read the datagram store, never a capture
         assert not (fingerprint | scid | classify) & {"sim", "probe", "pcap"}
+
+    def test_probe_leaves_capture_and_analyses_out(self, deploy_config, tmp_path):
+        loaded = self.loaded(
+            "probe", "--sim-config", deploy_config, "--handshakes", "5", "--out-dir", tmp_path / "probe"
+        )
+        assert {"sim", "probe", "scid", "wire", "tables"} <= loaded
+        # a probe writes no capture, so neither pcap nor socket is loaded
+        assert not loaded & {"pcap", "socket", "ingest", "fingerprint", "offnet"}
 
     def test_report_leaves_capture_side_out(self, tmp_path):
         loaded = self.loaded("report", "--in-dir", tmp_path / "nothing", "--out-dir", tmp_path / "rep")

@@ -14,6 +14,7 @@ from quicscope.probe import (
     LbType,
     PortStrategy,
     ProbeCampaign,
+    ProbeError,
     SimulatorTransport,
     TransportUnavailable,
     cluster_vips,
@@ -300,3 +301,56 @@ class TestDetectLbType:
         transport = SimulatorTransport(sim, seed=14)
         verdict = detect_lb_type("203.0.113.1", transport, max_wait=30.0, seed=14)
         assert verdict.kind == LbType.INCONCLUSIVE
+
+
+class CountingTransport(SimulatorTransport):
+    """A simulator loopback that counts the handshakes it was asked for."""
+
+    def __init__(self, sim):
+        super().__init__(sim)
+        self.handshakes = 0
+
+    def handshake(self, *args, **kwargs):
+        self.handshakes += 1
+        return super().handshake(*args, **kwargs)
+
+
+class TestProbeValuesRejected:
+    """Values that would hang a probe, or that it would quietly ignore, are
+    ProbeErrors raised before the first handshake."""
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"probe_interval": 0.0},
+            {"probe_interval": -1.0},
+            {"probe_interval": float("nan")},
+            {"probe_interval": float("inf")},
+            {"max_wait": -5.0},
+            {"max_wait": 0.0},
+            {"max_wait": float("nan")},
+        ],
+        ids=repr,
+    )
+    def test_lbtype_timing(self, kwargs):
+        transport = CountingTransport(make_sim(l7lb_count=10, mode=RoutingMode.CID_AWARE))
+        name = next(iter(kwargs))
+        with pytest.raises(ProbeError, match=f"^{name} must be a positive finite number"):
+            detect_lb_type("203.0.113.1", transport, **kwargs)
+        assert transport.handshakes == 0
+
+    @pytest.mark.parametrize("gap", [-1.0, float("nan"), float("inf")], ids=repr)
+    def test_inter_probe_gap(self, gap):
+        with pytest.raises(ProbeError, match="^inter_probe_gap must be a finite number >= 0"):
+            ProbeCampaign(targets=["203.0.113.1"], handshakes_per_vip=5, inter_probe_gap=gap)
+
+    @pytest.mark.parametrize("threshold", [2.0, -0.1, float("nan")], ids=repr)
+    def test_threshold(self, threshold):
+        harvests = [harvest_from_ids("a", [1, 2]), harvest_from_ids("b", [2, 3])]
+        with pytest.raises(ProbeError, match=r"^threshold must be in \[0, 1\]"):
+            cluster_vips(harvests, threshold=threshold)
+
+    @pytest.mark.parametrize("threshold", [0.0, 1.0])
+    def test_threshold_bounds_accepted(self, threshold):
+        harvests = [harvest_from_ids("a", [1, 2]), harvest_from_ids("b", [2, 3])]
+        assert cluster_vips(harvests, threshold=threshold).threshold == threshold
