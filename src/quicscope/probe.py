@@ -213,7 +213,8 @@ class ProbeCampaign:
     def __post_init__(self) -> None:
         if self.handshakes_per_vip < 1:
             raise ProbeError("handshakes_per_vip must be >= 1")
-        # a negative or NaN gap would be slept as no gap at all
+        # a negative or NaN gap would be slept as no gap at all, an infinite
+        # one as a jump past every pending event
         if not 0 <= self.inter_probe_gap < math.inf:
             raise ProbeError(f"inter_probe_gap must be a finite number >= 0, got {self.inter_probe_gap}")
 
