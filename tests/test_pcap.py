@@ -1,6 +1,7 @@
 """pcap round trips plus reader behavior on ethernet framing and bad input."""
 
 import gc
+import random
 import struct
 import sys
 import warnings
@@ -11,6 +12,7 @@ from quicscope.pcap import (
     LINKTYPE_ETHERNET,
     PcapReader,
     UnreadableCapture,
+    _ip_checksum,
     build_ipv4_udp,
     write_pcap,
 )
@@ -152,3 +154,48 @@ def test_big_endian_and_nanosecond_magic(tmp_path):
     assert len(got) == 1
     assert got[0].payload == b"ns"
     assert abs(got[0].timestamp - 2.000000333) < 1e-9
+
+
+def reference_checksum(data: bytes) -> int:
+    """RFC 1071: the ones' complement of the ones' complement sum of the
+    16-bit big-endian words, an odd trailing octet padded with zero."""
+    if len(data) % 2:
+        data += b"\x00"
+    total = 0
+    for i in range(0, len(data), 2):
+        total += (data[i] << 8) | data[i + 1]
+        total = (total & 0xFFFF) + (total >> 16)
+    return ~total & 0xFFFF
+
+
+class TestIpChecksum:
+    @pytest.mark.parametrize(
+        "data",
+        [
+            b"", b"\x00", b"\x01", b"\xff", b"\x00" * 20, b"\x00" * 21, b"\xff\xff", b"\xff\xff" * 7,
+            b"\x80\x00\x80\x00", b"\xff\xfe\x00\x01",
+        ],
+    )
+    def test_edge_buffers_match_the_word_sum(self, data):
+        assert _ip_checksum(data) == reference_checksum(data)
+
+    def test_random_buffers_match_the_word_sum(self):
+        rng = random.Random(7)
+        for n in [*range(0, 64), 1199, 1200, 1252, 1500]:
+            for _ in range(5):
+                data = rng.randbytes(n)
+                assert _ip_checksum(data) == reference_checksum(data), data.hex()
+
+    def test_a_nonzero_sum_of_zero_mod_ffff_folds_to_ffff(self):
+        # each buffer's words sum to a multiple of 0xFFFF without being zero
+        for data in (b"\xff\xff", b"\xff\xfe\x00\x01", b"\x80\x00\x7f\xff", b"\xff\xff\xff\xff\x00"):
+            assert reference_checksum(data) == 0
+            assert _ip_checksum(data) == 0
+        assert _ip_checksum(b"\x00\x00\x00") == reference_checksum(b"\x00\x00\x00") == 0xFFFF
+
+    def test_built_headers_verify(self):
+        for d in make_datagrams():
+            packet = build_ipv4_udp(d)
+            assert reference_checksum(packet[:20]) == 0
+            pseudo = packet[12:20] + struct.pack(">BBH", 0, 17, len(packet) - 20)
+            assert reference_checksum(pseudo + packet[20:]) == 0

@@ -7,7 +7,15 @@ import re
 import pytest
 
 from quicscope import tables
-from quicscope.ingest import CaptureRecord, PrefixTable, annotate_operators, group_traits, ingest
+from quicscope.ingest import (
+    CaptureRecord,
+    PrefixTable,
+    Session,
+    SessionKey,
+    annotate_operators,
+    group_traits,
+    ingest,
+)
 from quicscope.wire import Direction, LongHeader, PacketType
 
 from conftest import make_request, make_response
@@ -104,12 +112,30 @@ class TestDatagramStore:
         path = tables.save_datagrams(tmp_path / "datagrams.jsonl", records[:3])
         assert [stored_fields(r) for r in tables.load_datagrams(path)] == [stored_fields(r) for r in records[:3]]
 
+    def test_rows_in_any_key_order_or_spacing_load_as_canonical_rows(self, tmp_path):
+        live = live_records()
+        canonical = tables.save_datagrams(tmp_path / "datagrams.jsonl", live)
+        rows = [json.loads(line) for line in canonical.read_text().splitlines()]
+        path = tmp_path / "edited.jsonl"
+        path.write_text(
+            "".join(
+                " " * (i % 3)
+                + json.dumps(dict(reversed(row.items())), separators=(" ,  ", " :\t"))
+                + ("\t \r\n" if i % 2 else "\n")
+                for i, row in enumerate(rows)
+            )
+        )
+        assert [stored_fields(r) for r in tables.load_datagrams(path)] == [stored_fields(r) for r in live]
+
     @pytest.mark.parametrize(
         "bad_row,message",
         [
             ("{not json", "Expecting property name"),
             (json.dumps({"ts": 1.0, "packets": 5}), "not iterable"),
             (json.dumps({"ts": 1.0, "packets": [["X", 1, "", ""]]}), "'X' is not a valid PacketType"),
+            (json.dumps({"ts": 1.0, "packets": [[[1], 1, "", ""]]}), "[1] is not a valid PacketType"),
+            (json.dumps({"ts": 1.0, "packets": [["initial", 1, "", "zz"]]}), "non-hexadecimal number"),
+            (json.dumps({"ts": 1.0, "packets": [["initial", 1, "", "00" * 21]]}), "exceeds 20"),
         ],
     )
     def test_malformed_row_names_file_and_line(self, tmp_path, bad_row, message):
@@ -119,6 +145,32 @@ class TestDatagramStore:
         with pytest.raises(tables.StoreError, match=f"^{re.escape(str(path))}:3: ") as excinfo:
             list(tables.load_datagrams(path))
         assert message in str(excinfo.value)
+
+
+class TestWriteTable:
+    def test_every_cell_type_formats_as_before(self, tmp_path):
+        class Label(str):
+            pass
+
+        class Count(int):
+            def __str__(self):
+                return f"count:{int(self)}"
+
+        header = ["a", "b", "c", "d", "e", "f"]
+        rows = [
+            ("Facebook", 0, -7, 10**20, True, False),
+            (None, 0.123456789, 2.0, 1e-07, float("inf"), float("nan")),
+            ("", Label("sub"), Count(3), PacketType.INITIAL, b"\x01", (1, 2)),
+            ("Café ✓", 1 > 0, 3.0 * 1e6, -0.0, 12345678.9, [None]),
+        ]
+        path = tables.write_table(tmp_path / "t.tsv", header, rows)
+        assert path.read_text() == (
+            "a\tb\tc\td\te\tf\n"
+            "Facebook\t0\t-7\t100000000000000000000\ttrue\tfalse\n"
+            "\t0.123457\t2\t1e-07\tinf\tnan\n"
+            "\tsub\tcount:3\tinitial\tb'\\x01'\t(1, 2)\n"
+            "Café ✓\ttrue\t3e+06\t-0\t1.23457e+07\t[None]\n"
+        )
 
 
 class TestReadTable:
@@ -137,3 +189,119 @@ class TestReadTable:
         line = 2 if fmt == "tsv" else 1
         with pytest.raises(tables.StoreError, match=f"^{re.escape(str(path))}:{line}: missing key 'share'"):
             tables.read_table(path, columns=("operator", "share"))
+
+
+def session_fields(session: Session) -> tuple:
+    return (
+        session.key,
+        list(session.timeline),
+        session.direction,
+        session.version,
+        session.operator,
+        session.asn,
+        session.start_ts,
+    )
+
+
+def stored_sessions() -> list[Session]:
+    def session(src, scid, entries, **fields):
+        s = Session(key=SessionKey(src, "172.16.5.5", scid, b"\xaa" * 8), **fields)
+        for entry in entries:
+            s.timeline.add(*entry)
+        return s
+
+    return [
+        session(
+            "198.51.100.1",
+            b"\xbb" * 20,
+            [(0.0, PacketType.INITIAL, 1200, True), (0.0, PacketType.HANDSHAKE, 1200, True),
+             (0.1 + 0.2, PacketType.INITIAL, 1200, True), (1e-07, PacketType.HANDSHAKE, 42, False)],
+            version=1,
+            operator='Say "cheese" \\ co',
+            asn=32934,
+            start_ts=7,
+        ),
+        session(
+            "192.0.2.7",
+            b"",
+            [(0.0, PacketType.RETRY, 0, False), (2.5, PacketType.VERSION_NEGOTIATION, 65535, False)],
+            direction=Direction.REQUEST,
+            version=0xFACEB002,
+            operator="Café ✓ 東京",
+            asn=None,
+            start_ts=1700000000.123456,
+        ),
+        session("10.0.0.1", b"\x01", [(0.0, PacketType.ZERO_RTT, 1252, False)], start_ts=0.0),
+        session("10.0.0.2", b"\x02", []),
+    ]
+
+
+class TestSessionStore:
+    def test_rows_equal_sorted_json_dumps(self, tmp_path):
+        sessions = stored_sessions()
+        reference = "".join(
+            json.dumps(
+                {
+                    "src": s.key.src_ip,
+                    "dst": s.key.dst_ip,
+                    "scid": s.key.scid.hex(),
+                    "dcid": s.key.dcid.hex(),
+                    "direction": s.direction.value,
+                    "version": s.version,
+                    "operator": s.operator,
+                    "asn": s.asn,
+                    "start_ts": s.start_ts,
+                    "timeline": [[e.offset, e.packet_type.value, e.datagram_length, e.coalesced] for e in s.timeline],
+                },
+                sort_keys=True,
+            )
+            + "\n"
+            for s in sessions
+        )
+        path = tables.save_sessions(tmp_path / "sessions.jsonl", sessions)
+        assert path.read_bytes() == reference.encode()
+        assert '"start_ts": 7,' in reference and '"asn": null' in reference and "true" in reference
+
+    def test_round_trip_keeps_every_field(self, tmp_path):
+        sessions = stored_sessions()
+        loaded = tables.load_sessions(tables.save_sessions(tmp_path / "sessions.jsonl", sessions))
+        assert [session_fields(s) for s in loaded] == [session_fields(s) for s in sessions]
+        assert all(type(s.key) is SessionKey for s in loaded)
+
+    def test_rows_in_any_key_order_or_spacing_load_as_canonical_rows(self, tmp_path):
+        sessions = stored_sessions()
+        canonical = tables.save_sessions(tmp_path / "sessions.jsonl", sessions)
+        rows = [json.loads(line) for line in canonical.read_text().splitlines()]
+        path = tmp_path / "edited.jsonl"
+        path.write_text(
+            "".join(
+                "\n" + " " * (i % 3) + json.dumps(dict(reversed(row.items())), indent=1).replace("\n", " ") + " \r\n"
+                for i, row in enumerate(rows)
+            )
+        )
+        assert [session_fields(s) for s in tables.load_sessions(path)] == [session_fields(s) for s in sessions]
+
+    @pytest.mark.parametrize(
+        "edit,message",
+        [
+            (lambda row: row.update(direction="sideways"), "'sideways' is not a valid Direction"),
+            (lambda row: row.update(direction=["response"]), "['response'] is not a valid Direction"),
+            (lambda row: row["timeline"][0].__setitem__(1, "X"), "'X' is not a valid PacketType"),
+            (lambda row: row["timeline"][0].__setitem__(1, {}), "{} is not a valid PacketType"),
+            (lambda row: row.pop("scid"), "missing key 'scid'"),
+            (lambda row: row.update(scid="zz"), "non-hexadecimal number"),
+            (lambda row: row.update(timeline=5), "not iterable"),
+        ],
+    )
+    def test_malformed_row_names_file_and_line(self, tmp_path, edit, message):
+        path = tables.save_sessions(tmp_path / "sessions.jsonl", stored_sessions()[:2])
+        row = json.loads(path.read_text().splitlines()[0])
+        edit(row)
+        with path.open("a") as fh:
+            fh.write(json.dumps(row) + "\n" + "{not json\n")
+        with pytest.raises(tables.StoreError, match=f"^{re.escape(str(path))}:3: ") as excinfo:
+            tables.load_sessions(path)
+        assert message in str(excinfo.value)
+        path.write_text(path.read_text().splitlines()[0] + "\n{not json\n")
+        with pytest.raises(tables.StoreError, match=f"^{re.escape(str(path))}:2: Expecting property name"):
+            tables.load_sessions(path)
