@@ -16,8 +16,11 @@ from bisect import bisect_right
 from collections.abc import Collection, Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
-from socket import inet_aton
 from typing import Callable, Hashable, Iterable, Iterator, NamedTuple, Optional
+
+# _socket holds the converter; the socket module around it adds about 8 ms
+# to every stage's start-up
+from _socket import inet_aton
 
 from .wire import (
     TYPE_LABELS,
@@ -58,7 +61,7 @@ class CaptureRecord:
     @property
     def types(self) -> tuple[str, ...]:
         """Display labels of the packet types, in datagram order."""
-        return tuple(TYPE_LABELS[p.packet_type] for p in self.packets)
+        return tuple([TYPE_LABELS[p.packet_type] for p in self.packets])
 
 
 @dataclass
@@ -358,13 +361,10 @@ class Sessionizer:
         length = record.datagram_length
         coalesced = len(record.packets) > 1
         open_sessions = self._open
+        src_ip, dst_ip = record.src_ip, record.dst_ip
         for packet in record.packets:
-            key = SessionKey(
-                record.src_ip,
-                record.dst_ip,
-                packet.scid,
-                packet.dcid,
-            )
+            # tuple.__new__ skips the Python-level call of SessionKey(...)
+            key = tuple.__new__(SessionKey, (src_ip, dst_ip, packet.scid, packet.dcid))
             entry = open_sessions.get(key)
             if entry is not None and ts - entry[1] < self.idle_gap:
                 session = entry[0]

@@ -31,6 +31,8 @@ from .wire import Datagram, split_coalesced
 
 DEFAULT_PROBE_INTERVAL = 1.0
 DEFAULT_MAX_WAIT = 600.0
+# detect_lb_type's bound on follow-up handshakes per VIP, max_wait / probe_interval
+MAX_FOLLOW_UPS = 100_000
 DEFAULT_JACCARD_THRESHOLD = 0.5
 FAILURE_ABORT_RATE = 0.5
 FAILURE_ABORT_MIN_ATTEMPTS = 20
@@ -378,13 +380,19 @@ class LbTypeVerdict:
 
 
 def check_lbtype_timing(probe_interval: float, max_wait: float) -> None:
-    """Raise ProbeError unless both are positive and finite. detect_lb_type
-    sleeps probe_interval between follow-ups until max_wait has passed, so a
-    zero, negative or NaN interval never advances the clock and probes
-    forever, and a wait that is not positive never probes."""
+    """Raise ProbeError unless both are positive and finite and allow at most
+    MAX_FOLLOW_UPS follow-ups. detect_lb_type sleeps probe_interval between
+    follow-ups until max_wait has passed, so a zero, negative or NaN interval
+    never advances the clock and probes forever, a tiny one probes for hours
+    against a CID-aware VIP, and a wait that is not positive never probes."""
     for name, value in (("probe_interval", probe_interval), ("max_wait", max_wait)):
         if not 0 < value < math.inf:
             raise ProbeError(f"{name} must be a positive finite number of seconds, got {value}")
+    if max_wait / probe_interval > MAX_FOLLOW_UPS:
+        raise ProbeError(
+            f"max_wait / probe_interval must be at most {MAX_FOLLOW_UPS} follow-ups per VIP, "
+            f"got {max_wait} / {probe_interval}"
+        )
 
 
 def detect_lb_type(

@@ -1,14 +1,20 @@
 """Line-delimited stores, plot-ready tables and the readers of every input file.
 
-Sessions and datagrams travel between pipeline stages as JSONL. The datagram
-store keeps each packet's type, version and CIDs; its writer drains a record
-stream as it goes and formats each row with one fixed-schema format string
-whose output equals `json.dumps(row, sort_keys=True)`, and its loader yields
-the rows one at a time as the same `ingest.CaptureRecord` that ingest()
-yields, so neither holds the store. Analysis outputs land as TSV with a
-one-line header, or as JSONL records with `--format jsonl`; read_table reads
-either form, so both feed the next stage. All writers are byte-deterministic
-for identical inputs, which is what makes whole-pipeline runs reproducible.
+Sessions and datagrams travel between pipeline stages as JSONL. Both stores
+are written with one fixed-schema format string per row whose output equals
+`json.dumps(row, sort_keys=True)`. Both loaders decode each row with the C
+scanner of `json`, which skips the checks of `json.loads`; a row the scanner
+does not consume whole, with surrounding whitespace or an error, goes to
+`json.loads`, so every row decodes, and fails, as `json.loads` has it. The
+datagram store keeps each packet's type, version and CIDs; its writer drains
+a record stream as it goes, and its loader yields the rows one at a time as
+the same `ingest.CaptureRecord` that ingest() yields, so neither holds the
+store. Store types come from `ingest` and `wire` inside the functions that
+use them, so a stage that reads only tables loads neither. Analysis outputs
+land as TSV with a one-line header, or as JSONL records with `--format
+jsonl`; read_table reads either form, so both feed the next stage. All
+writers are byte-deterministic for identical inputs, which is what makes
+whole-pipeline runs reproducible.
 Every reader here, the prefix-table, scanner-list, version-registry, profile
 and JSON-settings readers included, turns a line or value it cannot read
 into a StoreError that names the file and the line or key.
@@ -22,12 +28,11 @@ from importlib import resources
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Optional, Sequence, TypeVar
 
-from .wire import Direction, LongHeader, PacketType, VersionRegistry, check_cid_lengths, registry_entry
-
-# The store and list readers import ingest's types where they build them, so
-# a stage that reads only tables (report) does not load ingest.
+# The store and list readers import ingest's and wire's types where they
+# use them, so a stage that reads only tables (report) loads neither.
 if TYPE_CHECKING:
     from .ingest import CaptureRecord, PrefixTable, ScannerList, Session
+    from .wire import VersionRegistry
 
 T = TypeVar("T")
 
@@ -59,8 +64,12 @@ def write_table(
         return write_jsonl(path.with_suffix(".jsonl"), (dict(zip(header, row)) for row in rows))
     with path.open("w") as fh:
         fh.write("\t".join(header) + "\n")
-        for row in rows:
-            fh.write("\t".join(fmt_value(v) for v in row) + "\n")
+        # str and int cells skip fmt_value by exact type: a bool is an int
+        # subclass, and another subclass may format otherwise
+        fh.writelines(
+            "\t".join([v if type(v) is str else str(v) if type(v) is int else fmt_value(v) for v in row]) + "\n"
+            for row in rows
+        )
     return path
 
 
@@ -101,7 +110,7 @@ def load_lines(path: str | Path, from_line: Callable[[str], T], skip: int = 0) -
     missing field, the key."""
     with Path(path).open() as fh:
         for lineno, line in enumerate(fh, 1):
-            if lineno <= skip or not line.strip():
+            if lineno <= skip or line.isspace():  # a line read from a file is never empty
                 continue
             try:
                 item = from_line(line.rstrip("\r\n"))
@@ -144,6 +153,8 @@ def load_prefix_table(path: str | Path) -> PrefixTable:
 
 def load_version_registry(path: str | Path) -> VersionRegistry:
     """Read a version registry: `hex_version<TAB>label` per line."""
+    from .wire import VersionRegistry, registry_entry
+
     return VersionRegistry(dict(filter(None, load_lines(path, registry_entry))))
 
 
@@ -218,68 +229,112 @@ def read_profiles(path: Optional[str | Path]) -> dict[str, dict]:
     return read_json_fields(path, {"profiles": _json_object}, required=("profiles",))["profiles"]
 
 
-def _load_store(path: str | Path, from_row: Callable[[dict], T]) -> Iterator[T]:
-    """Yield one object per row of a JSONL store; a row that is not valid
-    JSON or that `from_row` cannot read raises StoreError."""
-    return load_lines(path, lambda line: from_row(json.loads(line)))
+# The default decoder's C scanner: json.loads without its type and whitespace
+# checks, which a row the writers below wrote does not need.
+_scan_json = json.JSONDecoder().scan_once
+
+
+def _json_row(line: str) -> Any:
+    """The JSON value of one store row. The scanner decodes a row it can
+    consume whole; any other row, with surrounding whitespace or an error,
+    goes to json.loads, so its value or its error message is json.loads'."""
+    try:
+        value, end = _scan_json(line, 0)
+    except (StopIteration, ValueError):
+        return json.loads(line)
+    return value if end == len(line) else json.loads(line)
+
+
+def _json_names() -> Callable[[Optional[str]], str]:
+    """json.dumps of a name (None is null), computed once per distinct name:
+    a store holds few operators across many rows."""
+    texts: dict[Optional[str], str] = {None: "null"}
+
+    def text(name: Optional[str]) -> str:
+        found = texts.get(name)
+        if found is None:
+            found = texts[name] = json.dumps(name)
+        return found
+
+    return text
 
 
 # --- session store -----------------------------------------------------------
 
 
+# One row with its keys in sorted order, and one timeline entry. Both equal
+# json.dumps(row, sort_keys=True) for what the Sessionizer makes: finite
+# times (%r is the float or int repr json uses), dotted addresses, hex CIDs
+# and enum values that need no escaping, and operator names, which go through
+# json.dumps once per distinct name.
+_SESSION_ROW = (
+    '{"asn": %s, "dcid": "%s", "direction": "%s", "dst": "%s", "operator": %s, '
+    '"scid": "%s", "src": "%s", "start_ts": %r, "timeline": [%s], "version": %d}\n'
+)
+_TIMELINE_ENTRY = '[%r, "%s", %d, %s]'
+
+
 def save_sessions(path: str | Path, sessions: Iterable[Session]) -> Path:
-    def rows():
-        for s in sessions:
-            yield {
-                "src": s.key.src_ip,
-                "dst": s.key.dst_ip,
-                "scid": s.key.scid.hex(),
-                "dcid": s.key.dcid.hex(),
-                "direction": s.direction.value,
-                "version": s.version,
-                "operator": s.operator,
-                "asn": s.asn,
-                "start_ts": s.start_ts,
-                "timeline": [[e.offset, e.packet_type.value, e.datagram_length, e.coalesced] for e in s.timeline],
-            }
+    from .wire import Direction, PacketType
 
-    return write_jsonl(path, rows())
-
-
-_DIRECTIONS = {d.value: d for d in Direction}
-_PACKET_TYPES = {t.value: t for t in PacketType}
-
-
-def _member(members: dict[str, T], enum: Callable[[Any], T], value: Any) -> T:
-    """The member stored under `value`; the enum's own call raises its
-    message for a value that names none."""
-    try:
-        return members[value]
-    except (KeyError, TypeError):
-        return enum(value)
-
-
-def _session_from_row(raw: dict) -> Session:
-    from .ingest import Session, SessionKey, Timeline
-
-    key = SessionKey(raw["src"], raw["dst"], bytes.fromhex(raw["scid"]), bytes.fromhex(raw["dcid"]))
-    timeline = Timeline()
-    for offset, ptype, length, coalesced in raw["timeline"]:
-        timeline.add(offset, _member(_PACKET_TYPES, PacketType, ptype), length, coalesced)
-    return Session(
-        key=key,
-        timeline=timeline,
-        direction=_member(_DIRECTIONS, Direction, raw["direction"]),
-        version=raw["version"],
-        operator=raw.get("operator"),
-        asn=raw.get("asn"),
-        start_ts=raw.get("start_ts", 0.0),
-    )
+    operator_text = _json_names()
+    # an enum's .value is a Python-level property; a dict get is not
+    direction_text = {d: d.value for d in Direction}
+    type_text = {t: t.value for t in PacketType}
+    path = Path(path)
+    with path.open("w") as fh:
+        fh.writelines(
+            _SESSION_ROW
+            % (
+                "null" if s.asn is None else s.asn,
+                s.key.dcid.hex(),
+                direction_text[s.direction],
+                s.key.dst_ip,
+                operator_text(s.operator),
+                s.key.scid.hex(),
+                s.key.src_ip,
+                s.start_ts,
+                ", ".join(
+                    [
+                        _TIMELINE_ENTRY % (offset, type_text[ptype], length, "true" if coalesced else "false")
+                        for offset, ptype, length, coalesced in s.timeline
+                    ]
+                ),
+                s.version,
+            )
+            for s in sessions
+        )
+    return path
 
 
 def load_sessions(path: str | Path) -> list[Session]:
     """Read a session store back; a malformed row raises StoreError."""
-    return list(_load_store(path, _session_from_row))
+    from .ingest import Session, SessionKey, Timeline
+    from .wire import Direction, PacketType
+
+    directions = {d.value: d for d in Direction}
+    packet_types = {t.value: t for t in PacketType}
+    new = tuple.__new__
+
+    def from_line(line: str) -> Session:
+        raw = _json_row(line)
+        key = new(SessionKey, (raw["src"], raw["dst"], bytes.fromhex(raw["scid"]), bytes.fromhex(raw["dcid"])))
+        timeline = Timeline()
+        for offset, ptype, length, coalesced in raw["timeline"]:
+            try:
+                ptype = packet_types[ptype]
+            except (KeyError, TypeError):
+                ptype = PacketType(ptype)  # the member, or the enum's own error for a value that names none
+            timeline.add(offset, ptype, length, coalesced)
+        try:
+            direction = directions[raw["direction"]]
+        except (KeyError, TypeError):
+            direction = Direction(raw["direction"])
+        return Session(
+            key, timeline, direction, raw["version"], raw.get("operator"), raw.get("asn"), raw.get("start_ts", 0.0)
+        )
+
+    return list(load_lines(path, from_line))
 
 
 # --- datagram store ----------------------------------------------------------
@@ -293,31 +348,27 @@ _DATAGRAM_ROW = (
     '{"asn": %s, "direction": "%s", "dport": %d, "dst": "%s", "length": %d, '
     '"operator": %s, "packets": [%s], "sport": %d, "src": "%s", "ts": %r}\n'
 )
-_PACKET_HEAD = {t: f'["{t.value}", ' for t in PacketType}
 
 
 def save_datagrams(path: str | Path, records: Iterable[CaptureRecord]) -> Path:
-    operators: dict[Optional[str], str] = {None: "null"}
+    from .wire import Direction, PacketType
 
-    def operator_text(name: Optional[str]) -> str:
-        text = operators.get(name)
-        if text is None:
-            text = operators[name] = json.dumps(name)
-        return text
-
+    operator_text = _json_names()
+    direction_text = {d: d.value for d in Direction}
+    packet_head = {t: f'["{t.value}", ' for t in PacketType}
     path = Path(path)
     with path.open("w") as fh:
         fh.writelines(
             _DATAGRAM_ROW
             % (
                 "null" if r.asn is None else r.asn,
-                r.direction.value,
+                direction_text[r.direction],
                 r.dst_port,
                 r.dst_ip,
                 r.datagram_length,
                 operator_text(r.operator),
                 ", ".join(
-                    f'{_PACKET_HEAD[p.packet_type]}{p.version}, "{p.scid.hex()}", "{p.dcid.hex()}"]' for p in r.packets
+                    [f'{packet_head[p.packet_type]}{p.version}, "{p.scid.hex()}", "{p.dcid.hex()}"]' for p in r.packets]
                 ),
                 r.src_port,
                 r.src_ip,
@@ -335,28 +386,39 @@ def load_datagrams(path: str | Path) -> Iterator[CaptureRecord]:
     the whole store before it writes anything. Each distinct CID text is
     decoded and length-checked once per load."""
     from .ingest import CaptureRecord
+    from .wire import Direction, LongHeader, PacketType, check_cid_lengths
 
+    directions = {d.value: d for d in Direction}
+    packet_types = {t.value: t for t in PacketType}
     cids: dict[str, bytes] = {}
+    new = tuple.__new__
+    # what LongHeader(ptype, version, dcid, scid) fills in after the CIDs
+    token, payload, first_byte, wire_length = LongHeader._field_defaults.values()
 
-    def from_row(raw: dict) -> CaptureRecord:
+    def from_line(line: str) -> CaptureRecord:
+        raw = _json_row(line)
         packets = []
         for ptype, version, scid_text, dcid_text in raw["packets"]:
             try:
-                dcid, scid = cids[dcid_text], cids[scid_text]
+                ptype, dcid, scid = packet_types[ptype], cids[dcid_text], cids[scid_text]
             except (KeyError, TypeError):
                 dcid, scid = bytes.fromhex(dcid_text), bytes.fromhex(scid_text)
                 check_cid_lengths(dcid, scid)
                 cids[dcid_text], cids[scid_text] = dcid, scid
-            packets.append(LongHeader(_member(_PACKET_TYPES, PacketType, ptype), version, dcid, scid))
+                ptype = PacketType(ptype)  # the member, or the enum's own error for a value that names none
+            packets.append(new(LongHeader, (ptype, version, dcid, scid, token, payload, first_byte, wire_length)))
         if not packets:
             raise ValueError("datagram row has no packets")
-        ts, src, dst, sport, dport = raw["ts"], raw["src"], raw["dst"], raw["sport"], raw["dport"]
-        direction = _member(_DIRECTIONS, Direction, raw["direction"])
+        try:
+            direction = directions[raw["direction"]]
+        except (KeyError, TypeError):
+            direction = Direction(raw["direction"])
         return CaptureRecord(
-            ts, src, dst, sport, dport, direction, raw["length"], packets, raw.get("operator"), raw.get("asn")
+            raw["ts"], raw["src"], raw["dst"], raw["sport"], raw["dport"], direction, raw["length"], packets,
+            raw.get("operator"), raw.get("asn"),
         )
 
-    return _load_store(path, from_row)
+    return load_lines(path, from_line)
 
 
 # --- run manifest ------------------------------------------------------------

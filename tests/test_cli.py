@@ -358,6 +358,8 @@ class TestProbeCommand:
             ("--mode", "lbtype", "--probe-interval", "-1"),
             ("--mode", "lbtype", "--probe-interval", "nan"),
             ("--mode", "lbtype", "--max-wait", "-5"),
+            ("--mode", "lbtype", "--probe-interval", "1e-6"),
+            ("--mode", "lbtype", "--max-wait", "1e9"),
             ("--inter-probe-gap", "-1"),
             ("--threshold", "2"),
             ("--handshakes", "0"),
@@ -1042,7 +1044,7 @@ class TestStageImports:
     """Each stage loads only the quicscope modules it runs."""
 
     # runs main() on argv, then prints the loaded quicscope.* modules, and
-    # socket if it was loaded
+    # socket and dataclasses if they were loaded
     SCRIPT = (
         "import sys\n"
         "from quicscope.cli import main\n"
@@ -1050,7 +1052,7 @@ class TestStageImports:
         "    code = main(sys.argv[1:])\n"
         "except SystemExit as exc:\n"
         "    code = exc.code\n"
-        "print(' '.join(sorted(m for m in sys.modules if m.startswith('quicscope.') or m == 'socket')))\n"
+        "print(' '.join(sorted(m for m in sys.modules if m.startswith('quicscope.') or m in ('socket', 'dataclasses'))))\n"
         "sys.exit(code)\n"
     )
 
@@ -1077,7 +1079,8 @@ class TestStageImports:
         argv, out = ingested
         loaded = self.loaded(*argv, "--out-dir", out)
         assert {"ingest", "pcap", "tables", "wire"} <= loaded
-        assert not loaded & {"sim", "probe", "offnet", "fingerprint", "scid"}
+        # the address converters come from _socket, without the socket module
+        assert not loaded & {"sim", "probe", "offnet", "fingerprint", "scid", "socket"}
 
     def test_analysis_stages_leave_simulator_out(self, ingested, tmp_path):
         argv, ing = ingested
@@ -1094,7 +1097,7 @@ class TestStageImports:
         )
         assert "fingerprint" in fingerprint and "scid" in scid and "offnet" in classify
         # the analyses read the datagram store, never a capture
-        assert not (fingerprint | scid | classify) & {"sim", "probe", "pcap"}
+        assert not (fingerprint | scid | classify) & {"sim", "probe", "pcap", "socket"}
 
     def test_probe_leaves_capture_and_analyses_out(self, deploy_config, tmp_path):
         loaded = self.loaded(
@@ -1107,4 +1110,5 @@ class TestStageImports:
     def test_report_leaves_capture_side_out(self, tmp_path):
         loaded = self.loaded("report", "--in-dir", tmp_path / "nothing", "--out-dir", tmp_path / "rep")
         assert "tables" in loaded
-        assert not loaded & {"ingest", "pcap", "sim", "probe", "fingerprint", "scid", "offnet"}
+        # report reads and writes tables only: no store types, no wire codec
+        assert not loaded & {"ingest", "wire", "dataclasses", "pcap", "sim", "probe", "fingerprint", "scid", "offnet"}

@@ -8,6 +8,7 @@ import random
 import pytest
 
 from quicscope.probe import (
+    MAX_FOLLOW_UPS,
     EmptyHarvest,
     ExcessiveFailureRate,
     HostIdHarvest,
@@ -17,6 +18,7 @@ from quicscope.probe import (
     ProbeError,
     SimulatorTransport,
     TransportUnavailable,
+    check_lbtype_timing,
     cluster_vips,
     detect_lb_type,
     discovery_curve,
@@ -338,6 +340,16 @@ class TestProbeValuesRejected:
         with pytest.raises(ProbeError, match=f"^{name} must be a positive finite number"):
             detect_lb_type("203.0.113.1", transport, **kwargs)
         assert transport.handshakes == 0
+
+    @pytest.mark.parametrize(
+        "kwargs", [{"probe_interval": 1e-6}, {"max_wait": 1e9}, {"probe_interval": 0.01, "max_wait": 1000.01}], ids=repr
+    )
+    def test_lbtype_follow_up_bound(self, kwargs):
+        transport = CountingTransport(make_sim(l7lb_count=10, mode=RoutingMode.CID_AWARE))
+        with pytest.raises(ProbeError, match=f"^max_wait / probe_interval must be at most {MAX_FOLLOW_UPS} "):
+            detect_lb_type("203.0.113.1", transport, **kwargs)
+        assert transport.handshakes == 0
+        check_lbtype_timing(1.0, float(MAX_FOLLOW_UPS))  # the bound itself is allowed
 
     @pytest.mark.parametrize("gap", [-1.0, float("nan"), float("inf")], ids=repr)
     def test_inter_probe_gap(self, gap):
