@@ -9,12 +9,10 @@ does not consume whole, with surrounding whitespace or an error, goes to
 datagram store keeps each packet's type, version and CIDs; its writer drains
 a record stream as it goes, and its loader yields the rows one at a time as
 the same `ingest.CaptureRecord` that ingest() yields, so neither holds the
-store. Store types come from `ingest` and `wire` inside the functions that
-use them, so a stage that reads only tables loads neither. Analysis outputs
-land as TSV with a one-line header, or as JSONL records with `--format
-jsonl`; read_table reads either form, so both feed the next stage. All
-writers are byte-deterministic for identical inputs, which is what makes
-whole-pipeline runs reproducible.
+store. Analysis outputs land as TSV with a one-line header, or as JSONL
+records with `--format jsonl`; read_table reads either form, so both feed
+the next stage. All writers are byte-deterministic for identical inputs,
+which is what makes whole-pipeline runs reproducible.
 Every reader here, the prefix-table, scanner-list, version-registry, profile
 and JSON-settings readers included, turns a line or value it cannot read
 into a StoreError that names the file and the line or key.
