@@ -40,7 +40,7 @@ from .tables import StoreError, list_of, object_of, of_type, read_profiles
 from .wire import MAX_CID_LENGTH, Datagram, LongHeader, PacketType, encode_long_header, split_coalesced
 
 if TYPE_CHECKING:
-    # pcap (and socket with it) loads only where a capture is written
+    # pcap loads only where a capture is written
     from .pcap import PcapWriter
 
 QUIC_PORT = 443

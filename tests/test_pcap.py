@@ -172,8 +172,7 @@ class TestIpChecksum:
     @pytest.mark.parametrize(
         "data",
         [
-            b"", b"\x00", b"\x01", b"\xff", b"\x00" * 20, b"\x00" * 21, b"\xff\xff", b"\xff\xff" * 7,
-            b"\x80\x00\x80\x00", b"\xff\xfe\x00\x01",
+            b"", b"\x00", b"\x01", b"\xff", b"\x00" * 20, b"\x00" * 21, b"\xff\xff" * 7, b"\x80\x00\x80\x00",
         ],
     )
     def test_edge_buffers_match_the_word_sum(self, data):
