@@ -83,54 +83,31 @@ def _write_manifest(args, outputs: list[Path], seed: int | None = None, **counts
 
 
 def cmd_simulate(args) -> int:
-    from dataclasses import replace
-
     from . import sim, tables
     from .pcap import PcapWriter
 
     config_path = _require(args.config, "deployment config")
     config = sim.DeploymentConfig.from_json(config_path)
     if args.seed is not None:
-        config = replace(config, seed=args.seed)
+        config = config._replace(seed=args.seed)
     if config.flood is None:
         raise tables.StoreError(f"{config_path}: missing key 'flood'")
     out = _out_dir(args)
-    capture_path = out / "capture.pcap"
+    capture_path, truth_path = out / "capture.pcap", out / "truth.jsonl"
+    pairs_path = out / ("pairs.jsonl" if args.format == "jsonl" else "pairs.tsv")
     try:
-        with capture_path.open("wb") as fh:
+        with capture_path.open("wb") as fh, truth_path.open("w") as truth_fh, pairs_path.open("w") as pairs_fh:
             capture = PcapWriter(fh)
-            truth = sim.simulate_flood(config, capture)
+            truth = sim.simulate_flood(config, capture, tables.TruthWriter(truth_fh, pairs_fh, args.format))
     except BaseException:
-        # no manifest names a capture cut short, so none is left behind
-        capture_path.unlink(missing_ok=True)
+        # no manifest names an output cut short, so none is left behind
+        for path in (capture_path, truth_path, pairs_path):
+            path.unlink(missing_ok=True)
         raise
-    truth_path = tables.write_jsonl(
-        out / "truth.jsonl",
-        (
-            {
-                "vip": t.vip,
-                "source": t.source,
-                "source_port": t.source_port,
-                "operator": t.operator,
-                "server_scid": t.server_scid.hex(),
-                "client_dcid": t.client_dcid.hex(),
-                "client_scid": t.client_scid.hex(),
-                "host_id": t.host_id,
-                "worker_id": t.worker_id,
-            }
-            for t in truth
-        ),
-    )
-    pairs_path = tables.write_table(
-        out / "pairs.tsv",
-        ["operator", "server_scid", "client_dcid"],
-        [(t.operator, t.server_scid.hex(), t.client_dcid.hex()) for t in truth],
-        fmt=args.format,
-    )
     _write_manifest(
-        args, [capture_path, truth_path, pairs_path], config.seed, datagrams=capture.records, handshakes=len(truth)
+        args, [capture_path, truth_path, pairs_path], config.seed, datagrams=capture.records, handshakes=truth.rows
     )
-    print(f"simulate: {len(truth)} handshakes, {capture.records} datagrams -> {capture_path}")
+    print(f"simulate: {truth.rows} handshakes, {capture.records} datagrams -> {capture_path}")
     return EXIT_OK
 
 
@@ -282,7 +259,7 @@ def cmd_fingerprint(args) -> int:
             )
         )
         # a session store from another capture may name an operator the datagram store lacks
-        op_traits = traits.get(op, Traits())
+        op_traits = traits.get(op, Traits({}, set()))
         scheme = None
         try:
             scheme = scid.classify_scheme(sorted(op_traits.scids), alpha=args.alpha, min_samples=args.min_scids)
@@ -434,8 +411,6 @@ def cmd_scid(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    from dataclasses import replace
-
     from . import offnet, tables
     from .ingest import Sessionizer, group_traits
     from .wire import Direction
@@ -453,7 +428,7 @@ def cmd_classify(args) -> int:
         shape for (_, operator), t in traits.items() if operator == params.target_operator for shape in t.shapes
     )
     if reference_shapes and params.reference_shapes is None:
-        params = replace(params, reference_shapes=reference_shapes)
+        params = params._replace(reference_shapes=reference_shapes)
 
     labeled_sources = {src for src, operator in traits if operator is not None}
     candidates = sorted(src for src, _ in traits if src not in labeled_sources)
@@ -530,8 +505,6 @@ def _build_transport(args):
     """The probe transport and the VIPs it knows. Resolves `args.seed` to the
     one seed the run uses: --seed (or the campaign file's), else the
     deployment config's seed, else 0."""
-    from dataclasses import replace
-
     from . import probe, sim
 
     if args.transport == "sim":
@@ -539,7 +512,7 @@ def _build_transport(args):
         if args.seed is None:
             args.seed = config.seed
         else:
-            config = replace(config, seed=args.seed)
+            config = config._replace(seed=args.seed)
         simulator = sim.DeploymentSimulator(config)
         transport = probe.SimulatorTransport(simulator, seed=config.seed)
         all_vips = [vip for cluster in simulator.clusters for vip in cluster.vips]

@@ -7,11 +7,10 @@ histogram binning choice.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
-from . import PreconditionError
+from . import CheckedTuple, PreconditionError
 from .ingest import Session, Traits
 from .scid import ScidScheme, SchemeKind
 from .tables import list_of, object_of, of_type, read_profiles
@@ -38,12 +37,11 @@ class Role:
     SERVER = "server"
 
 
-@dataclass
-class VersionTally:
+class VersionTally(NamedTuple):
     """Session counts and shares per (role, version label). Each session
     counts exactly once regardless of how many datagrams it spans."""
 
-    counts: dict[tuple[str, str], int] = field(default_factory=dict)
+    counts: dict[tuple[str, str], int]
 
     def add(self, role: str, label: str, n: int = 1) -> None:
         key = (role, label)
@@ -69,7 +67,7 @@ def version_tally(sessions: Iterable[Session], registry: VersionRegistry) -> Ver
     """Count each session once under its negotiated version label; versions
     missing from the registry land in the `others` bucket. Response sessions
     reflect the server side, request sessions the client side."""
-    tally = VersionTally()
+    tally = VersionTally({})
     for session in sessions:
         role = Role.SERVER if session.direction == Direction.RESPONSE else Role.CLIENT
         label = registry.label(session.version)
@@ -77,20 +75,25 @@ def version_tally(sessions: Iterable[Session], registry: VersionRegistry) -> Ver
     return tally
 
 
-@dataclass(frozen=True)
-class RtoEstimate:
+class _RtoEstimateFields(NamedTuple):
     initial_rto: float
     backoff_base: float
     max_retransmissions: tuple[int, int]
     sample_count: int
 
-    def __post_init__(self) -> None:
+
+class RtoEstimate(CheckedTuple, _RtoEstimateFields):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.initial_rto <= 0:
             raise FingerprintError("initial RTO must be positive")
         if self.backoff_base < 1:
             raise FingerprintError("backoff base below 1 is not a backoff")
         if self.max_retransmissions[0] > self.max_retransmissions[1]:
             raise FingerprintError("retransmission range inverted")
+        return self
 
 
 def resend_rounds(session: Session, tolerance: float = ROUND_MERGE_TOLERANCE) -> list[float]:
@@ -174,8 +177,7 @@ def estimate_rto(
     )
 
 
-@dataclass(frozen=True)
-class FingerprintProfile:
+class FingerprintProfile(NamedTuple):
     """One row of the known-configuration table."""
 
     operator: str

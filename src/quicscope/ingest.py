@@ -14,7 +14,6 @@ import ipaddress
 import struct
 from bisect import bisect_right
 from collections.abc import Collection, Sequence
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Hashable, Iterable, Iterator, NamedTuple, Optional
 
@@ -22,6 +21,7 @@ from typing import Callable, Hashable, Iterable, Iterator, NamedTuple, Optional
 # to every stage's start-up
 from _socket import inet_aton
 
+from . import CheckedTuple
 from .wire import (
     TYPE_LABELS,
     Datagram,
@@ -37,7 +37,6 @@ from .wire import (
 DEFAULT_IDLE_GAP = 60.0
 
 
-@dataclass(slots=True)
 class CaptureRecord:
     """One QUIC datagram with its parsed long-header packets.
 
@@ -47,16 +46,34 @@ class CaptureRecord:
     destination of a request) and are filled in by annotate_operators.
     """
 
-    timestamp: float
-    src_ip: str
-    dst_ip: str
-    src_port: int
-    dst_port: int
-    direction: Direction
-    datagram_length: int
-    packets: list[LongHeader]
-    operator: Optional[str] = None
-    asn: Optional[int] = None
+    __slots__ = (
+        "timestamp", "src_ip", "dst_ip", "src_port", "dst_port", "direction", "datagram_length", "packets",
+        "operator", "asn",
+    )
+
+    def __init__(
+        self,
+        timestamp: float,
+        src_ip: str,
+        dst_ip: str,
+        src_port: int,
+        dst_port: int,
+        direction: Direction,
+        datagram_length: int,
+        packets: list[LongHeader],
+        operator: Optional[str] = None,
+        asn: Optional[int] = None,
+    ):
+        self.timestamp = timestamp
+        self.src_ip = src_ip
+        self.dst_ip = dst_ip
+        self.src_port = src_port
+        self.dst_port = dst_port
+        self.direction = direction
+        self.datagram_length = datagram_length
+        self.packets = packets
+        self.operator = operator
+        self.asn = asn
 
     @property
     def types(self) -> tuple[str, ...]:
@@ -64,16 +81,15 @@ class CaptureRecord:
         return tuple([TYPE_LABELS[p.packet_type] for p in self.packets])
 
 
-@dataclass
 class IngestCounters:
-    total: int = 0
-    non_quic_port: int = 0
-    implausible: int = 0
-    short_header_only: int = 0
-    emitted: int = 0
-    requests_dropped: int = 0
-    responses_seen: int = 0
-    requests_seen: int = 0
+    total = 0
+    non_quic_port = 0
+    implausible = 0
+    short_header_only = 0
+    emitted = 0
+    requests_dropped = 0
+    responses_seen = 0
+    requests_seen = 0
 
     def removed_fraction(self) -> float:
         seen = self.emitted
@@ -273,12 +289,9 @@ class Timeline(Sequence[TimelineEntry]):
         return [offset for offset, code, _, _ in self._ENTRY.iter_unpack(self._packed) if code in codes]
 
 
-@dataclass(slots=True)
-class Session:
-    """Ordered per-key packet timeline, offsets relative to the first packet."""
-
+class _SessionFields(NamedTuple):
     key: SessionKey
-    timeline: Timeline = field(default_factory=Timeline)
+    timeline: Optional[Timeline] = None
     direction: Direction = Direction.RESPONSE
     version: int = 0
     operator: Optional[str] = None
@@ -286,14 +299,26 @@ class Session:
     start_ts: float = 0.0
 
 
-@dataclass(slots=True)
-class Traits:
+class Session(CheckedTuple, _SessionFields):
+    """Ordered per-key packet timeline, offsets relative to the first packet;
+    with no timeline, each session gets an empty one of its own."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        if self.timeline is None:
+            self = tuple.__new__(cls, (self.key, Timeline(), *self[2:]))
+        return self
+
+
+class Traits(NamedTuple):
     """What the analyses read of one group of records: the datagrams per
     shape, a shape being the (packet-type labels, datagram length) pair,
     and the SCIDs of the group's responses."""
 
-    shapes: dict[tuple[tuple[str, ...], int], int] = field(default_factory=dict)
-    scids: set[bytes] = field(default_factory=set)
+    shapes: dict[tuple[tuple[str, ...], int], int]
+    scids: set[bytes]
 
     def type_counts(self) -> dict[str, int]:
         """Datagrams per packet-type combination over all lengths; a
@@ -328,7 +353,7 @@ def group_traits(
         k = key(record)
         traits = groups.get(k)
         if traits is None:
-            traits = groups[k] = Traits()
+            traits = groups[k] = Traits({}, set())
         if shapes:
             shape = (record.types, record.datagram_length)
             traits.shapes[shape] = traits.shapes.get(shape, 0) + 1
@@ -363,7 +388,7 @@ class Sessionizer:
         open_sessions = self._open
         src_ip, dst_ip = record.src_ip, record.dst_ip
         for packet in record.packets:
-            # tuple.__new__ skips the Python-level call of SessionKey(...)
+            # tuple.__new__ skips the Python-level calls of SessionKey(...) and Session(...)
             key = tuple.__new__(SessionKey, (src_ip, dst_ip, packet.scid, packet.dcid))
             entry = open_sessions.get(key)
             if entry is not None and ts - entry[1] < self.idle_gap:
@@ -371,13 +396,8 @@ class Sessionizer:
             else:
                 if entry is not None:
                     self._finished.append(entry[0])
-                session = Session(
-                    key=key,
-                    direction=record.direction,
-                    version=packet.version,
-                    operator=record.operator,
-                    asn=record.asn,
-                    start_ts=ts,
+                session = tuple.__new__(
+                    Session, (key, Timeline(), record.direction, packet.version, record.operator, record.asn, ts)
                 )
             session.timeline.add(ts - session.start_ts, packet.packet_type, length, coalesced)
             open_sessions[key] = (session, ts)

@@ -7,9 +7,8 @@ arrive as a plain `ip<TAB>label` file.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from . import PreconditionError
 from .fingerprint import InsufficientData, RtoEstimate, estimate_rto
@@ -51,8 +50,7 @@ class MissingLabel(ClassifierError, PreconditionError):
     pass
 
 
-@dataclass(frozen=True)
-class SourceFeatures:
+class SourceFeatures(NamedTuple):
     """Observable traits of one backscatter source address.
 
     Absent features are None, never defaulted: a source with one packet has
@@ -106,8 +104,7 @@ def extract_features(
     )
 
 
-@dataclass(frozen=True)
-class RuleParams:
+class RuleParams(NamedTuple):
     """Thresholds shared by all rules; loadable from a JSON rule-set file."""
 
     target_operator: str = "Facebook"
@@ -224,22 +221,13 @@ def classify(
     return NOT_OPERATOR
 
 
-@dataclass
-class GroundTruth:
+class GroundTruth(dict):
     """Source address -> operator label (or NotOperator)."""
-
-    labels: dict[str, str]
 
     @classmethod
     def load(cls, path: str | Path) -> "GroundTruth":
         """Read `address<TAB>label` lines; `#` starts a comment line."""
-        return cls(dict(load_listing(path, _truth_entry)))
-
-    def __contains__(self, ip: str) -> bool:
-        return ip in self.labels
-
-    def __getitem__(self, ip: str) -> str:
-        return self.labels[ip]
+        return cls(load_listing(path, _truth_entry))
 
 
 def _truth_entry(line: str) -> tuple[str, str]:
@@ -249,8 +237,7 @@ def _truth_entry(line: str) -> tuple[str, str]:
     return fields[0], fields[1].strip()
 
 
-@dataclass(frozen=True)
-class EvalMetrics:
+class EvalMetrics(NamedTuple):
     """Confusion-matrix metrics; a None rate marks a zero denominator."""
 
     tp: int

@@ -9,7 +9,6 @@ output minimal and byte-reproducible.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
 from pathlib import Path
 from typing import BinaryIO, Iterator
 
@@ -25,6 +24,9 @@ MAGIC_NSEC_LE = 0xA1B23C4D
 LINKTYPE_ETHERNET = 1
 LINKTYPE_RAW_IP = 101
 
+# libpcap's MAXIMUM_SNAPLEN: no capture tool writes a longer record
+MAXIMUM_SNAPLEN = 262_144
+
 _GLOBAL_HEADER = struct.Struct("<IHHiIII")
 _RECORD_HEADER = struct.Struct("<IIII")
 _IPV4_HEADER = struct.Struct(">BBHHHBBH4s4s")
@@ -36,16 +38,15 @@ class UnreadableCapture(ValueError):
     """The capture file cannot be opened or is not a classic pcap file."""
 
 
-@dataclass
 class CaptureCounters:
     """Per-read accounting for everything that was skipped."""
 
-    records: int = 0
-    malformed: int = 0
-    non_ipv4: int = 0
-    non_udp: int = 0
-    fragmented: int = 0
-    datagrams: int = 0
+    records = 0
+    malformed = 0
+    non_ipv4 = 0
+    non_udp = 0
+    fragmented = 0
+    datagrams = 0
 
     def as_dict(self) -> dict[str, int]:
         return {
@@ -176,8 +177,12 @@ class PcapReader:
                     self.counters.malformed += 1
                     break
                 ts_sec, ts_frac, incl_len, _orig = record.unpack(head)
-                data = fh.read(incl_len)
                 self.counters.records += 1
+                # a damaged length is not read: read() allocates what it asks for
+                if incl_len > MAXIMUM_SNAPLEN:
+                    self.counters.malformed += 1
+                    break
+                data = fh.read(incl_len)
                 if len(data) < incl_len:
                     self.counters.malformed += 1
                     break

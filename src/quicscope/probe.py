@@ -14,11 +14,10 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Iterator, Optional, Protocol
+from typing import Iterable, Iterator, NamedTuple, Optional, Protocol
 
-from . import PreconditionError
+from . import CheckedTuple, PreconditionError
 from .scid import CodecError, decode_facebook_scid
 from .sim import (
     QUIC_PORT,
@@ -204,31 +203,41 @@ def port_sequence(strategy: PortStrategy, n: int, seed: int = 0, start: int = 65
             yield rng.randint(1024, 65535)
 
 
-@dataclass(frozen=True)
-class ProbeCampaign:
+class _ProbeCampaignFields(NamedTuple):
     targets: list[str]
     handshakes_per_vip: int
     port_strategy: PortStrategy = PortStrategy.DECREASING_FROM_MAX
     inter_probe_gap: float = 0.0
     seed: int = 0
 
-    def __post_init__(self) -> None:
+
+class ProbeCampaign(CheckedTuple, _ProbeCampaignFields):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.handshakes_per_vip < 1:
             raise ProbeError("handshakes_per_vip must be >= 1")
         # a negative or NaN gap would be slept as no gap at all, an infinite
         # one as a jump past every pending event
         if not 0 <= self.inter_probe_gap < math.inf:
             raise ProbeError(f"inter_probe_gap must be a finite number >= 0, got {self.inter_probe_gap}")
+        return self
 
 
-@dataclass
 class HostIdHarvest:
-    """Decoded host IDs of one VIP, in handshake order."""
+    """Decoded host IDs of one VIP, in handshake order; with no
+    observations, each harvest starts an empty list of its own."""
 
-    vip: str
-    observations: list[tuple[int, int]] = field(default_factory=list)
-    attempts: int = 0
-    failures: int = 0
+    __slots__ = ("vip", "observations", "attempts", "failures")
+
+    def __init__(
+        self, vip: str, observations: Optional[list[tuple[int, int]]] = None, attempts: int = 0, failures: int = 0
+    ):
+        self.vip = vip
+        self.observations = [] if observations is None else observations
+        self.attempts = attempts
+        self.failures = failures
 
     @property
     def unique_ids(self) -> set[int]:
@@ -304,8 +313,7 @@ def jaccard(a: frozenset, b: frozenset) -> float:
     return len(a & b) / union
 
 
-@dataclass
-class ClusterReport:
+class ClusterReport(NamedTuple):
     """VIP partition under host-ID set similarity."""
 
     vips: list[str]
@@ -367,16 +375,21 @@ class LbType(Enum):
     INCONCLUSIVE = "inconclusive"
 
 
-@dataclass(frozen=True)
-class LbTypeVerdict:
+class _LbTypeVerdictFields(NamedTuple):
     kind: LbType
     fail_window: Optional[float] = None
     held_host_id: Optional[int] = None
     followup_host_id: Optional[int] = None
 
-    def __post_init__(self) -> None:
+
+class LbTypeVerdict(CheckedTuple, _LbTypeVerdictFields):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.kind == LbType.CID_AWARE and not (self.fail_window and self.fail_window > 0):
             raise ProbeError("CID-aware verdict requires a positive fail window")
+        return self
 
 
 def check_lbtype_timing(probe_interval: float, max_wait: float) -> None:

@@ -9,11 +9,10 @@ from __future__ import annotations
 
 import _random
 import math
-from dataclasses import dataclass
 from enum import Enum
 from typing import Collection, Iterable, NamedTuple, Optional, Sequence
 
-from . import PreconditionError
+from . import CheckedTuple, PreconditionError
 
 DEFAULT_ALPHA = 0.001
 DEFAULT_MIN_SAMPLES = 500
@@ -59,8 +58,7 @@ _HIGH_NYBBLE = bytes(b >> 4 for b in range(256))
 _LOW_NYBBLE = bytes(b & 0x0F for b in range(256))
 
 
-@dataclass(frozen=True)
-class NybbleFrequencyMatrix:
+class NybbleFrequencyMatrix(NamedTuple):
     """Counts of nybble values by position over an SCID population."""
 
     counts: tuple[tuple[int, ...], ...]  # one 16-tuple per position
@@ -168,14 +166,19 @@ class SchemeKind(Enum):
     ECHO_OF_CLIENT_DCID = "echo_of_client_dcid"
 
 
-@dataclass(frozen=True)
-class ScidScheme:
+class _ScidSchemeFields(NamedTuple):
     kind: SchemeKind
     flagged_positions: frozenset[int] = frozenset()
 
-    def __post_init__(self) -> None:
+
+class ScidScheme(CheckedTuple, _ScidSchemeFields):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.kind == SchemeKind.STRUCTURED and not self.flagged_positions:
             raise ScidAnalysisError("structured scheme requires flagged positions")
+        return self
 
 
 def classify_scheme(

@@ -9,8 +9,8 @@ every scenario replayable down to identical capture bytes.
 Each connection's response round is encoded once; its resend rounds repeat
 the same bytes at later clock times. Datagrams for a registered probe inbox
 land there; all others stream to the pcap writer the simulator is given, in
-emission order, and are dropped when it has none. Ground-truth rows are kept
-only in the list the simulator is given, so probe campaigns keep none.
+emission order, and are dropped when it has none. Ground-truth rows go only
+to the list or writer the simulator is given, so probe campaigns keep none.
 """
 
 from __future__ import annotations
@@ -19,16 +19,16 @@ import heapq
 import ipaddress
 import json
 import random
-import struct
-from dataclasses import MISSING, dataclass, field, fields
+import sys
 from enum import Enum
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Optional
+from typing import TYPE_CHECKING, Callable, NamedTuple, Optional
 
 # the built-in that hashlib.blake2b names; hashlib would also load OpenSSL
 # through _hashlib, about 2.8 MB of a stage's peak RSS
 from _blake2 import blake2b
 
+from . import CheckedTuple
 from .scid import (
     FACEBOOK_SCID_OCTETS,
     CodecError,
@@ -42,6 +42,7 @@ from .wire import MAX_CID_LENGTH, Datagram, LongHeader, PacketType, encode_long_
 if TYPE_CHECKING:
     # pcap loads only where a capture is written
     from .pcap import PcapWriter
+    from .tables import TruthWriter
 
 QUIC_PORT = 443
 PROTO_UDP = 17
@@ -91,10 +92,7 @@ class RoutingMode(Enum):
     CID_AWARE = "cid_aware"
 
 
-@dataclass(frozen=True)
-class StackProfile:
-    """Server stack configuration driving response behavior."""
-
+class _StackProfileFields(NamedTuple):
     operator: str
     initial_rto: float
     max_retransmissions: int
@@ -104,9 +102,17 @@ class StackProfile:
     scid_length: int = 8
     version: int = DEFAULT_VERSION
     process_id: int = 0
-    padding_policy: dict[str, int] = field(default_factory=dict)
+    padding_policy: Optional[dict[str, int]] = None
 
-    def __post_init__(self) -> None:
+
+class StackProfile(CheckedTuple, _StackProfileFields):
+    """Server stack configuration driving response behavior; with no
+    padding policy, each profile gets an empty one of its own."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.initial_rto <= 0:
             raise InvalidConfig("initial_rto must be positive")
         if self.max_retransmissions < 0:
@@ -114,6 +120,9 @@ class StackProfile:
         # connections are keyed by server CID, so an empty one is not unique
         if not 1 <= self.scid_length <= MAX_CID_LENGTH:
             raise InvalidConfig(f"scid_length must be 1 to {MAX_CID_LENGTH}")
+        if self.padding_policy is None:
+            self = tuple.__new__(cls, (*self[:-1], {}))
+        return self
 
 
 def default_stack_profile(operator: str) -> StackProfile:
@@ -128,29 +137,32 @@ def default_stack_profile(operator: str) -> StackProfile:
     )
 
 
-@dataclass(slots=True)
 class Connection:
     """One server connection; every probe handshake keeps one for the state
     lifetime, so it carries no per-instance dict."""
 
-    server_cid: bytes
-    client_cid: bytes
-    five_tuple: tuple
-    expires_at: float
-    resend: Optional[Event] = None
+    __slots__ = ("server_cid", "client_cid", "five_tuple", "expires_at", "resend")
+
+    def __init__(
+        self, server_cid: bytes, client_cid: bytes, five_tuple: tuple, expires_at: float, resend: Optional[Event] = None
+    ):
+        self.server_cid = server_cid
+        self.client_cid = client_cid
+        self.five_tuple = five_tuple
+        self.expires_at = expires_at
+        self.resend = resend
 
     def live(self, now: float) -> bool:
         return now < self.expires_at
 
 
-@dataclass
-class L7LBInstance:
+class L7LBInstance(NamedTuple):
     """One layer-7 load balancer endpoint behind the cluster's VIPs."""
 
     host_id: int
     workers: int
-    state_lifetime: float = DEFAULT_STATE_LIFETIME
-    connection_table: dict[bytes, Connection] = field(default_factory=dict)
+    state_lifetime: float
+    connection_table: dict[bytes, Connection]
 
     def lookup(self, cid: bytes, now: float) -> Optional[Connection]:
         conn = self.connection_table.get(cid)
@@ -242,6 +254,10 @@ class VirtualClock:
 
 _MASK64 = (1 << 64) - 1
 _LANE_BITS = 128  # a 64x64-bit product fits in one lane
+# The lanes, written out in the host's byte order and read as 64-bit words:
+# little-endian, lane i's low half is word 2i; big-endian, the last lane comes
+# first and each low half second, so lane i's low half is word 2n - 1 - 2i.
+_LOW_HALVES = slice(None, None, 2 if sys.byteorder == "little" else -2)
 
 
 def _key64(text: str) -> int:
@@ -252,12 +268,7 @@ def five_tuple_of(d: Datagram) -> tuple:
     return (d.src_ip, d.dst_ip, d.src_port, d.dst_port, PROTO_UDP)
 
 
-@dataclass
-class ClusterConfig:
-    """One cluster's VIPs and L7LB instances: an explicit host-ID list, or
-    `l7lb_count` sequential IDs from `host_id_base`. Checked when built, so a
-    config that reads is one the simulator can run."""
-
+class _ClusterConfigFields(NamedTuple):
     vips: list[str]
     profile: StackProfile
     l7lb_count: int = 0
@@ -268,7 +279,16 @@ class ClusterConfig:
     state_lifetime: float = DEFAULT_STATE_LIFETIME
     name: str = ""
 
-    def __post_init__(self) -> None:
+
+class ClusterConfig(CheckedTuple, _ClusterConfigFields):
+    """One cluster's VIPs and L7LB instances: an explicit host-ID list, or
+    `l7lb_count` sequential IDs from `host_id_base`. Checked when built, so a
+    config that reads is one the simulator can run."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not self.vips:
             raise InvalidConfig("cluster needs at least one VIP")
         host_ids = self.instance_host_ids()
@@ -288,6 +308,7 @@ class ClusterConfig:
                     )
             except CodecError as exc:
                 raise InvalidConfig(str(exc)) from None
+        return self
 
     def instance_host_ids(self) -> list[int]:
         if self.host_ids is not None:
@@ -304,8 +325,7 @@ class FrontendCluster:
         self.vips = list(config.vips)
         self.vip_set = set(config.vips)
         self.instances = [
-            L7LBInstance(host_id=h, workers=config.workers, state_lifetime=config.state_lifetime)
-            for h in config.instance_host_ids()
+            L7LBInstance(h, config.workers, config.state_lifetime, {}) for h in config.instance_host_ids()
         ]
         self.routing_mode = config.routing_mode
         self.profile = config.profile
@@ -322,8 +342,11 @@ class FrontendCluster:
         self._lanes_keys = sum(
             _key64(f"l7lb|{self.name}|{inst.host_id}") << (_LANE_BITS * i) for i, inst in enumerate(self.instances)
         )
-        self._lanes_read = struct.Struct("<" + "Q8x" * n).unpack
-        self._lanes_octets = n * _LANE_BITS // 8
+        # the weights are read through a view of one buffer, not unpacked to a
+        # tuple per call: CPython 3.11 parks a freed 20-item tuple on a free
+        # list that never hands one out, up to 2,000 of them
+        self._lanes_buffer = bytearray(n * _LANE_BITS // 8)
+        self._lanes_weights = memoryview(self._lanes_buffer).cast("Q")[_LOW_HALVES]
         self._last_pick: tuple[Optional[tuple], Optional[L7LBInstance]] = (None, None)
 
     def rendezvous(self, five_tuple: tuple) -> L7LBInstance:
@@ -345,7 +368,8 @@ class FrontendCluster:
         z = ((self._lanes_keys ^ _key64("%s|%s|%s|%s|%s" % five_tuple) * self._lanes_ones) + self._lanes_golden) & mask
         z = ((z ^ (z >> 30)) & mask) * 0xBF58476D1CE4E5B9 & mask
         z = ((z ^ (z >> 27)) & mask) * 0x94D049BB133111EB & mask
-        weights = self._lanes_read((z ^ (z >> 31)).to_bytes(self._lanes_octets, "little"))
+        self._lanes_buffer[:] = (z ^ (z >> 31)).to_bytes(len(self._lanes_buffer), sys.byteorder)
+        weights = self._lanes_weights.tolist()
         instance = self.instances[weights.index(max(weights))]
         self._last_pick = (five_tuple, instance)
         return instance
@@ -400,10 +424,7 @@ def route(
 # --- deployment + flood ------------------------------------------------------
 
 
-@dataclass
-class FloodConfig:
-    """Spoofed-source flood: who spoofs, how long, and whether anyone ACKs."""
-
+class _FloodConfigFields(NamedTuple):
     sources: list[str]
     duration: float
     sessions_per_vip: Optional[int] = None
@@ -411,7 +432,14 @@ class FloodConfig:
     ack_probability: float = 0.0
     ack_delay: float = 0.05
 
-    def __post_init__(self) -> None:
+
+class FloodConfig(CheckedTuple, _FloodConfigFields):
+    """Spoofed-source flood: who spoofs, how long, and whether anyone ACKs."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not self.sources:
             raise InvalidConfig("flood needs at least one source")
         # an arrival or ACK before clock time 0 cannot be scheduled
@@ -422,6 +450,7 @@ class FloodConfig:
             raise InvalidConfig(f"duration must be >= 0, got {self.duration}")
         if self.sessions_per_vip is not None and self.sessions_per_vip < 1:
             raise InvalidConfig(f"sessions_per_vip must be >= 1, got {self.sessions_per_vip}")
+        return self
 
 
 def _required(section: dict, key: str, where: str):
@@ -441,11 +470,11 @@ def _build(cls, section: dict, where: str):
     keys are the ones from_dict derives fields from. A field with no default
     that the section lacks raises InvalidConfig naming it."""
     values = {}
-    for f in fields(cls):
-        if f.name in section:
-            values[f.name] = section[f.name]
-        elif f.default is MISSING and f.default_factory is MISSING:
-            raise InvalidConfig(f"{where} is missing {f.name!r}")
+    for name in cls._fields:
+        if name in section:
+            values[name] = section[name]
+        elif name not in cls._field_defaults:
+            raise InvalidConfig(f"{where} is missing {name!r}")
     return cls(**values)
 
 
@@ -459,7 +488,7 @@ def _ipv4(value) -> str:
 
 
 # One table per config section: the JSON type of each key. A key is a field
-# of the section's dataclass, which holds its default, or one of the keys
+# of the section's class, which holds its default, or one of the keys
 # from_dict derives fields from: operator, profile, vip_base, vip_count,
 # source_base and source_count.
 _PROFILE_FIELDS = {
@@ -506,15 +535,19 @@ _DEPLOYMENT_FIELDS = {
 }
 
 
-@dataclass
-class DeploymentConfig:
-    """Clusters with disjoint VIPs, an optional flood and the seed."""
-
+class _DeploymentConfigFields(NamedTuple):
     clusters: list[ClusterConfig]
     flood: Optional[FloodConfig] = None
     seed: int = 0
 
-    def __post_init__(self) -> None:
+
+class DeploymentConfig(CheckedTuple, _DeploymentConfigFields):
+    """Clusters with disjoint VIPs, an optional flood and the seed."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not self.clusters:
             raise InvalidConfig("deployment needs at least one cluster")
         seen: set[str] = set()
@@ -522,6 +555,7 @@ class DeploymentConfig:
             if vip in seen:
                 raise InvalidConfig(f"VIP {vip} assigned to two clusters")
             seen.add(vip)
+        return self
 
     @classmethod
     def from_json(cls, path: str | Path) -> "DeploymentConfig":
@@ -535,7 +569,7 @@ class DeploymentConfig:
     @classmethod
     def from_dict(cls, raw: dict) -> "DeploymentConfig":
         """A config from its JSON object, every check included: each section
-        is parsed by its field table and built into its dataclass. Derived
+        is parsed by its field table and built into its class. Derived
         here are a cluster's profile (its own, whose operator defaults to the
         cluster's or the top-level `operator`, else "custom"; or the shipped
         profile of that operator), a cluster's name `cluster{i}`, and the
@@ -563,8 +597,7 @@ class DeploymentConfig:
         return _build(cls, raw, "deployment config")
 
 
-@dataclass
-class SessionTruth:
+class SessionTruth(NamedTuple):
     """Ground truth for one served handshake."""
 
     vip: str
@@ -583,14 +616,15 @@ class DeploymentSimulator:
 
     Server datagrams to an address with a registered inbox go to that inbox;
     the rest go to `capture`, or nowhere when it is None. A `SessionTruth` row
-    per served handshake is appended to `truth` when it is given.
+    per served handshake is appended to `truth` when it is given: a list, or
+    a writer that streams each row to its files.
     """
 
     def __init__(
         self,
         config: DeploymentConfig,
         capture: Optional[PcapWriter] = None,
-        truth: Optional[list[SessionTruth]] = None,
+        truth: Optional[list[SessionTruth] | TruthWriter] = None,
     ):
         self.config = config
         self.clock = VirtualClock()
@@ -818,10 +852,14 @@ class DeploymentSimulator:
         self.clock.run_until(flood.duration)
 
 
-def simulate_flood(config: DeploymentConfig, capture: Optional[PcapWriter] = None) -> list[SessionTruth]:
+def simulate_flood(
+    config: DeploymentConfig, capture: Optional[PcapWriter] = None, truth: Optional[TruthWriter] = None
+) -> list[SessionTruth] | TruthWriter:
     """Run the flood of a config that has one, streaming its capture to
-    `capture`; returns a truth row per served handshake. Deterministic given
+    `capture` and a truth row per served handshake to `truth`; returns
+    `truth`, or a new list of the rows when it is None. Deterministic given
     (config, seed)."""
-    truth: list[SessionTruth] = []
+    if truth is None:
+        truth = []
     DeploymentSimulator(config, capture=capture, truth=truth).run_flood(config.flood)
     return truth

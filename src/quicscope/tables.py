@@ -9,9 +9,10 @@ does not consume whole, with surrounding whitespace or an error, goes to
 datagram store keeps each packet's type, version and CIDs; its writer drains
 a record stream as it goes, and its loader yields the rows one at a time as
 the same `ingest.CaptureRecord` that ingest() yields, so neither holds the
-store. Analysis outputs land as TSV with a one-line header, or as JSONL
-records with `--format jsonl`; read_table reads either form, so both feed
-the next stage. All writers are byte-deterministic for identical inputs,
+store. TruthWriter writes `simulate`'s truth rows and pairs table the same
+way, one format string per file, a row per served handshake. Analysis
+outputs land as TSV with a one-line header, or as JSONL records with
+`--format jsonl`; read_table reads either form, so both feed the next stage. All writers are byte-deterministic for identical inputs,
 which is what makes whole-pipeline runs reproducible.
 Every reader here, the prefix-table, scanner-list, version-registry, profile
 and JSON-settings readers included, turns a line or value it cannot read
@@ -24,12 +25,13 @@ import ipaddress
 import json
 from importlib import resources
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Optional, Sequence, TypeVar
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Optional, Sequence, TextIO, TypeVar
 
 # The store and list readers import ingest's and wire's types where they
 # use them, so a stage that reads only tables (report) loads neither.
 if TYPE_CHECKING:
     from .ingest import CaptureRecord, PrefixTable, ScannerList, Session
+    from .sim import SessionTruth
     from .wire import VersionRegistry
 
 T = TypeVar("T")
@@ -328,9 +330,8 @@ def load_sessions(path: str | Path) -> list[Session]:
             direction = directions[raw["direction"]]
         except (KeyError, TypeError):
             direction = Direction(raw["direction"])
-        return Session(
-            key, timeline, direction, raw["version"], raw.get("operator"), raw.get("asn"), raw.get("start_ts", 0.0)
-        )
+        start_ts = raw.get("start_ts", 0.0)
+        return new(Session, (key, timeline, direction, raw["version"], raw.get("operator"), raw.get("asn"), start_ts))
 
     return list(load_lines(path, from_line))
 
@@ -417,6 +418,53 @@ def load_datagrams(path: str | Path) -> Iterator[CaptureRecord]:
         )
 
     return load_lines(path, from_line)
+
+
+# --- simulator truth ---------------------------------------------------------
+
+
+# One truth row with its keys in sorted order, and one pairs row of each
+# format. They equal json.dumps(row, sort_keys=True) and write_table's rows
+# for what the simulator serves: dotted addresses and hex CIDs that need no
+# escaping, integer ports and IDs, and operator names, which go through
+# json.dumps once per distinct name.
+_TRUTH_ROW = (
+    '{"client_dcid": "%s", "client_scid": "%s", "host_id": %d, "operator": %s, "server_scid": "%s", '
+    '"source": "%s", "source_port": %d, "vip": "%s", "worker_id": %s}\n'
+)
+_PAIRS_JSONL_ROW = '{"client_dcid": "%s", "operator": %s, "server_scid": "%s"}\n'
+
+
+class TruthWriter:
+    """Writes `simulate`'s truth rows and its pairs table (TSV, or JSONL
+    with `fmt="jsonl"`) a row per served handshake, as the simulator appends
+    each one, so no row is held; `rows` counts the rows written."""
+
+    def __init__(self, truth: TextIO, pairs: TextIO, fmt: str = "tsv"):
+        self._truth = truth
+        self._pairs = pairs
+        self._jsonl = fmt == "jsonl"
+        self._operator_text = _json_names()
+        self.rows = 0
+        if not self._jsonl:
+            pairs.write("operator\tserver_scid\tclient_dcid\n")
+
+    def append(self, t: SessionTruth) -> None:
+        server_scid, client_dcid = t.server_scid.hex(), t.client_dcid.hex()
+        operator = self._operator_text(t.operator)
+        worker_id = "null" if t.worker_id is None else t.worker_id
+        self._truth.write(
+            _TRUTH_ROW
+            % (
+                client_dcid, t.client_scid.hex(), t.host_id, operator, server_scid, t.source, t.source_port, t.vip,
+                worker_id,
+            )
+        )
+        if self._jsonl:
+            self._pairs.write(_PAIRS_JSONL_ROW % (client_dcid, operator, server_scid))
+        else:
+            self._pairs.write(f"{t.operator}\t{server_scid}\t{client_dcid}\n")
+        self.rows += 1
 
 
 # --- run manifest ------------------------------------------------------------

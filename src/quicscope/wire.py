@@ -8,10 +8,11 @@ packets are recognized by their form bit but never parsed further.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
 from enum import Enum
 from importlib import resources
 from typing import NamedTuple, Optional, Sequence
+
+from . import CheckedTuple
 
 MAX_CID_LENGTH = 20
 
@@ -361,13 +362,23 @@ class VersionRegistry:
         return self._entries.get(version)
 
 
-@dataclass(frozen=True)
-class PlausibilityConfig:
-    """Controls which versions pass the payload plausibility check."""
-
-    registry: VersionRegistry = field(default_factory=VersionRegistry.default)
+class _PlausibilityFields(NamedTuple):
+    registry: Optional[VersionRegistry] = None
     allow_greased: bool = False
     allow_unknown: bool = False
+
+
+class PlausibilityConfig(CheckedTuple, _PlausibilityFields):
+    """Controls which versions pass the payload plausibility check; with no
+    registry, each config reads the shipped one."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        if self.registry is None:
+            self = tuple.__new__(cls, (VersionRegistry.default(), *self[1:]))
+        return self
 
 
 def is_plausible_quic(

@@ -71,14 +71,19 @@ class TestSimulate:
         assert not out.exists()
 
     def test_failed_run_leaves_no_capture(self, deploy_config, tmp_path, monkeypatch):
-        def fail(config, capture):
+        from quicscope.sim import SessionTruth
+
+        def fail(config, capture, truth):
             capture.write(0.0, b"partial")
+            truth.append(SessionTruth("203.0.113.1", "100.64.0.1", 1024, "Facebook", b"\x01", b"\x02", b"\x03", 7, 0))
             raise OSError("disk full")
 
         monkeypatch.setattr("quicscope.sim.simulate_flood", fail)
-        with pytest.raises(OSError):
-            run("simulate", "--config", deploy_config, "--out-dir", tmp_path / "o")
-        assert not (tmp_path / "o" / "capture.pcap").exists()
+        # neither the capture nor a truth.jsonl or pairs table of either format is left
+        for fmt in ("tsv", "jsonl"):
+            with pytest.raises(OSError):
+                run("simulate", "--config", deploy_config, "--out-dir", tmp_path / fmt, "--format", fmt)
+            assert list((tmp_path / fmt).iterdir()) == []
 
 
 class TestIngest:
@@ -610,15 +615,13 @@ class TestStreamedStages:
 
     @pytest.fixture(scope="class")
     def captures(self, tmp_path_factory) -> dict[int, Path]:
-        from dataclasses import replace
-
         from quicscope.pcap import PcapWriter
         from quicscope.sim import ClusterConfig, DeploymentConfig, FloodConfig, default_stack_profile, simulate_flood
 
         base = tmp_path_factory.mktemp("floods")
         paths = {}
         for retransmissions in (1, 8):
-            profile = replace(default_stack_profile("Facebook"), max_retransmissions=retransmissions)
+            profile = default_stack_profile("Facebook")._replace(max_retransmissions=retransmissions)
             config = DeploymentConfig(
                 clusters=[ClusterConfig(vips=["203.0.113.1", "203.0.113.2"], l7lb_count=8, profile=profile)],
                 flood=FloodConfig(sources=self.SOURCES, duration=60.0),
@@ -1044,7 +1047,7 @@ class TestStageImports:
     """Each stage loads only the quicscope modules it runs."""
 
     # runs main() on argv, then prints the loaded quicscope.* modules, and
-    # socket and dataclasses if they were loaded
+    # socket, dataclasses and inspect if they were loaded
     SCRIPT = (
         "import sys\n"
         "from quicscope.cli import main\n"
@@ -1052,7 +1055,9 @@ class TestStageImports:
         "    code = main(sys.argv[1:])\n"
         "except SystemExit as exc:\n"
         "    code = exc.code\n"
-        "print(' '.join(sorted(m for m in sys.modules if m.startswith('quicscope.') or m in ('socket', 'dataclasses'))))\n"
+        "print(' '.join(sorted(\n"
+        "    m for m in sys.modules if m.startswith('quicscope.') or m in ('socket', 'dataclasses', 'inspect')\n"
+        ")))\n"
         "sys.exit(code)\n"
     )
 
@@ -1080,7 +1085,7 @@ class TestStageImports:
         loaded = self.loaded(*argv, "--out-dir", out)
         assert {"ingest", "pcap", "tables", "wire"} <= loaded
         # the address converters come from _socket, without the socket module
-        assert not loaded & {"sim", "probe", "offnet", "fingerprint", "scid", "socket"}
+        assert not loaded & {"sim", "probe", "offnet", "fingerprint", "scid", "socket", "dataclasses", "inspect"}
 
     def test_analysis_stages_leave_simulator_out(self, ingested, tmp_path):
         argv, ing = ingested
@@ -1097,7 +1102,7 @@ class TestStageImports:
         )
         assert "fingerprint" in fingerprint and "scid" in scid and "offnet" in classify
         # the analyses read the datagram store, never a capture
-        assert not (fingerprint | scid | classify) & {"sim", "probe", "pcap", "socket"}
+        assert not (fingerprint | scid | classify) & {"sim", "probe", "pcap", "socket", "dataclasses", "inspect"}
 
     def test_probe_leaves_capture_and_analyses_out(self, deploy_config, tmp_path):
         loaded = self.loaded(
@@ -1105,10 +1110,22 @@ class TestStageImports:
         )
         assert {"sim", "probe", "scid", "wire", "tables"} <= loaded
         # a probe writes no capture, so neither pcap nor socket is loaded
-        assert not loaded & {"pcap", "socket", "ingest", "fingerprint", "offnet"}
+        assert not loaded & {"pcap", "socket", "ingest", "fingerprint", "offnet", "dataclasses", "inspect"}
+
+    def test_simulate_and_lbtype_load_neither_dataclasses_nor_inspect(self, deploy_config, tmp_path):
+        simulate = self.loaded("simulate", "--config", deploy_config, "--out-dir", tmp_path / "sim")
+        lbtype = self.loaded(
+            "probe", "--sim-config", deploy_config, "--mode", "lbtype", "--targets", "198.51.100.0",
+            "--out-dir", tmp_path / "lb",
+        )
+        assert {"sim", "pcap", "tables"} <= simulate and {"sim", "probe"} <= lbtype
+        # the record and config classes are named tuples and plain classes
+        assert not (simulate | lbtype) & {"dataclasses", "inspect"}
 
     def test_report_leaves_capture_side_out(self, tmp_path):
         loaded = self.loaded("report", "--in-dir", tmp_path / "nothing", "--out-dir", tmp_path / "rep")
         assert "tables" in loaded
         # report reads and writes tables only: no store types, no wire codec
-        assert not loaded & {"ingest", "wire", "dataclasses", "pcap", "sim", "probe", "fingerprint", "scid", "offnet"}
+        assert not loaded & {
+            "ingest", "wire", "dataclasses", "inspect", "pcap", "sim", "probe", "fingerprint", "scid", "offnet"
+        }

@@ -18,6 +18,8 @@ from quicscope.pcap import (
 )
 from quicscope.wire import Datagram
 
+from conftest import run_python
+
 
 def make_datagrams():
     return [
@@ -107,6 +109,34 @@ def test_truncated_record_counted(tmp_path):
     got = list(reader.datagrams())
     assert len(got) == 2
     assert reader.counters.malformed == 1
+
+
+def test_record_longer_than_any_snaplen_is_not_read(tmp_path):
+    # one record claiming 0xFFFFFFF0 bytes, followed by 16: read() would
+    # allocate the claimed length before reading, about 4 GB, so the child
+    # caps its address space at 3 GB to make such an allocation fail
+    path = tmp_path / "huge.pcap"
+    path.write_bytes(
+        struct.pack("<IHHiIII", 0xA1B2C3D4, 2, 4, 0, 0, 65535, 101)
+        + struct.pack("<IIII", 0, 0, 0xFFFFFFF0, 0xFFFFFFF0)
+        + b"\x45" * 16
+    )
+    assert path.stat().st_size == 56
+    script = (
+        "import resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (3_000_000_000, 3_000_000_000))\n"
+        "from quicscope.cli import main\n"
+        "from quicscope.pcap import PcapReader\n"
+        "reader = PcapReader(sys.argv[1])\n"
+        "datagrams = list(reader.datagrams())\n"
+        "print(len(datagrams), reader.counters.records, reader.counters.malformed)\n"
+        "sys.exit(main(['ingest', '--capture', sys.argv[1], '--out-dir', sys.argv[2]]))\n"
+    )
+    out = run_python("-c", script, path, tmp_path / "ing")
+    assert "Traceback" not in out.stderr
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines()[0] == "0 1 1"
+    assert (tmp_path / "ing" / "datagrams.jsonl").read_text() == ""
 
 
 def test_not_a_pcap(tmp_path):

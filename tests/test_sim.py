@@ -5,7 +5,6 @@ import hashlib
 import re
 import struct
 import tracemalloc
-from dataclasses import asdict, fields
 
 import pytest
 
@@ -46,9 +45,7 @@ from conftest import sessions_of, simulate_to_pcap
 def profile(operator="Facebook", **overrides):
     base = default_stack_profile(operator)
     if overrides:
-        from dataclasses import replace
-
-        base = replace(base, **overrides)
+        base = base._replace(**overrides)
     return base
 
 
@@ -609,6 +606,16 @@ CLUSTER_DEFAULTS = {
 }
 
 
+def asdict(value):
+    """A config as nested dicts, as dataclasses.asdict has it: every named
+    tuple becomes a dict of its fields, recursively, inside lists too."""
+    if hasattr(value, "_asdict"):
+        return {name: asdict(field) for name, field in value._asdict().items()}
+    if isinstance(value, list):
+        return [asdict(item) for item in value]
+    return value
+
+
 class TestDeploymentConfigFields:
     def test_readme_walkthrough_config(self):
         raw = {
@@ -776,8 +783,56 @@ class TestDeploymentConfigFields:
         ids=["profile", "cluster", "flood", "deployment"],
     )
     def test_field_tables_declare_dataclass_fields(self, table, cls):
-        # a table key is a field of its dataclass or a key from_dict derives fields from
+        # a table key is a field of its class or a key from_dict derives fields from
         derived = {"operator", "profile", "vip_base", "vip_count", "source_base", "source_count"}
-        names = {f.name for f in fields(cls)}
+        names = set(cls._fields)
         assert set(table) <= names | derived
         assert names <= set(table)
+
+
+class TestCheckedConstruction:
+    """Every record class that checks its fields checks them on each way to
+    build one: the call, _replace and _make."""
+
+    @staticmethod
+    def cases():
+        from quicscope.fingerprint import FingerprintError, RtoEstimate
+        from quicscope.probe import LbType, LbTypeVerdict, ProbeCampaign, ProbeError
+        from quicscope.scid import SchemeKind, ScidAnalysisError, ScidScheme
+
+        cluster = cluster_config()
+        return [
+            (default_stack_profile("Facebook"), {"initial_rto": 0}, InvalidConfig, "initial_rto must be positive"),
+            (cluster, {"workers": 0}, InvalidConfig, "workers must be >= 1"),
+            (FloodConfig(["100.64.0.1"], 1.0), {"duration": -1.0}, InvalidConfig, "duration must be >= 0"),
+            (DeploymentConfig([cluster]), {"clusters": [cluster, cluster]}, InvalidConfig, "assigned to two clusters"),
+            (RtoEstimate(0.4, 2.0, (7, 9), 10), {"backoff_base": 0.5}, FingerprintError, "below 1"),
+            (ScidScheme(SchemeKind.RANDOM), {"kind": SchemeKind.STRUCTURED}, ScidAnalysisError, "flagged positions"),
+            (ProbeCampaign(["203.0.113.1"], 5), {"handshakes_per_vip": 0}, ProbeError, "must be >= 1"),
+            (LbTypeVerdict(LbType.FIVE_TUPLE), {"kind": LbType.CID_AWARE}, ProbeError, "positive fail window"),
+        ]
+
+    def test_replace_and_make_run_the_check(self):
+        for valid, bad, error, message in self.cases():
+            assert valid._replace() == valid
+            with pytest.raises(error, match=re.escape(message)):
+                valid._replace(**bad)
+            with pytest.raises(error, match=re.escape(message)):
+                type(valid)._make(bad.get(name, value) for name, value in zip(valid._fields, valid))
+            with pytest.raises(error, match=re.escape(message)):
+                type(valid)(**dict(valid._asdict(), **bad))
+
+    def test_computed_defaults_are_filled_per_instance(self):
+        from quicscope.ingest import Session, SessionKey
+        from quicscope.probe import HostIdHarvest
+        from quicscope.wire import PlausibilityConfig
+
+        a, b = StackProfile("lab", 0.5, 2), StackProfile("lab", 0.5, 2)
+        assert a.padding_policy == {} and a.padding_policy is not b.padding_policy
+        assert a._replace(initial_rto=1.0).padding_policy is a.padding_policy
+        assert PlausibilityConfig().registry is not PlausibilityConfig().registry
+        assert PlausibilityConfig().registry.known(1)
+        key = SessionKey("198.51.100.1", "172.16.0.1", b"s", b"d")
+        assert len(Session(key).timeline) == 0 and Session(key).timeline is not Session(key).timeline
+        harvest = HostIdHarvest("v")
+        assert harvest.observations == [] and harvest.observations is not HostIdHarvest("v").observations

@@ -16,6 +16,7 @@ from quicscope.ingest import (
     group_traits,
     ingest,
 )
+from quicscope.sim import SessionTruth
 from quicscope.wire import Direction, LongHeader, PacketType
 
 from conftest import make_request, make_response
@@ -305,3 +306,47 @@ class TestSessionStore:
         path.write_text(path.read_text().splitlines()[0] + "\n{not json\n")
         with pytest.raises(tables.StoreError, match=f"^{re.escape(str(path))}:2: Expecting property name"):
             tables.load_sessions(path)
+
+
+class TestTruthWriter:
+    """simulate's truth and pairs rows against the writers they replaced:
+    json.dumps(row, sort_keys=True) and write_table."""
+
+    ROWS = [
+        SessionTruth("203.0.113.1", "100.64.0.1", 1024, "Facebook", bytes(range(8)), b"\xff" * 8, b"\x00" * 8, 0, 3),
+        SessionTruth("198.51.100.20", "100.64.255.254", 65535, 'a "quoted" op\\', b"\x01" * 20, b"", b"\x02", 99, None),
+        SessionTruth("10.0.0.1", "10.0.0.2", 0, "B\u00e4ckerei \u2603", b"\xab", b"\xcd" * 20, b"\xef" * 20, 7, 0),
+    ]
+
+    @staticmethod
+    def truth_row(t: SessionTruth) -> dict:
+        return {
+            "vip": t.vip,
+            "source": t.source,
+            "source_port": t.source_port,
+            "operator": t.operator,
+            "server_scid": t.server_scid.hex(),
+            "client_dcid": t.client_dcid.hex(),
+            "client_scid": t.client_scid.hex(),
+            "host_id": t.host_id,
+            "worker_id": t.worker_id,
+        }
+
+    @pytest.mark.parametrize("fmt", ["tsv", "jsonl"])
+    @pytest.mark.parametrize("count", [0, 3])
+    def test_rows_equal_sorted_json_dumps_and_write_table(self, tmp_path, fmt, count):
+        rows = self.ROWS[:count]
+        truth_path, pairs_path = tmp_path / "truth.jsonl", tmp_path / f"pairs.{fmt}"
+        with truth_path.open("w") as truth_fh, pairs_path.open("w") as pairs_fh:
+            writer = tables.TruthWriter(truth_fh, pairs_fh, fmt)
+            for t in rows:
+                writer.append(t)
+        assert writer.rows == count
+        reference = "".join(json.dumps(self.truth_row(t), sort_keys=True) + "\n" for t in rows)
+        assert truth_path.read_bytes() == reference.encode()
+        (tmp_path / "ref").mkdir()
+        pairs = [(t.operator, t.server_scid.hex(), t.client_dcid.hex()) for t in rows]
+        header = ["operator", "server_scid", "client_dcid"]
+        written = tables.write_table(tmp_path / "ref" / "pairs.tsv", header, pairs, fmt)
+        assert written.name == pairs_path.name
+        assert pairs_path.read_bytes() == written.read_bytes()
