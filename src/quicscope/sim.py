@@ -853,7 +853,9 @@ class DeploymentSimulator:
 
 
 def simulate_flood(
-    config: DeploymentConfig, capture: Optional[PcapWriter] = None, truth: Optional[TruthWriter] = None
+    config: DeploymentConfig,
+    capture: Optional[PcapWriter] = None,
+    truth: Optional[list[SessionTruth] | TruthWriter] = None,
 ) -> list[SessionTruth] | TruthWriter:
     """Run the flood of a config that has one, streaming its capture to
     `capture` and a truth row per served handshake to `truth`; returns
