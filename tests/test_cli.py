@@ -1,6 +1,8 @@
 """CLI subcommands: pipeline wiring, manifests, exit codes, reproducibility."""
 
+import contextlib
 import hashlib
+import io
 import json
 import tracemalloc
 from pathlib import Path
@@ -486,13 +488,20 @@ class TestManifest:
         config.write_text(json.dumps(DEPLOY))
         truth.write_text("198.51.100.0\tFacebook\n198.51.100.1\tFacebook\n")
         store = base / "ingest" / "datagrams.jsonl"
-        assert run("simulate", "--config", config, "--out-dir", base / "simulate") == 0
-        assert run("ingest", "--capture", base / "simulate" / "capture.pcap", "--out-dir", base / "ingest") == 0
-        assert run("fingerprint", "--sessions", base / "ingest" / "sessions.jsonl", "--datagrams", store, "--out-dir", base / "fingerprint") == 0
-        assert run("scid", "--datagrams", store, "--min-samples", "40", "--out-dir", base / "scid") == 0
-        assert run("classify", "--datagrams", store, "--truth", truth, "--out-dir", base / "classify") == 0
-        assert run("probe", "--sim-config", config, "--handshakes", "20", "--seed", "5", "--out-dir", base / "probe") == 0
-        assert run("report", "--in-dir", base / "fingerprint", "--out-dir", base / "report") == 0
+
+        def stage(subcommand, *argv):
+            # each stage's stdout is kept beside its out-dir as <subcommand>.stdout
+            with contextlib.redirect_stdout(io.StringIO()) as stdout:
+                assert run(subcommand, *argv, "--out-dir", base / subcommand) == 0
+            (base / f"{subcommand}.stdout").write_text(stdout.getvalue())
+
+        stage("simulate", "--config", config)
+        stage("ingest", "--capture", base / "simulate" / "capture.pcap")
+        stage("fingerprint", "--sessions", base / "ingest" / "sessions.jsonl", "--datagrams", store)
+        stage("scid", "--datagrams", store, "--min-samples", "40")
+        stage("classify", "--datagrams", store, "--truth", truth)
+        stage("probe", "--sim-config", config, "--handshakes", "20", "--seed", "5")
+        stage("report", "--in-dir", base / "fingerprint")
         return base
 
     @staticmethod
@@ -510,6 +519,27 @@ class TestManifest:
         manifest = self.manifest(chain / subcommand)
         assert manifest["subcommand"] == subcommand
         assert set(manifest["arguments"]) == dests
+
+    # each stage's stdout, {base} standing for the chain's directory
+    SUMMARIES = {
+        "simulate": "simulate: 50 handshakes, 900 datagrams -> {base}/simulate/capture.pcap",
+        "ingest": "ingest: 900 records, 50 sessions, 0.0% removed by sanitization",
+        "fingerprint": "fingerprint: 0 operators, 0 matched rows",
+        "scid": "scid: 1 populations analyzed",
+        "classify": "classify: 2 candidate sources, 9 rules",
+        "probe": "probe: mode=harvest, 2 targets",
+        "report": "report: 0 operators summarized",
+    }
+
+    @pytest.mark.parametrize("subcommand", sorted(SUMMARIES))
+    def test_summary_line(self, chain, subcommand):
+        stdout = (chain / f"{subcommand}.stdout").read_text()
+        assert stdout == self.SUMMARIES[subcommand].format(base=chain) + "\n"
+
+    @pytest.mark.parametrize("subcommand", sorted(SUMMARIES))
+    def test_outputs_are_the_files_written(self, chain, subcommand):
+        written = sorted(p.name for p in (chain / subcommand).iterdir() if p.name != "manifest.json")
+        assert self.manifest(chain / subcommand)["outputs"] == written
 
     def test_counts_and_seed(self, chain):
         simulate, ingest, probe = (self.manifest(chain / name) for name in ("simulate", "ingest", "probe"))
