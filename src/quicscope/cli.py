@@ -1,9 +1,10 @@
 """Command-line entry point wiring the toolkit into reproducible pipelines.
 
 Subcommands: simulate, ingest, fingerprint, scid, classify, probe, report.
-Every run writes a manifest next to its outputs; identical manifests yield
-byte-identical outputs. Exit codes: 0 success, 1 usage, 2 input error,
-3 analysis precondition unmet.
+Each builds its results as (file name, header, rows) tables and hands them
+to one writer, which writes them and a manifest listing every output;
+identical manifests yield byte-identical outputs. Exit codes: 0 success,
+1 usage, 2 input error, 3 analysis precondition unmet.
 
 Each subcommand imports the modules it runs when it runs, so a stage (or
 `--version`) never pays for loading the others.
@@ -13,7 +14,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 from . import PreconditionError, __version__
 
@@ -70,13 +71,44 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _write_manifest(args, outputs: list[Path], seed: int | None = None, **counts: int) -> None:
-    """Record every option of the run as parsed (paths as given), so that no
-    option that changes an output can be left out of the manifest."""
-    from . import tables
+def _write_outputs(
+    args,
+    summary: str,
+    tables: Iterable[tuple[str, Sequence[str], Iterable[Sequence]]] = (),
+    stores: Iterable[Path] = (),
+    seed: int | None = None,
+    **counts: int,
+) -> int:
+    """Write each (file name, header, rows) table into --out-dir, making it if
+    the stage has not, then `manifest.json`, then print the stage's summary.
 
-    arguments = {k: v for k, v in vars(args).items() if k not in ("handler", "subcommand", "out_dir")}
-    tables.write_manifest(args.out_dir, args.subcommand, __version__, seed, arguments, [p.name for p in outputs], counts)
+    The manifest's outputs are the tables written here and the `stores` the
+    stage streamed itself. It records every option of the run as parsed
+    (paths as given), so that no option that changes an output can be left
+    out, and the seed that drove the run. Identical manifests imply
+    byte-identical outputs, so nothing time- or host-dependent belongs in
+    it; `counts` only records what the run derived."""
+    import json
+
+    from .tables import write_table
+
+    out = _out_dir(args)
+    outputs = [store.name for store in stores]
+    for name, header, rows in tables:
+        write_table(out / name, header, rows)
+        outputs.append(name)
+    manifest = {
+        "tool": "quicscope",
+        "tool_version": __version__,
+        "subcommand": args.subcommand,
+        "seed": seed,
+        "arguments": {k: v for k, v in vars(args).items() if k not in ("handler", "subcommand", "out_dir")},
+        "outputs": sorted(outputs),
+        "counts": counts,
+    }
+    (out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    print(summary)
+    return EXIT_OK
 
 
 # --- simulate ----------------------------------------------------------------
@@ -93,22 +125,24 @@ def cmd_simulate(args) -> int:
     if config.flood is None:
         raise tables.StoreError(f"{config_path}: missing key 'flood'")
     out = _out_dir(args)
-    capture_path, truth_path = out / "capture.pcap", out / "truth.jsonl"
-    pairs_path = out / ("pairs.jsonl" if args.format == "jsonl" else "pairs.tsv")
+    stores = capture_path, truth_path, pairs_path = out / "capture.pcap", out / "truth.jsonl", out / "pairs.tsv"
     try:
         with capture_path.open("wb") as fh, truth_path.open("w") as truth_fh, pairs_path.open("w") as pairs_fh:
             capture = PcapWriter(fh)
-            truth = sim.simulate_flood(config, capture, tables.TruthWriter(truth_fh, pairs_fh, args.format))
+            truth = sim.simulate_flood(config, capture, tables.TruthWriter(truth_fh, pairs_fh))
     except BaseException:
         # no manifest names an output cut short, so none is left behind
-        for path in (capture_path, truth_path, pairs_path):
+        for path in stores:
             path.unlink(missing_ok=True)
         raise
-    _write_manifest(
-        args, [capture_path, truth_path, pairs_path], config.seed, datagrams=capture.records, handshakes=truth.rows
+    return _write_outputs(
+        args,
+        f"simulate: {truth.rows} handshakes, {capture.records} datagrams -> {capture_path}",
+        stores=stores,
+        seed=config.seed,
+        datagrams=capture.records,
+        handshakes=truth.rows,
     )
-    print(f"simulate: {truth.rows} handshakes, {capture.records} datagrams -> {capture_path}")
-    return EXIT_OK
 
 
 # --- ingest ------------------------------------------------------------------
@@ -144,30 +178,26 @@ def cmd_ingest(args) -> int:
     sessionizer = Sessionizer(args.idle_gap)
 
     out = _out_dir(args)
-    datagrams_path, sessions_path = out / "datagrams.jsonl", out / "sessions.jsonl"
+    stores = datagrams_path, sessions_path = out / "datagrams.jsonl", out / "sessions.jsonl"
     try:
         tables.save_datagrams(datagrams_path, map(sessionizer.add, stream))
         sessions = sessionizer.sessions()
         tables.save_sessions(sessions_path, sessions)
     except BaseException:
         # no manifest names a store cut short, so none is left behind
-        datagrams_path.unlink(missing_ok=True)
-        sessions_path.unlink(missing_ok=True)
+        for path in stores:
+            path.unlink(missing_ok=True)
         raise
-    counters_path = tables.write_table(
-        out / "counters.tsv",
-        ["metric", "value"],
-        sorted(counters.as_dict().items()),
-        fmt=args.format,
-    )
-    # sanitization is the only step after ingest() that drops records
-    records = counters.emitted - counters.requests_dropped
-    _write_manifest(args, [sessions_path, datagrams_path, counters_path], sessions=len(sessions), records=records)
-    print(
+    return _write_outputs(
+        args,
         f"ingest: {counters.emitted} records, {len(sessions)} sessions, "
-        f"{counters.removed_fraction():.1%} removed by sanitization"
+        f"{counters.removed_fraction():.1%} removed by sanitization",
+        [("counters.tsv", ["metric", "value"], sorted(counters.as_dict().items()))],
+        stores=stores,
+        sessions=len(sessions),
+        # sanitization is the only step after ingest() that drops records
+        records=counters.emitted - counters.requests_dropped,
     )
-    return EXIT_OK
 
 
 # --- fingerprint -------------------------------------------------------------
@@ -196,16 +226,8 @@ def cmd_fingerprint(args) -> int:
     traits = group_traits(tables.load_datagrams(_require(args.datagrams, "datagram store")), _operator_or_unknown)
     registry = _registry(args)
     known = fp.load_known_profiles(args.profiles and _require(args.profiles, "profile table"))
-    out = _out_dir(args)
 
     tally = fp.version_tally(sessions, registry)
-    tally_path = tables.write_table(
-        out / "version_tally.tsv",
-        ["role", "version", "sessions", "share"],
-        tally.rows(),
-        fmt=args.format,
-    )
-
     stats_rows = []
     hist_rows = []
     for operator in sorted(traits):
@@ -215,18 +237,6 @@ def cmd_fingerprint(args) -> int:
             stats_rows.append((operator, category, n, 100.0 * n / total))
         for types, length, n in traits[operator].top_shapes(args.top_lengths):
             hist_rows.append((operator, ",".join(types), length, n))
-    stats_path = tables.write_table(
-        out / "packet_types.tsv",
-        ["operator", "category", "datagrams", "percent"],
-        stats_rows,
-        fmt=args.format,
-    )
-    hist_path = tables.write_table(
-        out / "lengths.tsv",
-        ["operator", "types", "length", "count"],
-        hist_rows,
-        fmt=args.format,
-    )
 
     by_operator = _group(sessions, lambda session: session.operator)
     operators = sorted(by_operator)
@@ -234,12 +244,6 @@ def cmd_fingerprint(args) -> int:
     for op in operators:
         for count, n in fp.resend_count_distribution(by_operator[op]).items():
             resend_rows.append((op, count, n))
-    resends_path = tables.write_table(
-        out / "resends.tsv",
-        ["operator", "resend_rounds", "sessions"],
-        resend_rows,
-        fmt=args.format,
-    )
 
     rto_rows = []
     match_rows = []
@@ -248,16 +252,8 @@ def cmd_fingerprint(args) -> int:
             estimate = fp.estimate_rto(by_operator[op], min_sessions=args.min_sessions)
         except fp.InsufficientData:
             continue
-        rto_rows.append(
-            (
-                op,
-                estimate.sample_count,
-                estimate.initial_rto,
-                estimate.backoff_base,
-                estimate.max_retransmissions[0],
-                estimate.max_retransmissions[1],
-            )
-        )
+        low, high = estimate.max_retransmissions
+        rto_rows.append((op, estimate.sample_count, estimate.initial_rto, estimate.backoff_base, low, high))
         # a session store from another capture may name an operator the datagram store lacks
         op_traits = traits.get(op, Traits({}, set()))
         scheme = None
@@ -277,37 +273,34 @@ def cmd_fingerprint(args) -> int:
                 scheme.kind.value if scheme else "",
             )
         )
-    rto_path = tables.write_table(
-        out / "rto.tsv",
-        ["operator", "sessions", "initial_rto", "backoff_base", "count_p5", "count_p95"],
-        rto_rows,
-        fmt=args.format,
+    return _write_outputs(
+        args,
+        f"fingerprint: {len(operators)} operators, {len(match_rows)} matched rows",
+        [
+            ("version_tally.tsv", ["role", "version", "sessions", "share"], tally.rows()),
+            ("packet_types.tsv", ["operator", "category", "datagrams", "percent"], stats_rows),
+            ("lengths.tsv", ["operator", "types", "length", "count"], hist_rows),
+            ("resends.tsv", ["operator", "resend_rounds", "sessions"], resend_rows),
+            ("rto.tsv", ["operator", "sessions", "initial_rto", "backoff_base", "count_p5", "count_p95"], rto_rows),
+            (
+                "matches.tsv",
+                ["operator", "matched", "initial_rto", "coalescence", "structured_scids", "scheme"],
+                match_rows,
+            ),
+        ],
     )
-    match_path = tables.write_table(
-        out / "matches.tsv",
-        ["operator", "matched", "initial_rto", "coalescence", "structured_scids", "scheme"],
-        match_rows,
-        fmt=args.format,
-    )
-    _write_manifest(args, [tally_path, stats_path, hist_path, resends_path, rto_path, match_path])
-    print(f"fingerprint: {len(operators)} operators, {len(match_rows)} matched rows")
-    return EXIT_OK
 
 
 # --- scid --------------------------------------------------------------------
 
 
-def _load_pairs(path: Path) -> dict[str, list[tuple[bytes, bytes]]]:
+def _load_pairs(path: Path) -> list[tuple[str, bytes, bytes]]:
     from . import tables
 
-    rows = tables.read_table(
+    return tables.read_table(
         path,
         from_row=lambda row: (row["operator"], bytes.fromhex(row["server_scid"]), bytes.fromhex(row["client_dcid"])),
     )
-    pairs: dict[str, list[tuple[bytes, bytes]]] = {}
-    for operator, server_scid, client_dcid in rows:
-        pairs.setdefault(operator, []).append((server_scid, client_dcid))
-    return pairs
 
 
 def cmd_scid(args) -> int:
@@ -328,16 +321,14 @@ def cmd_scid(args) -> int:
     else:
         raise FileNotFoundError("need --scids or --datagrams")
 
-    pairs = _load_pairs(_require(args.pairs, "pairs file")) if args.pairs else {}
-    out = _out_dir(args)
+    pairs = _load_pairs(_require(args.pairs, "pairs file")) if args.pairs else []
     nybble_rows = []
     uniformity_rows = []
     scheme_rows = []
     length_rows = []
     for op in sorted(populations):
-        scids_all = populations[op]
         by_length: dict[int, list[bytes]] = {}
-        for s in scids_all:
+        for s in populations[op]:
             by_length.setdefault(len(s), []).append(s)
         for length in sorted(by_length):
             group = by_length[length]
@@ -354,22 +345,15 @@ def cmd_scid(args) -> int:
         # scheme classification over the modal-length group
         modal_length = max(by_length, key=lambda k: len(by_length[k]))
         group = by_length[modal_length]
-        op_pairs = pairs.get(op)
-        if op_pairs is None and len(populations) == 1 and pairs:
+        op_pairs = [pair for pair in pairs if pair[0] == op]
+        if not op_pairs and len(populations) == 1:
             # unlabeled population: apply the whole pairs file
-            op_pairs = [pair for group_pairs in pairs.values() for pair in group_pairs]
-        scheme_kind = ""
+            op_pairs = pairs
+        # echo detection needs the client DCIDs, which only a pairs file has
+        _, scids, client_dcids = zip(*op_pairs) if op_pairs else (None, group, None)
         flagged = ""
         try:
-            if op_pairs:
-                result = scid.classify_scheme(
-                    [s for s, _ in op_pairs],
-                    client_dcids=[d for _, d in op_pairs],
-                    alpha=args.alpha,
-                    min_samples=args.min_samples,
-                )
-            else:
-                result = scid.classify_scheme(group, alpha=args.alpha, min_samples=args.min_samples)
+            result = scid.classify_scheme(scids, client_dcids, alpha=args.alpha, min_samples=args.min_samples)
             scheme_kind = result.kind.value
             flagged = ",".join(str(p) for p in sorted(result.flagged_positions))
         except scid.ScidAnalysisError:
@@ -378,33 +362,20 @@ def cmd_scid(args) -> int:
             (op, len(group), modal_length, scheme_kind, flagged, scid.detect_cloudflare_signature(group))
         )
 
-    nybbles_path = tables.write_table(
-        out / "nybbles.tsv",
-        ["operator", "length", "position", "value", "count", "rel_freq"],
-        nybble_rows,
-        fmt=args.format,
+    return _write_outputs(
+        args,
+        f"scid: {len(populations)} populations analyzed",
+        [
+            ("nybbles.tsv", ["operator", "length", "position", "value", "count", "rel_freq"], nybble_rows),
+            ("uniformity.tsv", ["operator", "length", "position", "verdict"], uniformity_rows),
+            (
+                "schemes.tsv",
+                ["operator", "scids", "length", "scheme", "flagged_positions", "cloudflare_signature"],
+                scheme_rows,
+            ),
+            ("scid_lengths.tsv", ["operator", "length", "unique_scids"], length_rows),
+        ],
     )
-    uniformity_path = tables.write_table(
-        out / "uniformity.tsv",
-        ["operator", "length", "position", "verdict"],
-        uniformity_rows,
-        fmt=args.format,
-    )
-    schemes_path = tables.write_table(
-        out / "schemes.tsv",
-        ["operator", "scids", "length", "scheme", "flagged_positions", "cloudflare_signature"],
-        scheme_rows,
-        fmt=args.format,
-    )
-    lengths_path = tables.write_table(
-        out / "scid_lengths.tsv",
-        ["operator", "length", "unique_scids"],
-        length_rows,
-        fmt=args.format,
-    )
-    _write_manifest(args, [nybbles_path, uniformity_path, schemes_path, lengths_path])
-    print(f"scid: {len(populations)} populations analyzed")
-    return EXIT_OK
 
 
 # --- classify ----------------------------------------------------------------
@@ -437,11 +408,9 @@ def cmd_classify(args) -> int:
         for src in candidates
     }
 
+    if args.rule != "all" and args.rule not in offnet.RULE_NAMES:
+        raise offnet.UnknownRule(f"no rule named {args.rule!r}")
     rules = offnet.RULE_NAMES if args.rule == "all" else (args.rule,)
-    for rule in rules:
-        if rule not in offnet.RULE_NAMES:
-            raise offnet.UnknownRule(f"no rule named {rule!r}")
-    out = _out_dir(args)
     feature_rows = []
     for src in candidates:
         f = features[src]
@@ -457,45 +426,25 @@ def cmd_classify(args) -> int:
                 len(f.length_signature),
             )
         )
-    features_path = tables.write_table(
-        out / "features.tsv",
-        ["source", "scheme_match", "structured", "coalescence", "initial_rto", "backoff", "low_host_id", "shapes"],
-        feature_rows,
-        fmt=args.format,
-    )
     prediction_rows = []
     metric_rows = []
     for rule in rules:
         predictions = {src: offnet.classify(features[src], rule, params) for src in candidates}
         prediction_rows.extend((rule, src, predictions[src]) for src in candidates)
-        metrics = offnet.evaluate(predictions, truth, params.target_operator)
-        metric_rows.append(
+        metric_rows.append((rule, *offnet.evaluate(predictions, truth, params.target_operator)))
+    return _write_outputs(
+        args,
+        f"classify: {len(candidates)} candidate sources, {len(rules)} rules",
+        [
             (
-                rule,
-                metrics.tp,
-                metrics.fp,
-                metrics.tn,
-                metrics.fn,
-                metrics.tpr,
-                metrics.fpr,
-                metrics.tnr,
-                metrics.fnr,
-                metrics.precision,
-                metrics.recall,
-            )
-        )
-    predictions_path = tables.write_table(
-        out / "predictions.tsv", ["rule", "source", "label"], prediction_rows, fmt=args.format
+                "features.tsv",
+                ["source", "scheme_match", "structured", "coalescence", "initial_rto", "backoff", "low_host_id", "shapes"],
+                feature_rows,
+            ),
+            ("predictions.tsv", ["rule", "source", "label"], prediction_rows),
+            ("metrics.tsv", ["rule", *offnet.EvalMetrics._fields], metric_rows),
+        ],
     )
-    metrics_path = tables.write_table(
-        out / "metrics.tsv",
-        ["rule", "tp", "fp", "tn", "fn", "tpr", "fpr", "tnr", "fnr", "precision", "recall"],
-        metric_rows,
-        fmt=args.format,
-    )
-    _write_manifest(args, [features_path, predictions_path, metrics_path])
-    print(f"classify: {len(candidates)} candidate sources, {len(rules)} rules")
-    return EXIT_OK
 
 
 # --- probe -------------------------------------------------------------------
@@ -556,7 +505,7 @@ def cmd_probe(args) -> int:
             raise FileNotFoundError("--targets all requires --transport sim with a deployment config")
     else:
         targets = [t for t in args.targets.split(",") if t]
-    # every value is checked before the output directory is made
+    # every value is checked before the first handshake
     if args.mode == "harvest":
         campaign = probe.ProbeCampaign(
             targets=targets,
@@ -567,11 +516,6 @@ def cmd_probe(args) -> int:
         )
         if len(targets) >= 2:
             probe.check_threshold(args.threshold)
-    else:
-        probe.check_lbtype_timing(args.probe_interval, args.max_wait)
-    out = _out_dir(args)
-    outputs = []
-    if args.mode == "harvest":
         harvests = probe.run_campaign(campaign, transport)
         harvest_rows = []
         unique_rows = []
@@ -582,16 +526,17 @@ def cmd_probe(args) -> int:
             unique_rows.append((vip, h.attempts, h.failures, len(h.unique_ids)))
             for handshakes, fraction in probe.discovery_curve(h):
                 curve_rows.append((vip, handshakes, fraction))
-        outputs.append(tables.write_table(out / "harvest.tsv", ["vip", "handshake", "host_id"], harvest_rows, fmt=args.format))
-        outputs.append(tables.write_table(out / "unique.tsv", ["vip", "attempts", "failures", "unique_ids"], unique_rows, fmt=args.format))
-        outputs.append(tables.write_table(out / "discovery.tsv", ["vip", "handshakes", "fraction"], curve_rows, fmt=args.format))
+        outputs = [
+            ("harvest.tsv", ["vip", "handshake", "host_id"], harvest_rows),
+            ("unique.tsv", ["vip", "attempts", "failures", "unique_ids"], unique_rows),
+            ("discovery.tsv", ["vip", "handshakes", "fraction"], curve_rows),
+        ]
         if len(targets) >= 2:
             report = probe.cluster_vips(harvests, threshold=args.threshold)
-            cluster_rows = [
-                (index, vip) for index, cluster in enumerate(report.clusters) for vip in cluster
-            ]
-            outputs.append(tables.write_table(out / "clusters.tsv", ["cluster", "vip"], cluster_rows, fmt=args.format))
+            cluster_rows = [(index, vip) for index, cluster in enumerate(report.clusters) for vip in cluster]
+            outputs.append(("clusters.tsv", ["cluster", "vip"], cluster_rows))
     else:
+        probe.check_lbtype_timing(args.probe_interval, args.max_wait)
         verdict_rows = []
         for vip in targets:
             verdict = probe.detect_lb_type(
@@ -604,17 +549,9 @@ def cmd_probe(args) -> int:
             verdict_rows.append(
                 (vip, verdict.kind.value, verdict.fail_window, verdict.held_host_id, verdict.followup_host_id)
             )
-        outputs.append(
-            tables.write_table(
-                out / "verdicts.tsv",
-                ["vip", "verdict", "fail_window", "held_host_id", "followup_host_id"],
-                verdict_rows,
-                fmt=args.format,
-            )
-        )
-    _write_manifest(args, outputs, args.seed)
-    print(f"probe: mode={args.mode}, {len(targets)} targets")
-    return EXIT_OK
+        header = ["vip", "verdict", "fail_window", "held_host_id", "followup_host_id"]
+        outputs = [("verdicts.tsv", header, verdict_rows)]
+    return _write_outputs(args, f"probe: mode={args.mode}, {len(targets)} targets", outputs, seed=args.seed)
 
 
 # --- report ------------------------------------------------------------------
@@ -626,60 +563,35 @@ def cmd_report(args) -> int:
     from . import tables
 
     in_dir = Path(args.in_dir)
-    out = _out_dir(args)
 
-    def maybe_rows(name: str, columns: tuple[str, ...]) -> list[dict[str, str]]:
-        # a table written with --format jsonl sits next to its .tsv name
-        for path in (in_dir / name, (in_dir / name).with_suffix(".jsonl")):
-            if path.exists():
-                return tables.read_table(path, columns)
-        return []
+    def keyed_rows(name: str, from_row: Callable[[dict[str, str]], tuple], columns: tuple[str, ...] = ()) -> dict:
+        """key -> value of each (key, value) that `from_row` makes of a row of
+        an input table; an absent table has none. Cells are converted as
+        their row is read, so a bad one exits 2 naming the file and line."""
+        path = in_dir / name
+        return dict(tables.read_table(path, columns, from_row)) if path.exists() else {}
 
-    tally_rows = maybe_rows("version_tally.tsv", ("version", "role", "share"))
-    versions = sorted({r["version"] for r in tally_rows})
-    version_out = []
-    for version in versions:
-        client = next((r for r in tally_rows if r["version"] == version and r["role"] == "client"), None)
-        server = next((r for r in tally_rows if r["version"] == version and r["role"] == "server"), None)
+    shares = keyed_rows("version_tally.tsv", lambda r: ((r["version"], r["role"]), round(100 * float(r["share"]), 1)))
+    version_rows = [
+        (version, shares.get((version, "client")), shares.get((version, "server")))
+        for version in sorted({version for version, _ in shares})
+    ]
 
-        def pct(row):
-            return round(100 * float(row["share"]), 1) if row else None
+    percents = keyed_rows("packet_types.tsv", lambda r: ((r["category"], r["operator"]), round(float(r["percent"]), 3)))
+    operators = sorted({operator for _, operator in percents})
+    type_rows = [
+        (category, *(percents.get((category, op), 0.0) for op in operators))
+        for category in sorted({category for category, _ in percents})
+    ]
 
-        version_out.append((version, pct(client), pct(server)))
-    version_path = tables.write_table(
-        out / "version_table.tsv",
-        ["version", "clients_pct", "servers_pct"],
-        version_out,
-        fmt=args.format,
-    )
-
-    type_rows = maybe_rows("packet_types.tsv", ("operator", "category", "percent"))
-    operators = sorted({r["operator"] for r in type_rows})
-    categories = sorted({r["category"] for r in type_rows})
-    type_out = []
-    for category in categories:
-        row = [category]
-        for op in operators:
-            hit = next((r for r in type_rows if r["operator"] == op and r["category"] == category), None)
-            row.append(round(float(hit["percent"]), 3) if hit else 0.0)
-        type_out.append(tuple(row))
-    types_path = tables.write_table(
-        out / "packet_type_table.tsv",
-        ["category"] + operators,
-        type_out,
-        fmt=args.format,
-    )
-
-    match_rows = {r["operator"]: r for r in maybe_rows("matches.tsv", ("operator",))}
-    rto_rows = {r["operator"]: r for r in maybe_rows("rto.tsv", ("operator", "count_p5", "count_p95"))}
-    deployment_out = []
+    match_rows = keyed_rows("matches.tsv", lambda r: (r["operator"], r))
+    rto_rows = keyed_rows("rto.tsv", lambda r: (r["operator"], r), ("count_p5", "count_p95"))
+    deployment_rows = []
     for op in sorted(set(match_rows) | set(rto_rows)):
         match = match_rows.get(op, {})
         rto = rto_rows.get(op, {})
-        retransmissions = (
-            f"{rto['count_p5']}-{rto['count_p95']}" if rto else ""
-        )
-        deployment_out.append(
+        retransmissions = f"{rto['count_p5']}-{rto['count_p95']}" if rto else ""
+        deployment_rows.append(
             (
                 op,
                 match.get("coalescence", ""),
@@ -690,15 +602,19 @@ def cmd_report(args) -> int:
                 match.get("matched", ""),
             )
         )
-    deployment_path = tables.write_table(
-        out / "deployment_table.tsv",
-        ["operator", "coalescence", "structured_scids", "scheme", "initial_rto", "retransmissions", "matched"],
-        deployment_out,
-        fmt=args.format,
+    return _write_outputs(
+        args,
+        f"report: {len(deployment_rows)} operators summarized",
+        [
+            ("version_table.tsv", ["version", "clients_pct", "servers_pct"], version_rows),
+            ("packet_type_table.tsv", ["category", *operators], type_rows),
+            (
+                "deployment_table.tsv",
+                ["operator", "coalescence", "structured_scids", "scheme", "initial_rto", "retransmissions", "matched"],
+                deployment_rows,
+            ),
+        ],
     )
-    _write_manifest(args, [version_path, types_path, deployment_path])
-    print(f"report: {len(deployment_out)} operators summarized")
-    return EXIT_OK
 
 
 # --- argument wiring ---------------------------------------------------------
@@ -711,7 +627,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--out-dir", required=True, help="directory for outputs and the run manifest")
-        p.add_argument("--format", choices=("tsv", "jsonl"), default="tsv")
 
     p = sub.add_parser("simulate", help="generate synthetic backscatter from a deployment config")
     common(p)

@@ -11,8 +11,8 @@ a record stream as it goes, and its loader yields the rows one at a time as
 the same `ingest.CaptureRecord` that ingest() yields, so neither holds the
 store. TruthWriter writes `simulate`'s truth rows and pairs table the same
 way, one format string per file, a row per served handshake. Analysis
-outputs land as TSV with a one-line header, or as JSONL records with
-`--format jsonl`; read_table reads either form, so both feed the next stage. All writers are byte-deterministic for identical inputs,
+outputs land as TSV with a one-line header, which read_table reads back for
+the next stage. All writers are byte-deterministic for identical inputs,
 which is what makes whole-pipeline runs reproducible.
 Every reader here, the prefix-table, scanner-list, version-registry, profile
 and JSON-settings readers included, turns a line or value it cannot read
@@ -52,16 +52,9 @@ def fmt_value(value) -> str:
     return str(value)
 
 
-def write_table(
-    path: str | Path,
-    header: Sequence[str],
-    rows: Iterable[Sequence],
-    fmt: str = "tsv",
-) -> Path:
-    """Write a table as TSV (default) or JSONL records; returns the path."""
+def write_table(path: str | Path, header: Sequence[str], rows: Iterable[Sequence]) -> Path:
+    """Write a table as TSV with a one-line header; returns the path."""
     path = Path(path)
-    if fmt == "jsonl":
-        return write_jsonl(path.with_suffix(".jsonl"), (dict(zip(header, row)) for row in rows))
     with path.open("w") as fh:
         fh.write("\t".join(header) + "\n")
         # str and int cells skip fmt_value by exact type: a bool is an int
@@ -76,11 +69,10 @@ def write_table(
 def read_table(
     path: str | Path, columns: Sequence[str] = (), from_row: Optional[Callable[[dict[str, str]], T]] = None
 ) -> list:
-    """Read a table's rows back as string dicts, or as what `from_row` makes
-    of each. A `.jsonl` table has its cells formatted as the TSV writer
-    would; empty cells come back as empty strings. A row that is not valid
-    JSON, lacks one of `columns` or that `from_row` cannot read raises
-    StoreError naming the file and the line."""
+    """Read a TSV table's rows back as string dicts, or as what `from_row`
+    makes of each; empty cells come back as empty strings. A row that lacks
+    one of `columns` or that `from_row` cannot read raises StoreError naming
+    the file and the line."""
 
     def checked(row: dict[str, str]):
         for col in columns:
@@ -88,19 +80,9 @@ def read_table(
                 raise KeyError(col)
         return row if from_row is None else from_row(row)
 
-    if Path(path).suffix == ".jsonl":
-        return list(load_lines(path, lambda line: checked({col: fmt_value(v) for col, v in json.loads(line).items()})))
     with Path(path).open() as fh:
         header = fh.readline().rstrip("\r\n").split("\t")
     return list(load_lines(path, lambda line: checked(dict(zip(header, line.split("\t")))), skip=1))
-
-
-def write_jsonl(path: str | Path, records: Iterable[dict]) -> Path:
-    path = Path(path)
-    with path.open("w") as fh:
-        for record in records:
-            fh.write(json.dumps(record, sort_keys=True) + "\n")
-    return path
 
 
 def load_lines(path: str | Path, from_line: Callable[[str], T], skip: int = 0) -> Iterator[T]:
@@ -423,31 +405,28 @@ def load_datagrams(path: str | Path) -> Iterator[CaptureRecord]:
 # --- simulator truth ---------------------------------------------------------
 
 
-# One truth row with its keys in sorted order, and one pairs row of each
-# format. They equal json.dumps(row, sort_keys=True) and write_table's rows
-# for what the simulator serves: dotted addresses and hex CIDs that need no
-# escaping, integer ports and IDs, and operator names, which go through
-# json.dumps once per distinct name.
+# One truth row with its keys in sorted order. Truth rows equal
+# json.dumps(row, sort_keys=True), and pairs rows write_table's rows, for what
+# the simulator serves: dotted addresses and hex CIDs that need no escaping,
+# integer ports and IDs, and operator names, which go through json.dumps once
+# per distinct name.
 _TRUTH_ROW = (
     '{"client_dcid": "%s", "client_scid": "%s", "host_id": %d, "operator": %s, "server_scid": "%s", '
     '"source": "%s", "source_port": %d, "vip": "%s", "worker_id": %s}\n'
 )
-_PAIRS_JSONL_ROW = '{"client_dcid": "%s", "operator": %s, "server_scid": "%s"}\n'
 
 
 class TruthWriter:
-    """Writes `simulate`'s truth rows and its pairs table (TSV, or JSONL
-    with `fmt="jsonl"`) a row per served handshake, as the simulator appends
-    each one, so no row is held; `rows` counts the rows written."""
+    """Writes `simulate`'s truth rows and its pairs table a row per served
+    handshake, as the simulator appends each one, so no row is held; `rows`
+    counts the rows written."""
 
-    def __init__(self, truth: TextIO, pairs: TextIO, fmt: str = "tsv"):
+    def __init__(self, truth: TextIO, pairs: TextIO):
         self._truth = truth
         self._pairs = pairs
-        self._jsonl = fmt == "jsonl"
         self._operator_text = _json_names()
         self.rows = 0
-        if not self._jsonl:
-            pairs.write("operator\tserver_scid\tclient_dcid\n")
+        pairs.write("operator\tserver_scid\tclient_dcid\n")
 
     def append(self, t: SessionTruth) -> None:
         server_scid, client_dcid = t.server_scid.hex(), t.client_dcid.hex()
@@ -460,38 +439,5 @@ class TruthWriter:
                 worker_id,
             )
         )
-        if self._jsonl:
-            self._pairs.write(_PAIRS_JSONL_ROW % (client_dcid, operator, server_scid))
-        else:
-            self._pairs.write(f"{t.operator}\t{server_scid}\t{client_dcid}\n")
+        self._pairs.write(f"{t.operator}\t{server_scid}\t{client_dcid}\n")
         self.rows += 1
-
-
-# --- run manifest ------------------------------------------------------------
-
-
-def write_manifest(
-    out_dir: str | Path,
-    subcommand: str,
-    tool_version: str,
-    seed: Optional[int],
-    arguments: dict[str, Any],
-    outputs: list[str],
-    counts: dict[str, int],
-) -> Path:
-    """Every run documents itself: the options it ran with (`arguments`) and
-    the seed that drove it. Identical manifests imply byte-identical outputs,
-    so nothing time- or host-dependent belongs in here; `counts` only
-    records what the run derived."""
-    manifest = {
-        "tool": "quicscope",
-        "tool_version": tool_version,
-        "subcommand": subcommand,
-        "seed": seed,
-        "arguments": arguments,
-        "outputs": sorted(outputs),
-        "counts": counts,
-    }
-    path = Path(out_dir) / "manifest.json"
-    path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-    return path

@@ -381,14 +381,12 @@ class PlausibilityConfig(CheckedTuple, _PlausibilityFields):
         return self
 
 
-def is_plausible_quic(
-    packets: Sequence[LongHeader], config: Optional[PlausibilityConfig] = None
-) -> bool:
+def is_plausible_quic(packets: Sequence[LongHeader], config: PlausibilityConfig) -> bool:
     """True iff at least one of a datagram's packets (as returned by
     split_coalesced) carries version 0 (negotiation), a registered version, or
-    one permitted by config. CID bounds are enforced by the parser itself."""
-    if config is None:
-        config = PlausibilityConfig()
+    one permitted by config. CID bounds are enforced by the parser itself.
+    Build `config` once per run: one built without a registry reads the
+    shipped one."""
     for pkt in packets:
         if pkt.version == 0 or config.registry.known(pkt.version):
             return True

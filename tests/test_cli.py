@@ -81,11 +81,17 @@ class TestSimulate:
             raise OSError("disk full")
 
         monkeypatch.setattr("quicscope.sim.simulate_flood", fail)
-        # neither the capture nor a truth.jsonl or pairs table of either format is left
-        for fmt in ("tsv", "jsonl"):
-            with pytest.raises(OSError):
-                run("simulate", "--config", deploy_config, "--out-dir", tmp_path / fmt, "--format", fmt)
-            assert list((tmp_path / fmt).iterdir()) == []
+        # neither the capture nor truth.jsonl nor pairs.tsv is left
+        with pytest.raises(OSError):
+            run("simulate", "--config", deploy_config, "--out-dir", tmp_path / "o")
+        assert list((tmp_path / "o").iterdir()) == []
+
+    def test_format_is_a_usage_error(self, deploy_config, tmp_path):
+        # tables are TSV only; there is no --format to choose another form
+        argv = ("simulate", "--config", deploy_config, "--format", "jsonl", "--out-dir", tmp_path / "o")
+        exit = pytest.raises(SystemExit, run, *argv)
+        assert exit.value.code == 1
+        assert not (tmp_path / "o").exists()
 
 
 class TestIngest:
@@ -698,36 +704,6 @@ class TestStreamedStages:
         assert peaks[1] <= 1.5 * peaks[8]
 
 
-class TestJsonlFormat:
-    def test_structured_record_mode(self, deploy_config, tmp_path):
-        out = tmp_path / "sim"
-        assert run("simulate", "--config", deploy_config, "--out-dir", out, "--format", "jsonl") == 0
-        pairs = (out / "pairs.jsonl").read_text().splitlines()
-        record = json.loads(pairs[0])
-        assert set(record) == {"operator", "server_scid", "client_dcid"}
-
-    def test_jsonl_outputs_feed_the_next_stage(self, deploy_config, prefix_table, tmp_path):
-        # pairs and fingerprint tables written as JSONL must give the same
-        # downstream tables as their TSV twins
-        ing = tmp_path / "ing"
-        outputs = {}
-        for fmt in ("tsv", "jsonl"):
-            sim_out, fp_out = tmp_path / f"sim-{fmt}", tmp_path / f"fp-{fmt}"
-            assert run("simulate", "--config", deploy_config, "--out-dir", sim_out, "--format", fmt) == 0
-            if fmt == "tsv":
-                assert run("ingest", "--capture", sim_out / "capture.pcap", "--prefix-table", prefix_table, "--out-dir", ing) == 0
-            assert run("fingerprint", "--sessions", ing / "sessions.jsonl", "--datagrams", ing / "datagrams.jsonl", "--out-dir", fp_out, "--min-scids", "40", "--format", fmt) == 0
-            assert run("scid", "--datagrams", ing / "datagrams.jsonl", "--pairs", sim_out / f"pairs.{fmt}", "--out-dir", tmp_path / f"scid-{fmt}", "--min-samples", "40") == 0
-            assert run("report", "--in-dir", fp_out, "--out-dir", tmp_path / f"rep-{fmt}") == 0
-            outputs[fmt] = (
-                (tmp_path / f"scid-{fmt}" / "schemes.tsv").read_text(),
-                (tmp_path / f"rep-{fmt}" / "deployment_table.tsv").read_text(),
-            )
-        schemes, deployment = outputs["tsv"]
-        assert "Facebook" in schemes and "Facebook" in deployment
-        assert outputs["jsonl"] == outputs["tsv"]
-
-
 class TestStoreRows:
     """A store, table, list or profile entry missing a field or holding a
     bad value is an input error (exit 2) that names the file and the line or
@@ -1072,12 +1048,22 @@ class TestStoreRows:
         assert f"{tally}:2: missing key 'role'" in out.stderr
         assert "Traceback" not in out.stderr
 
+    def test_report_table_cell_not_a_number(self, tmp_path):
+        types = tmp_path / "packet_types.tsv"
+        types.write_text("operator\tcategory\tdatagrams\tpercent\nFacebook\tInitial\t3\t100\nGoogle\tInitial\t3\tmany\n")
+        out = run_python("-m", "quicscope.cli", "report", "--in-dir", tmp_path, "--out-dir", tmp_path / "report")
+        assert out.returncode == 2
+        assert f"{types}:3: could not convert string to float: 'many'" in out.stderr
+        assert "Traceback" not in out.stderr
+        assert not (tmp_path / "report").exists()
+
 
 class TestStageImports:
     """Each stage loads only the quicscope modules it runs."""
 
     # runs main() on argv, then prints the loaded quicscope.* modules, and
-    # socket, dataclasses and inspect if they were loaded
+    # socket, dataclasses, inspect, hashlib and _hashlib if they were loaded;
+    # hashlib loads OpenSSL, which would add to every stage's peak RSS
     SCRIPT = (
         "import sys\n"
         "from quicscope.cli import main\n"
@@ -1086,7 +1072,8 @@ class TestStageImports:
         "except SystemExit as exc:\n"
         "    code = exc.code\n"
         "print(' '.join(sorted(\n"
-        "    m for m in sys.modules if m.startswith('quicscope.') or m in ('socket', 'dataclasses', 'inspect')\n"
+        "    m for m in sys.modules\n"
+        "    if m.startswith('quicscope.') or m in ('socket', 'dataclasses', 'inspect', 'hashlib', '_hashlib')\n"
         ")))\n"
         "sys.exit(code)\n"
     )
@@ -1107,6 +1094,8 @@ class TestStageImports:
         argv = ("ingest", "--capture", capture, "--prefix-table", prefix_table, "--scanner-list", scanners)
         return argv, tmp_path / "ing"
 
+    HASHLIB = {"hashlib", "_hashlib"}
+
     def test_version_loads_only_cli(self):
         assert self.loaded("--version") == {"cli"}
 
@@ -1116,6 +1105,7 @@ class TestStageImports:
         assert {"ingest", "pcap", "tables", "wire"} <= loaded
         # the address converters come from _socket, without the socket module
         assert not loaded & {"sim", "probe", "offnet", "fingerprint", "scid", "socket", "dataclasses", "inspect"}
+        assert not loaded & self.HASHLIB
 
     def test_analysis_stages_leave_simulator_out(self, ingested, tmp_path):
         argv, ing = ingested
@@ -1133,6 +1123,7 @@ class TestStageImports:
         assert "fingerprint" in fingerprint and "scid" in scid and "offnet" in classify
         # the analyses read the datagram store, never a capture
         assert not (fingerprint | scid | classify) & {"sim", "probe", "pcap", "socket", "dataclasses", "inspect"}
+        assert not (fingerprint | scid | classify) & self.HASHLIB
 
     def test_probe_leaves_capture_and_analyses_out(self, deploy_config, tmp_path):
         loaded = self.loaded(
@@ -1141,6 +1132,7 @@ class TestStageImports:
         assert {"sim", "probe", "scid", "wire", "tables"} <= loaded
         # a probe writes no capture, so neither pcap nor socket is loaded
         assert not loaded & {"pcap", "socket", "ingest", "fingerprint", "offnet", "dataclasses", "inspect"}
+        assert not loaded & self.HASHLIB
 
     def test_simulate_and_lbtype_load_neither_dataclasses_nor_inspect(self, deploy_config, tmp_path):
         simulate = self.loaded("simulate", "--config", deploy_config, "--out-dir", tmp_path / "sim")
@@ -1151,6 +1143,7 @@ class TestStageImports:
         assert {"sim", "pcap", "tables"} <= simulate and {"sim", "probe"} <= lbtype
         # the record and config classes are named tuples and plain classes
         assert not (simulate | lbtype) & {"dataclasses", "inspect"}
+        assert not (simulate | lbtype) & self.HASHLIB
 
     def test_report_leaves_capture_side_out(self, tmp_path):
         loaded = self.loaded("report", "--in-dir", tmp_path / "nothing", "--out-dir", tmp_path / "rep")
@@ -1159,3 +1152,4 @@ class TestStageImports:
         assert not loaded & {
             "ingest", "wire", "dataclasses", "inspect", "pcap", "sim", "probe", "fingerprint", "scid", "offnet"
         }
+        assert not loaded & self.HASHLIB

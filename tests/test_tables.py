@@ -175,20 +175,10 @@ class TestWriteTable:
 
 
 class TestReadTable:
-    def test_jsonl_cells_read_as_tsv_cells(self, tmp_path):
-        header = ["operator", "share", "flag", "missing"]
-        rows = [("Facebook", 0.123456789, True, None), ("Google", 2.0, False, 7)]
-        tsv = tables.write_table(tmp_path / "t.tsv", header, rows)
-        jsonl = tables.write_table(tmp_path / "t.tsv", header, rows, fmt="jsonl")
-        assert jsonl.suffix == ".jsonl"
-        assert tables.read_table(jsonl) == tables.read_table(tsv)
-
-    @pytest.mark.parametrize("fmt", ["tsv", "jsonl"])
-    def test_missing_column_names_file_and_line(self, tmp_path, fmt):
-        path = tables.write_table(tmp_path / "t.tsv", ["operator"], [("Facebook",), ("Google",)], fmt=fmt)
+    def test_missing_column_names_file_and_line(self, tmp_path):
+        path = tables.write_table(tmp_path / "t.tsv", ["operator"], [("Facebook",), ("Google",)])
         assert tables.read_table(path, columns=("operator",))[1] == {"operator": "Google"}
-        line = 2 if fmt == "tsv" else 1
-        with pytest.raises(tables.StoreError, match=f"^{re.escape(str(path))}:{line}: missing key 'share'"):
+        with pytest.raises(tables.StoreError, match=f"^{re.escape(str(path))}:2: missing key 'share'"):
             tables.read_table(path, columns=("operator", "share"))
 
 
@@ -332,13 +322,12 @@ class TestTruthWriter:
             "worker_id": t.worker_id,
         }
 
-    @pytest.mark.parametrize("fmt", ["tsv", "jsonl"])
     @pytest.mark.parametrize("count", [0, 3])
-    def test_rows_equal_sorted_json_dumps_and_write_table(self, tmp_path, fmt, count):
+    def test_rows_equal_sorted_json_dumps_and_write_table(self, tmp_path, count):
         rows = self.ROWS[:count]
-        truth_path, pairs_path = tmp_path / "truth.jsonl", tmp_path / f"pairs.{fmt}"
+        truth_path, pairs_path = tmp_path / "truth.jsonl", tmp_path / "pairs.tsv"
         with truth_path.open("w") as truth_fh, pairs_path.open("w") as pairs_fh:
-            writer = tables.TruthWriter(truth_fh, pairs_fh, fmt)
+            writer = tables.TruthWriter(truth_fh, pairs_fh)
             for t in rows:
                 writer.append(t)
         assert writer.rows == count
@@ -347,6 +336,5 @@ class TestTruthWriter:
         (tmp_path / "ref").mkdir()
         pairs = [(t.operator, t.server_scid.hex(), t.client_dcid.hex()) for t in rows]
         header = ["operator", "server_scid", "client_dcid"]
-        written = tables.write_table(tmp_path / "ref" / "pairs.tsv", header, pairs, fmt)
-        assert written.name == pairs_path.name
+        written = tables.write_table(tmp_path / "ref" / "pairs.tsv", header, pairs)
         assert pairs_path.read_bytes() == written.read_bytes()

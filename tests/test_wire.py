@@ -343,15 +343,18 @@ class TestDatagramRecord:
 
 
 class TestPlausibility:
+    # built once, as a run builds it: a config without a registry reads the shipped one
+    STRICT = PlausibilityConfig()
+
     def test_valid_initial_is_plausible(self):
-        assert is_plausible_quic(split_coalesced(HAND_INITIAL))
+        assert is_plausible_quic(split_coalesced(HAND_INITIAL), self.STRICT)
 
     def test_all_zero_payload(self):
-        assert not is_plausible_quic(split_coalesced(b"\x00" * 1200))
+        assert not is_plausible_quic(split_coalesced(b"\x00" * 1200), self.STRICT)
 
     def test_unknown_version_strict(self):
         h = parse_long_header(encode_long_header(PacketType.INITIAL, 0xDEAD0001, b"\xaa" * 8, b"\xbb" * 8, b"x"))
-        assert not is_plausible_quic([h])
+        assert not is_plausible_quic([h], self.STRICT)
 
     def test_unknown_version_allowed_by_config(self):
         h = parse_long_header(encode_long_header(PacketType.INITIAL, 0xDEAD0001, b"\xaa" * 8, b"\xbb" * 8, b"x"))
@@ -360,11 +363,15 @@ class TestPlausibility:
 
     def test_greased_version_flag(self):
         h = parse_long_header(encode_long_header(PacketType.INITIAL, 0x1A2A3A4A, b"\xaa" * 8, b"\xbb" * 8, b"x"))
-        assert not is_plausible_quic([h])
+        assert not is_plausible_quic([h], self.STRICT)
         assert is_plausible_quic([h], PlausibilityConfig(allow_greased=True))
 
     def test_negotiation_version_always_plausible(self):
-        assert is_plausible_quic(split_coalesced(HAND_VN))
+        assert is_plausible_quic(split_coalesced(HAND_VN), self.STRICT)
+
+    def test_config_is_required(self):
+        with pytest.raises(TypeError):
+            is_plausible_quic(split_coalesced(HAND_INITIAL))
 
 
 class TestVersionRegistry:
