@@ -204,17 +204,16 @@ def cmd_ingest(args) -> int:
 
 
 def _group(items, key) -> dict:
-    """key(item) -> its items in input order, in one pass; items whose key
-    is None are left out."""
+    """key(item) -> its items in input order, in one pass."""
     groups: dict = {}
     for item in items:
-        k = key(item)
-        if k is not None:
-            groups.setdefault(k, []).append(item)
+        groups.setdefault(key(item), []).append(item)
     return groups
 
 
 def _operator_or_unknown(record) -> str:
+    """The operator a record or session is counted under; one the prefix
+    table does not name counts as Unknown."""
     return record.operator or "Unknown"
 
 
@@ -238,16 +237,14 @@ def cmd_fingerprint(args) -> int:
         for types, length, n in traits[operator].top_shapes(args.top_lengths):
             hist_rows.append((operator, ",".join(types), length, n))
 
-    by_operator = _group(sessions, lambda session: session.operator)
+    by_operator = _group(sessions, _operator_or_unknown)
     operators = sorted(by_operator)
     resend_rows = []
-    for op in operators:
-        for count, n in fp.resend_count_distribution(by_operator[op]).items():
-            resend_rows.append((op, count, n))
-
     rto_rows = []
     match_rows = []
     for op in operators:
+        for count, n in fp.resend_count_distribution(by_operator[op]).items():
+            resend_rows.append((op, count, n))
         try:
             estimate = fp.estimate_rto(by_operator[op], min_sessions=args.min_sessions)
         except fp.InsufficientData:
@@ -256,9 +253,10 @@ def cmd_fingerprint(args) -> int:
         rto_rows.append((op, estimate.sample_count, estimate.initial_rto, estimate.backoff_base, low, high))
         # a session store from another capture may name an operator the datagram store lacks
         op_traits = traits.get(op, Traits({}, set()))
+        population = scid.modal_group(scid.length_groups(sorted(op_traits.scids)))
         scheme = None
         try:
-            scheme = scid.classify_scheme(sorted(op_traits.scids), alpha=args.alpha, min_samples=args.min_scids)
+            scheme = scid.classify_scheme(population, alpha=args.alpha, min_samples=args.min_scids)
         except scid.ScidAnalysisError:
             pass
         profile = fp.observed_profile(op, estimate, op_traits, scheme)
@@ -327,9 +325,7 @@ def cmd_scid(args) -> int:
     scheme_rows = []
     length_rows = []
     for op in sorted(populations):
-        by_length: dict[int, list[bytes]] = {}
-        for s in populations[op]:
-            by_length.setdefault(len(s), []).append(s)
+        by_length = scid.length_groups(populations[op])
         for length in sorted(by_length):
             group = by_length[length]
             length_rows.append((op, length, len(group)))
@@ -342,9 +338,7 @@ def cmd_scid(args) -> int:
                 continue
             for pos, verdict in enumerate(verdicts):
                 uniformity_rows.append((op, length, pos, verdict.value))
-        # scheme classification over the modal-length group
-        modal_length = max(by_length, key=lambda k: len(by_length[k]))
-        group = by_length[modal_length]
+        group = scid.modal_group(by_length)
         op_pairs = [pair for pair in pairs if pair[0] == op]
         if not op_pairs and len(populations) == 1:
             # unlabeled population: apply the whole pairs file
@@ -359,7 +353,7 @@ def cmd_scid(args) -> int:
         except scid.ScidAnalysisError:
             scheme_kind = "insufficient_data"
         scheme_rows.append(
-            (op, len(group), modal_length, scheme_kind, flagged, scid.detect_cloudflare_signature(group))
+            (op, len(group), len(group[0]), scheme_kind, flagged, scid.detect_cloudflare_signature(group))
         )
 
     return _write_outputs(
@@ -481,23 +475,28 @@ def _port_strategy(value):
 def cmd_probe(args) -> int:
     from . import probe, tables
 
+    campaign_file = {}
     if args.campaign_config:
-        raw = tables.read_json_fields(
+        campaign_file = tables.read_json_fields(
             _require(args.campaign_config, "campaign config"),
             {
-                "targets": tables.list_of(tables.of_type(str)),
+                "targets": lambda value: ",".join(tables.list_of(tables.of_type(str))(value)),
                 "handshakes_per_vip": tables.of_type(int),
                 "port_strategy": _port_strategy,
                 "inter_probe_gap": tables.of_type(float),
                 "seed": tables.of_type(int),
             },
         )
-        args.targets = ",".join(raw.get("targets", [])) or args.targets
-        args.handshakes = raw.get("handshakes_per_vip", args.handshakes)
-        args.port_strategy = raw.get("port_strategy", args.port_strategy)
-        args.inter_probe_gap = raw.get("inter_probe_gap", args.inter_probe_gap)
-        if args.seed is None:
-            args.seed = raw.get("seed")
+    # each setting comes from its flag, else the campaign file, else its default
+    for dest, key, default in (
+        ("targets", "targets", "all"),
+        ("handshakes", "handshakes_per_vip", 1000),
+        ("port_strategy", "port_strategy", PORT_STRATEGIES[0]),
+        ("inter_probe_gap", "inter_probe_gap", 0.0),
+        ("seed", "seed", None),
+    ):
+        if getattr(args, dest) is None:
+            setattr(args, dest, campaign_file.get(key, default))
     transport, sim_vips = _build_transport(args)
     if args.targets == "all":
         targets = sim_vips
@@ -505,6 +504,8 @@ def cmd_probe(args) -> int:
             raise FileNotFoundError("--targets all requires --transport sim with a deployment config")
     else:
         targets = [t for t in args.targets.split(",") if t]
+        if not targets:
+            raise ValueError("no targets to probe")
     # every value is checked before the first handshake
     if args.mode == "harvest":
         campaign = probe.ProbeCampaign(
@@ -558,11 +559,9 @@ def cmd_probe(args) -> int:
 
 
 def cmd_report(args) -> int:
-    from pathlib import Path
-
     from . import tables
 
-    in_dir = Path(args.in_dir)
+    in_dir = _require(args.in_dir, "input directory")
 
     def keyed_rows(name: str, from_row: Callable[[dict[str, str]], tuple], columns: tuple[str, ...] = ()) -> dict:
         """key -> value of each (key, value) that `from_row` makes of a row of
@@ -685,11 +684,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--sim-config", default=None)
     p.add_argument("--campaign-config", default=None, help="JSON campaign file (targets, handshakes_per_vip, port_strategy, inter_probe_gap, seed)")
-    p.add_argument("--targets", default="all", help="comma-separated VIPs or 'all'")
+    # these four and --seed default to None, so a campaign file's value applies only where no flag is given
+    p.add_argument("--targets", default=None, help="comma-separated VIPs or 'all' (default: all)")
     p.add_argument("--mode", choices=("harvest", "lbtype"), default="harvest")
-    p.add_argument("--handshakes", type=int, default=1000)
-    p.add_argument("--port-strategy", choices=PORT_STRATEGIES, default="decreasing_from_max")
-    p.add_argument("--inter-probe-gap", type=float, default=0.0)
+    p.add_argument("--handshakes", type=int, default=None, help="handshakes per VIP (default: 1000)")
+    p.add_argument("--port-strategy", choices=PORT_STRATEGIES, default=None, help=f"default: {PORT_STRATEGIES[0]}")
+    p.add_argument("--inter-probe-gap", type=float, default=None, help="seconds between handshakes (default: 0)")
     p.add_argument("--probe-interval", type=float, default=1.0)
     p.add_argument("--max-wait", type=float, default=600.0)
     p.add_argument("--threshold", type=float, default=0.5)

@@ -13,15 +13,13 @@ from __future__ import annotations
 import ipaddress
 import struct
 from bisect import bisect_right
-from collections.abc import Collection, Sequence
-from pathlib import Path
+from collections.abc import Collection
 from typing import Callable, Hashable, Iterable, Iterator, NamedTuple, Optional
 
 # _socket holds the converter; the socket module around it adds about 8 ms
 # to every stage's start-up
 from _socket import inet_aton
 
-from . import CheckedTuple
 from .wire import (
     TYPE_LABELS,
     Datagram,
@@ -29,6 +27,7 @@ from .wire import (
     LongHeader,
     PacketType,
     PlausibilityConfig,
+    VersionRegistry,
     classify_direction,
     is_plausible_quic,
     split_coalesced,
@@ -112,26 +111,19 @@ class IngestCounters:
 
 
 def ingest(
-    capture_source: str | Path | Iterable[Datagram],
+    datagrams: Iterable[Datagram],
     config: Optional[PlausibilityConfig] = None,
     counters: Optional[IngestCounters] = None,
 ) -> Iterator[CaptureRecord]:
-    """Yield plausible QUIC records from a pcap path or datagram iterable.
+    """Yield the plausible QUIC records among `datagrams`; with no config,
+    the shipped version registry decides.
 
     Non-QUIC ports and implausible payloads are counted, never emitted.
-    A path is read when iteration starts, and raises UnreadableCapture for a
-    file that is not classic pcap.
     """
     if counters is None:
         counters = IngestCounters()
-    if isinstance(capture_source, (str, Path)):
-        from .pcap import PcapReader  # the analyses import this module but read no capture
-
-        datagrams: Iterable[Datagram] = PcapReader(capture_source).datagrams()
-    else:
-        datagrams = capture_source
     if config is None:
-        config = PlausibilityConfig()
+        config = PlausibilityConfig(VersionRegistry.default())
     for d in datagrams:
         counters.total += 1
         direction = classify_direction(d)
@@ -238,20 +230,13 @@ class SessionKey(NamedTuple):
     dcid: bytes
 
 
-class TimelineEntry(NamedTuple):
-    offset: float
-    packet_type: PacketType
-    datagram_length: int
-    coalesced: bool
-
-
 _PACKET_TYPES = tuple(PacketType)
 _PACKET_TYPE_CODES = {t: code for code, t in enumerate(_PACKET_TYPES)}
 
 
-class Timeline(Sequence[TimelineEntry]):
-    """A session's timeline: one entry per packet, packed 14 bytes each into
-    one buffer, read back as TimelineEntry.
+class Timeline:
+    """A session's timeline: one (offset, packet type, datagram length,
+    coalesced) entry per packet, packed 14 bytes each into one buffer.
 
     Held as a tuple with its own float and int, an entry takes about 150
     bytes, and a session's memory grows with its datagrams; packed, the
@@ -269,18 +254,9 @@ class Timeline(Sequence[TimelineEntry]):
         except struct.error as exc:  # a session store row can hold any JSON value
             raise ValueError(f"timeline entry [{offset!r}, {packet_type}, {datagram_length!r}]: {exc}") from None
 
-    def __len__(self) -> int:
-        return len(self._packed) // self._ENTRY.size
-
-    def __getitem__(self, index: int) -> TimelineEntry:
-        at = range(len(self))[index] * self._ENTRY.size  # IndexError past either end
-        offset, code, length, coalesced = self._ENTRY.unpack_from(self._packed, at)
-        return TimelineEntry(offset, _PACKET_TYPES[code], length, coalesced)
-
-    def __iter__(self) -> Iterator[TimelineEntry]:
-        # tuple.__new__ skips the per-entry Python call of TimelineEntry(...)
-        new, entry, types = tuple.__new__, TimelineEntry, _PACKET_TYPES
-        return (new(entry, (o, types[c], n, b)) for o, c, n, b in self._ENTRY.iter_unpack(self._packed))
+    def __iter__(self) -> Iterator[tuple[float, PacketType, int, bool]]:
+        types = _PACKET_TYPES
+        return ((o, types[c], n, b) for o, c, n, b in self._ENTRY.iter_unpack(self._packed))
 
     def offsets(self, packet_types: Collection[PacketType]) -> list[float]:
         """The offsets of the entries of `packet_types`, in timeline order,
@@ -289,27 +265,16 @@ class Timeline(Sequence[TimelineEntry]):
         return [offset for offset, code, _, _ in self._ENTRY.iter_unpack(self._packed) if code in codes]
 
 
-class _SessionFields(NamedTuple):
+class Session(NamedTuple):
+    """Ordered per-key packet timeline, offsets relative to the first packet."""
+
     key: SessionKey
-    timeline: Optional[Timeline] = None
+    timeline: Timeline
     direction: Direction = Direction.RESPONSE
     version: int = 0
     operator: Optional[str] = None
     asn: Optional[int] = None
     start_ts: float = 0.0
-
-
-class Session(CheckedTuple, _SessionFields):
-    """Ordered per-key packet timeline, offsets relative to the first packet;
-    with no timeline, each session gets an empty one of its own."""
-
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        if self.timeline is None:
-            self = tuple.__new__(cls, (self.key, Timeline(), *self[2:]))
-        return self
 
 
 class Traits(NamedTuple):
@@ -332,6 +297,8 @@ class Traits(NamedTuple):
 
     def top_shapes(self, k: int) -> list[tuple[tuple[str, ...], int, int]]:
         """The k most common (types, length, datagrams), ties by shape."""
+        if k < 0:
+            raise ValueError(f"number of top shapes must be >= 0, got {k}")
         ranked = sorted(self.shapes.items(), key=lambda item: (-item[1], item[0]))
         return [(types, length, n) for (types, length), n in ranked[:k]]
 
@@ -375,6 +342,9 @@ class Sessionizer:
     """
 
     def __init__(self, idle_gap: float = DEFAULT_IDLE_GAP):
+        # a gap of 0, below it or NaN makes every packet a session of its own
+        if not 0 < idle_gap < float("inf"):
+            raise ValueError(f"idle gap must be positive and finite, got {idle_gap}")
         self.idle_gap = idle_gap
         self._finished: list[Session] = []
         self._open: dict[SessionKey, tuple[Session, float]] = {}

@@ -13,13 +13,7 @@ from typing import NamedTuple, Optional, Sequence
 from . import PreconditionError
 from .fingerprint import InsufficientData, RtoEstimate, estimate_rto
 from .ingest import Session, Traits
-from .scid import (
-    FACEBOOK_SCID_OCTETS,
-    CodecError,
-    decode_facebook_scid,
-    detect_cloudflare_signature,
-    low_host_id,
-)
+from .scid import detect_cloudflare_signature, facebook_fields, low_host_id
 from .tables import list_of, load_listing, of_type, read_json_fields
 
 NOT_OPERATOR = "NotOperator"
@@ -75,13 +69,7 @@ def extract_features(
     traits of its responses and their sessions. Each unique SCID is decoded
     once."""
     scids = traits.scids
-    decoded = []
-    for s in scids:
-        if len(s) == FACEBOOK_SCID_OCTETS:
-            try:
-                decoded.append(decode_facebook_scid(s))
-            except CodecError:
-                pass
+    decoded = [fields for fields in map(facebook_fields, scids) if fields is not None]
     scheme_match: Optional[str] = None
     if scids:
         if detect_cloudflare_signature(scids):

@@ -18,7 +18,7 @@ from enum import Enum
 from typing import Iterable, Iterator, NamedTuple, Optional, Protocol
 
 from . import CheckedTuple, PreconditionError
-from .scid import CodecError, decode_facebook_scid
+from .scid import facebook_fields
 from .sim import (
     QUIC_PORT,
     DeploymentSimulator,
@@ -246,10 +246,8 @@ class HostIdHarvest:
 
 def _host_id(scid: bytes) -> Optional[int]:
     """The host ID of a Facebook SCID; None for an SCID that does not decode."""
-    try:
-        return decode_facebook_scid(scid).host_id
-    except CodecError:
-        return None
+    fields = facebook_fields(scid)
+    return None if fields is None else fields.host_id
 
 
 def harvest_host_ids(

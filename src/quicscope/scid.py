@@ -160,6 +160,22 @@ def uniformity_test(
     return verdicts
 
 
+def length_groups(scids: Iterable[bytes]) -> dict[int, list[bytes]]:
+    """The SCIDs of each length, in input order; nybble statistics need a
+    single-length population."""
+    groups: dict[int, list[bytes]] = {}
+    for s in scids:
+        groups.setdefault(len(s), []).append(s)
+    return groups
+
+
+def modal_group(groups: dict[int, list[bytes]]) -> list[bytes]:
+    """The largest of the `length_groups` groups, the population an
+    operator's scheme is classified over; on a tie, the length met first.
+    Empty when there are no SCIDs."""
+    return max(groups.values(), key=len, default=[])
+
+
 class SchemeKind(Enum):
     RANDOM = "random"
     STRUCTURED = "structured"
@@ -308,6 +324,17 @@ def decode_facebook_scid(scid: bytes) -> FacebookScidFields:
     return FacebookScidFields(
         version, raw >> host_shift & host_mask, raw >> worker_shift & worker_mask, raw >> process_shift & process_mask
     )
+
+
+def facebook_fields(scid: bytes) -> Optional[FacebookScidFields]:
+    """The fields of an SCID read as a Facebook SCID; None for one that is
+    not 8 octets or whose version bits are not 1 or 2."""
+    if len(scid) != FACEBOOK_SCID_OCTETS:
+        return None
+    try:
+        return decode_facebook_scid(scid)
+    except CodecError:
+        return None
 
 
 def low_host_id(fields: FacebookScidFields) -> bool:

@@ -29,13 +29,7 @@ from typing import TYPE_CHECKING, Callable, NamedTuple, Optional
 from _blake2 import blake2b
 
 from . import CheckedTuple
-from .scid import (
-    FACEBOOK_SCID_OCTETS,
-    CodecError,
-    FacebookScidFields,
-    decode_facebook_scid,
-    encode_facebook_scid,
-)
+from .scid import CodecError, FacebookScidFields, encode_facebook_scid, facebook_fields
 from .tables import StoreError, list_of, object_of, of_type, read_profiles
 from .wire import MAX_CID_LENGTH, Datagram, LongHeader, PacketType, encode_long_header, split_coalesced
 
@@ -388,12 +382,8 @@ class FrontendCluster:
         self.cid_directory[cid] = (instance, expires_at)
 
     def decode_host_id(self, dcid: bytes) -> Optional[int]:
-        if self.scid_version is None or len(dcid) != FACEBOOK_SCID_OCTETS:
-            return None
-        try:
-            return decode_facebook_scid(dcid).host_id
-        except CodecError:
-            return None
+        fields = None if self.scid_version is None else facebook_fields(dcid)
+        return None if fields is None else fields.host_id
 
 
 def route(

@@ -12,8 +12,6 @@ from enum import Enum
 from importlib import resources
 from typing import NamedTuple, Optional, Sequence
 
-from . import CheckedTuple
-
 MAX_CID_LENGTH = 20
 
 FORM_BIT = 0x80
@@ -127,17 +125,6 @@ class LongHeader(NamedTuple):
     payload: bytes = b""
     first_byte: int = FORM_BIT | FIXED_BIT
     wire_length: int = 0
-
-    @property
-    def token_length(self) -> int:
-        return len(self.token)
-
-    @property
-    def payload_length(self) -> Optional[int]:
-        """Value of the wire Length field; absent for Retry/VersionNegotiation."""
-        if self.packet_type is PacketType.RETRY or self.packet_type is PacketType.VERSION_NEGOTIATION:
-            return None
-        return len(self.payload)
 
 
 _U32 = struct.Struct(">I").unpack_from
@@ -362,31 +349,18 @@ class VersionRegistry:
         return self._entries.get(version)
 
 
-class _PlausibilityFields(NamedTuple):
-    registry: Optional[VersionRegistry] = None
+class PlausibilityConfig(NamedTuple):
+    """Controls which versions pass the payload plausibility check."""
+
+    registry: VersionRegistry
     allow_greased: bool = False
     allow_unknown: bool = False
-
-
-class PlausibilityConfig(CheckedTuple, _PlausibilityFields):
-    """Controls which versions pass the payload plausibility check; with no
-    registry, each config reads the shipped one."""
-
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        if self.registry is None:
-            self = tuple.__new__(cls, (VersionRegistry.default(), *self[1:]))
-        return self
 
 
 def is_plausible_quic(packets: Sequence[LongHeader], config: PlausibilityConfig) -> bool:
     """True iff at least one of a datagram's packets (as returned by
     split_coalesced) carries version 0 (negotiation), a registered version, or
-    one permitted by config. CID bounds are enforced by the parser itself.
-    Build `config` once per run: one built without a registry reads the
-    shipped one."""
+    one permitted by config. CID bounds are enforced by the parser itself."""
     for pkt in packets:
         if pkt.version == 0 or config.registry.known(pkt.version):
             return True

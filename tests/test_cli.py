@@ -1,5 +1,6 @@
 """CLI subcommands: pipeline wiring, manifests, exit codes, reproducibility."""
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -9,7 +10,8 @@ from pathlib import Path
 
 import pytest
 
-from quicscope.cli import main
+from quicscope import tables
+from quicscope.cli import build_parser, main
 
 from conftest import run_python
 
@@ -206,8 +208,53 @@ class TestFingerprintAndReport:
 
     def test_report_empty_inputs_ok(self, tmp_path):
         rep = tmp_path / "rep"
+        (tmp_path / "nothing").mkdir()
         assert run("report", "--in-dir", tmp_path / "nothing", "--out-dir", rep) == 0
         assert (rep / "deployment_table.tsv").read_text().splitlines()[0].startswith("operator")
+
+    def test_report_missing_in_dir_is_input_error(self, tmp_path, capsys):
+        rep = tmp_path / "rep"
+        assert run("report", "--in-dir", tmp_path / "nothing", "--out-dir", rep) == 2
+        assert "input directory not found" in capsys.readouterr().err
+        assert not rep.exists()
+
+    def test_unlabeled_sessions_count_under_unknown(self, chain):
+        # the chain ingests without a prefix table, so no record names its operator
+        for name in ("packet_types.tsv", "lengths.tsv", "resends.tsv", "rto.tsv", "matches.tsv"):
+            rows = tables.read_table(chain / "fingerprint" / name)
+            assert rows and {row["operator"] for row in rows} == {"Unknown"}, name
+
+    def test_fingerprint_and_scid_classify_the_modal_length_group(self, tmp_path):
+        # one more cluster, labeled Facebook, whose SCIDs are 12 random octets
+        config = tmp_path / "deploy.json"
+        profile = {"initial_rto": 0.4, "max_retransmissions": 8, "scid_scheme": "uniform_random", "scid_length": 12}
+        config.write_text(
+            json.dumps(
+                {
+                    "seed": 3,
+                    "operator": "Facebook",
+                    "clusters": [
+                        {"vip_base": "198.51.100.0", "vip_count": 2, "l7lb_count": 24},
+                        {"vip_base": "198.51.100.16", "vip_count": 1, "l7lb_count": 4, "profile": profile},
+                    ],
+                    "flood": {"source_base": "100.64.0.0", "source_count": 600, "duration": 60.0},
+                }
+            )
+        )
+        prefixes = tmp_path / "prefixes.tsv"
+        prefixes.write_text("198.51.100.0/24\t32934\tFacebook\n")
+        ing = tmp_path / "ing"
+        assert run("simulate", "--config", config, "--out-dir", tmp_path / "sim") == 0
+        assert run("ingest", "--capture", tmp_path / "sim" / "capture.pcap", "--prefix-table", prefixes, "--out-dir", ing) == 0
+        fp_argv = ["--sessions", ing / "sessions.jsonl", "--datagrams", ing / "datagrams.jsonl", "--min-scids", "40"]
+        assert run("fingerprint", *fp_argv, "--out-dir", tmp_path / "fp") == 0
+        assert run("scid", "--datagrams", ing / "datagrams.jsonl", "--min-samples", "40", "--out-dir", tmp_path / "scid") == 0
+        lengths = tables.read_table(tmp_path / "scid" / "scid_lengths.tsv")
+        assert [(row["length"], row["unique_scids"]) for row in lengths] == [("8", "388"), ("12", "212")]
+        (scheme,) = tables.read_table(tmp_path / "scid" / "schemes.tsv")
+        (match,) = tables.read_table(tmp_path / "fp" / "matches.tsv")
+        assert scheme["scheme"] == match["scheme"] == "structured"
+        assert match["matched"] == "Facebook"
 
 
 class TestScidCommand:
@@ -252,7 +299,6 @@ class TestScidCommand:
 
     @staticmethod
     def save_store(path, datagrams, operators):
-        from quicscope import tables
         from quicscope.ingest import ingest
 
         records = list(ingest(datagrams))
@@ -346,6 +392,47 @@ class TestProbeCommand:
         unique = (out / "unique.tsv").read_text().splitlines()
         assert len(unique) == 2
         assert unique[1].split("\t")[1] == "120"
+
+    @pytest.mark.parametrize("source", ["flag", "file"])
+    def test_empty_target_list_is_input_error(self, deploy_config, tmp_path, capsys, source):
+        campaign = tmp_path / "campaign.json"
+        campaign.write_text(json.dumps({"targets": []}))
+        argv = ["--targets", ","] if source == "flag" else ["--campaign-config", campaign]
+        assert run("probe", "--sim-config", deploy_config, *argv, "--out-dir", tmp_path / "probe") == 2
+        assert "no targets to probe" in capsys.readouterr().err
+        assert not (tmp_path / "probe").exists()
+
+    def test_flags_override_the_campaign_file(self, deploy_config, tmp_path):
+        campaign = tmp_path / "campaign.json"
+        campaign.write_text(
+            json.dumps(
+                {
+                    "targets": ["198.51.100.0", "198.51.100.1"],
+                    "handshakes_per_vip": 30,
+                    "port_strategy": "random_seeded",
+                    "inter_probe_gap": 0.5,
+                    "seed": 9,
+                }
+            )
+        )
+        flags = {
+            "targets": "198.51.100.1",
+            "handshakes": 50,
+            "port_strategy": "decreasing_from_max",
+            "inter_probe_gap": 0.0,
+            "seed": 4,
+        }
+        argv = ["probe", "--sim-config", deploy_config]
+        for dest, value in flags.items():
+            argv += ["--" + dest.replace("_", "-"), value]
+        assert run(*argv, "--campaign-config", campaign, "--out-dir", tmp_path / "with") == 0
+        assert run(*argv, "--out-dir", tmp_path / "without") == 0
+        manifest = json.loads((tmp_path / "with" / "manifest.json").read_text())
+        assert {dest: manifest["arguments"][dest] for dest in flags} == flags
+        assert manifest["seed"] == 4
+        assert [row["attempts"] for row in tables.read_table(tmp_path / "with" / "unique.tsv")] == ["50"]
+        for name in ("harvest.tsv", "unique.tsv", "discovery.tsv"):
+            assert (tmp_path / "with" / name).read_bytes() == (tmp_path / "without" / name).read_bytes()
 
     def test_unknown_port_strategy_is_usage_error(self, tmp_path):
         from quicscope.cli import PORT_STRATEGIES
@@ -482,33 +569,35 @@ class TestReproducibility:
         assert digests == self.GOLDEN
 
 
+@pytest.fixture(scope="module")
+def chain(tmp_path_factory) -> Path:
+    """Every stage run once on DEPLOY, ingested without a prefix table."""
+    # each stage writes to a directory named after its subcommand
+    base = tmp_path_factory.mktemp("chain")
+    config, truth = base / "deploy.json", base / "truth.tsv"
+    config.write_text(json.dumps(DEPLOY))
+    truth.write_text("198.51.100.0\tFacebook\n198.51.100.1\tFacebook\n")
+    store = base / "ingest" / "datagrams.jsonl"
+
+    def stage(subcommand, *argv):
+        # each stage's stdout is kept beside its out-dir as <subcommand>.stdout
+        with contextlib.redirect_stdout(io.StringIO()) as stdout:
+            assert run(subcommand, *argv, "--out-dir", base / subcommand) == 0
+        (base / f"{subcommand}.stdout").write_text(stdout.getvalue())
+
+    stage("simulate", "--config", config)
+    stage("ingest", "--capture", base / "simulate" / "capture.pcap")
+    stage("fingerprint", "--sessions", base / "ingest" / "sessions.jsonl", "--datagrams", store)
+    stage("scid", "--datagrams", store, "--min-samples", "40")
+    stage("classify", "--datagrams", store, "--truth", truth)
+    stage("probe", "--sim-config", config, "--handshakes", "20", "--seed", "5")
+    stage("report", "--in-dir", base / "fingerprint")
+    return base
+
+
 class TestManifest:
     """Each manifest records every option of its run, so runs that differ in
     any option write different manifests."""
-
-    @pytest.fixture(scope="class")
-    def chain(self, tmp_path_factory) -> Path:
-        # each stage writes to a directory named after its subcommand
-        base = tmp_path_factory.mktemp("chain")
-        config, truth = base / "deploy.json", base / "truth.tsv"
-        config.write_text(json.dumps(DEPLOY))
-        truth.write_text("198.51.100.0\tFacebook\n198.51.100.1\tFacebook\n")
-        store = base / "ingest" / "datagrams.jsonl"
-
-        def stage(subcommand, *argv):
-            # each stage's stdout is kept beside its out-dir as <subcommand>.stdout
-            with contextlib.redirect_stdout(io.StringIO()) as stdout:
-                assert run(subcommand, *argv, "--out-dir", base / subcommand) == 0
-            (base / f"{subcommand}.stdout").write_text(stdout.getvalue())
-
-        stage("simulate", "--config", config)
-        stage("ingest", "--capture", base / "simulate" / "capture.pcap")
-        stage("fingerprint", "--sessions", base / "ingest" / "sessions.jsonl", "--datagrams", store)
-        stage("scid", "--datagrams", store, "--min-samples", "40")
-        stage("classify", "--datagrams", store, "--truth", truth)
-        stage("probe", "--sim-config", config, "--handshakes", "20", "--seed", "5")
-        stage("report", "--in-dir", base / "fingerprint")
-        return base
 
     @staticmethod
     def manifest(out: Path) -> dict:
@@ -516,10 +605,6 @@ class TestManifest:
 
     @pytest.mark.parametrize("subcommand", ["simulate", "ingest", "fingerprint", "scid", "classify", "probe", "report"])
     def test_arguments_name_every_option(self, chain, subcommand):
-        import argparse
-
-        from quicscope.cli import build_parser
-
         (subparsers,) = (a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
         dests = {action.dest for action in subparsers.choices[subcommand]._actions} - {"out_dir", "help"}
         manifest = self.manifest(chain / subcommand)
@@ -530,11 +615,11 @@ class TestManifest:
     SUMMARIES = {
         "simulate": "simulate: 50 handshakes, 900 datagrams -> {base}/simulate/capture.pcap",
         "ingest": "ingest: 900 records, 50 sessions, 0.0% removed by sanitization",
-        "fingerprint": "fingerprint: 0 operators, 0 matched rows",
+        "fingerprint": "fingerprint: 1 operators, 1 matched rows",
         "scid": "scid: 1 populations analyzed",
         "classify": "classify: 2 candidate sources, 9 rules",
         "probe": "probe: mode=harvest, 2 targets",
-        "report": "report: 0 operators summarized",
+        "report": "report: 1 operators summarized",
     }
 
     @pytest.mark.parametrize("subcommand", sorted(SUMMARIES))
@@ -597,6 +682,72 @@ class TestManifest:
         exit = pytest.raises(SystemExit, run, *argv, "--seed", "3", "--out-dir", tmp_path / "o")
         assert exit.value.code == 1
         assert "unrecognized arguments: --seed 3" in capsys.readouterr().err
+
+
+class TestOptionValues:
+    """Option values that would silently corrupt the output exit 2 before
+    any output is written."""
+
+    @pytest.mark.parametrize("value", ["-1", "0", "nan", "inf"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["ingest", "--capture", "{base}/simulate/capture.pcap"],
+            ["classify", "--datagrams", "{base}/ingest/datagrams.jsonl", "--truth", "{base}/truth.tsv"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_idle_gap_not_positive_and_finite(self, chain, tmp_path, capsys, argv, value):
+        argv = [a.format(base=chain) for a in argv]
+        assert run(*argv, "--idle-gap", value, "--out-dir", tmp_path / "out") == 2
+        assert "idle gap must be positive and finite" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_top_lengths_negative(self, chain, tmp_path, capsys):
+        stores = ["--sessions", chain / "ingest" / "sessions.jsonl", "--datagrams", chain / "ingest" / "datagrams.jsonl"]
+        assert run("fingerprint", *stores, "--top-lengths", "-1", "--out-dir", tmp_path / "out") == 2
+        assert "number of top shapes must be >= 0, got -1" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+
+# options that take a value but name no file
+NOT_PATHS = {"--out-dir", "--operator", "--rule", "--targets"}
+
+
+def path_options():
+    """A (subcommand, option) param for every option that names an input."""
+    (subparsers,) = (a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    for subcommand, parser in subparsers.choices.items():
+        for action in parser._actions:
+            option = action.option_strings[0]
+            if action.nargs is None and action.type is None and action.choices is None and option not in NOT_PATHS:
+                yield pytest.param(subcommand, option, id=f"{subcommand} {option}")
+
+
+class TestMissingInput:
+    # a run of each subcommand that succeeds on the chain's files
+    ARGV = {
+        "simulate": ["--config", "{base}/deploy.json"],
+        "ingest": ["--capture", "{base}/simulate/capture.pcap"],
+        "fingerprint": ["--sessions", "{base}/ingest/sessions.jsonl", "--datagrams", "{base}/ingest/datagrams.jsonl"],
+        "scid": ["--datagrams", "{base}/ingest/datagrams.jsonl"],
+        "classify": ["--datagrams", "{base}/ingest/datagrams.jsonl", "--truth", "{base}/truth.tsv"],
+        "probe": ["--sim-config", "{base}/deploy.json", "--handshakes", "20"],
+        "report": ["--in-dir", "{base}/fingerprint"],
+    }
+
+    @pytest.mark.parametrize("subcommand, option", path_options())
+    def test_path_that_does_not_exist_exits_2_before_any_output(self, chain, tmp_path, capsys, subcommand, option):
+        argv = [a.format(base=chain) for a in self.ARGV[subcommand]]
+        missing = str(tmp_path / "no" / "such" / "path")
+        if option in argv:
+            argv[argv.index(option) + 1] = missing
+        else:
+            argv += [option, missing]
+        assert run(subcommand, *argv, "--out-dir", tmp_path / "out") == 2
+        err = capsys.readouterr().err
+        assert f"not found: {missing}" in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
 
 
 class TestClassifyGolden:
@@ -753,7 +904,6 @@ class TestStoreRows:
     def test_datagram_store_last_row_malformed(self, tmp_path, stage, argv):
         # the store is read as the stage runs, so a bad row at its end must
         # still stop the stage before it writes anything
-        from quicscope import tables
         from quicscope.ingest import ingest
         from conftest import make_response
 
@@ -876,8 +1026,6 @@ class TestStoreRows:
         ],
     )
     def test_profile_table_matching_key_wrong_type(self, tmp_path, key, value, message):
-        from quicscope import tables
-
         sessions, datagrams, profiles = (tmp_path / n for n in ("sessions.jsonl", "datagrams.jsonl", "prof.json"))
         sessions.write_text("")
         datagrams.write_text("")
@@ -1146,6 +1294,7 @@ class TestStageImports:
         assert not (simulate | lbtype) & self.HASHLIB
 
     def test_report_leaves_capture_side_out(self, tmp_path):
+        (tmp_path / "nothing").mkdir()
         loaded = self.loaded("report", "--in-dir", tmp_path / "nothing", "--out-dir", tmp_path / "rep")
         assert "tables" in loaded
         # report reads and writes tables only: no store types, no wire codec

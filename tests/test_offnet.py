@@ -123,11 +123,11 @@ class TestExtractFeatures:
         assert f.low_host_id is True
 
     def test_each_unique_scid_decoded_once(self, monkeypatch):
-        import quicscope.offnet as offnet
+        import quicscope.scid as scid
 
         calls = []
-        decode = offnet.decode_facebook_scid
-        monkeypatch.setattr(offnet, "decode_facebook_scid", lambda s: calls.append(s) or decode(s))
+        decode = scid.decode_facebook_scid
+        monkeypatch.setattr(scid, "decode_facebook_scid", lambda s: calls.append(s) or decode(s))
         scids = [facebook_scid(5), facebook_scid(6, seed=1), b"\x01" * 20]
         datagrams = [
             make_response(0.1 * i, src="198.51.100.9", scid=scids[i % 3], dst=f"172.16.0.{i}") for i in range(9)

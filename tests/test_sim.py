@@ -823,16 +823,10 @@ class TestCheckedConstruction:
                 type(valid)(**dict(valid._asdict(), **bad))
 
     def test_computed_defaults_are_filled_per_instance(self):
-        from quicscope.ingest import Session, SessionKey
         from quicscope.probe import HostIdHarvest
-        from quicscope.wire import PlausibilityConfig
 
         a, b = StackProfile("lab", 0.5, 2), StackProfile("lab", 0.5, 2)
         assert a.padding_policy == {} and a.padding_policy is not b.padding_policy
         assert a._replace(initial_rto=1.0).padding_policy is a.padding_policy
-        assert PlausibilityConfig().registry is not PlausibilityConfig().registry
-        assert PlausibilityConfig().registry.known(1)
-        key = SessionKey("198.51.100.1", "172.16.0.1", b"s", b"d")
-        assert len(Session(key).timeline) == 0 and Session(key).timeline is not Session(key).timeline
         harvest = HostIdHarvest("v")
         assert harvest.observations == [] and harvest.observations is not HostIdHarvest("v").observations

@@ -12,6 +12,7 @@ from quicscope.ingest import (
     PrefixTable,
     Session,
     SessionKey,
+    Timeline,
     annotate_operators,
     group_traits,
     ingest,
@@ -196,7 +197,7 @@ def session_fields(session: Session) -> tuple:
 
 def stored_sessions() -> list[Session]:
     def session(src, scid, entries, **fields):
-        s = Session(key=SessionKey(src, "172.16.5.5", scid, b"\xaa" * 8), **fields)
+        s = Session(key=SessionKey(src, "172.16.5.5", scid, b"\xaa" * 8), timeline=Timeline(), **fields)
         for entry in entries:
             s.timeline.add(*entry)
         return s
@@ -242,7 +243,7 @@ class TestSessionStore:
                     "operator": s.operator,
                     "asn": s.asn,
                     "start_ts": s.start_ts,
-                    "timeline": [[e.offset, e.packet_type.value, e.datagram_length, e.coalesced] for e in s.timeline],
+                    "timeline": [[offset, ptype.value, length, coalesced] for offset, ptype, length, coalesced in s.timeline],
                 },
                 sort_keys=True,
             )

@@ -68,9 +68,8 @@ class TestParseLongHeader:
         assert h.version == 1
         assert h.dcid == b"\xaa" * 8 and len(h.dcid) == 8
         assert h.scid == b"\xbb" * 8 and len(h.scid) == 8
-        assert h.token_length == 0
+        assert h.token == b""
         assert h.payload == b"hello"
-        assert h.payload_length == 5
         assert h.wire_length == len(HAND_INITIAL)
 
     def test_version_zero_forces_negotiation(self):
@@ -78,7 +77,6 @@ class TestParseLongHeader:
         assert h.packet_type == PacketType.VERSION_NEGOTIATION
         assert h.version == 0
         assert h.payload == bytes.fromhex("00000001ff00001d")
-        assert h.payload_length is None
         assert h.wire_length == len(HAND_VN)
 
     def test_handshake(self):
@@ -119,13 +117,11 @@ class TestParseLongHeader:
         h = parse_long_header(retry)
         assert h.packet_type == PacketType.RETRY
         assert h.wire_length == len(retry)
-        assert h.payload_length is None
 
     def test_initial_with_token(self):
         pkt = bytes.fromhex("c0" "00000001" "00" "00" "03") + b"TOK" + bytes.fromhex("02") + b"pp"
         h = parse_long_header(pkt)
         assert h.token == b"TOK"
-        assert h.token_length == 3
         assert h.payload == b"pp"
 
     @pytest.mark.parametrize(
@@ -343,8 +339,8 @@ class TestDatagramRecord:
 
 
 class TestPlausibility:
-    # built once, as a run builds it: a config without a registry reads the shipped one
-    STRICT = PlausibilityConfig()
+    # built once, as a run builds it
+    STRICT = PlausibilityConfig(VersionRegistry.default())
 
     def test_valid_initial_is_plausible(self):
         assert is_plausible_quic(split_coalesced(HAND_INITIAL), self.STRICT)
@@ -358,13 +354,13 @@ class TestPlausibility:
 
     def test_unknown_version_allowed_by_config(self):
         h = parse_long_header(encode_long_header(PacketType.INITIAL, 0xDEAD0001, b"\xaa" * 8, b"\xbb" * 8, b"x"))
-        cfg = PlausibilityConfig(allow_unknown=True)
+        cfg = PlausibilityConfig(VersionRegistry.default(), allow_unknown=True)
         assert is_plausible_quic([h], cfg)
 
     def test_greased_version_flag(self):
         h = parse_long_header(encode_long_header(PacketType.INITIAL, 0x1A2A3A4A, b"\xaa" * 8, b"\xbb" * 8, b"x"))
         assert not is_plausible_quic([h], self.STRICT)
-        assert is_plausible_quic([h], PlausibilityConfig(allow_greased=True))
+        assert is_plausible_quic([h], PlausibilityConfig(VersionRegistry.default(), allow_greased=True))
 
     def test_negotiation_version_always_plausible(self):
         assert is_plausible_quic(split_coalesced(HAND_VN), self.STRICT)
@@ -372,6 +368,8 @@ class TestPlausibility:
     def test_config_is_required(self):
         with pytest.raises(TypeError):
             is_plausible_quic(split_coalesced(HAND_INITIAL))
+        with pytest.raises(TypeError):
+            PlausibilityConfig()
 
 
 class TestVersionRegistry:
