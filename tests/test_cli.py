@@ -569,6 +569,49 @@ class TestReproducibility:
         assert digests == self.GOLDEN
 
 
+class TestScannerAndPrefixGolden:
+    """Ingest with both --scanner-list and --prefix-table, which the
+    TestReproducibility chain leaves out: scanner requests to a labeled
+    server address, requests from outside the list, and responses from
+    inside a listed prefix."""
+
+    GOLDEN = {
+        "counters.tsv": "463edc2df0e0a2660c0ac114c350635b46f9a3f096dbd97766871b11494f7161",
+        "datagrams.jsonl": "53360ff669d592f24dbec3f8ccfe3729b52fa22334d4ed853df328e53b088771",
+        "sessions.jsonl": "dd7120c343e0a65980d77aa65d80342cf474291ead4ee87bce933c5a62b238e4",
+    }
+
+    def test_outputs_match_golden_digests(self, tmp_path):
+        from quicscope.pcap import write_pcap
+        from quicscope.wire import PacketType
+        from conftest import make_request, make_response
+
+        datagrams = [make_request(0.1 * i, src=f"172.16.5.{i}", dst="198.51.100.7", scid=bytes([i]) * 8) for i in range(6)]
+        datagrams += [
+            make_request(1 + 0.1 * i, src=f"192.0.2.{i}", dst="203.0.113.5" if i % 2 else "10.9.9.9", scid=bytes([0x20 + i]) * 8)
+            for i in range(4)
+        ]
+        datagrams += [
+            make_response(
+                2 + 0.3 * i, src="198.51.100.1", dst=f"100.64.0.{i % 3}", scid=bytes([0x40 + i % 3]) * 8,
+                types=(PacketType.INITIAL, PacketType.HANDSHAKE) if i % 2 else (PacketType.INITIAL,),
+            )
+            for i in range(6)
+        ]
+        capture, scanners, prefixes = tmp_path / "c.pcap", tmp_path / "scanners.txt", tmp_path / "prefixes.tsv"
+        write_pcap(capture, datagrams)
+        # the responses' source lies in a scanner prefix; responses are never dropped
+        scanners.write_text("172.16.5.0/24\n198.51.100.0/24\n")
+        prefixes.write_text("198.51.100.0/24\t32934\tFacebook\n203.0.113.0/24\t13335\tCloudflare\n")
+        out = tmp_path / "ing"
+        argv = ["ingest", "--capture", capture, "--scanner-list", scanners, "--prefix-table", prefixes, "--out-dir", out]
+        with contextlib.redirect_stdout(io.StringIO()) as stdout:
+            assert run(*argv) == 0
+        assert stdout.getvalue() == "ingest: 16 records, 7 sessions, 37.5% removed by sanitization\n"
+        digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in self.GOLDEN}
+        assert digests == self.GOLDEN
+
+
 @pytest.fixture(scope="module")
 def chain(tmp_path_factory) -> Path:
     """Every stage run once on DEPLOY, ingested without a prefix table."""
