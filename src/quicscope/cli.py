@@ -150,7 +150,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_ingest(args) -> int:
     from . import tables
-    from .ingest import IngestCounters, Sessionizer, annotate_operators, ingest, sanitize
+    from .ingest import IngestCounters, Sessionizer, ingest
     from .pcap import PcapReader
     from .wire import PlausibilityConfig
 
@@ -170,17 +170,13 @@ def cmd_ingest(args) -> int:
     # a file that is not a capture fails here, before any output exists
     capture = PcapReader(capture_path)
     counters = IngestCounters()
-    stream = ingest(capture.datagrams(), plausibility, counters=counters)
-    if scanners is not None:
-        stream = sanitize(stream, scanners, counters)
-    if prefix_table is not None:
-        stream = annotate_operators(stream, prefix_table)
+    records = ingest(capture.datagrams(), plausibility, counters, scanners, prefix_table)
     sessionizer = Sessionizer(args.idle_gap)
 
     out = _out_dir(args)
     stores = datagrams_path, sessions_path = out / "datagrams.jsonl", out / "sessions.jsonl"
     try:
-        tables.save_datagrams(datagrams_path, map(sessionizer.add, stream))
+        tables.save_datagrams(datagrams_path, map(sessionizer.add, records))
         sessions = sessionizer.sessions()
         tables.save_sessions(sessions_path, sessions)
     except BaseException:
@@ -195,7 +191,7 @@ def cmd_ingest(args) -> int:
         [("counters.tsv", ["metric", "value"], sorted(counters.as_dict().items()))],
         stores=stores,
         sessions=len(sessions),
-        # sanitization is the only step after ingest() that drops records
+        # emitted counts the scanner requests that sanitization then drops
         records=counters.emitted - counters.requests_dropped,
     )
 
@@ -221,6 +217,10 @@ def cmd_fingerprint(args) -> int:
     from . import fingerprint as fp, scid, tables
     from .ingest import Traits, group_traits
 
+    # top_shapes checks the count only for an operator with datagrams
+    if args.top_lengths < 0:
+        raise ValueError(f"number of top shapes must be >= 0, got {args.top_lengths}")
+    scid.check_alpha(args.alpha)
     sessions = tables.load_sessions(_require(args.sessions, "session store"))
     traits = group_traits(tables.load_datagrams(_require(args.datagrams, "datagram store")), _operator_or_unknown)
     registry = _registry(args)
@@ -292,20 +292,12 @@ def cmd_fingerprint(args) -> int:
 # --- scid --------------------------------------------------------------------
 
 
-def _load_pairs(path: Path) -> list[tuple[str, bytes, bytes]]:
-    from . import tables
-
-    return tables.read_table(
-        path,
-        from_row=lambda row: (row["operator"], bytes.fromhex(row["server_scid"]), bytes.fromhex(row["client_dcid"])),
-    )
-
-
 def cmd_scid(args) -> int:
     from . import scid, tables
     from .ingest import group_traits
     from .wire import Direction
 
+    scid.check_alpha(args.alpha)
     if args.scids:
         scids = sorted(set(tables.load_lines(_require(args.scids, "SCID file"), bytes.fromhex)))
         if not scids:
@@ -319,7 +311,12 @@ def cmd_scid(args) -> int:
     else:
         raise FileNotFoundError("need --scids or --datagrams")
 
-    pairs = _load_pairs(_require(args.pairs, "pairs file")) if args.pairs else []
+    pairs = []
+    if args.pairs:
+        pairs = tables.read_table(
+            _require(args.pairs, "pairs file"),
+            from_row=lambda row: (row["operator"], bytes.fromhex(row["server_scid"]), bytes.fromhex(row["client_dcid"])),
+        )
     nybble_rows = []
     uniformity_rows = []
     scheme_rows = []
@@ -506,18 +503,16 @@ def cmd_probe(args) -> int:
         targets = [t for t in args.targets.split(",") if t]
         if not targets:
             raise ValueError("no targets to probe")
-    # every value is checked before the first handshake
+    # every value is checked before the first handshake: the threshold here,
+    # the rest by harvest_host_ids and detect_lb_type before they probe
     if args.mode == "harvest":
-        campaign = probe.ProbeCampaign(
-            targets=targets,
-            handshakes_per_vip=args.handshakes,
-            port_strategy=probe.PortStrategy(args.port_strategy),
-            inter_probe_gap=args.inter_probe_gap,
-            seed=args.seed,
-        )
         if len(targets) >= 2:
             probe.check_threshold(args.threshold)
-        harvests = probe.run_campaign(campaign, transport)
+        strategy = probe.PortStrategy(args.port_strategy)
+        harvests = {
+            vip: probe.harvest_host_ids(vip, args.handshakes, transport, strategy, args.inter_probe_gap, args.seed)
+            for vip in targets
+        }
         harvest_rows = []
         unique_rows = []
         curve_rows = []
@@ -537,7 +532,6 @@ def cmd_probe(args) -> int:
             cluster_rows = [(index, vip) for index, cluster in enumerate(report.clusters) for vip in cluster]
             outputs.append(("clusters.tsv", ["cluster", "vip"], cluster_rows))
     else:
-        probe.check_lbtype_timing(args.probe_interval, args.max_wait)
         verdict_rows = []
         for vip in targets:
             verdict = probe.detect_lb_type(
@@ -562,6 +556,8 @@ def cmd_report(args) -> int:
     from . import tables
 
     in_dir = _require(args.in_dir, "input directory")
+    if not in_dir.is_dir():
+        raise ValueError(f"input directory is not a directory: {in_dir}")
 
     def keyed_rows(name: str, from_row: Callable[[dict[str, str]], tuple], columns: tuple[str, ...] = ()) -> dict:
         """key -> value of each (key, value) that `from_row` makes of a row of

@@ -1,9 +1,10 @@
 """Telescope capture ingestion: filtering, sanitization, AS mapping, sessions.
 
-The pipeline is ingest -> sanitize -> annotate_operators -> Sessionizer. Each
-stage is a lazy per-record transform except the Sessionizer, a fold fed one
-record at a time that keeps per-session state, so a capture streams through
-without being held. The analyses group records with one fold, group_traits.
+The pipeline is ingest -> Sessionizer. ingest() is one lazy pass that
+filters, sanitizes and labels each datagram and yields it as a finished,
+immutable record; the Sessionizer is a fold fed one record at a time that
+keeps per-session state, so a capture streams through without being held.
+The analyses group records with one fold, group_traits.
 Input captures are expected in timestamp order (standard for single-vantage
 telescope files); ordering is not re-checked.
 """
@@ -36,43 +37,25 @@ from .wire import (
 DEFAULT_IDLE_GAP = 60.0
 
 
-class CaptureRecord:
+class CaptureRecord(NamedTuple):
     """One QUIC datagram with its parsed long-header packets.
 
-    `ingest()` yields these and `tables.load_datagrams` yields them back one
-    store row at a time; a loaded packet keeps only its type, version and
-    CIDs. `operator`/`asn` identify the server side (source of a response,
-    destination of a request) and are filled in by annotate_operators.
+    `ingest()` builds each one once, complete, and `tables.load_datagrams`
+    builds one per store row; a loaded packet keeps only its type, version
+    and CIDs. `operator`/`asn` identify the server side (source of a
+    response, destination of a request), None where no prefix names it.
     """
 
-    __slots__ = (
-        "timestamp", "src_ip", "dst_ip", "src_port", "dst_port", "direction", "datagram_length", "packets",
-        "operator", "asn",
-    )
-
-    def __init__(
-        self,
-        timestamp: float,
-        src_ip: str,
-        dst_ip: str,
-        src_port: int,
-        dst_port: int,
-        direction: Direction,
-        datagram_length: int,
-        packets: list[LongHeader],
-        operator: Optional[str] = None,
-        asn: Optional[int] = None,
-    ):
-        self.timestamp = timestamp
-        self.src_ip = src_ip
-        self.dst_ip = dst_ip
-        self.src_port = src_port
-        self.dst_port = dst_port
-        self.direction = direction
-        self.datagram_length = datagram_length
-        self.packets = packets
-        self.operator = operator
-        self.asn = asn
+    timestamp: float
+    src_ip: str
+    dst_ip: str
+    src_port: int
+    dst_port: int
+    direction: Direction
+    datagram_length: int
+    packets: list[LongHeader]
+    operator: Optional[str] = None
+    asn: Optional[int] = None
 
     @property
     def types(self) -> tuple[str, ...]:
@@ -110,45 +93,6 @@ class IngestCounters:
         }
 
 
-def ingest(
-    datagrams: Iterable[Datagram],
-    config: Optional[PlausibilityConfig] = None,
-    counters: Optional[IngestCounters] = None,
-) -> Iterator[CaptureRecord]:
-    """Yield the plausible QUIC records among `datagrams`; with no config,
-    the shipped version registry decides.
-
-    Non-QUIC ports and implausible payloads are counted, never emitted.
-    """
-    if counters is None:
-        counters = IngestCounters()
-    if config is None:
-        config = PlausibilityConfig(VersionRegistry.default())
-    for d in datagrams:
-        counters.total += 1
-        direction = classify_direction(d)
-        if direction == Direction.NON_QUIC:
-            counters.non_quic_port += 1
-            continue
-        packets = split_coalesced(d.payload)
-        if not is_plausible_quic(packets, config):
-            # short-header traffic is counted separately; it is valid QUIC
-            # but carries nothing the long-header analyses consume
-            if not packets and d.payload and d.payload[0] and not d.payload[0] & 0x80:
-                counters.short_header_only += 1
-            else:
-                counters.implausible += 1
-            continue
-        counters.emitted += 1
-        if direction == Direction.RESPONSE:
-            counters.responses_seen += 1
-        else:
-            counters.requests_seen += 1
-        yield CaptureRecord(
-            d.timestamp, d.src_ip, d.dst_ip, d.src_port, d.dst_port, direction, len(d.payload), packets
-        )
-
-
 class ScannerList:
     """Acknowledged scan-project source prefixes and exact addresses, held as
     sorted, merged (first, last) address ranges."""
@@ -167,24 +111,6 @@ class ScannerList:
         addr = int.from_bytes(inet_aton(ip), "big")
         i = bisect_right(self._firsts, addr) - 1
         return i >= 0 and addr <= self._lasts[i]
-
-
-def sanitize(
-    records: Iterable[CaptureRecord],
-    scanners: ScannerList,
-    counters: Optional[IngestCounters] = None,
-) -> Iterator[CaptureRecord]:
-    """Drop requests originating from acknowledged scanners.
-
-    Responses are never dropped: the sanitization target is client-side scan
-    traffic, and backscatter sources are the measurement signal. Idempotent.
-    """
-    for record in records:
-        if record.direction == Direction.REQUEST and record.src_ip in scanners:
-            if counters is not None:
-                counters.requests_dropped += 1
-            continue
-        yield record
 
 
 class PrefixTable:
@@ -209,16 +135,61 @@ class PrefixTable:
         return None
 
 
-def annotate_operators(
-    records: Iterable[CaptureRecord], table: PrefixTable
+def ingest(
+    datagrams: Iterable[Datagram],
+    config: Optional[PlausibilityConfig] = None,
+    counters: Optional[IngestCounters] = None,
+    scanners: Optional[ScannerList] = None,
+    prefixes: Optional[PrefixTable] = None,
 ) -> Iterator[CaptureRecord]:
-    """Attach (asn, operator) of the server-side address to each record."""
-    for record in records:
-        server_ip = record.src_ip if record.direction == Direction.RESPONSE else record.dst_ip
-        hit = table.lookup(server_ip)
-        if hit is not None:
-            record.asn, record.operator = hit
-        yield record
+    """Yield the plausible QUIC records among `datagrams`, each built once
+    with the (asn, operator) that `prefixes` gives its server-side address;
+    with no config, the shipped version registry decides.
+
+    Non-QUIC ports and implausible payloads are counted, never emitted. A
+    request whose source is in `scanners` is counted as emitted and as
+    dropped, and yields no record. Responses are never dropped: the
+    sanitization target is client-side scan traffic, and backscatter sources
+    are the measurement signal. The server side is the source of a response
+    and the destination of a request.
+    """
+    if counters is None:
+        counters = IngestCounters()
+    if config is None:
+        config = PlausibilityConfig(VersionRegistry.default())
+    new = tuple.__new__
+    for d in datagrams:
+        counters.total += 1
+        direction = classify_direction(d)
+        if direction == Direction.NON_QUIC:
+            counters.non_quic_port += 1
+            continue
+        packets = split_coalesced(d.payload)
+        if not is_plausible_quic(packets, config):
+            # short-header traffic is counted separately; it is valid QUIC
+            # but carries nothing the long-header analyses consume
+            if not packets and d.payload and d.payload[0] and not d.payload[0] & 0x80:
+                counters.short_header_only += 1
+            else:
+                counters.implausible += 1
+            continue
+        counters.emitted += 1
+        if direction == Direction.RESPONSE:
+            counters.responses_seen += 1
+            server_ip = d.src_ip
+        else:
+            counters.requests_seen += 1
+            if scanners is not None and d.src_ip in scanners:
+                counters.requests_dropped += 1
+                continue
+            server_ip = d.dst_ip
+        hit = None if prefixes is None else prefixes.lookup(server_ip)
+        asn, operator = (None, None) if hit is None else hit
+        # tuple.__new__ skips the Python-level call of CaptureRecord(...)
+        yield new(
+            CaptureRecord,
+            (d.timestamp, d.src_ip, d.dst_ip, d.src_port, d.dst_port, direction, len(d.payload), packets, operator, asn),
+        )
 
 
 class SessionKey(NamedTuple):

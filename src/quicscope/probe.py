@@ -203,28 +203,6 @@ def port_sequence(strategy: PortStrategy, n: int, seed: int = 0, start: int = 65
             yield rng.randint(1024, 65535)
 
 
-class _ProbeCampaignFields(NamedTuple):
-    targets: list[str]
-    handshakes_per_vip: int
-    port_strategy: PortStrategy = PortStrategy.DECREASING_FROM_MAX
-    inter_probe_gap: float = 0.0
-    seed: int = 0
-
-
-class ProbeCampaign(CheckedTuple, _ProbeCampaignFields):
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        if self.handshakes_per_vip < 1:
-            raise ProbeError("handshakes_per_vip must be >= 1")
-        # a negative or NaN gap would be slept as no gap at all, an infinite
-        # one as a jump past every pending event
-        if not 0 <= self.inter_probe_gap < math.inf:
-            raise ProbeError(f"inter_probe_gap must be a finite number >= 0, got {self.inter_probe_gap}")
-        return self
-
-
 class HostIdHarvest:
     """Decoded host IDs of one VIP, in handshake order; with no
     observations, each harvest starts an empty list of its own."""
@@ -263,9 +241,14 @@ def harvest_host_ids(
 
     Individual failures (timeouts, undecodable SCIDs) are recorded and do not
     stop the harvest, but a failure rate above 50% aborts the campaign.
+    Both n and inter_probe_gap are checked before the first handshake.
     """
     if n < 1:
         raise ProbeError("need at least one handshake")
+    # a negative or NaN gap would be slept as no gap at all, an infinite
+    # one as a jump past every pending event
+    if not 0 <= inter_probe_gap < math.inf:
+        raise ProbeError(f"inter_probe_gap must be a finite number >= 0, got {inter_probe_gap}")
     harvest = HostIdHarvest(vip=vip)
     for index, port in enumerate(port_sequence(port_strategy, n, seed=seed)):
         if inter_probe_gap and index:
@@ -461,20 +444,3 @@ def detect_lb_type(
         )
     return LbTypeVerdict(LbType.INCONCLUSIVE, held_host_id=held_host)
 
-
-def run_campaign(
-    campaign: ProbeCampaign,
-    transport: Transport,
-) -> dict[str, HostIdHarvest]:
-    """Harvest every campaign target; per-VIP campaigns are independent."""
-    harvests = {}
-    for vip in campaign.targets:
-        harvests[vip] = harvest_host_ids(
-            vip,
-            campaign.handshakes_per_vip,
-            transport,
-            port_strategy=campaign.port_strategy,
-            inter_probe_gap=campaign.inter_probe_gap,
-            seed=campaign.seed,
-        )
-    return harvests

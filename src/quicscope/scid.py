@@ -138,6 +138,14 @@ class PositionVerdict(Enum):
     SKEWED = "skewed"
 
 
+def check_alpha(alpha: float) -> None:
+    """Raise ScidAnalysisError unless `alpha` is a significance level, in
+    (0, 1): at 1 or above, the bound on flagging a uniform position bounds
+    nothing; at 0, below it or NaN, no position can be flagged."""
+    if not 0 < alpha < 1:
+        raise ScidAnalysisError(f"alpha must be in (0, 1), got {alpha}")
+
+
 def uniformity_test(
     matrix: NybbleFrequencyMatrix,
     alpha: float = DEFAULT_ALPHA,
@@ -145,6 +153,7 @@ def uniformity_test(
 ) -> list[PositionVerdict]:
     """Pearson chi-square of each position against the uniform 1/16 law,
     Bonferroni-corrected across positions."""
+    check_alpha(alpha)
     if matrix.total < min_samples:
         raise InsufficientSamples(f"{matrix.total} SCIDs < required {min_samples}")
     if matrix.positions == 0:

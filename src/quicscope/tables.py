@@ -394,9 +394,12 @@ def load_datagrams(path: str | Path) -> Iterator[CaptureRecord]:
             direction = directions[raw["direction"]]
         except (KeyError, TypeError):
             direction = Direction(raw["direction"])
-        return CaptureRecord(
-            raw["ts"], raw["src"], raw["dst"], raw["sport"], raw["dport"], direction, raw["length"], packets,
-            raw.get("operator"), raw.get("asn"),
+        return new(
+            CaptureRecord,
+            (
+                raw["ts"], raw["src"], raw["dst"], raw["sport"], raw["dport"], direction, raw["length"], packets,
+                raw.get("operator"), raw.get("asn"),
+            ),
         )
 
     return load_lines(path, from_line)

@@ -14,7 +14,7 @@ import numpy as np
 from quicscope import fingerprint as fp
 from quicscope import offnet, probe, scid
 from quicscope.cli import main as cli_main
-from quicscope.ingest import PrefixTable, annotate_operators, group_traits, ingest
+from quicscope.ingest import PrefixTable, group_traits, ingest
 from quicscope.scid import (
     FacebookScidFields,
     PositionVerdict,
@@ -98,7 +98,7 @@ def test_criterion_1_known_profile_round_trip(tmp_path):
     for operator in ("Cloudflare", "Facebook", "Google"):
         truth, datagrams = simulate_operator(operator, tmp_path / f"{operator}.pcap")
         assert len(truth) >= 500
-        records = list(annotate_operators(ingest(datagrams), table))
+        records = list(ingest(datagrams, prefixes=table))
         sessions = sessions_of(records)
         assert len(sessions) >= 500
         assert all(s.operator == operator for s in sessions)

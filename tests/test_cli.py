@@ -301,9 +301,7 @@ class TestScidCommand:
     def save_store(path, datagrams, operators):
         from quicscope.ingest import ingest
 
-        records = list(ingest(datagrams))
-        for record in records:
-            record.operator = operators(record)
+        records = [record._replace(operator=operators(record)) for record in ingest(datagrams)]
         return tables.save_datagrams(path, records)
 
     def test_zero_length_scids_are_insufficient_data(self, tmp_path):
@@ -752,6 +750,30 @@ class TestOptionValues:
         assert "number of top shapes must be >= 0, got -1" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_top_lengths_negative_on_empty_stores(self, tmp_path, capsys):
+        sessions, datagrams = tmp_path / "sessions.jsonl", tmp_path / "datagrams.jsonl"
+        sessions.write_text("")
+        datagrams.write_text("")
+        argv = ["--sessions", sessions, "--datagrams", datagrams, "--top-lengths", "-1"]
+        assert run("fingerprint", *argv, "--out-dir", tmp_path / "out") == 2
+        assert "number of top shapes must be >= 0, got -1" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("value", ["0", "1", "-1", "2", "nan"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["fingerprint", "--sessions", "{base}/ingest/sessions.jsonl", "--datagrams", "{base}/ingest/datagrams.jsonl"],
+            ["scid", "--datagrams", "{base}/ingest/datagrams.jsonl", "--min-samples", "40"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_alpha_outside_the_unit_interval(self, chain, tmp_path, capsys, argv, value):
+        argv = [a.format(base=chain) for a in argv]
+        assert run(*argv, "--alpha", value, "--out-dir", tmp_path / "out") == 2
+        assert f"alpha must be in (0, 1), got {float(value)}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
 
 # options that take a value but name no file
 NOT_PATHS = {"--out-dir", "--operator", "--rule", "--targets"}
@@ -790,6 +812,13 @@ class TestMissingInput:
         assert run(subcommand, *argv, "--out-dir", tmp_path / "out") == 2
         err = capsys.readouterr().err
         assert f"not found: {missing}" in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    def test_in_dir_that_is_a_file_exits_2_before_any_output(self, chain, tmp_path, capsys):
+        afile = chain / "fingerprint" / "rto.tsv"
+        assert run("report", "--in-dir", afile, "--out-dir", tmp_path / "out") == 2
+        err = capsys.readouterr().err
+        assert f"input directory is not a directory: {afile}" in err and "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
 

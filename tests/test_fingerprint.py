@@ -117,8 +117,7 @@ class TestPacketTypeStats:
                 ]
             )
         )
-        for r in records:
-            r.operator = "Google"
+        records = [r._replace(operator="Google") for r in records]
         traits = traits_by_operator(records)["Google"]
         assert traits.type_counts() == {"Initial & Handshake": 1, "Initial": 1}
         assert traits.coalescence
@@ -127,11 +126,10 @@ class TestPacketTypeStats:
         assert pct["Initial"] == 50.0
 
     def test_facebook_coalesced_share_is_exactly_zero(self):
-        records = list(
-            ingest([make_response(0.1 * i, dst=f"172.16.0.{i}") for i in range(10)])
-        )
-        for r in records:
-            r.operator = "Facebook"
+        records = [
+            r._replace(operator="Facebook")
+            for r in ingest([make_response(0.1 * i, dst=f"172.16.0.{i}") for i in range(10)])
+        ]
         traits = traits_by_operator(records)["Facebook"]
         assert percentages(traits) == {"Initial": 100.0}
         assert not traits.coalescence
@@ -207,9 +205,7 @@ class TestGroupTraits:
     def test_operator_with_only_requests_has_no_scids(self):
         from conftest import make_request
 
-        records = list(ingest([make_request(0.1 * i, dst="192.0.2.9") for i in range(3)]))
-        for r in records:
-            r.operator = "Requested"
+        records = [r._replace(operator="Requested") for r in ingest([make_request(0.1 * i, dst="192.0.2.9") for i in range(3)])]
         traits = traits_by_operator(records)["Requested"]
         assert traits.scids == set()
         assert traits.type_counts() == {"Initial": 3}

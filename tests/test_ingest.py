@@ -10,9 +10,7 @@ from quicscope.ingest import (
     ScannerList,
     SessionKey,
     Timeline,
-    annotate_operators,
     ingest,
-    sanitize,
 )
 from quicscope import tables
 from quicscope.pcap import PcapReader, write_pcap
@@ -66,6 +64,12 @@ class TestIngest:
             assert record.packets
             assert len(record.packets) == 2
 
+    def test_record_is_immutable(self):
+        (record,) = ingest([make_response(0.0)])
+        with pytest.raises(AttributeError):
+            record.operator = "Facebook"
+        assert record._replace(operator="Facebook").operator == "Facebook" and record.operator is None
+
     def test_short_header_counted_not_emitted(self):
         # form bit clear, non-zero first octet: a 1-RTT short-header packet
         short = Datagram(0.0, "198.51.100.1", "172.16.5.5", 443, 50000, b"\x41" + b"\x99" * 24)
@@ -79,19 +83,21 @@ class TestSanitize:
     def test_request_from_listed_prefix_dropped(self):
         scanners = ScannerList([net("172.16.0.0/12")])
         counters = IngestCounters()
-        records = list(ingest([make_request(0.0, src="172.16.5.5")], counters=counters))
-        assert list(sanitize(records, scanners, counters)) == []
+        assert list(ingest([make_request(0.0, src="172.16.5.5")], counters=counters, scanners=scanners)) == []
         assert counters.requests_dropped == 1
+        # a dropped request was emitted, as counters.tsv has always counted it
+        assert counters.emitted == counters.requests_seen == 1
 
     def test_response_from_listed_prefix_kept(self):
         scanners = ScannerList([net("198.51.100.0/24")])
-        records = list(ingest([make_response(0.0, src="198.51.100.1")]))
-        kept = list(sanitize(records, scanners))
+        counters = IngestCounters()
+        kept = list(ingest([make_response(0.0, src="198.51.100.1")], counters=counters, scanners=scanners))
         assert len(kept) == 1
+        assert counters.requests_dropped == 0
 
     def test_empty_scanner_list_is_identity(self):
-        records = list(ingest([make_request(0.0), make_response(0.1)]))
-        assert list(sanitize(records, ScannerList())) == records
+        datagrams = [make_request(0.0), make_response(0.1)]
+        assert list(ingest(datagrams, scanners=ScannerList())) == list(ingest(datagrams))
 
     def test_nested_and_adjacent_prefixes(self):
         scanners = ScannerList(
@@ -102,22 +108,19 @@ class TestSanitize:
         for ip in ("9.255.255.255", "12.0.0.0", "192.0.2.7", "192.0.2.12", "0.0.0.0", "255.255.255.255"):
             assert ip not in scanners, ip
 
-    def test_idempotent(self):
+    def test_drops_only_listed_requests(self):
         scanners = ScannerList([net("172.16.5.0/24"), net("10.1.0.0/16")])
-        records = list(
-            ingest(
-                [
-                    make_request(0.0, src="172.16.5.9"),
-                    make_request(0.2, src="10.1.2.3"),
-                    make_request(0.4, src="192.0.2.77"),
-                    make_response(0.6),
-                ]
-            )
-        )
-        once = list(sanitize(records, scanners))
-        twice = list(sanitize(once, scanners))
-        assert once == twice
-        assert len(once) == 2
+        datagrams = [
+            make_request(0.0, src="172.16.5.9"),
+            make_request(0.2, src="10.1.2.3"),
+            make_request(0.4, src="192.0.2.77"),
+            make_response(0.6),
+        ]
+        kept = list(ingest(datagrams, scanners=scanners))
+        assert [(r.direction, r.src_ip) for r in kept] == [
+            (Direction.REQUEST, "192.0.2.77"),
+            (Direction.RESPONSE, "198.51.100.1"),
+        ]
 
     def test_exact_ip_entry(self, tmp_path):
         listing = tmp_path / "scanners.txt"
@@ -164,11 +167,16 @@ class TestPrefixTable:
         table = tables.load_prefix_table(f)
         assert table.lookup("203.0.113.8") == (13335, "Cloudflare")
 
-    def test_annotate_operators_uses_server_side(self):
+    def test_ingest_labels_the_server_side(self):
         table = PrefixTable([(net("198.51.100.0/24"), 32934, "Facebook")])
-        records = list(ingest([make_response(0.0, src="198.51.100.1"), make_request(0.1, dst="198.51.100.1")]))
-        annotated = list(annotate_operators(records, table))
-        assert all(r.operator == "Facebook" and r.asn == 32934 for r in annotated)
+        datagrams = [
+            make_response(0.0, src="198.51.100.1"),
+            make_request(0.1, dst="198.51.100.1"),
+            make_response(0.2, src="192.0.2.1", dst="198.51.100.1"),
+            make_request(0.3, src="198.51.100.1", dst="192.0.2.1"),
+        ]
+        records = list(ingest(datagrams, prefixes=table))
+        assert [(r.operator, r.asn) for r in records] == [("Facebook", 32934)] * 2 + [(None, None)] * 2
 
 
 class TestSessionize:
@@ -231,7 +239,7 @@ class TestSessionize:
 
     def test_session_carries_metadata(self):
         table = PrefixTable([(net("198.51.100.0/24"), 15169, "Google")])
-        records = annotate_operators(ingest([make_response(0.0, version=1)]), table)
+        records = ingest([make_response(0.0, version=1)], prefixes=table)
         sessions = sessions_of(records)
         assert sessions[0].operator == "Google"
         assert sessions[0].version == 1

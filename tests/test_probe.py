@@ -14,7 +14,6 @@ from quicscope.probe import (
     HostIdHarvest,
     LbType,
     PortStrategy,
-    ProbeCampaign,
     ProbeError,
     SimulatorTransport,
     TransportUnavailable,
@@ -25,7 +24,6 @@ from quicscope.probe import (
     harvest_host_ids,
     jaccard,
     port_sequence,
-    run_campaign,
 )
 from quicscope.sim import (
     ClusterConfig,
@@ -133,8 +131,7 @@ class TestHarvest:
     def test_campaign_runs_all_targets(self):
         sim = make_sim(vip_count=3, l7lb_count=10)
         transport = SimulatorTransport(sim, seed=6)
-        campaign = ProbeCampaign(targets=sim.clusters[0].vips, handshakes_per_vip=50)
-        harvests = run_campaign(campaign, transport)
+        harvests = {vip: harvest_host_ids(vip, 50, transport) for vip in sim.clusters[0].vips}
         assert set(harvests) == set(sim.clusters[0].vips)
         for h in harvests.values():
             assert h.unique_ids <= set(sim.clusters[0].by_host_id)
@@ -353,8 +350,10 @@ class TestProbeValuesRejected:
 
     @pytest.mark.parametrize("gap", [-1.0, float("nan"), float("inf")], ids=repr)
     def test_inter_probe_gap(self, gap):
+        transport = CountingTransport(make_sim(l7lb_count=10))
         with pytest.raises(ProbeError, match="^inter_probe_gap must be a finite number >= 0"):
-            ProbeCampaign(targets=["203.0.113.1"], handshakes_per_vip=5, inter_probe_gap=gap)
+            harvest_host_ids("203.0.113.1", 5, transport, inter_probe_gap=gap)
+        assert transport.handshakes == 0
 
     @pytest.mark.parametrize("threshold", [2.0, -0.1, float("nan")], ids=repr)
     def test_threshold(self, threshold):

@@ -464,9 +464,7 @@ class TestFloodDeterminism:
                 seed=2,
             )
             _, datagrams = simulate_to_pcap(cfg, tmp_path / f"{operator}.pcap")
-            records = list(ingest(datagrams))
-            for r in records:
-                r.operator = operator
+            records = [r._replace(operator=operator) for r in ingest(datagrams)]
             sessions = sessions_of(records)
             hist = resend_count_distribution(sessions)
             mode = max(hist, key=hist.get)
@@ -797,7 +795,7 @@ class TestCheckedConstruction:
     @staticmethod
     def cases():
         from quicscope.fingerprint import FingerprintError, RtoEstimate
-        from quicscope.probe import LbType, LbTypeVerdict, ProbeCampaign, ProbeError
+        from quicscope.probe import LbType, LbTypeVerdict, ProbeError
         from quicscope.scid import SchemeKind, ScidAnalysisError, ScidScheme
 
         cluster = cluster_config()
@@ -808,7 +806,6 @@ class TestCheckedConstruction:
             (DeploymentConfig([cluster]), {"clusters": [cluster, cluster]}, InvalidConfig, "assigned to two clusters"),
             (RtoEstimate(0.4, 2.0, (7, 9), 10), {"backoff_base": 0.5}, FingerprintError, "below 1"),
             (ScidScheme(SchemeKind.RANDOM), {"kind": SchemeKind.STRUCTURED}, ScidAnalysisError, "flagged positions"),
-            (ProbeCampaign(["203.0.113.1"], 5), {"handshakes_per_vip": 0}, ProbeError, "must be >= 1"),
             (LbTypeVerdict(LbType.FIVE_TUPLE), {"kind": LbType.CID_AWARE}, ProbeError, "positive fail window"),
         ]
 

@@ -13,7 +13,6 @@ from quicscope.ingest import (
     Session,
     SessionKey,
     Timeline,
-    annotate_operators,
     group_traits,
     ingest,
 )
@@ -47,7 +46,7 @@ def live_records() -> list[CaptureRecord]:
         make_response(0.5, src="192.0.2.7", types=(PacketType.HANDSHAKE,), version=0xFF00001D),
         make_request(0.75),
     ]
-    return list(annotate_operators(ingest(datagrams), table))
+    return list(ingest(datagrams, prefixes=table))
 
 
 class TestDatagramStore:
