@@ -213,6 +213,15 @@ def _operator_or_unknown(record) -> str:
     return record.operator or "Unknown"
 
 
+def _check_minimums(args, *options: str) -> None:
+    """Raise ValueError for a minimum count below 0. One would act as 0, so
+    the manifest would record a setting the run did not use as written."""
+    for option in options:
+        value = getattr(args, option[2:].replace("-", "_"))
+        if value < 0:
+            raise ValueError(f"{option} must be >= 0, got {value}")
+
+
 def cmd_fingerprint(args) -> int:
     from . import fingerprint as fp, scid, tables
     from .ingest import Traits, group_traits
@@ -220,6 +229,7 @@ def cmd_fingerprint(args) -> int:
     # top_shapes checks the count only for an operator with datagrams
     if args.top_lengths < 0:
         raise ValueError(f"number of top shapes must be >= 0, got {args.top_lengths}")
+    _check_minimums(args, "--min-sessions", "--min-scids")
     scid.check_alpha(args.alpha)
     sessions = tables.load_sessions(_require(args.sessions, "session store"))
     traits = group_traits(tables.load_datagrams(_require(args.datagrams, "datagram store")), _operator_or_unknown)
@@ -297,6 +307,7 @@ def cmd_scid(args) -> int:
     from .ingest import group_traits
     from .wire import Direction
 
+    _check_minimums(args, "--min-samples")
     scid.check_alpha(args.alpha)
     if args.scids:
         scids = sorted(set(tables.load_lines(_require(args.scids, "SCID file"), bytes.fromhex)))
@@ -377,6 +388,7 @@ def cmd_classify(args) -> int:
     from .ingest import Sessionizer, group_traits
     from .wire import Direction
 
+    _check_minimums(args, "--min-rto-sessions")
     rows = tables.load_datagrams(_require(args.datagrams, "datagram store"))
     truth = offnet.GroundTruth.load(_require(args.truth, "ground-truth labels"))
     params = offnet.RuleParams.load(_require(args.rules, "rule set")) if args.rules else offnet.RuleParams()
@@ -513,6 +525,9 @@ def cmd_probe(args) -> int:
             vip: probe.harvest_host_ids(vip, args.handshakes, transport, strategy, args.inter_probe_gap, args.seed)
             for vip in targets
         }
+        # the transport holds the simulator and every connection it opened,
+        # which no table reads: let them go before the tables are built
+        del transport
         harvest_rows = []
         unique_rows = []
         curve_rows = []
@@ -544,6 +559,7 @@ def cmd_probe(args) -> int:
             verdict_rows.append(
                 (vip, verdict.kind.value, verdict.fail_window, verdict.held_host_id, verdict.followup_host_id)
             )
+        del transport
         header = ["vip", "verdict", "fail_window", "held_host_id", "followup_host_id"]
         outputs = [("verdicts.tsv", header, verdict_rows)]
     return _write_outputs(args, f"probe: mode={args.mode}, {len(targets)} targets", outputs, seed=args.seed)

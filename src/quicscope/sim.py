@@ -201,46 +201,74 @@ def handle_packet(
 
 
 class Event:
-    __slots__ = ("time", "fn", "cancelled")
+    """A scheduled callback; `fn` is None once the event has fired or been
+    cancelled through VirtualClock.cancel."""
 
-    def __init__(self, time: float, fn: Callable[[], None]):
-        self.time = time
+    __slots__ = ("fn",)
+
+    def __init__(self, fn: Callable[[], None]):
         self.fn = fn
-        self.cancelled = False
 
-    def cancel(self) -> None:
-        # the heap keeps a cancelled event until its time comes, which a probe
-        # harvest never reaches, so let go of the callback and what it holds
-        self.cancelled = True
-        self.fn = None
+
+# the heap is not rebuilt while it holds this many entries or fewer
+COMPACTION_FLOOR = 100
 
 
 class VirtualClock:
-    """Event-driven clock; identical schedules replay identically."""
+    """Event-driven clock; identical schedules replay identically.
+
+    A cancelled event stays in the heap until it is popped, so once
+    cancelled entries are more than half of a heap above COMPACTION_FLOOR,
+    the heap is rebuilt from its live entries, as asyncio's event loop does
+    with its timer handles. A probe harvest never advances the clock, and
+    every handshake it ACKs cancels a resend, so without the rebuild the heap
+    would grow by one entry per handshake. Entries order by (time, seq), a
+    total order, so the rebuild cannot change which event fires first."""
 
     def __init__(self) -> None:
         self.now = 0.0
         self._heap: list[tuple[float, int, Event]] = []
         self._seq = 0
+        self._cancelled = 0  # cancelled entries still in the heap
 
     def schedule(self, at: float, fn: Callable[[], None]) -> Event:
         if at < self.now:
             raise SimError(f"cannot schedule at {at} before now {self.now}")
-        event = Event(at, fn)
+        event = Event(fn)
         heapq.heappush(self._heap, (at, self._seq, event))
         self._seq += 1
         return event
+
+    def cancel(self, event: Event) -> None:
+        """Keep a pending event from firing and let go of its callback and
+        what that holds; an event that has fired or been cancelled is left
+        as it is."""
+        if event.fn is None:
+            return
+        event.fn = None
+        self._cancelled += 1
+        self._compact()
+
+    def _compact(self) -> None:
+        if len(self._heap) > COMPACTION_FLOOR and 2 * self._cancelled > len(self._heap):
+            self._heap = [entry for entry in self._heap if entry[2].fn is not None]
+            heapq.heapify(self._heap)
+            self._cancelled = 0
 
     def run_until(self, t: float) -> None:
         """Fire all events with time <= t, then advance to t."""
         while self._heap and self._heap[0][0] <= t:
             at, _, event = heapq.heappop(self._heap)
-            if event.cancelled:
+            fn, event.fn = event.fn, None
+            if fn is None:
+                self._cancelled -= 1
                 continue
             self.now = at
-            event.fn()
+            fn()
         if t > self.now:
             self.now = t
+        # firing live entries can leave the cancelled ones the majority
+        self._compact()
 
 
 # --- routing -----------------------------------------------------------------
@@ -709,7 +737,9 @@ class DeploymentSimulator:
             expires_at=now + instance.state_lifetime,
         )
         instance.connection_table[scid] = conn
-        cluster.register_cid(scid, instance, conn.expires_at)
+        # route() reads the directory only in CID-aware mode
+        if cluster.routing_mode is RoutingMode.CID_AWARE:
+            cluster.register_cid(scid, instance, conn.expires_at)
         if self.truth is not None:
             self.truth.append(
                 SessionTruth(
@@ -788,7 +818,7 @@ class DeploymentSimulator:
         if disposition == Disposition.ACCEPT and conn is not None:
             # consistent continuation from the client confirms the handshake
             if conn.resend is not None:
-                conn.resend.cancel()
+                self.clock.cancel(conn.resend)
                 conn.resend = None
         return None
 

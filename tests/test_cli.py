@@ -6,6 +6,7 @@ import hashlib
 import io
 import json
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import pytest
@@ -368,6 +369,31 @@ class TestProbeCommand:
         assert len(unique) == 3  # header + 2 vips
         assert (out / "clusters.tsv").exists()
         assert (out / "discovery.tsv").exists()
+
+    def test_simulator_freed_before_the_tables(self, deploy_config, tmp_path, monkeypatch):
+        # the harvests are all the tables read; the simulator's connection
+        # state must be gone by the time they are built
+        from quicscope import probe, sim
+
+        simulators = []
+        alive_at_tables = []
+        simulator_class, discovery_curve = sim.DeploymentSimulator, probe.discovery_curve
+
+        def tracked_simulator(*args, **kwargs):
+            simulator = simulator_class(*args, **kwargs)
+            simulators.append(weakref.ref(simulator))
+            return simulator
+
+        def checked_curve(harvest):
+            alive_at_tables.append(simulators[0]() is not None)
+            return discovery_curve(harvest)
+
+        monkeypatch.setattr(sim, "DeploymentSimulator", tracked_simulator)
+        monkeypatch.setattr(probe, "discovery_curve", checked_curve)
+        argv = ["--sim-config", deploy_config, "--handshakes", "50", "--out-dir", tmp_path / "probe"]
+        assert run("probe", *argv) == 0
+        assert len(simulators) == 1
+        assert alive_at_tables == [False, False]
 
     def test_campaign_config_file(self, deploy_config, tmp_path):
         campaign = tmp_path / "campaign.json"
@@ -757,6 +783,23 @@ class TestOptionValues:
         argv = ["--sessions", sessions, "--datagrams", datagrams, "--top-lengths", "-1"]
         assert run("fingerprint", *argv, "--out-dir", tmp_path / "out") == 2
         assert "number of top shapes must be >= 0, got -1" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "argv, option",
+        [
+            (["fingerprint", "--sessions", "{absent}", "--datagrams", "{absent}"], "--min-sessions"),
+            (["fingerprint", "--sessions", "{absent}", "--datagrams", "{absent}"], "--min-scids"),
+            (["scid", "--datagrams", "{absent}"], "--min-samples"),
+            (["classify", "--datagrams", "{absent}", "--truth", "{absent}"], "--min-rto-sessions"),
+        ],
+        ids=lambda value: value if isinstance(value, str) else value[0],
+    )
+    def test_negative_minimum_count(self, tmp_path, capsys, argv, option):
+        # no input exists, so reading one first would exit 2 naming it instead
+        argv = [a.format(absent=tmp_path / "absent") for a in argv]
+        assert run(*argv, option, "-3", "--out-dir", tmp_path / "out") == 2
+        assert f"{option} must be >= 0, got -3" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("value", ["0", "1", "-1", "2", "nan"])

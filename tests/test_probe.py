@@ -26,12 +26,16 @@ from quicscope.probe import (
     port_sequence,
 )
 from quicscope.sim import (
+    COMPACTION_FLOOR,
     ClusterConfig,
     DeploymentConfig,
     DeploymentSimulator,
     RoutingMode,
+    client_ack_payload,
+    client_initial_payload,
     default_stack_profile,
 )
+from quicscope.wire import Datagram
 
 from conftest import harvest_from_ids
 
@@ -97,23 +101,37 @@ class TestHarvest:
         finally:
             gc.enable()
 
-    def test_acked_handshake_leaves_one_resend_event(self):
-        # a connection keeps only its next resend pending, so each ACKed
-        # handshake leaves one cancelled event in the clock's heap
+    @pytest.mark.parametrize("n", [300, 1000])
+    def test_acked_handshakes_leave_no_live_event(self, n):
+        # each ACK cancels its connection's one pending resend, and the clock
+        # drops cancelled events once they are most of its heap, so a harvest,
+        # which never advances the clock, holds no more than the floor
         sim = make_sim(l7lb_count=30)
         transport = SimulatorTransport(sim, seed=4)
-        harvest_host_ids("203.0.113.1", 300, transport)
-        assert len(sim.clock._heap) == 300
+        harvest_host_ids("203.0.113.1", n, transport)
+        assert all(event.fn is None for _, _, event in sim.clock._heap)
+        assert len(sim.clock._heap) <= COMPACTION_FLOOR
 
     def test_cancelled_resends_release_their_callback(self):
-        # a harvest never advances the clock, so the heap keeps every
-        # cancelled event; none may keep its closure and response bytes alive
+        # an ACK cancels the pending resend through the clock, which lets go
+        # of its closure and response bytes
         sim = make_sim(l7lb_count=30)
-        transport = SimulatorTransport(sim, seed=4)
-        harvest_host_ids("203.0.113.1", 300, transport)
-        cancelled = [event for _, _, event in sim.clock._heap if event.cancelled]
-        assert len(cancelled) == 300
-        assert all(event.fn is None for event in cancelled)
+        client = ("192.0.2.1", "203.0.113.1", 5000, 443)
+        conn = sim.deliver(Datagram(0.0, *client, client_initial_payload(b"d" * 8, b"c" * 8)))
+        event = conn.resend
+        assert event.fn is not None
+        sim.deliver(Datagram(0.0, *client, client_ack_payload(conn.server_cid, b"c" * 8)))
+        assert conn.resend is None
+        assert event.fn is None
+        assert sim.clock._cancelled == 1
+
+    @pytest.mark.parametrize("mode", [RoutingMode.FIVE_TUPLE, RoutingMode.CID_AWARE])
+    def test_cid_directory_only_for_cid_aware_routing(self, mode):
+        # route() reads the directory in CID-aware mode alone
+        sim = make_sim(l7lb_count=30, mode=mode)
+        harvest_host_ids("203.0.113.1", 50, SimulatorTransport(sim, seed=4))
+        directory = sim.clusters[0].cid_directory
+        assert len(directory) == (50 if mode is RoutingMode.CID_AWARE else 0)
 
     def test_unknown_vip_unavailable(self):
         sim = make_sim()

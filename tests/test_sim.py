@@ -5,8 +5,11 @@ import hashlib
 import re
 import struct
 import tracemalloc
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from quicscope.fingerprint import resend_rounds
 from quicscope.ingest import group_traits, ingest
@@ -17,6 +20,7 @@ from quicscope.sim import (
     _DEPLOYMENT_FIELDS,
     _FLOOD_FIELDS,
     _PROFILE_FIELDS,
+    COMPACTION_FLOOR,
     ClusterConfig,
     Connection,
     DeploymentConfig,
@@ -246,9 +250,54 @@ class TestVirtualClock:
         clock = VirtualClock()
         fired = []
         event = clock.schedule(1.0, lambda: fired.append("x"))
-        event.cancel()
+        clock.cancel(event)
+        assert event.fn is None
         clock.run_until(2.0)
         assert fired == []
+
+    @given(
+        st.sampled_from([0, 4, COMPACTION_FLOOR]),
+        st.lists(
+            st.one_of(
+                st.tuples(st.just("schedule"), st.sampled_from([0.0, 0.5, 1.0, 2.0])),
+                st.tuples(st.just("cancel"), st.integers(min_value=0, max_value=1000)),
+                st.tuples(st.just("run"), st.sampled_from([0.0, 0.5, 1.0, 3.0])),
+            ),
+            max_size=300,
+        ),
+    )
+    # the live events fire and leave the cancelled one the whole heap
+    @example(0, [("schedule", 2.0), ("schedule", 0.0), ("schedule", 0.0), ("cancel", 0), ("run", 0.5)])
+    @settings(derandomize=True, max_examples=50, deadline=None)
+    def test_matches_a_sorted_list_and_stays_compact(self, floor, operations):
+        # repeated times, cancellations (of pending, fired and cancelled
+        # events) and runs; the floor is lowered too, so that small schedules
+        # are rebuilt as well
+        with mock.patch("quicscope.sim.COMPACTION_FLOOR", floor):
+            clock = VirtualClock()
+            fired, events = [], []
+            pending = []  # the reference: (time, seq) of each live event
+            reference_fired = []
+            for op, value in operations:
+                if op == "schedule":
+                    seq = len(events)
+                    events.append(clock.schedule(clock.now + value, lambda seq=seq: fired.append(seq)))
+                    pending.append((clock.now + value, seq))
+                elif op == "cancel" and events:
+                    seq = value % len(events)
+                    clock.cancel(events[seq])
+                    pending = [entry for entry in pending if entry[1] != seq]
+                elif op == "run":
+                    until = clock.now + value
+                    clock.run_until(until)
+                    reference_fired.extend(seq for _, seq in sorted(e for e in pending if e[0] <= until))
+                    pending = [entry for entry in pending if entry[0] > until]
+                assert fired == reference_fired
+                assert len(clock._heap) <= 2 * len(pending) + floor
+                assert clock._cancelled == sum(event.fn is None for _, _, event in clock._heap)
+                assert sorted(seq for _, seq, event in clock._heap if event.fn is not None) == sorted(
+                    seq for _, seq in pending
+                )
 
     def test_no_scheduling_in_the_past(self):
         clock = VirtualClock()
