@@ -7,7 +7,6 @@ at position 7 - (b % 8), i.e. bit 0 is the most significant bit of octet 0.
 
 from __future__ import annotations
 
-import _random
 import math
 from enum import Enum
 from typing import Collection, Iterable, NamedTuple, Optional, Sequence
@@ -263,9 +262,9 @@ def _fb_codec(layout: dict[str, tuple[int, int]]) -> tuple:
     """A layout's codec tables, built once:
     - a packer (shift, limit, width, name) per field, in FacebookScidFields order;
     - an extractor (shift, mask) per field after the version;
-    - the free-bit count, and (drop, mask, shift) per contiguous run of free
-      bits, which cuts the run's slice out of the free bits drawn in
-      ascending order (first bit most significant) and puts it in place."""
+    - (drop, mask, shift) per contiguous run of free bits, which cuts the
+      run's slice out of the low n bits of a draw (n the free-bit count, the
+      first free bit taking the most significant) and puts it in place."""
     spans = [("scid_version", _VERSION_FIELD), *layout.items()]
     packers = tuple((64 - start - width, 1 << width, width, name) for name, (start, width) in spans)
     extractors = tuple((64 - start - width, (1 << width) - 1) for start, width in layout.values())
@@ -277,42 +276,34 @@ def _fb_codec(layout: dict[str, tuple[int, int]]) -> tuple:
         if i + 1 == len(free) or free[i + 1] != bit + 1:
             runs.append((len(free) - i - 1, (1 << (i + 1 - first)) - 1, 63 - bit))
             first = i + 1
-    return packers, extractors, len(free), tuple(runs)
+    return packers, extractors, tuple(runs)
 
 
 _FB_CODECS = {version: _fb_codec(layout) for version, layout in _FB_LAYOUTS.items()}
-# octet -> b"1" when its top bit is set, else b"0", for bytes.translate
-_TOP_BIT_DIGIT = bytes(0x31 if octet & 0x80 else 0x30 for octet in range(256))
-# reseeded on every call, so no state carries from one SCID to the next;
-# seed(n) gives the stream random.Random(n) would
-_RANDOM_BITS = _random.Random(0)
 
 
-def encode_facebook_scid(
-    fields: FacebookScidFields, random_bits_seed: Optional[int] = None
-) -> bytes:
+def encode_facebook_scid(fields: FacebookScidFields, random_bits: Optional[int] = None) -> bytes:
     """Pack fields into an 8-octet SCID.
 
-    Bits outside the field layout are zero when no seed is given, otherwise
-    filled from a deterministic generator in ascending bit order. The layout
-    follows fields.scid_version; version values outside {1, 2} are packed
-    with the v1 layout and will not decode.
+    Bits outside the field layout (the free bits: 37 in v1, 29 in v2) are
+    zero when `random_bits` is None. Otherwise they take the low n bits of
+    `random_bits`, n being the layout's free-bit count, in ascending bit
+    order: the first free bit takes the most significant of those n bits and
+    the last free bit (bit 63) the least. Higher bits of `random_bits` are
+    ignored, so a 64-bit draw fills either layout. The layout follows
+    fields.scid_version; version values outside {1, 2} are packed with the
+    v1 layout and will not decode.
     """
-    packers, _, count, runs = _FB_CODECS.get(fields.scid_version) or _FB_CODECS[1]
+    packers, _, runs = _FB_CODECS.get(fields.scid_version) or _FB_CODECS[1]
     acc = 0
     for value, (shift, limit, width, name) in zip(fields, packers):
         if value < 0 or value >= limit:
             raise FieldOverflow(f"{name} {value} does not fit in {width} bits")
         acc |= value << shift
-    if random_bits_seed is not None:
-        # one 32-bit word per free bit: CPython's getrandbits(1) is the top
-        # bit of the next word, and getrandbits(32 * n) stacks n words from
-        # the least significant end, so word i's top bit is the i-th draw
-        _RANDOM_BITS.seed(random_bits_seed)
-        words = _RANDOM_BITS.getrandbits(32 * count)
-        drawn = int(words.to_bytes(4 * count, "little")[3::4].translate(_TOP_BIT_DIGIT), 2)
+    if random_bits is not None:
+        # each run's mask stops at the n-th bit, so higher bits never land
         for drop, mask, shift in runs:
-            acc |= (drawn >> drop & mask) << shift
+            acc |= (random_bits >> drop & mask) << shift
     return acc.to_bytes(FACEBOOK_SCID_OCTETS, "big")
 
 

@@ -676,7 +676,7 @@ class DeploymentSimulator:
             if cluster.scid_version is not None:
                 worker_id = self.rng.randrange(instance.workers)
                 fields = FacebookScidFields(cluster.scid_version, instance.host_id, worker_id, profile.process_id)
-                scid = encode_facebook_scid(fields, random_bits_seed=self.rng.getrandbits(64))
+                scid = encode_facebook_scid(fields, random_bits=self.rng.getrandbits(64))
             elif scheme is ScidSchemeKind.CLOUDFLARE_FIXED:
                 scid = b"\x01" + self.rng.randbytes(profile.scid_length - 1)
             elif scheme is ScidSchemeKind.ECHO_CLIENT_DCID:

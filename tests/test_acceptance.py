@@ -153,7 +153,7 @@ def test_criterion_2_facebook_scid_codec():
                 worker_id=rng.randint(0, 255),
                 process_id=rng.randint(0, 1),
             )
-            encoded = encode_facebook_scid(f, random_bits_seed=rng.getrandbits(32))
+            encoded = encode_facebook_scid(f, random_bits=rng.getrandbits(64))
             assert decode_facebook_scid(encoded) == f
     announce(2, "codec identity over 10k tuples per version + worked vector")
 
@@ -182,7 +182,7 @@ def test_criterion_3_uniformity_calibration():
             bytes(
                 encode_facebook_scid(
                     FacebookScidFields(1, rng.randint(0, 65535), rng.randint(0, 255), rng.randint(0, 1)),
-                    random_bits_seed=rng.getrandbits(32),
+                    random_bits=rng.getrandbits(64),
                 )
             )
             for _ in range(10000)

@@ -5,6 +5,7 @@ import contextlib
 import hashlib
 import io
 import json
+import re
 import tracemalloc
 import weakref
 from pathlib import Path
@@ -13,6 +14,7 @@ import pytest
 
 from quicscope import tables
 from quicscope.cli import build_parser, main
+from quicscope.scid import decode_facebook_scid, encode_facebook_scid
 
 from conftest import run_python
 
@@ -54,6 +56,26 @@ class TestSimulate:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["subcommand"] == "simulate"
         assert manifest["seed"] == 7
+
+    def test_seed_flag_overrides_the_config_seed(self, deploy_config, tmp_path):
+        def simulate(name, *seed):
+            out = tmp_path / name
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert run("simulate", "--config", deploy_config, *seed, "--out-dir", out) == 0
+            manifest = json.loads((out / "manifest.json").read_text())
+            return manifest["seed"], manifest["arguments"]["seed"], (out / "capture.pcap").read_bytes()
+
+        seed, flag, first = simulate("a", "--seed", "11")
+        assert (seed, flag) == (11, 11)
+        assert simulate("b", "--seed", "11") == (11, 11, first)
+        seed, flag, other = simulate("c", "--seed", "12")
+        assert (seed, flag) == (12, 12)
+        assert other != first
+        # without the flag the config's seed 7 drives the run, as --seed 7 does
+        seed, flag, from_config = simulate("d")
+        assert (seed, flag) == (7, None)
+        assert from_config != first
+        assert simulate("e", "--seed", "7")[2] == from_config
 
     def test_missing_config_is_input_error(self, tmp_path):
         assert run("simulate", "--config", tmp_path / "nope.json", "--out-dir", tmp_path / "o") == 2
@@ -541,8 +563,8 @@ class TestReproducibility:
         "fp/rto.tsv": "7c5fd2317bca281f423367d008bf492fd3934342410c4e441a48406ce423efdc",
         "fp/version_tally.tsv": "7f9b59d8b67ef63a1283acf8aaa14d86ab5e0a1c7944c7c38f1e7db894aa78d2",
         "ing/counters.tsv": "a498276733084cb5b970b238c7b39eaa8ebc094687b634a1ff0a1d08d0d3c681",
-        "ing/datagrams.jsonl": "9bbf33308860aad2b032ddedfebf0ee11347011f8bf69cc452c0ed608e393a37",
-        "ing/sessions.jsonl": "d65735669057f225bc3ef454fb1dcde2cef1ed5a47ca34609912fef000c3d500",
+        "ing/datagrams.jsonl": "3478b5b5946ff8df29e3116a830a2bc4ee4cc4eb0f6f73cbf2b1fd9c6f3ee7e5",
+        "ing/sessions.jsonl": "338f12f5b4d48cd22823d9a9b73dbbf7a5275c5b3dbaf998b30251ee62b4f7dc",
         "probe/clusters.tsv": "5e81cad906676f3f9315c5a8c6220ed1fbf855d229ff7c1faa4f8ccecc9a196b",
         "probe/discovery.tsv": "3867deb00ae24e139036a7d85e201bd65614327031247c41bcd4df796c59b2c4",
         "probe/harvest.tsv": "996f707f4fa1380cd816b006ffd12e35905d523f5ca1eb2bb639d6d21f5a8f94",
@@ -550,13 +572,13 @@ class TestReproducibility:
         "rep/deployment_table.tsv": "0130fd0118e5e8b0e2a151f6d9f7fdd962b02c5b533ab33a214dde24e1ec5e27",
         "rep/packet_type_table.tsv": "29e408c0757d72042039056056a9b87b58f91ac6e35c79ee98622c32fc5f744b",
         "rep/version_table.tsv": "855278d9cf9337a174951475ad081050f5a39ed96673804ef3e7eb425bf3fa08",
-        "scid/nybbles.tsv": "d17f4740c5dc08736d9cee61bb1a82c01814ebddafdf72eea3c8eaad0b9e5bdf",
+        "scid/nybbles.tsv": "bf6dbc62377cb8224b31a5c7de912822969ac5e3f6eef1ca028f96e67d316cc3",
         "scid/schemes.tsv": "19d75040bee2a1f4f6f082aa4877e1ba4fd29bd2373914dfe9be3f455b9acc2b",
         "scid/scid_lengths.tsv": "1af621fb732766b85d096f6797b9bb98cd0a26b76039828dbdda27aa02fecded",
         "scid/uniformity.tsv": "2943aad008b7a920f069e6a3e4d4420c6f724f93368e036fbf88fefd860db1f4",
-        "sim/capture.pcap": "df7e02511bba91c4c8ba691c18bf6a8640f6b53e185a46abcbde66f75b4d31dd",
-        "sim/pairs.tsv": "c9ed2860d0575e0adfa77b649e42a55a9641a061917d26a095bb39e60c1ebc2f",
-        "sim/truth.jsonl": "a46ce16ba1099a9c20763f43873b79e52583b74e81401b7a628aa3022eb0e5a0",
+        "sim/capture.pcap": "55cb94cdeda522ee90c8a34ccc8663d6e3d20143ebaacbd3a990652709cd746d",
+        "sim/pairs.tsv": "b3ff066193bc71c3b05261b6fa1dcff4da354b427fcc31561ca0105025e2610d",
+        "sim/truth.jsonl": "109c4c9fcd616dcd42dce33180f91799ab8401efe2ae855506c894a11fd543d8",
     }
 
     @staticmethod
@@ -591,6 +613,40 @@ class TestReproducibility:
             if not name.endswith("manifest.json")
         }
         assert digests == self.GOLDEN
+
+
+class TestFreeBitEquivalence:
+    """The TestReproducibility chain's truth, pairs, datagram and session
+    files with every server SCID masked to its fields-only encoding,
+    encode_facebook_scid(decode_facebook_scid(s)). The digests were pinned
+    while the free bits still came from a generator reseeded per SCID, so a
+    match shows that changing how the free bits are filled moved nothing
+    else: no field, no other CID, no port, no timestamp."""
+
+    MASKED = {
+        "ing/datagrams.jsonl": "fa0d0d888f1ab423381d9d1c4bff79f67ae7f06c97235c04f6fadc6dbcca553b",
+        "ing/sessions.jsonl": "8096f7f923091ad1e206cb6cfe1616974fee2b6220288412b2f5fa7b2262a2cf",
+        "sim/pairs.tsv": "d005ee6d2d66e88979fd64a989efd53cfdab7fa3f87f2a90cbf76873629dc378",
+        "sim/truth.jsonl": "d3a217100c89265b250bd132fc96f8dae843c52054d3f4deb3b732e6cfbd5d9a",
+    }
+
+    def test_masked_outputs_match_pinned_digests(self, deploy_config, prefix_table, tmp_path):
+        assert run("simulate", "--config", deploy_config, "--out-dir", tmp_path / "sim") == 0
+        assert run("ingest", "--capture", tmp_path / "sim" / "capture.pcap", "--prefix-table", prefix_table, "--out-dir", tmp_path / "ing") == 0
+        truth = [json.loads(line) for line in (tmp_path / "sim" / "truth.jsonl").read_text().splitlines()]
+        masked = {
+            row["server_scid"]: encode_facebook_scid(decode_facebook_scid(bytes.fromhex(row["server_scid"]))).hex()
+            for row in truth
+        }
+        assert len(masked) == len(truth) == 50
+        # the free bits were drawn, so masking changes every SCID
+        assert all(scid != fields_only for scid, fields_only in masked.items())
+        cid = re.compile(r"\b[0-9a-f]{16}\b")
+        digests = {}
+        for name in self.MASKED:
+            text = cid.sub(lambda m: masked.get(m.group(), m.group()), (tmp_path / name).read_text())
+            digests[name] = hashlib.sha256(text.encode()).hexdigest()
+        assert digests == self.MASKED
 
 
 class TestScannerAndPrefixGolden:
@@ -994,6 +1050,20 @@ class TestStoreRows:
         assert out.returncode == 2
         assert f"{datagrams}:1: missing key 'packets'" in out.stderr
         assert "Traceback" not in out.stderr
+
+    def test_datagram_row_unknown_direction(self, tmp_path):
+        datagrams = tmp_path / "d.jsonl"
+        row = {
+            "ts": 1.0, "src": "198.51.100.1", "dst": "172.16.5.5", "sport": 443, "dport": 50000,
+            "direction": "sideways", "length": 100, "operator": "Facebook", "asn": 32934,
+            "packets": [["initial", 1, "aa" * 8, "bb" * 8]],
+        }
+        datagrams.write_text(json.dumps(dict(row, direction="response")) + "\n" + json.dumps(row) + "\n")
+        out = run_python("-m", "quicscope.cli", "scid", "--datagrams", datagrams, "--out-dir", tmp_path / "scid")
+        assert out.returncode == 2
+        assert f"{datagrams}:2: 'sideways' is not a valid Direction" in out.stderr
+        assert "Traceback" not in out.stderr
+        assert not (tmp_path / "scid").exists()
 
     def test_datagram_row_without_packets(self, tmp_path):
         datagrams = tmp_path / "d.jsonl"

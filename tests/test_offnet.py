@@ -46,8 +46,8 @@ def source_features(records, source, min_rto_sessions=5) -> SourceFeatures:
     return extract_features(traits[source], sessions, min_rto_sessions=min_rto_sessions)
 
 
-def facebook_scid(host, worker=1, seed=0):
-    return bytes(encode_facebook_scid(FacebookScidFields(1, host, worker, 0), random_bits_seed=seed))
+def facebook_scid(host, worker=1, bits=0):
+    return bytes(encode_facebook_scid(FacebookScidFields(1, host, worker, 0), random_bits=bits))
 
 
 class TestExtractFeatures:
@@ -112,7 +112,7 @@ class TestExtractFeatures:
         assert f.scid_scheme_match is None
 
     def test_mixed_lengths_match_no_scheme(self):
-        scids = [facebook_scid(5), facebook_scid(6, seed=1), b"\x01" * 20]
+        scids = [facebook_scid(5), facebook_scid(6, bits=(1 << 37) - 1), b"\x01" * 20]
         records = list(
             ingest([make_response(0.1 * i, src="198.51.100.9", scid=s, dst=f"172.16.0.{i}") for i, s in enumerate(scids)])
         )
@@ -128,7 +128,7 @@ class TestExtractFeatures:
         calls = []
         decode = scid.decode_facebook_scid
         monkeypatch.setattr(scid, "decode_facebook_scid", lambda s: calls.append(s) or decode(s))
-        scids = [facebook_scid(5), facebook_scid(6, seed=1), b"\x01" * 20]
+        scids = [facebook_scid(5), facebook_scid(6, bits=(1 << 37) - 1), b"\x01" * 20]
         datagrams = [
             make_response(0.1 * i, src="198.51.100.9", scid=scids[i % 3], dst=f"172.16.0.{i}") for i in range(9)
         ]

@@ -107,7 +107,7 @@ class TestFacebookCodec:
     )
     def test_field_overflow_messages(self, fields, message):
         with pytest.raises(FieldOverflow) as exc:
-            encode_facebook_scid(fields, random_bits_seed=1)
+            encode_facebook_scid(fields, random_bits=1)
         assert str(exc.value) == message
 
     @pytest.mark.parametrize("version", [0, 3])
@@ -115,8 +115,8 @@ class TestFacebookCodec:
         fields = FacebookScidFields(version, 0xBEEF, 0xA5, 1)
         assert encode_facebook_scid(fields) == oracle_pack(fields)
         # the random bits fill the v1 free bits exactly as for version 1
-        v1 = encode_facebook_scid(fields._replace(scid_version=1), random_bits_seed=9)
-        other = encode_facebook_scid(fields, random_bits_seed=9)
+        v1 = encode_facebook_scid(fields._replace(scid_version=1), random_bits=0x9E3779B97F4A7C15)
+        other = encode_facebook_scid(fields, random_bits=0x9E3779B97F4A7C15)
         assert bytes([v1[0] & 0x3F | version << 6]) + v1[1:] == other
         with pytest.raises(UnknownScidVersion) as exc:
             decode_facebook_scid(other)
@@ -152,17 +152,20 @@ class TestFacebookCodec:
             )
             assert bytes(encode_facebook_scid(fields)) == oracle_pack(fields)
 
-    def test_random_bits_do_not_disturb_fields(self):
-        fields = FacebookScidFields(1, 1234, 56, 1)
-        for seed in range(50):
-            scid = encode_facebook_scid(fields, random_bits_seed=seed)
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_random_bits_do_not_disturb_fields(self, version):
+        fields = FacebookScidFields(version, 1234, 56, 1)
+        rng = random.Random(version)
+        # all ones sets every free bit and every bit above them
+        for bits in [(1 << 64) - 1, (1 << 200) - 1] + [rng.getrandbits(64) for _ in range(50)]:
+            scid = encode_facebook_scid(fields, random_bits=bits)
             assert decode_facebook_scid(scid) == fields
 
-    def test_random_bits_deterministic_per_seed(self):
+    def test_random_bits_deterministic_per_draw(self):
         fields = FacebookScidFields(2, 99, 3, 0)
-        a = encode_facebook_scid(fields, random_bits_seed=11)
-        b = encode_facebook_scid(fields, random_bits_seed=11)
-        c = encode_facebook_scid(fields, random_bits_seed=12)
+        a = encode_facebook_scid(fields, random_bits=0xDEADBEEF11)
+        b = encode_facebook_scid(fields, random_bits=0xDEADBEEF11)
+        c = encode_facebook_scid(fields, random_bits=0xDEADBEEF12)
         assert bytes(a) == bytes(b)
         assert bytes(a) != bytes(c)
 
@@ -172,55 +175,61 @@ class TestFacebookCodec:
         big_host=st.integers(min_value=0, max_value=(1 << 24) - 1),
         worker=st.integers(min_value=0, max_value=255),
         process=st.integers(min_value=0, max_value=1),
-        seed=st.one_of(st.none(), st.integers(min_value=0, max_value=2**32)),
+        bits=st.one_of(st.none(), st.integers(min_value=0, max_value=2**64 - 1)),
     )
     @settings(max_examples=500)
-    def test_round_trip_property(self, version, host, big_host, worker, process, seed):
+    def test_round_trip_property(self, version, host, big_host, worker, process, bits):
         fields = FacebookScidFields(version, big_host if version == 2 else host, worker, process)
-        assert decode_facebook_scid(encode_facebook_scid(fields, seed)) == fields
+        assert decode_facebook_scid(encode_facebook_scid(fields, bits)) == fields
 
 
 class TestFacebookScidGolden:
-    """sha256 of encode_facebook_scid over 200 seeds per layout, pinned so a
-    rewrite of the random-bit filler keeps every SCID byte-identical."""
+    """sha256 of encode_facebook_scid over 200 64-bit draws per layout,
+    pinned so a rewrite of the free-bit placement keeps every SCID
+    byte-identical."""
 
     EXPECTED = {
-        1: "6087d04342317bc87252ecb8110fc2b36d5986a6c757ebc1ad59a2264cc7643e",
-        2: "3eadaa338a5c8359a55b569a28a42d22c5e5f694c66a645ff8ef7b702ae46630",
+        1: "2547206ba35c492f9ac34a0ede069ef261bbdbf6058e385615c00e0be97cef92",
+        2: "6ec204442fee7d2276f0fbe09cbed854740898b8a6086a6bddde0c358d9826fd",
     }
 
     @pytest.mark.parametrize("version", [1, 2])
-    def test_digest_over_seeds(self, version):
+    def test_digest_over_draws(self, version):
         width = 16 if version == 1 else 24
         digest = hashlib.sha256()
         for i in range(200):
             fields = FacebookScidFields(version, (i * 7919) % (1 << width), i % 256, i % 2)
-            seed = (i * 0x9E3779B97F4A7C15) & ((1 << 64) - 1)
-            digest.update(bytes(encode_facebook_scid(fields, random_bits_seed=seed)))
+            bits = (i * 0x9E3779B97F4A7C15) & ((1 << 64) - 1)
+            digest.update(bytes(encode_facebook_scid(fields, random_bits=bits)))
         assert digest.hexdigest() == self.EXPECTED[version]
 
 
-def reference_random_bits(fields: FacebookScidFields, seed: int) -> bytes:
-    """oracle_pack plus the free bits, set one mask at a time: free bit i
-    (ascending, 0 = most significant) takes the top bit of 32-bit word i of
-    random.Random(seed).getrandbits(32 * n), the bit getrandbits(1) would
-    draw i-th. Out-of-range versions use the v1 layout."""
-    if fields.scid_version == 2:
+def free_bits(version: int) -> list[int]:
+    """The bit indices no field of the layout covers, ascending; out-of-range
+    versions use the v1 layout."""
+    if version == 2:
         used = set(range(0, 2)) | set(range(8, 41))
     else:
         used = set(range(0, 27))
-    free = [bit for bit in range(64) if bit not in used]
-    words = random.Random(seed).getrandbits(32 * len(free))
+    return [bit for bit in range(64) if bit not in used]
+
+
+def reference_random_bits(fields: FacebookScidFields, bits: int) -> bytes:
+    """oracle_pack plus the free bits, set one at a time: the low n bits of
+    `bits`, written as n binary digits most significant first, go to the n
+    free bits in ascending order."""
+    free = free_bits(fields.scid_version)
+    digits = format(bits & ((1 << len(free)) - 1), f"0{len(free)}b")
     acc = int.from_bytes(oracle_pack(fields), "big")
-    for i, bit in enumerate(free):
-        if (words >> (32 * i + 31)) & 1:
+    for bit, digit in zip(free, digits):
+        if digit == "1":
             acc |= 1 << (63 - bit)
     return acc.to_bytes(8, "big")
 
 
 class TestFacebookScidRandomBits:
     """encode_facebook_scid's free bits against the per-bit reference, over
-    1,000 seeds per layout and for a version with no layout of its own."""
+    1,000 draws per layout and for a version with no layout of its own."""
 
     @pytest.mark.parametrize("version", [1, 2, 3])
     def test_matches_per_bit_reference(self, version):
@@ -228,19 +237,22 @@ class TestFacebookScidRandomBits:
         rng = random.Random(version)
         for i in range(1000):
             fields = FacebookScidFields(version, rng.randrange(1 << width), rng.randrange(256), i % 2)
-            seed = i if i < 500 else rng.getrandbits(64)
-            assert encode_facebook_scid(fields, random_bits_seed=seed) == reference_random_bits(fields, seed)
+            bits = i if i < 500 else rng.getrandbits(64 if i < 900 else 100)
+            assert encode_facebook_scid(fields, random_bits=bits) == reference_random_bits(fields, bits)
 
-    def test_reference_draws_like_getrandbits_one(self):
-        fields = FacebookScidFields(2, 77, 5, 1)
-        free = [bit for bit in range(64) if not (bit < 2 or 8 <= bit < 41)]
-        for seed in range(20):
-            rng = random.Random(seed)
-            acc = int.from_bytes(oracle_pack(fields), "big")
-            for bit in free:
-                if rng.getrandbits(1):
-                    acc |= 1 << (63 - bit)
-            assert reference_random_bits(fields, seed) == acc.to_bytes(8, "big")
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_each_draw_bit_lands_on_one_free_bit(self, version):
+        fields = FacebookScidFields(version, 77, 5, 1)
+        base = int.from_bytes(oracle_pack(fields), "big")
+        free = free_bits(version)
+        assert len(free) == (37 if version == 1 else 29)
+        for j in range(64):
+            scid = int.from_bytes(encode_facebook_scid(fields, random_bits=1 << j), "big")
+            if j < len(free):
+                # bit j of the draw, counted from the least significant
+                assert scid ^ base == 1 << (63 - free[len(free) - 1 - j])
+            else:
+                assert scid == base
 
 
 class TestLowHostId:
@@ -265,7 +277,7 @@ class TestNybbleFrequencies:
             bytes(
                 encode_facebook_scid(
                     FacebookScidFields(1, rng.randint(0, 65535), rng.randint(0, 255), rng.randint(0, 1)),
-                    random_bits_seed=rng.getrandbits(32),
+                    random_bits=rng.getrandbits(64),
                 )
             )
             for _ in range(10000)
@@ -327,7 +339,7 @@ class TestUniformityTest:
             bytes(
                 encode_facebook_scid(
                     FacebookScidFields(1, rng.randint(0, 65535), rng.randint(0, 255), 0),
-                    random_bits_seed=rng.getrandbits(32),
+                    random_bits=rng.getrandbits(64),
                 )
             )
             for _ in range(10000)
@@ -360,7 +372,7 @@ class TestUniformityTest:
             bytes(
                 encode_facebook_scid(
                     FacebookScidFields(1, rng.randint(0, 65535), rng.randint(0, 255), 0),
-                    random_bits_seed=rng.getrandbits(32),
+                    random_bits=rng.getrandbits(64),
                 )
             )
             for _ in range(3000)
@@ -434,7 +446,7 @@ class TestClassifyScheme:
             bytes(
                 encode_facebook_scid(
                     FacebookScidFields(1, rng.randint(0, 65535), rng.randint(0, 3), 0),
-                    random_bits_seed=rng.getrandbits(32),
+                    random_bits=rng.getrandbits(64),
                 )
             )
             for _ in range(5000)

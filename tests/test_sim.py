@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from quicscope.fingerprint import resend_rounds
 from quicscope.ingest import group_traits, ingest
 from quicscope.pcap import PcapWriter
-from quicscope.scid import decode_facebook_scid
+from quicscope.scid import FacebookScidFields, decode_facebook_scid, encode_facebook_scid
 from quicscope.sim import (
     _CLUSTER_FIELDS,
     _DEPLOYMENT_FIELDS,
@@ -32,6 +32,7 @@ from quicscope.sim import (
     NotAVip,
     RoutingMode,
     ScidSchemeKind,
+    SimError,
     StackProfile,
     VirtualClock,
     client_ack_payload,
@@ -41,7 +42,7 @@ from quicscope.sim import (
     route,
     simulate_flood,
 )
-from quicscope.wire import PacketType, encode_long_header, parse_long_header, split_coalesced
+from quicscope.wire import Datagram, PacketType, encode_long_header, parse_long_header, split_coalesced
 
 from conftest import sessions_of, simulate_to_pcap
 
@@ -145,9 +146,7 @@ class TestRoute:
     def test_cid_aware_host_id_decode(self):
         cfg = cluster_config(mode=RoutingMode.CID_AWARE, l7lb_count=50, operator="Facebook")
         cluster = FrontendCluster(cfg)
-        from quicscope.scid import FacebookScidFields, encode_facebook_scid
-
-        dcid = encode_facebook_scid(FacebookScidFields(1, 37, 2, 0), random_bits_seed=5)
+        dcid = encode_facebook_scid(FacebookScidFields(1, 37, 2, 0), random_bits=0x5EED5EED5EED)
         tup = ("10.0.0.1", cluster.vips[0], 7777, 443, 17)
         assert route(cluster, tup, dcid=dcid).host_id == 37
 
@@ -410,7 +409,6 @@ class TestHandlePacket:
 class TestDeliver:
     def test_returns_the_connection_it_opened(self):
         from quicscope.sim import client_ack_payload
-        from quicscope.wire import Datagram
 
         sim = DeploymentSimulator(DeploymentConfig(clusters=[cluster_config()], seed=9), truth=[])
         vip = sim.clusters[0].vips[0]
@@ -425,6 +423,68 @@ class TestDeliver:
         # the ACK continues that connection, opens none, and stops its resends
         assert sim.deliver(from_client(client_ack_payload(conn.server_cid, b"\x20" * 8))) is None
         assert conn.resend is None
+
+
+class TestInboxResend:
+    def test_resend_round_repeats_the_payloads_at_the_resend_time(self):
+        sim = DeploymentSimulator(DeploymentConfig(clusters=[cluster_config()], seed=9))
+        vip = sim.clusters[0].vips[0]
+        rto = sim.clusters[0].profile.initial_rto
+        inbox = sim.register_inbox("10.0.0.1")
+        body = encode_long_header(PacketType.INITIAL, 1, b"\x10" * 8, b"\x20" * 8, b"\x5a" * 50)
+        conn = sim.deliver(Datagram(0.0, "10.0.0.1", vip, 4000, 443, body))
+        first = list(inbox)
+        # Facebook answers with an Initial and a Handshake datagram
+        assert [(d.timestamp, d.src_ip, d.dst_ip, d.dst_port) for d in first] == [(0.0, vip, "10.0.0.1", 4000)] * 2
+        # no ACK came, so the first resend fires at initial_rto and the second
+        # only at twice that
+        sim.clock.run_until(1.5 * rto)
+        resent = inbox[len(first):]
+        assert [d.payload for d in resent] == [d.payload for d in first]
+        assert [d.timestamp for d in resent] == [rto] * len(first)
+        assert [(d.src_ip, d.dst_ip, d.src_port, d.dst_port) for d in resent] == [
+            (d.src_ip, d.dst_ip, d.src_port, d.dst_port) for d in first
+        ]
+        assert conn.resend is not None
+
+
+class TestScidCollisions:
+    """_generate_scid draws again when it draws an SCID already in the
+    instance's connection table, and raises after eight such draws."""
+
+    @staticmethod
+    def scripted(monkeypatch, draws):
+        # one instance with worker 0 every time, so the draws alone pick the SCID
+        sim = DeploymentSimulator(DeploymentConfig(clusters=[cluster_config(l7lb_count=1)], seed=9))
+        draws, widths = iter(draws), []
+        monkeypatch.setattr(sim.rng, "randrange", lambda n: 0)
+        monkeypatch.setattr(sim.rng, "getrandbits", lambda k: widths.append(k) or next(draws))
+        return sim, widths
+
+    @staticmethod
+    def serve(sim, port):
+        cluster = sim.clusters[0]
+        instance = cluster.instances[0]
+        return sim.serve_initial(cluster, instance, client_initial(), ("10.0.0.1", port), cluster.vips[0])
+
+    def test_taken_scid_is_drawn_again(self, monkeypatch):
+        sim, widths = self.scripted(monkeypatch, [0xAB, 0xAB, 0xCD])
+        instance = sim.clusters[0].instances[0]
+        fields = FacebookScidFields(1, instance.host_id, 0, sim.clusters[0].profile.process_id)
+        first = self.serve(sim, 4000)
+        second = self.serve(sim, 4001)
+        assert first.server_cid == encode_facebook_scid(fields, random_bits=0xAB)
+        assert second.server_cid == encode_facebook_scid(fields, random_bits=0xCD)
+        assert widths == [64, 64, 64]
+        assert instance.connection_table == {first.server_cid: first, second.server_cid: second}
+
+    def test_eight_taken_draws_raise(self, monkeypatch):
+        sim, widths = self.scripted(monkeypatch, [0xAB] * 9)
+        first = self.serve(sim, 4000)
+        with pytest.raises(SimError, match="^could not generate a unique server CID$"):
+            self.serve(sim, 4001)
+        assert widths == [64] * 9
+        assert sim.clusters[0].instances[0].connection_table == {first.server_cid: first}
 
 
 class TestEncodedBytesGolden:

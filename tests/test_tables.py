@@ -137,6 +137,10 @@ class TestDatagramStore:
             (json.dumps({"ts": 1.0, "packets": [[[1], 1, "", ""]]}), "[1] is not a valid PacketType"),
             (json.dumps({"ts": 1.0, "packets": [["initial", 1, "", "zz"]]}), "non-hexadecimal number"),
             (json.dumps({"ts": 1.0, "packets": [["initial", 1, "", "00" * 21]]}), "exceeds 20"),
+            # a known packet, then a direction the store does not name
+            (json.dumps({"ts": 1.0, "packets": [["initial", 1, "", ""]]}), "missing key 'direction'"),
+            (json.dumps({"ts": 1.0, "packets": [["initial", 1, "", ""]], "direction": "sideways"}), "'sideways' is not a valid Direction"),
+            (json.dumps({"ts": 1.0, "packets": [["initial", 1, "", ""]], "direction": ["response"]}), "['response'] is not a valid Direction"),
         ],
     )
     def test_malformed_row_names_file_and_line(self, tmp_path, bad_row, message):
