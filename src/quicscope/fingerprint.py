@@ -96,17 +96,17 @@ class RtoEstimate(CheckedTuple, _RtoEstimateFields):
         return self
 
 
-def resend_rounds(session: Session, tolerance: float = ROUND_MERGE_TOLERANCE) -> list[float]:
+def resend_rounds(session: Session) -> list[float]:
     """Distinct send instants of Initial/Handshake packets in a session.
 
-    Entries closer than `tolerance` collapse into one round, so a server that
-    ships Initial and Handshake as two datagrams still counts one round per
-    timeout, matching how retransmission counts are reported.
+    Entries closer than ROUND_MERGE_TOLERANCE collapse into one round, so a
+    server that ships Initial and Handshake as two datagrams still counts one
+    round per timeout, matching how retransmission counts are reported.
     """
     offsets = sorted(session.timeline.offsets((PacketType.INITIAL, PacketType.HANDSHAKE)))
     rounds: list[float] = []
     for off in offsets:
-        if not rounds or off - rounds[-1] > tolerance:
+        if not rounds or off - rounds[-1] > ROUND_MERGE_TOLERANCE:
             rounds.append(off)
     return rounds
 
@@ -223,15 +223,11 @@ def load_known_profiles(path: Optional[str | Path] = None) -> list[FingerprintPr
     return profiles
 
 
-def match_profile(
-    observed: FingerprintProfile,
-    known: Sequence[FingerprintProfile],
-    rto_tolerance: float = RTO_MATCH_TOLERANCE,
-) -> Optional[str]:
+def match_profile(observed: FingerprintProfile, known: Sequence[FingerprintProfile]) -> Optional[str]:
     """Match an observed fingerprint against known configurations.
 
     Coalescence and structured-SCID flags must agree exactly; the initial RTO
-    must fall within `rto_tolerance` relative error. Ties break toward the
+    must fall within RTO_MATCH_TOLERANCE relative error. Ties break toward the
     smallest relative RTO distance. None means no profile qualifies.
     """
     best: Optional[tuple[float, str]] = None
@@ -241,7 +237,7 @@ def match_profile(
         if candidate.structured_scids != observed.structured_scids:
             continue
         distance = abs(observed.rto.initial_rto - candidate.rto.initial_rto) / candidate.rto.initial_rto
-        if distance > rto_tolerance:
+        if distance > RTO_MATCH_TOLERANCE:
             continue
         if best is None or distance < best[0]:
             best = (distance, candidate.operator)

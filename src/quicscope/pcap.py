@@ -26,6 +26,8 @@ LINKTYPE_RAW_IP = 101
 
 # libpcap's MAXIMUM_SNAPLEN: no capture tool writes a longer record
 MAXIMUM_SNAPLEN = 262_144
+# the snapshot length PcapWriter declares: the largest IPv4 packet
+WRITER_SNAPLEN = 65535
 
 _GLOBAL_HEADER = struct.Struct("<IHHiIII")
 _RECORD_HEADER = struct.Struct("<IIII")
@@ -204,10 +206,10 @@ class PcapWriter:
     """Write IPv4 packets into a little-endian microsecond raw-IP pcap, one
     record per write, in call order; `records` counts the records written."""
 
-    def __init__(self, fh: BinaryIO, snaplen: int = 65535):
+    def __init__(self, fh: BinaryIO):
         self._fh = fh
         self.records = 0
-        fh.write(_GLOBAL_HEADER.pack(MAGIC_USEC_LE, 2, 4, 0, 0, snaplen, LINKTYPE_RAW_IP))
+        fh.write(_GLOBAL_HEADER.pack(MAGIC_USEC_LE, 2, 4, 0, 0, WRITER_SNAPLEN, LINKTYPE_RAW_IP))
 
     def write(self, timestamp: float, packet: bytes) -> None:
         sec, usec = divmod(int(round(timestamp * 1e6)), 1_000_000)

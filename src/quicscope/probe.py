@@ -18,7 +18,7 @@ from enum import Enum
 from typing import Iterable, Iterator, NamedTuple, Optional, Protocol
 
 from . import CheckedTuple, PreconditionError
-from .scid import facebook_fields
+from .scid import facebook_host_id
 from .sim import (
     QUIC_PORT,
     DeploymentSimulator,
@@ -35,6 +35,13 @@ MAX_FOLLOW_UPS = 100_000
 DEFAULT_JACCARD_THRESHOLD = 0.5
 FAILURE_ABORT_RATE = 0.5
 FAILURE_ABORT_MIN_ATTEMPTS = 20
+# the client address of simulated handshakes, from TEST-NET-1 (RFC 5737)
+SIMULATOR_CLIENT_IP = "192.0.2.99"
+# RawNetworkTransport binds every local address, waits this long for a
+# response and leaves at least this gap between two sends
+RAW_BIND_IP = "0.0.0.0"
+RAW_TIMEOUT = 2.0
+RAW_MIN_GAP = 0.2
 
 
 class ProbeError(RuntimeError, PreconditionError):
@@ -78,11 +85,10 @@ class SimulatorTransport:
     server cancels its retransmissions.
     """
 
-    def __init__(self, sim: DeploymentSimulator, client_ip: str = "192.0.2.99", seed: int = 0):
+    def __init__(self, sim: DeploymentSimulator, seed: int = 0):
         self.sim = sim
-        self.client_ip = client_ip
         self.rng = random.Random(seed)
-        self.inbox = sim.register_inbox(client_ip)
+        self.inbox = sim.register_inbox(SIMULATOR_CLIENT_IP)
 
     def now(self) -> float:
         return self.sim.clock.now
@@ -106,7 +112,7 @@ class SimulatorTransport:
         try:
             self.sim.deliver(
                 Datagram(
-                    self.sim.clock.now, self.client_ip, vip, src_port, QUIC_PORT,
+                    self.sim.clock.now, SIMULATOR_CLIENT_IP, vip, src_port, QUIC_PORT,
                     client_initial_payload(dcid, scid),
                 )
             )
@@ -121,7 +127,7 @@ class SimulatorTransport:
             server_scid = packets[0].scid
             self.sim.deliver(
                 Datagram(
-                    self.sim.clock.now, self.client_ip, vip, src_port, QUIC_PORT,
+                    self.sim.clock.now, SIMULATOR_CLIENT_IP, vip, src_port, QUIC_PORT,
                     client_ack_payload(server_scid, scid),
                 )
             )
@@ -138,10 +144,7 @@ class RawNetworkTransport:
     against endpoints you operate. Not part of the acceptance surface.
     """
 
-    def __init__(self, client_ip: str = "0.0.0.0", timeout: float = 2.0, min_gap: float = 0.2, seed: int = 0):
-        self.client_ip = client_ip
-        self.timeout = timeout
-        self.min_gap = min_gap
+    def __init__(self, seed: int = 0):
         self.rng = random.Random(seed)
         self._last_send = 0.0
 
@@ -165,7 +168,7 @@ class RawNetworkTransport:
         import socket
         import time
 
-        gap = self.min_gap - (time.monotonic() - self._last_send)
+        gap = RAW_MIN_GAP - (time.monotonic() - self._last_send)
         if gap > 0:
             time.sleep(gap)
         if dcid is None:
@@ -174,8 +177,8 @@ class RawNetworkTransport:
             scid = self.rng.randbytes(8)
         sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
         try:
-            sock.bind((self.client_ip, src_port))
-            sock.settimeout(self.timeout)
+            sock.bind((RAW_BIND_IP, src_port))
+            sock.settimeout(RAW_TIMEOUT)
             self._last_send = time.monotonic()
             sock.sendto(client_initial_payload(dcid, scid), (vip, QUIC_PORT))
             data, _addr = sock.recvfrom(65535)
@@ -192,11 +195,13 @@ class PortStrategy(Enum):
     RANDOM_SEEDED = "random_seeded"
 
 
-def port_sequence(strategy: PortStrategy, n: int, seed: int = 0, start: int = 65535) -> Iterator[int]:
+def port_sequence(strategy: PortStrategy, n: int, seed: int = 0) -> Iterator[int]:
+    """n client ports: down from 65535, wrapping from 1024 back to 65535, or
+    drawn from 1024 to 65535 by a generator seeded with `seed`."""
     span = 65535 - 1024 + 1
     if strategy == PortStrategy.DECREASING_FROM_MAX:
         for i in range(n):
-            yield 1024 + (start - 1024 - i) % span
+            yield 65535 - i % span
     else:
         rng = random.Random(seed)
         for _ in range(n):
@@ -220,12 +225,6 @@ class HostIdHarvest:
     @property
     def unique_ids(self) -> set[int]:
         return {host_id for _, host_id in self.observations}
-
-
-def _host_id(scid: bytes) -> Optional[int]:
-    """The host ID of a Facebook SCID; None for an SCID that does not decode."""
-    fields = facebook_fields(scid)
-    return None if fields is None else fields.host_id
 
 
 def harvest_host_ids(
@@ -255,7 +254,7 @@ def harvest_host_ids(
             transport.sleep(inter_probe_gap)
         server_scid = transport.handshake(vip, port)
         harvest.attempts += 1
-        host_id = None if server_scid is None else _host_id(server_scid)
+        host_id = None if server_scid is None else facebook_host_id(server_scid)
         if host_id is None:
             harvest.failures += 1
         else:
@@ -415,7 +414,7 @@ def detect_lb_type(
     held_scid = transport.handshake(vip, first_port)
     if held_scid is None:
         raise TransportUnavailable(f"initial handshake with {vip} failed")
-    held_host = _host_id(held_scid)
+    held_host = facebook_host_id(held_scid)
     start = transport.now()
     failures = 0
     port = first_port
@@ -429,7 +428,7 @@ def detect_lb_type(
         if failures == 1:
             failures = 0
             continue
-        followup_host = _host_id(server_scid)
+        followup_host = facebook_host_id(server_scid)
         if failures == 0:
             return LbTypeVerdict(
                 LbType.FIVE_TUPLE,

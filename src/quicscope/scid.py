@@ -210,14 +210,13 @@ def classify_scheme(
     client_dcids: Optional[Sequence[bytes]] = None,
     alpha: float = DEFAULT_ALPHA,
     min_samples: int = DEFAULT_MIN_SAMPLES,
-    echo_threshold: float = ECHO_MATCH_THRESHOLD,
 ) -> ScidScheme:
     """Classify an SCID population as random, structured, or an echo of the
     client-chosen DCID.
 
     Echo detection takes precedence and requires the paired client DCIDs; the
-    first 8 octets must match on at least `echo_threshold` of pairs (tolerating
-    capture loss). Otherwise positional uniformity decides.
+    first 8 octets must match on at least ECHO_MATCH_THRESHOLD of pairs
+    (tolerating capture loss). Otherwise positional uniformity decides.
     """
     if client_dcids is not None:
         pairs = list(zip(scids, client_dcids))
@@ -228,7 +227,7 @@ def classify_scheme(
                 if len(s) >= ECHO_PREFIX_OCTETS
                 and s[:ECHO_PREFIX_OCTETS] == d[:ECHO_PREFIX_OCTETS]
             )
-            if matches / len(pairs) >= echo_threshold:
+            if matches / len(pairs) >= ECHO_MATCH_THRESHOLD:
                 return ScidScheme(SchemeKind.ECHO_OF_CLIENT_DCID)
     matrix = nybble_frequencies(scids)
     verdicts = uniformity_test(matrix, alpha=alpha, min_samples=min_samples)
@@ -335,6 +334,13 @@ def facebook_fields(scid: bytes) -> Optional[FacebookScidFields]:
         return decode_facebook_scid(scid)
     except CodecError:
         return None
+
+
+def facebook_host_id(scid: bytes) -> Optional[int]:
+    """The host ID of an SCID read as a Facebook SCID; None for one that does
+    not decode."""
+    fields = facebook_fields(scid)
+    return None if fields is None else fields.host_id
 
 
 def low_host_id(fields: FacebookScidFields) -> bool:

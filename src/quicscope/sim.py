@@ -18,8 +18,10 @@ from __future__ import annotations
 import heapq
 import ipaddress
 import json
+import math
 import random
 import sys
+from collections import deque
 from enum import Enum
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, NamedTuple, Optional
@@ -29,7 +31,7 @@ from typing import TYPE_CHECKING, Callable, NamedTuple, Optional
 from _blake2 import blake2b
 
 from . import CheckedTuple
-from .scid import CodecError, FacebookScidFields, encode_facebook_scid, facebook_fields
+from .scid import CodecError, FacebookScidFields, encode_facebook_scid, facebook_host_id
 from .tables import StoreError, list_of, object_of, of_type, read_profiles
 from .wire import MAX_CID_LENGTH, Datagram, LongHeader, PacketType, encode_long_header, split_coalesced
 
@@ -132,40 +134,28 @@ def default_stack_profile(operator: str) -> StackProfile:
 
 
 class Connection:
-    """One server connection; every probe handshake keeps one for the state
-    lifetime, so it carries no per-instance dict."""
+    """One server connection on the instance that serves it; every probe
+    handshake keeps one for the state lifetime, so it carries no dict."""
 
-    __slots__ = ("server_cid", "client_cid", "five_tuple", "expires_at", "resend")
+    __slots__ = ("server_cid", "client_cid", "five_tuple", "instance", "expires_at", "resend")
 
     def __init__(
-        self, server_cid: bytes, client_cid: bytes, five_tuple: tuple, expires_at: float, resend: Optional[Event] = None
+        self, server_cid: bytes, client_cid: bytes, five_tuple: tuple, instance: L7LBInstance, expires_at: float
     ):
         self.server_cid = server_cid
         self.client_cid = client_cid
         self.five_tuple = five_tuple
+        self.instance = instance
         self.expires_at = expires_at
-        self.resend = resend
-
-    def live(self, now: float) -> bool:
-        return now < self.expires_at
+        self.resend: Optional[Event] = None
 
 
 class L7LBInstance(NamedTuple):
-    """One layer-7 load balancer endpoint behind the cluster's VIPs."""
+    """One layer-7 load balancer endpoint behind the cluster's VIPs; its
+    table holds the live connections, keyed by server CID."""
 
     host_id: int
-    workers: int
-    state_lifetime: float
     connection_table: dict[bytes, Connection]
-
-    def lookup(self, cid: bytes, now: float) -> Optional[Connection]:
-        conn = self.connection_table.get(cid)
-        if conn is None:
-            return None
-        if not conn.live(now):
-            del self.connection_table[cid]
-            return None
-        return conn
 
 
 class Disposition(Enum):
@@ -175,7 +165,7 @@ class Disposition(Enum):
 
 
 def handle_packet(
-    instance: L7LBInstance, packet: LongHeader, five_tuple: tuple, now: float
+    instance: L7LBInstance, packet: LongHeader, five_tuple: tuple
 ) -> tuple[Disposition, Optional[Connection]]:
     """Connection state-machine decision for one incoming packet.
 
@@ -184,7 +174,7 @@ def handle_packet(
     live server CID is the canonical case. An unknown-CID Initial opens a new
     connection; a consistent continuation is accepted.
     """
-    conn = instance.lookup(packet.dcid, now)
+    conn = instance.connection_table.get(packet.dcid)
     if conn is not None:
         fresh_initial = packet.packet_type is PacketType.INITIAL and (
             packet.scid != conn.client_cid or five_tuple != conn.five_tuple
@@ -341,21 +331,26 @@ class ClusterConfig(CheckedTuple, _ClusterConfigFields):
 class FrontendCluster:
     """A cluster config's VIPs fronting its L7LB instances under one routing
     policy. Every VIP maps to the full instance set. The rendezvous keys hash
-    the cluster's name, which defaults to its first VIP."""
+    the cluster's name, which defaults to its first VIP.
+
+    The instance tables and, in CID-aware mode, the CID directory hold live
+    connections only: `expire` drops each one when its state lifetime ends."""
 
     def __init__(self, config: ClusterConfig):
         self.vips = list(config.vips)
         self.vip_set = set(config.vips)
-        self.instances = [
-            L7LBInstance(h, config.workers, config.state_lifetime, {}) for h in config.instance_host_ids()
-        ]
+        self.instances = [L7LBInstance(h, {}) for h in config.instance_host_ids()]
         self.routing_mode = config.routing_mode
         self.profile = config.profile
+        self.workers = config.workers
+        self.state_lifetime = config.state_lifetime
         # the codec version of a Facebook scheme, else None; read per handshake
         self.scid_version = FACEBOOK_SCID_VERSIONS.get(config.profile.scid_scheme)
         self.name = config.name or config.vips[0]
         self.by_host_id = {inst.host_id: inst for inst in self.instances}
-        self.cid_directory: dict[bytes, tuple[L7LBInstance, float]] = {}
+        self.cid_directory: dict[bytes, Connection] = {}
+        # every connection opened and not yet expired, oldest first
+        self.connections: deque[Connection] = deque()
         # instance i's 64-bit key sits in the low half of lane i, bits 128i up
         n = len(self.instances)
         self._lanes_ones = sum(1 << (_LANE_BITS * i) for i in range(n))
@@ -396,45 +391,40 @@ class FrontendCluster:
         self._last_pick = (five_tuple, instance)
         return instance
 
-    def directory_lookup(self, cid: bytes, now: float) -> Optional[L7LBInstance]:
-        hit = self.cid_directory.get(cid)
-        if hit is None:
-            return None
-        instance, expires_at = hit
-        if now >= expires_at:
-            del self.cid_directory[cid]
-            return None
-        return instance
+    def expire(self, now: float) -> None:
+        """Drop every connection whose state lifetime has ended by `now`.
 
-    def register_cid(self, cid: bytes, instance: L7LBInstance, expires_at: float) -> None:
-        self.cid_directory[cid] = (instance, expires_at)
+        The instances share one lifetime and the clock never goes back, so
+        connections expire in the order they opened. An echo-scheme server
+        CID can be taken over by a later connection, so a table or directory
+        entry goes only while it still names the expired connection."""
+        connections = self.connections
+        while connections and connections[0].expires_at <= now:
+            conn = connections.popleft()
+            cid = conn.server_cid
+            table = conn.instance.connection_table
+            if table.get(cid) is conn:
+                del table[cid]
+            if self.cid_directory.get(cid) is conn:
+                del self.cid_directory[cid]
 
-    def decode_host_id(self, dcid: bytes) -> Optional[int]:
-        fields = None if self.scid_version is None else facebook_fields(dcid)
-        return None if fields is None else fields.host_id
 
-
-def route(
-    cluster: FrontendCluster,
-    five_tuple: tuple,
-    dcid: Optional[bytes] = None,
-    now: float = 0.0,
-) -> L7LBInstance:
+def route(cluster: FrontendCluster, five_tuple: tuple, dcid: Optional[bytes] = None) -> L7LBInstance:
     """Pick the serving instance for a packet addressed to a cluster VIP.
 
     Five-tuple mode uses rendezvous hashing. CID-aware mode first honors a
-    live connection entry, then a host ID decoded from the DCID, then falls
-    back to the tuple hash.
+    live connection entry, then the host ID of a Facebook-scheme DCID, then
+    falls back to the tuple hash.
     """
     dst_ip = five_tuple[1]
     if dst_ip not in cluster.vip_set:
         raise NotAVip(f"{dst_ip} is not a VIP of this cluster")
     if cluster.routing_mode == RoutingMode.CID_AWARE and dcid:
-        instance = cluster.directory_lookup(dcid, now)
-        if instance is not None:
-            return instance
-        host_id = cluster.decode_host_id(dcid)
-        if host_id is not None and host_id in cluster.by_host_id:
+        conn = cluster.cid_directory.get(dcid)
+        if conn is not None:
+            return conn.instance
+        host_id = None if cluster.scid_version is None else facebook_host_id(dcid)
+        if host_id in cluster.by_host_id:
             return cluster.by_host_id[host_id]
     return cluster.rendezvous(five_tuple)
 
@@ -496,7 +486,15 @@ def _build(cls, section: dict, where: str):
     return cls(**values)
 
 
-_str, _int, _number = of_type(str), of_type(int), of_type(float)
+_str, _int = of_type(str), of_type(int)
+
+
+def _number(value) -> float:
+    """A finite JSON number; json reads NaN and Infinity, which would reach
+    the clock and never compare as a time."""
+    if not math.isfinite(of_type(float)(value)):
+        raise ValueError(f"expected a finite number, got {json.dumps(value)}")
+    return value
 
 
 def _ipv4(value) -> str:
@@ -674,7 +672,7 @@ class DeploymentSimulator:
         for _ in range(8):
             worker_id: Optional[int] = None
             if cluster.scid_version is not None:
-                worker_id = self.rng.randrange(instance.workers)
+                worker_id = self.rng.randrange(cluster.workers)
                 fields = FacebookScidFields(cluster.scid_version, instance.host_id, worker_id, profile.process_id)
                 scid = encode_facebook_scid(fields, random_bits=self.rng.getrandbits(64))
             elif scheme is ScidSchemeKind.CLOUDFLARE_FIXED:
@@ -686,18 +684,14 @@ class DeploymentSimulator:
                 return prefix, None
             else:
                 scid = self.rng.randbytes(profile.scid_length)
+            # unique among the instance's live connections
             if scid not in instance.connection_table:
                 return scid, worker_id
         raise SimError("could not generate a unique server CID")
 
-    def _response_datagrams(
-        self,
-        cluster: FrontendCluster,
-        conn: Connection,
-        client_addr: tuple[str, int],
-        vip: str,
-    ) -> list[Datagram]:
-        """Build the datagrams of one response round (Initial + Handshake)."""
+    def _response_datagrams(self, cluster: FrontendCluster, conn: Connection) -> list[Datagram]:
+        """Build the datagrams of one response round (Initial + Handshake),
+        from the VIP and port the client addressed back to the client."""
         profile = cluster.profile
         dcid, scid = conn.client_cid, conn.server_cid
         initial = encode_long_header(PacketType.INITIAL, profile.version, dcid, scid, INITIAL_FILLER)
@@ -707,11 +701,11 @@ class DeploymentSimulator:
         else:
             bodies = ((initial, "Initial"), (handshake, "Handshake"))
         now = self.clock.now
-        dst_ip, dst_port = client_addr
+        client_ip, vip, client_port, vip_port, _ = conn.five_tuple
         policy = profile.padding_policy
         # zero-padded up to the category's size in the padding policy
         return [
-            Datagram(now, vip, dst_ip, QUIC_PORT, dst_port, body.ljust(policy.get(category, 0), b"\x00"))
+            Datagram(now, vip, client_ip, vip_port, client_port, body.ljust(policy.get(category, 0), b"\x00"))
             for body, category in bodies
         ]
 
@@ -720,32 +714,29 @@ class DeploymentSimulator:
         cluster: FrontendCluster,
         instance: L7LBInstance,
         client_initial: LongHeader,
-        client_addr: tuple[str, int],
-        vip: str,
+        five_tuple: tuple,
     ) -> Connection:
-        """Open a connection and emit the response schedule: one immediate
-        round plus up to max_retransmissions resend rounds at offsets
-        initial_rto * backoff_base**k, cancelled by a client ACK. The round is
-        built once; every resend repeats its bytes at the resend's time."""
+        """Open a connection for the Initial that arrived on `five_tuple` and
+        emit the response schedule: one immediate round plus up to
+        max_retransmissions resend rounds at offsets initial_rto *
+        backoff_base**k, cancelled by a client ACK. The round is built once;
+        every resend repeats its bytes at the resend's time."""
         profile = cluster.profile
         now = self.clock.now
         scid, worker_id = self._generate_scid(cluster, instance, client_initial)
-        conn = Connection(
-            server_cid=scid,
-            client_cid=client_initial.scid,
-            five_tuple=(client_addr[0], vip, client_addr[1], QUIC_PORT, PROTO_UDP),
-            expires_at=now + instance.state_lifetime,
-        )
+        conn = Connection(scid, client_initial.scid, five_tuple, instance, now + cluster.state_lifetime)
         instance.connection_table[scid] = conn
+        cluster.connections.append(conn)
         # route() reads the directory only in CID-aware mode
         if cluster.routing_mode is RoutingMode.CID_AWARE:
-            cluster.register_cid(scid, instance, conn.expires_at)
+            cluster.cid_directory[scid] = conn
+        client_ip, vip, client_port = five_tuple[:3]
         if self.truth is not None:
             self.truth.append(
                 SessionTruth(
                     vip=vip,
-                    source=client_addr[0],
-                    source_port=client_addr[1],
+                    source=client_ip,
+                    source_port=client_port,
                     operator=profile.operator,
                     server_scid=scid,
                     client_dcid=client_initial.dcid,
@@ -757,8 +748,8 @@ class DeploymentSimulator:
 
         # IP ID 0 and TTL 64 leave the checksums depending only on addresses,
         # ports and payload, so every round's packets are the same bytes
-        datagrams = self._response_datagrams(cluster, conn, client_addr, vip)
-        inbox = self._inboxes.get(client_addr[0])
+        datagrams = self._response_datagrams(cluster, conn)
+        inbox = self._inboxes.get(client_ip)
         if inbox is not None:
             inbox.extend(datagrams)
 
@@ -803,18 +794,20 @@ class DeploymentSimulator:
             conn.resend = None
 
     def deliver(self, d: Datagram) -> Optional[Connection]:
-        """Process one client datagram arriving at a VIP at the current time;
-        returns the connection it opened, if any."""
+        """Process one client datagram arriving at a VIP at the current time,
+        after the connections that expired by then are dropped; returns the
+        connection it opened, if any."""
         cluster = self.cluster_for(d.dst_ip)
+        cluster.expire(self.clock.now)
         packets = split_coalesced(d.payload)
         if not packets:
             return None
         packet = packets[0]
         tup = five_tuple_of(d)
-        instance = route(cluster, tup, dcid=packet.dcid, now=self.clock.now)
-        disposition, conn = handle_packet(instance, packet, tup, self.clock.now)
+        instance = route(cluster, tup, dcid=packet.dcid)
+        disposition, conn = handle_packet(instance, packet, tup)
         if disposition == Disposition.NEW_CONNECTION:
-            return self.serve_initial(cluster, instance, packet, (d.src_ip, d.src_port), d.dst_ip)
+            return self.serve_initial(cluster, instance, packet, tup)
         if disposition == Disposition.ACCEPT and conn is not None:
             # consistent continuation from the client confirms the handshake
             if conn.resend is not None:

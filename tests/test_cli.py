@@ -5,6 +5,7 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import re
 import tracemalloc
 import weakref
@@ -89,6 +90,33 @@ class TestSimulate:
 
     def test_usage_error_exit_1(self):
         assert pytest.raises(SystemExit, run, "simulate").value.code == 1
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize(
+        "section, key",
+        [
+            ("profile", "initial_rto"),
+            ("profile", "backoff_base"),
+            ("cluster", "state_lifetime"),
+            ("flood", "duration"),
+            ("flood", "arrival_window"),
+            ("flood", "ack_delay"),
+            ("flood", "ack_probability"),
+        ],
+    )
+    def test_non_finite_number_is_input_error(self, tmp_path, capsys, section, key, value):
+        # json reads NaN and Infinity, which the simulator's clock cannot order
+        cluster, flood = dict(DEPLOY["clusters"][0]), dict(DEPLOY["flood"])
+        if section == "profile":
+            cluster["profile"] = {"initial_rto": 0.4, "max_retransmissions": 3, key: value}
+        else:
+            (cluster if section == "cluster" else flood)[key] = value
+        config = tmp_path / "deploy.json"
+        config.write_text(json.dumps(dict(DEPLOY, clusters=[cluster], flood=flood)))
+        out = tmp_path / "o"
+        assert run("simulate", "--config", config, "--out-dir", out) == 2
+        assert f"key {key!r}: expected a finite number, got {json.dumps(value)}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_config_without_flood_leaves_no_output(self, tmp_path):
         config = tmp_path / "deploy.json"

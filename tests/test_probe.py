@@ -4,6 +4,8 @@ Jaccard clustering, and load-balancer-type detection."""
 
 import gc
 import random
+import socket
+import time
 
 import pytest
 
@@ -14,7 +16,12 @@ from quicscope.probe import (
     HostIdHarvest,
     LbType,
     PortStrategy,
+    RAW_BIND_IP,
+    RAW_MIN_GAP,
+    RAW_TIMEOUT,
+    SIMULATOR_CLIENT_IP,
     ProbeError,
+    RawNetworkTransport,
     SimulatorTransport,
     TransportUnavailable,
     check_lbtype_timing,
@@ -126,6 +133,18 @@ class TestHarvest:
         assert sim.clock._cancelled == 1
 
     @pytest.mark.parametrize("mode", [RoutingMode.FIVE_TUPLE, RoutingMode.CID_AWARE])
+    def test_state_held_for_one_lifetime(self, mode):
+        # one handshake a second against the 240 s state lifetime: by the
+        # last, at clock 999 s, those opened at 760 s or later are live
+        sim = make_sim(l7lb_count=30, mode=mode)
+        harvest_host_ids("203.0.113.1", 1000, SimulatorTransport(sim, seed=4), inter_probe_gap=1.0)
+        cluster = sim.clusters[0]
+        assert sim.clock.now == 999.0
+        assert sum(len(instance.connection_table) for instance in cluster.instances) == 240
+        assert len(cluster.cid_directory) == (240 if mode is RoutingMode.CID_AWARE else 0)
+        assert [conn.expires_at for conn in cluster.connections] == [float(t + 240) for t in range(760, 1000)]
+
+    @pytest.mark.parametrize("mode", [RoutingMode.FIVE_TUPLE, RoutingMode.CID_AWARE])
     def test_cid_directory_only_for_cid_aware_routing(self, mode):
         # route() reads the directory in CID-aware mode alone
         sim = make_sim(l7lb_count=30, mode=mode)
@@ -153,6 +172,87 @@ class TestHarvest:
         assert set(harvests) == set(sim.clusters[0].vips)
         for h in harvests.values():
             assert h.unique_ids <= set(sim.clusters[0].by_host_id)
+
+
+class TestRawNetworkTransport:
+    """The UDP adapter against a fake socket, so no packet leaves the host."""
+
+    VIP = "203.0.113.1"
+
+    @pytest.fixture
+    def fake(self, monkeypatch):
+        class FakeSocket:
+            opened = []
+            reply = b""  # the payload recvfrom returns, or an exception it raises
+
+            def __init__(self, family, kind):
+                self.kind = (family, kind)
+                self.sent, self.bound, self.timeout, self.closed = [], None, None, False
+                FakeSocket.opened.append(self)
+
+            def bind(self, address):
+                self.bound = address
+
+            def settimeout(self, timeout):
+                self.timeout = timeout
+
+            def sendto(self, payload, address):
+                self.sent.append((payload, address))
+
+            def recvfrom(self, size):
+                if isinstance(self.reply, Exception):
+                    raise self.reply
+                return self.reply, (TestRawNetworkTransport.VIP, 443)
+
+            def close(self):
+                self.closed = True
+
+        clock, sleeps = [100.0], []
+        monkeypatch.setattr(socket, "socket", FakeSocket)
+        monkeypatch.setattr(time, "monotonic", lambda: clock[0])
+        monkeypatch.setattr(time, "sleep", sleeps.append)
+        return FakeSocket, clock, sleeps
+
+    def server_response(self):
+        """The first datagram of a simulated Facebook server's response round,
+        and the server CID it carries."""
+        sim = make_sim()
+        inbox = sim.register_inbox("192.0.2.1")
+        conn = sim.deliver(Datagram(0.0, "192.0.2.1", self.VIP, 5000, 443, client_initial_payload(b"d" * 8, b"c" * 8)))
+        return inbox[0].payload, conn.server_cid
+
+    def test_handshake_returns_the_server_scid(self, fake):
+        FakeSocket, _, _ = fake
+        FakeSocket.reply, server_cid = self.server_response()
+        transport = RawNetworkTransport(seed=1)
+        assert transport.handshake(self.VIP, 40000, dcid=b"\x10" * 8, scid=b"\x20" * 8) == server_cid
+        [sock] = FakeSocket.opened
+        assert sock.kind == (socket.AF_INET, socket.SOCK_DGRAM)
+        assert sock.bound == (RAW_BIND_IP, 40000)
+        assert sock.timeout == RAW_TIMEOUT
+        assert sock.sent == [(client_initial_payload(b"\x10" * 8, b"\x20" * 8), (self.VIP, 443))]
+        assert sock.closed
+
+    def test_timeout_gives_none(self, fake):
+        FakeSocket, _, _ = fake
+        FakeSocket.reply = TimeoutError("timed out")
+        assert RawNetworkTransport(seed=1).handshake(self.VIP, 40000) is None
+        [sock] = FakeSocket.opened
+        assert len(sock.sent) == 1
+        assert sock.closed
+
+    def test_second_send_sleeps_out_the_gap(self, fake):
+        FakeSocket, clock, sleeps = fake
+        FakeSocket.reply, server_cid = self.server_response()
+        transport = RawNetworkTransport(seed=1)
+        assert transport.handshake(self.VIP, 40000) == server_cid
+        assert sleeps == []
+        clock[0] += 0.05
+        assert transport.now() == clock[0]
+        assert transport.handshake(self.VIP, 39999) == server_cid
+        assert sleeps == [pytest.approx(RAW_MIN_GAP - 0.05)]
+        transport.sleep(1.5)
+        assert sleeps[1:] == [1.5]
 
 
 class TestPortSequence:
@@ -291,7 +391,7 @@ class TestDetectLbType:
         first_port = random.Random(7).randint(40000, 65000)
 
         def instance(port):
-            return sim.clusters[0].rendezvous((transport.client_ip, "203.0.113.1", port, 443, 17))
+            return sim.clusters[0].rendezvous((SIMULATOR_CLIENT_IP, "203.0.113.1", port, 443, 17))
 
         assert instance(first_port - 1) is instance(first_port)
         verdict = detect_lb_type("203.0.113.1", transport, seed=7)

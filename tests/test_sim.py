@@ -137,11 +137,11 @@ class TestRoute:
         vip = cluster.vips[0]
         initial = client_initial()
         tup = ("10.0.0.1", vip, 5555, 443, 17)
-        instance = route(cluster, tup, dcid=initial.dcid, now=0.0)
-        conn = sim.serve_initial(cluster, instance, initial, ("10.0.0.1", 5555), vip)
+        instance = route(cluster, tup, dcid=initial.dcid)
+        conn = sim.serve_initial(cluster, instance, initial, tup)
         # any 5-tuple now reaches the connection's instance via its CID
         other_tup = ("99.99.99.99", vip, 11111, 443, 17)
-        assert route(cluster, other_tup, dcid=conn.server_cid, now=1.0) is instance
+        assert route(cluster, other_tup, dcid=conn.server_cid) is instance
 
     def test_cid_aware_host_id_decode(self):
         cfg = cluster_config(mode=RoutingMode.CID_AWARE, l7lb_count=50, operator="Facebook")
@@ -378,32 +378,36 @@ class TestHandlePacket:
         self.tup = ("10.0.0.1", self.vip, 4000, 443, 17)
         initial = client_initial(dcid=b"\x77" * 8, scid=b"\x88" * 8)
         instance = route(self.cluster, self.tup)
-        self.conn = self.sim.serve_initial(self.cluster, instance, initial, ("10.0.0.1", 4000), self.vip)
+        self.conn = self.sim.serve_initial(self.cluster, instance, initial, self.tup)
         self.instance = instance
 
     def test_fresh_initial_reusing_live_cid_discarded(self):
         packet = client_initial(dcid=self.conn.server_cid, scid=b"\x99" * 8)
-        disposition, _ = handle_packet(self.instance, packet, ("10.0.0.2", self.vip, 5000, 443, 17), 1.0)
+        disposition, _ = handle_packet(self.instance, packet, ("10.0.0.2", self.vip, 5000, 443, 17))
         assert disposition == Disposition.SILENT_DISCARD
 
     def test_unknown_dcid_initial_is_new_connection(self):
         packet = client_initial(dcid=b"\x01" * 8, scid=b"\x02" * 8)
-        disposition, _ = handle_packet(self.instance, packet, ("10.0.0.3", self.vip, 6000, 443, 17), 1.0)
+        disposition, _ = handle_packet(self.instance, packet, ("10.0.0.3", self.vip, 6000, 443, 17))
         assert disposition == Disposition.NEW_CONNECTION
 
     def test_consistent_continuation_accepted(self):
         ack = client_initial(dcid=self.conn.server_cid, scid=b"\x88" * 8)
-        disposition, conn = handle_packet(self.instance, ack, self.tup, 1.0)
+        disposition, conn = handle_packet(self.instance, ack, self.tup)
         assert disposition == Disposition.ACCEPT
         assert conn is self.conn
 
     def test_state_expires_after_lifetime(self):
         packet = client_initial(dcid=self.conn.server_cid, scid=b"\x99" * 8)
         tup = ("10.0.0.2", self.vip, 5000, 443, 17)
-        before, _ = handle_packet(self.instance, packet, tup, 239.9)
+        self.cluster.expire(239.9)
+        before, _ = handle_packet(self.instance, packet, tup)
         assert before == Disposition.SILENT_DISCARD
-        after, _ = handle_packet(self.instance, packet, tup, 240.0)
+        self.cluster.expire(240.0)
+        after, _ = handle_packet(self.instance, packet, tup)
         assert after == Disposition.NEW_CONNECTION
+        assert self.instance.connection_table == {}
+        assert not self.cluster.connections
 
 
 class TestDeliver:
@@ -423,6 +427,36 @@ class TestDeliver:
         # the ACK continues that connection, opens none, and stops its resends
         assert sim.deliver(from_client(client_ack_payload(conn.server_cid, b"\x20" * 8))) is None
         assert conn.resend is None
+
+
+class TestExpiry:
+    def test_taken_over_echo_cid_outlives_its_first_connection(self):
+        # Google echoes the first 8 octets of the client's DCID, so two
+        # clients whose DCIDs share them get the same server CID
+        cfg = cluster_config(l7lb_count=8, mode=RoutingMode.CID_AWARE, operator="Google")
+        sim = DeploymentSimulator(DeploymentConfig(clusters=[cfg], seed=9))
+        cluster = sim.clusters[0]
+        vip = cluster.vips[0]
+        held = cluster.rendezvous(("10.0.0.1", vip, 4000, 443, 17))
+        port = next(p for p in range(4001, 5000) if cluster.rendezvous(("10.0.0.2", vip, p, 443, 17)) is not held)
+
+        def from_client(src, src_port, payload):
+            return Datagram(sim.clock.now, src, vip, src_port, 443, payload)
+
+        prefix = b"\x10" * 8
+        first = sim.deliver(from_client("10.0.0.1", 4000, client_initial_payload(prefix + b"\x01\x01", b"\x21" * 8)))
+        sim.clock.run_until(100.0)
+        second = sim.deliver(from_client("10.0.0.2", port, client_initial_payload(prefix + b"\x02\x02", b"\x22" * 8)))
+        assert first.server_cid == second.server_cid == prefix
+        assert first.instance is held and second.instance is not held
+        assert cluster.cid_directory == {prefix: second}
+        # the first connection expires as the second client's ACK arrives
+        sim.clock.run_until(240.0)
+        assert sim.deliver(from_client("10.0.0.2", port, client_ack_payload(prefix, b"\x22" * 8))) is None
+        assert list(cluster.connections) == [second]
+        assert cluster.cid_directory == {prefix: second}
+        assert second.instance.connection_table == {prefix: second}
+        assert first.instance.connection_table == {}
 
 
 class TestInboxResend:
@@ -465,7 +499,7 @@ class TestScidCollisions:
     def serve(sim, port):
         cluster = sim.clusters[0]
         instance = cluster.instances[0]
-        return sim.serve_initial(cluster, instance, client_initial(), ("10.0.0.1", port), cluster.vips[0])
+        return sim.serve_initial(cluster, instance, client_initial(), ("10.0.0.1", cluster.vips[0], port, 443, 17))
 
     def test_taken_scid_is_drawn_again(self, monkeypatch):
         sim, widths = self.scripted(monkeypatch, [0xAB, 0xAB, 0xCD])
@@ -524,8 +558,10 @@ class TestEncodedBytesGolden:
         operator, overrides, server_cid = self.ROUNDS[case]
         cfg = ClusterConfig(vips=["203.0.113.1"], l7lb_count=1, profile=profile(operator, **overrides))
         sim = DeploymentSimulator(DeploymentConfig(clusters=[cfg], seed=1))
-        conn = Connection(server_cid, b"\x20" * 8, ("10.0.0.1", "203.0.113.1", 5555, 443, 17), 240.0)
-        datagrams = sim._response_datagrams(sim.clusters[0], conn, ("10.0.0.1", 5555), "203.0.113.1")
+        cluster = sim.clusters[0]
+        five_tuple = ("10.0.0.1", "203.0.113.1", 5555, 443, 17)
+        conn = Connection(server_cid, b"\x20" * 8, five_tuple, cluster.instances[0], 240.0)
+        datagrams = sim._response_datagrams(cluster, conn)
         assert all(
             (d.timestamp, d.src_ip, d.dst_ip, d.src_port, d.dst_port) == (0.0, "203.0.113.1", "10.0.0.1", 443, 5555)
             for d in datagrams
