@@ -5,7 +5,10 @@ The hand-encoded packets below are built field by field from the wire layout
 the encoder under test.
 """
 
+import itertools
 import random
+import struct
+from typing import Optional
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +16,10 @@ from hypothesis import strategies as st
 
 from quicscope.tables import load_version_registry
 from quicscope.wire import (
+    FIXED_BIT,
+    FORM_BIT,
+    MAX_CID_LENGTH,
+    TYPE_MASK,
     Datagram,
     Direction,
     InvalidCidLength,
@@ -23,6 +30,7 @@ from quicscope.wire import (
     TruncatedPacket,
     VersionRegistry,
     WireError,
+    check_cid_lengths,
     classify_direction,
     decode_varint,
     encode_long_header,
@@ -407,3 +415,196 @@ class TestFuzzSafety:
             for _ in range(rng.randint(1, 6)):
                 buf[rng.randrange(len(buf))] = rng.randrange(256)
             split_coalesced(bytes(buf))
+
+
+# -- the reference codec --
+# parse_long_header and encode_long_header as written field by field, one
+# check and one slice or concatenation at a time. The package's codec must
+# agree with them on every input: the same header or bytes, or the same
+# exception type with the same message.
+
+_U32 = struct.Struct(">I").unpack_from
+_HEAD = struct.Struct(">BIB").pack
+_U16 = struct.Struct(">H").pack
+_new_header = tuple.__new__
+_TYPE_BITS = (PacketType.INITIAL, PacketType.ZERO_RTT, PacketType.HANDSHAKE, PacketType.RETRY)
+_FIRST_BYTE = {t: FORM_BIT | FIXED_BIT | (bits << 4) for bits, t in enumerate(_TYPE_BITS)}
+_FIRST_BYTE[PacketType.VERSION_NEGOTIATION] = FORM_BIT | FIXED_BIT
+
+
+def reference_parse_long_header(payload: bytes, offset: int = 0) -> LongHeader:
+    end = len(payload)
+    if offset >= end:
+        raise TruncatedPacket("offset past end of payload")
+    first = payload[offset]
+    if not first & FORM_BIT:
+        raise NotLongHeader(f"form bit clear in first octet 0x{first:02x}")
+    pos = offset + 5
+    if pos > end:
+        raise TruncatedPacket("payload ends inside version field")
+    version = _U32(payload, offset + 1)[0]
+
+    if pos >= end:
+        raise TruncatedPacket("payload ends before DCID length octet")
+    cid_len = payload[pos]
+    if cid_len > MAX_CID_LENGTH:
+        raise InvalidCidLength(f"DCID length {cid_len} exceeds {MAX_CID_LENGTH}")
+    pos += 1
+    if pos + cid_len > end:
+        raise TruncatedPacket("payload ends inside DCID")
+    dcid = payload[pos : pos + cid_len]
+    pos += cid_len
+    if pos >= end:
+        raise TruncatedPacket("payload ends before SCID length octet")
+    cid_len = payload[pos]
+    if cid_len > MAX_CID_LENGTH:
+        raise InvalidCidLength(f"SCID length {cid_len} exceeds {MAX_CID_LENGTH}")
+    pos += 1
+    if pos + cid_len > end:
+        raise TruncatedPacket("payload ends inside SCID")
+    scid = payload[pos : pos + cid_len]
+    pos += cid_len
+
+    token = b""
+    if version == 0:
+        packet_type = PacketType.VERSION_NEGOTIATION
+        body = payload[pos:]
+        pos = end
+    else:
+        packet_type = _TYPE_BITS[(first & TYPE_MASK) >> 4]
+        if packet_type is PacketType.INITIAL:
+            if pos < end and payload[pos] < 0x40:
+                token_len = payload[pos]
+                pos += 1
+            else:
+                token_len, consumed = decode_varint(payload, pos)
+                pos += consumed
+            if pos + token_len > end:
+                raise TruncatedPacket("payload ends inside Initial token")
+            token = payload[pos : pos + token_len]
+            pos += token_len
+        if packet_type is PacketType.RETRY:
+            body = payload[pos:]
+            pos = end
+        else:
+            if pos + 1 < end and payload[pos] >> 6 == 1:
+                length = (payload[pos] & 0x3F) << 8 | payload[pos + 1]
+                pos += 2
+            elif pos < end and payload[pos] < 0x40:
+                length = payload[pos]
+                pos += 1
+            else:
+                length, consumed = decode_varint(payload, pos)
+                pos += consumed
+            if pos + length > end:
+                raise TruncatedPacket("payload ends inside declared packet length")
+            body = payload[pos : pos + length]
+            pos += length
+
+    return _new_header(LongHeader, (packet_type, version, dcid, scid, token, body, first, pos - offset))
+
+
+def reference_encode_long_header(
+    packet_type: PacketType,
+    version: int,
+    dcid: bytes,
+    scid: bytes,
+    payload: bytes = b"",
+    token: bytes = b"",
+    first_byte: Optional[int] = None,
+) -> bytes:
+    dcid_length, scid_length = len(dcid), len(scid)
+    if dcid_length > MAX_CID_LENGTH or scid_length > MAX_CID_LENGTH:
+        check_cid_lengths(dcid, scid)  # raises, naming the longer CID
+    if (packet_type is PacketType.VERSION_NEGOTIATION) != (version == 0):
+        raise WireError("version 0 is reserved for (and required by) version negotiation")
+    if token and packet_type is not PacketType.INITIAL:
+        raise WireError("only Initial packets carry a token")
+    if first_byte is None:
+        first_byte = _FIRST_BYTE[packet_type]
+    head = _HEAD(first_byte | FORM_BIT, version, dcid_length) + dcid + bytes((scid_length,)) + scid
+    if packet_type is PacketType.RETRY or packet_type is PacketType.VERSION_NEGOTIATION:
+        return head + payload
+    # the Length varint, its 1- and 2-octet forms built in place
+    n = len(payload)
+    length = bytes((n,)) if n < 0x40 else _U16(n | 0x4000) if n < 0x4000 else encode_varint(n)
+    if packet_type is PacketType.INITIAL:
+        return head + (encode_varint(len(token)) + token if token else b"\x00") + length + payload
+    return head + length + payload
+
+
+def outcome(function, *args):
+    """What a call gives: its result with the type of each field, or the
+    type and message of what it raised."""
+    try:
+        result = function(*args)
+    except Exception as exc:
+        return "raised", type(exc), str(exc)
+    fields = tuple(map(type, result)) if isinstance(result, tuple) else None
+    return "returned", type(result), result, fields
+
+
+def oracle_packets() -> list[bytes]:
+    """Packets of every type, built octet by octet: Initials without and with
+    a token and with 1-, 2- and 4-octet Lengths, a Handshake, a 0-RTT, a
+    Retry, a Version Negotiation, and an Initial coalesced with padding."""
+    cids = "08" + "aa" * 8 + "08" + "bb" * 8
+    return [
+        bytes.fromhex("c3" "00000001" + cids + "00" "05") + b"hello",
+        bytes.fromhex("c1" "00000001" + cids + "03") + b"TOK" + bytes.fromhex("4005") + b"hello",
+        bytes.fromhex("c0" "00000001" "00" "00" "4003") + b"TOK" + bytes.fromhex("80000005") + b"hello",
+        bytes.fromhex("c0" "ff00001d" "14" + "11" * 20 + "14" + "22" * 20 + "00" "4041") + b"p" * 65,
+        bytes.fromhex("c0" "00000001" "00" "08" + "bb" * 8 + "00" "c000000000000003") + b"abc",
+        bytes.fromhex("e0" "00000001" "04" + "11" * 4 + "04" + "22" * 4 + "03") + b"abc",
+        bytes.fromhex("d1" "00000001" + cids + "4004") + b"rtt0",
+        bytes.fromhex("f0" "00000001" "04" + "11" * 4 + "00") + b"tok" + b"\x99" * 16,
+        bytes.fromhex("80" "00000000" + cids + "00000001" "ff00001d"),
+        bytes.fromhex("c0" "00000001" + cids + "00" "02") + b"ok" + b"\x00" * 6,
+    ]
+
+
+class TestCodecOracle:
+    def test_parse_matches_reference(self):
+        rng = random.Random(23)
+        cases = []
+        for packet in oracle_packets():
+            for offset in range(3):
+                buf = rng.randbytes(offset) + packet
+                # every truncation, and byte flips weighted to the header
+                cases.extend((buf[:cut], offset) for cut in range(len(buf) + 1))
+                for _ in range(1500):
+                    flipped = bytearray(buf)
+                    for _ in range(rng.randint(1, 3)):
+                        at = rng.randrange(min(len(flipped), offset + 48))
+                        flipped[at] = rng.choice((rng.randrange(256), flipped[at] ^ 1 << rng.randrange(8)))
+                    cut = len(flipped) if rng.random() < 0.7 else rng.randrange(len(flipped) + 1)
+                    cases.append((bytes(flipped[:cut]), offset))
+        mismatches = [
+            case
+            for case in cases
+            if outcome(parse_long_header, *case) != outcome(reference_parse_long_header, *case)
+        ]
+        assert len(cases) > 45000
+        assert mismatches[:3] == []
+
+    def test_encode_matches_reference(self):
+        rng = random.Random(29)
+        cases = list(
+            itertools.product(
+                PacketType, (0, 1, 0xFF00001D), (0, 8, 20, 21), (0, 8, 20, 21), (b"", b"tok", b"T" * 70), (False, True)
+            )
+        )
+        mismatches = []
+        for packet_type, version, dcid_length, scid_length, token, set_first_byte in cases * 8:
+            args = (
+                packet_type,
+                version,
+                rng.randbytes(dcid_length),
+                rng.randbytes(scid_length),
+                rng.randbytes(rng.choice((0, 5, 63, 64, 300, 16383, 16384))),
+                token,
+                rng.randrange(256) if set_first_byte else None,
+            )
+            if outcome(encode_long_header, *args) != outcome(reference_encode_long_header, *args):
+                mismatches.append(args)
+        assert mismatches[:3] == []
