@@ -26,7 +26,7 @@ from .sim import (
     client_ack_payload,
     client_initial_payload,
 )
-from .wire import Datagram, split_coalesced
+from .wire import Datagram, WireError, parse_long_header
 
 DEFAULT_PROBE_INTERVAL = 1.0
 DEFAULT_MAX_WAIT = 600.0
@@ -121,10 +121,10 @@ class SimulatorTransport:
         for d in self.inbox:
             if d.src_ip != vip or d.dst_port != src_port:
                 continue
-            packets = split_coalesced(d.payload)
-            if not packets:
+            try:
+                server_scid = parse_long_header(d.payload).scid
+            except WireError:
                 continue
-            server_scid = packets[0].scid
             self.sim.deliver(
                 Datagram(
                     self.sim.clock.now, SIMULATOR_CLIENT_IP, vip, src_port, QUIC_PORT,
@@ -186,8 +186,10 @@ class RawNetworkTransport:
             return None
         finally:
             sock.close()
-        packets = split_coalesced(data)
-        return packets[0].scid if packets else None
+        try:
+            return parse_long_header(data).scid
+        except WireError:
+            return None
 
 
 class PortStrategy(Enum):

@@ -18,7 +18,6 @@ from __future__ import annotations
 import heapq
 import ipaddress
 import json
-import math
 import random
 import sys
 from collections import deque
@@ -33,7 +32,7 @@ from _blake2 import blake2b
 from . import CheckedTuple
 from .scid import CodecError, FacebookScidFields, encode_facebook_scid, facebook_host_id
 from .tables import StoreError, list_of, object_of, of_type, read_profiles
-from .wire import MAX_CID_LENGTH, Datagram, LongHeader, PacketType, encode_long_header, split_coalesced
+from .wire import MAX_CID_LENGTH, Datagram, LongHeader, PacketType, WireError, encode_long_header, parse_long_header
 
 if TYPE_CHECKING:
     # pcap loads only where a capture is written
@@ -276,10 +275,6 @@ def _key64(text: str) -> int:
     return int.from_bytes(blake2b(text.encode(), digest_size=8).digest(), "big")
 
 
-def five_tuple_of(d: Datagram) -> tuple:
-    return (d.src_ip, d.dst_ip, d.src_port, d.dst_port, PROTO_UDP)
-
-
 class _ClusterConfigFields(NamedTuple):
     vips: list[str]
     profile: StackProfile
@@ -310,6 +305,8 @@ class ClusterConfig(CheckedTuple, _ClusterConfigFields):
             raise InvalidConfig("duplicate host IDs in cluster")
         if self.workers < 1:
             raise InvalidConfig("workers must be >= 1")
+        if not self.state_lifetime > 0:  # NaN included
+            raise InvalidConfig("state_lifetime must be > 0")
         version = FACEBOOK_SCID_VERSIONS.get(self.profile.scid_scheme)
         if version is not None:
             # the lowest and highest IDs the cluster's SCIDs carry must fit the codec's fields
@@ -486,15 +483,7 @@ def _build(cls, section: dict, where: str):
     return cls(**values)
 
 
-_str, _int = of_type(str), of_type(int)
-
-
-def _number(value) -> float:
-    """A finite JSON number; json reads NaN and Infinity, which would reach
-    the clock and never compare as a time."""
-    if not math.isfinite(of_type(float)(value)):
-        raise ValueError(f"expected a finite number, got {json.dumps(value)}")
-    return value
+_str, _int, _float = of_type(str), of_type(int), of_type(float)
 
 
 def _ipv4(value) -> str:
@@ -509,9 +498,9 @@ def _ipv4(value) -> str:
 # source_base and source_count.
 _PROFILE_FIELDS = {
     "operator": _str,
-    "initial_rto": _number,
+    "initial_rto": _float,
     "max_retransmissions": _int,
-    "backoff_base": _number,
+    "backoff_base": _float,
     "coalescence": of_type(bool),
     "scid_scheme": ScidSchemeKind,
     "scid_length": _int,
@@ -530,18 +519,18 @@ _CLUSTER_FIELDS = {
     "host_id_base": _int,
     "workers": _int,
     "routing_mode": RoutingMode,
-    "state_lifetime": _number,
+    "state_lifetime": _float,
     "name": _str,
 }
 _FLOOD_FIELDS = {
     "sources": list_of(_ipv4),
     "source_base": _ipv4,
     "source_count": _int,
-    "duration": _number,
+    "duration": _float,
     "sessions_per_vip": _int,
-    "arrival_window": _number,
-    "ack_probability": _number,
-    "ack_delay": _number,
+    "arrival_window": _float,
+    "ack_probability": _float,
+    "ack_delay": _float,
 }
 _DEPLOYMENT_FIELDS = {
     "operator": _str,
@@ -799,11 +788,13 @@ class DeploymentSimulator:
         connection it opened, if any."""
         cluster = self.cluster_for(d.dst_ip)
         cluster.expire(self.clock.now)
-        packets = split_coalesced(d.payload)
-        if not packets:
+        # only the first packet of a datagram is read; one that does not
+        # parse, padding or an empty payload included, is no packet
+        try:
+            packet = parse_long_header(d.payload)
+        except WireError:
             return None
-        packet = packets[0]
-        tup = five_tuple_of(d)
+        tup = (d.src_ip, d.dst_ip, d.src_port, d.dst_port, PROTO_UDP)
         instance = route(cluster, tup, dcid=packet.dcid)
         disposition, conn = handle_packet(instance, packet, tup)
         if disposition == Disposition.NEW_CONNECTION:

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import ipaddress
 import json
+import math
 from importlib import resources
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Optional, Sequence, TextIO, TypeVar
@@ -145,13 +146,16 @@ _JSON_TYPES = {dict: "object", list: "array", str: "string", int: "integer", flo
 
 def of_type(*kinds: type) -> Callable[[Any], Any]:
     """A parser for read_json_fields that accepts a JSON value of one of
-    `kinds`: float accepts any number, and true and false are no numbers."""
+    `kinds`: float accepts any finite number, and true and false are no
+    numbers. json reads NaN and Infinity, which no setting can mean."""
     accepted = kinds + (int,) if float in kinds else kinds
     names = " or ".join(_JSON_TYPES[kind] for kind in kinds)
 
     def parse(value: Any) -> Any:
         if not isinstance(value, accepted) or (isinstance(value, bool) and bool not in kinds):
             raise TypeError(f"expected {names}, got {json.dumps(value)}")
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValueError(f"expected a finite number, got {json.dumps(value)}")
         return value
 
     return parse

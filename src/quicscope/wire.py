@@ -60,6 +60,9 @@ _TYPE_BITS = (PacketType.INITIAL, PacketType.ZERO_RTT, PacketType.HANDSHAKE, Pac
 # canonical first octet per type: form and fixed bits set, low bits zero
 _FIRST_BYTE = {t: FORM_BIT | FIXED_BIT | (bits << 4) for bits, t in enumerate(_TYPE_BITS)}
 _FIRST_BYTE[PacketType.VERSION_NEGOTIATION] = FORM_BIT | FIXED_BIT
+# the members the codec tests on every packet: reading an Enum member as a
+# class attribute goes through the metaclass and costs about 0.1 us
+_INITIAL, _RETRY, _VERSION_NEGOTIATION = PacketType.INITIAL, PacketType.RETRY, PacketType.VERSION_NEGOTIATION
 
 # Display names used in packet-type and length tables.
 TYPE_LABELS = {
@@ -127,9 +130,12 @@ class LongHeader(NamedTuple):
     wire_length: int = 0
 
 
-_U32 = struct.Struct(">I").unpack_from
+# the first octet, the version and the DCID length, in one read
+_PREFIX = struct.Struct(">BIB").unpack_from
 _HEAD = struct.Struct(">BIB").pack
 _U16 = struct.Struct(">H").pack
+# each octet value as a one-octet bytes object
+_OCTETS = tuple(bytes((n,)) for n in range(256))
 # LongHeader's own __new__ is a Python function; its fields are checked here
 _new_header = tuple.__new__
 
@@ -143,26 +149,24 @@ def parse_long_header(payload: bytes, offset: int = 0) -> LongHeader:
     length, a 1- or 2-octet Length) are read in place.
     """
     end = len(payload)
-    if offset >= end:
-        raise TruncatedPacket("offset past end of payload")
-    first = payload[offset]
+    if offset + 6 > end:
+        # too short for the fixed prefix: name the field it ends in
+        if offset >= end:
+            raise TruncatedPacket("offset past end of payload")
+        if not payload[offset] & FORM_BIT:
+            raise NotLongHeader(f"form bit clear in first octet 0x{payload[offset]:02x}")
+        if offset + 5 > end:
+            raise TruncatedPacket("payload ends inside version field")
+        raise TruncatedPacket("payload ends before DCID length octet")
+    first, version, cid_len = _PREFIX(payload, offset)
     if not first & FORM_BIT:
         raise NotLongHeader(f"form bit clear in first octet 0x{first:02x}")
-    pos = offset + 5
-    if pos > end:
-        raise TruncatedPacket("payload ends inside version field")
-    version = _U32(payload, offset + 1)[0]
-
-    if pos >= end:
-        raise TruncatedPacket("payload ends before DCID length octet")
-    cid_len = payload[pos]
     if cid_len > MAX_CID_LENGTH:
         raise InvalidCidLength(f"DCID length {cid_len} exceeds {MAX_CID_LENGTH}")
-    pos += 1
-    if pos + cid_len > end:
+    pos = offset + 6 + cid_len
+    if pos > end:
         raise TruncatedPacket("payload ends inside DCID")
-    dcid = payload[pos : pos + cid_len]
-    pos += cid_len
+    dcid = payload[offset + 6 : pos]
     if pos >= end:
         raise TruncatedPacket("payload ends before SCID length octet")
     cid_len = payload[pos]
@@ -174,43 +178,39 @@ def parse_long_header(payload: bytes, offset: int = 0) -> LongHeader:
     scid = payload[pos : pos + cid_len]
     pos += cid_len
 
-    token = b""
+    # Version Negotiation and Retry run to the end of the datagram
     if version == 0:
-        packet_type = PacketType.VERSION_NEGOTIATION
-        body = payload[pos:]
-        pos = end
-    else:
-        packet_type = _TYPE_BITS[(first & TYPE_MASK) >> 4]
-        if packet_type is PacketType.INITIAL:
-            if pos < end and payload[pos] < 0x40:
-                token_len = payload[pos]
-                pos += 1
-            else:
-                token_len, consumed = decode_varint(payload, pos)
-                pos += consumed
+        return _new_header(LongHeader, (_VERSION_NEGOTIATION, 0, dcid, scid, b"", payload[pos:], first, end - offset))
+    packet_type = _TYPE_BITS[(first & TYPE_MASK) >> 4]
+    if packet_type is _RETRY:
+        return _new_header(LongHeader, (packet_type, version, dcid, scid, b"", payload[pos:], first, end - offset))
+    token = b""
+    if packet_type is _INITIAL:
+        if pos < end and payload[pos] < 0x40:
+            token_len = payload[pos]
+            pos += 1
+        else:
+            token_len, consumed = decode_varint(payload, pos)
+            pos += consumed
+        if token_len:
             if pos + token_len > end:
                 raise TruncatedPacket("payload ends inside Initial token")
             token = payload[pos : pos + token_len]
             pos += token_len
-        if packet_type is PacketType.RETRY:
-            body = payload[pos:]
-            pos = end
-        else:
-            if pos + 1 < end and payload[pos] >> 6 == 1:
-                length = (payload[pos] & 0x3F) << 8 | payload[pos + 1]
-                pos += 2
-            elif pos < end and payload[pos] < 0x40:
-                length = payload[pos]
-                pos += 1
-            else:
-                length, consumed = decode_varint(payload, pos)
-                pos += consumed
-            if pos + length > end:
-                raise TruncatedPacket("payload ends inside declared packet length")
-            body = payload[pos : pos + length]
-            pos += length
-
-    return _new_header(LongHeader, (packet_type, version, dcid, scid, token, body, first, pos - offset))
+    if pos + 1 < end and payload[pos] >> 6 == 1:
+        length = (payload[pos] & 0x3F) << 8 | payload[pos + 1]
+        pos += 2
+    elif pos < end and payload[pos] < 0x40:
+        length = payload[pos]
+        pos += 1
+    else:
+        length, consumed = decode_varint(payload, pos)
+        pos += consumed
+    if pos + length > end:
+        raise TruncatedPacket("payload ends inside declared packet length")
+    return _new_header(
+        LongHeader, (packet_type, version, dcid, scid, token, payload[pos : pos + length], first, pos + length - offset)
+    )
 
 
 def check_cid_lengths(dcid: bytes, scid: bytes) -> None:
@@ -240,21 +240,22 @@ def encode_long_header(
     dcid_length, scid_length = len(dcid), len(scid)
     if dcid_length > MAX_CID_LENGTH or scid_length > MAX_CID_LENGTH:
         check_cid_lengths(dcid, scid)  # raises, naming the longer CID
-    if (packet_type is PacketType.VERSION_NEGOTIATION) != (version == 0):
+    if (packet_type is _VERSION_NEGOTIATION) != (version == 0):
         raise WireError("version 0 is reserved for (and required by) version negotiation")
-    if token and packet_type is not PacketType.INITIAL:
+    if token and packet_type is not _INITIAL:
         raise WireError("only Initial packets carry a token")
     if first_byte is None:
         first_byte = _FIRST_BYTE[packet_type]
-    head = _HEAD(first_byte | FORM_BIT, version, dcid_length) + dcid + bytes((scid_length,)) + scid
-    if packet_type is PacketType.RETRY or packet_type is PacketType.VERSION_NEGOTIATION:
-        return head + payload
+    head = _HEAD(first_byte | FORM_BIT, version, dcid_length)
+    if packet_type is _RETRY or packet_type is _VERSION_NEGOTIATION:
+        return b"".join((head, dcid, _OCTETS[scid_length], scid, payload))
     # the Length varint, its 1- and 2-octet forms built in place
     n = len(payload)
-    length = bytes((n,)) if n < 0x40 else _U16(n | 0x4000) if n < 0x4000 else encode_varint(n)
-    if packet_type is PacketType.INITIAL:
-        return head + (encode_varint(len(token)) + token if token else b"\x00") + length + payload
-    return head + length + payload
+    length = _OCTETS[n] if n < 0x40 else _U16(n | 0x4000) if n < 0x4000 else encode_varint(n)
+    if packet_type is _INITIAL:
+        token_length = encode_varint(len(token)) if token else b"\x00"
+        return b"".join((head, dcid, _OCTETS[scid_length], scid, token_length, token, length, payload))
+    return b"".join((head, dcid, _OCTETS[scid_length], scid, length, payload))
 
 
 def split_coalesced(datagram_payload: bytes) -> list[LongHeader]:

@@ -10,7 +10,7 @@ import pytest
 from quicscope.ingest import DEFAULT_IDLE_GAP, Session, Sessionizer
 from quicscope.pcap import PcapReader, PcapWriter
 from quicscope.probe import HostIdHarvest
-from quicscope.sim import DeploymentConfig, SessionTruth, simulate_flood
+from quicscope.sim import DeploymentConfig, SessionTruth, client_initial_payload, simulate_flood
 from quicscope.wire import Datagram, PacketType, encode_long_header
 
 
@@ -69,6 +69,17 @@ def make_request(
 ) -> Datagram:
     body = encode_long_header(PacketType.INITIAL, version, dcid, scid, b"\x22" * 30)
     return Datagram(ts, src, dst, src_port, 443, body)
+
+
+# Datagram payloads whose first packet does not parse, by name: an empty
+# payload, a client Initial whose first octet is 0x00 (padding), and one cut
+# inside its SCID (octets 15 to 22 of an Initial with two 8-octet CIDs).
+_CLIENT_INITIAL = client_initial_payload(b"\x10" * 8, b"\x20" * 8)
+NO_PACKET_PAYLOADS = {
+    "empty": b"",
+    "zero-first-octet": b"\x00" + _CLIENT_INITIAL[1:],
+    "cut-inside-scid": _CLIENT_INITIAL[:20],
+}
 
 
 def harvest_from_ids(vip: str, host_ids) -> HostIdHarvest:

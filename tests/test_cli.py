@@ -553,6 +553,14 @@ class TestProbeCommand:
         assert run("probe", "--sim-config", deploy_config, "--campaign-config", campaign, "--out-dir", out) == 3
         assert not out.exists()
 
+    def test_campaign_file_infinite_gap_is_input_error(self, deploy_config, tmp_path, capsys, no_handshakes):
+        campaign = tmp_path / "campaign.json"
+        campaign.write_text(json.dumps({"targets": ["198.51.100.0"], "inter_probe_gap": math.inf}))
+        out = tmp_path / "p"
+        assert run("probe", "--sim-config", deploy_config, "--campaign-config", campaign, "--out-dir", out) == 2
+        assert f"{campaign}: key 'inter_probe_gap': expected a finite number, got Infinity" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unreachable_target_is_precondition_error(self, deploy_config, tmp_path):
         rc = run(
             "probe", "--sim-config", deploy_config, "--targets", "10.9.9.9",
@@ -1236,6 +1244,8 @@ class TestStoreRows:
         [
             ("coalescence", "false", "expected boolean, got \"false\""),
             ("initial_rto", True, "expected number, got true"),
+            ("initial_rto", math.nan, "expected a finite number, got NaN"),
+            ("backoff_base", math.inf, "expected a finite number, got Infinity"),
         ],
     )
     def test_profile_table_matching_key_wrong_type(self, tmp_path, key, value, message):
@@ -1271,8 +1281,15 @@ class TestStoreRows:
             ("5", ": expected object, got 5"),
             ('{"reference_shapes": [[["Initial"]]]}', ": key 'reference_shapes': expected [[packet type"),
             ('{"rto_reference": 0.4,}', ": Expecting property name"),
+            # a NaN tolerance would let every RTO match its reference
+            ('{"rto_tolerance": NaN}', ": key 'rto_tolerance': expected a finite number, got NaN"),
+            ('{"rto_reference": Infinity}', ": key 'rto_reference': expected a finite number, got Infinity"),
+            ('{"count_range": [7, -Infinity]}', ": key 'count_range': expected a finite number, got -Infinity"),
         ],
-        ids=["count-range-not-list", "not-an-object", "shape-without-length", "json-syntax"],
+        ids=[
+            "count-range-not-list", "not-an-object", "shape-without-length", "json-syntax", "nan-tolerance",
+            "infinite-reference", "infinite-count",
+        ],
     )
     def test_rule_set_invalid(self, tmp_path, text, message):
         datagrams, truth, rules = tmp_path / "d.jsonl", tmp_path / "truth.tsv", tmp_path / "rules.json"
@@ -1343,10 +1360,16 @@ class TestStoreRows:
                 {"vips": ["1.2.3.5"], "l7lb_count": 1, "profile": {"initial_rto": 1.0, "max_retransmissions": 1, "scid_length": 21}},
                 ": scid_length must be 1 to 20",
             ),
+            # with no lifetime, every connection expires before its next datagram
+            ("simulate", {"vips": ["1.2.3.5"], "l7lb_count": 1, "state_lifetime": -5}, ": state_lifetime must be > 0"),
+            ("simulate", {"vips": ["1.2.3.5"], "l7lb_count": 1, "state_lifetime": 0}, ": state_lifetime must be > 0"),
+            ("probe", {"vips": ["1.2.3.5"], "l7lb_count": 1, "state_lifetime": -5}, ": state_lifetime must be > 0"),
+            ("probe", {"vips": ["1.2.3.5"], "l7lb_count": 1, "state_lifetime": 0}, ": state_lifetime must be > 0"),
         ],
         ids=[
             "vip-in-two-clusters", "duplicate-host-ids", "no-instances", "host-id-width", "vip-not-ipv4", "no-workers",
-            "worker-id-width", "scid-length",
+            "worker-id-width", "scid-length", "negative-state-lifetime", "zero-state-lifetime",
+            "negative-state-lifetime-probe", "zero-state-lifetime-probe",
         ],
     )
     def test_deployment_config_rejected_before_any_output(self, tmp_path, command, cluster, message):

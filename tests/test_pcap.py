@@ -10,6 +10,7 @@ import pytest
 
 from quicscope.pcap import (
     LINKTYPE_ETHERNET,
+    LINKTYPE_RAW_IP,
     PcapReader,
     UnreadableCapture,
     _ip_checksum,
@@ -184,6 +185,63 @@ def test_big_endian_and_nanosecond_magic(tmp_path):
     assert len(got) == 1
     assert got[0].payload == b"ns"
     assert abs(got[0].timestamp - 2.000000333) < 1e-9
+
+
+def read_capture(tmp_path, packets, linktype=101, tail=b""):
+    """Read back a hand-built capture: one record per packet, then `tail`.
+    Returns the datagrams and the reader's counters."""
+    path = tmp_path / "hand.pcap"
+    with path.open("wb") as fh:
+        fh.write(struct.pack("<IHHiIII", 0xA1B2C3D4, 2, 4, 0, 0, 65535, linktype))
+        for packet in packets:
+            fh.write(struct.pack("<IIII", 1, 0, len(packet), len(packet)))
+            fh.write(packet)
+        fh.write(tail)
+    reader = PcapReader(path)
+    return list(reader.datagrams()), reader.counters
+
+
+UDP_PACKET = build_ipv4_udp(Datagram(1.0, "192.0.2.1", "192.0.2.2", 443, 40000, b"x"))
+
+
+def overwritten(packet: bytes, at: int, octets: bytes) -> bytes:
+    return packet[:at] + octets + packet[at + len(octets) :]
+
+
+@pytest.mark.parametrize(
+    "packet, linktype, counter",
+    [
+        (overwritten(UDP_PACKET, 0, b"\x65"), LINKTYPE_RAW_IP, "non_ipv4"),  # IP version 6
+        (overwritten(UDP_PACKET, 0, b"\x44"), LINKTYPE_RAW_IP, "malformed"),  # IHL 4
+        (UDP_PACKET[:24], LINKTYPE_RAW_IP, "malformed"),  # 4 of the UDP header's 8 octets
+        (overwritten(UDP_PACKET, 24, b"\x00\x07"), LINKTYPE_RAW_IP, "malformed"),  # UDP length 7
+        (b"\x00" * 13, LINKTYPE_ETHERNET, "malformed"),  # one octet short of a header
+        (b"\x00" * 12 + b"\x81\x00\x00", LINKTYPE_ETHERNET, "malformed"),  # 802.1Q tag cut short
+        (b"\x00" * 12 + b"\x86\xdd" + UDP_PACKET, LINKTYPE_ETHERNET, "non_ipv4"),  # IPv6 EtherType
+    ],
+    ids=[
+        "not-ipv4", "ihl-below-5", "udp-header-cut", "udp-length-below-8", "short-ethernet-frame",
+        "tagged-frame-cut", "ethertype-not-ipv4",
+    ],
+)
+def test_undecodable_packet_is_counted(tmp_path, packet, linktype, counter):
+    datagrams, counters = read_capture(tmp_path, [packet], linktype)
+    assert datagrams == []
+    zero = dict.fromkeys(("malformed", "non_ipv4", "non_udp", "fragmented", "datagrams"), 0)
+    assert counters.as_dict() == dict(zero, records=1, **{counter: 1})
+
+
+def test_record_header_cut_short(tmp_path):
+    datagrams, counters = read_capture(tmp_path, [UDP_PACKET], tail=b"\x00" * 10)
+    assert [d.payload for d in datagrams] == [b"x"]
+    assert (counters.records, counters.malformed, counters.datagrams) == (1, 1, 1)
+
+
+def test_file_shorter_than_the_global_header(tmp_path):
+    path = tmp_path / "short.pcap"
+    path.write_bytes(struct.pack("<IHHiIII", 0xA1B2C3D4, 2, 4, 0, 0, 65535, 101)[:23])
+    with pytest.raises(UnreadableCapture, match="too short for a pcap global header"):
+        PcapReader(path)
 
 
 def reference_checksum(data: bytes) -> int:

@@ -44,7 +44,7 @@ from quicscope.sim import (
 )
 from quicscope.wire import Datagram
 
-from conftest import harvest_from_ids
+from conftest import NO_PACKET_PAYLOADS, harvest_from_ids
 
 
 def make_sim(l7lb_count=40, mode=RoutingMode.FIVE_TUPLE, operator="Facebook", vip_count=1, seed=5):
@@ -239,6 +239,14 @@ class TestRawNetworkTransport:
         assert RawNetworkTransport(seed=1).handshake(self.VIP, 40000) is None
         [sock] = FakeSocket.opened
         assert len(sock.sent) == 1
+        assert sock.closed
+
+    @pytest.mark.parametrize("reply", NO_PACKET_PAYLOADS.values(), ids=list(NO_PACKET_PAYLOADS))
+    def test_reply_without_a_packet_gives_none(self, fake, reply):
+        FakeSocket, _, _ = fake
+        FakeSocket.reply = reply
+        assert RawNetworkTransport(seed=1).handshake(self.VIP, 40000) is None
+        [sock] = FakeSocket.opened
         assert sock.closed
 
     def test_second_send_sleeps_out_the_gap(self, fake):

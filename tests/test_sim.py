@@ -42,9 +42,9 @@ from quicscope.sim import (
     route,
     simulate_flood,
 )
-from quicscope.wire import Datagram, PacketType, encode_long_header, parse_long_header, split_coalesced
+from quicscope.wire import Datagram, PacketType, TruncatedPacket, encode_long_header, parse_long_header, split_coalesced
 
-from conftest import sessions_of, simulate_to_pcap
+from conftest import NO_PACKET_PAYLOADS, sessions_of, simulate_to_pcap
 
 
 def profile(operator="Facebook", **overrides):
@@ -427,6 +427,37 @@ class TestDeliver:
         # the ACK continues that connection, opens none, and stops its resends
         assert sim.deliver(from_client(client_ack_payload(conn.server_cid, b"\x20" * 8))) is None
         assert conn.resend is None
+
+    @pytest.mark.parametrize("payload", NO_PACKET_PAYLOADS.values(), ids=list(NO_PACKET_PAYLOADS))
+    def test_datagram_without_a_packet_is_dropped(self, payload):
+        sim = DeploymentSimulator(DeploymentConfig(clusters=[cluster_config()], seed=9), truth=[])
+        cluster = sim.clusters[0]
+        assert sim.deliver(Datagram(0.0, "10.0.0.1", cluster.vips[0], 4000, 443, payload)) is None
+        assert sim.truth == [] and not cluster.connections
+        assert all(not instance.connection_table for instance in cluster.instances)
+
+    def test_cut_payload_ends_inside_the_scid(self):
+        with pytest.raises(TruncatedPacket, match="payload ends inside SCID"):
+            parse_long_header(NO_PACKET_PAYLOADS["cut-inside-scid"])
+
+    def test_coalesced_datagram_is_routed_by_its_first_packet(self):
+        sim = DeploymentSimulator(DeploymentConfig(clusters=[cluster_config()], seed=9), truth=[])
+        cluster = sim.clusters[0]
+
+        def from_client(payload):
+            return Datagram(sim.clock.now, "10.0.0.1", cluster.vips[0], 4000, 443, payload)
+
+        conn = sim.deliver(from_client(client_initial_payload(b"\x10" * 8, b"\x20" * 8)))
+        ack = client_ack_payload(conn.server_cid, b"\x20" * 8)
+        fresh_initial = encode_long_header(PacketType.INITIAL, 1, b"\x11" * 8, b"\x21" * 8, b"\x5a" * 50)
+        # a fresh Initial first opens a connection; the ACK behind it is not read
+        second = sim.deliver(from_client(fresh_initial + ack))
+        assert second is not None and second.client_cid == b"\x21" * 8
+        assert conn.resend is not None
+        # the ACK first continues the connection; the Initial behind it opens none
+        assert sim.deliver(from_client(ack + fresh_initial)) is None
+        assert conn.resend is None
+        assert list(cluster.connections) == [conn, second]
 
 
 class TestExpiry:

@@ -2,6 +2,7 @@
 
 import ipaddress
 import json
+import math
 import re
 
 import pytest
@@ -47,6 +48,13 @@ def live_records() -> list[CaptureRecord]:
         make_request(0.75),
     ]
     return list(ingest(datagrams, prefixes=table))
+
+
+class TestOfType:
+    @pytest.mark.parametrize("value, shown", [(math.nan, "NaN"), (math.inf, "Infinity"), (-math.inf, "-Infinity")])
+    def test_float_rejects_non_finite_numbers(self, value, shown):
+        with pytest.raises(ValueError, match=f"^expected a finite number, got {shown}$"):
+            tables.of_type(float)(value)
 
 
 class TestDatagramStore:
