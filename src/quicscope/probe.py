@@ -19,13 +19,7 @@ from typing import Iterable, Iterator, NamedTuple, Optional, Protocol
 
 from . import CheckedTuple, PreconditionError
 from .scid import facebook_host_id
-from .sim import (
-    QUIC_PORT,
-    DeploymentSimulator,
-    NotAVip,
-    client_ack_payload,
-    client_initial_payload,
-)
+from .sim import QUIC_PORT, DeploymentSimulator, NotAVip, client_initial_payload
 from .wire import Datagram, WireError, parse_long_header
 
 DEFAULT_PROBE_INTERVAL = 1.0
@@ -80,15 +74,15 @@ class Transport(Protocol):
 class SimulatorTransport:
     """Loopback transport driving a DeploymentSimulator on its virtual clock.
 
-    Handshakes complete synchronously: the simulator emits the first response
-    round inside deliver(), and a successful exchange is acknowledged so the
-    server cancels its retransmissions.
+    A handshake is one deliver() of the client Initial; the server SCID is
+    that of the connection it opened, the SCID the server's response
+    carries. No ACK follows: a simulator with a capture writes its resends
+    there, and one without schedules none.
     """
 
     def __init__(self, sim: DeploymentSimulator, seed: int = 0):
         self.sim = sim
         self.rng = random.Random(seed)
-        self.inbox = sim.register_inbox(SIMULATOR_CLIENT_IP)
 
     def now(self) -> float:
         return self.sim.clock.now
@@ -107,10 +101,8 @@ class SimulatorTransport:
             dcid = self.rng.randbytes(8)
         if scid is None:
             scid = self.rng.randbytes(8)
-        # only this handshake's response is read, so nothing older is kept
-        self.inbox.clear()
         try:
-            self.sim.deliver(
+            conn = self.sim.deliver(
                 Datagram(
                     self.sim.clock.now, SIMULATOR_CLIENT_IP, vip, src_port, QUIC_PORT,
                     client_initial_payload(dcid, scid),
@@ -118,21 +110,7 @@ class SimulatorTransport:
             )
         except NotAVip as exc:
             raise TransportUnavailable(str(exc)) from exc
-        for d in self.inbox:
-            if d.src_ip != vip or d.dst_port != src_port:
-                continue
-            try:
-                server_scid = parse_long_header(d.payload).scid
-            except WireError:
-                continue
-            self.sim.deliver(
-                Datagram(
-                    self.sim.clock.now, SIMULATOR_CLIENT_IP, vip, src_port, QUIC_PORT,
-                    client_ack_payload(server_scid, scid),
-                )
-            )
-            return server_scid
-        return None
+        return None if conn is None else conn.server_cid
 
 
 class RawNetworkTransport:

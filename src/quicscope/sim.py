@@ -6,11 +6,11 @@ schedules, 5-tuple or CID-aware routing, and silent discard of packets that
 are inconsistent with live connection state. A seeded virtual clock makes
 every scenario replayable down to identical capture bytes.
 
-Each connection's response round is encoded once; its resend rounds repeat
-the same bytes at later clock times. Datagrams for a registered probe inbox
-land there; all others stream to the pcap writer the simulator is given, in
-emission order, and are dropped when it has none. Ground-truth rows go only
-to the list or writer the simulator is given, so probe campaigns keep none.
+The pcap writer the simulator is given is its only sink: each connection's
+response round is encoded once and written in emission order, and its resend
+rounds repeat the same bytes at later clock times. With no writer, no
+response is built and no resend scheduled. Ground-truth rows go only to the
+list or writer the simulator is given, so probe campaigns keep none.
 """
 
 from __future__ import annotations
@@ -45,6 +45,9 @@ INITIAL_FILLER = b"\x5a" * 120
 HANDSHAKE_FILLER = b"\x5b" * 90
 DEFAULT_STATE_LIFETIME = 240.0
 DEFAULT_VERSION = 0x00000001
+# deliver reads this per datagram; an Enum member read as a class attribute
+# costs about 100 ns more than a module name
+_INITIAL = PacketType.INITIAL
 
 
 def client_initial_payload(dcid: bytes, scid: bytes) -> bytes:
@@ -112,6 +115,9 @@ class StackProfile(CheckedTuple, _StackProfileFields):
             raise InvalidConfig("initial_rto must be positive")
         if self.max_retransmissions < 0:
             raise InvalidConfig("max_retransmissions must be >= 0")
+        # a base below 1 would schedule each resend before the one it follows
+        if not self.backoff_base >= 1:  # NaN included
+            raise InvalidConfig(f"backoff_base must be >= 1, got {self.backoff_base}")
         # connections are keyed by server CID, so an empty one is not unique
         if not 1 <= self.scid_length <= MAX_CID_LENGTH:
             raise InvalidConfig(f"scid_length must be 1 to {MAX_CID_LENGTH}")
@@ -157,35 +163,6 @@ class L7LBInstance(NamedTuple):
     connection_table: dict[bytes, Connection]
 
 
-class Disposition(Enum):
-    ACCEPT = "accept"
-    SILENT_DISCARD = "silent_discard"
-    NEW_CONNECTION = "new_connection"
-
-
-def handle_packet(
-    instance: L7LBInstance, packet: LongHeader, five_tuple: tuple
-) -> tuple[Disposition, Optional[Connection]]:
-    """Connection state-machine decision for one incoming packet.
-
-    A packet matched to a live connection must be silently discarded when it
-    is inconsistent with that connection's state: a fresh Initial reusing a
-    live server CID is the canonical case. An unknown-CID Initial opens a new
-    connection; a consistent continuation is accepted.
-    """
-    conn = instance.connection_table.get(packet.dcid)
-    if conn is not None:
-        fresh_initial = packet.packet_type is PacketType.INITIAL and (
-            packet.scid != conn.client_cid or five_tuple != conn.five_tuple
-        )
-        if fresh_initial:
-            return Disposition.SILENT_DISCARD, conn
-        return Disposition.ACCEPT, conn
-    if packet.packet_type is PacketType.INITIAL:
-        return Disposition.NEW_CONNECTION, None
-    return Disposition.SILENT_DISCARD, None
-
-
 # --- virtual clock -----------------------------------------------------------
 
 
@@ -199,26 +176,15 @@ class Event:
         self.fn = fn
 
 
-# the heap is not rebuilt while it holds this many entries or fewer
-COMPACTION_FLOOR = 100
-
-
 class VirtualClock:
-    """Event-driven clock; identical schedules replay identically.
-
-    A cancelled event stays in the heap until it is popped, so once
-    cancelled entries are more than half of a heap above COMPACTION_FLOOR,
-    the heap is rebuilt from its live entries, as asyncio's event loop does
-    with its timer handles. A probe harvest never advances the clock, and
-    every handshake it ACKs cancels a resend, so without the rebuild the heap
-    would grow by one entry per handshake. Entries order by (time, seq), a
-    total order, so the rebuild cannot change which event fires first."""
+    """Event-driven clock; identical schedules replay identically, since
+    entries order by (time, seq), a total order. A cancelled event stays in
+    the heap, without its callback, until its time comes."""
 
     def __init__(self) -> None:
         self.now = 0.0
         self._heap: list[tuple[float, int, Event]] = []
         self._seq = 0
-        self._cancelled = 0  # cancelled entries still in the heap
 
     def schedule(self, at: float, fn: Callable[[], None]) -> Event:
         if at < self.now:
@@ -230,34 +196,19 @@ class VirtualClock:
 
     def cancel(self, event: Event) -> None:
         """Keep a pending event from firing and let go of its callback and
-        what that holds; an event that has fired or been cancelled is left
-        as it is."""
-        if event.fn is None:
-            return
+        what that holds."""
         event.fn = None
-        self._cancelled += 1
-        self._compact()
-
-    def _compact(self) -> None:
-        if len(self._heap) > COMPACTION_FLOOR and 2 * self._cancelled > len(self._heap):
-            self._heap = [entry for entry in self._heap if entry[2].fn is not None]
-            heapq.heapify(self._heap)
-            self._cancelled = 0
 
     def run_until(self, t: float) -> None:
         """Fire all events with time <= t, then advance to t."""
         while self._heap and self._heap[0][0] <= t:
             at, _, event = heapq.heappop(self._heap)
             fn, event.fn = event.fn, None
-            if fn is None:
-                self._cancelled -= 1
-                continue
-            self.now = at
-            fn()
+            if fn is not None:
+                self.now = at
+                fn()
         if t > self.now:
             self.now = t
-        # firing live entries can leave the cancelled ones the majority
-        self._compact()
 
 
 # --- routing -----------------------------------------------------------------
@@ -455,6 +406,8 @@ class FloodConfig(CheckedTuple, _FloodConfigFields):
             raise InvalidConfig(f"duration must be >= 0, got {self.duration}")
         if self.sessions_per_vip is not None and self.sessions_per_vip < 1:
             raise InvalidConfig(f"sessions_per_vip must be >= 1, got {self.sessions_per_vip}")
+        if not 0 <= self.ack_probability <= 1:
+            raise InvalidConfig(f"ack_probability must be in [0, 1], got {self.ack_probability}")
         return self
 
 
@@ -619,10 +572,10 @@ class SessionTruth(NamedTuple):
 class DeploymentSimulator:
     """Single-threaded deterministic event loop over one deployment.
 
-    Server datagrams to an address with a registered inbox go to that inbox;
-    the rest go to `capture`, or nowhere when it is None. A `SessionTruth` row
-    per served handshake is appended to `truth` when it is given: a list, or
-    a writer that streams each row to its files.
+    Server datagrams go to `capture`. With none, the simulator builds no
+    response and schedules no resend, since nothing could observe either. A
+    `SessionTruth` row per served handshake is appended to `truth` when it is
+    given: a list, or a writer that streams each row to its files.
     """
 
     def __init__(
@@ -638,12 +591,8 @@ class DeploymentSimulator:
         self.vip_map = {vip: cluster for cluster in self.clusters for vip in cluster.vips}
         self._capture = capture
         self.truth = truth
-        self._inboxes: dict[str, list[Datagram]] = {}
 
     # -- plumbing --
-
-    def register_inbox(self, ip: str) -> list[Datagram]:
-        return self._inboxes.setdefault(ip, [])
 
     def cluster_for(self, vip: str) -> FrontendCluster:
         cluster = self.vip_map.get(vip)
@@ -705,9 +654,9 @@ class DeploymentSimulator:
         client_initial: LongHeader,
         five_tuple: tuple,
     ) -> Connection:
-        """Open a connection for the Initial that arrived on `five_tuple` and
-        emit the response schedule: one immediate round plus up to
-        max_retransmissions resend rounds at offsets initial_rto *
+        """Open a connection for the Initial that arrived on `five_tuple` and,
+        with a capture, write the response schedule: one immediate round plus
+        up to max_retransmissions resend rounds at offsets initial_rto *
         backoff_base**k, cancelled by a client ACK. The round is built once;
         every resend repeats its bytes at the resend's time."""
         profile = cluster.profile
@@ -735,33 +684,19 @@ class DeploymentSimulator:
                 )
             )
 
+        if self._capture is None:
+            return conn
+        from .pcap import build_ipv4_udp
+
         # IP ID 0 and TTL 64 leave the checksums depending only on addresses,
         # ports and payload, so every round's packets are the same bytes
-        datagrams = self._response_datagrams(cluster, conn)
-        inbox = self._inboxes.get(client_ip)
-        if inbox is not None:
-            inbox.extend(datagrams)
+        packets = [build_ipv4_udp(d) for d in self._response_datagrams(cluster, conn)]
 
-            def resend(at: float) -> None:
-                inbox.extend(
-                    Datagram(at, d.src_ip, d.dst_ip, d.src_port, d.dst_port, d.payload) for d in datagrams
-                )
+        def resend(at: float) -> None:
+            for packet in packets:
+                self._capture.write(at, packet)
 
-        else:
-            # with no capture the rounds still run, writing nothing, so an ACK
-            # cancels the same resend either way
-            packets = []
-            if self._capture is not None:
-                from .pcap import build_ipv4_udp
-
-                packets = [build_ipv4_udp(d) for d in datagrams]
-
-            def resend(at: float) -> None:
-                for packet in packets:
-                    self._capture.write(at, packet)
-
-            resend(now)
-
+        resend(now)
         self._emit_round(conn, profile, resend, now, 0)
         return conn
 
@@ -785,7 +720,13 @@ class DeploymentSimulator:
     def deliver(self, d: Datagram) -> Optional[Connection]:
         """Process one client datagram arriving at a VIP at the current time,
         after the connections that expired by then are dropped; returns the
-        connection it opened, if any."""
+        connection it opened, if any.
+
+        The first packet's DCID is looked up on the instance it routes to. An
+        unknown CID opens a connection only for an Initial. A fresh Initial
+        reusing a live server CID, from another client CID or 5-tuple, is
+        silently discarded. Any other packet on a live CID is a consistent
+        continuation, which confirms the handshake and cancels the resends."""
         cluster = self.cluster_for(d.dst_ip)
         cluster.expire(self.clock.now)
         # only the first packet of a datagram is read; one that does not
@@ -796,14 +737,14 @@ class DeploymentSimulator:
             return None
         tup = (d.src_ip, d.dst_ip, d.src_port, d.dst_port, PROTO_UDP)
         instance = route(cluster, tup, dcid=packet.dcid)
-        disposition, conn = handle_packet(instance, packet, tup)
-        if disposition == Disposition.NEW_CONNECTION:
-            return self.serve_initial(cluster, instance, packet, tup)
-        if disposition == Disposition.ACCEPT and conn is not None:
-            # consistent continuation from the client confirms the handshake
-            if conn.resend is not None:
-                self.clock.cancel(conn.resend)
-                conn.resend = None
+        conn = instance.connection_table.get(packet.dcid)
+        initial = packet.packet_type is _INITIAL
+        if conn is None:
+            return self.serve_initial(cluster, instance, packet, tup) if initial else None
+        fresh_initial = initial and (packet.scid != conn.client_cid or tup != conn.five_tuple)
+        if not fresh_initial and conn.resend is not None:
+            self.clock.cancel(conn.resend)
+            conn.resend = None
         return None
 
     # -- flood scenario --

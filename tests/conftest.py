@@ -31,6 +31,13 @@ def simulate_to_pcap(config: DeploymentConfig, path: Path) -> tuple[list[Session
     return truth, list(PcapReader(path).datagrams())
 
 
+def written_datagrams(buffer, path: Path) -> list[Datagram]:
+    """The datagrams a PcapWriter wrote to the BytesIO `buffer`, read back
+    through a file at `path`."""
+    path.write_bytes(buffer.getvalue())
+    return list(PcapReader(path).datagrams())
+
+
 def sessions_of(records, idle_gap: float = DEFAULT_IDLE_GAP) -> list[Session]:
     """The sessions of `records`, folded one at a time."""
     sessionizer = Sessionizer(idle_gap)

@@ -1365,11 +1365,23 @@ class TestStoreRows:
             ("simulate", {"vips": ["1.2.3.5"], "l7lb_count": 1, "state_lifetime": 0}, ": state_lifetime must be > 0"),
             ("probe", {"vips": ["1.2.3.5"], "l7lb_count": 1, "state_lifetime": -5}, ": state_lifetime must be > 0"),
             ("probe", {"vips": ["1.2.3.5"], "l7lb_count": 1, "state_lifetime": 0}, ": state_lifetime must be > 0"),
+            # a base below 1 schedules each resend before the one it follows
+            (
+                "simulate",
+                {"vips": ["1.2.3.5"], "l7lb_count": 1, "profile": {"initial_rto": 0.4, "max_retransmissions": 3, "backoff_base": 0.5}},
+                ": backoff_base must be >= 1, got 0.5",
+            ),
+            (
+                "probe",
+                {"vips": ["1.2.3.5"], "l7lb_count": 1, "profile": {"initial_rto": 0.4, "max_retransmissions": 3, "backoff_base": -2}},
+                ": backoff_base must be >= 1, got -2",
+            ),
         ],
         ids=[
             "vip-in-two-clusters", "duplicate-host-ids", "no-instances", "host-id-width", "vip-not-ipv4", "no-workers",
             "worker-id-width", "scid-length", "negative-state-lifetime", "zero-state-lifetime",
-            "negative-state-lifetime-probe", "zero-state-lifetime-probe",
+            "negative-state-lifetime-probe", "zero-state-lifetime-probe", "backoff-base-below-one",
+            "negative-backoff-base-probe",
         ],
     )
     def test_deployment_config_rejected_before_any_output(self, tmp_path, command, cluster, message):
@@ -1409,10 +1421,18 @@ class TestStoreRows:
                 json.dumps(dict(DEPLOY, flood={"sources": ["100.64.0.1"], "duration": 5, "sessions_per_vip": -2})),
                 ": sessions_per_vip must be >= 1, got -2",
             ),
+            (
+                json.dumps(dict(DEPLOY, flood={"sources": ["100.64.0.1"], "duration": 5, "ack_probability": 1.5})),
+                ": ack_probability must be in [0, 1], got 1.5",
+            ),
+            (
+                json.dumps(dict(DEPLOY, flood={"sources": ["100.64.0.1"], "duration": 5, "ack_probability": -3})),
+                ": ack_probability must be in [0, 1], got -3",
+            ),
         ],
         ids=[
             "empty-clusters", "no-clusters", "no-flood", "no-sources", "negative-arrival-window", "source-not-ipv4",
-            "negative-duration", "negative-sessions-per-vip",
+            "negative-duration", "negative-sessions-per-vip", "ack-probability-above-one", "negative-ack-probability",
         ],
     )
     def test_simulate_config_rejected_before_any_output(self, tmp_path, text, message):

@@ -3,6 +3,7 @@ Jaccard clustering, and load-balancer-type detection."""
 
 
 import gc
+import io
 import random
 import socket
 import time
@@ -32,8 +33,8 @@ from quicscope.probe import (
     jaccard,
     port_sequence,
 )
+from quicscope.pcap import PcapWriter
 from quicscope.sim import (
-    COMPACTION_FLOOR,
     ClusterConfig,
     DeploymentConfig,
     DeploymentSimulator,
@@ -42,12 +43,12 @@ from quicscope.sim import (
     client_initial_payload,
     default_stack_profile,
 )
-from quicscope.wire import Datagram
+from quicscope.wire import Datagram, parse_long_header
 
-from conftest import NO_PACKET_PAYLOADS, harvest_from_ids
+from conftest import NO_PACKET_PAYLOADS, harvest_from_ids, written_datagrams
 
 
-def make_sim(l7lb_count=40, mode=RoutingMode.FIVE_TUPLE, operator="Facebook", vip_count=1, seed=5):
+def make_sim(l7lb_count=40, mode=RoutingMode.FIVE_TUPLE, operator="Facebook", vip_count=1, seed=5, capture=None):
     cfg = DeploymentConfig(
         clusters=[
             ClusterConfig(
@@ -59,7 +60,7 @@ def make_sim(l7lb_count=40, mode=RoutingMode.FIVE_TUPLE, operator="Facebook", vi
         ],
         seed=seed,
     )
-    return DeploymentSimulator(cfg)
+    return DeploymentSimulator(cfg, capture=capture)
 
 
 class TestHarvest:
@@ -87,17 +88,9 @@ class TestHarvest:
         expected = 1 - (1 - 1 / 400) ** 1000
         assert abs(len(harvest.unique_ids) / 400 - expected) < 0.05
 
-    def test_inbox_stays_bounded(self):
-        # each handshake reads only its own response round; earlier rounds
-        # must not pile up over a campaign
-        sim = make_sim(l7lb_count=30)
-        transport = SimulatorTransport(sim, seed=4)
-        harvest_host_ids("203.0.113.1", 300, transport)
-        assert len(transport.inbox) <= 2
-
     def test_handshakes_leave_no_reference_cycles(self):
-        # refcounting alone must free each response round; a cycle would
-        # hold the datagrams until the garbage collector runs
+        # refcounting alone must free what each handshake makes; a cycle
+        # would hold it until the garbage collector runs
         sim = make_sim(l7lb_count=30)
         transport = SimulatorTransport(sim, seed=4)
         gc.collect()
@@ -108,29 +101,24 @@ class TestHarvest:
         finally:
             gc.enable()
 
-    @pytest.mark.parametrize("n", [300, 1000])
-    def test_acked_handshakes_leave_no_live_event(self, n):
-        # each ACK cancels its connection's one pending resend, and the clock
-        # drops cancelled events once they are most of its heap, so a harvest,
-        # which never advances the clock, holds no more than the floor
+    def test_harvest_leaves_the_heap_empty(self):
+        # with no capture nothing could observe a resend, so none is scheduled
         sim = make_sim(l7lb_count=30)
-        transport = SimulatorTransport(sim, seed=4)
-        harvest_host_ids("203.0.113.1", n, transport)
-        assert all(event.fn is None for _, _, event in sim.clock._heap)
-        assert len(sim.clock._heap) <= COMPACTION_FLOOR
+        harvest_host_ids("203.0.113.1", 300, SimulatorTransport(sim, seed=4))
+        assert sim.clock._heap == []
 
     def test_cancelled_resends_release_their_callback(self):
         # an ACK cancels the pending resend through the clock, which lets go
         # of its closure and response bytes
-        sim = make_sim(l7lb_count=30)
+        sim = make_sim(l7lb_count=30, capture=PcapWriter(io.BytesIO()))
         client = ("192.0.2.1", "203.0.113.1", 5000, 443)
         conn = sim.deliver(Datagram(0.0, *client, client_initial_payload(b"d" * 8, b"c" * 8)))
         event = conn.resend
         assert event.fn is not None
         sim.deliver(Datagram(0.0, *client, client_ack_payload(conn.server_cid, b"c" * 8)))
         assert conn.resend is None
+        assert [entry[2] for entry in sim.clock._heap] == [event]
         assert event.fn is None
-        assert sim.clock._cancelled == 1
 
     @pytest.mark.parametrize("mode", [RoutingMode.FIVE_TUPLE, RoutingMode.CID_AWARE])
     def test_state_held_for_one_lifetime(self, mode):
@@ -164,6 +152,25 @@ class TestHarvest:
         transport = SimulatorTransport(sim, seed=4)
         with pytest.raises(ExcessiveFailureRate):
             harvest_host_ids("203.0.113.1", 40, transport)
+
+    @pytest.mark.parametrize("operator", ["Facebook", "Google", "Cloudflare"])
+    def test_each_handshake_returns_the_scid_of_its_response(self, tmp_path, operator):
+        # on a simulator with a capture, the response written for a handshake
+        # carries the SCID the handshake returned; a follow-up that reuses the
+        # held server CID from a fresh 5-tuple is discarded, with no response
+        buffer = io.BytesIO()
+        sim = make_sim(l7lb_count=8, mode=RoutingMode.CID_AWARE, operator=operator, capture=PcapWriter(buffer))
+        transport = SimulatorTransport(sim, seed=4)
+        vip = "203.0.113.1"
+        returned = {port: transport.handshake(vip, port) for port in range(40000, 40030)}
+        followups = {port: transport.handshake(vip, port, dcid=returned[40000]) for port in range(41000, 41005)}
+        assert None not in returned.values()
+        assert list(followups.values()) == [None] * 5
+        responses: dict[int, set[bytes]] = {}
+        for d in written_datagrams(buffer, tmp_path / "capture.pcap"):
+            assert (d.timestamp, d.src_ip, d.dst_ip) == (0.0, vip, SIMULATOR_CLIENT_IP)
+            responses.setdefault(d.dst_port, set()).add(parse_long_header(d.payload).scid)
+        assert responses == {port: {scid} for port, scid in returned.items()}
 
     def test_campaign_runs_all_targets(self):
         sim = make_sim(vip_count=3, l7lb_count=10)
@@ -213,17 +220,17 @@ class TestRawNetworkTransport:
         monkeypatch.setattr(time, "sleep", sleeps.append)
         return FakeSocket, clock, sleeps
 
-    def server_response(self):
+    def server_response(self, tmp_path):
         """The first datagram of a simulated Facebook server's response round,
         and the server CID it carries."""
-        sim = make_sim()
-        inbox = sim.register_inbox("192.0.2.1")
+        buffer = io.BytesIO()
+        sim = make_sim(capture=PcapWriter(buffer))
         conn = sim.deliver(Datagram(0.0, "192.0.2.1", self.VIP, 5000, 443, client_initial_payload(b"d" * 8, b"c" * 8)))
-        return inbox[0].payload, conn.server_cid
+        return written_datagrams(buffer, tmp_path / "capture.pcap")[0].payload, conn.server_cid
 
-    def test_handshake_returns_the_server_scid(self, fake):
+    def test_handshake_returns_the_server_scid(self, fake, tmp_path):
         FakeSocket, _, _ = fake
-        FakeSocket.reply, server_cid = self.server_response()
+        FakeSocket.reply, server_cid = self.server_response(tmp_path)
         transport = RawNetworkTransport(seed=1)
         assert transport.handshake(self.VIP, 40000, dcid=b"\x10" * 8, scid=b"\x20" * 8) == server_cid
         [sock] = FakeSocket.opened
@@ -249,9 +256,9 @@ class TestRawNetworkTransport:
         [sock] = FakeSocket.opened
         assert sock.closed
 
-    def test_second_send_sleeps_out_the_gap(self, fake):
+    def test_second_send_sleeps_out_the_gap(self, fake, tmp_path):
         FakeSocket, clock, sleeps = fake
-        FakeSocket.reply, server_cid = self.server_response()
+        FakeSocket.reply, server_cid = self.server_response(tmp_path)
         transport = RawNetworkTransport(seed=1)
         assert transport.handshake(self.VIP, 40000) == server_cid
         assert sleeps == []

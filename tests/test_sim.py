@@ -2,10 +2,10 @@
 connection-state semantics, and capture determinism."""
 
 import hashlib
+import io
 import re
 import struct
 import tracemalloc
-from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -20,12 +20,10 @@ from quicscope.sim import (
     _DEPLOYMENT_FIELDS,
     _FLOOD_FIELDS,
     _PROFILE_FIELDS,
-    COMPACTION_FLOOR,
     ClusterConfig,
     Connection,
     DeploymentConfig,
     DeploymentSimulator,
-    Disposition,
     FloodConfig,
     FrontendCluster,
     InvalidConfig,
@@ -38,7 +36,6 @@ from quicscope.sim import (
     client_ack_payload,
     client_initial_payload,
     default_stack_profile,
-    handle_packet,
     route,
     simulate_flood,
 )
@@ -255,7 +252,6 @@ class TestVirtualClock:
         assert fired == []
 
     @given(
-        st.sampled_from([0, 4, COMPACTION_FLOOR]),
         st.lists(
             st.one_of(
                 st.tuples(st.just("schedule"), st.sampled_from([0.0, 0.5, 1.0, 2.0])),
@@ -266,37 +262,33 @@ class TestVirtualClock:
         ),
     )
     # the live events fire and leave the cancelled one the whole heap
-    @example(0, [("schedule", 2.0), ("schedule", 0.0), ("schedule", 0.0), ("cancel", 0), ("run", 0.5)])
+    @example([("schedule", 2.0), ("schedule", 0.0), ("schedule", 0.0), ("cancel", 0), ("run", 0.5)])
     @settings(derandomize=True, max_examples=50, deadline=None)
-    def test_matches_a_sorted_list_and_stays_compact(self, floor, operations):
+    def test_matches_a_sorted_list(self, operations):
         # repeated times, cancellations (of pending, fired and cancelled
-        # events) and runs; the floor is lowered too, so that small schedules
-        # are rebuilt as well
-        with mock.patch("quicscope.sim.COMPACTION_FLOOR", floor):
-            clock = VirtualClock()
-            fired, events = [], []
-            pending = []  # the reference: (time, seq) of each live event
-            reference_fired = []
-            for op, value in operations:
-                if op == "schedule":
-                    seq = len(events)
-                    events.append(clock.schedule(clock.now + value, lambda seq=seq: fired.append(seq)))
-                    pending.append((clock.now + value, seq))
-                elif op == "cancel" and events:
-                    seq = value % len(events)
-                    clock.cancel(events[seq])
-                    pending = [entry for entry in pending if entry[1] != seq]
-                elif op == "run":
-                    until = clock.now + value
-                    clock.run_until(until)
-                    reference_fired.extend(seq for _, seq in sorted(e for e in pending if e[0] <= until))
-                    pending = [entry for entry in pending if entry[0] > until]
-                assert fired == reference_fired
-                assert len(clock._heap) <= 2 * len(pending) + floor
-                assert clock._cancelled == sum(event.fn is None for _, _, event in clock._heap)
-                assert sorted(seq for _, seq, event in clock._heap if event.fn is not None) == sorted(
-                    seq for _, seq in pending
-                )
+        # events) and runs
+        clock = VirtualClock()
+        fired, events = [], []
+        pending = []  # the reference: (time, seq) of each live event
+        reference_fired = []
+        for op, value in operations:
+            if op == "schedule":
+                seq = len(events)
+                events.append(clock.schedule(clock.now + value, lambda seq=seq: fired.append(seq)))
+                pending.append((clock.now + value, seq))
+            elif op == "cancel" and events:
+                seq = value % len(events)
+                clock.cancel(events[seq])
+                pending = [entry for entry in pending if entry[1] != seq]
+            elif op == "run":
+                until = clock.now + value
+                clock.run_until(until)
+                reference_fired.extend(seq for _, seq in sorted(e for e in pending if e[0] <= until))
+                pending = [entry for entry in pending if entry[0] > until]
+            assert fired == reference_fired
+            assert sorted(seq for _, seq, event in clock._heap if event.fn is not None) == sorted(
+                seq for _, seq in pending
+            )
 
     def test_no_scheduling_in_the_past(self):
         clock = VirtualClock()
@@ -369,52 +361,66 @@ class TestServeInitial:
         assert all(len(d.payload) == 1200 for d in initial_datagrams)
 
 
-class TestHandlePacket:
-    def setup_method(self):
-        cfg = DeploymentConfig(clusters=[cluster_config(operator="Facebook")], seed=9)
-        self.sim = DeploymentSimulator(cfg)
-        self.cluster = self.sim.clusters[0]
-        self.vip = self.cluster.vips[0]
-        self.tup = ("10.0.0.1", self.vip, 4000, 443, 17)
-        initial = client_initial(dcid=b"\x77" * 8, scid=b"\x88" * 8)
-        instance = route(self.cluster, self.tup)
-        self.conn = self.sim.serve_initial(self.cluster, instance, initial, self.tup)
-        self.instance = instance
+class TestConnectionState:
+    """deliver's decision for a packet on a live server CID. The cluster is
+    CID-aware, so a fresh 5-tuple reaches the instance holding the CID, and
+    writes a capture, so the connection has resends to cancel."""
 
-    def test_fresh_initial_reusing_live_cid_discarded(self):
-        packet = client_initial(dcid=self.conn.server_cid, scid=b"\x99" * 8)
-        disposition, _ = handle_packet(self.instance, packet, ("10.0.0.2", self.vip, 5000, 443, 17))
-        assert disposition == Disposition.SILENT_DISCARD
+    def setup_method(self):
+        cfg = DeploymentConfig(clusters=[cluster_config(mode=RoutingMode.CID_AWARE)], seed=9)
+        self.sim = DeploymentSimulator(cfg, capture=PcapWriter(io.BytesIO()))
+        self.cluster = self.sim.clusters[0]
+        self.conn = self.deliver("10.0.0.1", 4000, dcid=b"\x77" * 8, scid=b"\x88" * 8)
+        self.resend = self.conn.resend
+
+    def deliver(self, src, port, dcid, scid, packet_type=PacketType.INITIAL):
+        payload = encode_long_header(packet_type, 1, dcid, scid, b"\x5a" * 50)
+        return self.sim.deliver(Datagram(self.sim.clock.now, src, self.cluster.vips[0], port, 443, payload))
+
+    # another client CID, another 5-tuple, or both
+    @pytest.mark.parametrize(
+        "src, port, scid",
+        [("10.0.0.2", 5000, b"\x99" * 8), ("10.0.0.2", 5000, b"\x88" * 8), ("10.0.0.1", 4000, b"\x99" * 8)],
+        ids=["new-cid-new-tuple", "same-cid-new-tuple", "new-cid-same-tuple"],
+    )
+    def test_fresh_initial_reusing_live_cid_discarded(self, src, port, scid):
+        assert self.deliver(src, port, dcid=self.conn.server_cid, scid=scid) is None
+        assert list(self.cluster.connections) == [self.conn]
+        assert self.conn.resend is self.resend and self.resend.fn is not None
 
     def test_unknown_dcid_initial_is_new_connection(self):
-        packet = client_initial(dcid=b"\x01" * 8, scid=b"\x02" * 8)
-        disposition, _ = handle_packet(self.instance, packet, ("10.0.0.3", self.vip, 6000, 443, 17))
-        assert disposition == Disposition.NEW_CONNECTION
+        conn = self.deliver("10.0.0.3", 6000, dcid=b"\x01" * 8, scid=b"\x02" * 8)
+        assert conn is not None and conn.client_cid == b"\x02" * 8
+        assert list(self.cluster.connections) == [self.conn, conn]
+
+    def test_unknown_dcid_handshake_is_discarded(self):
+        assert self.deliver("10.0.0.3", 6000, b"\x01" * 8, b"\x02" * 8, PacketType.HANDSHAKE) is None
+        assert list(self.cluster.connections) == [self.conn]
 
     def test_consistent_continuation_accepted(self):
-        ack = client_initial(dcid=self.conn.server_cid, scid=b"\x88" * 8)
-        disposition, conn = handle_packet(self.instance, ack, self.tup)
-        assert disposition == Disposition.ACCEPT
-        assert conn is self.conn
+        assert self.deliver("10.0.0.1", 4000, dcid=self.conn.server_cid, scid=b"\x88" * 8) is None
+        assert list(self.cluster.connections) == [self.conn]
+        assert self.conn.resend is None and self.resend.fn is None
 
     def test_state_expires_after_lifetime(self):
-        packet = client_initial(dcid=self.conn.server_cid, scid=b"\x99" * 8)
-        tup = ("10.0.0.2", self.vip, 5000, 443, 17)
-        self.cluster.expire(239.9)
-        before, _ = handle_packet(self.instance, packet, tup)
-        assert before == Disposition.SILENT_DISCARD
-        self.cluster.expire(240.0)
-        after, _ = handle_packet(self.instance, packet, tup)
-        assert after == Disposition.NEW_CONNECTION
-        assert self.instance.connection_table == {}
-        assert not self.cluster.connections
+        self.sim.clock.run_until(239.9)
+        assert self.deliver("10.0.0.2", 5000, dcid=self.conn.server_cid, scid=b"\x99" * 8) is None
+        assert list(self.cluster.connections) == [self.conn]
+        self.sim.clock.run_until(240.0)
+        conn = self.deliver("10.0.0.2", 5000, dcid=self.conn.server_cid, scid=b"\x99" * 8)
+        assert conn is not None and conn.client_cid == b"\x99" * 8
+        # the held CID names its host ID, so the new connection opens there
+        assert conn.instance is self.conn.instance
+        assert self.conn.instance.connection_table == {conn.server_cid: conn}
+        assert self.cluster.cid_directory == {conn.server_cid: conn}
+        assert list(self.cluster.connections) == [conn]
 
 
 class TestDeliver:
     def test_returns_the_connection_it_opened(self):
-        from quicscope.sim import client_ack_payload
-
-        sim = DeploymentSimulator(DeploymentConfig(clusters=[cluster_config()], seed=9), truth=[])
+        sim = DeploymentSimulator(
+            DeploymentConfig(clusters=[cluster_config()], seed=9), capture=PcapWriter(io.BytesIO()), truth=[]
+        )
         vip = sim.clusters[0].vips[0]
 
         def from_client(payload):
@@ -441,7 +447,9 @@ class TestDeliver:
             parse_long_header(NO_PACKET_PAYLOADS["cut-inside-scid"])
 
     def test_coalesced_datagram_is_routed_by_its_first_packet(self):
-        sim = DeploymentSimulator(DeploymentConfig(clusters=[cluster_config()], seed=9), truth=[])
+        sim = DeploymentSimulator(
+            DeploymentConfig(clusters=[cluster_config()], seed=9), capture=PcapWriter(io.BytesIO()), truth=[]
+        )
         cluster = sim.clusters[0]
 
         def from_client(payload):
@@ -490,27 +498,29 @@ class TestExpiry:
         assert first.instance.connection_table == {}
 
 
-class TestInboxResend:
-    def test_resend_round_repeats_the_payloads_at_the_resend_time(self):
-        sim = DeploymentSimulator(DeploymentConfig(clusters=[cluster_config()], seed=9))
-        vip = sim.clusters[0].vips[0]
-        rto = sim.clusters[0].profile.initial_rto
-        inbox = sim.register_inbox("10.0.0.1")
-        body = encode_long_header(PacketType.INITIAL, 1, b"\x10" * 8, b"\x20" * 8, b"\x5a" * 50)
-        conn = sim.deliver(Datagram(0.0, "10.0.0.1", vip, 4000, 443, body))
-        first = list(inbox)
-        # Facebook answers with an Initial and a Handshake datagram
-        assert [(d.timestamp, d.src_ip, d.dst_ip, d.dst_port) for d in first] == [(0.0, vip, "10.0.0.1", 4000)] * 2
-        # no ACK came, so the first resend fires at initial_rto and the second
-        # only at twice that
-        sim.clock.run_until(1.5 * rto)
-        resent = inbox[len(first):]
-        assert [d.payload for d in resent] == [d.payload for d in first]
-        assert [d.timestamp for d in resent] == [rto] * len(first)
-        assert [(d.src_ip, d.dst_ip, d.src_port, d.dst_port) for d in resent] == [
-            (d.src_ip, d.dst_ip, d.src_port, d.dst_port) for d in first
-        ]
-        assert conn.resend is not None
+class TestCaptureCarriesTruth:
+    @pytest.mark.parametrize("operator", ["Facebook", "Google", "Cloudflare"])
+    def test_every_response_carries_its_truth_rows_scid(self, tmp_path, operator):
+        # the first packet of each response datagram, resends included, names
+        # the server CID its handshake's truth row records
+        cfg = DeploymentConfig(
+            clusters=[cluster_config(vip_count=3, l7lb_count=6, operator=operator)],
+            flood=FloodConfig(
+                sources=[f"100.64.0.{i}" for i in range(1, 11)],
+                duration=30.0,
+                sessions_per_vip=8,
+                arrival_window=5.0,
+                ack_probability=0.5,
+            ),
+            seed=3,
+        )
+        truth, datagrams = simulate_to_pcap(cfg, tmp_path / "capture.pcap")
+        by_client = {(t.vip, t.source, t.source_port): t.server_scid for t in truth}
+        assert len(by_client) == len(truth) == 24
+        assert len(datagrams) > len(truth)
+        for d in datagrams:
+            assert parse_long_header(d.payload).scid == by_client[(d.src_ip, d.dst_ip, d.dst_port)]
+        assert {(d.src_ip, d.dst_ip, d.dst_port) for d in datagrams} == set(by_client)
 
 
 class TestScidCollisions:
@@ -925,10 +935,15 @@ class TestDeploymentConfigFields:
             ({}, {"duration": -5.0}, "duration must be >= 0, got -5.0"),
             ({}, {"sessions_per_vip": 0}, "sessions_per_vip must be >= 1, got 0"),
             ({}, {"sessions_per_vip": -2}, "sessions_per_vip must be >= 1, got -2"),
+            ({}, {"ack_probability": 1.5}, "ack_probability must be in [0, 1], got 1.5"),
+            ({}, {"ack_probability": -3.0}, "ack_probability must be in [0, 1], got -3.0"),
+            ({"profile": {"initial_rto": 0.4, "max_retransmissions": 3, "backoff_base": 0.5}}, {}, "backoff_base must be >= 1, got 0.5"),
+            ({"profile": {"initial_rto": 0.4, "max_retransmissions": 3, "backoff_base": -2.0}}, {}, "backoff_base must be >= 1, got -2.0"),
         ],
         ids=[
             "vip-octet", "vip-ipv6", "vip-base-name", "vip-range-past-end", "source-name", "source-base-octet",
-            "negative-duration", "no-sessions-per-vip", "negative-sessions-per-vip",
+            "negative-duration", "no-sessions-per-vip", "negative-sessions-per-vip", "ack-probability-above-one",
+            "negative-ack-probability", "backoff-base-below-one", "negative-backoff-base",
         ],
     )
     def test_rejected_values(self, cluster, flood, message):
