@@ -316,7 +316,8 @@ def cmd_scid(args) -> int:
         populations = {"all": scids}
     elif args.datagrams:
         rows = tables.load_datagrams(_require(args.datagrams, "datagram store"))
-        responses = (row for row in rows if row.direction is Direction.RESPONSE)
+        response = Direction.RESPONSE
+        responses = (row for row in rows if row.direction is response)
         traits = group_traits(responses, _operator_or_unknown, shapes=False)
         populations = {op: sorted(t.scids) for op, t in traits.items() if not args.operator or op == args.operator}
     else:
@@ -394,7 +395,8 @@ def cmd_classify(args) -> int:
     params = offnet.RuleParams.load(_require(args.rules, "rule set")) if args.rules else offnet.RuleParams()
 
     sessionizer = Sessionizer(args.idle_gap)
-    responses = (sessionizer.add(row) for row in rows if row.direction is Direction.RESPONSE)
+    response = Direction.RESPONSE
+    responses = (sessionizer.add(row) for row in rows if row.direction is response)
     traits = group_traits(responses, lambda row: (row.src_ip, row.operator))
     sessions = _group(sessionizer.sessions(), lambda session: session.key.src_ip)
     # on-net responses of the target operator provide the packet-length reference

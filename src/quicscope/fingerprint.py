@@ -68,8 +68,9 @@ def version_tally(sessions: Iterable[Session], registry: VersionRegistry) -> Ver
     missing from the registry land in the `others` bucket. Response sessions
     reflect the server side, request sessions the client side."""
     tally = VersionTally({})
+    response = Direction.RESPONSE
     for session in sessions:
-        role = Role.SERVER if session.direction == Direction.RESPONSE else Role.CLIENT
+        role = Role.SERVER if session.direction is response else Role.CLIENT
         label = registry.label(session.version)
         tally.add(role, label if label is not None else OTHERS_LABEL)
     return tally
@@ -96,6 +97,10 @@ class RtoEstimate(CheckedTuple, _RtoEstimateFields):
         return self
 
 
+# resend_rounds reads these per session
+_ROUND_TYPES = (PacketType.INITIAL, PacketType.HANDSHAKE)
+
+
 def resend_rounds(session: Session) -> list[float]:
     """Distinct send instants of Initial/Handshake packets in a session.
 
@@ -103,7 +108,7 @@ def resend_rounds(session: Session) -> list[float]:
     server that ships Initial and Handshake as two datagrams still counts one
     round per timeout, matching how retransmission counts are reported.
     """
-    offsets = sorted(session.timeline.offsets((PacketType.INITIAL, PacketType.HANDSHAKE)))
+    offsets = sorted(session.timeline.offsets(_ROUND_TYPES))
     rounds: list[float] = []
     for off in offsets:
         if not rounds or off - rounds[-1] > ROUND_MERGE_TOLERANCE:
@@ -183,7 +188,6 @@ class FingerprintProfile(NamedTuple):
     operator: str
     rto: RtoEstimate
     coalescence: bool
-    server_chosen_ids: bool
     structured_scids: bool
 
 
@@ -197,7 +201,6 @@ _KNOWN_PROFILE_FIELDS = {
     "initial_rto": of_type(float),
     "backoff_base": of_type(float),
     "coalescence": of_type(bool),
-    "server_chosen_ids": of_type(bool),
     "structured_scids": of_type(bool),
 }
 _known_profile = object_of(_KNOWN_PROFILE_FIELDS, required=tuple(_KNOWN_PROFILE_FIELDS))
@@ -217,9 +220,7 @@ def load_known_profiles(path: Optional[str | Path] = None) -> list[FingerprintPr
             raise FingerprintError(f"{path}: profile {operator!r} is missing key {exc.args[0]!r}") from None
         except (TypeError, ValueError) as exc:
             raise FingerprintError(f"{path}: profile {operator!r}: {exc}") from None
-        profiles.append(
-            FingerprintProfile(operator, rto, cfg["coalescence"], cfg["server_chosen_ids"], cfg["structured_scids"])
-        )
+        profiles.append(FingerprintProfile(operator, rto, cfg["coalescence"], cfg["structured_scids"]))
     return profiles
 
 
@@ -254,11 +255,4 @@ def observed_profile(
     estimate of its sessions, the traits of its datagrams, and (optionally)
     an SCID scheme classification."""
     structured = scheme is not None and scheme.kind == SchemeKind.STRUCTURED
-    server_chosen = scheme is None or scheme.kind != SchemeKind.ECHO_OF_CLIENT_DCID
-    return FingerprintProfile(
-        operator=operator,
-        rto=rto,
-        coalescence=traits.coalescence,
-        server_chosen_ids=server_chosen,
-        structured_scids=structured,
-    )
+    return FingerprintProfile(operator=operator, rto=rto, coalescence=traits.coalescence, structured_scids=structured)

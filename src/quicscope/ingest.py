@@ -158,10 +158,11 @@ def ingest(
     if config is None:
         config = PlausibilityConfig(VersionRegistry.default())
     new = tuple.__new__
+    non_quic, response = Direction.NON_QUIC, Direction.RESPONSE
     for d in datagrams:
         counters.total += 1
         direction = classify_direction(d)
-        if direction == Direction.NON_QUIC:
+        if direction is non_quic:
             counters.non_quic_port += 1
             continue
         packets = split_coalesced(d.payload)
@@ -174,7 +175,7 @@ def ingest(
                 counters.implausible += 1
             continue
         counters.emitted += 1
-        if direction == Direction.RESPONSE:
+        if direction is response:
             counters.responses_seen += 1
             server_ip = d.src_ip
         else:

@@ -20,7 +20,7 @@ from typing import Iterable, Iterator, NamedTuple, Optional, Protocol
 from . import CheckedTuple, PreconditionError
 from .scid import facebook_host_id
 from .sim import QUIC_PORT, DeploymentSimulator, NotAVip, client_initial_payload
-from .wire import Datagram, WireError, parse_long_header
+from .wire import WireError, parse_long_header
 
 DEFAULT_PROBE_INTERVAL = 1.0
 DEFAULT_MAX_WAIT = 600.0
@@ -74,10 +74,9 @@ class Transport(Protocol):
 class SimulatorTransport:
     """Loopback transport driving a DeploymentSimulator on its virtual clock.
 
-    A handshake is one deliver() of the client Initial; the server SCID is
-    that of the connection it opened, the SCID the server's response
-    carries. No ACK follows: a simulator with a capture writes its resends
-    there, and one without schedules none.
+    A handshake is one deliver() of the client Initial from
+    SIMULATOR_CLIENT_IP; it returns the SCID of the connection that opened,
+    which the server's response carries. No ACK follows.
     """
 
     def __init__(self, sim: DeploymentSimulator, seed: int = 0):
@@ -102,12 +101,7 @@ class SimulatorTransport:
         if scid is None:
             scid = self.rng.randbytes(8)
         try:
-            conn = self.sim.deliver(
-                Datagram(
-                    self.sim.clock.now, SIMULATOR_CLIENT_IP, vip, src_port, QUIC_PORT,
-                    client_initial_payload(dcid, scid),
-                )
-            )
+            conn = self.sim.deliver(SIMULATOR_CLIENT_IP, vip, src_port, client_initial_payload(dcid, scid))
         except NotAVip as exc:
             raise TransportUnavailable(str(exc)) from exc
         return None if conn is None else conn.server_cid

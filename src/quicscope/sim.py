@@ -7,10 +7,10 @@ are inconsistent with live connection state. A seeded virtual clock makes
 every scenario replayable down to identical capture bytes.
 
 The pcap writer the simulator is given is its only sink: each connection's
-response round is encoded once and written in emission order, and its resend
-rounds repeat the same bytes at later clock times. With no writer, no
-response is built and no resend scheduled. Ground-truth rows go only to the
-list or writer the simulator is given, so probe campaigns keep none.
+response round is encoded once, held by the connection and written again at
+each resend time until the client ACKs. With no writer, no response is built
+and no resend scheduled. Ground-truth rows go only to the list or writer the
+simulator is given, so probe campaigns keep none.
 """
 
 from __future__ import annotations
@@ -45,20 +45,20 @@ INITIAL_FILLER = b"\x5a" * 120
 HANDSHAKE_FILLER = b"\x5b" * 90
 DEFAULT_STATE_LIFETIME = 240.0
 DEFAULT_VERSION = 0x00000001
-# deliver reads this per datagram; an Enum member read as a class attribute
-# costs about 100 ns more than a module name
-_INITIAL = PacketType.INITIAL
+# read per datagram or per connection; an Enum member read as a class
+# attribute costs about 100 ns more than a module name
+_INITIAL, _HANDSHAKE = PacketType.INITIAL, PacketType.HANDSHAKE
 
 
 def client_initial_payload(dcid: bytes, scid: bytes) -> bytes:
     """A client's first Initial, zero-padded to the 1,200-byte minimum
     datagram size of RFC 9000 section 14.1."""
-    return encode_long_header(PacketType.INITIAL, DEFAULT_VERSION, dcid, scid, INITIAL_FILLER).ljust(1200, b"\x00")
+    return encode_long_header(_INITIAL, DEFAULT_VERSION, dcid, scid, INITIAL_FILLER).ljust(1200, b"\x00")
 
 
 def client_ack_payload(server_scid: bytes, client_scid: bytes) -> bytes:
     """The unpadded client Initial that acknowledges a server's response."""
-    return encode_long_header(PacketType.INITIAL, DEFAULT_VERSION, server_scid, client_scid, b"\x01")
+    return encode_long_header(_INITIAL, DEFAULT_VERSION, server_scid, client_scid, b"\x01")
 
 
 class SimError(ValueError):
@@ -140,9 +140,12 @@ def default_stack_profile(operator: str) -> StackProfile:
 
 class Connection:
     """One server connection on the instance that serves it; every probe
-    handshake keeps one for the state lifetime, so it carries no dict."""
+    handshake keeps one for the state lifetime, so it carries no dict.
+    `packets` holds the response round's IPv4+UDP packets while resend
+    rounds are pending; it is None once the client ACKs or the last round
+    has been written."""
 
-    __slots__ = ("server_cid", "client_cid", "five_tuple", "instance", "expires_at", "resend")
+    __slots__ = ("server_cid", "client_cid", "five_tuple", "instance", "expires_at", "packets")
 
     def __init__(
         self, server_cid: bytes, client_cid: bytes, five_tuple: tuple, instance: L7LBInstance, expires_at: float
@@ -152,7 +155,7 @@ class Connection:
         self.five_tuple = five_tuple
         self.instance = instance
         self.expires_at = expires_at
-        self.resend: Optional[Event] = None
+        self.packets: Optional[list[bytes]] = None
 
 
 class L7LBInstance(NamedTuple):
@@ -166,47 +169,29 @@ class L7LBInstance(NamedTuple):
 # --- virtual clock -----------------------------------------------------------
 
 
-class Event:
-    """A scheduled callback; `fn` is None once the event has fired or been
-    cancelled through VirtualClock.cancel."""
-
-    __slots__ = ("fn",)
-
-    def __init__(self, fn: Callable[[], None]):
-        self.fn = fn
-
-
 class VirtualClock:
-    """Event-driven clock; identical schedules replay identically, since
-    entries order by (time, seq), a total order. A cancelled event stays in
-    the heap, without its callback, until its time comes."""
+    """Event-driven clock over a heap of (time, seq, callback); identical
+    schedules replay identically, since entries order by (time, seq), a
+    total order. Nothing is cancelled: a callback with nothing left to do
+    returns at once."""
 
     def __init__(self) -> None:
         self.now = 0.0
-        self._heap: list[tuple[float, int, Event]] = []
+        self._heap: list[tuple[float, int, Callable[[], None]]] = []
         self._seq = 0
 
-    def schedule(self, at: float, fn: Callable[[], None]) -> Event:
+    def schedule(self, at: float, fn: Callable[[], None]) -> None:
         if at < self.now:
             raise SimError(f"cannot schedule at {at} before now {self.now}")
-        event = Event(fn)
-        heapq.heappush(self._heap, (at, self._seq, event))
+        heapq.heappush(self._heap, (at, self._seq, fn))
         self._seq += 1
-        return event
-
-    def cancel(self, event: Event) -> None:
-        """Keep a pending event from firing and let go of its callback and
-        what that holds."""
-        event.fn = None
 
     def run_until(self, t: float) -> None:
         """Fire all events with time <= t, then advance to t."""
-        while self._heap and self._heap[0][0] <= t:
-            at, _, event = heapq.heappop(self._heap)
-            fn, event.fn = event.fn, None
-            if fn is not None:
-                self.now = at
-                fn()
+        heap = self._heap
+        while heap and heap[0][0] <= t:
+            self.now, _, fn = heapq.heappop(heap)
+            fn()
         if t > self.now:
             self.now = t
 
@@ -288,7 +273,7 @@ class FrontendCluster:
         self.vips = list(config.vips)
         self.vip_set = set(config.vips)
         self.instances = [L7LBInstance(h, {}) for h in config.instance_host_ids()]
-        self.routing_mode = config.routing_mode
+        self.cid_aware = config.routing_mode is RoutingMode.CID_AWARE
         self.profile = config.profile
         self.workers = config.workers
         self.state_lifetime = config.state_lifetime
@@ -312,7 +297,6 @@ class FrontendCluster:
         # list that never hands one out, up to 2,000 of them
         self._lanes_buffer = bytearray(n * _LANE_BITS // 8)
         self._lanes_weights = memoryview(self._lanes_buffer).cast("Q")[_LOW_HALVES]
-        self._last_pick: tuple[Optional[tuple], Optional[L7LBInstance]] = (None, None)
 
     def rendezvous(self, five_tuple: tuple) -> L7LBInstance:
         """The instance whose splitmix64(instance key ^ tuple key) weight is
@@ -321,23 +305,14 @@ class FrontendCluster:
         Every instance's splitmix64 runs at once, in its own 128-bit lane of
         one int: each lane is cut back to 64 bits before a multiply, so the
         product stays in the lane, and a right shift's spill from the lane
-        above lands in the upper half, which the next mask or the read clears.
-
-        The instances never change, so the last (5-tuple, instance) pick is
-        kept: a client's ACK, sent on the 5-tuple its Initial was just routed
-        by, is not hashed again."""
-        last_tuple, last_instance = self._last_pick
-        if five_tuple == last_tuple:
-            return last_instance
+        above lands in the upper half, which the next mask or the read clears."""
         mask = self._lanes_mask
         z = ((self._lanes_keys ^ _key64("%s|%s|%s|%s|%s" % five_tuple) * self._lanes_ones) + self._lanes_golden) & mask
         z = ((z ^ (z >> 30)) & mask) * 0xBF58476D1CE4E5B9 & mask
         z = ((z ^ (z >> 27)) & mask) * 0x94D049BB133111EB & mask
         self._lanes_buffer[:] = (z ^ (z >> 31)).to_bytes(len(self._lanes_buffer), sys.byteorder)
         weights = self._lanes_weights.tolist()
-        instance = self.instances[weights.index(max(weights))]
-        self._last_pick = (five_tuple, instance)
-        return instance
+        return self.instances[weights.index(max(weights))]
 
     def expire(self, now: float) -> None:
         """Drop every connection whose state lifetime has ended by `now`.
@@ -367,7 +342,7 @@ def route(cluster: FrontendCluster, five_tuple: tuple, dcid: Optional[bytes] = N
     dst_ip = five_tuple[1]
     if dst_ip not in cluster.vip_set:
         raise NotAVip(f"{dst_ip} is not a VIP of this cluster")
-    if cluster.routing_mode == RoutingMode.CID_AWARE and dcid:
+    if cluster.cid_aware and dcid:
         conn = cluster.cid_directory.get(dcid)
         if conn is not None:
             return conn.instance
@@ -632,8 +607,8 @@ class DeploymentSimulator:
         from the VIP and port the client addressed back to the client."""
         profile = cluster.profile
         dcid, scid = conn.client_cid, conn.server_cid
-        initial = encode_long_header(PacketType.INITIAL, profile.version, dcid, scid, INITIAL_FILLER)
-        handshake = encode_long_header(PacketType.HANDSHAKE, profile.version, dcid, scid, HANDSHAKE_FILLER)
+        initial = encode_long_header(_INITIAL, profile.version, dcid, scid, INITIAL_FILLER)
+        handshake = encode_long_header(_HANDSHAKE, profile.version, dcid, scid, HANDSHAKE_FILLER)
         if profile.coalescence:
             bodies = ((initial + handshake, "Initial & Handshake"),)
         else:
@@ -657,7 +632,7 @@ class DeploymentSimulator:
         """Open a connection for the Initial that arrived on `five_tuple` and,
         with a capture, write the response schedule: one immediate round plus
         up to max_retransmissions resend rounds at offsets initial_rto *
-        backoff_base**k, cancelled by a client ACK. The round is built once;
+        backoff_base**k, stopped by a client ACK. The round is built once;
         every resend repeats its bytes at the resend's time."""
         profile = cluster.profile
         now = self.clock.now
@@ -666,7 +641,7 @@ class DeploymentSimulator:
         instance.connection_table[scid] = conn
         cluster.connections.append(conn)
         # route() reads the directory only in CID-aware mode
-        if cluster.routing_mode is RoutingMode.CID_AWARE:
+        if cluster.cid_aware:
             cluster.cid_directory[scid] = conn
         client_ip, vip, client_port = five_tuple[:3]
         if self.truth is not None:
@@ -690,61 +665,57 @@ class DeploymentSimulator:
 
         # IP ID 0 and TTL 64 leave the checksums depending only on addresses,
         # ports and payload, so every round's packets are the same bytes
-        packets = [build_ipv4_udp(d) for d in self._response_datagrams(cluster, conn)]
-
-        def resend(at: float) -> None:
-            for packet in packets:
-                self._capture.write(at, packet)
-
-        resend(now)
-        self._emit_round(conn, profile, resend, now, 0)
+        conn.packets = [build_ipv4_udp(d) for d in self._response_datagrams(cluster, conn)]
+        self._emit_round(conn, profile, now, 0)
         return conn
 
-    def _emit_round(
-        self, conn: Connection, profile: StackProfile, resend: Callable[[float], None], start: float, k: int
-    ) -> None:
-        """Resend round k of the schedule that opened at `start`, then
-        schedule round k + 1. Round 0 went out in serve_initial, and each
-        round schedules only the next, so an ACK cancels one event. A method,
-        not a closure in serve_initial: a closure that schedules itself is a
-        reference cycle, which would keep each connection's response
-        datagrams until the garbage collector runs."""
-        if k:
-            resend(self.clock.now)
+    def _emit_round(self, conn: Connection, profile: StackProfile, start: float, k: int) -> None:
+        """Write round k of the schedule that opened at `start` at the
+        current time, then schedule round k + 1, or drop the packets after
+        the last round. A round whose connection was ACKed writes nothing.
+        A method, not a closure in serve_initial: a closure that schedules
+        itself is a reference cycle, which would keep each connection's
+        packets until the garbage collector runs."""
+        packets = conn.packets
+        if packets is None:
+            return
+        now = self.clock.now
+        for packet in packets:
+            self._capture.write(now, packet)
         if k < profile.max_retransmissions:
             at = start + profile.initial_rto * profile.backoff_base**k
-            conn.resend = self.clock.schedule(at, lambda: self._emit_round(conn, profile, resend, start, k + 1))
+            self.clock.schedule(at, lambda: self._emit_round(conn, profile, start, k + 1))
         else:
-            conn.resend = None
+            conn.packets = None
 
-    def deliver(self, d: Datagram) -> Optional[Connection]:
-        """Process one client datagram arriving at a VIP at the current time,
-        after the connections that expired by then are dropped; returns the
-        connection it opened, if any.
+    def deliver(self, src_ip: str, vip: str, src_port: int, payload: bytes) -> Optional[Connection]:
+        """Process one client datagram from (src_ip, src_port) to a VIP's
+        QUIC port at the current time, after the connections that expired by
+        then are dropped; returns the connection it opened, if any.
 
         The first packet's DCID is looked up on the instance it routes to. An
         unknown CID opens a connection only for an Initial. A fresh Initial
         reusing a live server CID, from another client CID or 5-tuple, is
         silently discarded. Any other packet on a live CID is a consistent
-        continuation, which confirms the handshake and cancels the resends."""
-        cluster = self.cluster_for(d.dst_ip)
+        continuation, which confirms the handshake and drops the packets its
+        pending resends would write."""
+        cluster = self.cluster_for(vip)
         cluster.expire(self.clock.now)
         # only the first packet of a datagram is read; one that does not
         # parse, padding or an empty payload included, is no packet
         try:
-            packet = parse_long_header(d.payload)
+            packet = parse_long_header(payload)
         except WireError:
             return None
-        tup = (d.src_ip, d.dst_ip, d.src_port, d.dst_port, PROTO_UDP)
+        tup = (src_ip, vip, src_port, QUIC_PORT, PROTO_UDP)
         instance = route(cluster, tup, dcid=packet.dcid)
         conn = instance.connection_table.get(packet.dcid)
         initial = packet.packet_type is _INITIAL
         if conn is None:
             return self.serve_initial(cluster, instance, packet, tup) if initial else None
-        fresh_initial = initial and (packet.scid != conn.client_cid or tup != conn.five_tuple)
-        if not fresh_initial and conn.resend is not None:
-            self.clock.cancel(conn.resend)
-            conn.resend = None
+        # every packet but a fresh Initial continues the connection
+        if not initial or (packet.scid == conn.client_cid and tup == conn.five_tuple):
+            conn.packets = None
         return None
 
     # -- flood scenario --
@@ -773,7 +744,7 @@ class DeploymentSimulator:
                 dcid = self.rng.randbytes(8)
                 scid = self.rng.randbytes(8)
                 body = client_initial_payload(dcid, scid)
-                conn = self.deliver(Datagram(self.clock.now, src, vip, src_port, QUIC_PORT, body))
+                conn = self.deliver(src, vip, src_port, body)
                 # the ACK draw happens whether or not a connection opened, so
                 # the random stream does not depend on it
                 if (
@@ -782,13 +753,9 @@ class DeploymentSimulator:
                     and conn is not None
                 ):
                     ack_body = client_ack_payload(conn.server_cid, scid)
-
-                    def send_ack() -> None:
-                        self.deliver(
-                            Datagram(self.clock.now, src, vip, src_port, QUIC_PORT, ack_body)
-                        )
-
-                    self.clock.schedule(self.clock.now + flood.ack_delay, send_ack)
+                    self.clock.schedule(
+                        self.clock.now + flood.ack_delay, lambda: self.deliver(src, vip, src_port, ack_body)
+                    )
 
             return inject
 

@@ -80,6 +80,10 @@ class Direction(Enum):
     NON_QUIC = "non_quic"
 
 
+# classify_direction returns one per datagram
+_REQUEST, _RESPONSE, _NON_QUIC = Direction.REQUEST, Direction.RESPONSE, Direction.NON_QUIC
+
+
 def encode_varint(value: int) -> bytes:
     """Shortest 2-bit-prefix variable-length integer encoding."""
     if value < 0:
@@ -307,10 +311,10 @@ def classify_direction(d: Datagram) -> Direction:
     as a response: in telescope traffic the source port identifies the
     reflecting server."""
     if d.src_port == 443:
-        return Direction.RESPONSE
+        return _RESPONSE
     if d.dst_port == 443:
-        return Direction.REQUEST
-    return Direction.NON_QUIC
+        return _REQUEST
+    return _NON_QUIC
 
 
 def is_greased_version(version: int) -> bool:

@@ -300,7 +300,6 @@ class TestMatchProfile:
             operator="observed",
             rto=RtoEstimate(rto, 2.0, (3, 6), 100),
             coalescence=coalescence,
-            server_chosen_ids=True,
             structured_scids=structured,
         )
 
@@ -331,4 +330,3 @@ class TestMatchProfile:
         assert by_name["Google"].rto.initial_rto == 0.3
         assert by_name["Google"].rto.max_retransmissions == (3, 6)
         assert not by_name["Google"].structured_scids
-        assert not by_name["Google"].server_chosen_ids

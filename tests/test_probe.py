@@ -43,7 +43,7 @@ from quicscope.sim import (
     client_initial_payload,
     default_stack_profile,
 )
-from quicscope.wire import Datagram, parse_long_header
+from quicscope.wire import parse_long_header
 
 from conftest import NO_PACKET_PAYLOADS, harvest_from_ids, written_datagrams
 
@@ -107,18 +107,20 @@ class TestHarvest:
         harvest_host_ids("203.0.113.1", 300, SimulatorTransport(sim, seed=4))
         assert sim.clock._heap == []
 
-    def test_cancelled_resends_release_their_callback(self):
-        # an ACK cancels the pending resend through the clock, which lets go
-        # of its closure and response bytes
-        sim = make_sim(l7lb_count=30, capture=PcapWriter(io.BytesIO()))
-        client = ("192.0.2.1", "203.0.113.1", 5000, 443)
-        conn = sim.deliver(Datagram(0.0, *client, client_initial_payload(b"d" * 8, b"c" * 8)))
-        event = conn.resend
-        assert event.fn is not None
-        sim.deliver(Datagram(0.0, *client, client_ack_payload(conn.server_cid, b"c" * 8)))
-        assert conn.resend is None
-        assert [entry[2] for entry in sim.clock._heap] == [event]
-        assert event.fn is None
+    def test_ack_drops_the_response_packets(self, tmp_path):
+        # an ACK lets go of the connection's response bytes at once; the
+        # pending round still fires, and writes and schedules nothing
+        buffer = io.BytesIO()
+        sim = make_sim(l7lb_count=30, capture=PcapWriter(buffer))
+        client = ("192.0.2.1", "203.0.113.1", 5000)
+        conn = sim.deliver(*client, client_initial_payload(b"d" * 8, b"c" * 8))
+        assert len(conn.packets) == 2
+        sim.deliver(*client, client_ack_payload(conn.server_cid, b"c" * 8))
+        assert conn.packets is None
+        assert len(sim.clock._heap) == 1
+        sim.clock.run_until(sim.clusters[0].profile.initial_rto)
+        assert sim.clock._heap == []
+        assert [d.timestamp for d in written_datagrams(buffer, tmp_path / "capture.pcap")] == [0.0, 0.0]
 
     @pytest.mark.parametrize("mode", [RoutingMode.FIVE_TUPLE, RoutingMode.CID_AWARE])
     def test_state_held_for_one_lifetime(self, mode):
@@ -225,7 +227,7 @@ class TestRawNetworkTransport:
         and the server CID it carries."""
         buffer = io.BytesIO()
         sim = make_sim(capture=PcapWriter(buffer))
-        conn = sim.deliver(Datagram(0.0, "192.0.2.1", self.VIP, 5000, 443, client_initial_payload(b"d" * 8, b"c" * 8)))
+        conn = sim.deliver("192.0.2.1", self.VIP, 5000, client_initial_payload(b"d" * 8, b"c" * 8))
         return written_datagrams(buffer, tmp_path / "capture.pcap")[0].payload, conn.server_cid
 
     def test_handshake_returns_the_server_scid(self, fake, tmp_path):

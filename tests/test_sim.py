@@ -39,7 +39,7 @@ from quicscope.sim import (
     route,
     simulate_flood,
 )
-from quicscope.wire import Datagram, PacketType, TruncatedPacket, encode_long_header, parse_long_header, split_coalesced
+from quicscope.wire import PacketType, TruncatedPacket, encode_long_header, parse_long_header, split_coalesced
 
 from conftest import NO_PACKET_PAYLOADS, sessions_of, simulate_to_pcap
 
@@ -227,8 +227,8 @@ class TestRendezvousEquivalence:
                 17,
             )
             expected = reference_rendezvous(cfg.name, host_ids, tup)
-            assert cluster.rendezvous(tup).host_id == expected  # uncached
-            assert cluster.rendezvous(tup).host_id == expected  # the kept last pick
+            assert cluster.rendezvous(tup).host_id == expected
+            assert cluster.rendezvous(tup).host_id == expected  # the last tuple again
 
 
 class TestVirtualClock:
@@ -242,53 +242,38 @@ class TestVirtualClock:
         assert fired == ["a", "b", "c"]
         assert clock.now == 5.0
 
-    def test_cancellation(self):
-        clock = VirtualClock()
-        fired = []
-        event = clock.schedule(1.0, lambda: fired.append("x"))
-        clock.cancel(event)
-        assert event.fn is None
-        clock.run_until(2.0)
-        assert fired == []
-
     @given(
         st.lists(
             st.one_of(
                 st.tuples(st.just("schedule"), st.sampled_from([0.0, 0.5, 1.0, 2.0])),
-                st.tuples(st.just("cancel"), st.integers(min_value=0, max_value=1000)),
                 st.tuples(st.just("run"), st.sampled_from([0.0, 0.5, 1.0, 3.0])),
             ),
             max_size=300,
         ),
     )
-    # the live events fire and leave the cancelled one the whole heap
-    @example([("schedule", 2.0), ("schedule", 0.0), ("schedule", 0.0), ("cancel", 0), ("run", 0.5)])
+    # the tied events fire in schedule order and leave the later one the whole heap
+    @example([("schedule", 2.0), ("schedule", 0.0), ("schedule", 0.0), ("run", 0.5)])
     @settings(derandomize=True, max_examples=50, deadline=None)
     def test_matches_a_sorted_list(self, operations):
-        # repeated times, cancellations (of pending, fired and cancelled
-        # events) and runs
+        # repeated times and runs
         clock = VirtualClock()
-        fired, events = [], []
-        pending = []  # the reference: (time, seq) of each live event
+        fired = []
+        pending = []  # the reference: (time, seq) of each event not yet fired
         reference_fired = []
+        scheduled = 0
         for op, value in operations:
             if op == "schedule":
-                seq = len(events)
-                events.append(clock.schedule(clock.now + value, lambda seq=seq: fired.append(seq)))
+                seq, scheduled = scheduled, scheduled + 1
+                clock.schedule(clock.now + value, lambda seq=seq: fired.append(seq))
                 pending.append((clock.now + value, seq))
-            elif op == "cancel" and events:
-                seq = value % len(events)
-                clock.cancel(events[seq])
-                pending = [entry for entry in pending if entry[1] != seq]
-            elif op == "run":
+            else:
                 until = clock.now + value
                 clock.run_until(until)
                 reference_fired.extend(seq for _, seq in sorted(e for e in pending if e[0] <= until))
                 pending = [entry for entry in pending if entry[0] > until]
+                assert clock.now == until
             assert fired == reference_fired
-            assert sorted(seq for _, seq, event in clock._heap if event.fn is not None) == sorted(
-                seq for _, seq in pending
-            )
+            assert sorted((at, seq) for at, seq, _ in clock._heap) == sorted(pending)
 
     def test_no_scheduling_in_the_past(self):
         clock = VirtualClock()
@@ -364,18 +349,18 @@ class TestServeInitial:
 class TestConnectionState:
     """deliver's decision for a packet on a live server CID. The cluster is
     CID-aware, so a fresh 5-tuple reaches the instance holding the CID, and
-    writes a capture, so the connection has resends to cancel."""
+    writes a capture, so the connection holds packets for pending resends."""
 
     def setup_method(self):
         cfg = DeploymentConfig(clusters=[cluster_config(mode=RoutingMode.CID_AWARE)], seed=9)
         self.sim = DeploymentSimulator(cfg, capture=PcapWriter(io.BytesIO()))
         self.cluster = self.sim.clusters[0]
         self.conn = self.deliver("10.0.0.1", 4000, dcid=b"\x77" * 8, scid=b"\x88" * 8)
-        self.resend = self.conn.resend
+        self.packets = self.conn.packets
 
     def deliver(self, src, port, dcid, scid, packet_type=PacketType.INITIAL):
         payload = encode_long_header(packet_type, 1, dcid, scid, b"\x5a" * 50)
-        return self.sim.deliver(Datagram(self.sim.clock.now, src, self.cluster.vips[0], port, 443, payload))
+        return self.sim.deliver(src, self.cluster.vips[0], port, payload)
 
     # another client CID, another 5-tuple, or both
     @pytest.mark.parametrize(
@@ -386,7 +371,7 @@ class TestConnectionState:
     def test_fresh_initial_reusing_live_cid_discarded(self, src, port, scid):
         assert self.deliver(src, port, dcid=self.conn.server_cid, scid=scid) is None
         assert list(self.cluster.connections) == [self.conn]
-        assert self.conn.resend is self.resend and self.resend.fn is not None
+        assert self.conn.packets is self.packets and len(self.packets) == 2
 
     def test_unknown_dcid_initial_is_new_connection(self):
         conn = self.deliver("10.0.0.3", 6000, dcid=b"\x01" * 8, scid=b"\x02" * 8)
@@ -400,7 +385,7 @@ class TestConnectionState:
     def test_consistent_continuation_accepted(self):
         assert self.deliver("10.0.0.1", 4000, dcid=self.conn.server_cid, scid=b"\x88" * 8) is None
         assert list(self.cluster.connections) == [self.conn]
-        assert self.conn.resend is None and self.resend.fn is None
+        assert self.conn.packets is None
 
     def test_state_expires_after_lifetime(self):
         self.sim.clock.run_until(239.9)
@@ -424,21 +409,21 @@ class TestDeliver:
         vip = sim.clusters[0].vips[0]
 
         def from_client(payload):
-            return Datagram(sim.clock.now, "10.0.0.1", vip, 4000, 443, payload)
+            return sim.deliver("10.0.0.1", vip, 4000, payload)
 
-        conn = sim.deliver(from_client(encode_long_header(PacketType.INITIAL, 1, b"\x10" * 8, b"\x20" * 8, b"\x5a" * 50)))
+        conn = from_client(encode_long_header(PacketType.INITIAL, 1, b"\x10" * 8, b"\x20" * 8, b"\x5a" * 50))
         assert conn is not None
         assert conn.server_cid == sim.truth[-1].server_scid
-        assert conn.resend is not None
+        assert conn.packets is not None
         # the ACK continues that connection, opens none, and stops its resends
-        assert sim.deliver(from_client(client_ack_payload(conn.server_cid, b"\x20" * 8))) is None
-        assert conn.resend is None
+        assert from_client(client_ack_payload(conn.server_cid, b"\x20" * 8)) is None
+        assert conn.packets is None
 
     @pytest.mark.parametrize("payload", NO_PACKET_PAYLOADS.values(), ids=list(NO_PACKET_PAYLOADS))
     def test_datagram_without_a_packet_is_dropped(self, payload):
         sim = DeploymentSimulator(DeploymentConfig(clusters=[cluster_config()], seed=9), truth=[])
         cluster = sim.clusters[0]
-        assert sim.deliver(Datagram(0.0, "10.0.0.1", cluster.vips[0], 4000, 443, payload)) is None
+        assert sim.deliver("10.0.0.1", cluster.vips[0], 4000, payload) is None
         assert sim.truth == [] and not cluster.connections
         assert all(not instance.connection_table for instance in cluster.instances)
 
@@ -453,18 +438,18 @@ class TestDeliver:
         cluster = sim.clusters[0]
 
         def from_client(payload):
-            return Datagram(sim.clock.now, "10.0.0.1", cluster.vips[0], 4000, 443, payload)
+            return sim.deliver("10.0.0.1", cluster.vips[0], 4000, payload)
 
-        conn = sim.deliver(from_client(client_initial_payload(b"\x10" * 8, b"\x20" * 8)))
+        conn = from_client(client_initial_payload(b"\x10" * 8, b"\x20" * 8))
         ack = client_ack_payload(conn.server_cid, b"\x20" * 8)
         fresh_initial = encode_long_header(PacketType.INITIAL, 1, b"\x11" * 8, b"\x21" * 8, b"\x5a" * 50)
         # a fresh Initial first opens a connection; the ACK behind it is not read
-        second = sim.deliver(from_client(fresh_initial + ack))
+        second = from_client(fresh_initial + ack)
         assert second is not None and second.client_cid == b"\x21" * 8
-        assert conn.resend is not None
+        assert conn.packets is not None
         # the ACK first continues the connection; the Initial behind it opens none
-        assert sim.deliver(from_client(ack + fresh_initial)) is None
-        assert conn.resend is None
+        assert from_client(ack + fresh_initial) is None
+        assert conn.packets is None
         assert list(cluster.connections) == [conn, second]
 
 
@@ -480,18 +465,18 @@ class TestExpiry:
         port = next(p for p in range(4001, 5000) if cluster.rendezvous(("10.0.0.2", vip, p, 443, 17)) is not held)
 
         def from_client(src, src_port, payload):
-            return Datagram(sim.clock.now, src, vip, src_port, 443, payload)
+            return sim.deliver(src, vip, src_port, payload)
 
         prefix = b"\x10" * 8
-        first = sim.deliver(from_client("10.0.0.1", 4000, client_initial_payload(prefix + b"\x01\x01", b"\x21" * 8)))
+        first = from_client("10.0.0.1", 4000, client_initial_payload(prefix + b"\x01\x01", b"\x21" * 8))
         sim.clock.run_until(100.0)
-        second = sim.deliver(from_client("10.0.0.2", port, client_initial_payload(prefix + b"\x02\x02", b"\x22" * 8)))
+        second = from_client("10.0.0.2", port, client_initial_payload(prefix + b"\x02\x02", b"\x22" * 8))
         assert first.server_cid == second.server_cid == prefix
         assert first.instance is held and second.instance is not held
         assert cluster.cid_directory == {prefix: second}
         # the first connection expires as the second client's ACK arrives
         sim.clock.run_until(240.0)
-        assert sim.deliver(from_client("10.0.0.2", port, client_ack_payload(prefix, b"\x22" * 8))) is None
+        assert from_client("10.0.0.2", port, client_ack_payload(prefix, b"\x22" * 8)) is None
         assert list(cluster.connections) == [second]
         assert cluster.cid_directory == {prefix: second}
         assert second.instance.connection_table == {prefix: second}
