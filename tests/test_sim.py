@@ -337,6 +337,22 @@ class TestServeInitial:
         _, datagrams = simulate_to_pcap(cfg, tmp_path / "capture.pcap")
         assert len(datagrams) == 2  # only round 0 before the ACK landed
 
+    def test_last_round_drops_the_packets(self):
+        # without an ACK the connection holds its packets until the last
+        # resend round is written, and then lets go of them
+        sim = DeploymentSimulator(
+            DeploymentConfig(clusters=[cluster_config(operator="Facebook")], seed=3),
+            capture=PcapWriter(io.BytesIO()),
+        )
+        prof = sim.clusters[0].profile
+        conn = sim.deliver("10.0.0.1", sim.clusters[0].vips[0], 4000, client_initial_payload(b"d" * 8, b"c" * 8))
+        last = prof.initial_rto * prof.backoff_base ** (prof.max_retransmissions - 1)
+        sim.clock.run_until(last * 0.99)
+        assert len(conn.packets) == 2 and len(sim.clock._heap) == 1
+        sim.clock.run_until(last)
+        assert conn.packets is None
+        assert sim.clock._heap == []
+
     def test_padding_policy_applied(self, tmp_path):
         _, datagrams = self.run_session(tmp_path, "Facebook")
         initial_datagrams = [
