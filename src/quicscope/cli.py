@@ -32,6 +32,7 @@ ANYCAST_WARNING = (
     "warning: load-balancer probing against real networks is unreliable under "
     "IP anycast; follow-up probes may reach a different site entirely"
 )
+PROFILES_HELP = "known-configuration table (JSON; default: the shipped profiles.json)"
 # the values of probe.PortStrategy, named here so the parser needs no probe import
 PORT_STRATEGIES = ("decreasing_from_max", "random_seeded")
 
@@ -43,7 +44,9 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _require(path: str | None, what: str) -> Path | None:
+def _require(path: str | None, what: str, directory: bool = False) -> Path | None:
+    """The path of an input that must be a file (or, with `directory`, a
+    directory); None stays None."""
     from pathlib import Path
 
     if path is None:
@@ -51,6 +54,8 @@ def _require(path: str | None, what: str) -> Path | None:
     p = Path(path)
     if not p.exists():
         raise FileNotFoundError(f"{what} not found: {p}")
+    if not (p.is_dir() if directory else p.is_file()):
+        raise ValueError(f"{what} is not a {'directory' if directory else 'file'}: {p}")
     return p
 
 
@@ -214,8 +219,9 @@ def _operator_or_unknown(record) -> str:
 
 
 def _check_minimums(args, *options: str) -> None:
-    """Raise ValueError for a minimum count below 0. One would act as 0, so
-    the manifest would record a setting the run did not use as written."""
+    """Raise ValueError for a count option below 0. A negative minimum would
+    act as 0, and a negative --top-lengths would drop the last shape, so the
+    manifest would record a setting the run did not use as written."""
     for option in options:
         value = getattr(args, option[2:].replace("-", "_"))
         if value < 0:
@@ -226,15 +232,12 @@ def cmd_fingerprint(args) -> int:
     from . import fingerprint as fp, scid, tables
     from .ingest import Traits, group_traits
 
-    # top_shapes checks the count only for an operator with datagrams
-    if args.top_lengths < 0:
-        raise ValueError(f"number of top shapes must be >= 0, got {args.top_lengths}")
-    _check_minimums(args, "--min-sessions", "--min-scids")
+    _check_minimums(args, "--min-sessions", "--min-scids", "--top-lengths")
     scid.check_alpha(args.alpha)
     sessions = tables.load_sessions(_require(args.sessions, "session store"))
     traits = group_traits(tables.load_datagrams(_require(args.datagrams, "datagram store")), _operator_or_unknown)
     registry = _registry(args)
-    known = fp.load_known_profiles(args.profiles and _require(args.profiles, "profile table"))
+    known = fp.load_known_profiles(_require(args.profiles, "profile table"))
 
     tally = fp.version_tally(sessions, registry)
     stats_rows = []
@@ -390,9 +393,12 @@ def cmd_classify(args) -> int:
     from .wire import Direction
 
     _check_minimums(args, "--min-rto-sessions")
+    if args.rule != "all" and args.rule not in offnet.RULE_NAMES:
+        raise offnet.UnknownRule(f"no rule named {args.rule!r}")
     rows = tables.load_datagrams(_require(args.datagrams, "datagram store"))
     truth = offnet.GroundTruth.load(_require(args.truth, "ground-truth labels"))
     params = offnet.RuleParams.load(_require(args.rules, "rule set")) if args.rules else offnet.RuleParams()
+    params = params.with_reference(_require(args.profiles, "profile table"))
 
     sessionizer = Sessionizer(args.idle_gap)
     response = Direction.RESPONSE
@@ -413,8 +419,6 @@ def cmd_classify(args) -> int:
         for src in candidates
     }
 
-    if args.rule != "all" and args.rule not in offnet.RULE_NAMES:
-        raise offnet.UnknownRule(f"no rule named {args.rule!r}")
     rules = offnet.RULE_NAMES if args.rule == "all" else (args.rule,)
     feature_rows = []
     for src in candidates:
@@ -573,9 +577,7 @@ def cmd_probe(args) -> int:
 def cmd_report(args) -> int:
     from . import tables
 
-    in_dir = _require(args.in_dir, "input directory")
-    if not in_dir.is_dir():
-        raise ValueError(f"input directory is not a directory: {in_dir}")
+    in_dir = _require(args.in_dir, "input directory", directory=True)
 
     def keyed_rows(name: str, from_row: Callable[[dict[str, str]], tuple], columns: tuple[str, ...] = ()) -> dict:
         """key -> value of each (key, value) that `from_row` makes of a row of
@@ -662,7 +664,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--sessions", required=True)
     p.add_argument("--datagrams", required=True)
-    p.add_argument("--profiles", default=None)
+    p.add_argument("--profiles", default=None, help=PROFILES_HELP)
     p.add_argument("--registry", default=None)
     p.add_argument("--min-sessions", type=int, default=30)
     p.add_argument("--alpha", type=float, default=0.001)
@@ -685,6 +687,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--datagrams", required=True)
     p.add_argument("--truth", required=True)
     p.add_argument("--rules", default=None)
+    p.add_argument("--profiles", default=None, help=PROFILES_HELP)
     p.add_argument("--rule", default="all")
     p.add_argument("--idle-gap", type=float, default=60.0)
     p.add_argument("--min-rto-sessions", type=int, default=5)

@@ -17,7 +17,8 @@ from .tables import list_of, object_of, of_type, read_profiles
 from .wire import Direction, PacketType, VersionRegistry
 
 DEFAULT_MIN_SESSIONS = 30
-RTO_MATCH_TOLERANCE = 0.25
+RTO_TOLERANCE = 0.25
+BACKOFF_TOLERANCE = 0.5
 # Offsets closer than this merge into one resend round (a server that sends
 # Initial and Handshake as two datagrams emits them back to back).
 ROUND_MERGE_TOLERANCE = 1e-3
@@ -116,17 +117,12 @@ def resend_rounds(session: Session) -> list[float]:
     return rounds
 
 
-def resend_count(session: Session) -> int:
-    """Number of resend rounds after the first response."""
-    return max(0, len(resend_rounds(session)) - 1)
-
-
 def resend_count_distribution(sessions: Iterable[Session]) -> dict[int, int]:
-    """Histogram of per-session resend counts; total mass equals the number
-    of sessions."""
+    """Histogram of per-session resend counts, the rounds after the first
+    response; total mass equals the number of sessions."""
     histogram: dict[int, int] = {}
     for session in sessions:
-        n = resend_count(session)
+        n = max(0, len(resend_rounds(session)) - 1)
         histogram[n] = histogram.get(n, 0) + 1
     return dict(sorted(histogram.items()))
 
@@ -203,19 +199,25 @@ _KNOWN_PROFILE_FIELDS = {
     "coalescence": of_type(bool),
     "structured_scids": of_type(bool),
 }
-_known_profile = object_of(_KNOWN_PROFILE_FIELDS, required=tuple(_KNOWN_PROFILE_FIELDS))
+_known_profile = object_of(
+    {**_KNOWN_PROFILE_FIELDS, "simulated_retransmissions": of_type(int)}, required=tuple(_KNOWN_PROFILE_FIELDS)
+)
 
 
 def load_known_profiles(path: Optional[str | Path] = None) -> list[FingerprintProfile]:
     """Load the known-configuration table (ships with measured defaults for
-    the three profiled hypergiants; the file is editable). A matching key
-    that is missing or of the wrong JSON type raises FingerprintError naming
-    the file, the profile and the key."""
+    the three profiled hypergiants; the file is editable). A key that is
+    missing or of the wrong JSON type, or a simulated_retransmissions outside
+    the row's retransmission_range, raises FingerprintError naming the file,
+    the profile and the key."""
     profiles = []
     for operator, raw in read_profiles(path).items():
         try:
             cfg = _known_profile(raw)
             rto = RtoEstimate(cfg["initial_rto"], cfg["backoff_base"], cfg["retransmission_range"], 0)
+            lo, hi = rto.max_retransmissions
+            if not lo <= cfg.get("simulated_retransmissions", lo) <= hi:
+                raise ValueError(f"simulated_retransmissions is outside retransmission_range [{lo}, {hi}]")
         except KeyError as exc:
             raise FingerprintError(f"{path}: profile {operator!r} is missing key {exc.args[0]!r}") from None
         except (TypeError, ValueError) as exc:
@@ -224,25 +226,32 @@ def load_known_profiles(path: Optional[str | Path] = None) -> list[FingerprintPr
     return profiles
 
 
-def match_profile(observed: FingerprintProfile, known: Sequence[FingerprintProfile]) -> Optional[str]:
-    """Match an observed fingerprint against known configurations.
+def rto_distance(
+    observed: RtoEstimate, reference: RtoEstimate, rto_tolerance=RTO_TOLERANCE, backoff_tolerance=BACKOFF_TOLERANCE
+) -> Optional[float]:
+    """The relative distance of the observed initial RTO from the reference
+    one, or None where the signatures differ: that distance exceeds
+    `rto_tolerance`, the backoff bases (RFC 9002's PTO backoff) differ by more
+    than `backoff_tolerance`, or the retransmission ranges do not overlap."""
+    distance = abs(observed.initial_rto - reference.initial_rto) / reference.initial_rto
+    if distance > rto_tolerance or abs(observed.backoff_base - reference.backoff_base) > backoff_tolerance:
+        return None
+    (lo, hi), (ref_lo, ref_hi) = observed.max_retransmissions, reference.max_retransmissions
+    return distance if lo <= ref_hi and hi >= ref_lo else None
 
-    Coalescence and structured-SCID flags must agree exactly; the initial RTO
-    must fall within RTO_MATCH_TOLERANCE relative error. Ties break toward the
-    smallest relative RTO distance. None means no profile qualifies.
-    """
-    best: Optional[tuple[float, str]] = None
-    for candidate in known:
-        if candidate.coalescence != observed.coalescence:
-            continue
-        if candidate.structured_scids != observed.structured_scids:
-            continue
-        distance = abs(observed.rto.initial_rto - candidate.rto.initial_rto) / candidate.rto.initial_rto
-        if distance > RTO_MATCH_TOLERANCE:
-            continue
-        if best is None or distance < best[0]:
-            best = (distance, candidate.operator)
-    return best[1] if best else None
+
+def match_profile(observed: FingerprintProfile, known: Sequence[FingerprintProfile]) -> Optional[str]:
+    """The known configuration an observed fingerprint matches: coalescence
+    and structured-SCID flags agree exactly and rto_distance finds the RTO
+    signatures alike. Ties break toward the smallest distance, then table
+    order; None means no profile qualifies."""
+    matches = [
+        (distance, candidate.operator)
+        for candidate in known
+        if (candidate.coalescence, candidate.structured_scids) == (observed.coalescence, observed.structured_scids)
+        and (distance := rto_distance(observed.rto, candidate.rto)) is not None
+    ]
+    return min(matches, key=lambda match: match[0])[1] if matches else None
 
 
 def observed_profile(

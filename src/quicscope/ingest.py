@@ -269,8 +269,6 @@ class Traits(NamedTuple):
 
     def top_shapes(self, k: int) -> list[tuple[tuple[str, ...], int, int]]:
         """The k most common (types, length, datagrams), ties by shape."""
-        if k < 0:
-            raise ValueError(f"number of top shapes must be >= 0, got {k}")
         ranked = sorted(self.shapes.items(), key=lambda item: (-item[1], item[0]))
         return [(types, length, n) for (types, length), n in ranked[:k]]
 

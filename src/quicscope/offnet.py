@@ -11,7 +11,10 @@ from pathlib import Path
 from typing import NamedTuple, Optional, Sequence
 
 from . import PreconditionError
-from .fingerprint import InsufficientData, RtoEstimate, estimate_rto
+from .fingerprint import (
+    BACKOFF_TOLERANCE, RTO_TOLERANCE, FingerprintProfile, InsufficientData, RtoEstimate, estimate_rto,
+    load_known_profiles, rto_distance,
+)
 from .ingest import Session, Traits
 from .scid import detect_cloudflare_signature, facebook_fields, low_host_id
 from .tables import list_of, load_listing, of_type, read_json_fields
@@ -93,38 +96,32 @@ def extract_features(
 
 
 class RuleParams(NamedTuple):
-    """Thresholds shared by all rules; loadable from a JSON rule-set file."""
+    """Thresholds shared by all rules, loadable from a JSON rule-set file, and
+    their reference, the target operator's row of the profile table."""
 
     target_operator: str = "Facebook"
-    rto_reference: float = 0.4
-    rto_tolerance: float = 0.25
-    backoff_reference: float = 2.0
-    backoff_tolerance: float = 0.5
-    count_range: tuple[int, int] = (7, 9)
-    expected_coalescence: bool = False
+    rto_tolerance: float = RTO_TOLERANCE
+    backoff_tolerance: float = BACKOFF_TOLERANCE
     reference_shapes: Optional[frozenset[tuple[tuple[str, ...], int]]] = None
+    reference: Optional[FingerprintProfile] = None
 
     @classmethod
     def load(cls, path: str | Path) -> "RuleParams":
         """Read a JSON rule set; keys that are not fields, such as _comment,
-        are ignored. A bad value raises StoreError naming the file and the key."""
+        are ignored. A bad value, or a reference key the profile table now
+        holds, raises StoreError naming the file and the key."""
         return cls(**read_json_fields(path, _RULE_FIELDS))
+
+    def with_reference(self, profiles: Optional[str | Path] = None) -> "RuleParams":
+        """These params with the target operator's row of the profile table
+        (the shipped one when `profiles` is None) as the reference."""
+        for profile in load_known_profiles(profiles):
+            if profile.operator == self.target_operator:
+                return self._replace(reference=profile)
+        raise ClassifierError(f"{profiles or 'shipped profile table'}: no profile for {self.target_operator!r}")
 
 
 _number = of_type(float)
-
-
-def _positive(value) -> float:
-    if _number(value) <= 0:
-        raise ValueError(f"expected a positive number, got {value}")
-    return value
-
-
-def _count_range(value) -> tuple[float, float]:
-    pair = list_of(_number)(value)
-    if len(pair) != 2:
-        raise ValueError(f"expected [low, high], got {pair}")
-    return tuple(pair)
 
 
 def _shape(value) -> tuple[tuple[str, ...], int]:
@@ -140,15 +137,16 @@ def _reference_shapes(value) -> Optional[frozenset[tuple[tuple[str, ...], int]]]
     return frozenset(list_of(_shape)(value)) or None
 
 
+def _moved_to_profiles(value):
+    raise ValueError("is no longer read; the target operator's row of the --profiles table holds it")
+
+
 _RULE_FIELDS = {
     "target_operator": of_type(str),
-    "rto_reference": _positive,
     "rto_tolerance": _number,
-    "backoff_reference": _number,
     "backoff_tolerance": _number,
-    "count_range": _count_range,
-    "expected_coalescence": of_type(bool),
     "reference_shapes": _reference_shapes,
+    **dict.fromkeys(("rto_reference", "backoff_reference", "count_range", "expected_coalescence"), _moved_to_profiles),
 }
 
 
@@ -156,12 +154,7 @@ def _rto_matches(features: SourceFeatures, params: RuleParams) -> bool:
     rto = features.rto_signature
     if rto is None:
         return False
-    if abs(rto.initial_rto - params.rto_reference) / params.rto_reference > params.rto_tolerance:
-        return False
-    if abs(rto.backoff_base - params.backoff_reference) > params.backoff_tolerance:
-        return False
-    lo, hi = rto.max_retransmissions
-    return lo <= params.count_range[1] and hi >= params.count_range[0]
+    return rto_distance(rto, params.reference.rto, params.rto_tolerance, params.backoff_tolerance) is not None
 
 
 def _scid_matches(features: SourceFeatures, params: RuleParams) -> bool:
@@ -169,7 +162,7 @@ def _scid_matches(features: SourceFeatures, params: RuleParams) -> bool:
 
 
 def _coalescence_matches(features: SourceFeatures, params: RuleParams) -> bool:
-    return features.coalescence == params.expected_coalescence
+    return features.coalescence == params.reference.coalescence
 
 
 def _length_matches(features: SourceFeatures, params: RuleParams) -> bool:
@@ -195,15 +188,14 @@ _RULES = {
 }
 
 
-def classify(
-    features: SourceFeatures, rule: str, params: Optional[RuleParams] = None
-) -> str:
-    """Apply one named rule; returns the target operator or NotOperator."""
+def classify(features: SourceFeatures, rule: str, params: Optional[RuleParams] = None) -> str:
+    """Apply one named rule; returns the target operator or NotOperator.
+    Params without a reference take it from the shipped profile table."""
     predicates = _RULES.get(rule)
     if predicates is None:
         raise UnknownRule(f"no rule named {rule!r}; known: {', '.join(RULE_NAMES)}")
-    if params is None:
-        params = RuleParams()
+    if params is None or params.reference is None:
+        params = (params or RuleParams()).with_reference()
     if all(p(features, params) for p in predicates):
         return params.target_operator
     return NOT_OPERATOR

@@ -406,6 +406,47 @@ class TestClassifyCommand:
         )
         assert rc == 3
 
+    def test_unknown_rule_exits_3_before_the_store_is_read(self, tmp_path, capsys):
+        datagrams, truth = tmp_path / "d.jsonl", tmp_path / "truth.tsv"
+        datagrams.write_text("not a row\n")
+        truth.write_text("")
+        argv = ["classify", "--datagrams", datagrams, "--truth", truth, "--out-dir", tmp_path / "cls"]
+        assert run(*argv, "--rule", "bogus rule") == 3
+        assert "no rule named 'bogus rule'" in capsys.readouterr().err
+        # the store's first row is bad: a known rule reads it and exits 2
+        assert run(*argv, "--rule", "SCID") == 2
+        assert f"{datagrams}:1:" in capsys.readouterr().err
+
+    def test_profiles_set_the_rto_reference(self, chain, tmp_path):
+        # the chain's Facebook VIPs resend after 0.4 s, the shipped Facebook row's initial RTO
+        shipped = tables.read_profiles(None)
+        profiles = tmp_path / "prof.json"
+        profiles.write_text(json.dumps({"profiles": dict(shipped, Facebook=dict(shipped["Facebook"], initial_rto=1.0))}))
+        argv = ["--datagrams", chain / "ingest" / "datagrams.jsonl", "--truth", chain / "truth.tsv"]
+        assert run("classify", *argv, "--profiles", profiles, "--out-dir", tmp_path / "cls") == 0
+
+        def labels(directory, rule):
+            return {row["source"]: row["label"] for row in tables.read_table(directory / "predictions.tsv") if row["rule"] == rule}
+
+        assert set(labels(chain / "classify", "Inter arrival time").values()) == {"Facebook"}
+        assert set(labels(tmp_path / "cls", "Inter arrival time").values()) == {"NotOperator"}
+        assert labels(tmp_path / "cls", "SCID") == labels(chain / "classify", "SCID")
+        assert (tmp_path / "cls" / "features.tsv").read_bytes() == (chain / "classify" / "features.tsv").read_bytes()
+
+    @pytest.mark.parametrize("with_profiles", [False, True], ids=["shipped", "profiles"])
+    def test_target_operator_without_a_profile_exits_2(self, tmp_path, capsys, with_profiles):
+        datagrams, truth, rules = tmp_path / "d.jsonl", tmp_path / "truth.tsv", tmp_path / "rules.json"
+        datagrams.write_text("")
+        truth.write_text("")
+        rules.write_text('{"target_operator": "Akamai"}')
+        argv = ["classify", "--datagrams", datagrams, "--truth", truth, "--rules", rules, "--out-dir", tmp_path / "cls"]
+        profiles = tmp_path / "prof.json"
+        profiles.write_text(json.dumps({"profiles": tables.read_profiles(None)}))
+        assert run(*argv, *(["--profiles", profiles] if with_profiles else [])) == 2
+        table = profiles if with_profiles else "shipped profile table"
+        assert f"{table}: no profile for 'Akamai'" in capsys.readouterr().err
+        assert not (tmp_path / "cls").exists()
+
 
 class TestProbeCommand:
     def test_harvest_outputs(self, deploy_config, tmp_path):
@@ -865,7 +906,7 @@ class TestOptionValues:
     def test_top_lengths_negative(self, chain, tmp_path, capsys):
         stores = ["--sessions", chain / "ingest" / "sessions.jsonl", "--datagrams", chain / "ingest" / "datagrams.jsonl"]
         assert run("fingerprint", *stores, "--top-lengths", "-1", "--out-dir", tmp_path / "out") == 2
-        assert "number of top shapes must be >= 0, got -1" in capsys.readouterr().err
+        assert "--top-lengths must be >= 0, got -1" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_top_lengths_negative_on_empty_stores(self, tmp_path, capsys):
@@ -874,7 +915,7 @@ class TestOptionValues:
         datagrams.write_text("")
         argv = ["--sessions", sessions, "--datagrams", datagrams, "--top-lengths", "-1"]
         assert run("fingerprint", *argv, "--out-dir", tmp_path / "out") == 2
-        assert "number of top shapes must be >= 0, got -1" in capsys.readouterr().err
+        assert "--top-lengths must be >= 0, got -1" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
@@ -947,6 +988,19 @@ class TestMissingInput:
         assert run(subcommand, *argv, "--out-dir", tmp_path / "out") == 2
         err = capsys.readouterr().err
         assert f"not found: {missing}" in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    # report --in-dir takes a directory; the test below gives it a file
+    @pytest.mark.parametrize("subcommand, option", [p for p in path_options() if p.values[1] != "--in-dir"])
+    def test_path_that_is_a_directory_exits_2_before_any_output(self, chain, tmp_path, capsys, subcommand, option):
+        argv = [a.format(base=chain) for a in self.ARGV[subcommand]]
+        if option in argv:
+            argv[argv.index(option) + 1] = str(tmp_path)
+        else:
+            argv += [option, str(tmp_path)]
+        assert run(subcommand, *argv, "--out-dir", tmp_path / "out") == 2
+        err = capsys.readouterr().err
+        assert f"is not a file: {tmp_path}" in err and "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
     def test_in_dir_that_is_a_file_exits_2_before_any_output(self, chain, tmp_path, capsys):
@@ -1060,6 +1114,10 @@ class TestStreamedStages:
         )
         assert peaks[8] <= 1.5 * peaks[1]
         assert peaks[1] <= 1.5 * peaks[8]
+
+
+# a rule-set key whose value the profile table's target_operator row now holds
+MOVED = "is no longer read; the target operator's row of the --profiles table holds it"
 
 
 class TestStoreRows:
@@ -1239,6 +1297,24 @@ class TestStoreRows:
         assert f"{profiles}: profile 'X' is missing key 'retransmission_range'" in out.stderr
         assert "Traceback" not in out.stderr
 
+    @pytest.mark.parametrize("subcommand", ["fingerprint", "classify"])
+    def test_profile_table_simulated_retransmissions_outside_range(self, tmp_path, subcommand):
+        stores, profiles = tmp_path / "empty.jsonl", tmp_path / "prof.json"
+        stores.write_text("")
+        shipped = tables.read_profiles(None)
+        profiles.write_text(json.dumps({"profiles": dict(shipped, Google=dict(shipped["Google"], simulated_retransmissions=7))}))
+        inputs = {
+            "fingerprint": ["--sessions", stores, "--datagrams", stores],
+            "classify": ["--datagrams", stores, "--truth", stores],
+        }
+        out = run_python(
+            "-m", "quicscope.cli", subcommand, *inputs[subcommand], "--profiles", profiles, "--out-dir", tmp_path / "out",
+        )
+        assert out.returncode == 2
+        assert f"{profiles}: profile 'Google': simulated_retransmissions is outside retransmission_range [3, 6]" in out.stderr
+        assert "Traceback" not in out.stderr
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize(
         "key, value, message",
         [
@@ -1277,18 +1353,20 @@ class TestStoreRows:
     @pytest.mark.parametrize(
         "text, message",
         [
-            ('{"count_range": 5}', ": key 'count_range': expected array, got 5"),
+            ('{"count_range": 5}', f": key 'count_range': {MOVED}"),
             ("5", ": expected object, got 5"),
             ('{"reference_shapes": [[["Initial"]]]}', ": key 'reference_shapes': expected [[packet type"),
             ('{"rto_reference": 0.4,}', ": Expecting property name"),
             # a NaN tolerance would let every RTO match its reference
             ('{"rto_tolerance": NaN}', ": key 'rto_tolerance': expected a finite number, got NaN"),
-            ('{"rto_reference": Infinity}', ": key 'rto_reference': expected a finite number, got Infinity"),
-            ('{"count_range": [7, -Infinity]}', ": key 'count_range': expected a finite number, got -Infinity"),
+            ('{"rto_reference": Infinity}', f": key 'rto_reference': {MOVED}"),
+            ('{"count_range": [7, -Infinity]}', f": key 'count_range': {MOVED}"),
+            ('{"backoff_reference": 2.0}', f": key 'backoff_reference': {MOVED}"),
+            ('{"expected_coalescence": false}', f": key 'expected_coalescence': {MOVED}"),
         ],
         ids=[
             "count-range-not-list", "not-an-object", "shape-without-length", "json-syntax", "nan-tolerance",
-            "infinite-reference", "infinite-count",
+            "infinite-reference", "infinite-count", "dropped-backoff-reference", "dropped-expected-coalescence",
         ],
     )
     def test_rule_set_invalid(self, tmp_path, text, message):

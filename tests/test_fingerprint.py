@@ -1,10 +1,12 @@
 """Fingerprinting statistics against constructed mixes and doubling oracles."""
 
+import json
 import random
 
 import pytest
 
 from quicscope.fingerprint import (
+    FingerprintError,
     FingerprintProfile,
     InsufficientData,
     RtoEstimate,
@@ -12,9 +14,11 @@ from quicscope.fingerprint import (
     load_known_profiles,
     match_profile,
     resend_count_distribution,
+    rto_distance,
     version_tally,
 )
 from quicscope.ingest import Session, SessionKey, Timeline, group_traits, ingest
+from quicscope.tables import read_profiles
 from quicscope.wire import Direction, PacketType, VersionRegistry
 
 from conftest import make_response, sessions_of
@@ -295,30 +299,54 @@ class TestMatchProfile:
         self.known = load_known_profiles()
 
     @staticmethod
-    def observed(rto, coalescence, structured):
+    def observed(rto, coalescence, structured, counts, backoff=2.0):
         return FingerprintProfile(
             operator="observed",
-            rto=RtoEstimate(rto, 2.0, (3, 6), 100),
+            rto=RtoEstimate(rto, backoff, counts, 100),
             coalescence=coalescence,
             structured_scids=structured,
         )
 
     def test_google_like(self):
-        assert match_profile(self.observed(0.31, True, False), self.known) == "Google"
+        assert match_profile(self.observed(0.31, True, False, (3, 6)), self.known) == "Google"
 
     def test_cloudflare_like(self):
-        assert match_profile(self.observed(1.0, True, True), self.known) == "Cloudflare"
+        assert match_profile(self.observed(1.0, True, True, (3, 6)), self.known) == "Cloudflare"
 
     def test_facebook_like(self):
-        assert match_profile(self.observed(0.41, False, True), self.known) == "Facebook"
+        assert match_profile(self.observed(0.41, False, True, (8, 8)), self.known) == "Facebook"
 
     def test_unknown_when_out_of_tolerance(self):
-        assert match_profile(self.observed(5.0, False, False), self.known) is None
+        assert match_profile(self.observed(5.0, False, False, (3, 6)), self.known) is None
 
     def test_rto_separates_google_from_cloudflare(self):
         # both coalesce; structured flag and RTO disambiguate
-        assert match_profile(self.observed(0.9, True, True), self.known) == "Cloudflare"
-        assert match_profile(self.observed(0.9, True, False), self.known) is None
+        assert match_profile(self.observed(0.9, True, True, (3, 6)), self.known) == "Cloudflare"
+        assert match_profile(self.observed(0.9, True, False, (3, 6)), self.known) is None
+
+    @pytest.mark.parametrize("backoff", [1.4, 2.6])
+    def test_unknown_when_only_the_backoff_differs(self, backoff):
+        assert match_profile(self.observed(0.41, False, True, (8, 8)), self.known) == "Facebook"
+        assert match_profile(self.observed(0.41, False, True, (8, 8), backoff), self.known) is None
+
+    @pytest.mark.parametrize(
+        "rto, coalescence, structured, counts, operator",
+        [
+            (0.41, False, True, (3, 6), "Facebook"),
+            (0.41, False, True, (10, 12), "Facebook"),
+            (0.31, True, False, (7, 9), "Google"),
+            (1.0, True, True, (7, 9), "Cloudflare"),
+        ],
+        ids=["facebook-fewer", "facebook-more", "google-more", "cloudflare-more"],
+    )
+    def test_unknown_when_only_the_count_range_differs(self, rto, coalescence, structured, counts, operator):
+        known_counts = next(p.rto.max_retransmissions for p in self.known if p.operator == operator)
+        assert match_profile(self.observed(rto, coalescence, structured, known_counts), self.known) == operator
+        assert match_profile(self.observed(rto, coalescence, structured, counts), self.known) is None
+
+    def test_count_ranges_that_share_one_end_overlap(self):
+        assert match_profile(self.observed(0.41, False, True, (5, 7)), self.known) == "Facebook"
+        assert match_profile(self.observed(0.41, False, True, (9, 11)), self.known) == "Facebook"
 
     def test_known_profile_table_values(self):
         by_name = {p.operator: p for p in self.known}
@@ -330,3 +358,49 @@ class TestMatchProfile:
         assert by_name["Google"].rto.initial_rto == 0.3
         assert by_name["Google"].rto.max_retransmissions == (3, 6)
         assert not by_name["Google"].structured_scids
+
+
+class TestRtoDistance:
+    REFERENCE = RtoEstimate(0.4, 2.0, (7, 9), 0)
+
+    def test_relative_distance_of_the_initial_rto(self):
+        assert rto_distance(RtoEstimate(0.5, 2.0, (8, 8), 10), self.REFERENCE) == pytest.approx(0.25)
+        assert rto_distance(RtoEstimate(0.4, 2.0, (8, 8), 10), self.REFERENCE) == 0.0
+
+    @pytest.mark.parametrize(
+        "observed",
+        [RtoEstimate(0.51, 2.0, (8, 8), 10), RtoEstimate(0.4, 2.6, (8, 8), 10), RtoEstimate(0.4, 2.0, (10, 11), 10)],
+        ids=["initial-rto", "backoff", "count-range"],
+    )
+    def test_none_where_one_part_of_the_signature_differs(self, observed):
+        assert rto_distance(observed, self.REFERENCE) is None
+
+    def test_tolerances(self):
+        observed = RtoEstimate(0.46, 2.4, (8, 8), 10)
+        assert rto_distance(observed, self.REFERENCE) == pytest.approx(0.15)
+        assert rto_distance(observed, self.REFERENCE, rto_tolerance=0.1) is None
+        assert rto_distance(observed, self.REFERENCE, backoff_tolerance=0.3) is None
+
+
+class TestKnownProfiles:
+    def write(self, tmp_path, **facebook):
+        shipped = read_profiles(None)
+        path = tmp_path / "prof.json"
+        path.write_text(json.dumps({"profiles": dict(shipped, Facebook=dict(shipped["Facebook"], **facebook))}))
+        return path
+
+    @pytest.mark.parametrize("n", [7, 9])
+    def test_simulated_retransmissions_inside_the_range(self, tmp_path, n):
+        assert load_known_profiles(self.write(tmp_path, simulated_retransmissions=n)) == load_known_profiles()
+
+    @pytest.mark.parametrize("n", [6, 10])
+    def test_simulated_retransmissions_outside_the_range(self, tmp_path, n):
+        path = self.write(tmp_path, simulated_retransmissions=n)
+        with pytest.raises(FingerprintError, match=r"profile 'Facebook': simulated_retransmissions is outside"):
+            load_known_profiles(path)
+
+    def test_simulated_retransmissions_is_optional(self, tmp_path):
+        path = tmp_path / "prof.json"
+        row = {k: v for k, v in read_profiles(None)["Facebook"].items() if k != "simulated_retransmissions"}
+        path.write_text(json.dumps({"profiles": {"Facebook": row}}))
+        assert load_known_profiles(path) == [p for p in load_known_profiles() if p.operator == "Facebook"]

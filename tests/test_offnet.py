@@ -173,6 +173,27 @@ class TestClassify:
         assert classify(features(rto_signature=slow), "Inter arrival time") == NOT_OPERATOR
         assert classify(features(rto_signature=None), "Inter arrival time") == NOT_OPERATOR
 
+    @pytest.mark.parametrize(
+        "signature",
+        [RtoEstimate(0.41, 1.4, (8, 8), 10), RtoEstimate(0.41, 2.0, (3, 6), 10), RtoEstimate(0.41, 2.0, (10, 12), 10)],
+        ids=["backoff", "fewer-resends", "more-resends"],
+    )
+    def test_inter_arrival_rule_compares_the_whole_signature(self, signature):
+        assert classify(features(rto_signature=signature), "Inter arrival time") == NOT_OPERATOR
+
+    def test_inter_arrival_rule_takes_its_tolerances_from_the_params(self):
+        f = features(rto_signature=RtoEstimate(0.46, 2.4, (8, 8), 10))
+        assert classify(f, "Inter arrival time") == "Facebook"
+        assert classify(f, "Inter arrival time", RuleParams(rto_tolerance=0.1)) == NOT_OPERATOR
+        assert classify(f, "Inter arrival time", RuleParams(backoff_tolerance=0.3)) == NOT_OPERATOR
+
+    def test_rules_compare_against_the_target_operators_row(self):
+        # Google's row: 0.3 s, coalescence
+        params = RuleParams(target_operator="Google")
+        assert classify(features(rto_signature=RtoEstimate(0.31, 2.0, (4, 4), 10)), "Inter arrival time", params) == "Google"
+        assert classify(features(coalescence=True), "Coalescence", params) == "Google"
+        assert classify(features(coalescence=False), "Coalescence", params) == NOT_OPERATOR
+
     def test_conjunction_rules(self):
         f = features(
             scid_scheme_match="Facebook",
@@ -267,12 +288,14 @@ class TestRuleParams:
     def test_load_from_json(self, tmp_path):
         f = tmp_path / "rules.json"
         f.write_text(
-            '{"target_operator": "Facebook", "rto_reference": 0.4, '
+            '{"target_operator": "Facebook", "rto_tolerance": 0.1, '
             '"reference_shapes": [[["Initial"], 1200]]}'
         )
         params = RuleParams.load(f)
         assert params.target_operator == "Facebook"
+        assert params.rto_tolerance == 0.1
         assert params.reference_shapes == frozenset({(("Initial",), 1200)})
+        assert params.reference is None
 
     def test_shipped_defaults(self):
         from importlib import resources
@@ -280,5 +303,20 @@ class TestRuleParams:
         ref = resources.files("quicscope").joinpath("data/rules.json")
         with resources.as_file(ref) as p:
             params = RuleParams.load(p)
-        assert params.target_operator == "Facebook"
-        assert params.count_range == (7, 9)
+        assert params == RuleParams()
+
+    def test_reference_from_the_shipped_table_equals_the_retired_constants(self):
+        # rules.json held Facebook's row as rto_reference 0.4, backoff_reference
+        # 2.0, count_range [7, 9] and expected_coalescence false
+        reference = RuleParams().with_reference().reference
+        assert reference.operator == "Facebook"
+        assert (reference.rto.initial_rto, reference.rto.backoff_base) == (0.4, 2.0)
+        assert reference.rto.max_retransmissions == (7, 9)
+        assert reference.coalescence is False
+        assert (RuleParams().rto_tolerance, RuleParams().backoff_tolerance) == (0.25, 0.5)
+
+    def test_reference_follows_the_target_operator(self):
+        reference = RuleParams(target_operator="Google").with_reference().reference
+        assert reference.rto.initial_rto == 0.3 and reference.coalescence is True
+        with pytest.raises(ValueError, match="shipped profile table: no profile for 'Akamai'"):
+            RuleParams(target_operator="Akamai").with_reference()
