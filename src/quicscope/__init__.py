@@ -10,6 +10,11 @@ class PreconditionError(Exception):
     a source without a ground-truth label, an unknown rule, a failed probe."""
 
 
+class InputError(ValueError):
+    """A file, option or key the user gave that the run cannot use (the CLI
+    exits 2): missing, unreadable, malformed or out of range. Its message names it."""
+
+
 class CheckedTuple(tuple):
     """First base of a NamedTuple subclass whose __new__ checks or fills in
     its fields. NamedTuple's _replace builds through _make, which skips

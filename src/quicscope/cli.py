@@ -4,7 +4,8 @@ Subcommands: simulate, ingest, fingerprint, scid, classify, probe, report.
 Each builds its results as (file name, header, rows) tables and hands them
 to one writer, which writes them and a manifest listing every output;
 identical manifests yield byte-identical outputs. Exit codes: 0 success,
-1 usage, 2 input error, 3 analysis precondition unmet.
+1 usage, 2 input error (an InputError), 3 analysis precondition unmet (a
+PreconditionError); any other exception is a bug and keeps its traceback.
 
 Each subcommand imports the modules it runs when it runs, so a stage (or
 `--version`) never pays for loading the others.
@@ -16,7 +17,7 @@ import argparse
 import sys
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
-from . import PreconditionError, __version__
+from . import InputError, PreconditionError, __version__
 
 if TYPE_CHECKING:
     from pathlib import Path
@@ -53,9 +54,9 @@ def _require(path: str | None, what: str, directory: bool = False) -> Path | Non
         return None
     p = Path(path)
     if not p.exists():
-        raise FileNotFoundError(f"{what} not found: {p}")
+        raise InputError(f"{what} not found: {p}")
     if not (p.is_dir() if directory else p.is_file()):
-        raise ValueError(f"{what} is not a {'directory' if directory else 'file'}: {p}")
+        raise InputError(f"{what} is not a {'directory' if directory else 'file'}: {p}")
     return p
 
 
@@ -72,7 +73,10 @@ def _out_dir(args) -> Path:
     from pathlib import Path
 
     out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # such as a file at the path or above it
+        raise InputError(f"cannot make --out-dir {out}: {exc.strerror}") from None
     return out
 
 
@@ -128,7 +132,7 @@ def cmd_simulate(args) -> int:
     if args.seed is not None:
         config = config._replace(seed=args.seed)
     if config.flood is None:
-        raise tables.StoreError(f"{config_path}: missing key 'flood'")
+        raise InputError(f"{config_path}: missing key 'flood'")
     out = _out_dir(args)
     stores = capture_path, truth_path, pairs_path = out / "capture.pcap", out / "truth.jsonl", out / "pairs.tsv"
     try:
@@ -219,13 +223,13 @@ def _operator_or_unknown(record) -> str:
 
 
 def _check_minimums(args, *options: str) -> None:
-    """Raise ValueError for a count option below 0. A negative minimum would
+    """Raise InputError for a count option below 0. A negative minimum would
     act as 0, and a negative --top-lengths would drop the last shape, so the
     manifest would record a setting the run did not use as written."""
     for option in options:
         value = getattr(args, option[2:].replace("-", "_"))
         if value < 0:
-            raise ValueError(f"{option} must be >= 0, got {value}")
+            raise InputError(f"{option} must be >= 0, got {value}")
 
 
 def cmd_fingerprint(args) -> int:
@@ -324,7 +328,7 @@ def cmd_scid(args) -> int:
         traits = group_traits(responses, _operator_or_unknown, shapes=False)
         populations = {op: sorted(t.scids) for op, t in traits.items() if not args.operator or op == args.operator}
     else:
-        raise FileNotFoundError("need --scids or --datagrams")
+        raise InputError("need --scids or --datagrams")
 
     pairs = []
     if args.pairs:
@@ -516,11 +520,11 @@ def cmd_probe(args) -> int:
     if args.targets == "all":
         targets = sim_vips
         if not targets:
-            raise FileNotFoundError("--targets all requires --transport sim with a deployment config")
+            raise InputError("--targets all requires --transport sim with a deployment config")
     else:
         targets = [t for t in args.targets.split(",") if t]
         if not targets:
-            raise ValueError("no targets to probe")
+            raise InputError("no targets to probe")
     # every value is checked before the first handshake: the threshold here,
     # the rest by harvest_host_ids and detect_lb_type before they probe
     if args.mode == "harvest":
@@ -728,7 +732,7 @@ def main(argv: list[str] | None = None) -> int:
     except PreconditionError as exc:
         print(f"quicscope: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
-    except (FileNotFoundError, ValueError) as exc:
+    except InputError as exc:
         print(f"quicscope: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Iterable, NamedTuple, Optional, Sequence
 
-from . import CheckedTuple, PreconditionError
+from . import CheckedTuple, InputError, PreconditionError
 from .ingest import Session, Traits
 from .scid import ScidScheme, SchemeKind
 from .tables import list_of, object_of, of_type, read_profiles
@@ -25,11 +25,7 @@ ROUND_MERGE_TOLERANCE = 1e-3
 OTHERS_LABEL = "others"
 
 
-class FingerprintError(ValueError):
-    pass
-
-
-class InsufficientData(FingerprintError, PreconditionError):
+class InsufficientData(PreconditionError):
     pass
 
 
@@ -58,10 +54,7 @@ class VersionTally(NamedTuple):
         return self.counts.get((role, label), 0) / total
 
     def rows(self) -> list[tuple[str, str, int, float]]:
-        return [
-            (role, label, n, self.share(role, label))
-            for (role, label), n in sorted(self.counts.items())
-        ]
+        return [(role, label, n, self.share(role, label)) for (role, label), n in sorted(self.counts.items())]
 
 
 def version_tally(sessions: Iterable[Session], registry: VersionRegistry) -> VersionTally:
@@ -90,11 +83,11 @@ class RtoEstimate(CheckedTuple, _RtoEstimateFields):
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
         if self.initial_rto <= 0:
-            raise FingerprintError("initial RTO must be positive")
+            raise ValueError("initial RTO must be positive")
         if self.backoff_base < 1:
-            raise FingerprintError("backoff base below 1 is not a backoff")
+            raise ValueError("backoff base below 1 is not a backoff")
         if self.max_retransmissions[0] > self.max_retransmissions[1]:
-            raise FingerprintError("retransmission range inverted")
+            raise ValueError("retransmission range inverted")
         return self
 
 
@@ -141,9 +134,7 @@ def _percentile(values: Sequence[int], q: float) -> int:
     return ordered[rank]
 
 
-def estimate_rto(
-    sessions: Iterable[Session], min_sessions: int = DEFAULT_MIN_SESSIONS
-) -> RtoEstimate:
+def estimate_rto(sessions: Iterable[Session], min_sessions: int = DEFAULT_MIN_SESSIONS) -> RtoEstimate:
     """Estimate the retransmission configuration of one operator.
 
     initial RTO: median offset of the first resend round. Backoff: median
@@ -165,14 +156,15 @@ def estimate_rto(
         ratios.extend(b / a for a, b in zip(gaps, gaps[1:]) if a > 0)
         counts.append(len(rounds) - 1)
     if len(counts) < min_sessions:
-        raise InsufficientData(
-            f"{len(counts)} sessions with >=2 resends, need {min_sessions}"
-        )
+        raise InsufficientData(f"{len(counts)} sessions with >=2 resends, need {min_sessions}")
     if not ratios:
         raise InsufficientData("no session has enough resends to estimate backoff")
+    initial_rto, backoff_base = _median(first_offsets), _median(ratios)
+    if initial_rto <= 0 or backoff_base < 1:  # resend gaps that shrink, or rows out of time order
+        raise InsufficientData(f"resends follow no backoff: initial RTO {initial_rto:.6g}, backoff {backoff_base:.6g}")
     return RtoEstimate(
-        initial_rto=_median(first_offsets),
-        backoff_base=_median(ratios),
+        initial_rto=initial_rto,
+        backoff_base=backoff_base,
         max_retransmissions=(_percentile(counts, 0.05), _percentile(counts, 0.95)),
         sample_count=len(counts),
     )
@@ -208,8 +200,8 @@ def load_known_profiles(path: Optional[str | Path] = None) -> list[FingerprintPr
     """Load the known-configuration table (ships with measured defaults for
     the three profiled hypergiants; the file is editable). A key that is
     missing or of the wrong JSON type, or a simulated_retransmissions outside
-    the row's retransmission_range, raises FingerprintError naming the file,
-    the profile and the key."""
+    the row's retransmission_range, raises InputError naming the file, the
+    profile and the key."""
     profiles = []
     for operator, raw in read_profiles(path).items():
         try:
@@ -219,9 +211,9 @@ def load_known_profiles(path: Optional[str | Path] = None) -> list[FingerprintPr
             if not lo <= cfg.get("simulated_retransmissions", lo) <= hi:
                 raise ValueError(f"simulated_retransmissions is outside retransmission_range [{lo}, {hi}]")
         except KeyError as exc:
-            raise FingerprintError(f"{path}: profile {operator!r} is missing key {exc.args[0]!r}") from None
+            raise InputError(f"{path}: profile {operator!r} is missing key {exc.args[0]!r}") from None
         except (TypeError, ValueError) as exc:
-            raise FingerprintError(f"{path}: profile {operator!r}: {exc}") from None
+            raise InputError(f"{path}: profile {operator!r}: {exc}") from None
         profiles.append(FingerprintProfile(operator, rto, cfg["coalescence"], cfg["structured_scids"]))
     return profiles
 

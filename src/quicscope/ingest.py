@@ -21,6 +21,7 @@ from typing import Callable, Hashable, Iterable, Iterator, NamedTuple, Optional
 # to every stage's start-up
 from _socket import inet_aton
 
+from . import InputError
 from .wire import (
     TYPE_LABELS,
     Datagram,
@@ -314,7 +315,7 @@ class Sessionizer:
     def __init__(self, idle_gap: float = DEFAULT_IDLE_GAP):
         # a gap of 0, below it or NaN makes every packet a session of its own
         if not 0 < idle_gap < float("inf"):
-            raise ValueError(f"idle gap must be positive and finite, got {idle_gap}")
+            raise InputError(f"idle gap must be positive and finite, got {idle_gap}")
         self.idle_gap = idle_gap
         self._finished: list[Session] = []
         self._open: dict[SessionKey, tuple[Session, float]] = {}

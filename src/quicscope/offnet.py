@@ -10,7 +10,7 @@ from __future__ import annotations
 from pathlib import Path
 from typing import NamedTuple, Optional, Sequence
 
-from . import PreconditionError
+from . import InputError, PreconditionError
 from .fingerprint import (
     BACKOFF_TOLERANCE, RTO_TOLERANCE, FingerprintProfile, InsufficientData, RtoEstimate, estimate_rto,
     load_known_profiles, rto_distance,
@@ -35,15 +35,11 @@ RULE_NAMES = (
 )
 
 
-class ClassifierError(ValueError):
+class UnknownRule(PreconditionError):
     pass
 
 
-class UnknownRule(ClassifierError, PreconditionError):
-    pass
-
-
-class MissingLabel(ClassifierError, PreconditionError):
+class MissingLabel(PreconditionError):
     pass
 
 
@@ -108,20 +104,27 @@ class RuleParams(NamedTuple):
     @classmethod
     def load(cls, path: str | Path) -> "RuleParams":
         """Read a JSON rule set; keys that are not fields, such as _comment,
-        are ignored. A bad value, or a reference key the profile table now
-        holds, raises StoreError naming the file and the key."""
+        are ignored. A bad value, a negative tolerance, or a reference key the
+        profile table now holds, raises InputError naming the file and the key."""
         return cls(**read_json_fields(path, _RULE_FIELDS))
 
     def with_reference(self, profiles: Optional[str | Path] = None) -> "RuleParams":
         """These params with the target operator's row of the profile table
-        (the shipped one when `profiles` is None) as the reference."""
+        (the shipped one when `profiles` is None) as the reference; a table
+        with no such row raises InputError naming it."""
         for profile in load_known_profiles(profiles):
             if profile.operator == self.target_operator:
                 return self._replace(reference=profile)
-        raise ClassifierError(f"{profiles or 'shipped profile table'}: no profile for {self.target_operator!r}")
+        raise InputError(f"{profiles or 'shipped profile table'}: no profile for {self.target_operator!r}")
 
 
 _number = of_type(float)
+
+
+def _tolerance(value) -> float:
+    if _number(value) < 0:  # a negative tolerance would reject every RTO signature
+        raise ValueError(f"expected a number >= 0, got {value}")
+    return value
 
 
 def _shape(value) -> tuple[tuple[str, ...], int]:
@@ -143,8 +146,8 @@ def _moved_to_profiles(value):
 
 _RULE_FIELDS = {
     "target_operator": of_type(str),
-    "rto_tolerance": _number,
-    "backoff_tolerance": _number,
+    "rto_tolerance": _tolerance,
+    "backoff_tolerance": _tolerance,
     "reference_shapes": _reference_shapes,
     **dict.fromkeys(("rto_reference", "backoff_reference", "count_range", "expected_coalescence"), _moved_to_profiles),
 }
@@ -236,23 +239,11 @@ class EvalMetrics(NamedTuple):
         def ratio(num: int, den: int) -> Optional[float]:
             return num / den if den else None
 
-        return cls(
-            tp=tp,
-            fp=fp,
-            tn=tn,
-            fn=fn,
-            tpr=ratio(tp, tp + fn),
-            fpr=ratio(fp, fp + tn),
-            tnr=ratio(tn, fp + tn),
-            fnr=ratio(fn, tp + fn),
-            precision=ratio(tp, tp + fp),
-            recall=ratio(tp, tp + fn),
-        )
+        tpr, fpr = ratio(tp, tp + fn), ratio(fp, fp + tn)
+        return cls(tp, fp, tn, fn, tpr, fpr, ratio(tn, fp + tn), ratio(fn, tp + fn), ratio(tp, tp + fp), recall=tpr)
 
 
-def evaluate(
-    predictions: dict[str, str], truth: GroundTruth, positive_label: str
-) -> EvalMetrics:
+def evaluate(predictions: dict[str, str], truth: GroundTruth, positive_label: str) -> EvalMetrics:
     """Score predictions against ground truth for one operator.
 
     Every predicted source must carry a truth label; sources labelled with a

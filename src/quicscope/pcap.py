@@ -16,6 +16,7 @@ from typing import BinaryIO, Iterator
 # 8 ms to every stage's start-up
 from _socket import inet_aton, inet_ntoa
 
+from . import InputError
 from .wire import Datagram
 
 MAGIC_USEC_LE = 0xA1B2C3D4
@@ -36,10 +37,6 @@ _UDP_HEADER = struct.Struct(">HHHH")
 _UDP_PSEUDO_HEADER = struct.Struct(">4s4sBBH")
 
 
-class UnreadableCapture(ValueError):
-    """The capture file cannot be opened or is not a classic pcap file."""
-
-
 class CaptureCounters:
     """Per-read accounting for everything that was skipped."""
 
@@ -51,14 +48,8 @@ class CaptureCounters:
     datagrams = 0
 
     def as_dict(self) -> dict[str, int]:
-        return {
-            "records": self.records,
-            "malformed": self.malformed,
-            "non_ipv4": self.non_ipv4,
-            "non_udp": self.non_udp,
-            "fragmented": self.fragmented,
-            "datagrams": self.datagrams,
-        }
+        names = ("records", "malformed", "non_ipv4", "non_udp", "fragmented", "datagrams")
+        return {name: getattr(self, name) for name in names}
 
 
 def _ip_checksum(data: bytes) -> int:
@@ -148,24 +139,21 @@ class PcapReader:
             with self.path.open("rb") as fh:
                 header = fh.read(24)
         except OSError as exc:
-            raise UnreadableCapture(f"cannot open {self.path}: {exc}") from exc
+            raise InputError(f"cannot open {self.path}: {exc}") from exc
         if len(header) < 24:
-            raise UnreadableCapture(f"{self.path}: too short for a pcap global header")
-        magic_le = struct.unpack("<I", header[:4])[0]
-        magic_be = struct.unpack(">I", header[:4])[0]
-        if magic_le in (MAGIC_USEC_LE, MAGIC_NSEC_LE):
-            self._endian = "<"
-            magic = magic_le
-        elif magic_be in (MAGIC_USEC_LE, MAGIC_NSEC_LE):
-            self._endian = ">"
-            magic = magic_be
+            raise InputError(f"{self.path}: too short for a pcap global header")
+        for endian in "<>":
+            (magic,) = struct.unpack(endian + "I", header[:4])
+            if magic in (MAGIC_USEC_LE, MAGIC_NSEC_LE):
+                break
         else:
-            raise UnreadableCapture(f"{self.path}: not a classic pcap file (magic {header[:4].hex()})")
+            raise InputError(f"{self.path}: not a classic pcap file (magic {header[:4].hex()})")
+        self._endian = endian
         self._ts_divisor = 1e6 if magic == MAGIC_USEC_LE else 1e9
         fields = struct.unpack(self._endian + "HHiIII", header[4:24])
         self.linktype = fields[5]
         if self.linktype not in (LINKTYPE_ETHERNET, LINKTYPE_RAW_IP):
-            raise UnreadableCapture(f"{self.path}: unsupported link type {self.linktype}")
+            raise InputError(f"{self.path}: unsupported link type {self.linktype}")
 
     def datagrams(self) -> Iterator[Datagram]:
         record = struct.Struct(self._endian + "IIII")

@@ -11,7 +11,7 @@ import math
 from enum import Enum
 from typing import Collection, Iterable, NamedTuple, Optional, Sequence
 
-from . import CheckedTuple, PreconditionError
+from . import CheckedTuple, InputError, PreconditionError
 
 DEFAULT_ALPHA = 0.001
 DEFAULT_MIN_SAMPLES = 500
@@ -138,11 +138,11 @@ class PositionVerdict(Enum):
 
 
 def check_alpha(alpha: float) -> None:
-    """Raise ScidAnalysisError unless `alpha` is a significance level, in
+    """Raise InputError unless `alpha` is a significance level, in
     (0, 1): at 1 or above, the bound on flagging a uniform position bounds
     nothing; at 0, below it or NaN, no position can be flagged."""
     if not 0 < alpha < 1:
-        raise ScidAnalysisError(f"alpha must be in (0, 1), got {alpha}")
+        raise InputError(f"alpha must be in (0, 1), got {alpha}")
 
 
 def uniformity_test(

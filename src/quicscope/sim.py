@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import heapq
 import ipaddress
-import json
 import random
 import sys
 from collections import deque
@@ -29,9 +28,9 @@ from typing import TYPE_CHECKING, Callable, NamedTuple, Optional
 # through _hashlib, about 2.8 MB of a stage's peak RSS
 from _blake2 import blake2b
 
-from . import CheckedTuple
+from . import CheckedTuple, InputError
 from .scid import CodecError, FacebookScidFields, encode_facebook_scid, facebook_host_id
-from .tables import StoreError, list_of, object_of, of_type, read_profiles
+from .tables import list_of, object_of, of_type, read_json, read_profiles
 from .wire import MAX_CID_LENGTH, Datagram, LongHeader, PacketType, WireError, encode_long_header, parse_long_header
 
 if TYPE_CHECKING:
@@ -65,8 +64,8 @@ class SimError(ValueError):
     pass
 
 
-class InvalidConfig(SimError):
-    pass
+class InvalidConfig(SimError, InputError):
+    """A deployment config the simulator cannot run, its server CIDs too short included."""
 
 
 class NotAVip(SimError):
@@ -493,11 +492,8 @@ class DeploymentConfig(CheckedTuple, _DeploymentConfigFields):
     @classmethod
     def from_json(cls, path: str | Path) -> "DeploymentConfig":
         """Read a deployment config file; invalid JSON, or a config from_dict
-        rejects, raises StoreError naming the file and the key."""
-        try:
-            return cls.from_dict(json.loads(Path(path).read_text()))
-        except (TypeError, ValueError) as exc:
-            raise StoreError(f"{path}: {exc}") from None
+        rejects, raises InputError naming the file and the key."""
+        return read_json(path, cls.from_dict)
 
     @classmethod
     def from_dict(cls, raw: dict) -> "DeploymentConfig":
@@ -600,7 +596,9 @@ class DeploymentSimulator:
             # unique among the instance's live connections
             if scid not in instance.connection_table:
                 return scid, worker_id
-        raise SimError("could not generate a unique server CID")
+        raise InvalidConfig(
+            f"{cluster.name}: could not generate a unique server CID (profile scid_length {profile.scid_length})"
+        )
 
     def _response_datagrams(self, cluster: FrontendCluster, conn: Connection) -> list[Datagram]:
         """Build the datagrams of one response round (Initial + Handshake),

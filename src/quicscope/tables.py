@@ -15,8 +15,9 @@ outputs land as TSV with a one-line header, which read_table reads back for
 the next stage. All writers are byte-deterministic for identical inputs,
 which is what makes whole-pipeline runs reproducible.
 Every reader here, the prefix-table, scanner-list, version-registry, profile
-and JSON-settings readers included, turns a line or value it cannot read
-into a StoreError that names the file and the line or key.
+and JSON-settings readers included, turns a file it cannot open or decode,
+and a line or value it cannot read, into an InputError that names the file
+and the line or key.
 """
 
 from __future__ import annotations
@@ -28,6 +29,8 @@ from importlib import resources
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Optional, Sequence, TextIO, TypeVar
 
+from . import InputError
+
 # The store and list readers import ingest's and wire's types where they
 # use them, so a stage that reads only tables (report) loads neither.
 if TYPE_CHECKING:
@@ -38,9 +41,12 @@ if TYPE_CHECKING:
 T = TypeVar("T")
 
 
-class StoreError(ValueError):
-    """A store, table or list row the loader cannot read; the message names
-    the file, the line and, for a missing field, the key."""
+def _unreadable(path: str | Path, exc: OSError | UnicodeDecodeError) -> InputError:
+    """The InputError for a file that cannot be opened or read, or that is
+    not text. A decode error names no line: text is decoded a block at a time."""
+    if isinstance(exc, UnicodeDecodeError):
+        return InputError(f"{path}: not {exc.encoding} text ({exc.reason})")
+    return InputError(f"cannot read {path}: {exc.strerror or exc}")
 
 
 def fmt_value(value) -> str:
@@ -72,7 +78,7 @@ def read_table(
 ) -> list:
     """Read a TSV table's rows back as string dicts, or as what `from_row`
     makes of each; empty cells come back as empty strings. A row that lacks
-    one of `columns` or that `from_row` cannot read raises StoreError naming
+    one of `columns` or that `from_row` cannot read raises InputError naming
     the file and the line."""
 
     def checked(row: dict[str, str]):
@@ -81,27 +87,34 @@ def read_table(
                 raise KeyError(col)
         return row if from_row is None else from_row(row)
 
-    with Path(path).open() as fh:
-        header = fh.readline().rstrip("\r\n").split("\t")
+    try:
+        with Path(path).open() as fh:
+            header = fh.readline().rstrip("\r\n").split("\t")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise _unreadable(path, exc) from None
     return list(load_lines(path, lambda line: checked(dict(zip(header, line.split("\t")))), skip=1))
 
 
 def load_lines(path: str | Path, from_line: Callable[[str], T], skip: int = 0) -> Iterator[T]:
     """Yield one object per non-blank line of `path` after the first `skip`,
     reading the file as the caller iterates and turning a line `from_line`
-    cannot read into a StoreError that names the file, the line and, for a
-    missing field, the key."""
-    with Path(path).open() as fh:
-        for lineno, line in enumerate(fh, 1):
-            if lineno <= skip or line.isspace():  # a line read from a file is never empty
-                continue
-            try:
-                item = from_line(line.rstrip("\r\n"))
-            except KeyError as exc:
-                raise StoreError(f"{path}:{lineno}: missing key {exc.args[0]!r}") from None
-            except (TypeError, ValueError) as exc:
-                raise StoreError(f"{path}:{lineno}: {exc}") from None
-            yield item
+    cannot read into an InputError that names the file, the line and, for a
+    missing field, the key. A file that cannot be opened, read or decoded
+    raises InputError naming it."""
+    try:
+        with Path(path).open() as fh:
+            for lineno, line in enumerate(fh, 1):
+                if lineno <= skip or line.isspace():  # a line read from a file is never empty
+                    continue
+                try:
+                    item = from_line(line.rstrip("\r\n"))
+                except KeyError as exc:
+                    raise InputError(f"{path}:{lineno}: missing key {exc.args[0]!r}") from None
+                except (TypeError, ValueError) as exc:
+                    raise InputError(f"{path}:{lineno}: {exc}") from None
+                yield item
+    except (OSError, UnicodeDecodeError) as exc:
+        raise _unreadable(path, exc) from None
 
 
 def load_listing(path: str | Path, from_entry: Callable[[str], T]) -> list[T]:
@@ -192,19 +205,27 @@ def object_of(parsers: dict[str, Callable[[Any], T]], required: Sequence[str] = 
     return parse
 
 
+def read_json(path: str | Path, parse: Callable[[Any], T]) -> T:
+    """What `parse` makes of the JSON value in `path`. A file that cannot be
+    read, that is not JSON, or whose value `parse` rejects raises InputError
+    naming the file and, for a missing key, the key."""
+    try:
+        return parse(json.loads(Path(path).read_text()))
+    except (OSError, UnicodeDecodeError) as exc:
+        raise _unreadable(path, exc) from None
+    except KeyError as exc:
+        raise InputError(f"{path}: missing key {exc.args[0]!r}") from None
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"{path}: {exc}") from None
+
+
 def read_json_fields(
     path: str | Path, parsers: dict[str, Callable[[Any], T]], required: Sequence[str] = ()
 ) -> dict[str, T]:
-    """Read the JSON object in `path` and parse its keys as object_of does.
-    Invalid JSON, a top level that is not an object, a missing `required` key
-    or a value its parser rejects raises StoreError naming the file and the
-    key."""
-    try:
-        return object_of(parsers, required)(json.loads(Path(path).read_text()))
-    except KeyError as exc:
-        raise StoreError(f"{path}: missing key {exc.args[0]!r}") from None
-    except (TypeError, ValueError) as exc:
-        raise StoreError(f"{path}: {exc}") from None
+    """Read the JSON object in `path` and parse its keys as object_of does;
+    a top level that is not an object, a missing `required` key or a value
+    its parser rejects raises InputError naming the file and the key."""
+    return read_json(path, object_of(parsers, required))
 
 
 def read_profiles(path: Optional[str | Path]) -> dict[str, dict]:
@@ -294,7 +315,7 @@ def save_sessions(path: str | Path, sessions: Iterable[Session]) -> Path:
 
 
 def load_sessions(path: str | Path) -> list[Session]:
-    """Read a session store back; a malformed row raises StoreError."""
+    """Read a session store back; a malformed row raises InputError."""
     from .ingest import Session, SessionKey, Timeline
     from .wire import Direction, PacketType
 
@@ -367,7 +388,7 @@ def save_datagrams(path: str | Path, records: Iterable[CaptureRecord]) -> Path:
 def load_datagrams(path: str | Path) -> Iterator[CaptureRecord]:
     """Yield a datagram store's rows, as the caller iterates, as records
     whose packets carry only type, version and CIDs; a malformed row, or one
-    with no packet, raises StoreError when it is reached, so a caller reads
+    with no packet, raises InputError when it is reached, so a caller reads
     the whole store before it writes anything. Each distinct CID text is
     decoded and length-checked once per load."""
     from .ingest import CaptureRecord

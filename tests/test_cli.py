@@ -6,7 +6,9 @@ import hashlib
 import io
 import json
 import math
+import random
 import re
+import shutil
 import tracemalloc
 import weakref
 from pathlib import Path
@@ -117,6 +119,18 @@ class TestSimulate:
         assert run("simulate", "--config", config, "--out-dir", out) == 2
         assert f"key {key!r}: expected a finite number, got {json.dumps(value)}" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_server_cids_that_run_out_exit_2_naming_the_key(self, tmp_path, capsys):
+        # 600 connections on one instance, from 256 one-octet server CIDs
+        profile = {"initial_rto": 0.4, "max_retransmissions": 0, "scid_length": 1}
+        cluster = {"vips": ["198.51.100.1"], "l7lb_count": 1, "profile": profile}
+        flood = {"source_base": "100.64.0.0", "source_count": 600, "duration": 1.0}
+        config = tmp_path / "deploy.json"
+        config.write_text(json.dumps({"clusters": [cluster], "flood": flood}))
+        assert run("simulate", "--config", config, "--out-dir", tmp_path / "out") == 2
+        message = "cluster0: could not generate a unique server CID (profile scid_length 1)"
+        assert capsys.readouterr().err == f"quicscope: {message}\n"
+        assert not any((tmp_path / "out").iterdir())
 
     def test_config_without_flood_leaves_no_output(self, tmp_path):
         config = tmp_path / "deploy.json"
@@ -432,6 +446,18 @@ class TestClassifyCommand:
         assert set(labels(tmp_path / "cls", "Inter arrival time").values()) == {"NotOperator"}
         assert labels(tmp_path / "cls", "SCID") == labels(chain / "classify", "SCID")
         assert (tmp_path / "cls" / "features.tsv").read_bytes() == (chain / "classify" / "features.tsv").read_bytes()
+
+    @pytest.mark.parametrize("key", ["rto_tolerance", "backoff_tolerance"])
+    def test_negative_tolerance_exits_2_naming_the_key(self, chain, tmp_path, capsys, key):
+        # a negative tolerance would make every RTO rule predict NotOperator
+        rules = tmp_path / "rules.json"
+        rules.write_text(json.dumps({key: -0.1}))
+        argv = ["--datagrams", chain / "ingest" / "datagrams.jsonl", "--truth", chain / "truth.tsv", "--rules", rules]
+        assert run("classify", *argv, "--out-dir", tmp_path / "cls") == 2
+        assert f"{rules}: key '{key}': expected a number >= 0, got -0.1" in capsys.readouterr().err
+        assert not (tmp_path / "cls").exists()
+        rules.write_text(json.dumps({key: 0}))
+        assert run("classify", *argv, "--out-dir", tmp_path / "cls") == 0
 
     @pytest.mark.parametrize("with_profiles", [False, True], ids=["shipped", "profiles"])
     def test_target_operator_without_a_profile_exits_2(self, tmp_path, capsys, with_profiles):
@@ -977,15 +1003,19 @@ class TestMissingInput:
         "report": ["--in-dir", "{base}/fingerprint"],
     }
 
+    def argv(self, chain, subcommand, option, value) -> list[str]:
+        """The subcommand's run on the chain with `option` set to `value`."""
+        argv = [a.format(base=chain) for a in self.ARGV[subcommand]]
+        if option in argv:
+            argv[argv.index(option) + 1] = str(value)
+        else:
+            argv += [option, str(value)]
+        return argv
+
     @pytest.mark.parametrize("subcommand, option", path_options())
     def test_path_that_does_not_exist_exits_2_before_any_output(self, chain, tmp_path, capsys, subcommand, option):
-        argv = [a.format(base=chain) for a in self.ARGV[subcommand]]
         missing = str(tmp_path / "no" / "such" / "path")
-        if option in argv:
-            argv[argv.index(option) + 1] = missing
-        else:
-            argv += [option, missing]
-        assert run(subcommand, *argv, "--out-dir", tmp_path / "out") == 2
+        assert run(subcommand, *self.argv(chain, subcommand, option, missing), "--out-dir", tmp_path / "out") == 2
         err = capsys.readouterr().err
         assert f"not found: {missing}" in err and "Traceback" not in err
         assert not (tmp_path / "out").exists()
@@ -993,12 +1023,7 @@ class TestMissingInput:
     # report --in-dir takes a directory; the test below gives it a file
     @pytest.mark.parametrize("subcommand, option", [p for p in path_options() if p.values[1] != "--in-dir"])
     def test_path_that_is_a_directory_exits_2_before_any_output(self, chain, tmp_path, capsys, subcommand, option):
-        argv = [a.format(base=chain) for a in self.ARGV[subcommand]]
-        if option in argv:
-            argv[argv.index(option) + 1] = str(tmp_path)
-        else:
-            argv += [option, str(tmp_path)]
-        assert run(subcommand, *argv, "--out-dir", tmp_path / "out") == 2
+        assert run(subcommand, *self.argv(chain, subcommand, option, tmp_path), "--out-dir", tmp_path / "out") == 2
         err = capsys.readouterr().err
         assert f"is not a file: {tmp_path}" in err and "Traceback" not in err
         assert not (tmp_path / "out").exists()
@@ -1009,6 +1034,137 @@ class TestMissingInput:
         err = capsys.readouterr().err
         assert f"input directory is not a directory: {afile}" in err and "Traceback" not in err
         assert not (tmp_path / "out").exists()
+
+    def damaged(self, chain, tmp_path, subcommand, option, content: bytes) -> tuple[list[str], Path]:
+        """The subcommand's run with `option` naming a file of `content`
+        (for report --in-dir, a directory whose first table it reads holds
+        it), and that file's path."""
+        value = bad = tmp_path / "input"
+        if option == "--in-dir":
+            value.mkdir()
+            bad = value / "version_tally.tsv"
+        bad.write_bytes(content)
+        return self.argv(chain, subcommand, option, value), bad
+
+    @pytest.mark.parametrize("subcommand, option", path_options())
+    def test_file_that_is_not_utf8_exits_2_naming_it(self, chain, tmp_path, capsys, subcommand, option):
+        argv, bad = self.damaged(chain, tmp_path, subcommand, option, b"\xff\xfe\n")
+        assert run(subcommand, *argv, "--out-dir", tmp_path / "out") == 2
+        err = capsys.readouterr().err
+        assert str(bad) in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("subcommand, option", path_options())
+    def test_file_that_cannot_be_opened_exits_2_naming_it(self, chain, tmp_path, capsys, monkeypatch, subcommand, option):
+        argv, bad = self.damaged(chain, tmp_path, subcommand, option, b"")
+        path_open = Path.open
+
+        def denied(path, *args, **kwargs):
+            if path == bad:
+                raise PermissionError(13, "Permission denied", str(path))
+            return path_open(path, *args, **kwargs)
+
+        # run as root, a file without read permission still opens
+        monkeypatch.setattr(Path, "open", denied)
+        assert run(subcommand, *argv, "--out-dir", tmp_path / "out") == 2
+        err = capsys.readouterr().err
+        assert f"{bad}: " in err and "Permission denied" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("subcommand", sorted(ARGV))
+    def test_out_dir_that_is_a_file_exits_2_naming_it(self, chain, tmp_path, capsys, subcommand):
+        afile = tmp_path / "afile"
+        afile.write_text("")
+        argv = [a.format(base=chain) for a in self.ARGV[subcommand]]
+        for out in (afile, afile / "sub"):
+            assert run(subcommand, *argv, "--out-dir", out) == 2
+            assert f"quicscope: cannot make --out-dir {out}: " in capsys.readouterr().err
+        assert afile.read_text() == ""
+
+
+class TestBugsAreNotInputErrors:
+    """main maps only InputError to exit 2: an error a stage raises for any
+    other reason keeps its type and its traceback."""
+
+    @pytest.mark.parametrize("error", [ValueError, FileNotFoundError, KeyError])
+    def test_error_inside_a_stage_propagates(self, chain, tmp_path, monkeypatch, error):
+        def broken(*args, **kwargs):
+            raise error("broken analysis")
+
+        monkeypatch.setattr("quicscope.fingerprint.version_tally", broken)
+        stores = ["--sessions", chain / "ingest" / "sessions.jsonl", "--datagrams", chain / "ingest" / "datagrams.jsonl"]
+        with pytest.raises(error, match="broken analysis") as excinfo:
+            run("fingerprint", *stores, "--out-dir", tmp_path / "out")
+        assert type(excinfo.value) is error
+
+
+class TestFuzzedInputs:
+    """Seeded truncations and byte flips of the chain's inputs, run through
+    main() in-process: each run exits 0, 2 or 3, and no exception escapes."""
+
+    # each subcommand's run, its inputs named by keys of INPUTS
+    ARGV = {
+        "simulate": ["--config", "{deploy}"],
+        "ingest": ["--capture", "{capture}"],
+        "fingerprint": ["--sessions", "{sessions}", "--datagrams", "{datagrams}"],
+        "scid": ["--datagrams", "{datagrams}", "--pairs", "{pairs}", "--min-samples", "40"],
+        "classify": ["--datagrams", "{datagrams}", "--truth", "{truth}"],
+        "probe": ["--sim-config", "{deploy}", "--handshakes", "20"],
+        "report": ["--in-dir", "{fingerprint}"],
+    }
+    INPUTS = {
+        "deploy": "deploy.json",
+        "capture": "simulate/capture.pcap",
+        "sessions": "ingest/sessions.jsonl",
+        "datagrams": "ingest/datagrams.jsonl",
+        "pairs": "simulate/pairs.tsv",
+        "truth": "truth.tsv",
+        "fingerprint": "fingerprint",
+    }
+    # the tables report reads out of --in-dir
+    REPORT_TABLES = ("version_tally.tsv", "packet_types.tsv", "matches.tsv", "rto.tsv")
+
+    @staticmethod
+    def mutants(data: bytes, rng: random.Random) -> list[bytes]:
+        """Two truncations of `data` and six copies with one byte flipped."""
+        out = [data[: rng.randrange(len(data))] for _ in range(2)]
+        for _ in range(6):
+            flipped = bytearray(data)
+            flipped[rng.randrange(len(flipped))] ^= rng.randrange(1, 256)
+            out.append(bytes(flipped))
+        return out
+
+    @pytest.mark.parametrize("subcommand", sorted(ARGV))
+    def test_damaged_inputs_exit_0_2_or_3(self, chain, tmp_path, subcommand):
+        rng = random.Random(subcommand)
+        keys = re.findall(r"\{(\w+)\}", " ".join(self.ARGV[subcommand]))
+        paths = {key: chain / self.INPUTS[key] for key in keys}
+        # (input damaged, its name in a directory input or "", mutant)
+        cases = [
+            (key, name, mutant)
+            for key in keys
+            for name in (self.REPORT_TABLES if paths[key].is_dir() else ("",))
+            for mutant in self.mutants((paths[key] / name).read_bytes() if name else paths[key].read_bytes(), rng)
+        ]
+        failures = []
+        for index, (key, name, mutant) in enumerate(cases):
+            run_dir = tmp_path / str(index)
+            damaged = run_dir / "input"
+            if name:
+                shutil.copytree(paths[key], damaged)
+                (damaged / name).write_bytes(mutant)
+            else:
+                run_dir.mkdir()
+                damaged.write_bytes(mutant)
+            argv = [a.format(**dict(paths, **{key: damaged})) for a in self.ARGV[subcommand]]
+            try:
+                with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+                    code = run(subcommand, *argv, "--out-dir", run_dir / "out")
+            except Exception as exc:  # every escape is reported below
+                code = f"{type(exc).__name__}: {exc}"
+            if code not in (0, 2, 3):
+                failures.append((index, key, name, code))
+        assert not failures
 
 
 class TestClassifyGolden:

@@ -5,8 +5,8 @@ import random
 
 import pytest
 
+from quicscope import InputError
 from quicscope.fingerprint import (
-    FingerprintError,
     FingerprintProfile,
     InsufficientData,
     RtoEstimate,
@@ -265,6 +265,17 @@ class TestEstimateRto:
         assert abs(est.initial_rto - 0.3) < 0.02
         assert abs(est.backoff_base - 2.0) < 0.15
 
+    @pytest.mark.parametrize(
+        "offsets",
+        [[0.0, 1.0, 2.0, 2.9, 3.7], [0.0, -3.0, -2.0, -1.5]],
+        ids=["gaps-shrink", "rows-out-of-time-order"],
+    )
+    def test_resends_without_a_backoff_are_insufficient_data(self, offsets):
+        # no RtoEstimate holds a median gap ratio below 1 or a first resend at or before 0
+        sessions = [session_from_offsets(offsets, key_suffix=bytes([i])) for i in range(50)]
+        with pytest.raises(InsufficientData, match="^resends follow no backoff: initial RTO "):
+            estimate_rto(sessions)
+
     def test_sessions_without_resends_excluded(self):
         sessions = [session_from_offsets([0.0], key_suffix=bytes([i])) for i in range(50)]
         with pytest.raises(InsufficientData):
@@ -396,7 +407,7 @@ class TestKnownProfiles:
     @pytest.mark.parametrize("n", [6, 10])
     def test_simulated_retransmissions_outside_the_range(self, tmp_path, n):
         path = self.write(tmp_path, simulated_retransmissions=n)
-        with pytest.raises(FingerprintError, match=r"profile 'Facebook': simulated_retransmissions is outside"):
+        with pytest.raises(InputError, match=r"profile 'Facebook': simulated_retransmissions is outside"):
             load_known_profiles(path)
 
     def test_simulated_retransmissions_is_optional(self, tmp_path):

@@ -8,11 +8,11 @@ import warnings
 
 import pytest
 
+from quicscope import InputError
 from quicscope.pcap import (
     LINKTYPE_ETHERNET,
     LINKTYPE_RAW_IP,
     PcapReader,
-    UnreadableCapture,
     _ip_checksum,
     build_ipv4_udp,
     write_pcap,
@@ -143,7 +143,7 @@ def test_record_longer_than_any_snaplen_is_not_read(tmp_path):
 def test_not_a_pcap(tmp_path):
     path = tmp_path / "junk.bin"
     path.write_bytes(b"this is not a capture file, promise")
-    with pytest.raises(UnreadableCapture):
+    with pytest.raises(InputError):
         PcapReader(path)
 
 
@@ -162,14 +162,14 @@ def test_header_read_closes_file(tmp_path, monkeypatch):
 
 
 def test_missing_file(tmp_path):
-    with pytest.raises(UnreadableCapture):
+    with pytest.raises(InputError):
         PcapReader(tmp_path / "nope.pcap")
 
 
 def test_unsupported_linktype(tmp_path):
     path = tmp_path / "dlt.pcap"
     path.write_bytes(struct.pack("<IHHiIII", 0xA1B2C3D4, 2, 4, 0, 0, 65535, 228))
-    with pytest.raises(UnreadableCapture):
+    with pytest.raises(InputError):
         PcapReader(path)
 
 
@@ -240,7 +240,7 @@ def test_record_header_cut_short(tmp_path):
 def test_file_shorter_than_the_global_header(tmp_path):
     path = tmp_path / "short.pcap"
     path.write_bytes(struct.pack("<IHHiIII", 0xA1B2C3D4, 2, 4, 0, 0, 65535, 101)[:23])
-    with pytest.raises(UnreadableCapture, match="too short for a pcap global header"):
+    with pytest.raises(InputError, match="too short for a pcap global header"):
         PcapReader(path)
 
 

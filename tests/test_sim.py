@@ -557,7 +557,8 @@ class TestScidCollisions:
     def test_eight_taken_draws_raise(self, monkeypatch):
         sim, widths = self.scripted(monkeypatch, [0xAB] * 9)
         first = self.serve(sim, 4000)
-        with pytest.raises(SimError, match="^could not generate a unique server CID$"):
+        message = "203.0.113.1: could not generate a unique server CID (profile scid_length 8)"
+        with pytest.raises(SimError, match=f"^{re.escape(message)}$"):
             self.serve(sim, 4001)
         assert widths == [64] * 9
         assert sim.clusters[0].instances[0].connection_table == {first.server_cid: first}
@@ -986,7 +987,7 @@ class TestCheckedConstruction:
 
     @staticmethod
     def cases():
-        from quicscope.fingerprint import FingerprintError, RtoEstimate
+        from quicscope.fingerprint import RtoEstimate
         from quicscope.probe import LbType, LbTypeVerdict, ProbeError
         from quicscope.scid import SchemeKind, ScidAnalysisError, ScidScheme
 
@@ -996,7 +997,7 @@ class TestCheckedConstruction:
             (cluster, {"workers": 0}, InvalidConfig, "workers must be >= 1"),
             (FloodConfig(["100.64.0.1"], 1.0), {"duration": -1.0}, InvalidConfig, "duration must be >= 0"),
             (DeploymentConfig([cluster]), {"clusters": [cluster, cluster]}, InvalidConfig, "assigned to two clusters"),
-            (RtoEstimate(0.4, 2.0, (7, 9), 10), {"backoff_base": 0.5}, FingerprintError, "below 1"),
+            (RtoEstimate(0.4, 2.0, (7, 9), 10), {"backoff_base": 0.5}, ValueError, "below 1"),
             (ScidScheme(SchemeKind.RANDOM), {"kind": SchemeKind.STRUCTURED}, ScidAnalysisError, "flagged positions"),
             (LbTypeVerdict(LbType.FIVE_TUPLE), {"kind": LbType.CID_AWARE}, ProbeError, "positive fail window"),
         ]

@@ -7,7 +7,7 @@ import re
 
 import pytest
 
-from quicscope import tables
+from quicscope import InputError, tables
 from quicscope.ingest import (
     CaptureRecord,
     PrefixTable,
@@ -116,7 +116,7 @@ class TestDatagramStore:
         path = tables.save_datagrams(tmp_path / "datagrams.jsonl", records)
         assert path.read_bytes() == reference.encode()
         # ingest never yields a datagram without a packet, and the loader rejects its row
-        with pytest.raises(tables.StoreError, match=f"^{re.escape(str(path))}:4: datagram row has no packets"):
+        with pytest.raises(InputError, match=f"^{re.escape(str(path))}:4: datagram row has no packets"):
             list(tables.load_datagrams(path))
         path = tables.save_datagrams(tmp_path / "datagrams.jsonl", records[:3])
         assert [stored_fields(r) for r in tables.load_datagrams(path)] == [stored_fields(r) for r in records[:3]]
@@ -155,7 +155,7 @@ class TestDatagramStore:
         path = tables.save_datagrams(tmp_path / "datagrams.jsonl", live_records()[:2])
         with path.open("a") as fh:
             fh.write(bad_row + "\n")
-        with pytest.raises(tables.StoreError, match=f"^{re.escape(str(path))}:3: ") as excinfo:
+        with pytest.raises(InputError, match=f"^{re.escape(str(path))}:3: ") as excinfo:
             list(tables.load_datagrams(path))
         assert message in str(excinfo.value)
 
@@ -190,7 +190,7 @@ class TestReadTable:
     def test_missing_column_names_file_and_line(self, tmp_path):
         path = tables.write_table(tmp_path / "t.tsv", ["operator"], [("Facebook",), ("Google",)])
         assert tables.read_table(path, columns=("operator",))[1] == {"operator": "Google"}
-        with pytest.raises(tables.StoreError, match=f"^{re.escape(str(path))}:2: missing key 'share'"):
+        with pytest.raises(InputError, match=f"^{re.escape(str(path))}:2: missing key 'share'"):
             tables.read_table(path, columns=("operator", "share"))
 
 
@@ -302,11 +302,11 @@ class TestSessionStore:
         edit(row)
         with path.open("a") as fh:
             fh.write(json.dumps(row) + "\n" + "{not json\n")
-        with pytest.raises(tables.StoreError, match=f"^{re.escape(str(path))}:3: ") as excinfo:
+        with pytest.raises(InputError, match=f"^{re.escape(str(path))}:3: ") as excinfo:
             tables.load_sessions(path)
         assert message in str(excinfo.value)
         path.write_text(path.read_text().splitlines()[0] + "\n{not json\n")
-        with pytest.raises(tables.StoreError, match=f"^{re.escape(str(path))}:2: Expecting property name"):
+        with pytest.raises(InputError, match=f"^{re.escape(str(path))}:2: Expecting property name"):
             tables.load_sessions(path)
 
 
