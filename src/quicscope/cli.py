@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from itertools import repeat
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 from . import InputError, PreconditionError, __version__
@@ -239,7 +240,7 @@ def cmd_fingerprint(args) -> int:
     _check_minimums(args, "--min-sessions", "--min-scids", "--top-lengths")
     scid.check_alpha(args.alpha)
     sessions = tables.load_sessions(_require(args.sessions, "session store"))
-    traits = group_traits(tables.load_datagrams(_require(args.datagrams, "datagram store")), _operator_or_unknown)
+    traits = group_traits(tables.count_datagrams(_require(args.datagrams, "datagram store")), _operator_or_unknown)
     registry = _registry(args)
     known = fp.load_known_profiles(_require(args.profiles, "profile table"))
 
@@ -322,9 +323,9 @@ def cmd_scid(args) -> int:
             raise scid.InsufficientSamples(f"{args.scids}: no SCIDs to analyze")
         populations = {"all": scids}
     elif args.datagrams:
-        rows = tables.load_datagrams(_require(args.datagrams, "datagram store"))
+        counted = tables.count_datagrams(_require(args.datagrams, "datagram store"))
         response = Direction.RESPONSE
-        responses = (row for row in rows if row.direction is response)
+        responses = (pair for pair in counted if pair[0].direction is response)
         traits = group_traits(responses, _operator_or_unknown, shapes=False)
         populations = {op: sorted(t.scids) for op, t in traits.items() if not args.operator or op == args.operator}
     else:
@@ -407,7 +408,8 @@ def cmd_classify(args) -> int:
     sessionizer = Sessionizer(args.idle_gap)
     response = Direction.RESPONSE
     responses = (sessionizer.add(row) for row in rows if row.direction is response)
-    traits = group_traits(responses, lambda row: (row.src_ip, row.operator))
+    # classify's sessions need each row's timestamp, so it folds every row once
+    traits = group_traits(zip(responses, repeat(1)), lambda row: (row.src_ip, row.operator))
     sessions = _group(sessionizer.sessions(), lambda session: session.key.src_ip)
     # on-net responses of the target operator provide the packet-length reference
     reference_shapes = frozenset(

@@ -4,7 +4,8 @@ The pipeline is ingest -> Sessionizer. ingest() is one lazy pass that
 filters, sanitizes and labels each datagram and yields it as a finished,
 immutable record; the Sessionizer is a fold fed one record at a time that
 keeps per-session state, so a capture streams through without being held.
-The analyses group records with one fold, group_traits.
+The analyses group records with one fold, group_traits, which takes each
+record with the number of datagrams it stands for.
 Input captures are expected in timestamp order (standard for single-vantage
 telescope files); ordering is not re-checked.
 """
@@ -42,9 +43,10 @@ class CaptureRecord(NamedTuple):
     """One QUIC datagram with its parsed long-header packets.
 
     `ingest()` builds each one once, complete, and `tables.load_datagrams`
-    builds one per store row; a loaded packet keeps only its type, version
-    and CIDs. `operator`/`asn` identify the server side (source of a
-    response, destination of a request), None where no prefix names it.
+    builds one per store row (`tables.count_datagrams` one per distinct
+    row); a loaded packet keeps only its type, version and CIDs.
+    `operator`/`asn` identify the server side (source of a response,
+    destination of a request), None where no prefix names it.
     """
 
     timestamp: float
@@ -280,21 +282,22 @@ class Traits(NamedTuple):
 
 
 def group_traits(
-    records: Iterable[CaptureRecord], key: Callable[[CaptureRecord], Hashable], shapes: bool = True
+    counted: Iterable[tuple[CaptureRecord, int]], key: Callable[[CaptureRecord], Hashable], shapes: bool = True
 ) -> dict[Hashable, Traits]:
-    """Fold records into the Traits of each key(record), in one pass.
-    `shapes=False` leaves every shape count empty, for callers that read
-    only SCIDs."""
+    """Fold (record, count) pairs into the Traits of each key(record), in
+    one pass; a record stands for `count` datagrams of its shape, as a
+    distinct store row does for the rows that repeat it. `shapes=False`
+    leaves every shape count empty, for callers that read only SCIDs."""
     groups: dict[Hashable, Traits] = {}
     response = Direction.RESPONSE
-    for record in records:
+    for record, count in counted:
         k = key(record)
         traits = groups.get(k)
         if traits is None:
             traits = groups[k] = Traits({}, set())
         if shapes:
             shape = (record.types, record.datagram_length)
-            traits.shapes[shape] = traits.shapes.get(shape, 0) + 1
+            traits.shapes[shape] = traits.shapes.get(shape, 0) + count
         if record.direction is response:
             traits.scids.update([p.scid for p in record.packets])
     return groups

@@ -102,6 +102,10 @@ class _StackProfileFields(NamedTuple):
     padding_policy: Optional[dict[str, int]] = None
 
 
+# the largest UDP payload of an IPv4 packet: 65,535 octets less the IPv4 and UDP headers
+MAX_UDP_PAYLOAD = 65_535 - 20 - 8
+
+
 class StackProfile(CheckedTuple, _StackProfileFields):
     """Server stack configuration driving response behavior; with no
     padding policy, each profile gets an empty one of its own."""
@@ -122,6 +126,9 @@ class StackProfile(CheckedTuple, _StackProfileFields):
             raise InvalidConfig(f"scid_length must be 1 to {MAX_CID_LENGTH}")
         if self.padding_policy is None:
             self = tuple.__new__(cls, (*self[:-1], {}))
+        for category, size in self.padding_policy.items():
+            if not 0 <= size <= MAX_UDP_PAYLOAD:
+                raise InvalidConfig(f"padding_policy {category!r}: size must be 0 to {MAX_UDP_PAYLOAD}, got {size}")
         return self
 
 

@@ -9,7 +9,12 @@ does not consume whole, with surrounding whitespace or an error, goes to
 datagram store keeps each packet's type, version and CIDs; its writer drains
 a record stream as it goes, and its loader yields the rows one at a time as
 the same `ingest.CaptureRecord` that ingest() yields, so neither holds the
-store. TruthWriter writes `simulate`'s truth rows and pairs table the same
+store. count_datagrams reads it for folds that never read a timestamp: rows
+that differ only in their "ts", such as the resends of one handshake, are
+decoded once, with the number of rows they stand for, so time and memory
+follow the distinct rows. Every session and datagram row's values are
+checked for their JSON types.
+TruthWriter writes `simulate`'s truth rows and pairs table the same
 way, one format string per file, a row per served handshake. Analysis
 outputs land as TSV with a one-line header, which read_table reads back for
 the next stage. All writers are byte-deterministic for identical inputs,
@@ -23,8 +28,12 @@ and the line or key.
 from __future__ import annotations
 
 import ipaddress
+import itertools
 import json
 import math
+import re
+from collections import Counter, deque
+from functools import partial
 from importlib import resources
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Optional, Sequence, TextIO, TypeVar
@@ -266,6 +275,52 @@ def _json_names() -> Callable[[Optional[str]], str]:
     return text
 
 
+# The JSON types each scalar field of a store row may hold, with what a
+# message calls them; true and false are no numbers, and ports and lengths
+# are never negative. A time may be any number, NaN and Infinity included: a
+# fold that never reads the datagram timestamp must not reject one.
+_NUMBER = ("a number", int, float)
+_NAME = ("a string", str)
+_OPTIONAL_NAME = ("a string or null", str, type(None))
+_OPTIONAL_INTEGER = ("an integer or null", int, type(None))
+_DATAGRAM_FIELDS = {
+    "ts": _NUMBER,
+    "src": _NAME,
+    "dst": _NAME,
+    "sport": ("a non-negative integer", int),
+    "dport": ("a non-negative integer", int),
+    "length": ("a non-negative integer", int),
+    "operator": _OPTIONAL_NAME,
+    "asn": _OPTIONAL_INTEGER,
+}
+_UNSIGNED = ("sport", "dport", "length")
+_SESSION_FIELDS = {
+    "src": _NAME,
+    "dst": _NAME,
+    "version": ("an integer", int),
+    "operator": _OPTIONAL_NAME,
+    "asn": _OPTIONAL_INTEGER,
+    "start_ts": _NUMBER,
+}
+
+
+def _field_error(values: dict[str, Any], fields: dict[str, tuple]) -> str:
+    """The message for the first of `values` that has another JSON type than
+    its entry in `fields` allows, or is a negative count."""
+    key, name = next(
+        (key, name)
+        for key, (name, *kinds) in fields.items()
+        if type(values[key]) not in kinds or (key in _UNSIGNED and values[key] < 0)
+    )
+    return f"key {key!r}: expected {name}, got {json.dumps(values[key])}"
+
+
+def _field_kinds(fields: dict[str, tuple]) -> frozenset[tuple[type, ...]]:
+    """Every tuple of types that values of `fields`, in order, may have, so
+    that one set lookup checks them all."""
+    return frozenset(itertools.product(*(entry[1:] for entry in fields.values())))
+
+
 # --- session store -----------------------------------------------------------
 
 
@@ -322,10 +377,12 @@ def load_sessions(path: str | Path) -> list[Session]:
     directions = {d.value: d for d in Direction}
     packet_types = {t.value: t for t in PacketType}
     new = tuple.__new__
+    kinds = _field_kinds(_SESSION_FIELDS)
 
     def from_line(line: str) -> Session:
         raw = _json_row(line)
-        key = new(SessionKey, (raw["src"], raw["dst"], bytes.fromhex(raw["scid"]), bytes.fromhex(raw["dcid"])))
+        src, dst = raw["src"], raw["dst"]
+        key = new(SessionKey, (src, dst, bytes.fromhex(raw["scid"]), bytes.fromhex(raw["dcid"])))
         timeline = Timeline()
         for offset, ptype, length, coalesced in raw["timeline"]:
             try:
@@ -337,8 +394,11 @@ def load_sessions(path: str | Path) -> list[Session]:
             direction = directions[raw["direction"]]
         except (KeyError, TypeError):
             direction = Direction(raw["direction"])
-        start_ts = raw.get("start_ts", 0.0)
-        return new(Session, (key, timeline, direction, raw["version"], raw.get("operator"), raw.get("asn"), start_ts))
+        version, operator, asn, start_ts = raw["version"], raw.get("operator"), raw.get("asn"), raw.get("start_ts", 0.0)
+        values = (src, dst, version, operator, asn, start_ts)
+        if tuple(map(type, values)) not in kinds:
+            raise ValueError(_field_error(dict(zip(_SESSION_FIELDS, values)), _SESSION_FIELDS))
+        return new(Session, (key, timeline, direction, version, operator, asn, start_ts))
 
     return list(load_lines(path, from_line))
 
@@ -385,12 +445,12 @@ def save_datagrams(path: str | Path, records: Iterable[CaptureRecord]) -> Path:
     return path
 
 
-def load_datagrams(path: str | Path) -> Iterator[CaptureRecord]:
-    """Yield a datagram store's rows, as the caller iterates, as records
-    whose packets carry only type, version and CIDs; a malformed row, or one
-    with no packet, raises InputError when it is reached, so a caller reads
-    the whole store before it writes anything. Each distinct CID text is
-    decoded and length-checked once per load."""
+def _datagram_row() -> Callable[[str], CaptureRecord]:
+    """The decoder of one datagram store row: a record whose packets carry
+    only type, version and CIDs. A row that is not an object of the store's
+    keys and JSON types, or that has no packet, raises KeyError, TypeError
+    or ValueError. Each distinct CID text is decoded and length-checked
+    once per decoder."""
     from .ingest import CaptureRecord
     from .wire import Direction, LongHeader, PacketType, check_cid_lengths
 
@@ -400,18 +460,24 @@ def load_datagrams(path: str | Path) -> Iterator[CaptureRecord]:
     new = tuple.__new__
     # what LongHeader(ptype, version, dcid, scid) fills in after the CIDs
     token, payload, first_byte, wire_length = LongHeader._field_defaults.values()
+    kinds = _field_kinds(_DATAGRAM_FIELDS)
 
     def from_line(line: str) -> CaptureRecord:
         raw = _json_row(line)
         packets = []
         for ptype, version, scid_text, dcid_text in raw["packets"]:
             try:
-                ptype, dcid, scid = packet_types[ptype], cids[dcid_text], cids[scid_text]
+                dcid, scid = cids[dcid_text], cids[scid_text]
             except (KeyError, TypeError):
                 dcid, scid = bytes.fromhex(dcid_text), bytes.fromhex(scid_text)
                 check_cid_lengths(dcid, scid)
                 cids[dcid_text], cids[scid_text] = dcid, scid
+            try:
+                ptype = packet_types[ptype]
+            except (KeyError, TypeError):
                 ptype = PacketType(ptype)  # the member, or the enum's own error for a value that names none
+            if type(version) is not int:
+                raise ValueError(f"packet version: expected an integer, got {json.dumps(version)}")
             packets.append(new(LongHeader, (ptype, version, dcid, scid, token, payload, first_byte, wire_length)))
         if not packets:
             raise ValueError("datagram row has no packets")
@@ -419,15 +485,54 @@ def load_datagrams(path: str | Path) -> Iterator[CaptureRecord]:
             direction = directions[raw["direction"]]
         except (KeyError, TypeError):
             direction = Direction(raw["direction"])
-        return new(
-            CaptureRecord,
-            (
-                raw["ts"], raw["src"], raw["dst"], raw["sport"], raw["dport"], direction, raw["length"], packets,
-                raw.get("operator"), raw.get("asn"),
-            ),
-        )
+        ts, src, dst, sport, dport, length = raw["ts"], raw["src"], raw["dst"], raw["sport"], raw["dport"], raw["length"]
+        operator, asn = raw.get("operator"), raw.get("asn")
+        row_kinds = (type(ts), type(src), type(dst), type(sport), type(dport), type(length), type(operator), type(asn))
+        if row_kinds not in kinds or sport < 0 or dport < 0 or length < 0:
+            values = (ts, src, dst, sport, dport, length, operator, asn)
+            raise ValueError(_field_error(dict(zip(_DATAGRAM_FIELDS, values)), _DATAGRAM_FIELDS))
+        return new(CaptureRecord, (ts, src, dst, sport, dport, direction, length, packets, operator, asn))
 
-    return load_lines(path, from_line)
+    return from_line
+
+
+def load_datagrams(path: str | Path) -> Iterator[CaptureRecord]:
+    """Yield a datagram store's rows, as the caller iterates, as records
+    whose packets carry only type, version and CIDs; a malformed row, or one
+    with no packet, raises InputError when it is reached, so a caller reads
+    the whole store before it writes anything."""
+    return load_lines(path, _datagram_row())
+
+
+# A canonical row's last key, "ts", with a JSON number literal. `\d` would
+# also match digits that are not ASCII, which json rejects; so a row's tail
+# is only ever swapped for another number, and a row with the constant in
+# its place decodes exactly when the row itself does.
+_TS_TAIL = re.compile(r', "ts": -?(?:0|[1-9][0-9]*)(?:\.[0-9]+)?(?:[eE][-+]?[0-9]+)?}$')
+_TS_CONSTANT = ', "ts": 0}'
+
+
+def count_datagrams(path: str | Path) -> Iterator[tuple[CaptureRecord, int]]:
+    """Yield each distinct row of a datagram store once, decoded as
+    load_datagrams decodes it, with the number of rows it stands for. Rows
+    that differ only in their canonical "ts" tail count as one, and its
+    record's timestamp is 0, not theirs: the resends of a handshake are such
+    rows, and a fold that reads no timestamp needs each of them once. Memory
+    follows the distinct rows, each held once as text.
+
+    A store with any bad row is read again row by row, so its InputError
+    names the first bad line, as load_datagrams' does."""
+    from_line = _datagram_row()
+    try:
+        with Path(path).open() as fh:
+            # map and Counter run in C: no Python frame per row
+            counts = Counter(map(partial(_TS_TAIL.sub, _TS_CONSTANT), fh))
+        for text, n in counts.items():
+            if not text.isspace():  # load_lines skips blank lines too
+                yield from_line(text.rstrip("\r\n")), n
+    except (OSError, UnicodeDecodeError, KeyError, TypeError, ValueError):
+        deque(load_datagrams(path), maxlen=0)
+        raise
 
 
 # --- simulator truth ---------------------------------------------------------

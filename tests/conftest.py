@@ -3,11 +3,12 @@
 import os
 import subprocess
 import sys
+from itertools import repeat
 from pathlib import Path
 
 import pytest
 
-from quicscope.ingest import DEFAULT_IDLE_GAP, Session, Sessionizer
+from quicscope.ingest import DEFAULT_IDLE_GAP, Session, Sessionizer, group_traits
 from quicscope.pcap import PcapReader, PcapWriter
 from quicscope.probe import HostIdHarvest
 from quicscope.sim import DeploymentConfig, SessionTruth, client_initial_payload, simulate_flood
@@ -44,6 +45,11 @@ def sessions_of(records, idle_gap: float = DEFAULT_IDLE_GAP) -> list[Session]:
     for record in records:
         sessionizer.add(record)
     return sessionizer.sessions()
+
+
+def traits_of(records, key, shapes: bool = True) -> dict:
+    """group_traits of `records`, each standing for one datagram."""
+    return group_traits(zip(records, repeat(1)), key, shapes)
 
 
 def make_response(

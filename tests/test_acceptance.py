@@ -14,7 +14,7 @@ import numpy as np
 from quicscope import fingerprint as fp
 from quicscope import offnet, probe, scid
 from quicscope.cli import main as cli_main
-from quicscope.ingest import PrefixTable, group_traits, ingest
+from quicscope.ingest import PrefixTable, ingest
 from quicscope.scid import (
     FacebookScidFields,
     PositionVerdict,
@@ -41,7 +41,7 @@ from quicscope.wire import (
     TruncatedPacket,
 )
 
-from conftest import harvest_from_ids, sessions_of, simulate_to_pcap
+from conftest import harvest_from_ids, sessions_of, simulate_to_pcap, traits_of
 from test_scid import oracle_pack
 
 
@@ -109,7 +109,7 @@ def test_criterion_1_known_profile_round_trip(tmp_path):
         lo, hi = estimate.max_retransmissions
         assert lo <= configured[operator] <= hi
 
-        traits = group_traits(records, lambda r: r.operator or "Unknown")[operator]
+        traits = traits_of(records, lambda r: r.operator or "Unknown")[operator]
         assert traits.coalescence == default_stack_profile(operator).coalescence
 
         scids = sorted(traits.scids)
@@ -353,7 +353,7 @@ def test_criterion_7_classifier_metrics(tmp_path):
     )
     _, datagrams = simulate_to_pcap(config, tmp_path / "capture.pcap")
     records = list(ingest(datagrams))
-    traits = group_traits(records, lambda r: r.src_ip)
+    traits = traits_of(records, lambda r: r.src_ip)
     sessions = {}
     for session in sessions_of(records):
         sessions.setdefault(session.key.src_ip, []).append(session)

@@ -161,6 +161,16 @@ class TestSimulate:
         assert not (tmp_path / "o").exists()
 
 
+    @pytest.mark.parametrize("size", [65_508, 10**12])
+    def test_padding_beyond_a_udp_payload_exits_2(self, tmp_path, capsys, size):
+        config = tmp_path / "deploy.json"
+        profile = {"initial_rto": 0.4, "max_retransmissions": 1, "padding_policy": {"Initial": size}}
+        config.write_text(json.dumps(dict(DEPLOY, clusters=[dict(DEPLOY["clusters"][0], profile=profile)])))
+        assert run("simulate", "--config", config, "--out-dir", tmp_path / "sim") == 2
+        assert f"{config}: padding_policy 'Initial': size must be 0 to 65507, got {size}" in capsys.readouterr().err
+        assert not (tmp_path / "sim").exists()
+
+
 class TestIngest:
     def test_full_ingest(self, deploy_config, prefix_table, tmp_path):
         sim_out = tmp_path / "sim"
@@ -1211,9 +1221,10 @@ class TestClassifyGolden:
 
 
 class TestStreamedStages:
-    """Ingest and classify stream the records: eight resend rounds per
-    handshake cost them no more memory than one, where a stage holding every
-    record needs about four times as much."""
+    """Ingest and classify stream the records, and fingerprint and scid fold
+    each distinct store row once: eight resend rounds per handshake cost
+    them no more memory than one, where a stage holding every record needs
+    about four times as much."""
 
     SOURCES = [f"100.64.{i // 250}.{i % 250 + 1}" for i in range(1000)]
 
@@ -1236,6 +1247,14 @@ class TestStreamedStages:
                 simulate_flood(config, PcapWriter(fh))
         return paths
 
+    @pytest.fixture(scope="class")
+    def stores(self, captures, tmp_path_factory) -> dict[int, Path]:
+        """One ingest of each capture, shared by the stages that read its stores."""
+        base = tmp_path_factory.mktemp("stores")
+        for rounds, capture in captures.items():
+            assert run("ingest", "--capture", capture, "--out-dir", base / f"ing{rounds}") == 0
+        return {rounds: base / f"ing{rounds}" for rounds in captures}
+
     @staticmethod
     def peak(*argv) -> int:
         """tracemalloc's peak over one in-process run of the CLI."""
@@ -1246,30 +1265,110 @@ class TestStreamedStages:
         finally:
             tracemalloc.stop()
 
-    def peaks(self, stage_argv) -> dict[int, int]:
+    def assert_independent_of_rounds(self, stage_argv) -> None:
         # an untraced first run fills the interpreter's free lists and
         # imports the stage's modules, so neither traced run pays for that
         assert run(*stage_argv(1, "warm-up")) == 0
-        return {rounds: self.peak(*stage_argv(rounds, f"r{rounds}")) for rounds in (1, 8)}
-
-    def test_ingest_peak_memory_independent_of_rounds(self, captures, tmp_path):
-        peaks = self.peaks(lambda rounds, name: ("ingest", "--capture", captures[rounds], "--out-dir", tmp_path / name))
+        peaks = {rounds: self.peak(*stage_argv(rounds, f"r{rounds}")) for rounds in (1, 8)}
         assert peaks[8] <= 1.5 * peaks[1]
         assert peaks[1] <= 1.5 * peaks[8]
 
-    def test_classify_peak_memory_independent_of_rounds(self, captures, tmp_path):
+    def test_ingest_peak_memory_independent_of_rounds(self, captures, tmp_path):
+        self.assert_independent_of_rounds(
+            lambda rounds, name: ("ingest", "--capture", captures[rounds], "--out-dir", tmp_path / name)
+        )
+
+    def test_classify_peak_memory_independent_of_rounds(self, stores, tmp_path):
         truth = tmp_path / "truth.tsv"
         truth.write_text("203.0.113.1\tFacebook\n203.0.113.2\tFacebook\n")
-        for rounds in (1, 8):
-            assert run("ingest", "--capture", captures[rounds], "--out-dir", tmp_path / f"ing{rounds}") == 0
-        peaks = self.peaks(
+        self.assert_independent_of_rounds(
             lambda rounds, name: (
-                "classify", "--datagrams", tmp_path / f"ing{rounds}" / "datagrams.jsonl", "--truth", truth,
+                "classify", "--datagrams", stores[rounds] / "datagrams.jsonl", "--truth", truth,
                 "--out-dir", tmp_path / name,
             )
         )
-        assert peaks[8] <= 1.5 * peaks[1]
-        assert peaks[1] <= 1.5 * peaks[8]
+
+    def test_fingerprint_peak_memory_independent_of_rounds(self, stores, tmp_path):
+        self.assert_independent_of_rounds(
+            lambda rounds, name: (
+                "fingerprint", "--sessions", stores[rounds] / "sessions.jsonl",
+                "--datagrams", stores[rounds] / "datagrams.jsonl", "--out-dir", tmp_path / name,
+            )
+        )
+
+    def test_scid_peak_memory_independent_of_rounds(self, stores, tmp_path):
+        self.assert_independent_of_rounds(
+            lambda rounds, name: ("scid", "--datagrams", stores[rounds] / "datagrams.jsonl", "--out-dir", tmp_path / name)
+        )
+
+
+class TestStoreRowTypes:
+    """A store row value of the wrong JSON type stops every stage that reads
+    the store with exit 2, naming the file and the line, before any output."""
+
+    STAGES = {
+        "fingerprint": ["--sessions", "{dir}/sessions.jsonl"],
+        "scid": [],
+        "classify": ["--truth", "{dir}/truth.tsv"],
+    }
+
+    @staticmethod
+    def inputs(tmp_path: Path) -> Path:
+        """A datagram store of three responses, an empty session store and a truth table."""
+        from quicscope.ingest import ingest
+        from conftest import make_response
+
+        records = list(ingest([make_response(0.1 * i, dst=f"172.16.0.{i}") for i in range(3)]))
+        (tmp_path / "sessions.jsonl").write_text("")
+        (tmp_path / "truth.tsv").write_text("198.51.100.1\tFacebook\n")
+        return tables.save_datagrams(tmp_path / "datagrams.jsonl", records)
+
+    @pytest.mark.parametrize("stage", sorted(STAGES))
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("length", 1200.0, "key 'length': expected a non-negative integer, got 1200.0"),
+            ("length", -5, "key 'length': expected a non-negative integer, got -5"),
+            ("ts", "x", 'key \'ts\': expected a number, got "x"'),
+            ("ts", None, "key 'ts': expected a number, got null"),
+            ("src", 5, "key 'src': expected a string, got 5"),
+            ("asn", True, "key 'asn': expected an integer or null, got true"),
+            ("packets", [["initial", "1", "bb", "aa"]], 'packet version: expected an integer, got "1"'),
+        ],
+        ids=["float-length", "negative-length", "string-ts", "null-ts", "integer-src", "boolean-asn", "string-version"],
+    )
+    def test_datagram_row_value_wrong_type(self, tmp_path, capsys, stage, key, value, message):
+        store = self.inputs(tmp_path)
+        rows = store.read_text().splitlines()
+        rows[1] = json.dumps(dict(json.loads(rows[1]), **{key: value}), sort_keys=True)
+        store.write_text("\n".join(rows) + "\n")
+        argv = [a.format(dir=tmp_path) for a in self.STAGES[stage]]
+        assert run(stage, "--datagrams", store, *argv, "--out-dir", tmp_path / "out") == 2
+        assert f"{store}:2: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("src", 5, "key 'src': expected a string, got 5"),
+            ("version", "1", 'key \'version\': expected an integer, got "1"'),
+            ("start_ts", None, "key 'start_ts': expected a number, got null"),
+            ("operator", ["Facebook"], 'key \'operator\': expected a string or null, got ["Facebook"]'),
+        ],
+        ids=["integer-src", "string-version", "null-start", "list-operator"],
+    )
+    def test_session_row_value_wrong_type(self, tmp_path, capsys, key, value, message):
+        store = self.inputs(tmp_path)
+        sessions = tmp_path / "sessions.jsonl"
+        row = {
+            "src": "198.51.100.1", "dst": "172.16.5.5", "scid": "bb", "dcid": "aa", "direction": "response",
+            "version": 1, "operator": "Facebook", "asn": 32934, "start_ts": 0.0,
+            "timeline": [[0.0, "initial", 1200, False]],
+        }
+        sessions.write_text(json.dumps(row) + "\n" + json.dumps(dict(row, **{key: value})) + "\n")
+        assert run("fingerprint", "--sessions", sessions, "--datagrams", store, "--out-dir", tmp_path / "out") == 2
+        assert f"{sessions}:2: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 # a rule-set key whose value the profile table's target_operator row now holds

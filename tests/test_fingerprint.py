@@ -17,11 +17,11 @@ from quicscope.fingerprint import (
     rto_distance,
     version_tally,
 )
-from quicscope.ingest import Session, SessionKey, Timeline, group_traits, ingest
+from quicscope.ingest import Session, SessionKey, Timeline, ingest
 from quicscope.tables import read_profiles
 from quicscope.wire import Direction, PacketType, VersionRegistry
 
-from conftest import make_response, sessions_of
+from conftest import make_response, sessions_of, traits_of
 
 
 def session_from_offsets(
@@ -102,7 +102,7 @@ class TestVersionTally:
 
 def traits_by_operator(records):
     """The fold as fingerprint keys it."""
-    return group_traits(records, lambda r: r.operator or "Unknown")
+    return traits_of(records, lambda r: r.operator or "Unknown")
 
 
 def percentages(traits) -> dict[str, float]:
@@ -216,7 +216,7 @@ class TestGroupTraits:
 
     def test_without_shapes_keeps_scids(self):
         records = list(ingest([make_response(0.1 * i, scid=bytes([i]) * 8) for i in range(3)]))
-        traits = group_traits(records, lambda r: r.src_ip, shapes=False)
+        traits = traits_of(records, lambda r: r.src_ip, shapes=False)
         assert traits["198.51.100.1"].shapes == {}
         assert traits["198.51.100.1"].scids == {bytes([i]) * 8 for i in range(3)}
 

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from quicscope.fingerprint import RtoEstimate
-from quicscope.ingest import group_traits, ingest
+from quicscope.ingest import ingest
 from quicscope.offnet import (
     NOT_OPERATOR,
     GroundTruth,
@@ -21,7 +21,7 @@ from quicscope.scid import FacebookScidFields, encode_facebook_scid
 from quicscope.sim import DeploymentConfig, FloodConfig, ClusterConfig, RoutingMode, default_stack_profile
 from quicscope.wire import Direction
 
-from conftest import make_response, sessions_of, simulate_to_pcap
+from conftest import make_response, sessions_of, simulate_to_pcap, traits_of
 
 
 def features(**overrides) -> SourceFeatures:
@@ -41,7 +41,7 @@ def source_features(records, source, min_rto_sessions=5) -> SourceFeatures:
     """Features of one source address, folded from its response records
     the way classify folds them."""
     responses = [r for r in records if r.direction is Direction.RESPONSE]
-    traits = group_traits(responses, lambda r: r.src_ip)
+    traits = traits_of(responses, lambda r: r.src_ip)
     sessions = [s for s in sessions_of(responses) if s.key.src_ip == source]
     return extract_features(traits[source], sessions, min_rto_sessions=min_rto_sessions)
 

@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from quicscope.fingerprint import resend_rounds
-from quicscope.ingest import group_traits, ingest
+from quicscope.ingest import ingest
 from quicscope.pcap import PcapWriter
 from quicscope.scid import FacebookScidFields, decode_facebook_scid, encode_facebook_scid
 from quicscope.sim import (
@@ -41,7 +41,7 @@ from quicscope.sim import (
 )
 from quicscope.wire import PacketType, TruncatedPacket, encode_long_header, parse_long_header, split_coalesced
 
-from conftest import NO_PACKET_PAYLOADS, sessions_of, simulate_to_pcap
+from conftest import NO_PACKET_PAYLOADS, sessions_of, simulate_to_pcap, traits_of
 
 
 def profile(operator="Facebook", **overrides):
@@ -657,7 +657,7 @@ class TestFloodDeterminism:
             hist = resend_count_distribution(sessions)
             mode = max(hist, key=hist.get)
             assert low <= mode <= high
-            counts = group_traits(records, lambda r: r.operator)[operator].type_counts()
+            counts = traits_of(records, lambda r: r.operator)[operator].type_counts()
             if operator == "Google":
                 # coalescing stack: the combined category dominates outright
                 assert counts["Initial & Handshake"] > sum(counts.values()) / 2
@@ -1011,6 +1011,13 @@ class TestCheckedConstruction:
                 type(valid)._make(bad.get(name, value) for name, value in zip(valid._fields, valid))
             with pytest.raises(error, match=re.escape(message)):
                 type(valid)(**dict(valid._asdict(), **bad))
+
+    @pytest.mark.parametrize("size", [-1, 65_508, 10**12])
+    def test_padding_beyond_a_udp_payload_is_rejected(self, size):
+        # the profile itself refuses, so no padding of that size is ever built
+        with pytest.raises(InvalidConfig, match=f"^padding_policy 'Initial': size must be 0 to 65507, got {size}$"):
+            StackProfile("lab", 0.5, 2, padding_policy={"Handshake": 0, "Initial": size})
+        assert StackProfile("lab", 0.5, 2, padding_policy={"Initial": 65_507}).padding_policy == {"Initial": 65_507}
 
     def test_computed_defaults_are_filled_per_instance(self):
         from quicscope.probe import HostIdHarvest

@@ -4,10 +4,12 @@ import ipaddress
 import json
 import math
 import re
+from itertools import repeat
 
 import pytest
 
 from quicscope import InputError, tables
+from quicscope.cli import _operator_or_unknown
 from quicscope.ingest import (
     CaptureRecord,
     PrefixTable,
@@ -20,7 +22,7 @@ from quicscope.ingest import (
 from quicscope.sim import SessionTruth
 from quicscope.wire import Direction, LongHeader, PacketType
 
-from conftest import make_request, make_response
+from conftest import make_request, make_response, traits_of
 
 
 def stored_fields(record: CaptureRecord) -> tuple:
@@ -72,8 +74,8 @@ class TestDatagramStore:
         live = live_records()
         loaded = list(tables.load_datagrams(tables.save_datagrams(tmp_path / "datagrams.jsonl", live)))
         for key in (lambda r: r.operator or "Unknown", lambda r: (r.src_ip, r.operator)):
-            assert group_traits(loaded, key) == group_traits(live, key)
-        assert group_traits(live, lambda r: r.operator)["Facebook"].type_counts()["Initial & Handshake"] == 1
+            assert traits_of(loaded, key) == traits_of(live, key)
+        assert traits_of(live, lambda r: r.operator)["Facebook"].type_counts()["Initial & Handshake"] == 1
 
     def test_rows_equal_sorted_json_dumps(self, tmp_path):
         def packet(ptype, version, octet):
@@ -158,6 +160,126 @@ class TestDatagramStore:
         with pytest.raises(InputError, match=f"^{re.escape(str(path))}:3: ") as excinfo:
             list(tables.load_datagrams(path))
         assert message in str(excinfo.value)
+
+
+def train_records() -> list[CaptureRecord]:
+    """Resend trains, whose rows differ only in their timestamps, next to
+    rows of their own: a coalesced response, an unlabeled one and a request."""
+    table = PrefixTable([(ipaddress.ip_network("198.51.100.0/24"), 32934, "Facebook")])
+    datagrams = [make_response(ts, pad_to=1200) for ts in (0.0, 0.4, 1.2, 2.8, 6.0)]
+    datagrams += [make_response(ts, scid=b"\x01" * 8, types=(PacketType.HANDSHAKE,)) for ts in (0.1, 0.5, 1.3)]
+    datagrams += [
+        make_response(0.2, types=(PacketType.INITIAL, PacketType.HANDSHAKE), scid=b"\x02" * 8),
+        make_response(0.3, src="192.0.2.7", scid=b"\x03" * 20),
+        make_request(0.6),
+    ]
+    datagrams.sort(key=lambda d: d.timestamp)
+    return list(ingest(datagrams, prefixes=table))
+
+
+class TestCountedFold:
+    """group_traits over count_datagrams equals group_traits over every row
+    of load_datagrams, under fingerprint's key and scid's, and a bad store
+    fails with load_datagrams' own message."""
+
+    @staticmethod
+    def folds(pairs) -> dict:
+        """The fold as fingerprint keys it, all directions with shapes, and
+        as scid keys it, responses only without shapes."""
+        pairs = list(pairs)
+        responses = [pair for pair in pairs if pair[0].direction is Direction.RESPONSE]
+        return {
+            "fingerprint": group_traits(pairs, _operator_or_unknown),
+            "scid": group_traits(responses, _operator_or_unknown, shapes=False),
+        }
+
+    def outcomes(self, path) -> tuple:
+        """(folds or InputError message) of the counted fold and of the row-by-row one."""
+        results = []
+        for pairs in (lambda: tables.count_datagrams(path), lambda: zip(tables.load_datagrams(path), repeat(1))):
+            try:
+                results.append(self.folds(pairs()))
+            except InputError as exc:
+                results.append(str(exc))
+        return tuple(results)
+
+    def test_resends_count_as_one_row(self, tmp_path):
+        path = tables.save_datagrams(tmp_path / "datagrams.jsonl", train_records())
+        pairs = list(tables.count_datagrams(path))
+        assert sum(n for _, n in pairs) == 11
+        assert sorted(n for _, n in pairs) == [1, 1, 1, 3, 5]
+        counted, loaded = self.outcomes(path)
+        assert counted == loaded
+        assert counted["fingerprint"]["Facebook"].shapes[(("Initial",), 1200)] == 5
+
+    # how each kind of odd row is made from a canonical row's line
+    ODD_ROWS = {
+        "crlf-endings": lambda line: line + "\r",
+        "surrounding-whitespace": lambda line: " \t" + line + "  ",
+        "nan-ts": lambda line: re.sub(r'"ts": [^}]*}$', '"ts": NaN}', line),
+        "overflowing-ts": lambda line: re.sub(r'"ts": [^}]*}$', '"ts": 1e999}', line),
+        "negative-zero-ts": lambda line: re.sub(r'"ts": [^}]*}$', '"ts": -0}', line),
+        "exponent-ts": lambda line: re.sub(r'"ts": [^}]*}$', '"ts": 2.5E+3}', line),
+        "negative-exponent-ts": lambda line: re.sub(r'"ts": [^}]*}$', '"ts": -1e-07}', line),
+        "non-ascii-digit-ts": lambda line: re.sub(r'"ts": [^}]*}$', '"ts": 1١}', line),
+        "leading-zero-ts": lambda line: re.sub(r'"ts": [^}]*}$', '"ts": 01}', line),
+        "missing-ts": lambda line: re.sub(r', "ts": [^}]*}$', "}", line),
+        "string-ts": lambda line: re.sub(r'"ts": [^}]*}$', '"ts": "x"}', line),
+        "duplicated-ts": lambda line: '{"ts": "x", ' + line[1:],
+        "duplicated-ts-last-bad": lambda line: line[:-1] + ', "ts": "x"}',
+        "no-first-key": lambda line: '{, "ts": 1}',
+    }
+
+    @pytest.mark.parametrize("every", [1, 3], ids=["every-row", "every-third-row"])
+    @pytest.mark.parametrize("odd", sorted(ODD_ROWS))
+    def test_odd_rows_fold_as_every_row_does(self, tmp_path, odd, every):
+        canonical = tables.save_datagrams(tmp_path / "datagrams.jsonl", train_records()).read_text().splitlines()
+        lines = [self.ODD_ROWS[odd](line) if (i + 1) % every == 0 else line for i, line in enumerate(canonical)]
+        path = tmp_path / "odd.jsonl"
+        path.write_text("\n".join(lines) + "\n")
+        counted, loaded = self.outcomes(path)
+        assert counted == loaded
+
+    def test_blank_lines_and_a_last_line_without_newline(self, tmp_path):
+        canonical = tables.save_datagrams(tmp_path / "datagrams.jsonl", train_records()).read_text().splitlines()
+        path = tmp_path / "blank.jsonl"
+        path.write_text("\n \t\n" + "\n\n".join(canonical) + "\n\r\n" + canonical[0])
+        counted, loaded = self.outcomes(path)
+        assert isinstance(counted, dict)
+        assert counted == loaded
+        assert counted["fingerprint"]["Facebook"].shapes[(("Initial",), 1200)] == 6
+
+    @pytest.mark.parametrize("where", [0, 4, 10], ids=["first-row", "repeated-row", "last-row"])
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            lambda row: "{not json",
+            lambda row: json.dumps(dict(row, length=-5), sort_keys=True),
+            lambda row: json.dumps(dict(row, ts=None), sort_keys=True),
+            lambda row: json.dumps({k: v for k, v in row.items() if k != "direction"}, sort_keys=True),
+            lambda row: json.dumps(dict(row, packets=[["initial", 1, "zz", "aa"]]), sort_keys=True),
+        ],
+        ids=["not-json", "negative-length", "null-ts", "no-direction", "cid-not-hex"],
+    )
+    def test_one_bad_row_fails_as_load_datagrams_does(self, tmp_path, where, bad):
+        lines = tables.save_datagrams(tmp_path / "datagrams.jsonl", train_records()).read_text().splitlines()
+        assert lines[4][: lines[4].index('"ts"')] == lines[0][: lines[0].index('"ts"')]  # a resend of row 1
+        lines[where] = bad(json.loads(lines[where]))
+        path = tmp_path / "bad.jsonl"
+        path.write_text("\n".join(lines) + "\n")
+        counted, loaded = self.outcomes(path)
+        assert isinstance(loaded, str) and loaded.startswith(f"{path}:{where + 1}: ")
+        assert counted == loaded
+
+    def test_unreadable_store_fails_as_load_datagrams_does(self, tmp_path):
+        path = tables.save_datagrams(tmp_path / "datagrams.jsonl", train_records())
+        path.write_bytes(path.read_bytes() + b"\xff\n")
+        counted, loaded = self.outcomes(path)
+        assert loaded.startswith(f"{path}: not utf-8 text")
+        assert counted == loaded
+        counted, loaded = self.outcomes(tmp_path / "missing.jsonl")
+        assert loaded.startswith("cannot read ")
+        assert counted == loaded
 
 
 class TestWriteTable:
