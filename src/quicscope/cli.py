@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from itertools import repeat
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 from . import InputError, PreconditionError, __version__
@@ -180,7 +179,7 @@ def cmd_ingest(args) -> int:
     # a file that is not a capture fails here, before any output exists
     capture = PcapReader(capture_path)
     counters = IngestCounters()
-    records = ingest(capture.datagrams(), plausibility, counters, scanners, prefix_table)
+    records = ingest(capture.datagrams(), plausibility, counters, scanners, prefix_table, capture.counters)
     sessionizer = Sessionizer(args.idle_gap)
 
     out = _out_dir(args)
@@ -261,10 +260,11 @@ def cmd_fingerprint(args) -> int:
     rto_rows = []
     match_rows = []
     for op in operators:
-        for count, n in fp.resend_count_distribution(by_operator[op]).items():
+        rounds = [fp.resend_rounds(session) for session in by_operator[op]]
+        for count, n in fp.resend_count_distribution(rounds).items():
             resend_rows.append((op, count, n))
         try:
-            estimate = fp.estimate_rto(by_operator[op], min_sessions=args.min_sessions)
+            estimate = fp.estimate_rto(rounds, min_sessions=args.min_sessions)
         except fp.InsufficientData:
             continue
         low, high = estimate.max_retransmissions
@@ -400,16 +400,22 @@ def cmd_classify(args) -> int:
     _check_minimums(args, "--min-rto-sessions")
     if args.rule != "all" and args.rule not in offnet.RULE_NAMES:
         raise offnet.UnknownRule(f"no rule named {args.rule!r}")
-    rows = tables.load_datagrams(_require(args.datagrams, "datagram store"))
+    datagrams = _require(args.datagrams, "datagram store")
     truth = offnet.GroundTruth.load(_require(args.truth, "ground-truth labels"))
     params = offnet.RuleParams.load(_require(args.rules, "rule set")) if args.rules else offnet.RuleParams()
     params = params.with_reference(_require(args.profiles, "profile table"))
 
     sessionizer = Sessionizer(args.idle_gap)
     response = Direction.RESPONSE
-    responses = (sessionizer.add(row) for row in rows if row.direction is response)
-    # classify's sessions need each row's timestamp, so it folds every row once
-    traits = group_traits(zip(responses, repeat(1)), lambda row: (row.src_ip, row.operator))
+
+    def add_response(row) -> None:
+        if row.direction is response:
+            sessionizer.add(row)
+
+    # the sessions need every row's timestamp; the traits need each distinct row once, with its count
+    counted = tables.fold_datagrams(datagrams, add_response)
+    responses = (pair for pair in counted if pair[0].direction is response)
+    traits = group_traits(responses, lambda row: (row.src_ip, row.operator))
     sessions = _group(sessionizer.sessions(), lambda session: session.key.src_ip)
     # on-net responses of the target operator provide the packet-length reference
     reference_shapes = frozenset(

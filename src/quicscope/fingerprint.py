@@ -110,12 +110,13 @@ def resend_rounds(session: Session) -> list[float]:
     return rounds
 
 
-def resend_count_distribution(sessions: Iterable[Session]) -> dict[int, int]:
+def resend_count_distribution(rounds: Iterable[Sequence[float]]) -> dict[int, int]:
     """Histogram of per-session resend counts, the rounds after the first
-    response; total mass equals the number of sessions."""
+    response, from each session's resend_rounds; total mass equals the
+    number of sessions."""
     histogram: dict[int, int] = {}
-    for session in sessions:
-        n = max(0, len(resend_rounds(session)) - 1)
+    for session_rounds in rounds:
+        n = max(0, len(session_rounds) - 1)
         histogram[n] = histogram.get(n, 0) + 1
     return dict(sorted(histogram.items()))
 
@@ -134,8 +135,9 @@ def _percentile(values: Sequence[int], q: float) -> int:
     return ordered[rank]
 
 
-def estimate_rto(sessions: Iterable[Session], min_sessions: int = DEFAULT_MIN_SESSIONS) -> RtoEstimate:
-    """Estimate the retransmission configuration of one operator.
+def estimate_rto(rounds: Iterable[Sequence[float]], min_sessions: int = DEFAULT_MIN_SESSIONS) -> RtoEstimate:
+    """Estimate the retransmission configuration of one operator from the
+    resend_rounds of each of its sessions.
 
     initial RTO: median offset of the first resend round. Backoff: median
     ratio of consecutive gaps between resend rounds (needs sessions with at
@@ -146,15 +148,14 @@ def estimate_rto(sessions: Iterable[Session], min_sessions: int = DEFAULT_MIN_SE
     first_offsets: list[float] = []
     ratios: list[float] = []
     counts: list[int] = []
-    for session in sessions:
-        rounds = resend_rounds(session)
-        if len(rounds) < 3:  # first response + >= 2 resends
+    for session_rounds in rounds:
+        if len(session_rounds) < 3:  # first response + >= 2 resends
             continue
-        first_offsets.append(rounds[1])
-        resends = rounds[1:]
+        first_offsets.append(session_rounds[1])
+        resends = session_rounds[1:]
         gaps = [b - a for a, b in zip(resends, resends[1:])]
         ratios.extend(b / a for a, b in zip(gaps, gaps[1:]) if a > 0)
-        counts.append(len(rounds) - 1)
+        counts.append(len(session_rounds) - 1)
     if len(counts) < min_sessions:
         raise InsufficientData(f"{len(counts)} sessions with >=2 resends, need {min_sessions}")
     if not ratios:

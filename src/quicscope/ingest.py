@@ -1,9 +1,10 @@
 """Telescope capture ingestion: filtering, sanitization, AS mapping, sessions.
 
-The pipeline is ingest -> Sessionizer. ingest() is one lazy pass that
-filters, sanitizes and labels each datagram and yields it as a finished,
-immutable record; the Sessionizer is a fold fed one record at a time that
-keeps per-session state, so a capture streams through without being held.
+The pipeline is ingest -> Sessionizer. ingest() is one lazy pass over a
+capture's IP datagrams that decodes, filters, sanitizes and labels each one
+and yields it as a finished, immutable record; the Sessionizer is a fold
+fed one record at a time that keeps per-session state, so a capture
+streams through without being held.
 The analyses group records with one fold, group_traits, which takes each
 record with the number of datagrams it stands for.
 Input captures are expected in timestamp order (standard for single-vantage
@@ -16,16 +17,15 @@ import ipaddress
 import struct
 from bisect import bisect_right
 from collections.abc import Collection
-from typing import Callable, Hashable, Iterable, Iterator, NamedTuple, Optional
+from typing import TYPE_CHECKING, Callable, Hashable, Iterable, Iterator, NamedTuple, Optional
 
 # _socket holds the converter; the socket module around it adds about 8 ms
 # to every stage's start-up
-from _socket import inet_aton
+from _socket import inet_ntoa
 
 from . import InputError
 from .wire import (
     TYPE_LABELS,
-    Datagram,
     Direction,
     LongHeader,
     PacketType,
@@ -35,6 +35,11 @@ from .wire import (
     is_plausible_quic,
     split_coalesced,
 )
+
+# pcap is imported where ingest() counts into a CaptureCounters of its own,
+# so the stages that read only stores do not load it
+if TYPE_CHECKING:
+    from .pcap import CaptureCounters
 
 DEFAULT_IDLE_GAP = 60.0
 
@@ -110,8 +115,8 @@ class ScannerList:
         self._firsts = [first for first, _ in ranges]
         self._lasts = [last for _, last in ranges]
 
-    def __contains__(self, ip: str) -> bool:
-        addr = int.from_bytes(inet_aton(ip), "big")
+    def __contains__(self, addr: int) -> bool:
+        """Whether the IPv4 address `addr`, as an integer, is listed."""
         i = bisect_right(self._firsts, addr) - 1
         return i >= 0 and addr <= self._lasts[i]
 
@@ -129,8 +134,9 @@ class PrefixTable:
             for length in sorted(by_length, reverse=True)
         ]
 
-    def lookup(self, ip: str) -> Optional[tuple[int, str]]:
-        addr = int.from_bytes(inet_aton(ip), "big")
+    def lookup(self, addr: int) -> Optional[tuple[int, str]]:
+        """The entry of the longest prefix holding the IPv4 address `addr`,
+        as an integer; None where no prefix holds it."""
         for mask, bucket in self._buckets:
             hit = bucket.get(addr & mask)
             if hit is not None:
@@ -138,41 +144,84 @@ class PrefixTable:
         return None
 
 
+# The IPv4 and UDP header fields ingest reads, from a header without
+# options: version and IHL, flags and fragment offset, protocol, the two
+# addresses, and the UDP ports and length.
+_IPV4_UDP = struct.Struct(">B5xHxB2x4s4sHHH").unpack_from
+# the UDP header read in place of one the datagram cuts short: its length,
+# 0, is below the 8 octets of any UDP datagram
+_NO_UDP_HEADER = bytes(8)
+# server addresses whose prefix hit ingest keeps at a time
+_PREFIX_HITS = 1 << 16
+
+
 def ingest(
-    datagrams: Iterable[Datagram],
+    datagrams: Iterable[tuple[float, bytes]],
     config: Optional[PlausibilityConfig] = None,
     counters: Optional[IngestCounters] = None,
     scanners: Optional[ScannerList] = None,
     prefixes: Optional[PrefixTable] = None,
+    capture: Optional[CaptureCounters] = None,
 ) -> Iterator[CaptureRecord]:
-    """Yield the plausible QUIC records among `datagrams`, each built once
+    """Yield the plausible QUIC records among the (timestamp, IPv4 datagram)
+    pairs of `datagrams`, as PcapReader.datagrams yields them, each built once
     with the (asn, operator) that `prefixes` gives its server-side address;
     with no config, the shipped version registry decides.
 
-    Non-QUIC ports and implausible payloads are counted, never emitted. A
-    request whose source is in `scanners` is counted as emitted and as
-    dropped, and yields no record. Responses are never dropped: the
-    sanitization target is client-side scan traffic, and backscatter sources
-    are the measurement signal. The server side is the source of a response
-    and the destination of a request.
+    An IP datagram that is not IPv4, a fragment after the first, not UDP, or
+    too short for its headers is counted in `capture` and skipped. Non-QUIC
+    ports and implausible payloads are counted, never emitted. A request
+    whose source is in `scanners` is counted as emitted and as dropped, and
+    yields no record. Responses are never dropped: the sanitization target
+    is client-side scan traffic, and backscatter sources are the measurement
+    signal. The server side is the source of a response and the destination
+    of a request.
     """
     if counters is None:
         counters = IngestCounters()
+    if capture is None:
+        from .pcap import CaptureCounters
+
+        capture = CaptureCounters()
     if config is None:
         config = PlausibilityConfig(VersionRegistry.default())
     new = tuple.__new__
     non_quic, response = Direction.NON_QUIC, Direction.RESPONSE
-    for d in datagrams:
+    hits: dict[bytes, Optional[tuple[int, str]]] = {}
+    for timestamp, packet in datagrams:
+        if len(packet) < 20 or packet[0] >> 4 != 4:
+            capture.non_ipv4 += 1
+            continue
+        ihl = (packet[0] & 0x0F) * 4
+        if ihl != 20:
+            if ihl < 20 or len(packet) < ihl:
+                capture.malformed += 1
+                continue
+            packet = packet[:20] + packet[ihl:]  # the options are not read
+        _, flags_frag, protocol, src, dst, src_port, dst_port, udp_len = _IPV4_UDP(
+            packet if len(packet) >= 28 else packet[:20] + _NO_UDP_HEADER
+        )
+        if flags_frag & 0x1FFF:
+            capture.fragmented += 1
+            continue
+        if protocol != 17:
+            capture.non_udp += 1
+            continue
+        if udp_len < 8:
+            capture.malformed += 1
+            continue
+        capture.datagrams += 1
         counters.total += 1
-        direction = classify_direction(d)
+        direction = classify_direction(src_port, dst_port)
         if direction is non_quic:
             counters.non_quic_port += 1
             continue
-        packets = split_coalesced(d.payload)
+        payload = packet[28 : 20 + udp_len]
+        packets = split_coalesced(payload)
         if not is_plausible_quic(packets, config):
             # short-header traffic is counted separately; it is valid QUIC
             # but carries nothing the long-header analyses consume
-            if not packets and d.payload and d.payload[0] and not d.payload[0] & 0x80:
+            if not packets and payload and payload[0] and not payload[0] & 0x80:
                 counters.short_header_only += 1
             else:
                 counters.implausible += 1
@@ -180,19 +229,27 @@ def ingest(
         counters.emitted += 1
         if direction is response:
             counters.responses_seen += 1
-            server_ip = d.src_ip
+            server = src
         else:
             counters.requests_seen += 1
-            if scanners is not None and d.src_ip in scanners:
+            if scanners is not None and int.from_bytes(src, "big") in scanners:
                 counters.requests_dropped += 1
                 continue
-            server_ip = d.dst_ip
-        hit = None if prefixes is None else prefixes.lookup(server_ip)
+            server = dst
+        try:
+            hit = hits[server]
+        except KeyError:
+            if len(hits) >= _PREFIX_HITS:
+                hits.clear()
+            hit = hits[server] = None if prefixes is None else prefixes.lookup(int.from_bytes(server, "big"))
         asn, operator = (None, None) if hit is None else hit
         # tuple.__new__ skips the Python-level call of CaptureRecord(...)
         yield new(
             CaptureRecord,
-            (d.timestamp, d.src_ip, d.dst_ip, d.src_port, d.dst_port, direction, len(d.payload), packets, operator, asn),
+            (
+                timestamp, inet_ntoa(src), inet_ntoa(dst), src_port, dst_port, direction, len(payload), packets,
+                operator, asn,
+            ),
         )
 
 
@@ -205,39 +262,45 @@ class SessionKey(NamedTuple):
     dcid: bytes
 
 
-_PACKET_TYPES = tuple(PacketType)
-_PACKET_TYPE_CODES = {t: code for code, t in enumerate(_PACKET_TYPES)}
+# the packet type of each timeline entry code
+PACKET_TYPES = tuple(PacketType)
+_PACKET_TYPE_CODES = {t: code for code, t in enumerate(PACKET_TYPES)}
 
 
 class Timeline:
-    """A session's timeline: one (offset, packet type, datagram length,
-    coalesced) entry per packet, packed 14 bytes each into one buffer.
+    """A session's timeline: one (offset, packet type code, datagram length,
+    coalesced) entry per packet, packed 14 bytes each by ENTRY into the
+    `packed` buffer; PACKET_TYPES[code] is the entry's packet type.
 
     Held as a tuple with its own float and int, an entry takes about 150
     bytes, and a session's memory grows with its datagrams; packed, the
     session's fixed fields dominate it."""
 
-    __slots__ = ("_packed",)
-    _ENTRY = struct.Struct("<dBI?")
+    __slots__ = ("packed",)
+    ENTRY = struct.Struct("<dBI?")
 
     def __init__(self) -> None:
-        self._packed = bytearray()
+        self.packed = bytearray()
 
     def add(self, offset: float, packet_type: PacketType, datagram_length: int, coalesced: bool) -> None:
+        code = _PACKET_TYPE_CODES[packet_type]
         try:
-            self._packed += self._ENTRY.pack(offset, _PACKET_TYPE_CODES[packet_type], datagram_length, coalesced)
+            self.packed += _pack_entry(offset, code, datagram_length, coalesced)
         except struct.error as exc:  # a session store row can hold any JSON value
-            raise ValueError(f"timeline entry [{offset!r}, {packet_type}, {datagram_length!r}]: {exc}") from None
-
-    def __iter__(self) -> Iterator[tuple[float, PacketType, int, bool]]:
-        types = _PACKET_TYPES
-        return ((o, types[c], n, b) for o, c, n, b in self._ENTRY.iter_unpack(self._packed))
+            raise _entry_error(offset, code, datagram_length, exc) from None
 
     def offsets(self, packet_types: Collection[PacketType]) -> list[float]:
         """The offsets of the entries of `packet_types`, in timeline order,
         read without building an entry each."""
         codes = {_PACKET_TYPE_CODES[t] for t in packet_types}
-        return [offset for offset, code, _, _ in self._ENTRY.iter_unpack(self._packed) if code in codes]
+        return [offset for offset, code, _, _ in self.ENTRY.iter_unpack(self.packed) if code in codes]
+
+
+_pack_entry = Timeline.ENTRY.pack
+
+
+def _entry_error(offset: float, code: int, datagram_length: int, exc: struct.error) -> ValueError:
+    return ValueError(f"timeline entry [{offset!r}, {PACKET_TYPES[code]}, {datagram_length!r}]: {exc}")
 
 
 class Session(NamedTuple):
@@ -321,34 +384,35 @@ class Sessionizer:
             raise InputError(f"idle gap must be positive and finite, got {idle_gap}")
         self.idle_gap = idle_gap
         self._finished: list[Session] = []
-        self._open: dict[SessionKey, tuple[Session, float]] = {}
+        # per open session key: [session, its packed timeline, start, last packet's time]
+        self._open: dict[tuple[str, str, bytes, bytes], list] = {}
 
     def add(self, record: CaptureRecord) -> CaptureRecord:
         """Fold one record in; returns it, so the fold can sit in a stream
         that another consumer drains, as in `map(sessionizer.add, records)`."""
-        ts = record.timestamp
-        length = record.datagram_length
-        coalesced = len(record.packets) > 1
+        ts, src_ip, dst_ip, _, _, direction, length, packets, operator, asn = record
+        coalesced = len(packets) > 1
         open_sessions = self._open
-        src_ip, dst_ip = record.src_ip, record.dst_ip
-        for packet in record.packets:
-            # tuple.__new__ skips the Python-level calls of SessionKey(...) and Session(...)
-            key = tuple.__new__(SessionKey, (src_ip, dst_ip, packet.scid, packet.dcid))
-            entry = open_sessions.get(key)
-            if entry is not None and ts - entry[1] < self.idle_gap:
-                session = entry[0]
-            else:
-                if entry is not None:
-                    self._finished.append(entry[0])
-                session = tuple.__new__(
-                    Session, (key, Timeline(), record.direction, packet.version, record.operator, record.asn, ts)
-                )
-            session.timeline.add(ts - session.start_ts, packet.packet_type, length, coalesced)
-            open_sessions[key] = (session, ts)
+        for packet in packets:
+            key = (src_ip, dst_ip, packet.scid, packet.dcid)
+            state = open_sessions.get(key)
+            if state is None or not ts - state[3] < self.idle_gap:
+                if state is not None:
+                    self._finished.append(state[0])
+                # tuple.__new__ skips the Python-level calls of SessionKey(...) and Session(...)
+                new = tuple.__new__
+                session = new(Session, (new(SessionKey, key), Timeline(), direction, packet.version, operator, asn, ts))
+                state = open_sessions[key] = [session, session.timeline.packed, ts, ts]
+            offset, code = ts - state[2], _PACKET_TYPE_CODES[packet.packet_type]
+            try:
+                state[1] += _pack_entry(offset, code, length, coalesced)
+            except struct.error as exc:  # a datagram store row can hold any JSON value
+                raise _entry_error(offset, code, length, exc) from None
+            state[3] = ts
         return record
 
     def sessions(self) -> list[Session]:
         """Every session folded so far, ordered by (start_ts, key)."""
-        sessions = self._finished + [session for session, _ in self._open.values()]
+        sessions = self._finished + [state[0] for state in self._open.values()]
         sessions.sort(key=lambda s: (s.start_ts, s.key))
         return sessions

@@ -13,7 +13,7 @@ from typing import NamedTuple, Optional, Sequence
 from . import InputError, PreconditionError
 from .fingerprint import (
     BACKOFF_TOLERANCE, RTO_TOLERANCE, FingerprintProfile, InsufficientData, RtoEstimate, estimate_rto,
-    load_known_profiles, rto_distance,
+    load_known_profiles, resend_rounds, rto_distance,
 )
 from .ingest import Session, Traits
 from .scid import detect_cloudflare_signature, facebook_fields, low_host_id
@@ -78,7 +78,7 @@ def extract_features(
     v1_fields = [f for f in decoded if f.scid_version == 1]
     low = all(low_host_id(f) for f in v1_fields) if v1_fields else None
     try:
-        rto: Optional[RtoEstimate] = estimate_rto(sessions, min_sessions=min_rto_sessions)
+        rto: Optional[RtoEstimate] = estimate_rto(map(resend_rounds, sessions), min_sessions=min_rto_sessions)
     except InsufficientData:
         rto = None
     return SourceFeatures(

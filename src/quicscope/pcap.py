@@ -1,7 +1,8 @@
 """Classic pcap reading and writing for IPv4/UDP telescope captures.
 
 Reading supports both byte orders, microsecond and nanosecond magics, and
-link types Ethernet (1) and raw IP (101). Writing always produces
+link types Ethernet (1) and raw IP (101); it yields each record's IP
+datagram, which `ingest.ingest` decodes. Writing always produces
 little-endian microsecond files with raw-IP framing, which keeps simulator
 output minimal and byte-reproducible.
 """
@@ -12,9 +13,9 @@ import struct
 from pathlib import Path
 from typing import BinaryIO, Iterator
 
-# _socket holds the two converters; the socket module around it adds about
-# 8 ms to every stage's start-up
-from _socket import inet_aton, inet_ntoa
+# _socket holds the converter; the socket module around it adds about 8 ms
+# to every stage's start-up
+from _socket import inet_aton
 
 from . import InputError
 from .wire import Datagram
@@ -29,6 +30,8 @@ LINKTYPE_RAW_IP = 101
 MAXIMUM_SNAPLEN = 262_144
 # the snapshot length PcapWriter declares: the largest IPv4 packet
 WRITER_SNAPLEN = 65535
+# the octets PcapReader reads at a time, at least a record header's 16
+READ_BLOCK = 1 << 16
 
 _GLOBAL_HEADER = struct.Struct("<IHHiIII")
 _RECORD_HEADER = struct.Struct("<IIII")
@@ -38,7 +41,9 @@ _UDP_PSEUDO_HEADER = struct.Struct(">4s4sBBH")
 
 
 class CaptureCounters:
-    """Per-read accounting for everything that was skipped."""
+    """Per-read accounting for everything that was skipped: PcapReader
+    counts the records and what their link layer rules out, `ingest.ingest`
+    what the IPv4 and UDP headers do, and the datagrams it decodes."""
 
     records = 0
     malformed = 0
@@ -80,57 +85,8 @@ def build_ipv4_udp(d: Datagram) -> bytes:
     return header + _UDP_HEADER.pack(d.src_port, d.dst_port, udp_len, checksum) + payload
 
 
-def parse_ipv4_udp(packet: bytes, timestamp: float, counters: CaptureCounters) -> Datagram | None:
-    """Decode an IPv4 packet into a Datagram; returns None (and counts why)
-    for anything that is not a complete first-fragment UDP packet."""
-    if len(packet) < 20 or packet[0] >> 4 != 4:
-        counters.non_ipv4 += 1
-        return None
-    ihl = (packet[0] & 0x0F) * 4
-    if ihl < 20 or len(packet) < ihl:
-        counters.malformed += 1
-        return None
-    flags_frag = struct.unpack_from(">H", packet, 6)[0]
-    if flags_frag & 0x1FFF:
-        counters.fragmented += 1
-        return None
-    if packet[9] != 17:
-        counters.non_udp += 1
-        return None
-    if len(packet) < ihl + 8:
-        counters.malformed += 1
-        return None
-    src_ip = inet_ntoa(packet[12:16])
-    dst_ip = inet_ntoa(packet[16:20])
-    src_port, dst_port, udp_len = struct.unpack_from(">HHH", packet, ihl)
-    if udp_len < 8:
-        counters.malformed += 1
-        return None
-    payload = packet[ihl + 8 : ihl + udp_len]
-    # 16-bit ports are always in range, so Datagram's check is skipped
-    return tuple.__new__(Datagram, (timestamp, src_ip, dst_ip, src_port, dst_port, payload))
-
-
-def _strip_ethernet(frame: bytes, counters: CaptureCounters) -> bytes | None:
-    if len(frame) < 14:
-        counters.malformed += 1
-        return None
-    ethertype = struct.unpack_from(">H", frame, 12)[0]
-    offset = 14
-    if ethertype == 0x8100:  # single 802.1Q tag
-        if len(frame) < 18:
-            counters.malformed += 1
-            return None
-        ethertype = struct.unpack_from(">H", frame, 16)[0]
-        offset = 18
-    if ethertype != 0x0800:
-        counters.non_ipv4 += 1
-        return None
-    return frame[offset:]
-
-
 class PcapReader:
-    """Iterate UDP/IPv4 datagrams out of a classic pcap file."""
+    """Iterate the IP datagrams of a classic pcap file."""
 
     def __init__(self, path: str | Path):
         self.path = Path(path)
@@ -155,39 +111,61 @@ class PcapReader:
         if self.linktype not in (LINKTYPE_ETHERNET, LINKTYPE_RAW_IP):
             raise InputError(f"{self.path}: unsupported link type {self.linktype}")
 
-    def datagrams(self) -> Iterator[Datagram]:
-        record = struct.Struct(self._endian + "IIII")
+    def datagrams(self) -> Iterator[tuple[float, bytes]]:
+        """Yield (timestamp, IP datagram) for each record, its link-layer
+        header stripped; `ingest.ingest` decodes the IPv4 and UDP headers.
+
+        The file is read READ_BLOCK octets at a time, and each datagram is a
+        slice of the block. A cut or damaged record ends the read and counts
+        as malformed, as does an Ethernet frame too short for its header; a
+        frame whose EtherType is not IPv4 counts as non-IPv4."""
+        counters = self.counters
+        unpack_record = struct.Struct(self._endian + "IIII").unpack_from
+        divisor = self._ts_divisor
+        ethernet = self.linktype == LINKTYPE_ETHERNET
         with self.path.open("rb") as fh:
             fh.seek(24)
+            block = b""
+            start = 0
             while True:
-                head = fh.read(16)
-                if not head:
-                    break
-                if len(head) < 16:
-                    self.counters.malformed += 1
-                    break
-                ts_sec, ts_frac, incl_len, _orig = record.unpack(head)
-                self.counters.records += 1
+                if start + 16 > len(block):
+                    block = block[start:] + fh.read(READ_BLOCK)
+                    start = 0
+                    if len(block) < 16:
+                        if block:
+                            counters.malformed += 1
+                        return
+                ts_sec, ts_frac, incl_len, _orig = unpack_record(block, start)
+                counters.records += 1
                 # a damaged length is not read: read() allocates what it asks for
                 if incl_len > MAXIMUM_SNAPLEN:
-                    self.counters.malformed += 1
-                    break
-                data = fh.read(incl_len)
-                if len(data) < incl_len:
-                    self.counters.malformed += 1
-                    break
-                timestamp = ts_sec + ts_frac / self._ts_divisor
-                if self.linktype == LINKTYPE_ETHERNET:
-                    packet = _strip_ethernet(data, self.counters)
-                    if packet is None:
+                    counters.malformed += 1
+                    return
+                start += 16
+                end = start + incl_len
+                if end > len(block):
+                    block = block[start:] + fh.read(max(READ_BLOCK, incl_len))
+                    start, end = 0, incl_len
+                    if end > len(block):
+                        counters.malformed += 1
+                        return
+                frame, start = start, end
+                if ethernet:
+                    if incl_len < 14:
+                        counters.malformed += 1
                         continue
-                else:
-                    packet = data
-                d = parse_ipv4_udp(packet, timestamp, self.counters)
-                if d is None:
-                    continue
-                self.counters.datagrams += 1
-                yield d
+                    ethertype = block[frame + 12] << 8 | block[frame + 13]
+                    frame += 14
+                    if ethertype == 0x8100:  # single 802.1Q tag
+                        if incl_len < 18:
+                            counters.malformed += 1
+                            continue
+                        ethertype = block[frame + 2] << 8 | block[frame + 3]
+                        frame += 4
+                    if ethertype != 0x0800:
+                        counters.non_ipv4 += 1
+                        continue
+                yield ts_sec + ts_frac / divisor, block[frame:end]
 
 
 class PcapWriter:

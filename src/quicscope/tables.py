@@ -11,9 +11,11 @@ a record stream as it goes, and its loader yields the rows one at a time as
 the same `ingest.CaptureRecord` that ingest() yields, so neither holds the
 store. count_datagrams reads it for folds that never read a timestamp: rows
 that differ only in their "ts", such as the resends of one handshake, are
-decoded once, with the number of rows they stand for, so time and memory
-follow the distinct rows. Every session and datagram row's values are
-checked for their JSON types.
+decoded once per block of distinct rows, with the number of rows they stand
+for, so time follows the distinct rows and memory a block's. fold_datagrams
+yields the same while it hands every row, with its own "ts", to a fold that
+reads it. Every session and datagram row's values are checked for their
+JSON types.
 TruthWriter writes `simulate`'s truth rows and pairs table the same
 way, one format string per file, a row per served handshake. Analysis
 outputs land as TSV with a one-line header, which read_table reads back for
@@ -337,12 +339,14 @@ _TIMELINE_ENTRY = '[%r, "%s", %d, %s]'
 
 
 def save_sessions(path: str | Path, sessions: Iterable[Session]) -> Path:
-    from .wire import Direction, PacketType
+    from .ingest import PACKET_TYPES, Timeline
+    from .wire import Direction
 
     operator_text = _json_names()
     # an enum's .value is a Python-level property; a dict get is not
     direction_text = {d: d.value for d in Direction}
-    type_text = {t: t.value for t in PacketType}
+    type_text = [t.value for t in PACKET_TYPES]
+    entries = Timeline.ENTRY.iter_unpack
     path = Path(path)
     with path.open("w") as fh:
         fh.writelines(
@@ -358,8 +362,8 @@ def save_sessions(path: str | Path, sessions: Iterable[Session]) -> Path:
                 s.start_ts,
                 ", ".join(
                     [
-                        _TIMELINE_ENTRY % (offset, type_text[ptype], length, "true" if coalesced else "false")
-                        for offset, ptype, length, coalesced in s.timeline
+                        _TIMELINE_ENTRY % (offset, type_text[code], length, "true" if coalesced else "false")
+                        for offset, code, length, coalesced in entries(s.timeline.packed)
                     ]
                 ),
                 s.version,
@@ -504,33 +508,111 @@ def load_datagrams(path: str | Path) -> Iterator[CaptureRecord]:
     return load_lines(path, _datagram_row())
 
 
-# A canonical row's last key, "ts", with a JSON number literal. `\d` would
-# also match digits that are not ASCII, which json rejects; so a row's tail
-# is only ever swapped for another number, and a row with the constant in
-# its place decodes exactly when the row itself does.
-_TS_TAIL = re.compile(r', "ts": -?(?:0|[1-9][0-9]*)(?:\.[0-9]+)?(?:[eE][-+]?[0-9]+)?}$')
+# The distinct rows a store reader holds at a time, each decoded once. A
+# resend train's rows repeat across its whole backoff, tens of seconds of
+# the store, so a block has to hold every row live in that span: the 270k
+# flood of ROADMAP has 30,000, and a bound of 4,096 made scid 3.8 times
+# slower there.
+ROW_BLOCK = 1 << 16
+
+# A canonical row's last key, "ts", with a JSON number literal: group 1 is
+# the number, groups 2 and 3 its fraction and exponent. `\d` would also
+# match digits that are not ASCII, which json rejects; so a row's tail is
+# only ever swapped for another number, and a row with the constant in its
+# place decodes exactly when the row itself does.
+_TS_TAIL = re.compile(r', "ts": (-?(?:0|[1-9][0-9]*)(\.[0-9]+)?([eE][-+]?[0-9]+)?)}$')
 _TS_CONSTANT = ', "ts": 0}'
+_TS_KEY = ', "ts": '
+_STORE_ERRORS = (OSError, UnicodeDecodeError, KeyError, TypeError, ValueError)
 
 
 def count_datagrams(path: str | Path) -> Iterator[tuple[CaptureRecord, int]]:
-    """Yield each distinct row of a datagram store once, decoded as
-    load_datagrams decodes it, with the number of rows it stands for. Rows
-    that differ only in their canonical "ts" tail count as one, and its
-    record's timestamp is 0, not theirs: the resends of a handshake are such
-    rows, and a fold that reads no timestamp needs each of them once. Memory
-    follows the distinct rows, each held once as text.
+    """Yield each distinct row of each block of a datagram store once,
+    decoded as load_datagrams decodes it, with the number of rows of the
+    block it stands for. Rows that differ only in their canonical "ts" tail
+    count as one, and its record's timestamp is 0, not theirs: the resends
+    of a handshake are such rows, and a fold that reads no timestamp needs
+    each of them once. A row repeated in two blocks is yielded once for
+    each, which a fold that sums the counts, as ingest.group_traits does,
+    cannot tell apart. The rows are counted ROW_BLOCK lines at a time, so a
+    block holds fewer than twice ROW_BLOCK distinct rows, each once as text.
 
     A store with any bad row is read again row by row, so its InputError
     names the first bad line, as load_datagrams' does."""
-    from_line = _datagram_row()
+    normalised = partial(_TS_TAIL.sub, _TS_CONSTANT)
     try:
         with Path(path).open() as fh:
-            # map and Counter run in C: no Python frame per row
-            counts = Counter(map(partial(_TS_TAIL.sub, _TS_CONSTANT), fh))
-        for text, n in counts.items():
-            if not text.isspace():  # load_lines skips blank lines too
-                yield from_line(text.rstrip("\r\n")), n
-    except (OSError, UnicodeDecodeError, KeyError, TypeError, ValueError):
+            while True:
+                # the last block's rows are let go before this block's are read
+                counts = Counter()
+                from_line = _datagram_row()
+                while len(counts) < ROW_BLOCK:
+                    rows = counts.total()
+                    # map and Counter run in C: no Python frame per row
+                    counts.update(map(normalised, itertools.islice(fh, ROW_BLOCK)))
+                    if counts.total() == rows:  # the end of the store
+                        break
+                if not counts:
+                    return
+                for text, n in counts.items():
+                    if not text.isspace():  # load_lines skips blank lines too
+                        yield from_line(text.rstrip("\r\n")), n
+    except _STORE_ERRORS:
+        deque(load_datagrams(path), maxlen=0)
+        raise
+
+
+def fold_datagrams(path: str | Path, add: Callable[[CaptureRecord], Any]) -> Iterator[tuple[CaptureRecord, int]]:
+    """Hand every row of a datagram store to `add`, in file order, as
+    load_datagrams decodes it, and yield what count_datagrams yields.
+
+    A row with the canonical "ts" tail is decoded once per block with the
+    rows that differ from it only there: each of those is handed over as
+    the first one's record with the row's own "ts", parsed as json parses
+    it, an integer literal as an int and any other number as a float. A
+    block's distinct rows are yielded before the next block's first; a
+    block holds at most ROW_BLOCK of them. Any other row is decoded whole,
+    and yielded as it is handed over.
+
+    A store with any bad row is read again row by row, so its InputError
+    names the first bad line, as load_datagrams' does."""
+    from .ingest import CaptureRecord
+
+    new = tuple.__new__
+    match_tail = _TS_TAIL.match
+
+    def counted(distinct: dict[str, list]) -> Iterator[tuple[CaptureRecord, int]]:
+        for fields, n in distinct.values():
+            yield new(CaptureRecord, (0,) + fields), n
+
+    try:
+        with Path(path).open() as fh:
+            from_line = _datagram_row()
+            # row text before the tail -> [the record's fields after "ts", rows of the block]
+            distinct: dict[str, list] = {}
+            for line in fh:
+                tail = match_tail(line, line.rfind(_TS_KEY))
+                if tail is None:
+                    if not line.isspace():  # load_lines skips blank lines too
+                        record = from_line(line.rstrip("\r\n"))
+                        add(record)
+                        yield record, 1
+                    continue
+                head = line[: tail.start()]
+                entry = distinct.get(head)
+                if entry is None:
+                    if len(distinct) == ROW_BLOCK:
+                        yield from counted(distinct)
+                        from_line, distinct = _datagram_row(), {}
+                    record = from_line(line.rstrip("\r\n"))
+                    distinct[head] = [record[1:], 1]
+                else:
+                    entry[1] += 1
+                    number, fraction, exponent = tail.groups()
+                    record = new(CaptureRecord, (float(number) if fraction or exponent else int(number),) + entry[0])
+                add(record)
+            yield from counted(distinct)
+    except _STORE_ERRORS:
         deque(load_datagrams(path), maxlen=0)
         raise
 

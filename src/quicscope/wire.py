@@ -79,6 +79,10 @@ class Direction(Enum):
     RESPONSE = "response"
     NON_QUIC = "non_quic"
 
+    # identity hashing, as for PacketType: the store writers look up a
+    # member-keyed table once per row
+    __hash__ = object.__hash__
+
 
 # classify_direction returns one per datagram
 _REQUEST, _RESPONSE, _NON_QUIC = Direction.REQUEST, Direction.RESPONSE, Direction.NON_QUIC
@@ -305,14 +309,15 @@ class Datagram(_DatagramFields):
         return tuple.__new__(cls, (timestamp, src_ip, dst_ip, src_port, dst_port, payload))
 
 
-def classify_direction(d: Datagram) -> Direction:
-    """Source port 443 marks a server response (backscatter); destination port
-    443 marks a client request (scan). When both are 443 the datagram counts
-    as a response: in telescope traffic the source port identifies the
+def classify_direction(src_port: int, dst_port: int) -> Direction:
+    """The direction of a UDP datagram with these ports. Source port 443
+    marks a server response (backscatter); destination port 443 marks a
+    client request (scan). When both are 443 the datagram counts as a
+    response: in telescope traffic the source port identifies the
     reflecting server."""
-    if d.src_port == 443:
+    if src_port == 443:
         return _RESPONSE
-    if d.dst_port == 443:
+    if dst_port == 443:
         return _REQUEST
     return _NON_QUIC
 

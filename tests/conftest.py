@@ -1,15 +1,20 @@
-"""Shared builders for synthetic datagrams, records, and captures."""
+"""Shared builders for synthetic datagrams, records, and captures, and the
+reference decoder of a capture's datagrams."""
 
 import os
+import socket
+import struct
 import subprocess
 import sys
+import time
 from itertools import repeat
 from pathlib import Path
+from typing import Optional
 
 import pytest
 
-from quicscope.ingest import DEFAULT_IDLE_GAP, Session, Sessionizer, group_traits
-from quicscope.pcap import PcapReader, PcapWriter
+from quicscope.ingest import DEFAULT_IDLE_GAP, PACKET_TYPES, Session, Sessionizer, Timeline, group_traits
+from quicscope.pcap import CaptureCounters, PcapReader, PcapWriter, build_ipv4_udp
 from quicscope.probe import HostIdHarvest
 from quicscope.sim import DeploymentConfig, SessionTruth, client_initial_payload, simulate_flood
 from quicscope.wire import Datagram, PacketType, encode_long_header
@@ -24,19 +29,70 @@ def run_python(*args, **kwargs) -> subprocess.CompletedProcess:
     )
 
 
+def parse_ipv4_udp(packet: bytes, timestamp: float, counters: CaptureCounters) -> Optional[Datagram]:
+    """The reference decoder of one IP datagram: a Datagram, or None (and
+    counts why) for anything that is not a complete first-fragment UDP
+    packet. ingest.ingest decodes the same fields its own way."""
+    if len(packet) < 20 or packet[0] >> 4 != 4:
+        counters.non_ipv4 += 1
+        return None
+    ihl = (packet[0] & 0x0F) * 4
+    if ihl < 20 or len(packet) < ihl:
+        counters.malformed += 1
+        return None
+    flags_frag = struct.unpack_from(">H", packet, 6)[0]
+    if flags_frag & 0x1FFF:
+        counters.fragmented += 1
+        return None
+    if packet[9] != 17:
+        counters.non_udp += 1
+        return None
+    if len(packet) < ihl + 8:
+        counters.malformed += 1
+        return None
+    src_port, dst_port, udp_len = struct.unpack_from(">HHH", packet, ihl)
+    if udp_len < 8:
+        counters.malformed += 1
+        return None
+    counters.datagrams += 1
+    payload = packet[ihl + 8 : ihl + udp_len]
+    src_ip, dst_ip = socket.inet_ntoa(packet[12:16]), socket.inet_ntoa(packet[16:20])
+    return Datagram(timestamp, src_ip, dst_ip, src_port, dst_port, payload)
+
+
+def read_datagrams(path: Path, counters: Optional[CaptureCounters] = None) -> list[Datagram]:
+    """The UDP datagrams of the capture at `path`, decoded by the reference
+    decoder; the reader and the decoder count into `counters`, if given."""
+    reader = PcapReader(path)
+    if counters is not None:
+        reader.counters = counters
+    decoded = (parse_ipv4_udp(packet, timestamp, reader.counters) for timestamp, packet in reader.datagrams())
+    return [d for d in decoded if d is not None]
+
+
+def packets_of(datagrams) -> list[tuple[float, bytes]]:
+    """Each datagram as the (timestamp, IPv4 datagram) pair ingest reads."""
+    return [(d.timestamp, build_ipv4_udp(d)) for d in datagrams]
+
+
+def timeline_entries(timeline: Timeline) -> list[tuple[float, PacketType, int, bool]]:
+    """A timeline's (offset, packet type, datagram length, coalesced) entries."""
+    return [(o, PACKET_TYPES[c], n, b) for o, c, n, b in Timeline.ENTRY.iter_unpack(timeline.packed)]
+
+
 def simulate_to_pcap(config: DeploymentConfig, path: Path) -> tuple[list[SessionTruth], list[Datagram]]:
     """Run `config`'s flood with its capture streamed to the pcap at `path`;
     returns the truth rows and the capture's datagrams read back."""
     with Path(path).open("wb") as fh:
         truth = simulate_flood(config, PcapWriter(fh))
-    return truth, list(PcapReader(path).datagrams())
+    return truth, read_datagrams(path)
 
 
 def written_datagrams(buffer, path: Path) -> list[Datagram]:
     """The datagrams a PcapWriter wrote to the BytesIO `buffer`, read back
     through a file at `path`."""
     path.write_bytes(buffer.getvalue())
-    return list(PcapReader(path).datagrams())
+    return read_datagrams(path)
 
 
 def sessions_of(records, idle_gap: float = DEFAULT_IDLE_GAP) -> list[Session]:
@@ -103,6 +159,47 @@ def harvest_from_ids(vip: str, host_ids) -> HostIdHarvest:
         harvest.observations.append((index, host_id))
         harvest.attempts += 1
     return harvest
+
+
+@pytest.fixture
+def fake_socket(monkeypatch):
+    """socket.socket replaced by a fake whose recvfrom returns the class's
+    `reply` (or raises it, if an exception) from the address last sent to, so
+    no packet leaves the host; and time.monotonic and time.sleep replaced by
+    a clock that only sleeps move. Returns (the fake class, the clock as a
+    one-item list, the sleeps)."""
+
+    class FakeSocket:
+        opened = []
+        reply = b""  # the payload recvfrom returns, or an exception it raises
+
+        def __init__(self, family, kind):
+            self.kind = (family, kind)
+            self.sent, self.bound, self.timeout, self.closed = [], None, None, False
+            FakeSocket.opened.append(self)
+
+        def bind(self, address):
+            self.bound = address
+
+        def settimeout(self, timeout):
+            self.timeout = timeout
+
+        def sendto(self, payload, address):
+            self.sent.append((payload, address))
+
+        def recvfrom(self, size):
+            if isinstance(self.reply, Exception):
+                raise self.reply
+            return self.reply, self.sent[-1][1]
+
+        def close(self):
+            self.closed = True
+
+    clock, sleeps = [100.0], []
+    monkeypatch.setattr(socket, "socket", FakeSocket)
+    monkeypatch.setattr(time, "monotonic", lambda: clock[0])
+    monkeypatch.setattr(time, "sleep", sleeps.append)
+    return FakeSocket, clock, sleeps
 
 
 @pytest.fixture

@@ -41,7 +41,7 @@ from quicscope.wire import (
     TruncatedPacket,
 )
 
-from conftest import harvest_from_ids, sessions_of, simulate_to_pcap, traits_of
+from conftest import harvest_from_ids, packets_of, sessions_of, simulate_to_pcap, traits_of
 from test_scid import oracle_pack
 
 
@@ -98,12 +98,12 @@ def test_criterion_1_known_profile_round_trip(tmp_path):
     for operator in ("Cloudflare", "Facebook", "Google"):
         truth, datagrams = simulate_operator(operator, tmp_path / f"{operator}.pcap")
         assert len(truth) >= 500
-        records = list(ingest(datagrams, prefixes=table))
+        records = list(ingest(packets_of(datagrams), prefixes=table))
         sessions = sessions_of(records)
         assert len(sessions) >= 500
         assert all(s.operator == operator for s in sessions)
 
-        estimate = fp.estimate_rto(sessions)
+        estimate = fp.estimate_rto(map(fp.resend_rounds, sessions))
         expected_rto = default_stack_profile(operator).initial_rto
         assert abs(estimate.initial_rto - expected_rto) / expected_rto <= 0.10
         lo, hi = estimate.max_retransmissions
@@ -352,7 +352,7 @@ def test_criterion_7_classifier_metrics(tmp_path):
         seed=77,
     )
     _, datagrams = simulate_to_pcap(config, tmp_path / "capture.pcap")
-    records = list(ingest(datagrams))
+    records = list(ingest(packets_of(datagrams)))
     traits = traits_of(records, lambda r: r.src_ip)
     sessions = {}
     for session in sessions_of(records):

@@ -19,7 +19,7 @@ from quicscope import tables
 from quicscope.cli import build_parser, main
 from quicscope.scid import decode_facebook_scid, encode_facebook_scid
 
-from conftest import run_python
+from conftest import packets_of, run_python
 
 DEPLOY = {
     "seed": 7,
@@ -376,7 +376,7 @@ class TestScidCommand:
     def save_store(path, datagrams, operators):
         from quicscope.ingest import ingest
 
-        records = [record._replace(operator=operators(record)) for record in ingest(datagrams)]
+        records = [record._replace(operator=operators(record)) for record in ingest(packets_of(datagrams))]
         return tables.save_datagrams(path, records)
 
     def test_zero_length_scids_are_insufficient_data(self, tmp_path):
@@ -1222,9 +1222,10 @@ class TestClassifyGolden:
 
 class TestStreamedStages:
     """Ingest and classify stream the records, and fingerprint and scid fold
-    each distinct store row once: eight resend rounds per handshake cost
-    them no more memory than one, where a stage holding every record needs
-    about four times as much."""
+    each distinct store row once per block: eight resend rounds per
+    handshake cost them no more memory than one, where a stage holding every
+    record needs about four times as much, and so do four times as many
+    rows when no two are alike."""
 
     SOURCES = [f"100.64.{i // 250}.{i % 250 + 1}" for i in range(1000)]
 
@@ -1301,6 +1302,67 @@ class TestStreamedStages:
             lambda rounds, name: ("scid", "--datagrams", stores[rounds] / "datagrams.jsonl", "--out-dir", tmp_path / name)
         )
 
+    @pytest.fixture(scope="class")
+    def distinct_stores(self, tmp_path_factory) -> dict[int, Path]:
+        """Stores of 1,000 and 4,000 responses of one SCID and one shape, no
+        two rows alike: each goes to its own telescope address."""
+        from conftest import make_response
+        from quicscope.ingest import ingest
+
+        (record,) = ingest(packets_of([make_response(0.0)]))
+        base = tmp_path_factory.mktemp("distinct")
+        (base / "sessions.jsonl").write_text("")
+        stores = {}
+        for rows in (1000, 4000):
+            records = (record._replace(timestamp=0.01 * i, dst_ip=f"10.0.{i >> 8}.{i & 255}") for i in range(rows))
+            stores[rows] = tables.save_datagrams(base / f"d{rows}.jsonl", records)
+        return stores
+
+    @pytest.mark.parametrize("stage", ["fingerprint", "scid"])
+    def test_peak_memory_independent_of_distinct_rows(self, distinct_stores, tmp_path, monkeypatch, stage):
+        # blocks of 250 lines hold a quarter of the smaller store
+        monkeypatch.setattr(tables, "ROW_BLOCK", 250)
+        sessions = ["--sessions", distinct_stores[1000].with_name("sessions.jsonl")] if stage == "fingerprint" else []
+
+        def argv(rows, name):
+            return (stage, *sessions, "--datagrams", distinct_stores[rows], "--out-dir", tmp_path / name)
+
+        assert run(*argv(1000, "warm-up")) == 0
+        peaks = {rows: self.peak(*argv(rows, f"d{rows}")) for rows in (1000, 4000)}
+        assert peaks[4000] <= 1.5 * peaks[1000]
+
+
+class TestRawTransport:
+    """`probe --transport raw` probes through probe.RawNetworkTransport; a
+    fake socket answers here, so no packet leaves the host."""
+
+    VIP = "203.0.113.1"
+
+    def test_harvest_through_the_socket(self, fake_socket, tmp_path, capsys):
+        from quicscope.cli import ANYCAST_WARNING
+        from quicscope.scid import FacebookScidFields
+        from quicscope.wire import PacketType, encode_long_header
+
+        FakeSocket, _, sleeps = fake_socket
+        scid = encode_facebook_scid(FacebookScidFields(scid_version=1, host_id=4242, worker_id=3, process_id=1))
+        FakeSocket.reply = encode_long_header(PacketType.INITIAL, 1, b"\x10" * 8, scid, b"\x11" * 40)
+        out = tmp_path / "probe"
+        assert run("probe", "--transport", "raw", "--targets", self.VIP, "--handshakes", 3, "--out-dir", out) == 0
+        assert capsys.readouterr().err == ANYCAST_WARNING + "\n"
+        assert [sock.sent[0][1] for sock in FakeSocket.opened] == [(self.VIP, 443)] * 3
+        assert all(sock.closed for sock in FakeSocket.opened)
+        assert len(sleeps) == 2  # the sends after the first wait out the rate limit
+        assert [row["host_id"] for row in tables.read_table(out / "harvest.tsv")] == ["4242"] * 3
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["seed"] == 0
+        assert manifest["arguments"]["transport"] == "raw"
+
+    def test_targets_all_needs_the_simulator(self, fake_socket, tmp_path, capsys):
+        FakeSocket, _, _ = fake_socket
+        assert run("probe", "--transport", "raw", "--out-dir", tmp_path / "probe") == 2
+        assert "--targets all requires --transport sim" in capsys.readouterr().err
+        assert FakeSocket.opened == []
+
 
 class TestStoreRowTypes:
     """A store row value of the wrong JSON type stops every stage that reads
@@ -1318,7 +1380,7 @@ class TestStoreRowTypes:
         from quicscope.ingest import ingest
         from conftest import make_response
 
-        records = list(ingest([make_response(0.1 * i, dst=f"172.16.0.{i}") for i in range(3)]))
+        records = list(ingest(packets_of([make_response(0.1 * i, dst=f"172.16.0.{i}") for i in range(3)])))
         (tmp_path / "sessions.jsonl").write_text("")
         (tmp_path / "truth.tsv").write_text("198.51.100.1\tFacebook\n")
         return tables.save_datagrams(tmp_path / "datagrams.jsonl", records)
@@ -1441,7 +1503,7 @@ class TestStoreRows:
         from quicscope.ingest import ingest
         from conftest import make_response
 
-        records = list(ingest([make_response(0.1 * i, dst=f"172.16.0.{i}") for i in range(5)]))
+        records = list(ingest(packets_of([make_response(0.1 * i, dst=f"172.16.0.{i}") for i in range(5)])))
         store = tables.save_datagrams(tmp_path / "datagrams.jsonl", records)
         with store.open("a") as fh:
             fh.write(json.dumps({"ts": 9.0, "src": "198.51.100.1"}) + "\n")

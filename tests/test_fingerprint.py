@@ -14,6 +14,7 @@ from quicscope.fingerprint import (
     load_known_profiles,
     match_profile,
     resend_count_distribution,
+    resend_rounds,
     rto_distance,
     version_tally,
 )
@@ -21,7 +22,7 @@ from quicscope.ingest import Session, SessionKey, Timeline, ingest
 from quicscope.tables import read_profiles
 from quicscope.wire import Direction, PacketType, VersionRegistry
 
-from conftest import make_response, sessions_of, traits_of
+from conftest import make_response, packets_of, sessions_of, traits_of
 
 
 def session_from_offsets(
@@ -65,7 +66,7 @@ class TestVersionTally:
     def test_session_counted_once_despite_many_datagrams(self):
         registry = VersionRegistry.default()
 
-        records = list(ingest([make_response(t) for t in (0.0, 0.3, 0.6, 0.9, 1.2)]))
+        records = list(ingest(packets_of([make_response(t) for t in (0.0, 0.3, 0.6, 0.9, 1.2)])))
         sessions = sessions_of(records)
         tally = version_tally(sessions, registry)
         assert tally.counts == {("server", "QUICv1"): 1}
@@ -115,10 +116,10 @@ class TestPacketTypeStats:
     def test_coalesced_is_its_own_category(self):
         records = list(
             ingest(
-                [
+                packets_of([
                     make_response(0.0, types=(PacketType.INITIAL, PacketType.HANDSHAKE)),
                     make_response(0.1, types=(PacketType.INITIAL,), dst="172.16.0.2"),
-                ]
+                ])
             )
         )
         records = [r._replace(operator="Google") for r in records]
@@ -132,14 +133,14 @@ class TestPacketTypeStats:
     def test_facebook_coalesced_share_is_exactly_zero(self):
         records = [
             r._replace(operator="Facebook")
-            for r in ingest([make_response(0.1 * i, dst=f"172.16.0.{i}") for i in range(10)])
+            for r in ingest(packets_of([make_response(0.1 * i, dst=f"172.16.0.{i}") for i in range(10)]))
         ]
         traits = traits_by_operator(records)["Facebook"]
         assert percentages(traits) == {"Initial": 100.0}
         assert not traits.coalescence
 
     def test_single_initial_corpus(self):
-        records = list(ingest([make_response(0.0)]))
+        records = list(ingest(packets_of([make_response(0.0)])))
         assert percentages(traits_by_operator(records)["Unknown"]) == {"Initial": 100.0}
 
     def test_percentages_sum_to_100(self):
@@ -152,7 +153,7 @@ class TestPacketTypeStats:
                 else (rng.choice([PacketType.INITIAL, PacketType.HANDSHAKE]),)
             )
             datagrams.append(make_response(0.01 * i, dst=f"172.16.{i % 9}.1", types=types))
-        records = list(ingest(datagrams))
+        records = list(ingest(packets_of(datagrams)))
         traits = traits_by_operator(records)["Unknown"]
         assert sum(traits.type_counts().values()) == 200
         assert abs(sum(percentages(traits).values()) - 100.0) < 0.01
@@ -161,7 +162,7 @@ class TestPacketTypeStats:
 class TestLengthHistogram:
     def test_padded_initial_corpus(self):
         records = list(
-            ingest([make_response(0.1 * i, dst=f"172.16.0.{i}", pad_to=1200) for i in range(5)])
+            ingest(packets_of([make_response(0.1 * i, dst=f"172.16.0.{i}", pad_to=1200) for i in range(5)]))
         )
         top = traits_by_operator(records)["Unknown"].top_shapes(1)
         assert top == [(("Initial",), 1200, 5)]
@@ -169,11 +170,11 @@ class TestLengthHistogram:
     def test_coalesced_key(self):
         records = list(
             ingest(
-                [
+                packets_of([
                     make_response(
                         0.0, types=(PacketType.INITIAL, PacketType.HANDSHAKE), pad_to=1252
                     )
-                ]
+                ])
             )
         )
         assert traits_by_operator(records)["Unknown"].top_shapes(7) == [(("Initial", "Handshake"), 1252, 1)]
@@ -184,9 +185,9 @@ class TestLengthHistogram:
     def test_ties_rank_by_shape(self):
         records = list(
             ingest(
-                [make_response(0.1 * i, dst=f"172.16.0.{i}", pad_to=1300) for i in range(3)]
+                packets_of([make_response(0.1 * i, dst=f"172.16.0.{i}", pad_to=1300) for i in range(3)]
                 + [make_response(1 + 0.1 * i, dst=f"172.16.1.{i}", pad_to=1200) for i in range(3)]
-                + [make_response(2.0, dst="172.16.2.1", pad_to=1250)]
+                + [make_response(2.0, dst="172.16.2.1", pad_to=1250)])
             )
         )
         assert traits_by_operator(records)["Unknown"].top_shapes(2) == [
@@ -200,7 +201,7 @@ class TestGroupTraits:
         from conftest import make_request
 
         records = list(
-            ingest([make_response(0.0, scid=b"\x01" * 8), make_request(0.5, scid=b"\x02" * 8)])
+            ingest(packets_of([make_response(0.0, scid=b"\x01" * 8), make_request(0.5, scid=b"\x02" * 8)]))
         )
         traits = traits_by_operator(records)["Unknown"]
         assert traits.scids == {b"\x01" * 8}
@@ -209,13 +210,14 @@ class TestGroupTraits:
     def test_operator_with_only_requests_has_no_scids(self):
         from conftest import make_request
 
-        records = [r._replace(operator="Requested") for r in ingest([make_request(0.1 * i, dst="192.0.2.9") for i in range(3)])]
+        requests = packets_of([make_request(0.1 * i, dst="192.0.2.9") for i in range(3)])
+        records = [r._replace(operator="Requested") for r in ingest(requests)]
         traits = traits_by_operator(records)["Requested"]
         assert traits.scids == set()
         assert traits.type_counts() == {"Initial": 3}
 
     def test_without_shapes_keeps_scids(self):
-        records = list(ingest([make_response(0.1 * i, scid=bytes([i]) * 8) for i in range(3)]))
+        records = list(ingest(packets_of([make_response(0.1 * i, scid=bytes([i]) * 8) for i in range(3)])))
         traits = traits_of(records, lambda r: r.src_ip, shapes=False)
         assert traits["198.51.100.1"].shapes == {}
         assert traits["198.51.100.1"].scids == {bytes([i]) * 8 for i in range(3)}
@@ -224,7 +226,7 @@ class TestGroupTraits:
 class TestEstimateRto:
     def test_doubling_oracle_schedule(self):
         sessions = [session_from_offsets(doubling_offsets(0.3, 5), key_suffix=bytes([i])) for i in range(40)]
-        est = estimate_rto(sessions)
+        est = estimate_rto(map(resend_rounds, sessions))
         assert est.initial_rto == pytest.approx(0.3)
         assert est.backoff_base == pytest.approx(2.0)
         assert est.sample_count == 40
@@ -235,7 +237,7 @@ class TestEstimateRto:
         offsets = [0.0] + [0.3 * (2 ** (k + 1) - 1) for k in range(4)]
         assert offsets[1:] == pytest.approx([0.3, 0.9, 2.1, 4.5])
         sessions = [session_from_offsets(offsets, key_suffix=bytes([i])) for i in range(35)]
-        est = estimate_rto(sessions)
+        est = estimate_rto(map(resend_rounds, sessions))
         assert est.initial_rto == pytest.approx(0.3)
         assert est.backoff_base == pytest.approx(2.0)
 
@@ -245,7 +247,7 @@ class TestEstimateRto:
             session_from_offsets(doubling_offsets(0.4, rng.choice([7, 8, 9])), key_suffix=bytes([i]))
             for i in range(60)
         ]
-        est = estimate_rto(sessions)
+        est = estimate_rto(map(resend_rounds, sessions))
         assert est.initial_rto == pytest.approx(0.4)
         lo, hi = est.max_retransmissions
         assert lo >= 7 and hi <= 9 and lo <= hi
@@ -253,7 +255,7 @@ class TestEstimateRto:
     def test_insufficient_sessions(self):
         sessions = [session_from_offsets(doubling_offsets(0.3, 4), key_suffix=bytes([i])) for i in range(5)]
         with pytest.raises(InsufficientData):
-            estimate_rto(sessions, min_sessions=30)
+            estimate_rto(map(resend_rounds, sessions), min_sessions=30)
 
     def test_jitter_robustness(self):
         rng = random.Random(3)
@@ -261,7 +263,7 @@ class TestEstimateRto:
         for i in range(50):
             offsets = [0.0] + [0.3 * 2**k + rng.uniform(-0.01, 0.01) for k in range(5)]
             sessions.append(session_from_offsets(offsets, key_suffix=bytes([i])))
-        est = estimate_rto(sessions)
+        est = estimate_rto(map(resend_rounds, sessions))
         assert abs(est.initial_rto - 0.3) < 0.02
         assert abs(est.backoff_base - 2.0) < 0.15
 
@@ -274,12 +276,12 @@ class TestEstimateRto:
         # no RtoEstimate holds a median gap ratio below 1 or a first resend at or before 0
         sessions = [session_from_offsets(offsets, key_suffix=bytes([i])) for i in range(50)]
         with pytest.raises(InsufficientData, match="^resends follow no backoff: initial RTO "):
-            estimate_rto(sessions)
+            estimate_rto(map(resend_rounds, sessions))
 
     def test_sessions_without_resends_excluded(self):
         sessions = [session_from_offsets([0.0], key_suffix=bytes([i])) for i in range(50)]
         with pytest.raises(InsufficientData):
-            estimate_rto(sessions)
+            estimate_rto(map(resend_rounds, sessions))
 
 
 class TestResendCounts:
@@ -289,7 +291,7 @@ class TestResendCounts:
             session_from_offsets(doubling_offsets(0.4, rng.randint(0, 9)), key_suffix=bytes([i]))
             for i in range(100)
         ]
-        hist = resend_count_distribution(sessions)
+        hist = resend_count_distribution(map(resend_rounds, sessions))
         assert sum(hist.values()) == 100
 
     def test_two_datagram_rounds_count_once(self):
@@ -297,12 +299,12 @@ class TestResendCounts:
         offsets = [0.0, 0.0, 0.4, 0.4, 0.8, 0.8]
         types = [PacketType.INITIAL, PacketType.HANDSHAKE] * 3
         session = session_from_offsets(offsets, types=types)
-        hist = resend_count_distribution([session])
+        hist = resend_count_distribution([resend_rounds(session)])
         assert hist == {2: 1}
 
     def test_one_response_only(self):
         sessions = [session_from_offsets([0.0], key_suffix=bytes([i])) for i in range(4)]
-        assert resend_count_distribution(sessions) == {0: 4}
+        assert resend_count_distribution(map(resend_rounds, sessions)) == {0: 4}
 
 
 class TestMatchProfile:

@@ -1,10 +1,13 @@
 """Ingestion filtering, scanner sanitization, prefix mapping, sessionization."""
 
 import ipaddress
+import struct
+from pathlib import Path
 
 import pytest
 
 from quicscope.ingest import (
+    CaptureRecord,
     IngestCounters,
     PrefixTable,
     ScannerList,
@@ -12,15 +15,25 @@ from quicscope.ingest import (
     Timeline,
     ingest,
 )
-from quicscope import tables
-from quicscope.pcap import PcapReader, write_pcap
-from quicscope.wire import Datagram, Direction, PacketType
+from quicscope import pcap, tables
+from quicscope.pcap import (
+    LINKTYPE_ETHERNET, LINKTYPE_RAW_IP, CaptureCounters, PcapReader, build_ipv4_udp, write_pcap,
+)
+from quicscope.wire import (
+    Datagram, Direction, PacketType, PlausibilityConfig, VersionRegistry, classify_direction, is_plausible_quic,
+    split_coalesced,
+)
 
-from conftest import make_request, make_response, sessions_of
+from conftest import make_request, make_response, packets_of, parse_ipv4_udp, sessions_of, timeline_entries
 
 
 def net(s):
     return ipaddress.ip_network(s)
+
+
+def addr(s):
+    """A dotted IPv4 address as the integer the lookups take."""
+    return int(ipaddress.IPv4Address(s))
 
 
 class TestIngest:
@@ -42,7 +55,7 @@ class TestIngest:
 
     def test_request_and_response_both_pass(self):
         counters = IngestCounters()
-        records = list(ingest([make_request(0.0), make_response(0.1)], counters=counters))
+        records = list(ingest(packets_of([make_request(0.0), make_response(0.1)]), counters=counters))
         assert [r.direction for r in records] == [Direction.REQUEST, Direction.RESPONSE]
         assert counters.requests_seen == 1 and counters.responses_seen == 1
 
@@ -56,16 +69,16 @@ class TestIngest:
     def test_implausible_payload_counted(self):
         junk = Datagram(0.0, "198.51.100.1", "172.16.5.5", 443, 50000, b"\x00" * 100)
         counters = IngestCounters()
-        assert list(ingest([junk], counters=counters)) == []
+        assert list(ingest(packets_of([junk]), counters=counters)) == []
         assert counters.implausible == 1
 
     def test_record_packets_nonempty(self):
-        for record in ingest([make_response(0.0, types=(PacketType.INITIAL, PacketType.HANDSHAKE))]):
+        for record in ingest(packets_of([make_response(0.0, types=(PacketType.INITIAL, PacketType.HANDSHAKE))])):
             assert record.packets
             assert len(record.packets) == 2
 
     def test_record_is_immutable(self):
-        (record,) = ingest([make_response(0.0)])
+        (record,) = ingest(packets_of([make_response(0.0)]))
         with pytest.raises(AttributeError):
             record.operator = "Facebook"
         assert record._replace(operator="Facebook").operator == "Facebook" and record.operator is None
@@ -74,7 +87,7 @@ class TestIngest:
         # form bit clear, non-zero first octet: a 1-RTT short-header packet
         short = Datagram(0.0, "198.51.100.1", "172.16.5.5", 443, 50000, b"\x41" + b"\x99" * 24)
         counters = IngestCounters()
-        assert list(ingest([short], counters=counters)) == []
+        assert list(ingest(packets_of([short]), counters=counters)) == []
         assert counters.short_header_only == 1
         assert counters.implausible == 0
 
@@ -83,7 +96,8 @@ class TestSanitize:
     def test_request_from_listed_prefix_dropped(self):
         scanners = ScannerList([net("172.16.0.0/12")])
         counters = IngestCounters()
-        assert list(ingest([make_request(0.0, src="172.16.5.5")], counters=counters, scanners=scanners)) == []
+        request = packets_of([make_request(0.0, src="172.16.5.5")])
+        assert list(ingest(request, counters=counters, scanners=scanners)) == []
         assert counters.requests_dropped == 1
         # a dropped request was emitted, as counters.tsv has always counted it
         assert counters.emitted == counters.requests_seen == 1
@@ -91,22 +105,22 @@ class TestSanitize:
     def test_response_from_listed_prefix_kept(self):
         scanners = ScannerList([net("198.51.100.0/24")])
         counters = IngestCounters()
-        kept = list(ingest([make_response(0.0, src="198.51.100.1")], counters=counters, scanners=scanners))
+        kept = list(ingest(packets_of([make_response(0.0, src="198.51.100.1")]), counters=counters, scanners=scanners))
         assert len(kept) == 1
         assert counters.requests_dropped == 0
 
     def test_empty_scanner_list_is_identity(self):
         datagrams = [make_request(0.0), make_response(0.1)]
-        assert list(ingest(datagrams, scanners=ScannerList())) == list(ingest(datagrams))
+        assert list(ingest(packets_of(datagrams), scanners=ScannerList())) == list(ingest(packets_of(datagrams)))
 
     def test_nested_and_adjacent_prefixes(self):
         scanners = ScannerList(
             [net("10.0.0.0/8"), net("10.1.0.0/16"), net("10.1.2.3/32"), net("11.0.0.0/8"), net("192.0.2.8/30")]
         )
         for ip in ("10.0.0.0", "10.1.2.3", "10.200.0.1", "11.255.255.255", "192.0.2.8", "192.0.2.11"):
-            assert ip in scanners, ip
+            assert addr(ip) in scanners, ip
         for ip in ("9.255.255.255", "12.0.0.0", "192.0.2.7", "192.0.2.12", "0.0.0.0", "255.255.255.255"):
-            assert ip not in scanners, ip
+            assert addr(ip) not in scanners, ip
 
     def test_drops_only_listed_requests(self):
         scanners = ScannerList([net("172.16.5.0/24"), net("10.1.0.0/16")])
@@ -116,7 +130,7 @@ class TestSanitize:
             make_request(0.4, src="192.0.2.77"),
             make_response(0.6),
         ]
-        kept = list(ingest(datagrams, scanners=scanners))
+        kept = list(ingest(packets_of(datagrams), scanners=scanners))
         assert [(r.direction, r.src_ip) for r in kept] == [
             (Direction.REQUEST, "192.0.2.77"),
             (Direction.RESPONSE, "198.51.100.1"),
@@ -126,9 +140,9 @@ class TestSanitize:
         listing = tmp_path / "scanners.txt"
         listing.write_text("# well known scanners\n203.0.113.99\n198.18.0.0/15\n")
         scanners = tables.load_scanner_list(listing)
-        assert "203.0.113.99" in scanners
-        assert "203.0.113.98" not in scanners
-        assert "198.18.4.4" in scanners
+        assert addr("203.0.113.99") in scanners
+        assert addr("203.0.113.98") not in scanners
+        assert addr("198.18.4.4") in scanners
 
 
 class TestPrefixTable:
@@ -139,16 +153,16 @@ class TestPrefixTable:
                 (net("128.64.3.0/24"), 65001, "small"),
             ]
         )
-        assert table.lookup("128.64.3.10") == (65001, "small")
-        assert table.lookup("128.64.4.10") == (65000, "big")
+        assert table.lookup(addr("128.64.3.10")) == (65001, "small")
+        assert table.lookup(addr("128.64.4.10")) == (65000, "big")
 
     def test_unknown_ip(self):
         table = PrefixTable([(net("198.51.100.0/24"), 64512, "ExampleCDN")])
-        assert table.lookup("8.8.8.8") is None
+        assert table.lookup(addr("8.8.8.8")) is None
 
     def test_single_operator_label(self):
         table = PrefixTable([(net("198.51.100.0/24"), 32934, "Facebook")])
-        assert table.lookup("198.51.100.77") == (32934, "Facebook")
+        assert table.lookup(addr("198.51.100.77")) == (32934, "Facebook")
 
     def test_order_independence(self):
         entries = [
@@ -159,13 +173,13 @@ class TestPrefixTable:
         forward = PrefixTable(entries)
         backward = PrefixTable(entries[::-1])
         for ip in ("10.1.2.3", "10.1.9.9", "10.9.9.9"):
-            assert forward.lookup(ip) == backward.lookup(ip)
+            assert forward.lookup(addr(ip)) == backward.lookup(addr(ip))
 
     def test_load_from_tsv(self, tmp_path):
         f = tmp_path / "prefixes.tsv"
         f.write_text("198.51.100.0/24\t32934\tFacebook\n203.0.113.0/24\t13335\tCloudflare\n")
         table = tables.load_prefix_table(f)
-        assert table.lookup("203.0.113.8") == (13335, "Cloudflare")
+        assert table.lookup(addr("203.0.113.8")) == (13335, "Cloudflare")
 
     def test_ingest_labels_the_server_side(self):
         table = PrefixTable([(net("198.51.100.0/24"), 32934, "Facebook")])
@@ -175,38 +189,39 @@ class TestPrefixTable:
             make_response(0.2, src="192.0.2.1", dst="198.51.100.1"),
             make_request(0.3, src="198.51.100.1", dst="192.0.2.1"),
         ]
-        records = list(ingest(datagrams, prefixes=table))
+        records = list(ingest(packets_of(datagrams), prefixes=table))
         assert [(r.operator, r.asn) for r in records] == [("Facebook", 32934)] * 2 + [(None, None)] * 2
 
 
 class TestSessionize:
     def test_resend_series_is_one_session(self):
         offsets = [0.0, 0.4, 0.8, 1.6, 3.2, 6.4, 9.0, 11.1, 13.0, 14.5]
-        records = list(ingest([make_response(1000.0 + o) for o in offsets]))
+        records = list(ingest(packets_of([make_response(1000.0 + o) for o in offsets])))
         sessions = sessions_of(records)
         assert len(sessions) == 1
-        assert [round(offset, 3) for offset, _, _, _ in sessions[0].timeline] == offsets
+        assert [round(offset, 3) for offset, _, _, _ in timeline_entries(sessions[0].timeline)] == offsets
 
     def test_idle_gap_splits_sessions(self):
-        records = list(ingest([make_response(0.0), make_response(600.0)]))
+        records = list(ingest(packets_of([make_response(0.0), make_response(600.0)])))
         sessions = sessions_of(records, idle_gap=60.0)
         assert len(sessions) == 2
-        assert all([offset for offset, _, _, _ in s.timeline] == [0.0] for s in sessions)
+        assert all([offset for offset, _, _, _ in timeline_entries(s.timeline)] == [0.0] for s in sessions)
 
     def test_different_dcid_different_session(self):
         records = list(
-            ingest([make_response(0.0, dcid=b"\x01" * 8), make_response(0.1, dcid=b"\x02" * 8)])
+            ingest(packets_of([make_response(0.0, dcid=b"\x01" * 8), make_response(0.1, dcid=b"\x02" * 8)]))
         )
         sessions = sessions_of(records)
         assert len(sessions) == 2
 
     def test_coalesced_entries_share_offset(self):
         records = list(
-            ingest([make_response(5.0, types=(PacketType.INITIAL, PacketType.HANDSHAKE))])
+            ingest(packets_of([make_response(5.0, types=(PacketType.INITIAL, PacketType.HANDSHAKE))]))
         )
         sessions = sessions_of(records)
         assert len(sessions) == 1
-        assert [(offset, coalesced) for offset, _, _, coalesced in sessions[0].timeline] == [(0.0, True)] * 2
+        entries = timeline_entries(sessions[0].timeline)
+        assert [(offset, coalesced) for offset, _, _, coalesced in entries] == [(0.0, True)] * 2
 
     def test_partition_property(self):
         # every parsed packet lands in exactly one session
@@ -222,24 +237,24 @@ class TestSessionize:
                     types=(PacketType.INITIAL, PacketType.HANDSHAKE) if i % 3 == 0 else (PacketType.INITIAL,),
                 )
             )
-        records = list(ingest(datagrams))
+        records = list(ingest(packets_of(datagrams)))
         total_packets = sum(len(r.packets) for r in records)
         sessions = sessions_of(records)
-        assert sum(len(list(s.timeline)) for s in sessions) == total_packets
+        assert sum(len(timeline_entries(s.timeline)) for s in sessions) == total_packets
         keys = [(s.key, s.start_ts) for s in sessions]
         assert len(keys) == len(set(keys))
 
     def test_offsets_non_decreasing(self):
-        records = list(ingest([make_response(t) for t in (0.0, 0.5, 0.5, 2.0)]))
+        records = list(ingest(packets_of([make_response(t) for t in (0.0, 0.5, 0.5, 2.0)])))
         sessions = sessions_of(records)
         for s in sessions:
-            offsets = [offset for offset, _, _, _ in s.timeline]
+            offsets = [offset for offset, _, _, _ in timeline_entries(s.timeline)]
             assert offsets == sorted(offsets)
             assert offsets[0] == 0.0
 
     def test_session_carries_metadata(self):
         table = PrefixTable([(net("198.51.100.0/24"), 15169, "Google")])
-        records = ingest([make_response(0.0, version=1)], prefixes=table)
+        records = ingest(packets_of([make_response(0.0, version=1)]), prefixes=table)
         sessions = sessions_of(records)
         assert sessions[0].operator == "Google"
         assert sessions[0].version == 1
@@ -267,7 +282,7 @@ class TestTimeline:
         return timeline
 
     def test_entries_read_back_exactly(self):
-        assert list(self.timeline()) == self.ENTRIES
+        assert timeline_entries(self.timeline()) == self.ENTRIES
 
     def test_offsets_of_packet_types_in_order(self):
         timeline = self.timeline()
@@ -279,3 +294,178 @@ class TestTimeline:
         with pytest.raises(ValueError, match=r"^timeline entry \["):
             Timeline().add(offset, PacketType.INITIAL, length, False)
 
+
+
+def reference_ingest(datagrams, config, counters, scanners, prefixes):
+    """ingest() as it was over decoded Datagrams, with split_coalesced: the
+    oracle of the IPv4 and UDP decoding that ingest() now does itself."""
+    for d in datagrams:
+        counters.total += 1
+        direction = classify_direction(d.src_port, d.dst_port)
+        if direction is Direction.NON_QUIC:
+            counters.non_quic_port += 1
+            continue
+        packets = split_coalesced(d.payload)
+        if not is_plausible_quic(packets, config):
+            if not packets and d.payload and d.payload[0] and not d.payload[0] & 0x80:
+                counters.short_header_only += 1
+            else:
+                counters.implausible += 1
+            continue
+        counters.emitted += 1
+        if direction is Direction.RESPONSE:
+            counters.responses_seen += 1
+            server_ip = d.src_ip
+        else:
+            counters.requests_seen += 1
+            if addr(d.src_ip) in scanners:
+                counters.requests_dropped += 1
+                continue
+            server_ip = d.dst_ip
+        asn, operator = prefixes.lookup(addr(server_ip)) or (None, None)
+        yield CaptureRecord(
+            d.timestamp, d.src_ip, d.dst_ip, d.src_port, d.dst_port, direction, len(d.payload), packets, operator, asn
+        )
+
+
+def reference_read(path, counters):
+    """The records of a little-endian microsecond capture read one at a time,
+    each with its link layer stripped and decoded by conftest's reference
+    decoder, as PcapReader read them before it read blocks."""
+    linktype = PcapReader(path).linktype
+    with path.open("rb") as fh:
+        fh.seek(24)
+        while True:
+            head = fh.read(16)
+            if not head:
+                return
+            if len(head) < 16:
+                counters.malformed += 1
+                return
+            ts_sec, ts_usec, incl_len, _ = struct.unpack("<IIII", head)
+            counters.records += 1
+            data = fh.read(incl_len)
+            if len(data) < incl_len:
+                counters.malformed += 1
+                return
+            if linktype == LINKTYPE_ETHERNET:
+                if len(data) < 14:
+                    counters.malformed += 1
+                    continue
+                ethertype, offset = struct.unpack_from(">H", data, 12)[0], 14
+                if ethertype == 0x8100:
+                    if len(data) < 18:
+                        counters.malformed += 1
+                        continue
+                    ethertype, offset = struct.unpack_from(">H", data, 16)[0], 18
+                if ethertype != 0x0800:
+                    counters.non_ipv4 += 1
+                    continue
+                data = data[offset:]
+            d = parse_ipv4_udp(data, ts_sec + ts_usec / 1e6, counters)
+            if d is not None:
+                yield d
+
+
+class TestBlockDecoderOracle:
+    """PcapReader's blocks plus ingest() give the records and counters of the
+    record-at-a-time reader, the reference IPv4/UDP decoder, split_coalesced
+    and the ingest() that read Datagrams, on odd and truncated captures."""
+
+    SCANNERS = ScannerList([net("172.16.9.0/24")])
+    PREFIXES = PrefixTable([(net("198.51.100.0/24"), 32934, "Facebook"), (net("192.0.2.0/28"), 64500, "Lab")])
+
+    @staticmethod
+    def edited(packet: bytes, at: int, octets: bytes) -> bytes:
+        return packet[:at] + octets + packet[at + len(octets) :]
+
+    def ip_datagrams(self) -> list[bytes]:
+        quic = [
+            make_response(0.0),
+            make_response(0.0, types=(PacketType.INITIAL, PacketType.HANDSHAKE), pad_to=1200),
+            make_response(0.0, src="192.0.2.3", scid=b""),
+            make_request(0.0),
+            make_request(0.0, src="172.16.9.4"),  # a listed scanner
+            make_request(0.0, dst="198.51.100.9"),
+            Datagram(0.0, "198.51.100.1", "172.16.5.5", 53, 53, b"dns"),  # no QUIC port
+            Datagram(0.0, "198.51.100.1", "172.16.5.5", 443, 5000, b"\x41" + b"\x99" * 24),  # short header
+            Datagram(0.0, "198.51.100.1", "172.16.5.5", 443, 5000, b"\x00" * 30),  # implausible
+            Datagram(0.0, "198.51.100.1", "172.16.5.5", 443, 5000, b""),
+        ]
+        packets = [build_ipv4_udp(d) for d in quic]
+        plain = packets[0]
+        with_options = bytes([0x47]) + plain[1:20] + b"\x01" * 8 + plain[20:]  # IHL 7: 8 octets of NOPs
+        return packets + [
+            with_options,
+            self.edited(with_options, 9, b"\x06"),  # TCP behind options
+            self.edited(plain, 6, b"\x20\x01"),  # more fragments, offset 1
+            self.edited(plain, 6, b"\x40\x00"),  # don't fragment: kept
+            self.edited(plain, 6, b"\x20\x00"),  # the first fragment: kept
+            self.edited(plain, 9, b"\x06"),  # TCP
+            self.edited(plain, 24, b"\x00\x07"),  # UDP length 7
+            self.edited(plain, 24, b"\x07\xd0"),  # UDP length 2000, longer than the packet
+            self.edited(plain, 24, b"\x00\x08"),  # UDP length 8: no payload
+            self.edited(plain, 0, b"\x65"),  # IP version 6
+            self.edited(plain, 0, b"\x44"),  # IHL 4
+            self.edited(plain, 0, b"\x4f")[:40],  # IHL 15, longer than the packet
+            self.edited(self.edited(plain, 0, b"\x4f"), 9, b"\x06")[:40],  # and TCP
+            plain + b"\x00" * 6,  # padding after the UDP datagram, as an Ethernet frame may carry
+            plain[:40],
+            plain[:28],  # a whole UDP header and no payload
+            plain[:27],  # cut inside the UDP header
+            with_options[:32],  # cut inside the UDP header, behind options
+            plain[:19],
+            b"",
+        ]
+
+    def frames(self, linktype: int) -> list[bytes]:
+        packets = self.ip_datagrams()
+        if linktype == LINKTYPE_RAW_IP:
+            return packets
+        mac = b"\x02" * 12
+        return (
+            [mac + b"\x08\x00" + p for p in packets]
+            + [mac + b"\x81\x00\x00\x05\x08\x00" + p for p in packets]  # 802.1Q tag
+            + [mac + b"\x86\xdd" + packets[0], mac + b"\x81\x00\x00\x05\x86\xdd" + packets[0]]  # IPv6
+            + [mac, mac + b"\x08", mac + b"\x81\x00", mac + b"\x81\x00\x00\x05\x08"]  # cut in a header or tag
+        )
+
+    def capture(self, tmp_path, linktype: int, cut: str) -> Path:
+        frames = self.frames(linktype)
+        frames.append(frames[0])  # a QUIC datagram last, where a cut falls
+        blob = bytearray(struct.pack("<IHHiIII", 0xA1B2C3D4, 2, 4, 0, 0, 65535, linktype))
+        last_header = 0
+        for i, frame in enumerate(frames):
+            last_header = len(blob)
+            blob += struct.pack("<IIII", 1000 + i // 4, 250_000 * (i % 4), len(frame), len(frame)) + frame
+        # one octet short of the last record's header, or of its body
+        if cut == "header":
+            del blob[last_header + 15 :]
+        elif cut == "body":
+            del blob[-1:]
+        path = tmp_path / f"{linktype}-{cut}.pcap"
+        path.write_bytes(bytes(blob))
+        return path
+
+    # blocks of one record header, shorter than most records and than the
+    # capture, and one that holds it all
+    @pytest.mark.parametrize("block", [16, 100, 1500, pcap.READ_BLOCK])
+    @pytest.mark.parametrize("cut", ["none", "header", "body"])
+    @pytest.mark.parametrize("linktype", [LINKTYPE_RAW_IP, LINKTYPE_ETHERNET])
+    def test_same_records_and_counters(self, tmp_path, monkeypatch, linktype, cut, block):
+        path = self.capture(tmp_path, linktype, cut)
+        config = PlausibilityConfig(VersionRegistry.default())
+        monkeypatch.setattr(pcap, "READ_BLOCK", block)
+
+        reader, counters = PcapReader(path), IngestCounters()
+        records = list(ingest(reader.datagrams(), config, counters, self.SCANNERS, self.PREFIXES, reader.counters))
+
+        reference_capture, reference = CaptureCounters(), IngestCounters()
+        expected = list(
+            reference_ingest(reference_read(path, reference_capture), config, reference, self.SCANNERS, self.PREFIXES)
+        )
+        assert records == expected
+        assert reader.counters.as_dict() == reference_capture.as_dict()
+        assert counters.as_dict() == reference.as_dict()
+        # every counter meets a datagram above
+        assert all(reference_capture.as_dict().values()) and all(reference.as_dict().values())

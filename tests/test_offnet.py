@@ -21,7 +21,7 @@ from quicscope.scid import FacebookScidFields, encode_facebook_scid
 from quicscope.sim import DeploymentConfig, FloodConfig, ClusterConfig, RoutingMode, default_stack_profile
 from quicscope.wire import Direction
 
-from conftest import make_response, sessions_of, simulate_to_pcap, traits_of
+from conftest import make_response, packets_of, sessions_of, simulate_to_pcap, traits_of
 
 
 def features(**overrides) -> SourceFeatures:
@@ -66,7 +66,7 @@ class TestExtractFeatures:
             seed=21,
         )
         _, datagrams = simulate_to_pcap(cfg, tmp_path / "capture.pcap")
-        return list(ingest(datagrams))
+        return list(ingest(packets_of(datagrams)))
 
     def test_facebook_source_features(self, tmp_path):
         records = self.run_flood(tmp_path, "Facebook")
@@ -92,7 +92,7 @@ class TestExtractFeatures:
         assert f.coalescence
 
     def test_single_packet_source_has_no_rto(self):
-        records = list(ingest([make_response(0.0, src="198.51.100.9")]))
+        records = list(ingest(packets_of([make_response(0.0, src="198.51.100.9")])))
         f = source_features(records, "198.51.100.9")
         assert f.rto_signature is None
 
@@ -101,10 +101,10 @@ class TestExtractFeatures:
         # 4 random SCIDs: the chance all four decode as valid versions is 1/16
         records = list(
             ingest(
-                [
+                packets_of([
                     make_response(0.1 * i, src="198.51.100.9", scid=rng.randbytes(8), dcid=rng.randbytes(8))
                     for i in range(4)
-                ]
+                ])
             )
         )
         f = source_features(records, "198.51.100.9")
@@ -113,9 +113,8 @@ class TestExtractFeatures:
 
     def test_mixed_lengths_match_no_scheme(self):
         scids = [facebook_scid(5), facebook_scid(6, bits=(1 << 37) - 1), b"\x01" * 20]
-        records = list(
-            ingest([make_response(0.1 * i, src="198.51.100.9", scid=s, dst=f"172.16.0.{i}") for i, s in enumerate(scids)])
-        )
+        responses = [make_response(0.1 * i, src="198.51.100.9", scid=s, dst=f"172.16.0.{i}") for i, s in enumerate(scids)]
+        records = list(ingest(packets_of(responses)))
         f = source_features(records, "198.51.100.9")
         assert f.scid_scheme_match is None
         assert not f.scid_structured
@@ -132,7 +131,7 @@ class TestExtractFeatures:
         datagrams = [
             make_response(0.1 * i, src="198.51.100.9", scid=scids[i % 3], dst=f"172.16.0.{i}") for i in range(9)
         ]
-        source_features(list(ingest(datagrams)), "198.51.100.9")
+        source_features(list(ingest(packets_of(datagrams))), "198.51.100.9")
         assert sorted(calls) == sorted(scids[:2])
 
 

@@ -1,4 +1,8 @@
-"""pcap round trips plus reader behavior on ethernet framing and bad input."""
+"""pcap round trips plus reader behavior on ethernet framing and bad input.
+
+The datagrams read back are decoded by conftest's reference decoder; the
+counters are those of the reader and ingest.ingest, which decodes the IPv4
+and UDP headers in the pipeline."""
 
 import gc
 import random
@@ -9,9 +13,11 @@ import warnings
 import pytest
 
 from quicscope import InputError
+from quicscope.ingest import ingest
 from quicscope.pcap import (
     LINKTYPE_ETHERNET,
     LINKTYPE_RAW_IP,
+    CaptureCounters,
     PcapReader,
     _ip_checksum,
     build_ipv4_udp,
@@ -19,7 +25,19 @@ from quicscope.pcap import (
 )
 from quicscope.wire import Datagram
 
-from conftest import run_python
+from conftest import read_datagrams, run_python
+
+
+def read_back(path) -> tuple[list[Datagram], CaptureCounters]:
+    """The datagrams of the capture at `path`, and the counters that the
+    reader and ingest() keep over it, which the reference decoder's equal."""
+    reader = PcapReader(path)
+    for _ in ingest(reader.datagrams(), capture=reader.counters):
+        pass
+    reference = CaptureCounters()
+    datagrams = read_datagrams(path, reference)
+    assert reference.as_dict() == reader.counters.as_dict()
+    return datagrams, reader.counters
 
 
 def make_datagrams():
@@ -34,11 +52,10 @@ def test_write_read_round_trip(tmp_path):
     path = tmp_path / "t.pcap"
     originals = make_datagrams()
     assert write_pcap(path, originals) == 3
-    reader = PcapReader(path)
-    got = list(reader.datagrams())
+    got, counters = read_back(path)
     assert got == originals
-    assert reader.counters.datagrams == 3
-    assert reader.counters.malformed == 0
+    assert counters.datagrams == 3
+    assert counters.malformed == 0
 
 
 def test_deterministic_bytes(tmp_path):
@@ -58,7 +75,7 @@ def test_ethernet_linktype(tmp_path):
         fh.write(struct.pack("<IHHiIII", 0xA1B2C3D4, 2, 4, 0, 0, 65535, LINKTYPE_ETHERNET))
         fh.write(struct.pack("<IIII", 5, 0, len(frame), len(frame)))
         fh.write(frame)
-    got = list(PcapReader(path).datagrams())
+    got, _ = read_back(path)
     assert got == [d]
 
 
@@ -70,7 +87,7 @@ def test_vlan_tag_stripped(tmp_path):
         fh.write(struct.pack("<IHHiIII", 0xA1B2C3D4, 2, 4, 0, 0, 65535, LINKTYPE_ETHERNET))
         fh.write(struct.pack("<IIII", 5, 0, len(frame), len(frame)))
         fh.write(frame)
-    assert list(PcapReader(path).datagrams()) == [d]
+    assert read_back(path)[0] == [d]
 
 
 def test_non_udp_counted(tmp_path):
@@ -82,9 +99,9 @@ def test_non_udp_counted(tmp_path):
         fh.write(struct.pack("<IHHiIII", 0xA1B2C3D4, 2, 4, 0, 0, 65535, 101))
         fh.write(struct.pack("<IIII", 1, 0, len(packet), len(packet)))
         fh.write(bytes(packet))
-    reader = PcapReader(path)
-    assert list(reader.datagrams()) == []
-    assert reader.counters.non_udp == 1
+    datagrams, counters = read_back(path)
+    assert datagrams == []
+    assert counters.non_udp == 1
 
 
 def test_fragment_skipped(tmp_path):
@@ -96,9 +113,9 @@ def test_fragment_skipped(tmp_path):
         fh.write(struct.pack("<IHHiIII", 0xA1B2C3D4, 2, 4, 0, 0, 65535, 101))
         fh.write(struct.pack("<IIII", 1, 0, len(packet), len(packet)))
         fh.write(bytes(packet))
-    reader = PcapReader(path)
-    assert list(reader.datagrams()) == []
-    assert reader.counters.fragmented == 1
+    datagrams, counters = read_back(path)
+    assert datagrams == []
+    assert counters.fragmented == 1
 
 
 def test_truncated_record_counted(tmp_path):
@@ -106,10 +123,9 @@ def test_truncated_record_counted(tmp_path):
     write_pcap(path, make_datagrams())
     data = path.read_bytes()
     path.write_bytes(data[:-5])
-    reader = PcapReader(path)
-    got = list(reader.datagrams())
+    got, counters = read_back(path)
     assert len(got) == 2
-    assert reader.counters.malformed == 1
+    assert counters.malformed == 1
 
 
 def test_record_longer_than_any_snaplen_is_not_read(tmp_path):
@@ -181,7 +197,7 @@ def test_big_endian_and_nanosecond_magic(tmp_path):
         fh.write(struct.pack(">IHHiIII", 0xA1B23C4D, 2, 4, 0, 0, 65535, 101))
         fh.write(struct.pack(">IIII", 2, 333, len(packet), len(packet)))
         fh.write(packet)
-    got = list(PcapReader(path).datagrams())
+    got, _ = read_back(path)
     assert len(got) == 1
     assert got[0].payload == b"ns"
     assert abs(got[0].timestamp - 2.000000333) < 1e-9
@@ -197,8 +213,7 @@ def read_capture(tmp_path, packets, linktype=101, tail=b""):
             fh.write(struct.pack("<IIII", 1, 0, len(packet), len(packet)))
             fh.write(packet)
         fh.write(tail)
-    reader = PcapReader(path)
-    return list(reader.datagrams()), reader.counters
+    return read_back(path)
 
 
 UDP_PACKET = build_ipv4_udp(Datagram(1.0, "192.0.2.1", "192.0.2.2", 443, 40000, b"x"))

@@ -6,7 +6,6 @@ import gc
 import io
 import random
 import socket
-import time
 
 import pytest
 
@@ -188,40 +187,6 @@ class TestRawNetworkTransport:
 
     VIP = "203.0.113.1"
 
-    @pytest.fixture
-    def fake(self, monkeypatch):
-        class FakeSocket:
-            opened = []
-            reply = b""  # the payload recvfrom returns, or an exception it raises
-
-            def __init__(self, family, kind):
-                self.kind = (family, kind)
-                self.sent, self.bound, self.timeout, self.closed = [], None, None, False
-                FakeSocket.opened.append(self)
-
-            def bind(self, address):
-                self.bound = address
-
-            def settimeout(self, timeout):
-                self.timeout = timeout
-
-            def sendto(self, payload, address):
-                self.sent.append((payload, address))
-
-            def recvfrom(self, size):
-                if isinstance(self.reply, Exception):
-                    raise self.reply
-                return self.reply, (TestRawNetworkTransport.VIP, 443)
-
-            def close(self):
-                self.closed = True
-
-        clock, sleeps = [100.0], []
-        monkeypatch.setattr(socket, "socket", FakeSocket)
-        monkeypatch.setattr(time, "monotonic", lambda: clock[0])
-        monkeypatch.setattr(time, "sleep", sleeps.append)
-        return FakeSocket, clock, sleeps
-
     def server_response(self, tmp_path):
         """The first datagram of a simulated Facebook server's response round,
         and the server CID it carries."""
@@ -230,8 +195,8 @@ class TestRawNetworkTransport:
         conn = sim.deliver("192.0.2.1", self.VIP, 5000, client_initial_payload(b"d" * 8, b"c" * 8))
         return written_datagrams(buffer, tmp_path / "capture.pcap")[0].payload, conn.server_cid
 
-    def test_handshake_returns_the_server_scid(self, fake, tmp_path):
-        FakeSocket, _, _ = fake
+    def test_handshake_returns_the_server_scid(self, fake_socket, tmp_path):
+        FakeSocket, _, _ = fake_socket
         FakeSocket.reply, server_cid = self.server_response(tmp_path)
         transport = RawNetworkTransport(seed=1)
         assert transport.handshake(self.VIP, 40000, dcid=b"\x10" * 8, scid=b"\x20" * 8) == server_cid
@@ -242,8 +207,8 @@ class TestRawNetworkTransport:
         assert sock.sent == [(client_initial_payload(b"\x10" * 8, b"\x20" * 8), (self.VIP, 443))]
         assert sock.closed
 
-    def test_timeout_gives_none(self, fake):
-        FakeSocket, _, _ = fake
+    def test_timeout_gives_none(self, fake_socket):
+        FakeSocket, _, _ = fake_socket
         FakeSocket.reply = TimeoutError("timed out")
         assert RawNetworkTransport(seed=1).handshake(self.VIP, 40000) is None
         [sock] = FakeSocket.opened
@@ -251,15 +216,15 @@ class TestRawNetworkTransport:
         assert sock.closed
 
     @pytest.mark.parametrize("reply", NO_PACKET_PAYLOADS.values(), ids=list(NO_PACKET_PAYLOADS))
-    def test_reply_without_a_packet_gives_none(self, fake, reply):
-        FakeSocket, _, _ = fake
+    def test_reply_without_a_packet_gives_none(self, fake_socket, reply):
+        FakeSocket, _, _ = fake_socket
         FakeSocket.reply = reply
         assert RawNetworkTransport(seed=1).handshake(self.VIP, 40000) is None
         [sock] = FakeSocket.opened
         assert sock.closed
 
-    def test_second_send_sleeps_out_the_gap(self, fake, tmp_path):
-        FakeSocket, clock, sleeps = fake
+    def test_second_send_sleeps_out_the_gap(self, fake_socket, tmp_path):
+        FakeSocket, clock, sleeps = fake_socket
         FakeSocket.reply, server_cid = self.server_response(tmp_path)
         transport = RawNetworkTransport(seed=1)
         assert transport.handshake(self.VIP, 40000) == server_cid

@@ -41,7 +41,7 @@ from quicscope.sim import (
 )
 from quicscope.wire import PacketType, TruncatedPacket, encode_long_header, parse_long_header, split_coalesced
 
-from conftest import NO_PACKET_PAYLOADS, sessions_of, simulate_to_pcap, traits_of
+from conftest import NO_PACKET_PAYLOADS, packets_of, sessions_of, simulate_to_pcap, traits_of
 
 
 def profile(operator="Facebook", **overrides):
@@ -636,7 +636,7 @@ class TestFloodDeterminism:
     def test_rounds_bounded_by_config(self, tmp_path):
         _, datagrams = simulate_to_pcap(self.make_config(7), tmp_path / "capture.pcap")
         prof = default_stack_profile("Facebook")
-        records = list(ingest(datagrams))
+        records = list(ingest(packets_of(datagrams)))
         sessions = sessions_of(records)
         assert len(sessions) == 39
         for s in sessions:
@@ -652,9 +652,9 @@ class TestFloodDeterminism:
                 seed=2,
             )
             _, datagrams = simulate_to_pcap(cfg, tmp_path / f"{operator}.pcap")
-            records = [r._replace(operator=operator) for r in ingest(datagrams)]
+            records = [r._replace(operator=operator) for r in ingest(packets_of(datagrams))]
             sessions = sessions_of(records)
-            hist = resend_count_distribution(sessions)
+            hist = resend_count_distribution(map(resend_rounds, sessions))
             mode = max(hist, key=hist.get)
             assert low <= mode <= high
             counts = traits_of(records, lambda r: r.operator)[operator].type_counts()

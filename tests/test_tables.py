@@ -9,11 +9,12 @@ from itertools import repeat
 import pytest
 
 from quicscope import InputError, tables
-from quicscope.cli import _operator_or_unknown
+from quicscope.cli import _operator_or_unknown, main
 from quicscope.ingest import (
     CaptureRecord,
     PrefixTable,
     Session,
+    Sessionizer,
     SessionKey,
     Timeline,
     group_traits,
@@ -22,7 +23,7 @@ from quicscope.ingest import (
 from quicscope.sim import SessionTruth
 from quicscope.wire import Direction, LongHeader, PacketType
 
-from conftest import make_request, make_response, traits_of
+from conftest import make_request, make_response, packets_of, timeline_entries, traits_of
 
 
 def stored_fields(record: CaptureRecord) -> tuple:
@@ -49,7 +50,7 @@ def live_records() -> list[CaptureRecord]:
         make_response(0.5, src="192.0.2.7", types=(PacketType.HANDSHAKE,), version=0xFF00001D),
         make_request(0.75),
     ]
-    return list(ingest(datagrams, prefixes=table))
+    return list(ingest(packets_of(datagrams), prefixes=table))
 
 
 class TestOfType:
@@ -174,7 +175,7 @@ def train_records() -> list[CaptureRecord]:
         make_request(0.6),
     ]
     datagrams.sort(key=lambda d: d.timestamp)
-    return list(ingest(datagrams, prefixes=table))
+    return list(ingest(packets_of(datagrams), prefixes=table))
 
 
 class TestCountedFold:
@@ -211,6 +212,15 @@ class TestCountedFold:
         counted, loaded = self.outcomes(path)
         assert counted == loaded
         assert counted["fingerprint"]["Facebook"].shapes[(("Initial",), 1200)] == 5
+
+    @pytest.mark.parametrize("block", [1, 2, 3])
+    def test_a_row_counted_in_parts_across_blocks(self, tmp_path, monkeypatch, block):
+        path = tables.save_datagrams(tmp_path / "datagrams.jsonl", train_records())
+        monkeypatch.setattr(tables, "ROW_BLOCK", block)
+        counts = [n for record, n in tables.count_datagrams(path) if record.datagram_length == 1200]
+        assert len(counts) > 1 and sum(counts) == 5
+        counted, loaded = self.outcomes(path)
+        assert counted == loaded
 
     # how each kind of odd row is made from a canonical row's line
     ODD_ROWS = {
@@ -282,6 +292,106 @@ class TestCountedFold:
         assert counted == loaded
 
 
+def classify_key(record: CaptureRecord) -> tuple:
+    return record.src_ip, record.operator
+
+
+class TestClassifyRead:
+    """classify's read of the datagram store, fold_datagrams, gives the
+    sessions and traits of the row-by-row load_datagrams + Sessionizer fold:
+    on TestCountedFold's odd rows, on integer timestamps and on resend trains
+    that span two blocks; and a bad row fails as load_datagrams does."""
+
+    @staticmethod
+    def folded(path) -> tuple:
+        sessionizer = Sessionizer()
+        rows = []
+
+        def add(row):
+            rows.append(row)
+            if row.direction is Direction.RESPONSE:
+                sessionizer.add(row)
+
+        counted = [pair for pair in tables.fold_datagrams(path, add) if pair[0].direction is Direction.RESPONSE]
+        return rows, sessionizer.sessions(), group_traits(counted, classify_key)
+
+    @staticmethod
+    def row_by_row(path) -> tuple:
+        sessionizer = Sessionizer()
+        rows = list(tables.load_datagrams(path))
+        responses = [sessionizer.add(row) for row in rows if row.direction is Direction.RESPONSE]
+        return rows, sessionizer.sessions(), group_traits(zip(responses, repeat(1)), classify_key)
+
+    def outcomes(self, path) -> tuple:
+        """((rows, sessions, traits) or InputError message) of the two folds;
+        the rows and sessions by repr, so that a NaN time equals itself and
+        3 is not 3.0."""
+        results = []
+        for fold in (self.folded, self.row_by_row):
+            try:
+                rows, sessions, traits = fold(path)
+                results.append((repr(rows), repr([session_fields(s) for s in sessions]), traits))
+            except InputError as exc:
+                results.append(str(exc))
+        return tuple(results)
+
+    @pytest.mark.parametrize("block", [4, tables.ROW_BLOCK], ids=["4-line-blocks", "one-block"])
+    @pytest.mark.parametrize("every", [1, 3], ids=["every-row", "every-third-row"])
+    @pytest.mark.parametrize("odd", sorted(TestCountedFold.ODD_ROWS))
+    def test_odd_rows_fold_as_every_row_does(self, tmp_path, monkeypatch, odd, every, block):
+        monkeypatch.setattr(tables, "ROW_BLOCK", block)
+        canonical = tables.save_datagrams(tmp_path / "datagrams.jsonl", train_records()).read_text().splitlines()
+        make_odd = TestCountedFold.ODD_ROWS[odd]
+        lines = [make_odd(line) if (i + 1) % every == 0 else line for i, line in enumerate(canonical)]
+        path = tmp_path / "odd.jsonl"
+        path.write_text("\n".join(lines) + "\n")
+        folded, loaded = self.outcomes(path)
+        assert folded == loaded
+
+    def test_blank_lines_and_a_last_line_without_newline(self, tmp_path):
+        canonical = tables.save_datagrams(tmp_path / "datagrams.jsonl", train_records()).read_text().splitlines()
+        path = tmp_path / "blank.jsonl"
+        path.write_text("\n \t\n" + "\n\n".join(canonical) + "\n\r\n" + canonical[0])
+        folded, loaded = self.outcomes(path)
+        assert isinstance(folded, tuple)
+        assert folded == loaded
+
+    def test_integer_timestamps_stay_integers(self, tmp_path):
+        lines = tables.save_datagrams(tmp_path / "datagrams.jsonl", train_records()).read_text().splitlines()
+        path = tmp_path / "integers.jsonl"
+        path.write_text("".join(re.sub(r'"ts": [^}]*}$', f'"ts": {3 * i}}}\n', line) for i, line in enumerate(lines)))
+        folded, loaded = self.outcomes(path)
+        assert folded == loaded
+        rows, sessions, _ = self.folded(path)
+        assert {type(row.timestamp) for row in rows} == {type(s.start_ts) for s in sessions} == {int}
+
+    def test_resend_train_spans_blocks(self, tmp_path, monkeypatch):
+        path = tables.save_datagrams(tmp_path / "datagrams.jsonl", train_records())
+        monkeypatch.setattr(tables, "ROW_BLOCK", 2)
+        # with two distinct rows a block, the five-row train of the first response falls in four
+        counts = [n for record, n in tables.fold_datagrams(path, lambda row: None) if record.datagram_length == 1200]
+        assert sorted(counts) == [1, 1, 1, 2]
+        folded, loaded = self.outcomes(path)
+        assert isinstance(folded, tuple)
+        assert folded == loaded
+        assert folded[2][("198.51.100.1", "Facebook")].shapes[(("Initial",), 1200)] == 5
+
+    @pytest.mark.parametrize("where", [0, 4, 10], ids=["first-row", "repeated-row", "last-row"])
+    def test_bad_row_exits_2_naming_its_line(self, tmp_path, monkeypatch, capsys, where):
+        monkeypatch.setattr(tables, "ROW_BLOCK", 4)
+        lines = tables.save_datagrams(tmp_path / "datagrams.jsonl", train_records()).read_text().splitlines()
+        lines[where] = json.dumps(dict(json.loads(lines[where]), length=-5), sort_keys=True)
+        path = tmp_path / "bad.jsonl"
+        path.write_text("\n".join(lines) + "\n")
+        folded, loaded = self.outcomes(path)
+        assert loaded.startswith(f"{path}:{where + 1}: ") and folded == loaded
+        truth = tmp_path / "truth.tsv"
+        truth.write_text("198.51.100.1\tFacebook\n192.0.2.7\tNotOperator\n")
+        argv = ["classify", "--datagrams", str(path), "--truth", str(truth), "--out-dir", str(tmp_path / "cls")]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"quicscope: {loaded}\n"
+
+
 class TestWriteTable:
     def test_every_cell_type_formats_as_before(self, tmp_path):
         class Label(str):
@@ -319,7 +429,7 @@ class TestReadTable:
 def session_fields(session: Session) -> tuple:
     return (
         session.key,
-        list(session.timeline),
+        timeline_entries(session.timeline),
         session.direction,
         session.version,
         session.operator,
@@ -376,7 +486,10 @@ class TestSessionStore:
                     "operator": s.operator,
                     "asn": s.asn,
                     "start_ts": s.start_ts,
-                    "timeline": [[offset, ptype.value, length, coalesced] for offset, ptype, length, coalesced in s.timeline],
+                    "timeline": [
+                        [offset, ptype.value, length, coalesced]
+                        for offset, ptype, length, coalesced in timeline_entries(s.timeline)
+                    ],
                 },
                 sort_keys=True,
             )
