@@ -239,7 +239,7 @@ def cmd_fingerprint(args) -> int:
     _check_minimums(args, "--min-sessions", "--min-scids", "--top-lengths")
     scid.check_alpha(args.alpha)
     sessions = tables.load_sessions(_require(args.sessions, "session store"))
-    traits = group_traits(tables.count_datagrams(_require(args.datagrams, "datagram store")), _operator_or_unknown)
+    traits = group_traits(tables.fold_datagrams(_require(args.datagrams, "datagram store")), _operator_or_unknown)
     registry = _registry(args)
     known = fp.load_known_profiles(_require(args.profiles, "profile table"))
 
@@ -323,7 +323,7 @@ def cmd_scid(args) -> int:
             raise scid.InsufficientSamples(f"{args.scids}: no SCIDs to analyze")
         populations = {"all": scids}
     elif args.datagrams:
-        counted = tables.count_datagrams(_require(args.datagrams, "datagram store"))
+        counted = tables.fold_datagrams(_require(args.datagrams, "datagram store"))
         response = Direction.RESPONSE
         responses = (pair for pair in counted if pair[0].direction is response)
         traits = group_traits(responses, _operator_or_unknown, shapes=False)

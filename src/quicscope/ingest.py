@@ -47,9 +47,10 @@ DEFAULT_IDLE_GAP = 60.0
 class CaptureRecord(NamedTuple):
     """One QUIC datagram with its parsed long-header packets.
 
-    `ingest()` builds each one once, complete, and `tables.load_datagrams`
-    builds one per store row (`tables.count_datagrams` one per distinct
-    row); a loaded packet keeps only its type, version and CIDs.
+    `ingest()` builds each one once, complete, and `tables.fold_datagrams`
+    decodes one per distinct store row of a block, and builds one per
+    repeat that it hands to a fold; a loaded packet keeps only its type,
+    version and CIDs.
     `operator`/`asn` identify the server side (source of a response,
     destination of a request), None where no prefix names it.
     """
@@ -287,7 +288,7 @@ class Timeline:
         try:
             self.packed += _pack_entry(offset, code, datagram_length, coalesced)
         except struct.error as exc:  # a session store row can hold any JSON value
-            raise _entry_error(offset, code, datagram_length, exc) from None
+            raise ValueError(f"timeline entry [{offset!r}, {PACKET_TYPES[code]}, {datagram_length!r}]: {exc}") from None
 
     def offsets(self, packet_types: Collection[PacketType]) -> list[float]:
         """The offsets of the entries of `packet_types`, in timeline order,
@@ -297,10 +298,6 @@ class Timeline:
 
 
 _pack_entry = Timeline.ENTRY.pack
-
-
-def _entry_error(offset: float, code: int, datagram_length: int, exc: struct.error) -> ValueError:
-    return ValueError(f"timeline entry [{offset!r}, {PACKET_TYPES[code]}, {datagram_length!r}]: {exc}")
 
 
 class Session(NamedTuple):
@@ -403,11 +400,8 @@ class Sessionizer:
                 new = tuple.__new__
                 session = new(Session, (new(SessionKey, key), Timeline(), direction, packet.version, operator, asn, ts))
                 state = open_sessions[key] = [session, session.timeline.packed, ts, ts]
-            offset, code = ts - state[2], _PACKET_TYPE_CODES[packet.packet_type]
-            try:
-                state[1] += _pack_entry(offset, code, length, coalesced)
-            except struct.error as exc:  # a datagram store row can hold any JSON value
-                raise _entry_error(offset, code, length, exc) from None
+            # the store's reader bounds a row's length and integer times, so every entry packs
+            state[1] += _pack_entry(ts - state[2], _PACKET_TYPE_CODES[packet.packet_type], length, coalesced)
             state[3] = ts
         return record
 

@@ -7,15 +7,13 @@ scanner of `json`, which skips the checks of `json.loads`; a row the scanner
 does not consume whole, with surrounding whitespace or an error, goes to
 `json.loads`, so every row decodes, and fails, as `json.loads` has it. The
 datagram store keeps each packet's type, version and CIDs; its writer drains
-a record stream as it goes, and its loader yields the rows one at a time as
-the same `ingest.CaptureRecord` that ingest() yields, so neither holds the
-store. count_datagrams reads it for folds that never read a timestamp: rows
-that differ only in their "ts", such as the resends of one handshake, are
-decoded once per block of distinct rows, with the number of rows they stand
-for, so time follows the distinct rows and memory a block's. fold_datagrams
-yields the same while it hands every row, with its own "ts", to a fold that
-reads it. Every session and datagram row's values are checked for their
-JSON types.
+a record stream as it goes. fold_datagrams is its one reader, and reads it
+once, numbering lines as it goes: rows that differ only in their "ts", such
+as the resends of one handshake, are decoded once per block of distinct
+rows and yielded with the number of rows they stand for, so time follows
+the distinct rows and memory a block's, while every row, with its own "ts",
+goes to a fold that reads it, such as the Sessionizer. Every session and
+datagram row's values are checked for their JSON types.
 TruthWriter writes `simulate`'s truth rows and pairs table the same
 way, one format string per file, a row per served handshake. Analysis
 outputs land as TSV with a one-line header, which read_table reads back for
@@ -33,9 +31,7 @@ import ipaddress
 import itertools
 import json
 import math
-import re
-from collections import Counter, deque
-from functools import partial
+from functools import cache
 from importlib import resources
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Optional, Sequence, TextIO, TypeVar
@@ -98,12 +94,27 @@ def read_table(
                 raise KeyError(col)
         return row if from_row is None else from_row(row)
 
+    header = next(_numbered_lines(path), (1, ""))[1].rstrip("\r\n").split("\t")
+    return list(load_lines(path, lambda line: checked(dict(zip(header, line.split("\t")))), skip=1))
+
+
+def _numbered_lines(path: str | Path) -> Iterator[tuple[int, str]]:
+    """Each line of `path` with its number from 1, read as the caller
+    iterates; a file that cannot be opened, read or decoded raises
+    InputError naming it, and what the caller does with a line is its own."""
     try:
         with Path(path).open() as fh:
-            header = fh.readline().rstrip("\r\n").split("\t")
+            yield from enumerate(fh, 1)
     except (OSError, UnicodeDecodeError) as exc:
         raise _unreadable(path, exc) from None
-    return list(load_lines(path, lambda line: checked(dict(zip(header, line.split("\t")))), skip=1))
+
+
+def _input_error(where: str | Path, exc: KeyError | TypeError | ValueError) -> InputError:
+    """The InputError for what a reader rejects at `where`, a file or a
+    file:line: the reason, which for a missing field names the key."""
+    if isinstance(exc, KeyError):
+        return InputError(f"{where}: missing key {exc.args[0]!r}")
+    return InputError(f"{where}: {exc}")
 
 
 def load_lines(path: str | Path, from_line: Callable[[str], T], skip: int = 0) -> Iterator[T]:
@@ -112,20 +123,14 @@ def load_lines(path: str | Path, from_line: Callable[[str], T], skip: int = 0) -
     cannot read into an InputError that names the file, the line and, for a
     missing field, the key. A file that cannot be opened, read or decoded
     raises InputError naming it."""
-    try:
-        with Path(path).open() as fh:
-            for lineno, line in enumerate(fh, 1):
-                if lineno <= skip or line.isspace():  # a line read from a file is never empty
-                    continue
-                try:
-                    item = from_line(line.rstrip("\r\n"))
-                except KeyError as exc:
-                    raise InputError(f"{path}:{lineno}: missing key {exc.args[0]!r}") from None
-                except (TypeError, ValueError) as exc:
-                    raise InputError(f"{path}:{lineno}: {exc}") from None
-                yield item
-    except (OSError, UnicodeDecodeError) as exc:
-        raise _unreadable(path, exc) from None
+    for lineno, line in _numbered_lines(path):
+        if lineno <= skip or line.isspace():  # a line read from a file is never empty
+            continue
+        try:
+            item = from_line(line.rstrip("\r\n"))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise _input_error(f"{path}:{lineno}", exc) from None
+        yield item
 
 
 def load_listing(path: str | Path, from_entry: Callable[[str], T]) -> list[T]:
@@ -224,10 +229,8 @@ def read_json(path: str | Path, parse: Callable[[Any], T]) -> T:
         return parse(json.loads(Path(path).read_text()))
     except (OSError, UnicodeDecodeError) as exc:
         raise _unreadable(path, exc) from None
-    except KeyError as exc:
-        raise InputError(f"{path}: missing key {exc.args[0]!r}") from None
-    except (TypeError, ValueError) as exc:
-        raise InputError(f"{path}: {exc}") from None
+    except (KeyError, TypeError, ValueError) as exc:
+        raise _input_error(path, exc) from None
 
 
 def read_json_fields(
@@ -263,24 +266,11 @@ def _json_row(line: str) -> Any:
     return value if end == len(line) else json.loads(line)
 
 
-def _json_names() -> Callable[[Optional[str]], str]:
-    """json.dumps of a name (None is null), computed once per distinct name:
-    a store holds few operators across many rows."""
-    texts: dict[Optional[str], str] = {None: "null"}
-
-    def text(name: Optional[str]) -> str:
-        found = texts.get(name)
-        if found is None:
-            found = texts[name] = json.dumps(name)
-        return found
-
-    return text
-
-
 # The JSON types each scalar field of a store row may hold, with what a
 # message calls them; true and false are no numbers, and ports and lengths
-# are never negative. A time may be any number, NaN and Infinity included: a
-# fold that never reads the datagram timestamp must not reject one.
+# are 16-bit counts. A time may be any number, NaN and Infinity included: a
+# fold that never reads the datagram timestamp must not reject one. Only an
+# integer time is bounded (_check_integer_time).
 _NUMBER = ("a number", int, float)
 _NAME = ("a string", str)
 _OPTIONAL_NAME = ("a string or null", str, type(None))
@@ -308,13 +298,14 @@ _SESSION_FIELDS = {
 
 def _field_error(values: dict[str, Any], fields: dict[str, tuple]) -> str:
     """The message for the first of `values` that has another JSON type than
-    its entry in `fields` allows, or is a negative count."""
-    key, name = next(
-        (key, name)
-        for key, (name, *kinds) in fields.items()
-        if type(values[key]) not in kinds or (key in _UNSIGNED and values[key] < 0)
-    )
-    return f"key {key!r}: expected {name}, got {json.dumps(values[key])}"
+    its entry in `fields` allows, or is a count below 0 or above 65,535."""
+    for key, (name, *kinds) in fields.items():
+        value = values[key]
+        if type(value) not in kinds or (key in _UNSIGNED and value < 0):
+            return f"key {key!r}: expected {name}, got {json.dumps(value)}"
+        if key in _UNSIGNED and value > 0xFFFF:
+            return f"key {key!r}: expected at most 65535, got {value}"
+    raise AssertionError(f"no bad value in {values}")
 
 
 def _field_kinds(fields: dict[str, tuple]) -> frozenset[tuple[type, ...]]:
@@ -342,7 +333,7 @@ def save_sessions(path: str | Path, sessions: Iterable[Session]) -> Path:
     from .ingest import PACKET_TYPES, Timeline
     from .wire import Direction
 
-    operator_text = _json_names()
+    operator_text = cache(json.dumps)
     # an enum's .value is a Python-level property; a dict get is not
     direction_text = {d: d.value for d in Direction}
     type_text = [t.value for t in PACKET_TYPES]
@@ -423,7 +414,7 @@ _DATAGRAM_ROW = (
 def save_datagrams(path: str | Path, records: Iterable[CaptureRecord]) -> Path:
     from .wire import Direction, PacketType
 
-    operator_text = _json_names()
+    operator_text = cache(json.dumps)
     direction_text = {d: d.value for d in Direction}
     packet_head = {t: f'["{t.value}", ' for t in PacketType}
     path = Path(path)
@@ -447,6 +438,13 @@ def save_datagrams(path: str | Path, records: Iterable[CaptureRecord]) -> Path:
             for r in records
         )
     return path
+
+
+def _check_integer_time(ts: int) -> None:
+    """ValueError for an integer "ts" beyond half the range of a float: a
+    Sessionizer subtracts times, and two such integers differ by a float."""
+    if not -(2**1022) <= ts <= 2**1022:
+        raise ValueError(f"key 'ts': expected a number within ±2**1022, got an integer of {len(str(abs(ts)))} digits")
 
 
 def _datagram_row() -> Callable[[str], CaptureRecord]:
@@ -492,129 +490,88 @@ def _datagram_row() -> Callable[[str], CaptureRecord]:
         ts, src, dst, sport, dport, length = raw["ts"], raw["src"], raw["dst"], raw["sport"], raw["dport"], raw["length"]
         operator, asn = raw.get("operator"), raw.get("asn")
         row_kinds = (type(ts), type(src), type(dst), type(sport), type(dport), type(length), type(operator), type(asn))
-        if row_kinds not in kinds or sport < 0 or dport < 0 or length < 0:
+        if row_kinds not in kinds or not (0 <= sport <= 0xFFFF and 0 <= dport <= 0xFFFF and 0 <= length <= 0xFFFF):
             values = (ts, src, dst, sport, dport, length, operator, asn)
             raise ValueError(_field_error(dict(zip(_DATAGRAM_FIELDS, values)), _DATAGRAM_FIELDS))
+        if type(ts) is int:
+            _check_integer_time(ts)
         return new(CaptureRecord, (ts, src, dst, sport, dport, direction, length, packets, operator, asn))
 
     return from_line
 
 
-def load_datagrams(path: str | Path) -> Iterator[CaptureRecord]:
-    """Yield a datagram store's rows, as the caller iterates, as records
-    whose packets carry only type, version and CIDs; a malformed row, or one
-    with no packet, raises InputError when it is reached, so a caller reads
-    the whole store before it writes anything."""
-    return load_lines(path, _datagram_row())
-
-
-# The distinct rows a store reader holds at a time, each decoded once. A
+# The distinct rows the store reader holds at a time, each decoded once. A
 # resend train's rows repeat across its whole backoff, tens of seconds of
 # the store, so a block has to hold every row live in that span: the 270k
 # flood of ROADMAP has 30,000, and a bound of 4,096 made scid 3.8 times
 # slower there.
 ROW_BLOCK = 1 << 16
 
-# A canonical row's last key, "ts", with a JSON number literal: group 1 is
-# the number, groups 2 and 3 its fraction and exponent. `\d` would also
-# match digits that are not ASCII, which json rejects; so a row's tail is
-# only ever swapped for another number, and a row with the constant in its
-# place decodes exactly when the row itself does.
-_TS_TAIL = re.compile(r', "ts": (-?(?:0|[1-9][0-9]*)(\.[0-9]+)?([eE][-+]?[0-9]+)?)}$')
-_TS_CONSTANT = ', "ts": 0}'
-_TS_KEY = ', "ts": '
-_STORE_ERRORS = (OSError, UnicodeDecodeError, KeyError, TypeError, ValueError)
 
+def fold_datagrams(
+    path: str | Path, add: Optional[Callable[[CaptureRecord], Any]] = None
+) -> Iterator[tuple[CaptureRecord, int]]:
+    """The one reader of a datagram store. It yields each distinct row of
+    each block once, decoded, with the number of the block's rows it stands
+    for: rows that differ only in their canonical "ts" tail, `, "ts": `, a
+    JSON number and the closing brace, such as the resends of one
+    handshake, are one row, yielded with timestamp 0. A block holds at most
+    ROW_BLOCK distinct rows and is yielded before the next one's first, so
+    memory follows a block and time the distinct rows. A row without that
+    tail is yielded as it is read, with count 1.
 
-def count_datagrams(path: str | Path) -> Iterator[tuple[CaptureRecord, int]]:
-    """Yield each distinct row of each block of a datagram store once,
-    decoded as load_datagrams decodes it, with the number of rows of the
-    block it stands for. Rows that differ only in their canonical "ts" tail
-    count as one, and its record's timestamp is 0, not theirs: the resends
-    of a handshake are such rows, and a fold that reads no timestamp needs
-    each of them once. A row repeated in two blocks is yielded once for
-    each, which a fold that sums the counts, as ingest.group_traits does,
-    cannot tell apart. The rows are counted ROW_BLOCK lines at a time, so a
-    block holds fewer than twice ROW_BLOCK distinct rows, each once as text.
-
-    A store with any bad row is read again row by row, so its InputError
-    names the first bad line, as load_datagrams' does."""
-    normalised = partial(_TS_TAIL.sub, _TS_CONSTANT)
-    try:
-        with Path(path).open() as fh:
-            while True:
-                # the last block's rows are let go before this block's are read
-                counts = Counter()
-                from_line = _datagram_row()
-                while len(counts) < ROW_BLOCK:
-                    rows = counts.total()
-                    # map and Counter run in C: no Python frame per row
-                    counts.update(map(normalised, itertools.islice(fh, ROW_BLOCK)))
-                    if counts.total() == rows:  # the end of the store
-                        break
-                if not counts:
-                    return
-                for text, n in counts.items():
-                    if not text.isspace():  # load_lines skips blank lines too
-                        yield from_line(text.rstrip("\r\n")), n
-    except _STORE_ERRORS:
-        deque(load_datagrams(path), maxlen=0)
-        raise
-
-
-def fold_datagrams(path: str | Path, add: Callable[[CaptureRecord], Any]) -> Iterator[tuple[CaptureRecord, int]]:
-    """Hand every row of a datagram store to `add`, in file order, as
-    load_datagrams decodes it, and yield what count_datagrams yields.
-
-    A row with the canonical "ts" tail is decoded once per block with the
-    rows that differ from it only there: each of those is handed over as
-    the first one's record with the row's own "ts", parsed as json parses
-    it, an integer literal as an int and any other number as a float. A
-    block's distinct rows are yielded before the next block's first; a
-    block holds at most ROW_BLOCK of them. Any other row is decoded whole,
-    and yielded as it is handed over.
-
-    A store with any bad row is read again row by row, so its InputError
-    names the first bad line, as load_datagrams' does."""
+    `add`, if given, gets every row in file order with its own "ts", read
+    by json's scanner. A bad row raises InputError naming its line when it
+    is reached: a repeat differs from a row that decoded only in its number,
+    so the first line that fails is the first bad line of the store."""
     from .ingest import CaptureRecord
 
     new = tuple.__new__
-    match_tail = _TS_TAIL.match
+    scan = _scan_json
 
     def counted(distinct: dict[str, list]) -> Iterator[tuple[CaptureRecord, int]]:
         for fields, n in distinct.values():
             yield new(CaptureRecord, (0,) + fields), n
 
-    try:
-        with Path(path).open() as fh:
-            from_line = _datagram_row()
-            # row text before the tail -> [the record's fields after "ts", rows of the block]
-            distinct: dict[str, list] = {}
-            for line in fh:
-                tail = match_tail(line, line.rfind(_TS_KEY))
-                if tail is None:
-                    if not line.isspace():  # load_lines skips blank lines too
-                        record = from_line(line.rstrip("\r\n"))
-                        add(record)
-                        yield record, 1
-                    continue
-                head = line[: tail.start()]
-                entry = distinct.get(head)
-                if entry is None:
-                    if len(distinct) == ROW_BLOCK:
-                        yield from counted(distinct)
-                        from_line, distinct = _datagram_row(), {}
-                    record = from_line(line.rstrip("\r\n"))
-                    distinct[head] = [record[1:], 1]
-                else:
-                    entry[1] += 1
-                    number, fraction, exponent = tail.groups()
-                    record = new(CaptureRecord, (float(number) if fraction or exponent else int(number),) + entry[0])
-                add(record)
+    from_line = _datagram_row()
+    # row text before a canonical tail -> [the record's fields after "ts", rows of the block]
+    distinct: dict[str, list] = {}
+    for lineno, line in _numbered_lines(path):
+        pos = line.rfind(', "ts": ')
+        head = None
+        if pos > 0:
+            try:
+                ts, end = scan(line, pos + 8)
+            except (StopIteration, ValueError):  # no JSON value there: the row is decoded whole
+                pass
+            else:
+                if type(ts) in (int, float) and line[end:] in ("}\n", "}"):
+                    head = line[:pos]
+        elif line.isspace():  # load_lines skips blank lines too
+            continue
+        entry = distinct.get(head)
+        if entry is None and head is not None and len(distinct) == ROW_BLOCK:
             yield from counted(distinct)
-    except _STORE_ERRORS:
-        deque(load_datagrams(path), maxlen=0)
-        raise
+            from_line, distinct = _datagram_row(), {}
+        try:
+            if entry is None:
+                record = from_line(line.rstrip("\r\n"))
+            elif type(ts) is int:
+                _check_integer_time(ts)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise _input_error(f"{path}:{lineno}", exc) from None
+        if entry is not None:
+            entry[1] += 1
+            if add is None:
+                continue
+            record = new(CaptureRecord, (ts,) + entry[0])
+        elif head is not None:
+            distinct[head] = [record[1:], 1]
+        if add is not None:
+            add(record)
+        if head is None:
+            yield record, 1
+    yield from counted(distinct)
 
 
 # --- simulator truth ---------------------------------------------------------
@@ -639,7 +596,7 @@ class TruthWriter:
     def __init__(self, truth: TextIO, pairs: TextIO):
         self._truth = truth
         self._pairs = pairs
-        self._operator_text = _json_names()
+        self._operator_text = cache(json.dumps)
         self.rows = 0
         pairs.write("operator\tserver_scid\tclient_dcid\n")
 

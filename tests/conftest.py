@@ -1,5 +1,6 @@
-"""Shared builders for synthetic datagrams, records, and captures, and the
-reference decoder of a capture's datagrams."""
+"""Shared builders for synthetic datagrams, records, and captures, the
+reference decoder of a capture's datagrams and the reference read of a
+datagram store."""
 
 import os
 import socket
@@ -13,7 +14,8 @@ from typing import Optional
 
 import pytest
 
-from quicscope.ingest import DEFAULT_IDLE_GAP, PACKET_TYPES, Session, Sessionizer, Timeline, group_traits
+from quicscope import tables
+from quicscope.ingest import DEFAULT_IDLE_GAP, PACKET_TYPES, CaptureRecord, Session, Sessionizer, Timeline, group_traits
 from quicscope.pcap import CaptureCounters, PcapReader, PcapWriter, build_ipv4_udp
 from quicscope.probe import HostIdHarvest
 from quicscope.sim import DeploymentConfig, SessionTruth, client_initial_payload, simulate_flood
@@ -68,6 +70,13 @@ def read_datagrams(path: Path, counters: Optional[CaptureCounters] = None) -> li
         reader.counters = counters
     decoded = (parse_ipv4_udp(packet, timestamp, reader.counters) for timestamp, packet in reader.datagrams())
     return [d for d in decoded if d is not None]
+
+
+def datagram_rows(path: Path) -> list[CaptureRecord]:
+    """The reference read of a datagram store: every row, one at a time, as
+    the store's row decoder makes it; a bad row raises the InputError that
+    names its line. tables.fold_datagrams must agree with it."""
+    return list(tables.load_lines(path, tables._datagram_row()))
 
 
 def packets_of(datagrams) -> list[tuple[float, bytes]]:

@@ -1396,8 +1396,14 @@ class TestStoreRowTypes:
             ("src", 5, "key 'src': expected a string, got 5"),
             ("asn", True, "key 'asn': expected an integer or null, got true"),
             ("packets", [["initial", "1", "bb", "aa"]], 'packet version: expected an integer, got "1"'),
+            ("length", 2**32, "key 'length': expected at most 65535, got 4294967296"),
+            ("sport", 65536, "key 'sport': expected at most 65535, got 65536"),
+            ("dport", 65536, "key 'dport': expected at most 65535, got 65536"),
         ],
-        ids=["float-length", "negative-length", "string-ts", "null-ts", "integer-src", "boolean-asn", "string-version"],
+        ids=[
+            "float-length", "negative-length", "string-ts", "null-ts", "integer-src", "boolean-asn", "string-version",
+            "length-above-16-bits", "sport-above-16-bits", "dport-above-16-bits",
+        ],
     )
     def test_datagram_row_value_wrong_type(self, tmp_path, capsys, stage, key, value, message):
         store = self.inputs(tmp_path)
@@ -1406,6 +1412,20 @@ class TestStoreRowTypes:
         store.write_text("\n".join(rows) + "\n")
         argv = [a.format(dir=tmp_path) for a in self.STAGES[stage]]
         assert run(stage, "--datagrams", store, *argv, "--out-dir", tmp_path / "out") == 2
+        assert f"{store}:2: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("stage", sorted(STAGES))
+    @pytest.mark.parametrize("repeat", [False, True], ids=["first-of-its-kind", "repeat"])
+    def test_integer_ts_beyond_floats(self, tmp_path, capsys, stage, repeat):
+        # a repeat of the first row but for its "ts" continues its session in classify
+        store = self.inputs(tmp_path)
+        rows = store.read_text().splitlines()
+        rows[1] = json.dumps(dict(json.loads(rows[0] if repeat else rows[1]), ts=10**400), sort_keys=True)
+        store.write_text("\n".join(rows) + "\n")
+        argv = [a.format(dir=tmp_path) for a in self.STAGES[stage]]
+        assert run(stage, "--datagrams", store, *argv, "--out-dir", tmp_path / "out") == 2
+        message = "key 'ts': expected a number within ±2**1022, got an integer of 401 digits"
         assert f"{store}:2: {message}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 

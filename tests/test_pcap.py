@@ -17,6 +17,7 @@ from quicscope.ingest import ingest
 from quicscope.pcap import (
     LINKTYPE_ETHERNET,
     LINKTYPE_RAW_IP,
+    MAXIMUM_SNAPLEN,
     CaptureCounters,
     PcapReader,
     _ip_checksum,
@@ -154,6 +155,19 @@ def test_record_longer_than_any_snaplen_is_not_read(tmp_path):
     assert out.returncode == 0, out.stderr
     assert out.stdout.splitlines()[0] == "0 1 1"
     assert (tmp_path / "ing" / "datagrams.jsonl").read_text() == ""
+
+
+def test_record_of_maximum_snaplen_is_read_and_a_longer_one_ends_the_read(tmp_path):
+    # whole records of MAXIMUM_SNAPLEN, MAXIMUM_SNAPLEN + 1 and 20 octets
+    path = tmp_path / "snaplen.pcap"
+    with path.open("wb") as fh:
+        fh.write(struct.pack("<IHHiIII", 0xA1B2C3D4, 2, 4, 0, 0, MAXIMUM_SNAPLEN, 101))
+        for ts, length in enumerate([MAXIMUM_SNAPLEN, MAXIMUM_SNAPLEN + 1, 20]):
+            fh.write(struct.pack("<IIII", ts, 0, length, length) + bytes([ts + 1]) * length)
+    reader = PcapReader(path)
+    datagrams = list(reader.datagrams())
+    assert [(ts, len(packet), packet[0]) for ts, packet in datagrams] == [(0.0, MAXIMUM_SNAPLEN, 1)]
+    assert (reader.counters.records, reader.counters.malformed) == (2, 1)
 
 
 def test_not_a_pcap(tmp_path):

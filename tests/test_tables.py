@@ -4,6 +4,7 @@ import ipaddress
 import json
 import math
 import re
+from collections import deque
 from itertools import repeat
 
 import pytest
@@ -23,7 +24,7 @@ from quicscope.ingest import (
 from quicscope.sim import SessionTruth
 from quicscope.wire import Direction, LongHeader, PacketType
 
-from conftest import make_request, make_response, packets_of, timeline_entries, traits_of
+from conftest import datagram_rows, make_request, make_response, packets_of, sessions_of, timeline_entries, traits_of
 
 
 def stored_fields(record: CaptureRecord) -> tuple:
@@ -60,20 +61,28 @@ class TestOfType:
             tables.of_type(float)(value)
 
 
+def every_row(path) -> list[CaptureRecord]:
+    """Every row of a datagram store, with its own timestamp, in file order,
+    as the store's reader hands them to a fold."""
+    rows = []
+    deque(tables.fold_datagrams(path, rows.append), maxlen=0)
+    return rows
+
+
 class TestDatagramStore:
     def test_round_trip_keeps_every_stored_field(self, tmp_path):
         live = live_records()
         assert len(live) == 4
         assert {r.direction for r in live} == {Direction.REQUEST, Direction.RESPONSE}
         assert {r.operator for r in live} == {"Facebook", None}
-        loaded = list(tables.load_datagrams(tables.save_datagrams(tmp_path / "datagrams.jsonl", live)))
+        loaded = every_row(tables.save_datagrams(tmp_path / "datagrams.jsonl", live))
         assert all(isinstance(r, CaptureRecord) for r in loaded)
         assert [stored_fields(r) for r in loaded] == [stored_fields(r) for r in live]
         assert [r.types for r in loaded] == [r.types for r in live]
 
     def test_stats_agree_on_live_and_loaded_records(self, tmp_path):
         live = live_records()
-        loaded = list(tables.load_datagrams(tables.save_datagrams(tmp_path / "datagrams.jsonl", live)))
+        loaded = every_row(tables.save_datagrams(tmp_path / "datagrams.jsonl", live))
         for key in (lambda r: r.operator or "Unknown", lambda r: (r.src_ip, r.operator)):
             assert traits_of(loaded, key) == traits_of(live, key)
         assert traits_of(live, lambda r: r.operator)["Facebook"].type_counts()["Initial & Handshake"] == 1
@@ -120,9 +129,9 @@ class TestDatagramStore:
         assert path.read_bytes() == reference.encode()
         # ingest never yields a datagram without a packet, and the loader rejects its row
         with pytest.raises(InputError, match=f"^{re.escape(str(path))}:4: datagram row has no packets"):
-            list(tables.load_datagrams(path))
+            every_row(path)
         path = tables.save_datagrams(tmp_path / "datagrams.jsonl", records[:3])
-        assert [stored_fields(r) for r in tables.load_datagrams(path)] == [stored_fields(r) for r in records[:3]]
+        assert [stored_fields(r) for r in every_row(path)] == [stored_fields(r) for r in records[:3]]
 
     def test_rows_in_any_key_order_or_spacing_load_as_canonical_rows(self, tmp_path):
         live = live_records()
@@ -137,7 +146,7 @@ class TestDatagramStore:
                 for i, row in enumerate(rows)
             )
         )
-        assert [stored_fields(r) for r in tables.load_datagrams(path)] == [stored_fields(r) for r in live]
+        assert [stored_fields(r) for r in every_row(path)] == [stored_fields(r) for r in live]
 
     @pytest.mark.parametrize(
         "bad_row,message",
@@ -159,7 +168,7 @@ class TestDatagramStore:
         with path.open("a") as fh:
             fh.write(bad_row + "\n")
         with pytest.raises(InputError, match=f"^{re.escape(str(path))}:3: ") as excinfo:
-            list(tables.load_datagrams(path))
+            every_row(path)
         assert message in str(excinfo.value)
 
 
@@ -178,49 +187,106 @@ def train_records() -> list[CaptureRecord]:
     return list(ingest(packets_of(datagrams), prefixes=table))
 
 
-class TestCountedFold:
-    """group_traits over count_datagrams equals group_traits over every row
-    of load_datagrams, under fingerprint's key and scid's, and a bad store
-    fails with load_datagrams' own message."""
+def classify_key(record: CaptureRecord) -> tuple:
+    return record.src_ip, record.operator
+
+
+# the one reader's folds: none, as fingerprint and scid read the store, and classify's Sessionizer
+FOLDS = ["no-fold", "sessionizer"]
+
+
+class TestStoreReader:
+    """fold_datagrams, the one reader of the datagram store, against the
+    row-by-row reference read (conftest.datagram_rows), with no fold as
+    fingerprint and scid read it and with classify's Sessionizer fold: the
+    same group_traits under fingerprint's, scid's and classify's keys, and
+    with the fold, the same rows handed over and the same sessions; on odd
+    rows, blank lines, integer timestamps and resend trains across blocks.
+    A bad row in any place, or a store that cannot be read, fails with the
+    reference's own InputError."""
 
     @staticmethod
-    def folds(pairs) -> dict:
-        """The fold as fingerprint keys it, all directions with shapes, and
-        as scid keys it, responses only without shapes."""
+    def traits(pairs) -> dict:
         pairs = list(pairs)
         responses = [pair for pair in pairs if pair[0].direction is Direction.RESPONSE]
         return {
             "fingerprint": group_traits(pairs, _operator_or_unknown),
             "scid": group_traits(responses, _operator_or_unknown, shapes=False),
+            "classify": group_traits(responses, classify_key),
         }
 
-    def outcomes(self, path) -> tuple:
-        """(folds or InputError message) of the counted fold and of the row-by-row one."""
+    @staticmethod
+    def sessions(rows, sessions) -> tuple:
+        """Rows and sessions by repr, so that a NaN time equals itself and 3 is not 3.0."""
+        return repr(rows), repr([session_fields(s) for s in sessions])
+
+    @classmethod
+    def read(cls, path, fold: str) -> tuple:
+        if fold == "no-fold":
+            return (cls.traits(tables.fold_datagrams(path)),)
+        sessionizer = Sessionizer()
+        rows = []
+
+        def add(row):
+            rows.append(row)
+            if row.direction is Direction.RESPONSE:
+                sessionizer.add(row)
+
+        return (cls.traits(tables.fold_datagrams(path, add)), *cls.sessions(rows, sessionizer.sessions()))
+
+    @classmethod
+    def reference(cls, path, fold: str) -> tuple:
+        rows = datagram_rows(path)
+        traits = cls.traits(zip(rows, repeat(1)))
+        if fold == "no-fold":
+            return (traits,)
+        return traits, *cls.sessions(rows, sessions_of(r for r in rows if r.direction is Direction.RESPONSE))
+
+    def outcomes(self, path, fold: str) -> tuple:
+        """(what the reader gives or its InputError message) and the same of the reference."""
         results = []
-        for pairs in (lambda: tables.count_datagrams(path), lambda: zip(tables.load_datagrams(path), repeat(1))):
+        for read in (self.read, self.reference):
             try:
-                results.append(self.folds(pairs()))
+                results.append(read(path, fold))
             except InputError as exc:
                 results.append(str(exc))
         return tuple(results)
 
-    def test_resends_count_as_one_row(self, tmp_path):
+    @staticmethod
+    def counts(path, fold: str) -> list[tuple[CaptureRecord, int]]:
+        return list(tables.fold_datagrams(path, None if fold == "no-fold" else lambda row: None))
+
+    @pytest.mark.parametrize("fold", FOLDS)
+    def test_resends_count_as_one_row(self, tmp_path, fold):
         path = tables.save_datagrams(tmp_path / "datagrams.jsonl", train_records())
-        pairs = list(tables.count_datagrams(path))
+        pairs = self.counts(path, fold)
         assert sum(n for _, n in pairs) == 11
         assert sorted(n for _, n in pairs) == [1, 1, 1, 3, 5]
-        counted, loaded = self.outcomes(path)
-        assert counted == loaded
-        assert counted["fingerprint"]["Facebook"].shapes[(("Initial",), 1200)] == 5
+        read, reference = self.outcomes(path, fold)
+        assert read == reference
+        assert read[0]["fingerprint"]["Facebook"].shapes[(("Initial",), 1200)] == 5
 
+    @pytest.mark.parametrize("fold", FOLDS)
     @pytest.mark.parametrize("block", [1, 2, 3])
-    def test_a_row_counted_in_parts_across_blocks(self, tmp_path, monkeypatch, block):
+    def test_a_row_counted_in_parts_across_blocks(self, tmp_path, monkeypatch, block, fold):
         path = tables.save_datagrams(tmp_path / "datagrams.jsonl", train_records())
         monkeypatch.setattr(tables, "ROW_BLOCK", block)
-        counts = [n for record, n in tables.count_datagrams(path) if record.datagram_length == 1200]
+        counts = [n for record, n in self.counts(path, fold) if record.datagram_length == 1200]
         assert len(counts) > 1 and sum(counts) == 5
-        counted, loaded = self.outcomes(path)
-        assert counted == loaded
+        read, reference = self.outcomes(path, fold)
+        assert read == reference
+
+    @pytest.mark.parametrize("fold", FOLDS)
+    def test_resend_train_spans_blocks(self, tmp_path, monkeypatch, fold):
+        path = tables.save_datagrams(tmp_path / "datagrams.jsonl", train_records())
+        monkeypatch.setattr(tables, "ROW_BLOCK", 2)
+        # with two distinct rows a block, the five-row train of the first response falls in four
+        counts = [n for record, n in self.counts(path, fold) if record.datagram_length == 1200]
+        assert sorted(counts) == [1, 1, 1, 2]
+        read, reference = self.outcomes(path, fold)
+        assert isinstance(read, tuple)
+        assert read == reference
+        assert read[0]["classify"][("198.51.100.1", "Facebook")].shapes[(("Initial",), 1200)] == 5
 
     # how each kind of odd row is made from a canonical row's line
     ODD_ROWS = {
@@ -231,6 +297,8 @@ class TestCountedFold:
         "negative-zero-ts": lambda line: re.sub(r'"ts": [^}]*}$', '"ts": -0}', line),
         "exponent-ts": lambda line: re.sub(r'"ts": [^}]*}$', '"ts": 2.5E+3}', line),
         "negative-exponent-ts": lambda line: re.sub(r'"ts": [^}]*}$', '"ts": -1e-07}', line),
+        "largest-integer-ts": lambda line: re.sub(r'"ts": [^}]*}$', f'"ts": {2**1022}}}', line),
+        "smallest-integer-ts": lambda line: re.sub(r'"ts": [^}]*}$', f'"ts": {-(2**1022)}}}', line),
         "non-ascii-digit-ts": lambda line: re.sub(r'"ts": [^}]*}$', '"ts": 1١}', line),
         "leading-zero-ts": lambda line: re.sub(r'"ts": [^}]*}$', '"ts": 01}', line),
         "missing-ts": lambda line: re.sub(r', "ts": [^}]*}$', "}", line),
@@ -240,141 +308,85 @@ class TestCountedFold:
         "no-first-key": lambda line: '{, "ts": 1}',
     }
 
+    @pytest.mark.parametrize("fold", FOLDS)
+    @pytest.mark.parametrize("block", [4, tables.ROW_BLOCK], ids=["4-row-blocks", "one-block"])
     @pytest.mark.parametrize("every", [1, 3], ids=["every-row", "every-third-row"])
     @pytest.mark.parametrize("odd", sorted(ODD_ROWS))
-    def test_odd_rows_fold_as_every_row_does(self, tmp_path, odd, every):
+    def test_odd_rows_fold_as_every_row_does(self, tmp_path, monkeypatch, odd, every, block, fold):
+        monkeypatch.setattr(tables, "ROW_BLOCK", block)
         canonical = tables.save_datagrams(tmp_path / "datagrams.jsonl", train_records()).read_text().splitlines()
         lines = [self.ODD_ROWS[odd](line) if (i + 1) % every == 0 else line for i, line in enumerate(canonical)]
         path = tmp_path / "odd.jsonl"
         path.write_text("\n".join(lines) + "\n")
-        counted, loaded = self.outcomes(path)
-        assert counted == loaded
+        read, reference = self.outcomes(path, fold)
+        assert read == reference
 
-    def test_blank_lines_and_a_last_line_without_newline(self, tmp_path):
+    @pytest.mark.parametrize("fold", FOLDS)
+    def test_blank_lines_and_a_last_line_without_newline(self, tmp_path, fold):
         canonical = tables.save_datagrams(tmp_path / "datagrams.jsonl", train_records()).read_text().splitlines()
         path = tmp_path / "blank.jsonl"
         path.write_text("\n \t\n" + "\n\n".join(canonical) + "\n\r\n" + canonical[0])
-        counted, loaded = self.outcomes(path)
-        assert isinstance(counted, dict)
-        assert counted == loaded
-        assert counted["fingerprint"]["Facebook"].shapes[(("Initial",), 1200)] == 6
+        read, reference = self.outcomes(path, fold)
+        assert isinstance(read, tuple)
+        assert read == reference
+        assert read[0]["fingerprint"]["Facebook"].shapes[(("Initial",), 1200)] == 6
 
+    @pytest.mark.parametrize("fold", FOLDS)
+    def test_integer_timestamps_stay_integers(self, tmp_path, fold):
+        lines = tables.save_datagrams(tmp_path / "datagrams.jsonl", train_records()).read_text().splitlines()
+        path = tmp_path / "integers.jsonl"
+        path.write_text("".join(re.sub(r'"ts": [^}]*}$', f'"ts": {3 * i}}}\n', line) for i, line in enumerate(lines)))
+        read, reference = self.outcomes(path, fold)
+        assert read == reference
+        rows = every_row(path)
+        sessions = sessions_of(r for r in rows if r.direction is Direction.RESPONSE)
+        assert {type(row.timestamp) for row in rows} == {type(s.start_ts) for s in sessions} == {int}
+
+    @pytest.mark.parametrize("fold", FOLDS)
+    @pytest.mark.parametrize("block", [2, 4, tables.ROW_BLOCK], ids=["2-row-blocks", "4-row-blocks", "one-block"])
     @pytest.mark.parametrize("where", [0, 4, 10], ids=["first-row", "repeated-row", "last-row"])
     @pytest.mark.parametrize(
         "bad",
         [
             lambda row: "{not json",
             lambda row: json.dumps(dict(row, length=-5), sort_keys=True),
+            lambda row: json.dumps(dict(row, length=65536), sort_keys=True),
             lambda row: json.dumps(dict(row, ts=None), sort_keys=True),
+            lambda row: json.dumps(dict(row, ts=True), sort_keys=True),
+            lambda row: json.dumps(row, sort_keys=True) + "}",
+            lambda row: json.dumps(dict(row, ts=10**400), sort_keys=True),
+            lambda row: json.dumps(dict(row, ts=-(2**1022) - 1), sort_keys=True),
+            lambda row: re.sub(r'"ts": [^}]*}$', '"ts": 1' + "0" * 5000 + "}", json.dumps(row, sort_keys=True)),
             lambda row: json.dumps({k: v for k, v in row.items() if k != "direction"}, sort_keys=True),
             lambda row: json.dumps(dict(row, packets=[["initial", 1, "zz", "aa"]]), sort_keys=True),
         ],
-        ids=["not-json", "negative-length", "null-ts", "no-direction", "cid-not-hex"],
+        ids=[
+            "not-json", "negative-length", "length-above-16-bits", "null-ts", "boolean-ts", "extra-closing-brace",
+            "integer-ts-beyond-floats", "integer-ts-below-the-bound", "integer-ts-beyond-str-digits",
+            "no-direction", "cid-not-hex",
+        ],
     )
-    def test_one_bad_row_fails_as_load_datagrams_does(self, tmp_path, where, bad):
+    def test_one_bad_row_fails_as_the_reference_does(self, tmp_path, monkeypatch, where, bad, block, fold):
+        monkeypatch.setattr(tables, "ROW_BLOCK", block)
         lines = tables.save_datagrams(tmp_path / "datagrams.jsonl", train_records()).read_text().splitlines()
         assert lines[4][: lines[4].index('"ts"')] == lines[0][: lines[0].index('"ts"')]  # a resend of row 1
         lines[where] = bad(json.loads(lines[where]))
         path = tmp_path / "bad.jsonl"
         path.write_text("\n".join(lines) + "\n")
-        counted, loaded = self.outcomes(path)
-        assert isinstance(loaded, str) and loaded.startswith(f"{path}:{where + 1}: ")
-        assert counted == loaded
+        read, reference = self.outcomes(path, fold)
+        assert isinstance(reference, str) and reference.startswith(f"{path}:{where + 1}: ")
+        assert read == reference
 
-    def test_unreadable_store_fails_as_load_datagrams_does(self, tmp_path):
+    @pytest.mark.parametrize("fold", FOLDS)
+    def test_unreadable_store_fails_as_the_reference_does(self, tmp_path, fold):
         path = tables.save_datagrams(tmp_path / "datagrams.jsonl", train_records())
         path.write_bytes(path.read_bytes() + b"\xff\n")
-        counted, loaded = self.outcomes(path)
-        assert loaded.startswith(f"{path}: not utf-8 text")
-        assert counted == loaded
-        counted, loaded = self.outcomes(tmp_path / "missing.jsonl")
-        assert loaded.startswith("cannot read ")
-        assert counted == loaded
-
-
-def classify_key(record: CaptureRecord) -> tuple:
-    return record.src_ip, record.operator
-
-
-class TestClassifyRead:
-    """classify's read of the datagram store, fold_datagrams, gives the
-    sessions and traits of the row-by-row load_datagrams + Sessionizer fold:
-    on TestCountedFold's odd rows, on integer timestamps and on resend trains
-    that span two blocks; and a bad row fails as load_datagrams does."""
-
-    @staticmethod
-    def folded(path) -> tuple:
-        sessionizer = Sessionizer()
-        rows = []
-
-        def add(row):
-            rows.append(row)
-            if row.direction is Direction.RESPONSE:
-                sessionizer.add(row)
-
-        counted = [pair for pair in tables.fold_datagrams(path, add) if pair[0].direction is Direction.RESPONSE]
-        return rows, sessionizer.sessions(), group_traits(counted, classify_key)
-
-    @staticmethod
-    def row_by_row(path) -> tuple:
-        sessionizer = Sessionizer()
-        rows = list(tables.load_datagrams(path))
-        responses = [sessionizer.add(row) for row in rows if row.direction is Direction.RESPONSE]
-        return rows, sessionizer.sessions(), group_traits(zip(responses, repeat(1)), classify_key)
-
-    def outcomes(self, path) -> tuple:
-        """((rows, sessions, traits) or InputError message) of the two folds;
-        the rows and sessions by repr, so that a NaN time equals itself and
-        3 is not 3.0."""
-        results = []
-        for fold in (self.folded, self.row_by_row):
-            try:
-                rows, sessions, traits = fold(path)
-                results.append((repr(rows), repr([session_fields(s) for s in sessions]), traits))
-            except InputError as exc:
-                results.append(str(exc))
-        return tuple(results)
-
-    @pytest.mark.parametrize("block", [4, tables.ROW_BLOCK], ids=["4-line-blocks", "one-block"])
-    @pytest.mark.parametrize("every", [1, 3], ids=["every-row", "every-third-row"])
-    @pytest.mark.parametrize("odd", sorted(TestCountedFold.ODD_ROWS))
-    def test_odd_rows_fold_as_every_row_does(self, tmp_path, monkeypatch, odd, every, block):
-        monkeypatch.setattr(tables, "ROW_BLOCK", block)
-        canonical = tables.save_datagrams(tmp_path / "datagrams.jsonl", train_records()).read_text().splitlines()
-        make_odd = TestCountedFold.ODD_ROWS[odd]
-        lines = [make_odd(line) if (i + 1) % every == 0 else line for i, line in enumerate(canonical)]
-        path = tmp_path / "odd.jsonl"
-        path.write_text("\n".join(lines) + "\n")
-        folded, loaded = self.outcomes(path)
-        assert folded == loaded
-
-    def test_blank_lines_and_a_last_line_without_newline(self, tmp_path):
-        canonical = tables.save_datagrams(tmp_path / "datagrams.jsonl", train_records()).read_text().splitlines()
-        path = tmp_path / "blank.jsonl"
-        path.write_text("\n \t\n" + "\n\n".join(canonical) + "\n\r\n" + canonical[0])
-        folded, loaded = self.outcomes(path)
-        assert isinstance(folded, tuple)
-        assert folded == loaded
-
-    def test_integer_timestamps_stay_integers(self, tmp_path):
-        lines = tables.save_datagrams(tmp_path / "datagrams.jsonl", train_records()).read_text().splitlines()
-        path = tmp_path / "integers.jsonl"
-        path.write_text("".join(re.sub(r'"ts": [^}]*}$', f'"ts": {3 * i}}}\n', line) for i, line in enumerate(lines)))
-        folded, loaded = self.outcomes(path)
-        assert folded == loaded
-        rows, sessions, _ = self.folded(path)
-        assert {type(row.timestamp) for row in rows} == {type(s.start_ts) for s in sessions} == {int}
-
-    def test_resend_train_spans_blocks(self, tmp_path, monkeypatch):
-        path = tables.save_datagrams(tmp_path / "datagrams.jsonl", train_records())
-        monkeypatch.setattr(tables, "ROW_BLOCK", 2)
-        # with two distinct rows a block, the five-row train of the first response falls in four
-        counts = [n for record, n in tables.fold_datagrams(path, lambda row: None) if record.datagram_length == 1200]
-        assert sorted(counts) == [1, 1, 1, 2]
-        folded, loaded = self.outcomes(path)
-        assert isinstance(folded, tuple)
-        assert folded == loaded
-        assert folded[2][("198.51.100.1", "Facebook")].shapes[(("Initial",), 1200)] == 5
+        read, reference = self.outcomes(path, fold)
+        assert reference.startswith(f"{path}: not utf-8 text")
+        assert read == reference
+        read, reference = self.outcomes(tmp_path / "missing.jsonl", fold)
+        assert reference.startswith("cannot read ")
+        assert read == reference
 
     @pytest.mark.parametrize("where", [0, 4, 10], ids=["first-row", "repeated-row", "last-row"])
     def test_bad_row_exits_2_naming_its_line(self, tmp_path, monkeypatch, capsys, where):
@@ -383,13 +395,23 @@ class TestClassifyRead:
         lines[where] = json.dumps(dict(json.loads(lines[where]), length=-5), sort_keys=True)
         path = tmp_path / "bad.jsonl"
         path.write_text("\n".join(lines) + "\n")
-        folded, loaded = self.outcomes(path)
-        assert loaded.startswith(f"{path}:{where + 1}: ") and folded == loaded
+        read, reference = self.outcomes(path, "sessionizer")
+        assert reference.startswith(f"{path}:{where + 1}: ") and read == reference
         truth = tmp_path / "truth.tsv"
         truth.write_text("198.51.100.1\tFacebook\n192.0.2.7\tNotOperator\n")
         argv = ["classify", "--datagrams", str(path), "--truth", str(truth), "--out-dir", str(tmp_path / "cls")]
         assert main(argv) == 2
-        assert capsys.readouterr().err == f"quicscope: {loaded}\n"
+        assert capsys.readouterr().err == f"quicscope: {reference}\n"
+
+    def test_a_fold_that_fails_keeps_its_error(self, tmp_path):
+        # only the rows are input: an error of the fold itself is a bug, not a bad line
+        path = tables.save_datagrams(tmp_path / "datagrams.jsonl", train_records())
+
+        def add(row):
+            raise ValueError("broken fold")
+
+        with pytest.raises(ValueError, match="^broken fold$"):
+            list(tables.fold_datagrams(path, add))
 
 
 class TestWriteTable:
