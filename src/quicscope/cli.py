@@ -159,7 +159,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_ingest(args) -> int:
     from . import tables
-    from .ingest import IngestCounters, Sessionizer, ingest
+    from .ingest import IngestCounters, Sessionizer, group_traits, ingest, store_key
     from .pcap import PcapReader
     from .wire import PlausibilityConfig
 
@@ -181,13 +181,13 @@ def cmd_ingest(args) -> int:
     counters = IngestCounters()
     records = ingest(capture.datagrams(), plausibility, counters, scanners, prefix_table, capture.counters)
     sessionizer = Sessionizer(args.idle_gap)
+    traits = group_traits(map(sessionizer.add, records), store_key)
+    sessions = sessionizer.sessions
 
     out = _out_dir(args)
-    stores = datagrams_path, sessions_path = out / "datagrams.jsonl", out / "sessions.jsonl"
+    stores = out / "datagrams.jsonl", out / "sessions.jsonl"
     try:
-        tables.save_datagrams(datagrams_path, map(sessionizer.add, records))
-        sessions = sessionizer.sessions()
-        tables.save_sessions(sessions_path, sessions)
+        tables.save_stores(*stores, traits, sessions)
     except BaseException:
         # no manifest names a store cut short, so none is left behind
         for path in stores:
@@ -208,18 +208,10 @@ def cmd_ingest(args) -> int:
 # --- fingerprint -------------------------------------------------------------
 
 
-def _group(items, key) -> dict:
-    """key(item) -> its items in input order, in one pass."""
-    groups: dict = {}
-    for item in items:
-        groups.setdefault(key(item), []).append(item)
-    return groups
-
-
-def _operator_or_unknown(record) -> str:
-    """The operator a record or session is counted under; one the prefix
+def _operator_or_unknown(row) -> str:
+    """The operator a store row or session is counted under; one the prefix
     table does not name counts as Unknown."""
-    return record.operator or "Unknown"
+    return row.operator or "Unknown"
 
 
 def _check_minimums(args, *options: str) -> None:
@@ -234,16 +226,34 @@ def _check_minimums(args, *options: str) -> None:
 
 def cmd_fingerprint(args) -> int:
     from . import fingerprint as fp, scid, tables
-    from .ingest import Traits, group_traits
+    from .ingest import Traits, sum_traits
 
     _check_minimums(args, "--min-sessions", "--min-scids", "--top-lengths")
     scid.check_alpha(args.alpha)
-    sessions = tables.load_sessions(_require(args.sessions, "session store"))
-    traits = group_traits(tables.fold_datagrams(_require(args.datagrams, "datagram store")), _operator_or_unknown)
     registry = _registry(args)
+    rounds_by_operator: dict[str, list] = {}
+
+    def keep_rounds(session):
+        # a session's resend rounds are all that is kept of it once it is tallied
+        rounds_by_operator.setdefault(_operator_or_unknown(session), []).append(fp.resend_rounds(session.offsets))
+        return session
+
+    tally = fp.version_tally(map(keep_rounds, tables.read_sessions(_require(args.sessions, "session store"))), registry)
+    # each operator's rounds are let go once its resends and RTO are read off them
+    operators = sorted(rounds_by_operator)
+    resend_rows = []
+    estimates = {}
+    for op in operators:
+        rounds = rounds_by_operator.pop(op)
+        for count, n in fp.resend_count_distribution(rounds).items():
+            resend_rows.append((op, count, n))
+        try:
+            estimates[op] = fp.estimate_rto(rounds, min_sessions=args.min_sessions)
+        except fp.InsufficientData:
+            pass
+    traits = sum_traits(tables.read_key_rows(_require(args.datagrams, "datagram store")), _operator_or_unknown)
     known = fp.load_known_profiles(_require(args.profiles, "profile table"))
 
-    tally = fp.version_tally(sessions, registry)
     stats_rows = []
     hist_rows = []
     for operator in sorted(traits):
@@ -254,19 +264,9 @@ def cmd_fingerprint(args) -> int:
         for types, length, n in traits[operator].top_shapes(args.top_lengths):
             hist_rows.append((operator, ",".join(types), length, n))
 
-    by_operator = _group(sessions, _operator_or_unknown)
-    operators = sorted(by_operator)
-    resend_rows = []
     rto_rows = []
     match_rows = []
-    for op in operators:
-        rounds = [fp.resend_rounds(session) for session in by_operator[op]]
-        for count, n in fp.resend_count_distribution(rounds).items():
-            resend_rows.append((op, count, n))
-        try:
-            estimate = fp.estimate_rto(rounds, min_sessions=args.min_sessions)
-        except fp.InsufficientData:
-            continue
+    for op, estimate in estimates.items():
         low, high = estimate.max_retransmissions
         rto_rows.append((op, estimate.sample_count, estimate.initial_rto, estimate.backoff_base, low, high))
         # a session store from another capture may name an operator the datagram store lacks
@@ -312,7 +312,7 @@ def cmd_fingerprint(args) -> int:
 
 def cmd_scid(args) -> int:
     from . import scid, tables
-    from .ingest import group_traits
+    from .ingest import sum_traits
     from .wire import Direction
 
     _check_minimums(args, "--min-samples")
@@ -323,10 +323,9 @@ def cmd_scid(args) -> int:
             raise scid.InsufficientSamples(f"{args.scids}: no SCIDs to analyze")
         populations = {"all": scids}
     elif args.datagrams:
-        counted = tables.fold_datagrams(_require(args.datagrams, "datagram store"))
+        rows = tables.read_key_rows(_require(args.datagrams, "datagram store"))
         response = Direction.RESPONSE
-        responses = (pair for pair in counted if pair[0].direction is response)
-        traits = group_traits(responses, _operator_or_unknown, shapes=False)
+        traits = sum_traits((row for row in rows if row.direction is response), _operator_or_unknown)
         populations = {op: sorted(t.scids) for op, t in traits.items() if not args.operator or op == args.operator}
     else:
         raise InputError("need --scids or --datagrams")
@@ -394,7 +393,8 @@ def cmd_scid(args) -> int:
 
 def cmd_classify(args) -> int:
     from . import offnet, tables
-    from .ingest import Sessionizer, group_traits
+    from .fingerprint import resend_rounds
+    from .ingest import sum_traits
     from .wire import Direction
 
     _check_minimums(args, "--min-rto-sessions")
@@ -405,18 +405,13 @@ def cmd_classify(args) -> int:
     params = offnet.RuleParams.load(_require(args.rules, "rule set")) if args.rules else offnet.RuleParams()
     params = params.with_reference(_require(args.profiles, "profile table"))
 
-    sessionizer = Sessionizer(args.idle_gap)
     response = Direction.RESPONSE
-
-    def add_response(row) -> None:
-        if row.direction is response:
-            sessionizer.add(row)
-
-    # the sessions need every row's timestamp; the traits need each distinct row once, with its count
-    counted = tables.fold_datagrams(datagrams, add_response)
-    responses = (pair for pair in counted if pair[0].direction is response)
-    traits = group_traits(responses, lambda row: (row.src_ip, row.operator))
-    sessions = _group(sessionizer.sessions(), lambda session: session.key.src_ip)
+    # each session's resend rounds are all that classify reads of it
+    responses = [row for row in tables.read_key_rows(datagrams, resend_rounds) if row.direction is response]
+    traits = sum_traits(responses, lambda row: (row.src_ip, row.operator))
+    sessions: dict[str, list] = {}
+    for row in responses:
+        sessions.setdefault(row.src_ip, []).extend(row.sessions)
     # on-net responses of the target operator provide the packet-length reference
     reference_shapes = frozenset(
         shape for (_, operator), t in traits.items() if operator == params.target_operator for shape in t.shapes
@@ -701,7 +696,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rules", default=None)
     p.add_argument("--profiles", default=None, help=PROFILES_HELP)
     p.add_argument("--rule", default="all")
-    p.add_argument("--idle-gap", type=float, default=60.0)
     p.add_argument("--min-rto-sessions", type=int, default=5)
     p.set_defaults(handler=cmd_classify)
 

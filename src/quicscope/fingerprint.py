@@ -7,6 +7,7 @@ histogram binning choice.
 
 from __future__ import annotations
 
+from array import array
 from pathlib import Path
 from typing import Iterable, NamedTuple, Optional, Sequence
 
@@ -14,7 +15,7 @@ from . import CheckedTuple, InputError, PreconditionError
 from .ingest import Session, Traits
 from .scid import ScidScheme, SchemeKind
 from .tables import list_of, object_of, of_type, read_profiles
-from .wire import Direction, PacketType, VersionRegistry
+from .wire import Direction, VersionRegistry
 
 DEFAULT_MIN_SESSIONS = 30
 RTO_TOLERANCE = 0.25
@@ -91,23 +92,19 @@ class RtoEstimate(CheckedTuple, _RtoEstimateFields):
         return self
 
 
-# resend_rounds reads these per session
-_ROUND_TYPES = (PacketType.INITIAL, PacketType.HANDSHAKE)
+def resend_rounds(offsets: Iterable[float]) -> array:
+    """Distinct send instants among a session's Initial/Handshake offsets.
 
-
-def resend_rounds(session: Session) -> list[float]:
-    """Distinct send instants of Initial/Handshake packets in a session.
-
-    Entries closer than ROUND_MERGE_TOLERANCE collapse into one round, so a
+    Offsets closer than ROUND_MERGE_TOLERANCE collapse into one round, so a
     server that ships Initial and Handshake as two datagrams still counts one
     round per timeout, matching how retransmission counts are reported.
     """
-    offsets = sorted(session.timeline.offsets(_ROUND_TYPES))
     rounds: list[float] = []
-    for off in offsets:
+    for off in sorted(offsets):
         if not rounds or off - rounds[-1] > ROUND_MERGE_TOLERANCE:
             rounds.append(off)
-    return rounds
+    # packed, 8 bytes a round, for the readers that hold every session's rounds
+    return array("d", rounds)
 
 
 def resend_count_distribution(rounds: Iterable[Sequence[float]]) -> dict[int, int]:
@@ -121,16 +118,14 @@ def resend_count_distribution(rounds: Iterable[Sequence[float]]) -> dict[int, in
     return dict(sorted(histogram.items()))
 
 
-def _median(values: Sequence[float]) -> float:
-    ordered = sorted(values)
+def _median(ordered: Sequence[float]) -> float:
     mid = len(ordered) // 2
     if len(ordered) % 2:
         return ordered[mid]
     return (ordered[mid - 1] + ordered[mid]) / 2
 
 
-def _percentile(values: Sequence[int], q: float) -> int:
-    ordered = sorted(values)
+def _percentile(ordered: Sequence[int], q: float) -> int:
     rank = max(0, min(len(ordered) - 1, round(q * (len(ordered) - 1))))
     return ordered[rank]
 
@@ -160,6 +155,9 @@ def estimate_rto(rounds: Iterable[Sequence[float]], min_sessions: int = DEFAULT_
         raise InsufficientData(f"{len(counts)} sessions with >=2 resends, need {min_sessions}")
     if not ratios:
         raise InsufficientData("no session has enough resends to estimate backoff")
+    # sorted in place: a copy of each would add to the stage's peak memory
+    for values in (first_offsets, ratios, counts):
+        values.sort()
     initial_rto, backoff_base = _median(first_offsets), _median(ratios)
     if initial_rto <= 0 or backoff_base < 1:  # resend gaps that shrink, or rows out of time order
         raise InsufficientData(f"resends follow no backoff: initial RTO {initial_rto:.6g}, backoff {backoff_base:.6g}")

@@ -1,12 +1,14 @@
-"""Telescope capture ingestion: filtering, sanitization, AS mapping, sessions.
+"""Telescope capture ingestion: filtering, sanitization, AS mapping, and the
+folds the analyses read.
 
-The pipeline is ingest -> Sessionizer. ingest() is one lazy pass over a
-capture's IP datagrams that decodes, filters, sanitizes and labels each one
-and yields it as a finished, immutable record; the Sessionizer is a fold
-fed one record at a time that keeps per-session state, so a capture
-streams through without being held.
-The analyses group records with one fold, group_traits, which takes each
-record with the number of datagrams it stands for.
+ingest() is one lazy pass over a capture's IP datagrams that decodes,
+filters, sanitizes and labels each one and yields it as a finished,
+immutable record. Two folds consume that stream as it goes, so a capture
+streams through without being held: the Sessionizer keeps each session's
+offsets, and group_traits each store_key's shapes and SCIDs. What they
+keep is all the analyses read: the datagram store holds one KeyRow per
+store_key, and the analyses sum its rows under their own keys with
+sum_traits; no analysis reads a datagram.
 Input captures are expected in timestamp order (standard for single-vantage
 telescope files); ordering is not re-checked.
 """
@@ -15,9 +17,9 @@ from __future__ import annotations
 
 import ipaddress
 import struct
+from array import array
 from bisect import bisect_right
-from collections.abc import Collection
-from typing import TYPE_CHECKING, Callable, Hashable, Iterable, Iterator, NamedTuple, Optional
+from typing import TYPE_CHECKING, Callable, Hashable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 # _socket holds the converter; the socket module around it adds about 8 ms
 # to every stage's start-up
@@ -47,10 +49,7 @@ DEFAULT_IDLE_GAP = 60.0
 class CaptureRecord(NamedTuple):
     """One QUIC datagram with its parsed long-header packets.
 
-    `ingest()` builds each one once, complete, and `tables.fold_datagrams`
-    decodes one per distinct store row of a block, and builds one per
-    repeat that it hands to a fold; a loaded packet keeps only its type,
-    version and CIDs.
+    `ingest()` builds each one once, complete.
     `operator`/`asn` identify the server side (source of a response,
     destination of a request), None where no prefix names it.
     """
@@ -254,62 +253,20 @@ def ingest(
         )
 
 
-class SessionKey(NamedTuple):
-    """Sessions group packets with the same SCID, DCID, and address pair."""
-
-    src_ip: str
-    dst_ip: str
-    scid: bytes
-    dcid: bytes
-
-
-# the packet type of each timeline entry code
-PACKET_TYPES = tuple(PacketType)
-_PACKET_TYPE_CODES = {t: code for code, t in enumerate(PACKET_TYPES)}
-
-
-class Timeline:
-    """A session's timeline: one (offset, packet type code, datagram length,
-    coalesced) entry per packet, packed 14 bytes each by ENTRY into the
-    `packed` buffer; PACKET_TYPES[code] is the entry's packet type.
-
-    Held as a tuple with its own float and int, an entry takes about 150
-    bytes, and a session's memory grows with its datagrams; packed, the
-    session's fixed fields dominate it."""
-
-    __slots__ = ("packed",)
-    ENTRY = struct.Struct("<dBI?")
-
-    def __init__(self) -> None:
-        self.packed = bytearray()
-
-    def add(self, offset: float, packet_type: PacketType, datagram_length: int, coalesced: bool) -> None:
-        code = _PACKET_TYPE_CODES[packet_type]
-        try:
-            self.packed += _pack_entry(offset, code, datagram_length, coalesced)
-        except struct.error as exc:  # a session store row can hold any JSON value
-            raise ValueError(f"timeline entry [{offset!r}, {PACKET_TYPES[code]}, {datagram_length!r}]: {exc}") from None
-
-    def offsets(self, packet_types: Collection[PacketType]) -> list[float]:
-        """The offsets of the entries of `packet_types`, in timeline order,
-        read without building an entry each."""
-        codes = {_PACKET_TYPE_CODES[t] for t in packet_types}
-        return [offset for offset, code, _, _ in self.ENTRY.iter_unpack(self.packed) if code in codes]
-
-
-_pack_entry = Timeline.ENTRY.pack
+# the packet types whose offsets a session keeps: its resend rounds
+_ROUND_TYPES = frozenset((PacketType.INITIAL, PacketType.HANDSHAKE))
 
 
 class Session(NamedTuple):
-    """Ordered per-key packet timeline, offsets relative to the first packet."""
+    """What the analyses read of one session: its source address, operator,
+    direction and version, and, in arrival order, the offsets of its Initial
+    and Handshake packets from its first packet."""
 
-    key: SessionKey
-    timeline: Timeline
-    direction: Direction = Direction.RESPONSE
-    version: int = 0
-    operator: Optional[str] = None
-    asn: Optional[int] = None
-    start_ts: float = 0.0
+    src_ip: str
+    operator: Optional[str]
+    direction: Direction
+    version: int
+    offsets: Sequence[float]
 
 
 class Traits(NamedTuple):
@@ -341,38 +298,64 @@ class Traits(NamedTuple):
         return any(len(types) > 1 for types, _ in self.shapes)
 
 
-def group_traits(
-    counted: Iterable[tuple[CaptureRecord, int]], key: Callable[[CaptureRecord], Hashable], shapes: bool = True
-) -> dict[Hashable, Traits]:
-    """Fold (record, count) pairs into the Traits of each key(record), in
-    one pass; a record stands for `count` datagrams of its shape, as a
-    distinct store row does for the rows that repeat it. `shapes=False`
-    leaves every shape count empty, for callers that read only SCIDs."""
+def group_traits(records: Iterable[CaptureRecord], key: Callable[[CaptureRecord], Hashable]) -> dict[Hashable, Traits]:
+    """Fold records into the Traits of each key(record), in one pass."""
     groups: dict[Hashable, Traits] = {}
     response = Direction.RESPONSE
-    for record, count in counted:
+    for record in records:
         k = key(record)
         traits = groups.get(k)
         if traits is None:
             traits = groups[k] = Traits({}, set())
-        if shapes:
-            shape = (record.types, record.datagram_length)
-            traits.shapes[shape] = traits.shapes.get(shape, 0) + count
+        shape = (record.types, record.datagram_length)
+        traits.shapes[shape] = traits.shapes.get(shape, 0) + 1
         if record.direction is response:
             traits.scids.update([p.scid for p in record.packets])
     return groups
 
 
+def store_key(record: CaptureRecord | Session) -> tuple[Direction, str, Optional[str]]:
+    """The key of a record's row in the datagram store, which holds the
+    sessions of the key too: a session's packets share it."""
+    return record.direction, record.src_ip, record.operator
+
+
+class KeyRow(NamedTuple):
+    """One row of the datagram store: the traits of the records under one
+    store_key, and what its reader keeps of each of the key's sessions'
+    offsets (tables.read_key_rows)."""
+
+    direction: Direction
+    src_ip: str
+    operator: Optional[str]
+    traits: Traits
+    sessions: list
+
+
+def sum_traits(rows: Iterable[KeyRow], key: Callable[[KeyRow], Hashable]) -> dict[Hashable, Traits]:
+    """The Traits of each key(row), summed over the store rows under it."""
+    groups: dict[Hashable, Traits] = {}
+    for row in rows:
+        k = key(row)
+        traits = groups.get(k)
+        if traits is None:
+            traits = groups[k] = Traits({}, set())
+        for shape, n in row.traits.shapes.items():
+            traits.shapes[shape] = traits.shapes.get(shape, 0) + n
+        traits.scids.update(row.traits.scids)
+    return groups
+
+
 class Sessionizer:
     """The session rule as a fold: add() timestamp-ordered records one at a
-    time, then read sessions().
+    time; `sessions` lists every session in the order it opened.
 
-    Every long-header packet lands in exactly one session; a coalesced
-    datagram contributes one timeline entry per inner packet at the same
-    offset. A gap of `idle_gap` seconds or more closes the session and a
-    later packet under the same key opens a new one. Records may come live
-    from ingest() or loaded from a datagram store. The fold keeps the
-    sessions, not the records.
+    A session groups the long-header packets of one direction with the same
+    address pair, SCID and DCID. Every packet lands in exactly one session,
+    and the packets of a coalesced datagram share its offset. A gap of
+    `idle_gap` seconds or more closes the session and a later packet under
+    the same key opens a new one. The fold keeps each session's offsets
+    packed, 8 bytes each, not the records.
     """
 
     def __init__(self, idle_gap: float = DEFAULT_IDLE_GAP):
@@ -380,33 +363,24 @@ class Sessionizer:
         if not 0 < idle_gap < float("inf"):
             raise InputError(f"idle gap must be positive and finite, got {idle_gap}")
         self.idle_gap = idle_gap
-        self._finished: list[Session] = []
-        # per open session key: [session, its packed timeline, start, last packet's time]
-        self._open: dict[tuple[str, str, bytes, bytes], list] = {}
+        self.sessions: list[Session] = []
+        # per key of an open session: [its offsets, its start, its last packet's time]
+        self._open: dict[tuple[Direction, str, str, bytes, bytes], list] = {}
 
     def add(self, record: CaptureRecord) -> CaptureRecord:
         """Fold one record in; returns it, so the fold can sit in a stream
         that another consumer drains, as in `map(sessionizer.add, records)`."""
-        ts, src_ip, dst_ip, _, _, direction, length, packets, operator, asn = record
-        coalesced = len(packets) > 1
+        ts, src_ip, dst_ip, _, _, direction, _, packets, operator, _ = record
         open_sessions = self._open
         for packet in packets:
-            key = (src_ip, dst_ip, packet.scid, packet.dcid)
+            key = (direction, src_ip, dst_ip, packet.scid, packet.dcid)
             state = open_sessions.get(key)
-            if state is None or not ts - state[3] < self.idle_gap:
-                if state is not None:
-                    self._finished.append(state[0])
-                # tuple.__new__ skips the Python-level calls of SessionKey(...) and Session(...)
-                new = tuple.__new__
-                session = new(Session, (new(SessionKey, key), Timeline(), direction, packet.version, operator, asn, ts))
-                state = open_sessions[key] = [session, session.timeline.packed, ts, ts]
-            # the store's reader bounds a row's length and integer times, so every entry packs
-            state[1] += _pack_entry(ts - state[2], _PACKET_TYPE_CODES[packet.packet_type], length, coalesced)
-            state[3] = ts
+            if state is None or not ts - state[2] < self.idle_gap:
+                offsets = array("d")
+                # tuple.__new__ skips the Python-level call of Session(...)
+                self.sessions.append(tuple.__new__(Session, (src_ip, operator, direction, packet.version, offsets)))
+                state = open_sessions[key] = [offsets, ts, ts]
+            if packet.packet_type in _ROUND_TYPES:
+                state[0].append(ts - state[1])
+            state[2] = ts
         return record
-
-    def sessions(self) -> list[Session]:
-        """Every session folded so far, ordered by (start_ts, key)."""
-        sessions = self._finished + [state[0] for state in self._open.values()]
-        sessions.sort(key=lambda s: (s.start_ts, s.key))
-        return sessions

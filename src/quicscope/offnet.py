@@ -8,14 +8,14 @@ arrive as a plain `ip<TAB>label` file.
 from __future__ import annotations
 
 from pathlib import Path
-from typing import NamedTuple, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from . import InputError, PreconditionError
 from .fingerprint import (
     BACKOFF_TOLERANCE, RTO_TOLERANCE, FingerprintProfile, InsufficientData, RtoEstimate, estimate_rto,
-    load_known_profiles, resend_rounds, rto_distance,
+    load_known_profiles, rto_distance,
 )
-from .ingest import Session, Traits
+from .ingest import Traits
 from .scid import detect_cloudflare_signature, facebook_fields, low_host_id
 from .tables import list_of, load_listing, of_type, read_json_fields
 
@@ -61,12 +61,17 @@ class SourceFeatures(NamedTuple):
 
 def extract_features(
     traits: Traits,
-    sessions: Sequence[Session],
+    rounds: Iterable[Sequence[float]],
     min_rto_sessions: int = DEFAULT_SOURCE_MIN_SESSIONS,
 ) -> SourceFeatures:
     """Deterministically assemble the feature vector of one source from the
-    traits of its responses and their sessions. Each unique SCID is decoded
-    once."""
+    traits of its responses and the resend_rounds of each of their
+    sessions. Each unique SCID is decoded once, after the RTO estimate has
+    let go of its lists, so that a stage does not hold both at once."""
+    try:
+        rto: Optional[RtoEstimate] = estimate_rto(rounds, min_sessions=min_rto_sessions)
+    except InsufficientData:
+        rto = None
     scids = traits.scids
     decoded = [fields for fields in map(facebook_fields, scids) if fields is not None]
     scheme_match: Optional[str] = None
@@ -77,10 +82,6 @@ def extract_features(
             scheme_match = "Facebook"
     v1_fields = [f for f in decoded if f.scid_version == 1]
     low = all(low_host_id(f) for f in v1_fields) if v1_fields else None
-    try:
-        rto: Optional[RtoEstimate] = estimate_rto(map(resend_rounds, sessions), min_sessions=min_rto_sessions)
-    except InsufficientData:
-        rto = None
     return SourceFeatures(
         scid_structured=scheme_match is not None,
         scid_scheme_match=scheme_match,
@@ -191,14 +192,15 @@ _RULES = {
 }
 
 
-def classify(features: SourceFeatures, rule: str, params: Optional[RuleParams] = None) -> str:
+def classify(features: SourceFeatures, rule: str, params: RuleParams) -> str:
     """Apply one named rule; returns the target operator or NotOperator.
-    Params without a reference take it from the shipped profile table."""
+    `params` must carry their reference (RuleParams.with_reference), which
+    reads the profile table once for any number of calls."""
     predicates = _RULES.get(rule)
     if predicates is None:
         raise UnknownRule(f"no rule named {rule!r}; known: {', '.join(RULE_NAMES)}")
-    if params is None or params.reference is None:
-        params = (params or RuleParams()).with_reference()
+    if params.reference is None:
+        raise ValueError("params without a reference: build them with RuleParams.with_reference()")
     if all(p(features, params) for p in predicates):
         return params.target_operator
     return NOT_OPERATOR

@@ -1,24 +1,18 @@
 """Line-delimited stores, plot-ready tables and the readers of every input file.
 
-Sessions and datagrams travel between pipeline stages as JSONL. Both stores
-are written with one fixed-schema format string per row whose output equals
-`json.dumps(row, sort_keys=True)`. Both loaders decode each row with the C
-scanner of `json`, which skips the checks of `json.loads`; a row the scanner
-does not consume whole, with surrounding whitespace or an error, goes to
-`json.loads`, so every row decodes, and fails, as `json.loads` has it. The
-datagram store keeps each packet's type, version and CIDs; its writer drains
-a record stream as it goes. fold_datagrams is its one reader, and reads it
-once, numbering lines as it goes: rows that differ only in their "ts", such
-as the resends of one handshake, are decoded once per block of distinct
-rows and yielded with the number of rows they stand for, so time follows
-the distinct rows and memory a block's, while every row, with its own "ts",
-goes to a fold that reads it, such as the Sessionizer. Every session and
-datagram row's values are checked for their JSON types.
-TruthWriter writes `simulate`'s truth rows and pairs table the same
-way, one format string per file, a row per served handshake. Analysis
-outputs land as TSV with a one-line header, which read_table reads back for
-the next stage. All writers are byte-deterministic for identical inputs,
-which is what makes whole-pipeline runs reproducible.
+`ingest` hands its folds to the analyses in two JSONL stores, each row
+written as `json.dumps(row, sort_keys=True)`. The datagram store holds
+one row per (direction, source address, operator) key: the key's
+datagrams per shape, its unique SCIDs and the offsets of each of its
+sessions. The session store holds one row per session: its key fields,
+version and offsets. read_key_rows and read_sessions read them back a row
+at a time through load_lines and the object_of, of_type and list_of
+parsers, which check every value's JSON type and range.
+TruthWriter writes `simulate`'s truth rows and pairs table with one format
+string per file, a row per served handshake. Analysis outputs land as TSV
+with a one-line header, which read_table reads back for the next stage.
+All writers are byte-deterministic for identical inputs, which is what
+makes whole-pipeline runs reproducible.
 Every reader here, the prefix-table, scanner-list, version-registry, profile
 and JSON-settings readers included, turns a file it cannot open or decode,
 and a line or value it cannot read, into an InputError that names the file
@@ -28,9 +22,9 @@ and the line or key.
 from __future__ import annotations
 
 import ipaddress
-import itertools
 import json
 import math
+from array import array
 from functools import cache
 from importlib import resources
 from pathlib import Path
@@ -41,9 +35,9 @@ from . import InputError
 # The store and list readers import ingest's and wire's types where they
 # use them, so a stage that reads only tables (report) loads neither.
 if TYPE_CHECKING:
-    from .ingest import CaptureRecord, PrefixTable, ScannerList, Session
+    from .ingest import KeyRow, PrefixTable, ScannerList, Session, Traits
     from .sim import SessionTruth
-    from .wire import VersionRegistry
+    from .wire import Direction, VersionRegistry
 
 T = TypeVar("T")
 
@@ -95,7 +89,7 @@ def read_table(
         return row if from_row is None else from_row(row)
 
     header = next(_numbered_lines(path), (1, ""))[1].rstrip("\r\n").split("\t")
-    return list(load_lines(path, lambda line: checked(dict(zip(header, line.split("\t")))), skip=1))
+    return list(load_lines(path, lambda line: checked(dict(zip(header, line.rstrip("\r\n").split("\t")))), skip=1))
 
 
 def _numbered_lines(path: str | Path) -> Iterator[tuple[int, str]]:
@@ -122,12 +116,13 @@ def load_lines(path: str | Path, from_line: Callable[[str], T], skip: int = 0) -
     reading the file as the caller iterates and turning a line `from_line`
     cannot read into an InputError that names the file, the line and, for a
     missing field, the key. A file that cannot be opened, read or decoded
-    raises InputError naming it."""
+    raises InputError naming it. `from_line` gets the line with its line
+    end, so that a long line is not copied to drop it."""
     for lineno, line in _numbered_lines(path):
         if lineno <= skip or line.isspace():  # a line read from a file is never empty
             continue
         try:
-            item = from_line(line.rstrip("\r\n"))
+            item = from_line(line)
         except (KeyError, TypeError, ValueError) as exc:
             raise _input_error(f"{path}:{lineno}", exc) from None
         yield item
@@ -170,7 +165,9 @@ def load_version_registry(path: str | Path) -> VersionRegistry:
     return VersionRegistry(dict(filter(None, load_lines(path, registry_entry))))
 
 
-_JSON_TYPES = {dict: "object", list: "array", str: "string", int: "integer", float: "number", bool: "boolean"}
+_JSON_TYPES = {
+    dict: "object", list: "array", str: "string", int: "integer", float: "number", bool: "boolean", type(None): "null"
+}
 
 
 def of_type(*kinds: type) -> Callable[[Any], Any]:
@@ -250,328 +247,173 @@ def read_profiles(path: Optional[str | Path]) -> dict[str, dict]:
     return read_json_fields(path, {"profiles": _json_object}, required=("profiles",))["profiles"]
 
 
-# The default decoder's C scanner: json.loads without its type and whitespace
-# checks, which a row the writers below wrote does not need.
-_scan_json = json.JSONDecoder().scan_once
+def one_of(choices: dict[str, T]) -> Callable[[Any], T]:
+    """A parser for read_json_fields that accepts a string `choices` names,
+    and gives what `choices` maps it to."""
+
+    def parse(value: Any) -> T:
+        if type(value) is str and value in choices:
+            return choices[value]
+        raise ValueError(f"expected one of {', '.join(map(json.dumps, choices))}, got {json.dumps(value)}")
+
+    return parse
 
 
-def _json_row(line: str) -> Any:
-    """The JSON value of one store row. The scanner decodes a row it can
-    consume whole; any other row, with surrounding whitespace or an error,
-    goes to json.loads, so its value or its error message is json.loads'."""
-    try:
-        value, end = _scan_json(line, 0)
-    except (StopIteration, ValueError):
-        return json.loads(line)
-    return value if end == len(line) else json.loads(line)
+def integer_in(low: int, high: int) -> Callable[[Any], int]:
+    """A parser for read_json_fields that accepts an integer from `low` to `high`."""
+
+    def parse(value: Any) -> int:
+        if not low <= of_type(int)(value) <= high:
+            raise ValueError(f"expected an integer from {low} to {high}, got {value}")
+        return value
+
+    return parse
 
 
-# The JSON types each scalar field of a store row may hold, with what a
-# message calls them; true and false are no numbers, and ports and lengths
-# are 16-bit counts. A time may be any number, NaN and Infinity included: a
-# fold that never reads the datagram timestamp must not reject one. Only an
-# integer time is bounded (_check_integer_time).
-_NUMBER = ("a number", int, float)
-_NAME = ("a string", str)
-_OPTIONAL_NAME = ("a string or null", str, type(None))
-_OPTIONAL_INTEGER = ("an integer or null", int, type(None))
-_DATAGRAM_FIELDS = {
-    "ts": _NUMBER,
-    "src": _NAME,
-    "dst": _NAME,
-    "sport": ("a non-negative integer", int),
-    "dport": ("a non-negative integer", int),
-    "length": ("a non-negative integer", int),
-    "operator": _OPTIONAL_NAME,
-    "asn": _OPTIONAL_INTEGER,
-}
-_UNSIGNED = ("sport", "dport", "length")
-_SESSION_FIELDS = {
-    "src": _NAME,
-    "dst": _NAME,
-    "version": ("an integer", int),
-    "operator": _OPTIONAL_NAME,
-    "asn": _OPTIONAL_INTEGER,
-    "start_ts": _NUMBER,
-}
+# --- stores ------------------------------------------------------------------
 
 
-def _field_error(values: dict[str, Any], fields: dict[str, tuple]) -> str:
-    """The message for the first of `values` that has another JSON type than
-    its entry in `fields` allows, or is a count below 0 or above 65,535."""
-    for key, (name, *kinds) in fields.items():
-        value = values[key]
-        if type(value) not in kinds or (key in _UNSIGNED and value < 0):
-            return f"key {key!r}: expected {name}, got {json.dumps(value)}"
-        if key in _UNSIGNED and value > 0xFFFF:
-            return f"key {key!r}: expected at most 65535, got {value}"
-    raise AssertionError(f"no bad value in {values}")
+def _save_rows(path: Path, rows: Iterable[dict]) -> None:
+    with path.open("w") as fh:
+        fh.writelines(json.dumps(row, sort_keys=True) + "\n" for row in rows)
 
 
-def _field_kinds(fields: dict[str, tuple]) -> frozenset[tuple[type, ...]]:
-    """Every tuple of types that values of `fields`, in order, may have, so
-    that one set lookup checks them all."""
-    return frozenset(itertools.product(*(entry[1:] for entry in fields.values())))
+def _offsets_text(offsets: Iterable[float]) -> str:
+    # "0" reads back as exactly 0.0, the first offset of most sessions
+    return " ".join([repr(offset).removesuffix(".0") for offset in offsets])
 
 
-# --- session store -----------------------------------------------------------
+def save_stores(
+    datagrams: Path, sessions: Path, traits: dict[tuple[Direction, str, Optional[str]], Traits], folded: list[Session]
+) -> None:
+    """Write the datagram store, one row per ingest.store_key of `traits`
+    with the offsets of the key's sessions, and the session store, one row
+    per session of `folded`, each in the order of its input.
+
+    Offsets are written as their float reprs, which read back exactly,
+    separated by spaces, and a key row's sessions as one string with a `;`
+    after each session's offsets. So a row decodes to one string, where
+    JSON arrays would make a float object per packet: a reader's memory
+    follows the longest row's text, not its sessions' packets."""
+    from .ingest import store_key
+
+    by_key: dict[tuple, list[Session]] = {}
+    for s in folded:
+        by_key.setdefault(store_key(s), []).append(s)
+    _save_rows(
+        datagrams,
+        (
+            {
+                "direction": direction.value,
+                "src": src,
+                "operator": operator,
+                "shapes": sorted([types, length, n] for (types, length), n in t.shapes.items()),
+                "scids": sorted(scid.hex() for scid in t.scids),
+                "sessions": "".join(_offsets_text(s.offsets) + ";" for s in by_key.get((direction, src, operator), ())),
+            }
+            for (direction, src, operator), t in traits.items()
+        ),
+    )
+    _save_rows(
+        sessions,
+        (
+            {"direction": s.direction.value, "src": s.src_ip, "operator": s.operator, "version": s.version,
+             "offsets": _offsets_text(s.offsets)}
+            for s in folded
+        ),
+    )
 
 
-# One row with its keys in sorted order, and one timeline entry. Both equal
-# json.dumps(row, sort_keys=True) for what the Sessionizer makes: finite
-# times (%r is the float or int repr json uses), dotted addresses, hex CIDs
-# and enum values that need no escaping, and operator names, which go through
-# json.dumps once per distinct name.
-_SESSION_ROW = (
-    '{"asn": %s, "dcid": "%s", "direction": "%s", "dst": "%s", "operator": %s, '
-    '"scid": "%s", "src": "%s", "start_ts": %r, "timeline": [%s], "version": %d}\n'
-)
-_TIMELINE_ENTRY = '[%r, "%s", %d, %s]'
+# half the range of a float, so that the difference of two offsets is finite too
+_OFFSET_BOUND = 2.0**1022
 
 
-def save_sessions(path: str | Path, sessions: Iterable[Session]) -> Path:
-    from .ingest import PACKET_TYPES, Timeline
+def _offsets(value: Any) -> array:
+    """A session's offsets from their text in a store row: numbers within
+    ±2**1022."""
+    texts = of_type(str)(value).split()
+    offsets = array("d", map(float, texts))
+    if not all(map(_OFFSET_BOUND.__ge__, map(abs, offsets))):  # NaN fails the comparison too
+        bad = next(text for text in texts if not abs(float(text)) <= _OFFSET_BOUND)
+        raise ValueError(f"expected offsets within ±2**1022, got {bad}")
+    return offsets
+
+
+def _row_fields() -> dict[str, Callable[[Any], Any]]:
+    """The parsers of the fields both stores' rows hold."""
     from .wire import Direction
 
-    operator_text = cache(json.dumps)
-    # an enum's .value is a Python-level property; a dict get is not
-    direction_text = {d: d.value for d in Direction}
-    type_text = [t.value for t in PACKET_TYPES]
-    entries = Timeline.ENTRY.iter_unpack
-    path = Path(path)
-    with path.open("w") as fh:
-        fh.writelines(
-            _SESSION_ROW
-            % (
-                "null" if s.asn is None else s.asn,
-                s.key.dcid.hex(),
-                direction_text[s.direction],
-                s.key.dst_ip,
-                operator_text(s.operator),
-                s.key.scid.hex(),
-                s.key.src_ip,
-                s.start_ts,
-                ", ".join(
-                    [
-                        _TIMELINE_ENTRY % (offset, type_text[code], length, "true" if coalesced else "false")
-                        for offset, code, length, coalesced in entries(s.timeline.packed)
-                    ]
-                ),
-                s.version,
-            )
-            for s in sessions
-        )
-    return path
+    return {
+        "direction": one_of({d.value: d for d in (Direction.REQUEST, Direction.RESPONSE)}),
+        "src": of_type(str),
+        "operator": of_type(str, type(None)),
+    }
 
 
-def load_sessions(path: str | Path) -> list[Session]:
-    """Read a session store back; a malformed row raises InputError."""
-    from .ingest import Session, SessionKey, Timeline
-    from .wire import Direction, PacketType
+def read_key_rows(path: str | Path, keep: Optional[Callable[[array], Any]] = None) -> Iterator[KeyRow]:
+    """Each row of a datagram store as a KeyRow, read as the caller
+    iterates. Each session's offsets are checked, and the row's `sessions`
+    holds what `keep` makes of them, or nothing with no `keep`, so that a
+    reader holds no more of a session than it reads. A row that is not a
+    JSON object of the store's keys and value types, such as a shape
+    without a packet type or an SCID of more than 20 octets, raises
+    InputError naming the file, the line and the key."""
+    from .ingest import KeyRow, Traits
+    from .wire import TYPE_LABELS, check_cid_lengths
 
-    directions = {d.value: d for d in Direction}
-    packet_types = {t.value: t for t in PacketType}
-    new = tuple.__new__
-    kinds = _field_kinds(_SESSION_FIELDS)
+    labels = list_of(one_of({label: label for label in TYPE_LABELS.values()}))
+    # datagram counts that a float holds exactly, as the percentages of fingerprint need
+    length, count = integer_in(0, 0xFFFF), integer_in(1, 2**53)
+
+    def shape(value: Any) -> tuple[tuple[tuple[str, ...], int], int]:
+        fields = of_type(list)(value)
+        if len(fields) != 3 or not of_type(list)(fields[0]):
+            raise ValueError(f"expected [[packet type, ...], datagram length, datagrams], got {json.dumps(value)}")
+        return (tuple(labels(fields[0])), length(fields[1])), count(fields[2])
+
+    def scid(value: Any) -> bytes:
+        cid = bytes.fromhex(of_type(str)(value))
+        check_cid_lengths(b"", cid)
+        return cid
+
+    def kept(value: Any) -> list:
+        text, sessions, start = of_type(str)(value), [], 0
+        if text and not text.endswith(";"):
+            raise ValueError("expected a ';' after each session's offsets")
+        while start < len(text):
+            end = text.index(";", start)
+            offsets = _offsets(text[start:end])
+            if keep is not None:
+                sessions.append(keep(offsets))
+            start = end + 1
+        return sessions
+
+    fields = dict(_row_fields(), shapes=list_of(shape), scids=list_of(scid), sessions=kept)
+    parse = object_of(fields, required=tuple(fields))
+
+    def from_line(line: str) -> KeyRow:
+        row = parse(json.loads(line))
+        shapes: dict[tuple[tuple[str, ...], int], int] = {}
+        for key, n in row["shapes"]:
+            shapes[key] = shapes.get(key, 0) + n
+        return KeyRow(row["direction"], row["src"], row["operator"], Traits(shapes, set(row["scids"])), row["sessions"])
+
+    return load_lines(path, from_line)
+
+
+def read_sessions(path: str | Path) -> Iterator[Session]:
+    """Each row of a session store as a Session, read as the caller
+    iterates; a bad row raises InputError as read_key_rows does."""
+    from .ingest import Session
+
+    fields = dict(_row_fields(), version=of_type(int), offsets=_offsets)
+    parse = object_of(fields, required=tuple(fields))
 
     def from_line(line: str) -> Session:
-        raw = _json_row(line)
-        src, dst = raw["src"], raw["dst"]
-        key = new(SessionKey, (src, dst, bytes.fromhex(raw["scid"]), bytes.fromhex(raw["dcid"])))
-        timeline = Timeline()
-        for offset, ptype, length, coalesced in raw["timeline"]:
-            try:
-                ptype = packet_types[ptype]
-            except (KeyError, TypeError):
-                ptype = PacketType(ptype)  # the member, or the enum's own error for a value that names none
-            timeline.add(offset, ptype, length, coalesced)
-        try:
-            direction = directions[raw["direction"]]
-        except (KeyError, TypeError):
-            direction = Direction(raw["direction"])
-        version, operator, asn, start_ts = raw["version"], raw.get("operator"), raw.get("asn"), raw.get("start_ts", 0.0)
-        values = (src, dst, version, operator, asn, start_ts)
-        if tuple(map(type, values)) not in kinds:
-            raise ValueError(_field_error(dict(zip(_SESSION_FIELDS, values)), _SESSION_FIELDS))
-        return new(Session, (key, timeline, direction, version, operator, asn, start_ts))
+        row = parse(json.loads(line))
+        return Session(row["src"], row["operator"], row["direction"], row["version"], row["offsets"])
 
-    return list(load_lines(path, from_line))
-
-
-# --- datagram store ----------------------------------------------------------
-
-
-# One row with its keys in sorted order. It equals json.dumps(row,
-# sort_keys=True) for what ingest yields: finite timestamps (%r is the float
-# repr json uses), dotted addresses and hex CIDs that need no escaping, and
-# operator names, which go through json.dumps once per distinct name.
-_DATAGRAM_ROW = (
-    '{"asn": %s, "direction": "%s", "dport": %d, "dst": "%s", "length": %d, '
-    '"operator": %s, "packets": [%s], "sport": %d, "src": "%s", "ts": %r}\n'
-)
-
-
-def save_datagrams(path: str | Path, records: Iterable[CaptureRecord]) -> Path:
-    from .wire import Direction, PacketType
-
-    operator_text = cache(json.dumps)
-    direction_text = {d: d.value for d in Direction}
-    packet_head = {t: f'["{t.value}", ' for t in PacketType}
-    path = Path(path)
-    with path.open("w") as fh:
-        fh.writelines(
-            _DATAGRAM_ROW
-            % (
-                "null" if r.asn is None else r.asn,
-                direction_text[r.direction],
-                r.dst_port,
-                r.dst_ip,
-                r.datagram_length,
-                operator_text(r.operator),
-                ", ".join(
-                    [f'{packet_head[p.packet_type]}{p.version}, "{p.scid.hex()}", "{p.dcid.hex()}"]' for p in r.packets]
-                ),
-                r.src_port,
-                r.src_ip,
-                r.timestamp,
-            )
-            for r in records
-        )
-    return path
-
-
-def _check_integer_time(ts: int) -> None:
-    """ValueError for an integer "ts" beyond half the range of a float: a
-    Sessionizer subtracts times, and two such integers differ by a float."""
-    if not -(2**1022) <= ts <= 2**1022:
-        raise ValueError(f"key 'ts': expected a number within ±2**1022, got an integer of {len(str(abs(ts)))} digits")
-
-
-def _datagram_row() -> Callable[[str], CaptureRecord]:
-    """The decoder of one datagram store row: a record whose packets carry
-    only type, version and CIDs. A row that is not an object of the store's
-    keys and JSON types, or that has no packet, raises KeyError, TypeError
-    or ValueError. Each distinct CID text is decoded and length-checked
-    once per decoder."""
-    from .ingest import CaptureRecord
-    from .wire import Direction, LongHeader, PacketType, check_cid_lengths
-
-    directions = {d.value: d for d in Direction}
-    packet_types = {t.value: t for t in PacketType}
-    cids: dict[str, bytes] = {}
-    new = tuple.__new__
-    # what LongHeader(ptype, version, dcid, scid) fills in after the CIDs
-    token, payload, first_byte, wire_length = LongHeader._field_defaults.values()
-    kinds = _field_kinds(_DATAGRAM_FIELDS)
-
-    def from_line(line: str) -> CaptureRecord:
-        raw = _json_row(line)
-        packets = []
-        for ptype, version, scid_text, dcid_text in raw["packets"]:
-            try:
-                dcid, scid = cids[dcid_text], cids[scid_text]
-            except (KeyError, TypeError):
-                dcid, scid = bytes.fromhex(dcid_text), bytes.fromhex(scid_text)
-                check_cid_lengths(dcid, scid)
-                cids[dcid_text], cids[scid_text] = dcid, scid
-            try:
-                ptype = packet_types[ptype]
-            except (KeyError, TypeError):
-                ptype = PacketType(ptype)  # the member, or the enum's own error for a value that names none
-            if type(version) is not int:
-                raise ValueError(f"packet version: expected an integer, got {json.dumps(version)}")
-            packets.append(new(LongHeader, (ptype, version, dcid, scid, token, payload, first_byte, wire_length)))
-        if not packets:
-            raise ValueError("datagram row has no packets")
-        try:
-            direction = directions[raw["direction"]]
-        except (KeyError, TypeError):
-            direction = Direction(raw["direction"])
-        ts, src, dst, sport, dport, length = raw["ts"], raw["src"], raw["dst"], raw["sport"], raw["dport"], raw["length"]
-        operator, asn = raw.get("operator"), raw.get("asn")
-        row_kinds = (type(ts), type(src), type(dst), type(sport), type(dport), type(length), type(operator), type(asn))
-        if row_kinds not in kinds or not (0 <= sport <= 0xFFFF and 0 <= dport <= 0xFFFF and 0 <= length <= 0xFFFF):
-            values = (ts, src, dst, sport, dport, length, operator, asn)
-            raise ValueError(_field_error(dict(zip(_DATAGRAM_FIELDS, values)), _DATAGRAM_FIELDS))
-        if type(ts) is int:
-            _check_integer_time(ts)
-        return new(CaptureRecord, (ts, src, dst, sport, dport, direction, length, packets, operator, asn))
-
-    return from_line
-
-
-# The distinct rows the store reader holds at a time, each decoded once. A
-# resend train's rows repeat across its whole backoff, tens of seconds of
-# the store, so a block has to hold every row live in that span: the 270k
-# flood of ROADMAP has 30,000, and a bound of 4,096 made scid 3.8 times
-# slower there.
-ROW_BLOCK = 1 << 16
-
-
-def fold_datagrams(
-    path: str | Path, add: Optional[Callable[[CaptureRecord], Any]] = None
-) -> Iterator[tuple[CaptureRecord, int]]:
-    """The one reader of a datagram store. It yields each distinct row of
-    each block once, decoded, with the number of the block's rows it stands
-    for: rows that differ only in their canonical "ts" tail, `, "ts": `, a
-    JSON number and the closing brace, such as the resends of one
-    handshake, are one row, yielded with timestamp 0. A block holds at most
-    ROW_BLOCK distinct rows and is yielded before the next one's first, so
-    memory follows a block and time the distinct rows. A row without that
-    tail is yielded as it is read, with count 1.
-
-    `add`, if given, gets every row in file order with its own "ts", read
-    by json's scanner. A bad row raises InputError naming its line when it
-    is reached: a repeat differs from a row that decoded only in its number,
-    so the first line that fails is the first bad line of the store."""
-    from .ingest import CaptureRecord
-
-    new = tuple.__new__
-    scan = _scan_json
-
-    def counted(distinct: dict[str, list]) -> Iterator[tuple[CaptureRecord, int]]:
-        for fields, n in distinct.values():
-            yield new(CaptureRecord, (0,) + fields), n
-
-    from_line = _datagram_row()
-    # row text before a canonical tail -> [the record's fields after "ts", rows of the block]
-    distinct: dict[str, list] = {}
-    for lineno, line in _numbered_lines(path):
-        pos = line.rfind(', "ts": ')
-        head = None
-        if pos > 0:
-            try:
-                ts, end = scan(line, pos + 8)
-            except (StopIteration, ValueError):  # no JSON value there: the row is decoded whole
-                pass
-            else:
-                if type(ts) in (int, float) and line[end:] in ("}\n", "}"):
-                    head = line[:pos]
-        elif line.isspace():  # load_lines skips blank lines too
-            continue
-        entry = distinct.get(head)
-        if entry is None and head is not None and len(distinct) == ROW_BLOCK:
-            yield from counted(distinct)
-            from_line, distinct = _datagram_row(), {}
-        try:
-            if entry is None:
-                record = from_line(line.rstrip("\r\n"))
-            elif type(ts) is int:
-                _check_integer_time(ts)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise _input_error(f"{path}:{lineno}", exc) from None
-        if entry is not None:
-            entry[1] += 1
-            if add is None:
-                continue
-            record = new(CaptureRecord, (ts,) + entry[0])
-        elif head is not None:
-            distinct[head] = [record[1:], 1]
-        if add is not None:
-            add(record)
-        if head is None:
-            yield record, 1
-    yield from counted(distinct)
+    return load_lines(path, from_line)
 
 
 # --- simulator truth ---------------------------------------------------------

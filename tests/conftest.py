@@ -1,21 +1,22 @@
 """Shared builders for synthetic datagrams, records, and captures, the
-reference decoder of a capture's datagrams and the reference read of a
-datagram store."""
+reference decoder of a capture's datagrams, and the reference sessionizer
+and store writers of the per-datagram stores that ingest wrote before it
+wrote its folds."""
 
+import json
 import os
 import socket
 import struct
 import subprocess
 import sys
 import time
-from itertools import repeat
 from pathlib import Path
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import pytest
 
 from quicscope import tables
-from quicscope.ingest import DEFAULT_IDLE_GAP, PACKET_TYPES, CaptureRecord, Session, Sessionizer, Timeline, group_traits
+from quicscope.ingest import DEFAULT_IDLE_GAP, Session, Sessionizer, group_traits, ingest, store_key
 from quicscope.pcap import CaptureCounters, PcapReader, PcapWriter, build_ipv4_udp
 from quicscope.probe import HostIdHarvest
 from quicscope.sim import DeploymentConfig, SessionTruth, client_initial_payload, simulate_flood
@@ -72,21 +73,9 @@ def read_datagrams(path: Path, counters: Optional[CaptureCounters] = None) -> li
     return [d for d in decoded if d is not None]
 
 
-def datagram_rows(path: Path) -> list[CaptureRecord]:
-    """The reference read of a datagram store: every row, one at a time, as
-    the store's row decoder makes it; a bad row raises the InputError that
-    names its line. tables.fold_datagrams must agree with it."""
-    return list(tables.load_lines(path, tables._datagram_row()))
-
-
 def packets_of(datagrams) -> list[tuple[float, bytes]]:
     """Each datagram as the (timestamp, IPv4 datagram) pair ingest reads."""
     return [(d.timestamp, build_ipv4_udp(d)) for d in datagrams]
-
-
-def timeline_entries(timeline: Timeline) -> list[tuple[float, PacketType, int, bool]]:
-    """A timeline's (offset, packet type, datagram length, coalesced) entries."""
-    return [(o, PACKET_TYPES[c], n, b) for o, c, n, b in Timeline.ENTRY.iter_unpack(timeline.packed)]
 
 
 def simulate_to_pcap(config: DeploymentConfig, path: Path) -> tuple[list[SessionTruth], list[Datagram]]:
@@ -109,12 +98,100 @@ def sessions_of(records, idle_gap: float = DEFAULT_IDLE_GAP) -> list[Session]:
     sessionizer = Sessionizer(idle_gap)
     for record in records:
         sessionizer.add(record)
-    return sessionizer.sessions()
+    return sessionizer.sessions
 
 
-def traits_of(records, key, shapes: bool = True) -> dict:
-    """group_traits of `records`, each standing for one datagram."""
-    return group_traits(zip(records, repeat(1)), key, shapes)
+def folds(records) -> tuple[dict, list[Session]]:
+    """The traits of each store_key and the sessions of `records`, folded as ingest folds them."""
+    sessionizer = Sessionizer()
+    return group_traits(map(sessionizer.add, records), store_key), sessionizer.sessions
+
+
+def save_folds(directory: Path, records) -> tuple[Path, Path]:
+    """datagrams.jsonl and sessions.jsonl in `directory`, folded from
+    `records` and written as ingest writes them."""
+    paths = directory / "datagrams.jsonl", directory / "sessions.jsonl"
+    tables.save_stores(*paths, *folds(records))
+    return paths
+
+
+class ReferenceSession(NamedTuple):
+    """A session as the session store kept it before ingest wrote its
+    folds: its (source, destination, SCID, DCID) key and a full timeline of
+    (offset, packet type, datagram length, coalesced) entries."""
+
+    key: tuple[str, str, bytes, bytes]
+    timeline: list[tuple[float, PacketType, int, bool]]
+    direction: object
+    version: int
+    operator: Optional[str]
+    asn: Optional[int]
+    start_ts: float
+
+
+def reference_sessions(records, idle_gap: float = DEFAULT_IDLE_GAP) -> list[ReferenceSession]:
+    """The reference sessionizer: the sessions of timestamp-ordered
+    `records` under a key without the direction, ordered by (start, key).
+    A gap of `idle_gap` or more closes a session, as in the Sessionizer."""
+    finished, open_sessions = [], {}
+    for r in records:
+        for p in r.packets:
+            key = (r.src_ip, r.dst_ip, p.scid, p.dcid)
+            state = open_sessions.get(key)
+            if state is None or not r.timestamp - state[1] < idle_gap:
+                if state is not None:
+                    finished.append(state[0])
+                session = ReferenceSession(key, [], r.direction, p.version, r.operator, r.asn, r.timestamp)
+                state = open_sessions[key] = [session, r.timestamp]
+            session = state[0]
+            session.timeline.append((r.timestamp - session.start_ts, p.packet_type, r.datagram_length, len(r.packets) > 1))
+            state[1] = r.timestamp
+    sessions = finished + [state[0] for state in open_sessions.values()]
+    return sorted(sessions, key=lambda s: (s.start_ts, s.key))
+
+
+def old_datagram_store(records) -> bytes:
+    """The per-datagram store that ingest wrote: one sorted-key JSON row per record."""
+    return "".join(
+        json.dumps(
+            {
+                "asn": r.asn, "direction": r.direction.value, "dport": r.dst_port, "dst": r.dst_ip,
+                "length": r.datagram_length, "operator": r.operator,
+                "packets": [[p.packet_type.value, p.version, p.scid.hex(), p.dcid.hex()] for p in r.packets],
+                "sport": r.src_port, "src": r.src_ip, "ts": r.timestamp,
+            },
+            sort_keys=True,
+        )
+        + "\n"
+        for r in records
+    ).encode()
+
+
+def old_session_store(sessions: list[ReferenceSession]) -> bytes:
+    """The session store that ingest wrote: one sorted-key JSON row per reference session."""
+    return "".join(
+        json.dumps(
+            {
+                "asn": s.asn, "dcid": s.key[3].hex(), "direction": s.direction.value, "dst": s.key[1],
+                "operator": s.operator, "scid": s.key[2].hex(), "src": s.key[0], "start_ts": s.start_ts,
+                "timeline": [[offset, t.value, length, coalesced] for offset, t, length, coalesced in s.timeline],
+                "version": s.version,
+            },
+            sort_keys=True,
+        )
+        + "\n"
+        for s in sessions
+    ).encode()
+
+
+def old_stores(capture: Path, prefixes=None, scanners=None) -> dict[str, bytes]:
+    """datagrams.jsonl and sessions.jsonl as ingest wrote them per datagram,
+    serialized from ingest()'s record stream over `capture`."""
+    records = list(ingest(PcapReader(capture).datagrams(), scanners=scanners, prefixes=prefixes))
+    return {
+        "datagrams.jsonl": old_datagram_store(records),
+        "sessions.jsonl": old_session_store(reference_sessions(records)),
+    }
 
 
 def make_response(

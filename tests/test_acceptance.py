@@ -14,7 +14,7 @@ import numpy as np
 from quicscope import fingerprint as fp
 from quicscope import offnet, probe, scid
 from quicscope.cli import main as cli_main
-from quicscope.ingest import PrefixTable, ingest
+from quicscope.ingest import PrefixTable, group_traits, ingest
 from quicscope.scid import (
     FacebookScidFields,
     PositionVerdict,
@@ -41,7 +41,7 @@ from quicscope.wire import (
     TruncatedPacket,
 )
 
-from conftest import harvest_from_ids, packets_of, sessions_of, simulate_to_pcap, traits_of
+from conftest import harvest_from_ids, packets_of, sessions_of, simulate_to_pcap
 from test_scid import oracle_pack
 
 
@@ -103,13 +103,13 @@ def test_criterion_1_known_profile_round_trip(tmp_path):
         assert len(sessions) >= 500
         assert all(s.operator == operator for s in sessions)
 
-        estimate = fp.estimate_rto(map(fp.resend_rounds, sessions))
+        estimate = fp.estimate_rto(fp.resend_rounds(s.offsets) for s in sessions)
         expected_rto = default_stack_profile(operator).initial_rto
         assert abs(estimate.initial_rto - expected_rto) / expected_rto <= 0.10
         lo, hi = estimate.max_retransmissions
         assert lo <= configured[operator] <= hi
 
-        traits = traits_of(records, lambda r: r.operator or "Unknown")[operator]
+        traits = group_traits(records, lambda r: r.operator or "Unknown")[operator]
         assert traits.coalescence == default_stack_profile(operator).coalescence
 
         scids = sorted(traits.scids)
@@ -353,18 +353,19 @@ def test_criterion_7_classifier_metrics(tmp_path):
     )
     _, datagrams = simulate_to_pcap(config, tmp_path / "capture.pcap")
     records = list(ingest(packets_of(datagrams)))
-    traits = traits_of(records, lambda r: r.src_ip)
-    sessions = {}
+    traits = group_traits(records, lambda r: r.src_ip)
+    rounds = {}
     for session in sessions_of(records):
-        sessions.setdefault(session.key.src_ip, []).append(session)
+        rounds.setdefault(session.src_ip, []).append(fp.resend_rounds(session.offsets))
     truth_labels = {vip: "Facebook" for vip in config.clusters[0].vips}
     truth_labels.update({vip: offnet.NOT_OPERATOR for vip in bg_vips})
     truth = offnet.GroundTruth(truth_labels)
 
+    params = offnet.RuleParams().with_reference()
     predictions = {}
     for source, source_traits in traits.items():
-        features = offnet.extract_features(source_traits, sessions[source])
-        predictions[source] = offnet.classify(features, "SCID off-net (low host ID)")
+        features = offnet.extract_features(source_traits, rounds[source])
+        predictions[source] = offnet.classify(features, "SCID off-net (low host ID)", params)
     metrics = offnet.evaluate(predictions, truth, "Facebook")
 
     assert metrics.tpr == 1.0

@@ -19,7 +19,7 @@ from quicscope import tables
 from quicscope.cli import build_parser, main
 from quicscope.scid import decode_facebook_scid, encode_facebook_scid
 
-from conftest import packets_of, run_python
+from conftest import packets_of, run_python, save_folds
 
 DEPLOY = {
     "seed": 7,
@@ -373,17 +373,17 @@ class TestScidCommand:
         assert "Traceback" not in out.stderr
 
     @staticmethod
-    def save_store(path, datagrams, operators):
+    def save_store(directory, datagrams, operators):
         from quicscope.ingest import ingest
 
         records = [record._replace(operator=operators(record)) for record in ingest(packets_of(datagrams))]
-        return tables.save_datagrams(path, records)
+        return save_folds(directory, records)[0]
 
     def test_zero_length_scids_are_insufficient_data(self, tmp_path):
         from conftest import make_response
 
         datagrams = [make_response(0.1 * i, scid=b"", dst=f"172.16.0.{i}") for i in range(5)]
-        store = self.save_store(tmp_path / "d.jsonl", datagrams, lambda record: None)
+        store = self.save_store(tmp_path, datagrams, lambda record: None)
         out = run_python("-m", "quicscope.cli", "scid", "--datagrams", store, "--min-samples", "1", "--out-dir", tmp_path / "scid")
         assert out.returncode == 0, out.stderr
         assert "Traceback" not in out.stderr
@@ -396,7 +396,7 @@ class TestScidCommand:
         datagrams = [make_response(0.1 * i, scid=bytes([i]) * 8, dst=f"172.16.0.{i}") for i in range(4)]
         datagrams += [make_request(1 + 0.1 * i, dst="192.0.2.9") for i in range(4)]
         store = self.save_store(
-            tmp_path / "d.jsonl", datagrams, lambda record: "Responder" if record.src_ip == "198.51.100.1" else "Requested"
+            tmp_path, datagrams, lambda record: "Responder" if record.src_ip == "198.51.100.1" else "Requested"
         )
         assert run("scid", "--datagrams", store, "--min-samples", "1", "--out-dir", tmp_path / "scid") == 0
         lengths = (tmp_path / "scid" / "scid_lengths.tsv").read_text().splitlines()
@@ -676,8 +676,8 @@ class TestReproducibility:
         "fp/rto.tsv": "7c5fd2317bca281f423367d008bf492fd3934342410c4e441a48406ce423efdc",
         "fp/version_tally.tsv": "7f9b59d8b67ef63a1283acf8aaa14d86ab5e0a1c7944c7c38f1e7db894aa78d2",
         "ing/counters.tsv": "a498276733084cb5b970b238c7b39eaa8ebc094687b634a1ff0a1d08d0d3c681",
-        "ing/datagrams.jsonl": "3478b5b5946ff8df29e3116a830a2bc4ee4cc4eb0f6f73cbf2b1fd9c6f3ee7e5",
-        "ing/sessions.jsonl": "338f12f5b4d48cd22823d9a9b73dbbf7a5275c5b3dbaf998b30251ee62b4f7dc",
+        "ing/datagrams.jsonl": "60e67558b68329a10f2aa9df0f39c1d8c6f76264b472ecf03d6ebce988267f11",
+        "ing/sessions.jsonl": "91df7cdd08742407e77301353195c0f55b2c1a1a4c9e14db373bc2b3a430733c",
         "probe/clusters.tsv": "5e81cad906676f3f9315c5a8c6220ed1fbf855d229ff7c1faa4f8ccecc9a196b",
         "probe/discovery.tsv": "3867deb00ae24e139036a7d85e201bd65614327031247c41bcd4df796c59b2c4",
         "probe/harvest.tsv": "996f707f4fa1380cd816b006ffd12e35905d523f5ca1eb2bb639d6d21f5a8f94",
@@ -727,6 +727,19 @@ class TestReproducibility:
         }
         assert digests == self.GOLDEN
 
+    # the stores as ingest wrote them per datagram, pinned until it wrote its folds
+    PER_DATAGRAM = {
+        "datagrams.jsonl": "3478b5b5946ff8df29e3116a830a2bc4ee4cc4eb0f6f73cbf2b1fd9c6f3ee7e5",
+        "sessions.jsonl": "338f12f5b4d48cd22823d9a9b73dbbf7a5275c5b3dbaf998b30251ee62b4f7dc",
+    }
+
+    def test_record_stream_matches_the_per_datagram_digests(self, deploy_config, prefix_table, tmp_path):
+        from conftest import old_stores
+
+        assert run("simulate", "--config", deploy_config, "--out-dir", tmp_path / "sim") == 0
+        stores = old_stores(tmp_path / "sim" / "capture.pcap", prefixes=tables.load_prefix_table(prefix_table))
+        assert {name: hashlib.sha256(data).hexdigest() for name, data in stores.items()} == self.PER_DATAGRAM
+
 
 class TestFreeBitEquivalence:
     """The TestReproducibility chain's truth, pairs, datagram and session
@@ -737,15 +750,24 @@ class TestFreeBitEquivalence:
     else: no field, no other CID, no port, no timestamp."""
 
     MASKED = {
-        "ing/datagrams.jsonl": "fa0d0d888f1ab423381d9d1c4bff79f67ae7f06c97235c04f6fadc6dbcca553b",
-        "ing/sessions.jsonl": "8096f7f923091ad1e206cb6cfe1616974fee2b6220288412b2f5fa7b2262a2cf",
+        "ing/datagrams.jsonl": "bbdd5e9812960a3801d8b3043436d710db5962004b44ea6af4ee283308b9f39f",
+        "ing/sessions.jsonl": "91df7cdd08742407e77301353195c0f55b2c1a1a4c9e14db373bc2b3a430733c",
         "sim/pairs.tsv": "d005ee6d2d66e88979fd64a989efd53cfdab7fa3f87f2a90cbf76873629dc378",
         "sim/truth.jsonl": "d3a217100c89265b250bd132fc96f8dae843c52054d3f4deb3b732e6cfbd5d9a",
+        # the stores as ingest wrote them per datagram, serialized from its record stream
+        "per-datagram/datagrams.jsonl": "fa0d0d888f1ab423381d9d1c4bff79f67ae7f06c97235c04f6fadc6dbcca553b",
+        "per-datagram/sessions.jsonl": "8096f7f923091ad1e206cb6cfe1616974fee2b6220288412b2f5fa7b2262a2cf",
     }
 
     def test_masked_outputs_match_pinned_digests(self, deploy_config, prefix_table, tmp_path):
+        from conftest import old_stores
+
         assert run("simulate", "--config", deploy_config, "--out-dir", tmp_path / "sim") == 0
         assert run("ingest", "--capture", tmp_path / "sim" / "capture.pcap", "--prefix-table", prefix_table, "--out-dir", tmp_path / "ing") == 0
+        (tmp_path / "per-datagram").mkdir()
+        stores = old_stores(tmp_path / "sim" / "capture.pcap", prefixes=tables.load_prefix_table(prefix_table))
+        for name, data in stores.items():
+            (tmp_path / "per-datagram" / name).write_bytes(data)
         truth = [json.loads(line) for line in (tmp_path / "sim" / "truth.jsonl").read_text().splitlines()]
         masked = {
             row["server_scid"]: encode_facebook_scid(decode_facebook_scid(bytes.fromhex(row["server_scid"]))).hex()
@@ -770,6 +792,11 @@ class TestScannerAndPrefixGolden:
 
     GOLDEN = {
         "counters.tsv": "463edc2df0e0a2660c0ac114c350635b46f9a3f096dbd97766871b11494f7161",
+        "datagrams.jsonl": "5b77589829c01a32d5aff0889555c00d96664888a0b697d7cb7635531f15a7a5",
+        "sessions.jsonl": "6f86e511abdb104f46309c34b38199490b1d73ed1a75ccab75850a938eb4259e",
+    }
+    # the stores as ingest wrote them per datagram, serialized from its record stream
+    PER_DATAGRAM = {
         "datagrams.jsonl": "53360ff669d592f24dbec3f8ccfe3729b52fa22334d4ed853df328e53b088771",
         "sessions.jsonl": "dd7120c343e0a65980d77aa65d80342cf474291ead4ee87bce933c5a62b238e4",
     }
@@ -777,7 +804,7 @@ class TestScannerAndPrefixGolden:
     def test_outputs_match_golden_digests(self, tmp_path):
         from quicscope.pcap import write_pcap
         from quicscope.wire import PacketType
-        from conftest import make_request, make_response
+        from conftest import make_request, make_response, old_stores
 
         datagrams = [make_request(0.1 * i, src=f"172.16.5.{i}", dst="198.51.100.7", scid=bytes([i]) * 8) for i in range(6)]
         datagrams += [
@@ -803,6 +830,8 @@ class TestScannerAndPrefixGolden:
         assert stdout.getvalue() == "ingest: 16 records, 7 sessions, 37.5% removed by sanitization\n"
         digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in self.GOLDEN}
         assert digests == self.GOLDEN
+        stores = old_stores(capture, tables.load_prefix_table(prefixes), tables.load_scanner_list(scanners))
+        assert {name: hashlib.sha256(data).hexdigest() for name, data in stores.items()} == self.PER_DATAGRAM
 
 
 @pytest.fixture(scope="module")
@@ -925,18 +954,17 @@ class TestOptionValues:
     any output is written."""
 
     @pytest.mark.parametrize("value", ["-1", "0", "nan", "inf"])
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ["ingest", "--capture", "{base}/simulate/capture.pcap"],
-            ["classify", "--datagrams", "{base}/ingest/datagrams.jsonl", "--truth", "{base}/truth.tsv"],
-        ],
-        ids=lambda argv: argv[0],
-    )
+    @pytest.mark.parametrize("argv", [["ingest", "--capture", "{base}/simulate/capture.pcap"]], ids=lambda argv: argv[0])
     def test_idle_gap_not_positive_and_finite(self, chain, tmp_path, capsys, argv, value):
         argv = [a.format(base=chain) for a in argv]
         assert run(*argv, "--idle-gap", value, "--out-dir", tmp_path / "out") == 2
         assert "idle gap must be positive and finite" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_classify_has_no_idle_gap(self, chain, tmp_path, capsys):
+        argv = ["classify", "--datagrams", chain / "ingest" / "datagrams.jsonl", "--truth", chain / "truth.tsv"]
+        assert pytest.raises(SystemExit, run, *argv, "--idle-gap", "60", "--out-dir", tmp_path / "out").value.code == 1
+        assert "unrecognized arguments: --idle-gap 60" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_top_lengths_negative(self, chain, tmp_path, capsys):
@@ -1221,11 +1249,12 @@ class TestClassifyGolden:
 
 
 class TestStreamedStages:
-    """Ingest and classify stream the records, and fingerprint and scid fold
-    each distinct store row once per block: eight resend rounds per
-    handshake cost them no more memory than one, where a stage holding every
-    record needs about four times as much, and so do four times as many
-    rows when no two are alike."""
+    """Ingest streams the records into its folds, and the analyses read a
+    row per key and keep no more of a session than its resend rounds: eight
+    resend rounds per handshake cost them no more memory than one, where a
+    stage holding every record needs about four times as much, and four
+    times as many datagrams, no two alike, cost fingerprint's and scid's
+    read of the datagram store no more either."""
 
     SOURCES = [f"100.64.{i // 250}.{i % 250 + 1}" for i in range(1000)]
 
@@ -1304,25 +1333,26 @@ class TestStreamedStages:
 
     @pytest.fixture(scope="class")
     def distinct_stores(self, tmp_path_factory) -> dict[int, Path]:
-        """Stores of 1,000 and 4,000 responses of one SCID and one shape, no
-        two rows alike: each goes to its own telescope address."""
+        """Datagram stores ingested from 1,000 and 4,000 responses of one
+        SCID and one shape, no two alike: each goes to its own telescope
+        address, so each is a session of its own under the one key."""
         from conftest import make_response
-        from quicscope.ingest import ingest
+        from quicscope.pcap import write_pcap
 
-        (record,) = ingest(packets_of([make_response(0.0)]))
         base = tmp_path_factory.mktemp("distinct")
         (base / "sessions.jsonl").write_text("")
         stores = {}
         for rows in (1000, 4000):
-            records = (record._replace(timestamp=0.01 * i, dst_ip=f"10.0.{i >> 8}.{i & 255}") for i in range(rows))
-            stores[rows] = tables.save_datagrams(base / f"d{rows}.jsonl", records)
+            capture = base / f"d{rows}.pcap"
+            write_pcap(capture, [make_response(0.01 * i, dst=f"10.0.{i >> 8}.{i & 255}") for i in range(rows)])
+            assert run("ingest", "--capture", capture, "--out-dir", base / f"ing{rows}") == 0
+            stores[rows] = base / f"ing{rows}" / "datagrams.jsonl"
         return stores
 
     @pytest.mark.parametrize("stage", ["fingerprint", "scid"])
-    def test_peak_memory_independent_of_distinct_rows(self, distinct_stores, tmp_path, monkeypatch, stage):
-        # blocks of 250 lines hold a quarter of the smaller store
-        monkeypatch.setattr(tables, "ROW_BLOCK", 250)
-        sessions = ["--sessions", distinct_stores[1000].with_name("sessions.jsonl")] if stage == "fingerprint" else []
+    def test_peak_memory_independent_of_distinct_rows(self, distinct_stores, tmp_path, stage):
+        # fingerprint reads an empty session store, so that the datagram store alone is measured
+        sessions = ["--sessions", distinct_stores[1000].parents[1] / "sessions.jsonl"] if stage == "fingerprint" else []
 
         def argv(rows, name):
             return (stage, *sessions, "--datagrams", distinct_stores[rows], "--out-dir", tmp_path / name)
@@ -1376,33 +1406,32 @@ class TestStoreRowTypes:
 
     @staticmethod
     def inputs(tmp_path: Path) -> Path:
-        """A datagram store of three responses, an empty session store and a truth table."""
+        """Both stores of three responses from three sources, a key row each, and a truth table."""
         from quicscope.ingest import ingest
         from conftest import make_response
 
-        records = list(ingest(packets_of([make_response(0.1 * i, dst=f"172.16.0.{i}") for i in range(3)])))
-        (tmp_path / "sessions.jsonl").write_text("")
-        (tmp_path / "truth.tsv").write_text("198.51.100.1\tFacebook\n")
-        return tables.save_datagrams(tmp_path / "datagrams.jsonl", records)
+        datagrams = [make_response(0.1 * i, src=f"198.51.100.{i + 1}", dst=f"172.16.0.{i}") for i in range(3)]
+        (tmp_path / "truth.tsv").write_text("".join(f"198.51.100.{i + 1}\tFacebook\n" for i in range(3)))
+        return save_folds(tmp_path, ingest(packets_of(datagrams)))[0]
 
     @pytest.mark.parametrize("stage", sorted(STAGES))
     @pytest.mark.parametrize(
         "key, value, message",
         [
-            ("length", 1200.0, "key 'length': expected a non-negative integer, got 1200.0"),
-            ("length", -5, "key 'length': expected a non-negative integer, got -5"),
-            ("ts", "x", 'key \'ts\': expected a number, got "x"'),
-            ("ts", None, "key 'ts': expected a number, got null"),
-            ("src", 5, "key 'src': expected a string, got 5"),
-            ("asn", True, "key 'asn': expected an integer or null, got true"),
-            ("packets", [["initial", "1", "bb", "aa"]], 'packet version: expected an integer, got "1"'),
-            ("length", 2**32, "key 'length': expected at most 65535, got 4294967296"),
-            ("sport", 65536, "key 'sport': expected at most 65535, got 65536"),
-            ("dport", 65536, "key 'dport': expected at most 65535, got 65536"),
+            ("direction", "sideways", 'key \'direction\': expected one of "request", "response", got "sideways"'),
+            ("src", 5, "key 'src': expected string, got 5"),
+            ("operator", True, "key 'operator': expected string or null, got true"),
+            ("shapes", [[["Initial"], 1200.0, 1]], "key 'shapes': expected integer, got 1200.0"),
+            ("shapes", [[["Initial"], -5, 1]], "key 'shapes': expected an integer from 0 to 65535, got -5"),
+            ("shapes", [[["Initial"], 2**32, 1]], "key 'shapes': expected an integer from 0 to 65535, got 4294967296"),
+            ("shapes", [[["Initial"], 1200, "1"]], 'key \'shapes\': expected integer, got "1"'),
+            ("scids", ["ab" * 21], "key 'scids': CID of 21 octets exceeds 20"),
+            ("sessions", "0 x;", "key 'sessions': could not convert string to float: 'x'"),
+            ("sessions", "0 1e400;", "key 'sessions': expected offsets within ±2**1022, got 1e400"),
         ],
         ids=[
-            "float-length", "negative-length", "string-ts", "null-ts", "integer-src", "boolean-asn", "string-version",
-            "length-above-16-bits", "sport-above-16-bits", "dport-above-16-bits",
+            "unknown-direction", "integer-src", "boolean-operator", "float-length", "negative-length",
+            "length-above-16-bits", "string-datagrams", "scid-too-long", "offset-not-a-number", "offset-beyond-floats",
         ],
     )
     def test_datagram_row_value_wrong_type(self, tmp_path, capsys, stage, key, value, message):
@@ -1415,39 +1444,22 @@ class TestStoreRowTypes:
         assert f"{store}:2: {message}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("stage", sorted(STAGES))
-    @pytest.mark.parametrize("repeat", [False, True], ids=["first-of-its-kind", "repeat"])
-    def test_integer_ts_beyond_floats(self, tmp_path, capsys, stage, repeat):
-        # a repeat of the first row but for its "ts" continues its session in classify
-        store = self.inputs(tmp_path)
-        rows = store.read_text().splitlines()
-        rows[1] = json.dumps(dict(json.loads(rows[0] if repeat else rows[1]), ts=10**400), sort_keys=True)
-        store.write_text("\n".join(rows) + "\n")
-        argv = [a.format(dir=tmp_path) for a in self.STAGES[stage]]
-        assert run(stage, "--datagrams", store, *argv, "--out-dir", tmp_path / "out") == 2
-        message = "key 'ts': expected a number within ±2**1022, got an integer of 401 digits"
-        assert f"{store}:2: {message}" in capsys.readouterr().err
-        assert not (tmp_path / "out").exists()
-
     @pytest.mark.parametrize(
         "key, value, message",
         [
-            ("src", 5, "key 'src': expected a string, got 5"),
-            ("version", "1", 'key \'version\': expected an integer, got "1"'),
-            ("start_ts", None, "key 'start_ts': expected a number, got null"),
-            ("operator", ["Facebook"], 'key \'operator\': expected a string or null, got ["Facebook"]'),
+            ("src", 5, "key 'src': expected string, got 5"),
+            ("version", "1", 'key \'version\': expected integer, got "1"'),
+            ("offsets", None, "key 'offsets': expected string, got null"),
+            ("operator", ["Facebook"], 'key \'operator\': expected string or null, got ["Facebook"]'),
         ],
-        ids=["integer-src", "string-version", "null-start", "list-operator"],
+        ids=["integer-src", "string-version", "null-offsets", "list-operator"],
     )
     def test_session_row_value_wrong_type(self, tmp_path, capsys, key, value, message):
         store = self.inputs(tmp_path)
         sessions = tmp_path / "sessions.jsonl"
-        row = {
-            "src": "198.51.100.1", "dst": "172.16.5.5", "scid": "bb", "dcid": "aa", "direction": "response",
-            "version": 1, "operator": "Facebook", "asn": 32934, "start_ts": 0.0,
-            "timeline": [[0.0, "initial", 1200, False]],
-        }
-        sessions.write_text(json.dumps(row) + "\n" + json.dumps(dict(row, **{key: value})) + "\n")
+        rows = sessions.read_text().splitlines()
+        rows[1] = json.dumps(dict(json.loads(rows[1]), **{key: value}), sort_keys=True)
+        sessions.write_text("\n".join(rows) + "\n")
         assert run("fingerprint", "--sessions", sessions, "--datagrams", store, "--out-dir", tmp_path / "out") == 2
         assert f"{sessions}:2: {message}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
@@ -1462,6 +1474,12 @@ class TestStoreRows:
     bad value is an input error (exit 2) that names the file and the line or
     key; no traceback reaches the user."""
 
+    # a datagram store row of one response key, and a session store row
+    KEY_ROW = {
+        "direction": "response", "src": "198.51.100.1", "operator": "Facebook",
+        "shapes": [[["Initial"], 100, 1]], "scids": ["aa" * 8], "sessions": "0;",
+    }
+
     def test_session_row_missing_key(self, tmp_path):
         sessions, datagrams = tmp_path / "sessions.jsonl", tmp_path / "datagrams.jsonl"
         sessions.write_text("\n" + json.dumps({"src": "1.2.3.4"}) + "\n")
@@ -1471,41 +1489,33 @@ class TestStoreRows:
             "--sessions", sessions, "--datagrams", datagrams, "--out-dir", tmp_path / "fp",
         )
         assert out.returncode == 2
-        assert f"{sessions}:2: missing key 'dst'" in out.stderr
+        assert f"{sessions}:2: missing key 'direction'" in out.stderr
         assert "Traceback" not in out.stderr
 
     def test_datagram_row_missing_key(self, tmp_path):
         datagrams = tmp_path / "datagrams.jsonl"
-        datagrams.write_text(json.dumps({"ts": 1.0}) + "\n")
+        datagrams.write_text(json.dumps({k: v for k, v in self.KEY_ROW.items() if k != "shapes"}) + "\n")
         out = run_python("-m", "quicscope.cli", "scid", "--datagrams", datagrams, "--out-dir", tmp_path / "scid")
         assert out.returncode == 2
-        assert f"{datagrams}:1: missing key 'packets'" in out.stderr
+        assert f"{datagrams}:1: missing key 'shapes'" in out.stderr
         assert "Traceback" not in out.stderr
 
     def test_datagram_row_unknown_direction(self, tmp_path):
         datagrams = tmp_path / "d.jsonl"
-        row = {
-            "ts": 1.0, "src": "198.51.100.1", "dst": "172.16.5.5", "sport": 443, "dport": 50000,
-            "direction": "sideways", "length": 100, "operator": "Facebook", "asn": 32934,
-            "packets": [["initial", 1, "aa" * 8, "bb" * 8]],
-        }
-        datagrams.write_text(json.dumps(dict(row, direction="response")) + "\n" + json.dumps(row) + "\n")
+        datagrams.write_text(json.dumps(self.KEY_ROW) + "\n" + json.dumps(dict(self.KEY_ROW, direction="sideways")) + "\n")
         out = run_python("-m", "quicscope.cli", "scid", "--datagrams", datagrams, "--out-dir", tmp_path / "scid")
         assert out.returncode == 2
-        assert f"{datagrams}:2: 'sideways' is not a valid Direction" in out.stderr
+        assert f'{datagrams}:2: key \'direction\': expected one of "request", "response", got "sideways"' in out.stderr
         assert "Traceback" not in out.stderr
         assert not (tmp_path / "scid").exists()
 
-    def test_datagram_row_without_packets(self, tmp_path):
+    def test_datagram_row_shape_without_packet_types(self, tmp_path):
         datagrams = tmp_path / "d.jsonl"
-        row = {
-            "ts": 1.0, "src": "198.51.100.1", "dst": "172.16.5.5", "sport": 443, "dport": 50000,
-            "direction": "response", "length": 100, "operator": "Facebook", "asn": 32934, "packets": [],
-        }
-        datagrams.write_text(json.dumps(row) + "\n")
+        datagrams.write_text(json.dumps(dict(self.KEY_ROW, shapes=[[[], 100, 1]])) + "\n")
         out = run_python("-m", "quicscope.cli", "scid", "--datagrams", datagrams, "--out-dir", tmp_path / "scid")
         assert out.returncode == 2
-        assert f"{datagrams}:1: datagram row has no packets" in out.stderr
+        message = "key 'shapes': expected [[packet type, ...], datagram length, datagrams], got [[], 100, 1]"
+        assert f"{datagrams}:1: {message}" in out.stderr
         assert "Traceback" not in out.stderr
 
     @pytest.mark.parametrize(
@@ -1523,12 +1533,11 @@ class TestStoreRows:
         from quicscope.ingest import ingest
         from conftest import make_response
 
-        records = list(ingest(packets_of([make_response(0.1 * i, dst=f"172.16.0.{i}") for i in range(5)])))
-        store = tables.save_datagrams(tmp_path / "datagrams.jsonl", records)
+        datagrams = [make_response(0.1 * i, src=f"198.51.100.{i + 1}") for i in range(5)]
+        store = save_folds(tmp_path, ingest(packets_of(datagrams)))[0]
         with store.open("a") as fh:
-            fh.write(json.dumps({"ts": 9.0, "src": "198.51.100.1"}) + "\n")
-        (tmp_path / "sessions.jsonl").write_text("")
-        (tmp_path / "truth.tsv").write_text("198.51.100.1\tFacebook\n")
+            fh.write(json.dumps({"direction": "response", "src": "198.51.100.9"}) + "\n")
+        (tmp_path / "truth.tsv").write_text("".join(f"198.51.100.{i + 1}\tFacebook\n" for i in range(5)))
         out_dir = tmp_path / "out"
         out = run_python(
             "-m", "quicscope.cli", stage, "--datagrams", store, *(a.format(dir=tmp_path) for a in argv),
@@ -1539,13 +1548,9 @@ class TestStoreRows:
         assert "Traceback" not in out.stderr
         assert not out_dir.exists()
 
-    def test_session_row_timeline_value_out_of_range(self, tmp_path):
+    def test_session_row_offset_out_of_range(self, tmp_path):
         sessions, datagrams = tmp_path / "sessions.jsonl", tmp_path / "datagrams.jsonl"
-        row = {
-            "src": "198.51.100.1", "dst": "172.16.5.5", "scid": "bb", "dcid": "aa", "direction": "response",
-            "version": 1, "operator": "Facebook", "asn": 32934, "start_ts": 0.0,
-            "timeline": [[0.0, "initial", 1200, False], [0.4, "initial", -1, False]],
-        }
+        row = {"direction": "response", "src": "198.51.100.1", "operator": "Facebook", "version": 1, "offsets": "0 nan"}
         sessions.write_text(json.dumps(row) + "\n")
         datagrams.write_text("")
         out = run_python(
@@ -1553,21 +1558,16 @@ class TestStoreRows:
             "--sessions", sessions, "--datagrams", datagrams, "--out-dir", tmp_path / "fp",
         )
         assert out.returncode == 2
-        assert f"{sessions}:1: timeline entry [0.4, initial, -1]" in out.stderr
+        assert f"{sessions}:1: key 'offsets': expected offsets within ±2**1022, got nan" in out.stderr
         assert "Traceback" not in out.stderr
         assert not (tmp_path / "fp").exists()
 
     def test_datagram_row_cid_too_long(self, tmp_path):
         datagrams = tmp_path / "d.jsonl"
-        row = {
-            "ts": 1.0, "src": "198.51.100.1", "dst": "172.16.5.5", "sport": 443, "dport": 50000,
-            "direction": "response", "length": 100, "operator": "Facebook", "asn": 32934,
-            "packets": [["initial", 1, "ab" * 21, "cd" * 8]],
-        }
-        datagrams.write_text(json.dumps(row) + "\n")
+        datagrams.write_text(json.dumps(dict(self.KEY_ROW, scids=["ab" * 21])) + "\n")
         out = run_python("-m", "quicscope.cli", "scid", "--datagrams", datagrams, "--out-dir", tmp_path / "scid")
         assert out.returncode == 2
-        assert f"{datagrams}:1: CID of 21 octets exceeds 20" in out.stderr
+        assert f"{datagrams}:1: key 'scids': CID of 21 octets exceeds 20" in out.stderr
         assert "Traceback" not in out.stderr
 
     def test_pairs_table_without_client_dcid(self, tmp_path):

@@ -1,5 +1,6 @@
 """Fingerprinting statistics against constructed mixes and doubling oracles."""
 
+import ipaddress
 import json
 import random
 
@@ -18,27 +19,16 @@ from quicscope.fingerprint import (
     rto_distance,
     version_tally,
 )
-from quicscope.ingest import Session, SessionKey, Timeline, ingest
+from quicscope.ingest import KeyRow, PrefixTable, Session, group_traits, ingest, store_key, sum_traits
 from quicscope.tables import read_profiles
 from quicscope.wire import Direction, PacketType, VersionRegistry
 
-from conftest import make_response, packets_of, sessions_of, traits_of
+from conftest import make_response, packets_of, sessions_of
 
 
-def session_from_offsets(
-    offsets,
-    types=None,
-    direction=Direction.RESPONSE,
-    version=1,
-    operator=None,
-    key_suffix=b"\x00",
-):
-    """Build a Session directly from resend offsets (one entry per offset)."""
-    key = SessionKey("198.51.100.1", "172.16.0.9", b"s" * 7 + key_suffix, b"d" * 8)
-    timeline = Timeline()
-    for i, o in enumerate(offsets):
-        timeline.add(o, (types[i] if types else PacketType.INITIAL), 1200, False)
-    return Session(key=key, timeline=timeline, direction=direction, version=version, operator=operator)
+def session_from_offsets(offsets, direction=Direction.RESPONSE, version=1, operator=None):
+    """Build a Session directly from its Initial/Handshake offsets."""
+    return Session("198.51.100.1", operator, direction, version, offsets)
 
 
 def doubling_offsets(rto: float, resends: int) -> list[float]:
@@ -103,7 +93,7 @@ class TestVersionTally:
 
 def traits_by_operator(records):
     """The fold as fingerprint keys it."""
-    return traits_of(records, lambda r: r.operator or "Unknown")
+    return group_traits(records, lambda r: r.operator or "Unknown")
 
 
 def percentages(traits) -> dict[str, float]:
@@ -216,17 +206,28 @@ class TestGroupTraits:
         assert traits.scids == set()
         assert traits.type_counts() == {"Initial": 3}
 
-    def test_without_shapes_keeps_scids(self):
-        records = list(ingest(packets_of([make_response(0.1 * i, scid=bytes([i]) * 8) for i in range(3)])))
-        traits = traits_of(records, lambda r: r.src_ip, shapes=False)
-        assert traits["198.51.100.1"].shapes == {}
-        assert traits["198.51.100.1"].scids == {bytes([i]) * 8 for i in range(3)}
+    def test_key_rows_summed_equal_the_traits_of_their_records(self):
+        # fingerprint's traits come from the store's key rows, each the traits of one store_key
+        from conftest import make_request
+
+        table = PrefixTable([(ipaddress.ip_network("198.51.100.0/24"), 32934, "Facebook")])
+        datagrams = [make_response(0.1 * i, src=f"198.51.100.{i % 3}", scid=bytes([i]) * 8) for i in range(9)]
+        datagrams += [make_response(1.0, src="192.0.2.1", types=(PacketType.INITIAL, PacketType.HANDSHAKE))]
+        datagrams += [make_request(1.5 + 0.1 * i, dst=f"198.51.100.{i}") for i in range(2)]
+        records = list(ingest(packets_of(datagrams), prefixes=table))
+        rows = [
+            KeyRow(direction, src, operator, traits, [])
+            for (direction, src, operator), traits in group_traits(records, store_key).items()
+        ]
+        assert len(rows) == 5
+        key = lambda r: r.operator or "Unknown"  # noqa: E731
+        assert sum_traits(rows, key) == group_traits(records, key)
 
 
 class TestEstimateRto:
     def test_doubling_oracle_schedule(self):
-        sessions = [session_from_offsets(doubling_offsets(0.3, 5), key_suffix=bytes([i])) for i in range(40)]
-        est = estimate_rto(map(resend_rounds, sessions))
+        sessions = [session_from_offsets(doubling_offsets(0.3, 5)) for i in range(40)]
+        est = estimate_rto((resend_rounds(s.offsets) for s in sessions))
         assert est.initial_rto == pytest.approx(0.3)
         assert est.backoff_base == pytest.approx(2.0)
         assert est.sample_count == 40
@@ -236,34 +237,34 @@ class TestEstimateRto:
         # rto * (2**(k+1) - 1): 0.3, 0.9, 2.1, 4.5, ...
         offsets = [0.0] + [0.3 * (2 ** (k + 1) - 1) for k in range(4)]
         assert offsets[1:] == pytest.approx([0.3, 0.9, 2.1, 4.5])
-        sessions = [session_from_offsets(offsets, key_suffix=bytes([i])) for i in range(35)]
-        est = estimate_rto(map(resend_rounds, sessions))
+        sessions = [session_from_offsets(offsets) for i in range(35)]
+        est = estimate_rto((resend_rounds(s.offsets) for s in sessions))
         assert est.initial_rto == pytest.approx(0.3)
         assert est.backoff_base == pytest.approx(2.0)
 
     def test_facebook_like_range(self):
         rng = random.Random(11)
         sessions = [
-            session_from_offsets(doubling_offsets(0.4, rng.choice([7, 8, 9])), key_suffix=bytes([i]))
+            session_from_offsets(doubling_offsets(0.4, rng.choice([7, 8, 9])))
             for i in range(60)
         ]
-        est = estimate_rto(map(resend_rounds, sessions))
+        est = estimate_rto((resend_rounds(s.offsets) for s in sessions))
         assert est.initial_rto == pytest.approx(0.4)
         lo, hi = est.max_retransmissions
         assert lo >= 7 and hi <= 9 and lo <= hi
 
     def test_insufficient_sessions(self):
-        sessions = [session_from_offsets(doubling_offsets(0.3, 4), key_suffix=bytes([i])) for i in range(5)]
+        sessions = [session_from_offsets(doubling_offsets(0.3, 4)) for i in range(5)]
         with pytest.raises(InsufficientData):
-            estimate_rto(map(resend_rounds, sessions), min_sessions=30)
+            estimate_rto((resend_rounds(s.offsets) for s in sessions), min_sessions=30)
 
     def test_jitter_robustness(self):
         rng = random.Random(3)
         sessions = []
         for i in range(50):
             offsets = [0.0] + [0.3 * 2**k + rng.uniform(-0.01, 0.01) for k in range(5)]
-            sessions.append(session_from_offsets(offsets, key_suffix=bytes([i])))
-        est = estimate_rto(map(resend_rounds, sessions))
+            sessions.append(session_from_offsets(offsets))
+        est = estimate_rto((resend_rounds(s.offsets) for s in sessions))
         assert abs(est.initial_rto - 0.3) < 0.02
         assert abs(est.backoff_base - 2.0) < 0.15
 
@@ -274,37 +275,35 @@ class TestEstimateRto:
     )
     def test_resends_without_a_backoff_are_insufficient_data(self, offsets):
         # no RtoEstimate holds a median gap ratio below 1 or a first resend at or before 0
-        sessions = [session_from_offsets(offsets, key_suffix=bytes([i])) for i in range(50)]
+        sessions = [session_from_offsets(offsets) for i in range(50)]
         with pytest.raises(InsufficientData, match="^resends follow no backoff: initial RTO "):
-            estimate_rto(map(resend_rounds, sessions))
+            estimate_rto((resend_rounds(s.offsets) for s in sessions))
 
     def test_sessions_without_resends_excluded(self):
-        sessions = [session_from_offsets([0.0], key_suffix=bytes([i])) for i in range(50)]
+        sessions = [session_from_offsets([0.0]) for i in range(50)]
         with pytest.raises(InsufficientData):
-            estimate_rto(map(resend_rounds, sessions))
+            estimate_rto((resend_rounds(s.offsets) for s in sessions))
 
 
 class TestResendCounts:
     def test_distribution_mass_equals_sessions(self):
         rng = random.Random(9)
         sessions = [
-            session_from_offsets(doubling_offsets(0.4, rng.randint(0, 9)), key_suffix=bytes([i]))
+            session_from_offsets(doubling_offsets(0.4, rng.randint(0, 9)))
             for i in range(100)
         ]
-        hist = resend_count_distribution(map(resend_rounds, sessions))
+        hist = resend_count_distribution((resend_rounds(s.offsets) for s in sessions))
         assert sum(hist.values()) == 100
 
     def test_two_datagram_rounds_count_once(self):
         # Initial and Handshake at the same instant belong to one round.
         offsets = [0.0, 0.0, 0.4, 0.4, 0.8, 0.8]
-        types = [PacketType.INITIAL, PacketType.HANDSHAKE] * 3
-        session = session_from_offsets(offsets, types=types)
-        hist = resend_count_distribution([resend_rounds(session)])
+        hist = resend_count_distribution([resend_rounds(offsets)])
         assert hist == {2: 1}
 
     def test_one_response_only(self):
-        sessions = [session_from_offsets([0.0], key_suffix=bytes([i])) for i in range(4)]
-        assert resend_count_distribution(map(resend_rounds, sessions)) == {0: 4}
+        sessions = [session_from_offsets([0.0]) for i in range(4)]
+        assert resend_count_distribution((resend_rounds(s.offsets) for s in sessions)) == {0: 4}
 
 
 class TestMatchProfile:

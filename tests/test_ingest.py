@@ -11,11 +11,9 @@ from quicscope.ingest import (
     IngestCounters,
     PrefixTable,
     ScannerList,
-    SessionKey,
-    Timeline,
     ingest,
 )
-from quicscope import pcap, tables
+from quicscope import ingest as ingest_module, pcap, tables
 from quicscope.pcap import (
     LINKTYPE_ETHERNET, LINKTYPE_RAW_IP, CaptureCounters, PcapReader, build_ipv4_udp, write_pcap,
 )
@@ -24,7 +22,7 @@ from quicscope.wire import (
     split_coalesced,
 )
 
-from conftest import make_request, make_response, packets_of, parse_ipv4_udp, sessions_of, timeline_entries
+from conftest import make_request, make_response, packets_of, parse_ipv4_udp, reference_sessions, sessions_of
 
 
 def net(s):
@@ -192,6 +190,21 @@ class TestPrefixTable:
         records = list(ingest(packets_of(datagrams), prefixes=table))
         assert [(r.operator, r.asn) for r in records] == [("Facebook", 32934)] * 2 + [(None, None)] * 2
 
+    def test_prefix_hits_cleared_at_their_bound_label_as_before(self, monkeypatch):
+        # ingest keeps at most _PREFIX_HITS server addresses' hits; with a
+        # bound of 3, twelve servers, each seen twice, clear the cache often
+        table = PrefixTable([(net("198.51.100.0/26"), 32934, "Facebook"), (net("198.51.100.0/24"), 13335, "Cloudflare")])
+        servers = [f"198.51.{100 + i % 2}.{40 * (i % 3) + i}" for i in range(12)]
+        datagrams = [make_response(0.1 * i, src=server) for i, server in enumerate(servers + servers[::-1])]
+        datagrams += [make_request(5.0 + 0.1 * i, dst=server) for i, server in enumerate(servers)]
+        unbounded = list(ingest(packets_of(datagrams), prefixes=table))
+        monkeypatch.setattr(ingest_module, "_PREFIX_HITS", 3)
+        lookups = []
+        monkeypatch.setattr(table, "lookup", lambda address: lookups.append(address) or PrefixTable.lookup(table, address))
+        assert list(ingest(packets_of(datagrams), prefixes=table)) == unbounded
+        assert len(lookups) > len(servers)
+        assert {(r.operator, r.asn) for r in unbounded} == {("Facebook", 32934), ("Cloudflare", 13335), (None, None)}
+
 
 class TestSessionize:
     def test_resend_series_is_one_session(self):
@@ -199,13 +212,13 @@ class TestSessionize:
         records = list(ingest(packets_of([make_response(1000.0 + o) for o in offsets])))
         sessions = sessions_of(records)
         assert len(sessions) == 1
-        assert [round(offset, 3) for offset, _, _, _ in timeline_entries(sessions[0].timeline)] == offsets
+        assert [round(offset, 3) for offset in sessions[0].offsets] == offsets
 
     def test_idle_gap_splits_sessions(self):
         records = list(ingest(packets_of([make_response(0.0), make_response(600.0)])))
         sessions = sessions_of(records, idle_gap=60.0)
         assert len(sessions) == 2
-        assert all([offset for offset, _, _, _ in timeline_entries(s.timeline)] == [0.0] for s in sessions)
+        assert all(list(s.offsets) == [0.0] for s in sessions)
 
     def test_different_dcid_different_session(self):
         records = list(
@@ -214,17 +227,30 @@ class TestSessionize:
         sessions = sessions_of(records)
         assert len(sessions) == 2
 
+    def test_cids_one_octet_apart_are_different_sessions(self):
+        datagrams = [make_response(0.0, scid=b"\x01", dcid=b"\x02"), make_response(0.1, scid=b"\x01", dcid=b"\x03")]
+        datagrams.append(make_response(0.2, scid=b"\x01", dcid=b"\x02"))
+        sessions = sessions_of(ingest(packets_of(datagrams)))
+        assert [list(s.offsets) for s in sessions] == [[0.0, 0.2], [0.0]]
+
     def test_coalesced_entries_share_offset(self):
         records = list(
             ingest(packets_of([make_response(5.0, types=(PacketType.INITIAL, PacketType.HANDSHAKE))]))
         )
         sessions = sessions_of(records)
         assert len(sessions) == 1
-        entries = timeline_entries(sessions[0].timeline)
-        assert [(offset, coalesced) for offset, _, _, coalesced in entries] == [(0.0, True)] * 2
+        assert list(sessions[0].offsets) == [0.0, 0.0]
+
+    def test_offsets_of_initial_and_handshake_packets_only(self):
+        types = [(PacketType.INITIAL,), (PacketType.ZERO_RTT,), (PacketType.HANDSHAKE,), (PacketType.ZERO_RTT,)]
+        datagrams = [make_response(0.1 * i + 0.2, types=t) for i, t in enumerate(types)]
+        (session,) = sessions_of(ingest(packets_of(datagrams)))
+        assert list(session.offsets) == [0.0, (0.1 * 2 + 0.2) - 0.2]
 
     def test_partition_property(self):
-        # every parsed packet lands in exactly one session
+        # every parsed packet lands in exactly one session: the reference
+        # sessionizer's, in the order they opened, with the Initial and
+        # Handshake entries of its timeline as the offsets
         datagrams = []
         t = 0.0
         for i in range(40):
@@ -237,18 +263,30 @@ class TestSessionize:
                     types=(PacketType.INITIAL, PacketType.HANDSHAKE) if i % 3 == 0 else (PacketType.INITIAL,),
                 )
             )
+        datagrams.append(make_request(20.0, src="172.16.5.1", dst="198.51.100.1"))
         records = list(ingest(packets_of(datagrams)))
         total_packets = sum(len(r.packets) for r in records)
         sessions = sessions_of(records)
-        assert sum(len(timeline_entries(s.timeline)) for s in sessions) == total_packets
-        keys = [(s.key, s.start_ts) for s in sessions]
-        assert len(keys) == len(set(keys))
+        assert sum(len(s.offsets) for s in sessions) == total_packets
+        reference = reference_sessions(records)
+        assert [(s.key[0], s.operator, s.direction, s.version, [e[0] for e in s.timeline]) for s in reference] == [
+            (s.src_ip, s.operator, s.direction, s.version, list(s.offsets)) for s in sessions
+        ]
+
+    def test_request_and_response_under_one_cid_pair_are_two_sessions(self):
+        # the reference's key has no direction, so it took them for one session
+        response = make_response(0.0, src="198.51.100.1", dst="172.16.5.5", scid=b"\x01" * 8, dcid=b"\x02" * 8)
+        request = make_request(0.5, src="198.51.100.1", dst="172.16.5.5", scid=b"\x01" * 8, dcid=b"\x02" * 8)
+        records = list(ingest(packets_of([response, request])))
+        assert [r.direction for r in records] == [Direction.RESPONSE, Direction.REQUEST]
+        assert [s.direction for s in sessions_of(records)] == [Direction.RESPONSE, Direction.REQUEST]
+        assert len(reference_sessions(records)) == 1
 
     def test_offsets_non_decreasing(self):
         records = list(ingest(packets_of([make_response(t) for t in (0.0, 0.5, 0.5, 2.0)])))
         sessions = sessions_of(records)
         for s in sessions:
-            offsets = [offset for offset, _, _, _ in timeline_entries(s.timeline)]
+            offsets = list(s.offsets)
             assert offsets == sorted(offsets)
             assert offsets[0] == 0.0
 
@@ -259,41 +297,7 @@ class TestSessionize:
         assert sessions[0].operator == "Google"
         assert sessions[0].version == 1
         assert sessions[0].direction == Direction.RESPONSE
-
-    def test_key_is_exact_bytes(self):
-        key_a = SessionKey("1.1.1.1", "2.2.2.2", b"\x01", b"\x02")
-        key_b = SessionKey("1.1.1.1", "2.2.2.2", b"\x01", b"\x03")
-        assert key_a != key_b
-        assert key_a == SessionKey("1.1.1.1", "2.2.2.2", b"\x01", b"\x02")
-
-
-class TestTimeline:
-    ENTRIES = [
-        (0.0, PacketType.INITIAL, 1200, True),
-        (0.0, PacketType.HANDSHAKE, 1200, True),
-        (0.1 + 0.2, PacketType.ZERO_RTT, 65535, False),
-        (1e-07, PacketType.RETRY, 0, False),
-    ]
-
-    def timeline(self) -> Timeline:
-        timeline = Timeline()
-        for entry in self.ENTRIES:
-            timeline.add(*entry)
-        return timeline
-
-    def test_entries_read_back_exactly(self):
-        assert timeline_entries(self.timeline()) == self.ENTRIES
-
-    def test_offsets_of_packet_types_in_order(self):
-        timeline = self.timeline()
-        assert timeline.offsets((PacketType.INITIAL, PacketType.ZERO_RTT)) == [0.0, 0.1 + 0.2]
-        assert timeline.offsets(()) == []
-
-    @pytest.mark.parametrize("offset, length", [("0.5", 1200), (0.5, -1), (0.5, 1.5), (0.5, 1 << 32)])
-    def test_value_no_entry_can_hold_is_value_error(self, offset, length):
-        with pytest.raises(ValueError, match=r"^timeline entry \["):
-            Timeline().add(offset, PacketType.INITIAL, length, False)
-
+        assert sessions[0].src_ip == "198.51.100.1"
 
 
 def reference_ingest(datagrams, config, counters, scanners, prefixes):

@@ -4,10 +4,12 @@ import random
 
 import pytest
 
-from quicscope.fingerprint import RtoEstimate
-from quicscope.ingest import ingest
+from quicscope import fingerprint
+from quicscope.fingerprint import RtoEstimate, resend_rounds
+from quicscope.ingest import group_traits, ingest
 from quicscope.offnet import (
     NOT_OPERATOR,
+    RULE_NAMES,
     GroundTruth,
     MissingLabel,
     RuleParams,
@@ -21,7 +23,7 @@ from quicscope.scid import FacebookScidFields, encode_facebook_scid
 from quicscope.sim import DeploymentConfig, FloodConfig, ClusterConfig, RoutingMode, default_stack_profile
 from quicscope.wire import Direction
 
-from conftest import make_response, packets_of, sessions_of, simulate_to_pcap, traits_of
+from conftest import make_response, packets_of, sessions_of, simulate_to_pcap
 
 
 def features(**overrides) -> SourceFeatures:
@@ -41,9 +43,9 @@ def source_features(records, source, min_rto_sessions=5) -> SourceFeatures:
     """Features of one source address, folded from its response records
     the way classify folds them."""
     responses = [r for r in records if r.direction is Direction.RESPONSE]
-    traits = traits_of(responses, lambda r: r.src_ip)
-    sessions = [s for s in sessions_of(responses) if s.key.src_ip == source]
-    return extract_features(traits[source], sessions, min_rto_sessions=min_rto_sessions)
+    traits = group_traits(responses, lambda r: r.src_ip)
+    rounds = [resend_rounds(s.offsets) for s in sessions_of(responses) if s.src_ip == source]
+    return extract_features(traits[source], rounds, min_rto_sessions=min_rto_sessions)
 
 
 def facebook_scid(host, worker=1, bits=0):
@@ -143,34 +145,38 @@ class TestLowHostIdPredicate:
         assert low_host_id(decode_facebook_scid(facebook_scid(host))) is expected
 
 
+# the shipped profile table's Facebook row as the reference, read once
+PARAMS = RuleParams().with_reference()
+
+
 class TestClassify:
     def test_low_host_rule_positive(self):
         f = features(scid_scheme_match="Facebook", scid_structured=True, low_host_id=True)
-        assert classify(f, "SCID off-net (low host ID)") == "Facebook"
+        assert classify(f, "SCID off-net (low host ID)", PARAMS) == "Facebook"
 
     def test_low_host_rule_high_host(self):
         f = features(scid_scheme_match="Facebook", scid_structured=True, low_host_id=False)
-        assert classify(f, "SCID off-net (low host ID)") == NOT_OPERATOR
+        assert classify(f, "SCID off-net (low host ID)", PARAMS) == NOT_OPERATOR
 
     def test_unknown_rule(self):
         with pytest.raises(UnknownRule):
-            classify(features(), "made-up rule")
+            classify(features(), "made-up rule", PARAMS)
 
     def test_scid_rule(self):
-        assert classify(features(scid_scheme_match="Facebook"), "SCID") == "Facebook"
-        assert classify(features(scid_scheme_match="Cloudflare"), "SCID") == NOT_OPERATOR
+        assert classify(features(scid_scheme_match="Facebook"), "SCID", PARAMS) == "Facebook"
+        assert classify(features(scid_scheme_match="Cloudflare"), "SCID", PARAMS) == NOT_OPERATOR
 
     def test_coalescence_rule_matches_absence_for_facebook(self):
-        assert classify(features(coalescence=False), "Coalescence") == "Facebook"
-        assert classify(features(coalescence=True), "Coalescence") == NOT_OPERATOR
+        assert classify(features(coalescence=False), "Coalescence", PARAMS) == "Facebook"
+        assert classify(features(coalescence=True), "Coalescence", PARAMS) == NOT_OPERATOR
 
     def test_inter_arrival_rule(self):
         good = RtoEstimate(0.41, 2.0, (8, 8), 10)
         f = features(rto_signature=good)
-        assert classify(f, "Inter arrival time") == "Facebook"
+        assert classify(f, "Inter arrival time", PARAMS) == "Facebook"
         slow = RtoEstimate(1.0, 2.0, (8, 8), 10)
-        assert classify(features(rto_signature=slow), "Inter arrival time") == NOT_OPERATOR
-        assert classify(features(rto_signature=None), "Inter arrival time") == NOT_OPERATOR
+        assert classify(features(rto_signature=slow), "Inter arrival time", PARAMS) == NOT_OPERATOR
+        assert classify(features(rto_signature=None), "Inter arrival time", PARAMS) == NOT_OPERATOR
 
     @pytest.mark.parametrize(
         "signature",
@@ -178,17 +184,17 @@ class TestClassify:
         ids=["backoff", "fewer-resends", "more-resends"],
     )
     def test_inter_arrival_rule_compares_the_whole_signature(self, signature):
-        assert classify(features(rto_signature=signature), "Inter arrival time") == NOT_OPERATOR
+        assert classify(features(rto_signature=signature), "Inter arrival time", PARAMS) == NOT_OPERATOR
 
     def test_inter_arrival_rule_takes_its_tolerances_from_the_params(self):
         f = features(rto_signature=RtoEstimate(0.46, 2.4, (8, 8), 10))
-        assert classify(f, "Inter arrival time") == "Facebook"
-        assert classify(f, "Inter arrival time", RuleParams(rto_tolerance=0.1)) == NOT_OPERATOR
-        assert classify(f, "Inter arrival time", RuleParams(backoff_tolerance=0.3)) == NOT_OPERATOR
+        assert classify(f, "Inter arrival time", PARAMS) == "Facebook"
+        assert classify(f, "Inter arrival time", PARAMS._replace(rto_tolerance=0.1)) == NOT_OPERATOR
+        assert classify(f, "Inter arrival time", PARAMS._replace(backoff_tolerance=0.3)) == NOT_OPERATOR
 
     def test_rules_compare_against_the_target_operators_row(self):
         # Google's row: 0.3 s, coalescence
-        params = RuleParams(target_operator="Google")
+        params = RuleParams(target_operator="Google").with_reference()
         assert classify(features(rto_signature=RtoEstimate(0.31, 2.0, (4, 4), 10)), "Inter arrival time", params) == "Google"
         assert classify(features(coalescence=True), "Coalescence", params) == "Google"
         assert classify(features(coalescence=False), "Coalescence", params) == NOT_OPERATOR
@@ -199,28 +205,49 @@ class TestClassify:
             rto_signature=RtoEstimate(0.4, 2.0, (7, 9), 10),
             coalescence=False,
         )
-        assert classify(f, "SCID & Inter arrival time") == "Facebook"
-        assert classify(f, "SCID & coalescence & Inter arrival time") == "Facebook"
+        assert classify(f, "SCID & Inter arrival time", PARAMS) == "Facebook"
+        assert classify(f, "SCID & coalescence & Inter arrival time", PARAMS) == "Facebook"
         f_coalescing = features(
             scid_scheme_match="Facebook",
             rto_signature=RtoEstimate(0.4, 2.0, (7, 9), 10),
             coalescence=True,
         )
-        assert classify(f_coalescing, "SCID & coalescence & Inter arrival time") == NOT_OPERATOR
+        assert classify(f_coalescing, "SCID & coalescence & Inter arrival time", PARAMS) == NOT_OPERATOR
 
     def test_packet_length_rule_needs_reference(self):
         shapes = frozenset({(("Initial",), 1200)})
         f = features(length_signature=shapes)
-        assert classify(f, "QUIC packet length") == NOT_OPERATOR  # no reference
-        params = RuleParams(reference_shapes=frozenset({(("Initial",), 1200), (("Handshake",), 115)}))
+        assert classify(f, "QUIC packet length", PARAMS) == NOT_OPERATOR  # no reference
+        params = PARAMS._replace(reference_shapes=frozenset({(("Initial",), 1200), (("Handshake",), 115)}))
         assert classify(f, "QUIC packet length", params) == "Facebook"
         off = features(length_signature=frozenset({(("Initial",), 999)}))
         assert classify(off, "QUIC packet length", params) == NOT_OPERATOR
 
     def test_deterministic_and_order_independent(self):
         f = features(scid_scheme_match="Facebook", low_host_id=True)
-        results = {classify(f, "SCID off-net (low host ID)") for _ in range(5)}
+        results = {classify(f, "SCID off-net (low host ID)", PARAMS) for _ in range(5)}
         assert results == {"Facebook"}
+
+    def test_profile_table_is_read_once_for_any_number_of_calls(self, monkeypatch):
+        reads = []
+
+        def counted(path=None):
+            reads.append(path)
+            return fingerprint.load_known_profiles(path)
+
+        monkeypatch.setattr("quicscope.offnet.load_known_profiles", counted)
+        params = RuleParams().with_reference()
+        f = features(scid_scheme_match="Facebook", rto_signature=RtoEstimate(0.41, 2.0, (8, 8), 10), low_host_id=True)
+        for rule in RULE_NAMES * 500:
+            classify(f, rule, params)
+        assert reads == [None]
+
+    def test_params_with_a_reference_are_required(self):
+        # so that no call can fall back to reading the table itself
+        with pytest.raises(TypeError):
+            classify(features(), "SCID")
+        with pytest.raises(ValueError, match="RuleParams.with_reference"):
+            classify(features(), "SCID", RuleParams())
 
 
 class TestEvaluate:

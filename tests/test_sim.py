@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from quicscope.fingerprint import resend_rounds
-from quicscope.ingest import ingest
+from quicscope.ingest import group_traits, ingest
 from quicscope.pcap import PcapWriter
 from quicscope.scid import FacebookScidFields, decode_facebook_scid, encode_facebook_scid
 from quicscope.sim import (
@@ -41,7 +41,7 @@ from quicscope.sim import (
 )
 from quicscope.wire import PacketType, TruncatedPacket, encode_long_header, parse_long_header, split_coalesced
 
-from conftest import NO_PACKET_PAYLOADS, packets_of, sessions_of, simulate_to_pcap, traits_of
+from conftest import NO_PACKET_PAYLOADS, packets_of, sessions_of, simulate_to_pcap
 
 
 def profile(operator="Facebook", **overrides):
@@ -640,7 +640,7 @@ class TestFloodDeterminism:
         sessions = sessions_of(records)
         assert len(sessions) == 39
         for s in sessions:
-            assert len(resend_rounds(s)) <= 1 + prof.max_retransmissions
+            assert len(resend_rounds(s.offsets)) <= 1 + prof.max_retransmissions
 
     def test_resend_mode_matches_configured_range(self, tmp_path):
         from quicscope.fingerprint import resend_count_distribution
@@ -654,10 +654,10 @@ class TestFloodDeterminism:
             _, datagrams = simulate_to_pcap(cfg, tmp_path / f"{operator}.pcap")
             records = [r._replace(operator=operator) for r in ingest(packets_of(datagrams))]
             sessions = sessions_of(records)
-            hist = resend_count_distribution(map(resend_rounds, sessions))
+            hist = resend_count_distribution(resend_rounds(s.offsets) for s in sessions)
             mode = max(hist, key=hist.get)
             assert low <= mode <= high
-            counts = traits_of(records, lambda r: r.operator)[operator].type_counts()
+            counts = group_traits(records, lambda r: r.operator)[operator].type_counts()
             if operator == "Google":
                 # coalescing stack: the combined category dominates outright
                 assert counts["Initial & Handshake"] > sum(counts.values()) / 2

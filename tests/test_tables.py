@@ -1,57 +1,20 @@
-"""Datagram store: records loaded back equal the records ingest yielded."""
+"""The stores ingest writes and the table and JSON readers: what is read back
+equals what was written, and every bad value names its file and line."""
 
 import ipaddress
 import json
 import math
 import re
-from collections import deque
-from itertools import repeat
+from array import array
 
 import pytest
 
 from quicscope import InputError, tables
-from quicscope.cli import _operator_or_unknown, main
-from quicscope.ingest import (
-    CaptureRecord,
-    PrefixTable,
-    Session,
-    Sessionizer,
-    SessionKey,
-    Timeline,
-    group_traits,
-    ingest,
-)
+from quicscope.ingest import CaptureRecord, KeyRow, PrefixTable, Session, Traits, ingest
 from quicscope.sim import SessionTruth
-from quicscope.wire import Direction, LongHeader, PacketType
+from quicscope.wire import Direction, PacketType
 
-from conftest import datagram_rows, make_request, make_response, packets_of, sessions_of, timeline_entries, traits_of
-
-
-def stored_fields(record: CaptureRecord) -> tuple:
-    """Every field the store keeps; packets keep type, version and CIDs."""
-    return (
-        record.timestamp,
-        record.src_ip,
-        record.dst_ip,
-        record.src_port,
-        record.dst_port,
-        record.direction,
-        record.datagram_length,
-        [(p.packet_type, p.version, p.dcid, p.scid) for p in record.packets],
-        record.operator,
-        record.asn,
-    )
-
-
-def live_records() -> list[CaptureRecord]:
-    table = PrefixTable([(ipaddress.ip_network("198.51.100.0/24"), 32934, "Facebook")])
-    datagrams = [
-        make_response(0.0, types=(PacketType.INITIAL, PacketType.HANDSHAKE), pad_to=1200),
-        make_response(0.25, scid=b"\x01" * 20, dcid=b""),
-        make_response(0.5, src="192.0.2.7", types=(PacketType.HANDSHAKE,), version=0xFF00001D),
-        make_request(0.75),
-    ]
-    return list(ingest(packets_of(datagrams), prefixes=table))
+from conftest import folds, make_request, make_response, packets_of, save_folds
 
 
 class TestOfType:
@@ -61,120 +24,9 @@ class TestOfType:
             tables.of_type(float)(value)
 
 
-def every_row(path) -> list[CaptureRecord]:
-    """Every row of a datagram store, with its own timestamp, in file order,
-    as the store's reader hands them to a fold."""
-    rows = []
-    deque(tables.fold_datagrams(path, rows.append), maxlen=0)
-    return rows
-
-
-class TestDatagramStore:
-    def test_round_trip_keeps_every_stored_field(self, tmp_path):
-        live = live_records()
-        assert len(live) == 4
-        assert {r.direction for r in live} == {Direction.REQUEST, Direction.RESPONSE}
-        assert {r.operator for r in live} == {"Facebook", None}
-        loaded = every_row(tables.save_datagrams(tmp_path / "datagrams.jsonl", live))
-        assert all(isinstance(r, CaptureRecord) for r in loaded)
-        assert [stored_fields(r) for r in loaded] == [stored_fields(r) for r in live]
-        assert [r.types for r in loaded] == [r.types for r in live]
-
-    def test_stats_agree_on_live_and_loaded_records(self, tmp_path):
-        live = live_records()
-        loaded = every_row(tables.save_datagrams(tmp_path / "datagrams.jsonl", live))
-        for key in (lambda r: r.operator or "Unknown", lambda r: (r.src_ip, r.operator)):
-            assert traits_of(loaded, key) == traits_of(live, key)
-        assert traits_of(live, lambda r: r.operator)["Facebook"].type_counts()["Initial & Handshake"] == 1
-
-    def test_rows_equal_sorted_json_dumps(self, tmp_path):
-        def packet(ptype, version, octet):
-            return LongHeader(ptype, version, bytes([octet]) * 8, bytes([octet + 1]) * 20)
-
-        coalesced = [
-            packet(PacketType.INITIAL, 1, 0x01),
-            packet(PacketType.HANDSHAKE, 1, 0x03),
-            packet(PacketType.ZERO_RTT, 0xFF00001D, 0x05),
-        ]
-        records = [
-            CaptureRecord(7, "198.51.100.1", "172.16.5.5", 443, 50000, Direction.RESPONSE, 1200, coalesced,
-                          'Say "cheese" \\ co', 32934),
-            CaptureRecord(1700000000.123456, "192.0.2.7", "172.16.0.1", 443, 1, Direction.RESPONSE, 42,
-                          [packet(PacketType.RETRY, 0xFACEB002, 0x07)], "Café ✓ 東京", 0),
-            CaptureRecord(0.1 + 0.2, "172.16.5.5", "198.51.100.1", 50000, 443, Direction.REQUEST, 1200,
-                          [LongHeader(PacketType.VERSION_NEGOTIATION, 0, b"", b"")], None, None),
-            CaptureRecord(1e-07, "10.0.0.1", "10.0.0.2", 443, 443, Direction.RESPONSE, 0, [], "Facebook", None),
-        ]
-        # the store's row as json.dumps writes it
-        reference = "".join(
-            json.dumps(
-                {
-                    "ts": r.timestamp,
-                    "src": r.src_ip,
-                    "dst": r.dst_ip,
-                    "sport": r.src_port,
-                    "dport": r.dst_port,
-                    "direction": r.direction.value,
-                    "length": r.datagram_length,
-                    "operator": r.operator,
-                    "asn": r.asn,
-                    "packets": [[p.packet_type.value, p.version, p.scid.hex(), p.dcid.hex()] for p in r.packets],
-                },
-                sort_keys=True,
-            )
-            + "\n"
-            for r in records
-        )
-        path = tables.save_datagrams(tmp_path / "datagrams.jsonl", records)
-        assert path.read_bytes() == reference.encode()
-        # ingest never yields a datagram without a packet, and the loader rejects its row
-        with pytest.raises(InputError, match=f"^{re.escape(str(path))}:4: datagram row has no packets"):
-            every_row(path)
-        path = tables.save_datagrams(tmp_path / "datagrams.jsonl", records[:3])
-        assert [stored_fields(r) for r in every_row(path)] == [stored_fields(r) for r in records[:3]]
-
-    def test_rows_in_any_key_order_or_spacing_load_as_canonical_rows(self, tmp_path):
-        live = live_records()
-        canonical = tables.save_datagrams(tmp_path / "datagrams.jsonl", live)
-        rows = [json.loads(line) for line in canonical.read_text().splitlines()]
-        path = tmp_path / "edited.jsonl"
-        path.write_text(
-            "".join(
-                " " * (i % 3)
-                + json.dumps(dict(reversed(row.items())), separators=(" ,  ", " :\t"))
-                + ("\t \r\n" if i % 2 else "\n")
-                for i, row in enumerate(rows)
-            )
-        )
-        assert [stored_fields(r) for r in every_row(path)] == [stored_fields(r) for r in live]
-
-    @pytest.mark.parametrize(
-        "bad_row,message",
-        [
-            ("{not json", "Expecting property name"),
-            (json.dumps({"ts": 1.0, "packets": 5}), "not iterable"),
-            (json.dumps({"ts": 1.0, "packets": [["X", 1, "", ""]]}), "'X' is not a valid PacketType"),
-            (json.dumps({"ts": 1.0, "packets": [[[1], 1, "", ""]]}), "[1] is not a valid PacketType"),
-            (json.dumps({"ts": 1.0, "packets": [["initial", 1, "", "zz"]]}), "non-hexadecimal number"),
-            (json.dumps({"ts": 1.0, "packets": [["initial", 1, "", "00" * 21]]}), "exceeds 20"),
-            # a known packet, then a direction the store does not name
-            (json.dumps({"ts": 1.0, "packets": [["initial", 1, "", ""]]}), "missing key 'direction'"),
-            (json.dumps({"ts": 1.0, "packets": [["initial", 1, "", ""]], "direction": "sideways"}), "'sideways' is not a valid Direction"),
-            (json.dumps({"ts": 1.0, "packets": [["initial", 1, "", ""]], "direction": ["response"]}), "['response'] is not a valid Direction"),
-        ],
-    )
-    def test_malformed_row_names_file_and_line(self, tmp_path, bad_row, message):
-        path = tables.save_datagrams(tmp_path / "datagrams.jsonl", live_records()[:2])
-        with path.open("a") as fh:
-            fh.write(bad_row + "\n")
-        with pytest.raises(InputError, match=f"^{re.escape(str(path))}:3: ") as excinfo:
-            every_row(path)
-        assert message in str(excinfo.value)
-
-
 def train_records() -> list[CaptureRecord]:
-    """Resend trains, whose rows differ only in their timestamps, next to
-    rows of their own: a coalesced response, an unlabeled one and a request."""
+    """Resend trains next to datagrams of their own: a coalesced response,
+    an unlabeled one and a request."""
     table = PrefixTable([(ipaddress.ip_network("198.51.100.0/24"), 32934, "Facebook")])
     datagrams = [make_response(ts, pad_to=1200) for ts in (0.0, 0.4, 1.2, 2.8, 6.0)]
     datagrams += [make_response(ts, scid=b"\x01" * 8, types=(PacketType.HANDSHAKE,)) for ts in (0.1, 0.5, 1.3)]
@@ -187,231 +39,176 @@ def train_records() -> list[CaptureRecord]:
     return list(ingest(packets_of(datagrams), prefixes=table))
 
 
-def classify_key(record: CaptureRecord) -> tuple:
-    return record.src_ip, record.operator
+def saved_folds(tmp_path, records) -> tuple:
+    """Both stores of `records`, written as ingest writes them, with the folds written."""
+    return save_folds(tmp_path, records), *folds(records)
 
 
-# the one reader's folds: none, as fingerprint and scid read the store, and classify's Sessionizer
-FOLDS = ["no-fold", "sessionizer"]
+def session_fields(session: Session) -> tuple:
+    return session.src_ip, session.operator, session.direction, session.version, list(session.offsets)
 
 
-class TestStoreReader:
-    """fold_datagrams, the one reader of the datagram store, against the
-    row-by-row reference read (conftest.datagram_rows), with no fold as
-    fingerprint and scid read it and with classify's Sessionizer fold: the
-    same group_traits under fingerprint's, scid's and classify's keys, and
-    with the fold, the same rows handed over and the same sessions; on odd
-    rows, blank lines, integer timestamps and resend trains across blocks.
-    A bad row in any place, or a store that cannot be read, fails with the
-    reference's own InputError."""
+def read_back(datagrams, sessions) -> tuple:
+    """Both stores read back, each session's offsets as a list."""
+    rows = list(tables.read_key_rows(datagrams, list))
+    return (
+        {(r.direction, r.src_ip, r.operator): (r.traits, r.sessions) for r in rows},
+        [session_fields(s) for s in tables.read_sessions(sessions)],
+    )
 
-    @staticmethod
-    def traits(pairs) -> dict:
-        pairs = list(pairs)
-        responses = [pair for pair in pairs if pair[0].direction is Direction.RESPONSE]
-        return {
-            "fingerprint": group_traits(pairs, _operator_or_unknown),
-            "scid": group_traits(responses, _operator_or_unknown, shapes=False),
-            "classify": group_traits(responses, classify_key),
+
+def expected(traits, sessions) -> tuple:
+    by_key = {key: (t, []) for key, t in traits.items()}
+    for s in sessions:
+        by_key[s.direction, s.src_ip, s.operator][1].append(list(s.offsets))
+    return by_key, [session_fields(s) for s in sessions]
+
+
+class TestStores:
+    """The datagram store's rows, one per store_key, and the session
+    store's, one per session, against the folds that ingest writes."""
+
+    def test_round_trip_keeps_every_fold(self, tmp_path):
+        paths, traits, sessions = saved_folds(tmp_path, train_records())
+        assert len(traits) == 3 and len(sessions) == 5
+        assert read_back(*paths) == expected(traits, sessions)
+
+    def test_rows_equal_sorted_json_dumps(self, tmp_path):
+        fb, cafe = 'Say "cheese" \\ co', "Café ✓ 東京"
+        traits = {
+            (Direction.RESPONSE, "198.51.100.1", fb): Traits(
+                {(("Initial", "Handshake"), 1200): 3, (("Initial",), 42): 1}, {b"\x01" * 20, b""}
+            ),
+            (Direction.REQUEST, "172.16.5.5", None): Traits({(("Initial",), 1252): 2}, set()),
+            (Direction.RESPONSE, "192.0.2.7", cafe): Traits({(("Retry",), 0): 1}, {b"\xff" * 8}),
         }
+        sessions = [
+            Session("198.51.100.1", fb, Direction.RESPONSE, 1, array("d", [0.0, 0.0, 0.1 + 0.2, 1e-07])),
+            Session("172.16.5.5", None, Direction.REQUEST, 0xFACEB002, array("d", [0.0])),
+            Session("198.51.100.1", fb, Direction.RESPONSE, 0xFF00001D, array("d")),
+            Session("192.0.2.7", cafe, Direction.RESPONSE, 1, array("d", [1e22, 2.5])),
+        ]
+        key_rows = [
+            {"direction": "response", "src": "198.51.100.1", "operator": fb,
+             "shapes": [[["Initial"], 42, 1], [["Initial", "Handshake"], 1200, 3]], "scids": ["", "01" * 20],
+             "sessions": "0 0 0.30000000000000004 1e-07;;"},
+            {"direction": "request", "src": "172.16.5.5", "operator": None,
+             "shapes": [[["Initial"], 1252, 2]], "scids": [], "sessions": "0;"},
+            {"direction": "response", "src": "192.0.2.7", "operator": cafe,
+             "shapes": [[["Retry"], 0, 1]], "scids": ["ff" * 8], "sessions": "1e+22 2.5;"},
+        ]
+        session_rows = [
+            {"direction": "response", "src": "198.51.100.1", "operator": fb, "version": 1,
+             "offsets": "0 0 0.30000000000000004 1e-07"},
+            {"direction": "request", "src": "172.16.5.5", "operator": None, "version": 0xFACEB002, "offsets": "0"},
+            {"direction": "response", "src": "198.51.100.1", "operator": fb, "version": 0xFF00001D, "offsets": ""},
+            {"direction": "response", "src": "192.0.2.7", "operator": cafe, "version": 1, "offsets": "1e+22 2.5"},
+        ]
+        paths = tmp_path / "datagrams.jsonl", tmp_path / "sessions.jsonl"
+        tables.save_stores(*paths, traits, sessions)
+        for path, rows in zip(paths, (key_rows, session_rows)):
+            assert path.read_text() == "".join(json.dumps(row, sort_keys=True) + "\n" for row in rows)
+        assert read_back(*paths) == expected(traits, sessions)
 
-    @staticmethod
-    def sessions(rows, sessions) -> tuple:
-        """Rows and sessions by repr, so that a NaN time equals itself and 3 is not 3.0."""
-        return repr(rows), repr([session_fields(s) for s in sessions])
+    def test_rows_in_any_key_order_or_spacing_load_as_canonical_rows(self, tmp_path):
+        paths, traits, sessions = saved_folds(tmp_path, train_records())
+        for path in paths:
+            rows = [json.loads(line) for line in path.read_text().splitlines()]
+            path.write_text(
+                "\n \t\n".join(
+                    " " * (i % 3)
+                    + json.dumps(dict(reversed(row.items())), separators=(" ,  ", " :\t"))
+                    + ("\t \r" if i % 2 else "")
+                    for i, row in enumerate(rows)
+                )
+            )
+        assert read_back(*paths) == expected(traits, sessions)
 
-    @classmethod
-    def read(cls, path, fold: str) -> tuple:
-        if fold == "no-fold":
-            return (cls.traits(tables.fold_datagrams(path)),)
-        sessionizer = Sessionizer()
-        rows = []
+    def test_each_session_keeps_what_the_reader_keeps(self, tmp_path):
+        (datagrams, _), traits, sessions = saved_folds(tmp_path, train_records())
+        rows = list(tables.read_key_rows(datagrams, len))
+        assert sorted(n for row in rows for n in row.sessions) == sorted(len(s.offsets) for s in sessions)
+        rows = list(tables.read_key_rows(datagrams))
+        assert [row.sessions for row in rows] == [[]] * len(traits)
+        assert {(r.direction, r.src_ip, r.operator): r.traits for r in rows} == traits
 
-        def add(row):
-            rows.append(row)
-            if row.direction is Direction.RESPONSE:
-                sessionizer.add(row)
-
-        return (cls.traits(tables.fold_datagrams(path, add)), *cls.sessions(rows, sessionizer.sessions()))
-
-    @classmethod
-    def reference(cls, path, fold: str) -> tuple:
-        rows = datagram_rows(path)
-        traits = cls.traits(zip(rows, repeat(1)))
-        if fold == "no-fold":
-            return (traits,)
-        return traits, *cls.sessions(rows, sessions_of(r for r in rows if r.direction is Direction.RESPONSE))
-
-    def outcomes(self, path, fold: str) -> tuple:
-        """(what the reader gives or its InputError message) and the same of the reference."""
-        results = []
-        for read in (self.read, self.reference):
-            try:
-                results.append(read(path, fold))
-            except InputError as exc:
-                results.append(str(exc))
-        return tuple(results)
-
-    @staticmethod
-    def counts(path, fold: str) -> list[tuple[CaptureRecord, int]]:
-        return list(tables.fold_datagrams(path, None if fold == "no-fold" else lambda row: None))
-
-    @pytest.mark.parametrize("fold", FOLDS)
-    def test_resends_count_as_one_row(self, tmp_path, fold):
-        path = tables.save_datagrams(tmp_path / "datagrams.jsonl", train_records())
-        pairs = self.counts(path, fold)
-        assert sum(n for _, n in pairs) == 11
-        assert sorted(n for _, n in pairs) == [1, 1, 1, 3, 5]
-        read, reference = self.outcomes(path, fold)
-        assert read == reference
-        assert read[0]["fingerprint"]["Facebook"].shapes[(("Initial",), 1200)] == 5
-
-    @pytest.mark.parametrize("fold", FOLDS)
-    @pytest.mark.parametrize("block", [1, 2, 3])
-    def test_a_row_counted_in_parts_across_blocks(self, tmp_path, monkeypatch, block, fold):
-        path = tables.save_datagrams(tmp_path / "datagrams.jsonl", train_records())
-        monkeypatch.setattr(tables, "ROW_BLOCK", block)
-        counts = [n for record, n in self.counts(path, fold) if record.datagram_length == 1200]
-        assert len(counts) > 1 and sum(counts) == 5
-        read, reference = self.outcomes(path, fold)
-        assert read == reference
-
-    @pytest.mark.parametrize("fold", FOLDS)
-    def test_resend_train_spans_blocks(self, tmp_path, monkeypatch, fold):
-        path = tables.save_datagrams(tmp_path / "datagrams.jsonl", train_records())
-        monkeypatch.setattr(tables, "ROW_BLOCK", 2)
-        # with two distinct rows a block, the five-row train of the first response falls in four
-        counts = [n for record, n in self.counts(path, fold) if record.datagram_length == 1200]
-        assert sorted(counts) == [1, 1, 1, 2]
-        read, reference = self.outcomes(path, fold)
-        assert isinstance(read, tuple)
-        assert read == reference
-        assert read[0]["classify"][("198.51.100.1", "Facebook")].shapes[(("Initial",), 1200)] == 5
-
-    # how each kind of odd row is made from a canonical row's line
-    ODD_ROWS = {
-        "crlf-endings": lambda line: line + "\r",
-        "surrounding-whitespace": lambda line: " \t" + line + "  ",
-        "nan-ts": lambda line: re.sub(r'"ts": [^}]*}$', '"ts": NaN}', line),
-        "overflowing-ts": lambda line: re.sub(r'"ts": [^}]*}$', '"ts": 1e999}', line),
-        "negative-zero-ts": lambda line: re.sub(r'"ts": [^}]*}$', '"ts": -0}', line),
-        "exponent-ts": lambda line: re.sub(r'"ts": [^}]*}$', '"ts": 2.5E+3}', line),
-        "negative-exponent-ts": lambda line: re.sub(r'"ts": [^}]*}$', '"ts": -1e-07}', line),
-        "largest-integer-ts": lambda line: re.sub(r'"ts": [^}]*}$', f'"ts": {2**1022}}}', line),
-        "smallest-integer-ts": lambda line: re.sub(r'"ts": [^}]*}$', f'"ts": {-(2**1022)}}}', line),
-        "non-ascii-digit-ts": lambda line: re.sub(r'"ts": [^}]*}$', '"ts": 1١}', line),
-        "leading-zero-ts": lambda line: re.sub(r'"ts": [^}]*}$', '"ts": 01}', line),
-        "missing-ts": lambda line: re.sub(r', "ts": [^}]*}$', "}", line),
-        "string-ts": lambda line: re.sub(r'"ts": [^}]*}$', '"ts": "x"}', line),
-        "duplicated-ts": lambda line: '{"ts": "x", ' + line[1:],
-        "duplicated-ts-last-bad": lambda line: line[:-1] + ', "ts": "x"}',
-        "no-first-key": lambda line: '{, "ts": 1}',
+    # a row of each store, and the edits that make it bad, with what the reader says
+    KEY_ROW = {
+        "direction": "response", "src": "198.51.100.1", "operator": "Facebook",
+        "shapes": [[["Initial"], 1200, 2]], "scids": ["bb" * 8], "sessions": "0.0 0.4;0.0;",
+    }
+    SESSION_ROW = {"direction": "response", "src": "198.51.100.1", "operator": None, "version": 1, "offsets": "0.0 0.4"}
+    LABELS = '"Initial", "0-RTT", "Handshake", "Retry", "VersionNegotiation"'
+    BAD_KEY_ROWS = {
+        "not-json": (None, "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
+        "no-sessions": ({"sessions": KeyError}, "missing key 'sessions'"),
+        "sideways-direction": ({"direction": "sideways"}, 'key \'direction\': expected one of "request", "response", got "sideways"'),
+        "list-direction": ({"direction": ["response"]}, 'key \'direction\': expected one of "request", "response", got ["response"]'),
+        "non-quic-direction": ({"direction": "non_quic"}, 'key \'direction\': expected one of "request", "response", got "non_quic"'),
+        "integer-src": ({"src": 5}, "key 'src': expected string, got 5"),
+        "list-operator": ({"operator": ["Facebook"]}, 'key \'operator\': expected string or null, got ["Facebook"]'),
+        "object-shapes": ({"shapes": {}}, "key 'shapes': expected array, got {}"),
+        "shape-without-types": ({"shapes": [[[], 1200, 2]]}, "key 'shapes': expected [[packet type, ...], datagram length, datagrams], got [[], 1200, 2]"),
+        "shape-without-count": ({"shapes": [[["Initial"], 1200]]}, 'key \'shapes\': expected [[packet type, ...], datagram length, datagrams], got [["Initial"], 1200]'),
+        "unknown-type": ({"shapes": [[["initial"], 1200, 2]]}, f'key \'shapes\': expected one of {LABELS}, got "initial"'),
+        "float-length": ({"shapes": [[["Initial"], 1200.0, 2]]}, "key 'shapes': expected integer, got 1200.0"),
+        "length-above-16-bits": ({"shapes": [[["Initial"], 65536, 2]]}, "key 'shapes': expected an integer from 0 to 65535, got 65536"),
+        "no-datagrams": ({"shapes": [[["Initial"], 1200, 0]]}, "key 'shapes': expected an integer from 1 to 9007199254740992, got 0"),
+        "boolean-datagrams": ({"shapes": [[["Initial"], 1200, True]]}, "key 'shapes': expected integer, got true"),
+        "scid-not-hex": ({"scids": ["zz"]}, "key 'scids': non-hexadecimal number found in fromhex() arg at position 0"),
+        "scid-too-long": ({"scids": ["ab" * 21]}, "key 'scids': CID of 21 octets exceeds 20"),
+        "integer-scid": ({"scids": [5]}, "key 'scids': expected string, got 5"),
+        "sessions-as-list": ({"sessions": ["0.0"]}, 'key \'sessions\': expected string, got ["0.0"]'),
+        "session-without-end": ({"sessions": "0.0;0.4"}, "key 'sessions': expected a ';' after each session's offsets"),
+        "offset-not-a-number": ({"sessions": "0.0 x;"}, "key 'sessions': could not convert string to float: 'x'"),
+        "nan-offset": ({"sessions": "0.0;nan;"}, "key 'sessions': expected offsets within ±2**1022, got nan"),
+        "offset-beyond-the-bound": ({"sessions": "1e308;"}, "key 'sessions': expected offsets within ±2**1022, got 1e308"),
+    }
+    BAD_SESSION_ROWS = {
+        "not-json": (None, "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
+        "no-offsets": ({"offsets": KeyError}, "missing key 'offsets'"),
+        "string-version": ({"version": "1"}, 'key \'version\': expected integer, got "1"'),
+        "offsets-as-list": ({"offsets": [0.0]}, "key 'offsets': expected string, got [0.0]"),
+        "infinite-offset": ({"offsets": "0.0 -inf"}, "key 'offsets': expected offsets within ±2**1022, got -inf"),
+        "integer-src": ({"src": 5}, "key 'src': expected string, got 5"),
     }
 
-    @pytest.mark.parametrize("fold", FOLDS)
-    @pytest.mark.parametrize("block", [4, tables.ROW_BLOCK], ids=["4-row-blocks", "one-block"])
-    @pytest.mark.parametrize("every", [1, 3], ids=["every-row", "every-third-row"])
-    @pytest.mark.parametrize("odd", sorted(ODD_ROWS))
-    def test_odd_rows_fold_as_every_row_does(self, tmp_path, monkeypatch, odd, every, block, fold):
-        monkeypatch.setattr(tables, "ROW_BLOCK", block)
-        canonical = tables.save_datagrams(tmp_path / "datagrams.jsonl", train_records()).read_text().splitlines()
-        lines = [self.ODD_ROWS[odd](line) if (i + 1) % every == 0 else line for i, line in enumerate(canonical)]
-        path = tmp_path / "odd.jsonl"
-        path.write_text("\n".join(lines) + "\n")
-        read, reference = self.outcomes(path, fold)
-        assert read == reference
+    @staticmethod
+    def bad_line(row: dict, edit) -> str:
+        if edit is None:
+            return "{not json"
+        row = dict(row, **edit)
+        return json.dumps({k: v for k, v in row.items() if v is not KeyError}, sort_keys=True)
 
-    @pytest.mark.parametrize("fold", FOLDS)
-    def test_blank_lines_and_a_last_line_without_newline(self, tmp_path, fold):
-        canonical = tables.save_datagrams(tmp_path / "datagrams.jsonl", train_records()).read_text().splitlines()
-        path = tmp_path / "blank.jsonl"
-        path.write_text("\n \t\n" + "\n\n".join(canonical) + "\n\r\n" + canonical[0])
-        read, reference = self.outcomes(path, fold)
-        assert isinstance(read, tuple)
-        assert read == reference
-        assert read[0]["fingerprint"]["Facebook"].shapes[(("Initial",), 1200)] == 6
+    @pytest.mark.parametrize("keep", [None, list], ids=["no-sessions-kept", "sessions-kept"])
+    @pytest.mark.parametrize("bad", sorted(BAD_KEY_ROWS))
+    def test_bad_key_row_names_file_line_and_key(self, tmp_path, bad, keep):
+        edit, message = self.BAD_KEY_ROWS[bad]
+        path = tmp_path / "datagrams.jsonl"
+        path.write_text(json.dumps(self.KEY_ROW) + "\n\n" + self.bad_line(self.KEY_ROW, edit) + "\n")
+        with pytest.raises(InputError) as excinfo:
+            list(tables.read_key_rows(path, keep))
+        assert str(excinfo.value) == f"{path}:3: {message}"
 
-    @pytest.mark.parametrize("fold", FOLDS)
-    def test_integer_timestamps_stay_integers(self, tmp_path, fold):
-        lines = tables.save_datagrams(tmp_path / "datagrams.jsonl", train_records()).read_text().splitlines()
-        path = tmp_path / "integers.jsonl"
-        path.write_text("".join(re.sub(r'"ts": [^}]*}$', f'"ts": {3 * i}}}\n', line) for i, line in enumerate(lines)))
-        read, reference = self.outcomes(path, fold)
-        assert read == reference
-        rows = every_row(path)
-        sessions = sessions_of(r for r in rows if r.direction is Direction.RESPONSE)
-        assert {type(row.timestamp) for row in rows} == {type(s.start_ts) for s in sessions} == {int}
+    @pytest.mark.parametrize("bad", sorted(BAD_SESSION_ROWS))
+    def test_bad_session_row_names_file_line_and_key(self, tmp_path, bad):
+        edit, message = self.BAD_SESSION_ROWS[bad]
+        path = tmp_path / "sessions.jsonl"
+        path.write_text(json.dumps(self.SESSION_ROW) + "\n" + self.bad_line(self.SESSION_ROW, edit) + "\n")
+        with pytest.raises(InputError) as excinfo:
+            list(tables.read_sessions(path))
+        assert str(excinfo.value) == f"{path}:2: {message}"
 
-    @pytest.mark.parametrize("fold", FOLDS)
-    @pytest.mark.parametrize("block", [2, 4, tables.ROW_BLOCK], ids=["2-row-blocks", "4-row-blocks", "one-block"])
-    @pytest.mark.parametrize("where", [0, 4, 10], ids=["first-row", "repeated-row", "last-row"])
-    @pytest.mark.parametrize(
-        "bad",
-        [
-            lambda row: "{not json",
-            lambda row: json.dumps(dict(row, length=-5), sort_keys=True),
-            lambda row: json.dumps(dict(row, length=65536), sort_keys=True),
-            lambda row: json.dumps(dict(row, ts=None), sort_keys=True),
-            lambda row: json.dumps(dict(row, ts=True), sort_keys=True),
-            lambda row: json.dumps(row, sort_keys=True) + "}",
-            lambda row: json.dumps(dict(row, ts=10**400), sort_keys=True),
-            lambda row: json.dumps(dict(row, ts=-(2**1022) - 1), sort_keys=True),
-            lambda row: re.sub(r'"ts": [^}]*}$', '"ts": 1' + "0" * 5000 + "}", json.dumps(row, sort_keys=True)),
-            lambda row: json.dumps({k: v for k, v in row.items() if k != "direction"}, sort_keys=True),
-            lambda row: json.dumps(dict(row, packets=[["initial", 1, "zz", "aa"]]), sort_keys=True),
-        ],
-        ids=[
-            "not-json", "negative-length", "length-above-16-bits", "null-ts", "boolean-ts", "extra-closing-brace",
-            "integer-ts-beyond-floats", "integer-ts-below-the-bound", "integer-ts-beyond-str-digits",
-            "no-direction", "cid-not-hex",
-        ],
-    )
-    def test_one_bad_row_fails_as_the_reference_does(self, tmp_path, monkeypatch, where, bad, block, fold):
-        monkeypatch.setattr(tables, "ROW_BLOCK", block)
-        lines = tables.save_datagrams(tmp_path / "datagrams.jsonl", train_records()).read_text().splitlines()
-        assert lines[4][: lines[4].index('"ts"')] == lines[0][: lines[0].index('"ts"')]  # a resend of row 1
-        lines[where] = bad(json.loads(lines[where]))
-        path = tmp_path / "bad.jsonl"
-        path.write_text("\n".join(lines) + "\n")
-        read, reference = self.outcomes(path, fold)
-        assert isinstance(reference, str) and reference.startswith(f"{path}:{where + 1}: ")
-        assert read == reference
-
-    @pytest.mark.parametrize("fold", FOLDS)
-    def test_unreadable_store_fails_as_the_reference_does(self, tmp_path, fold):
-        path = tables.save_datagrams(tmp_path / "datagrams.jsonl", train_records())
-        path.write_bytes(path.read_bytes() + b"\xff\n")
-        read, reference = self.outcomes(path, fold)
-        assert reference.startswith(f"{path}: not utf-8 text")
-        assert read == reference
-        read, reference = self.outcomes(tmp_path / "missing.jsonl", fold)
-        assert reference.startswith("cannot read ")
-        assert read == reference
-
-    @pytest.mark.parametrize("where", [0, 4, 10], ids=["first-row", "repeated-row", "last-row"])
-    def test_bad_row_exits_2_naming_its_line(self, tmp_path, monkeypatch, capsys, where):
-        monkeypatch.setattr(tables, "ROW_BLOCK", 4)
-        lines = tables.save_datagrams(tmp_path / "datagrams.jsonl", train_records()).read_text().splitlines()
-        lines[where] = json.dumps(dict(json.loads(lines[where]), length=-5), sort_keys=True)
-        path = tmp_path / "bad.jsonl"
-        path.write_text("\n".join(lines) + "\n")
-        read, reference = self.outcomes(path, "sessionizer")
-        assert reference.startswith(f"{path}:{where + 1}: ") and read == reference
-        truth = tmp_path / "truth.tsv"
-        truth.write_text("198.51.100.1\tFacebook\n192.0.2.7\tNotOperator\n")
-        argv = ["classify", "--datagrams", str(path), "--truth", str(truth), "--out-dir", str(tmp_path / "cls")]
-        assert main(argv) == 2
-        assert capsys.readouterr().err == f"quicscope: {reference}\n"
-
-    def test_a_fold_that_fails_keeps_its_error(self, tmp_path):
-        # only the rows are input: an error of the fold itself is a bug, not a bad line
-        path = tables.save_datagrams(tmp_path / "datagrams.jsonl", train_records())
-
-        def add(row):
-            raise ValueError("broken fold")
-
-        with pytest.raises(ValueError, match="^broken fold$"):
-            list(tables.fold_datagrams(path, add))
+    def test_good_rows_read(self, tmp_path):
+        path = tmp_path / "datagrams.jsonl"
+        path.write_text(json.dumps(self.KEY_ROW) + "\n")
+        (row,) = tables.read_key_rows(path, list)
+        assert row == KeyRow(
+            Direction.RESPONSE, "198.51.100.1", "Facebook", Traits({(("Initial",), 1200): 2}, {b"\xbb" * 8}), [[0.0, 0.4], [0.0]]
+        )
+        path.write_text(json.dumps(self.SESSION_ROW) + "\n")
+        (session,) = tables.read_sessions(path)
+        assert session_fields(session) == ("198.51.100.1", None, Direction.RESPONSE, 1, [0.0, 0.4])
 
 
 class TestWriteTable:
@@ -446,125 +243,6 @@ class TestReadTable:
         assert tables.read_table(path, columns=("operator",))[1] == {"operator": "Google"}
         with pytest.raises(InputError, match=f"^{re.escape(str(path))}:2: missing key 'share'"):
             tables.read_table(path, columns=("operator", "share"))
-
-
-def session_fields(session: Session) -> tuple:
-    return (
-        session.key,
-        timeline_entries(session.timeline),
-        session.direction,
-        session.version,
-        session.operator,
-        session.asn,
-        session.start_ts,
-    )
-
-
-def stored_sessions() -> list[Session]:
-    def session(src, scid, entries, **fields):
-        s = Session(key=SessionKey(src, "172.16.5.5", scid, b"\xaa" * 8), timeline=Timeline(), **fields)
-        for entry in entries:
-            s.timeline.add(*entry)
-        return s
-
-    return [
-        session(
-            "198.51.100.1",
-            b"\xbb" * 20,
-            [(0.0, PacketType.INITIAL, 1200, True), (0.0, PacketType.HANDSHAKE, 1200, True),
-             (0.1 + 0.2, PacketType.INITIAL, 1200, True), (1e-07, PacketType.HANDSHAKE, 42, False)],
-            version=1,
-            operator='Say "cheese" \\ co',
-            asn=32934,
-            start_ts=7,
-        ),
-        session(
-            "192.0.2.7",
-            b"",
-            [(0.0, PacketType.RETRY, 0, False), (2.5, PacketType.VERSION_NEGOTIATION, 65535, False)],
-            direction=Direction.REQUEST,
-            version=0xFACEB002,
-            operator="Café ✓ 東京",
-            asn=None,
-            start_ts=1700000000.123456,
-        ),
-        session("10.0.0.1", b"\x01", [(0.0, PacketType.ZERO_RTT, 1252, False)], start_ts=0.0),
-        session("10.0.0.2", b"\x02", []),
-    ]
-
-
-class TestSessionStore:
-    def test_rows_equal_sorted_json_dumps(self, tmp_path):
-        sessions = stored_sessions()
-        reference = "".join(
-            json.dumps(
-                {
-                    "src": s.key.src_ip,
-                    "dst": s.key.dst_ip,
-                    "scid": s.key.scid.hex(),
-                    "dcid": s.key.dcid.hex(),
-                    "direction": s.direction.value,
-                    "version": s.version,
-                    "operator": s.operator,
-                    "asn": s.asn,
-                    "start_ts": s.start_ts,
-                    "timeline": [
-                        [offset, ptype.value, length, coalesced]
-                        for offset, ptype, length, coalesced in timeline_entries(s.timeline)
-                    ],
-                },
-                sort_keys=True,
-            )
-            + "\n"
-            for s in sessions
-        )
-        path = tables.save_sessions(tmp_path / "sessions.jsonl", sessions)
-        assert path.read_bytes() == reference.encode()
-        assert '"start_ts": 7,' in reference and '"asn": null' in reference and "true" in reference
-
-    def test_round_trip_keeps_every_field(self, tmp_path):
-        sessions = stored_sessions()
-        loaded = tables.load_sessions(tables.save_sessions(tmp_path / "sessions.jsonl", sessions))
-        assert [session_fields(s) for s in loaded] == [session_fields(s) for s in sessions]
-        assert all(type(s.key) is SessionKey for s in loaded)
-
-    def test_rows_in_any_key_order_or_spacing_load_as_canonical_rows(self, tmp_path):
-        sessions = stored_sessions()
-        canonical = tables.save_sessions(tmp_path / "sessions.jsonl", sessions)
-        rows = [json.loads(line) for line in canonical.read_text().splitlines()]
-        path = tmp_path / "edited.jsonl"
-        path.write_text(
-            "".join(
-                "\n" + " " * (i % 3) + json.dumps(dict(reversed(row.items())), indent=1).replace("\n", " ") + " \r\n"
-                for i, row in enumerate(rows)
-            )
-        )
-        assert [session_fields(s) for s in tables.load_sessions(path)] == [session_fields(s) for s in sessions]
-
-    @pytest.mark.parametrize(
-        "edit,message",
-        [
-            (lambda row: row.update(direction="sideways"), "'sideways' is not a valid Direction"),
-            (lambda row: row.update(direction=["response"]), "['response'] is not a valid Direction"),
-            (lambda row: row["timeline"][0].__setitem__(1, "X"), "'X' is not a valid PacketType"),
-            (lambda row: row["timeline"][0].__setitem__(1, {}), "{} is not a valid PacketType"),
-            (lambda row: row.pop("scid"), "missing key 'scid'"),
-            (lambda row: row.update(scid="zz"), "non-hexadecimal number"),
-            (lambda row: row.update(timeline=5), "not iterable"),
-        ],
-    )
-    def test_malformed_row_names_file_and_line(self, tmp_path, edit, message):
-        path = tables.save_sessions(tmp_path / "sessions.jsonl", stored_sessions()[:2])
-        row = json.loads(path.read_text().splitlines()[0])
-        edit(row)
-        with path.open("a") as fh:
-            fh.write(json.dumps(row) + "\n" + "{not json\n")
-        with pytest.raises(InputError, match=f"^{re.escape(str(path))}:3: ") as excinfo:
-            tables.load_sessions(path)
-        assert message in str(excinfo.value)
-        path.write_text(path.read_text().splitlines()[0] + "\n{not json\n")
-        with pytest.raises(InputError, match=f"^{re.escape(str(path))}:2: Expecting property name"):
-            tables.load_sessions(path)
 
 
 class TestTruthWriter:
