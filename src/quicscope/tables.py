@@ -377,9 +377,11 @@ def read_key_rows(path: str | Path, keep: Optional[Callable[[array], Any]] = Non
         return cid
 
     def kept(value: Any) -> list:
-        text, sessions, start = of_type(str)(value), [], 0
+        text = of_type(str)(value)
         if text and not text.endswith(";"):
             raise ValueError("expected a ';' after each session's offsets")
+        # one session's text at a time: a split would hold a string per session at once
+        sessions, start = [], 0
         while start < len(text):
             end = text.index(";", start)
             offsets = _offsets(text[start:end])
