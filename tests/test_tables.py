@@ -132,72 +132,145 @@ class TestStores:
         assert [row.sessions for row in rows] == [[]] * len(traits)
         assert {(r.direction, r.src_ip, r.operator): r.traits for r in rows} == traits
 
-    # a row of each store, and the edits that make it bad, with what the reader says
+    # a row of each store, and the edits that make it bad, with what the reader
+    # says: an edit is a line that replaces the whole row, or values that
+    # replace the row's own, where KeyError drops the key
     KEY_ROW = {
         "direction": "response", "src": "198.51.100.1", "operator": "Facebook",
         "shapes": [[["Initial"], 1200, 2]], "scids": ["bb" * 8], "sessions": "0.0 0.4;0.0;",
     }
     SESSION_ROW = {"direction": "response", "src": "198.51.100.1", "operator": None, "version": 1, "offsets": "0.0 0.4"}
     LABELS = '"Initial", "0-RTT", "Handshake", "Retry", "VersionNegotiation"'
-    BAD_KEY_ROWS = {
-        "not-json": (None, "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
-        "no-sessions": ({"sessions": KeyError}, "missing key 'sessions'"),
-        "sideways-direction": ({"direction": "sideways"}, 'key \'direction\': expected one of "request", "response", got "sideways"'),
-        "list-direction": ({"direction": ["response"]}, 'key \'direction\': expected one of "request", "response", got ["response"]'),
-        "non-quic-direction": ({"direction": "non_quic"}, 'key \'direction\': expected one of "request", "response", got "non_quic"'),
+    DIRECTIONS = '"request", "response"'
+    # bad in either store
+    BAD_ROWS = {
+        "not-json": ("{not json", "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
+        "key-without-colon": ('{"direction" "response"}', "Expecting ':' delimiter: line 1 column 14 (char 13)"),
+        "row-is-array": ("[]", "expected object, got []"),
+        "row-is-string": ('"row"', 'expected object, got "row"'),
+        "null-row": ("null", "expected object, got null"),
+        "no-direction": ({"direction": KeyError}, "missing key 'direction'"),
+        "no-src": ({"src": KeyError}, "missing key 'src'"),
+        "no-operator": ({"operator": KeyError}, "missing key 'operator'"),
+        "sideways-direction": ({"direction": "sideways"}, f'key \'direction\': expected one of {DIRECTIONS}, got "sideways"'),
+        "list-direction": ({"direction": ["response"]}, f'key \'direction\': expected one of {DIRECTIONS}, got ["response"]'),
+        "non-quic-direction": ({"direction": "non_quic"}, f'key \'direction\': expected one of {DIRECTIONS}, got "non_quic"'),
+        "null-direction": ({"direction": None}, f"key 'direction': expected one of {DIRECTIONS}, got null"),
         "integer-src": ({"src": 5}, "key 'src': expected string, got 5"),
+        "null-src": ({"src": None}, "key 'src': expected string, got null"),
         "list-operator": ({"operator": ["Facebook"]}, 'key \'operator\': expected string or null, got ["Facebook"]'),
+        "integer-operator": ({"operator": 7}, "key 'operator': expected string or null, got 7"),
+        "boolean-operator": ({"operator": True}, "key 'operator': expected string or null, got true"),
+    }
+    BAD_KEY_ROWS = {
+        **BAD_ROWS,
+        "no-shapes": ({"shapes": KeyError}, "missing key 'shapes'"),
+        "no-scids": ({"scids": KeyError}, "missing key 'scids'"),
+        "no-sessions": ({"sessions": KeyError}, "missing key 'sessions'"),
         "object-shapes": ({"shapes": {}}, "key 'shapes': expected array, got {}"),
+        "null-shapes": ({"shapes": None}, "key 'shapes': expected array, got null"),
+        "shape-as-object": ({"shapes": [{}]}, "key 'shapes': expected array, got {}"),
         "shape-without-types": ({"shapes": [[[], 1200, 2]]}, "key 'shapes': expected [[packet type, ...], datagram length, datagrams], got [[], 1200, 2]"),
         "shape-without-count": ({"shapes": [[["Initial"], 1200]]}, 'key \'shapes\': expected [[packet type, ...], datagram length, datagrams], got [["Initial"], 1200]'),
+        "shape-with-four-fields": ({"shapes": [[["Initial"], 1200, 2, 0]]}, 'key \'shapes\': expected [[packet type, ...], datagram length, datagrams], got [["Initial"], 1200, 2, 0]'),
+        "types-as-string": ({"shapes": [["Initial", 1200, 2]]}, 'key \'shapes\': expected array, got "Initial"'),
         "unknown-type": ({"shapes": [[["initial"], 1200, 2]]}, f'key \'shapes\': expected one of {LABELS}, got "initial"'),
+        "null-type": ({"shapes": [[[None], 1200, 2]]}, f"key 'shapes': expected one of {LABELS}, got null"),
         "float-length": ({"shapes": [[["Initial"], 1200.0, 2]]}, "key 'shapes': expected integer, got 1200.0"),
+        "string-length": ({"shapes": [[["Initial"], "1200", 2]]}, 'key \'shapes\': expected integer, got "1200"'),
+        "negative-length": ({"shapes": [[["Initial"], -5, 2]]}, "key 'shapes': expected an integer from 0 to 65535, got -5"),
         "length-above-16-bits": ({"shapes": [[["Initial"], 65536, 2]]}, "key 'shapes': expected an integer from 0 to 65535, got 65536"),
         "no-datagrams": ({"shapes": [[["Initial"], 1200, 0]]}, "key 'shapes': expected an integer from 1 to 9007199254740992, got 0"),
+        "datagrams-beyond-floats": ({"shapes": [[["Initial"], 1200, 2**53 + 1]]}, "key 'shapes': expected an integer from 1 to 9007199254740992, got 9007199254740993"),
+        "float-datagrams": ({"shapes": [[["Initial"], 1200, 2.0]]}, "key 'shapes': expected integer, got 2.0"),
         "boolean-datagrams": ({"shapes": [[["Initial"], 1200, True]]}, "key 'shapes': expected integer, got true"),
+        "bad-second-shape": ({"shapes": [[["Initial"], 1200, 2], [["Retry"], 0, -1]]}, "key 'shapes': expected an integer from 1 to 9007199254740992, got -1"),
+        "scids-as-string": ({"scids": "bb"}, 'key \'scids\': expected array, got "bb"'),
         "scid-not-hex": ({"scids": ["zz"]}, "key 'scids': non-hexadecimal number found in fromhex() arg at position 0"),
+        "scid-of-odd-length": ({"scids": ["abc"]}, "key 'scids': non-hexadecimal number found in fromhex() arg at position 3"),
         "scid-too-long": ({"scids": ["ab" * 21]}, "key 'scids': CID of 21 octets exceeds 20"),
         "integer-scid": ({"scids": [5]}, "key 'scids': expected string, got 5"),
+        "null-scid": ({"scids": [None]}, "key 'scids': expected string, got null"),
         "sessions-as-list": ({"sessions": ["0.0"]}, 'key \'sessions\': expected string, got ["0.0"]'),
+        "null-sessions": ({"sessions": None}, "key 'sessions': expected string, got null"),
         "session-without-end": ({"sessions": "0.0;0.4"}, "key 'sessions': expected a ';' after each session's offsets"),
+        "offsets-without-end": ({"sessions": "0.0"}, "key 'sessions': expected a ';' after each session's offsets"),
         "offset-not-a-number": ({"sessions": "0.0 x;"}, "key 'sessions': could not convert string to float: 'x'"),
+        "offsets-joined-by-commas": ({"sessions": "0.0,0.4;"}, "key 'sessions': could not convert string to float: '0.0,0.4'"),
         "nan-offset": ({"sessions": "0.0;nan;"}, "key 'sessions': expected offsets within ±2**1022, got nan"),
+        "infinite-offset": ({"sessions": "inf;"}, "key 'sessions': expected offsets within ±2**1022, got inf"),
         "offset-beyond-the-bound": ({"sessions": "1e308;"}, "key 'sessions': expected offsets within ±2**1022, got 1e308"),
+        "offset-below-the-bound": ({"sessions": "0;0 -1e308;"}, "key 'sessions': expected offsets within ±2**1022, got -1e308"),
     }
     BAD_SESSION_ROWS = {
-        "not-json": (None, "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
+        **BAD_ROWS,
+        "no-version": ({"version": KeyError}, "missing key 'version'"),
         "no-offsets": ({"offsets": KeyError}, "missing key 'offsets'"),
         "string-version": ({"version": "1"}, 'key \'version\': expected integer, got "1"'),
+        "float-version": ({"version": 1.0}, "key 'version': expected integer, got 1.0"),
+        "boolean-version": ({"version": True}, "key 'version': expected integer, got true"),
+        "null-version": ({"version": None}, "key 'version': expected integer, got null"),
         "offsets-as-list": ({"offsets": [0.0]}, "key 'offsets': expected string, got [0.0]"),
+        "null-offsets": ({"offsets": None}, "key 'offsets': expected string, got null"),
+        "offset-not-a-number": ({"offsets": "0.0 x"}, "key 'offsets': could not convert string to float: 'x'"),
+        "offsets-as-a-key-row-session": ({"offsets": "0.0 0.4;"}, "key 'offsets': could not convert string to float: '0.4;'"),
+        "nan-offset": ({"offsets": "nan"}, "key 'offsets': expected offsets within ±2**1022, got nan"),
         "infinite-offset": ({"offsets": "0.0 -inf"}, "key 'offsets': expected offsets within ±2**1022, got -inf"),
-        "integer-src": ({"src": 5}, "key 'src': expected string, got 5"),
+        "offset-beyond-the-bound": ({"offsets": "0 1e308"}, "key 'offsets': expected offsets within ±2**1022, got 1e308"),
+    }
+    # where the bad row goes in a store of rows at lines 1, 3, 4, ...: the
+    # row's index, and whether the store's last line ends in a newline
+    PLACES = {
+        "first-row": (0, True),
+        "row-after-a-blank-line": (1, True),
+        "last-row": (-1, True),
+        "last-row-without-newline": (-1, False),
     }
 
     @staticmethod
     def bad_line(row: dict, edit) -> str:
-        if edit is None:
-            return "{not json"
+        if isinstance(edit, str):
+            return edit
         row = dict(row, **edit)
         return json.dumps({k: v for k, v in row.items() if v is not KeyError}, sort_keys=True)
 
-    @pytest.mark.parametrize("keep", [None, list], ids=["no-sessions-kept", "sessions-kept"])
-    @pytest.mark.parametrize("bad", sorted(BAD_KEY_ROWS))
-    def test_bad_key_row_names_file_line_and_key(self, tmp_path, bad, keep):
-        edit, message = self.BAD_KEY_ROWS[bad]
-        path = tmp_path / "datagrams.jsonl"
-        path.write_text(json.dumps(self.KEY_ROW) + "\n\n" + self.bad_line(self.KEY_ROW, edit) + "\n")
+    def read_bad_store(self, path, read, edit, place) -> tuple[list, int, InputError]:
+        """`path`'s rows with the row at `place` made bad by `edit`, written
+        back with a blank line after the first row; the rows `read` yields
+        before it fails, the bad row's line and the InputError."""
+        lines = path.read_text().splitlines()
+        where, newline = self.PLACES[place]
+        where %= len(lines)
+        lines[where] = self.bad_line(json.loads(lines[where]), edit)
+        path.write_text(lines[0] + "\n\t \n" + "".join(line + "\n" for line in lines[1:]).removesuffix("" if newline else "\n"))
+        rows = []
         with pytest.raises(InputError) as excinfo:
-            list(tables.read_key_rows(path, keep))
-        assert str(excinfo.value) == f"{path}:3: {message}"
+            for row in read(path):
+                rows.append(row)
+        return rows, where + 1 + (where > 0), excinfo.value
 
+    @pytest.mark.parametrize("keep", [None, list], ids=["no-sessions-kept", "sessions-kept"])
+    @pytest.mark.parametrize("place", sorted(PLACES))
+    @pytest.mark.parametrize("bad", sorted(BAD_KEY_ROWS))
+    def test_bad_key_row_names_file_line_and_key(self, tmp_path, bad, place, keep):
+        """The rows before a bad row read as they were written, and the bad
+        row fails naming its line, whether or not the sessions are kept."""
+        edit, message = self.BAD_KEY_ROWS[bad]
+        (path, _), _, _ = saved_folds(tmp_path, train_records())
+        good = list(tables.read_key_rows(path, keep))
+        rows, lineno, error = self.read_bad_store(path, lambda p: tables.read_key_rows(p, keep), edit, place)
+        assert str(error) == f"{path}:{lineno}: {message}"
+        assert rows == good[: len(rows)] and len(rows) == self.PLACES[place][0] % len(good)
+
+    @pytest.mark.parametrize("place", sorted(PLACES))
     @pytest.mark.parametrize("bad", sorted(BAD_SESSION_ROWS))
-    def test_bad_session_row_names_file_line_and_key(self, tmp_path, bad):
+    def test_bad_session_row_names_file_line_and_key(self, tmp_path, bad, place):
         edit, message = self.BAD_SESSION_ROWS[bad]
-        path = tmp_path / "sessions.jsonl"
-        path.write_text(json.dumps(self.SESSION_ROW) + "\n" + self.bad_line(self.SESSION_ROW, edit) + "\n")
-        with pytest.raises(InputError) as excinfo:
-            list(tables.read_sessions(path))
-        assert str(excinfo.value) == f"{path}:2: {message}"
+        (_, path), _, _ = saved_folds(tmp_path, train_records())
+        good = list(tables.read_sessions(path))
+        rows, lineno, error = self.read_bad_store(path, tables.read_sessions, edit, place)
+        assert str(error) == f"{path}:{lineno}: {message}"
+        assert rows == good[: len(rows)] and len(rows) == self.PLACES[place][0] % len(good)
 
     def test_good_rows_read(self, tmp_path):
         path = tmp_path / "datagrams.jsonl"
