@@ -137,8 +137,8 @@ def cmd_simulate(args) -> int:
     stores = capture_path, truth_path, pairs_path = out / "capture.pcap", out / "truth.jsonl", out / "pairs.tsv"
     try:
         with capture_path.open("wb") as fh, truth_path.open("w") as truth_fh, pairs_path.open("w") as pairs_fh:
-            capture = PcapWriter(fh)
-            truth = sim.simulate_flood(config, capture, tables.TruthWriter(truth_fh, pairs_fh))
+            capture, truth = PcapWriter(fh), tables.TruthWriter(truth_fh, pairs_fh)
+            sim.DeploymentSimulator(config, capture, truth).run_flood()
     except BaseException:
         # no manifest names an output cut short, so none is left behind
         for path in stores:

@@ -18,7 +18,6 @@ from typing import BinaryIO, Iterator
 from _socket import inet_aton
 
 from . import InputError
-from .wire import Datagram
 
 MAGIC_USEC_LE = 0xA1B2C3D4
 MAGIC_NSEC_LE = 0xA1B23C4D
@@ -70,19 +69,20 @@ def _ip_checksum(data: bytes) -> int:
     return 0xFFFF - total
 
 
-def build_ipv4_udp(d: Datagram) -> bytes:
-    """Serialize a Datagram as an IPv4+UDP packet (deterministic fields)."""
-    src = inet_aton(d.src_ip)
-    dst = inet_aton(d.dst_ip)
-    payload = d.payload
-    udp_len = 8 + len(payload)
+def build_ipv4_udp(src_ip: str, dst_ip: str, src_port: int, dst_port: int, payload: bytes, padding: int = 0) -> bytes:
+    """The IPv4+UDP packet (deterministic fields) of `payload` followed by
+    `padding` zero octets, the zeros left off: the IPv4 and UDP lengths count
+    them, and zero octets add nothing to the UDP checksum."""
+    src = inet_aton(src_ip)
+    dst = inet_aton(dst_ip)
+    udp_len = 8 + len(payload) + padding
     total_len = 20 + udp_len
     header = _IPV4_HEADER.pack(0x45, 0, total_len, 0, 0, 64, 17, 0, src, dst)
     header = _IPV4_HEADER.pack(0x45, 0, total_len, 0, 0, 64, 17, _ip_checksum(header), src, dst)
     pseudo = _UDP_PSEUDO_HEADER.pack(src, dst, 0, 17, udp_len)
     # a computed 0 is sent as 0xFFFF; 0 means no checksum
-    checksum = _ip_checksum(pseudo + _UDP_HEADER.pack(d.src_port, d.dst_port, udp_len, 0) + payload) or 0xFFFF
-    return header + _UDP_HEADER.pack(d.src_port, d.dst_port, udp_len, checksum) + payload
+    checksum = _ip_checksum(pseudo + _UDP_HEADER.pack(src_port, dst_port, udp_len, 0) + payload) or 0xFFFF
+    return header + _UDP_HEADER.pack(src_port, dst_port, udp_len, checksum) + payload
 
 
 class PcapReader:
@@ -170,24 +170,20 @@ class PcapReader:
 
 class PcapWriter:
     """Write IPv4 packets into a little-endian microsecond raw-IP pcap, one
-    record per write, in call order; `records` counts the records written."""
+    record per write, in call order, each with the zero padding its write
+    names appended; `records` counts the records written."""
 
     def __init__(self, fh: BinaryIO):
         self._fh = fh
         self.records = 0
         fh.write(_GLOBAL_HEADER.pack(MAGIC_USEC_LE, 2, 4, 0, 0, WRITER_SNAPLEN, LINKTYPE_RAW_IP))
 
-    def write(self, timestamp: float, packet: bytes) -> None:
+    def write(self, timestamp: float, packet: bytes, padding: int = 0) -> None:
+        """Write one record: `packet` followed by `padding` zero octets."""
         sec, usec = divmod(int(round(timestamp * 1e6)), 1_000_000)
-        self._fh.write(_RECORD_HEADER.pack(sec, usec, len(packet), len(packet)))
+        length = len(packet) + padding
+        self._fh.write(_RECORD_HEADER.pack(sec, usec, length, length))
         self._fh.write(packet)
+        if padding:
+            self._fh.write(bytes(padding))
         self.records += 1
-
-
-def write_pcap(path: str | Path, datagrams: Iterator[Datagram] | list[Datagram]) -> int:
-    """Write all datagrams to `path`; returns the record count."""
-    with Path(path).open("wb") as fh:
-        writer = PcapWriter(fh)
-        for d in datagrams:
-            writer.write(d.timestamp, build_ipv4_udp(d))
-    return writer.records

@@ -7,10 +7,11 @@ are inconsistent with live connection state. A seeded virtual clock makes
 every scenario replayable down to identical capture bytes.
 
 The pcap writer the simulator is given is its only sink: each connection's
-response round is encoded once, held by the connection and written again at
-each resend time until the client ACKs. With no writer, no response is built
-and no resend scheduled. Ground-truth rows go only to the list or writer the
-simulator is given, so probe campaigns keep none.
+response round is encoded once, held by the connection without its zero
+padding, and written again, padding appended, at each resend time until the
+client ACKs. With no writer, no response is built and no resend scheduled.
+Ground-truth rows go only to the list or writer the simulator is given, so
+probe campaigns keep none.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from _blake2 import blake2b
 from . import CheckedTuple, InputError
 from .scid import CodecError, FacebookScidFields, encode_facebook_scid, facebook_host_id
 from .tables import list_of, object_of, of_type, read_json, read_profiles
-from .wire import MAX_CID_LENGTH, Datagram, LongHeader, PacketType, WireError, encode_long_header, parse_long_header
+from .wire import MAX_CID_LENGTH, LongHeader, PacketType, WireError, encode_long_header, parse_long_header
 
 if TYPE_CHECKING:
     # pcap loads only where a capture is written
@@ -117,7 +118,7 @@ class StackProfile(CheckedTuple, _StackProfileFields):
         if self.initial_rto <= 0:
             raise InvalidConfig("initial_rto must be positive")
         if self.max_retransmissions < 0:
-            raise InvalidConfig("max_retransmissions must be >= 0")
+            raise InvalidConfig(f"max_retransmissions must be >= 0, got {self.max_retransmissions}")
         # a base below 1 would schedule each resend before the one it follows
         if not self.backoff_base >= 1:  # NaN included
             raise InvalidConfig(f"backoff_base must be >= 1, got {self.backoff_base}")
@@ -147,9 +148,9 @@ def default_stack_profile(operator: str) -> StackProfile:
 class Connection:
     """One server connection on the instance that serves it; every probe
     handshake keeps one for the state lifetime, so it carries no dict.
-    `packets` holds the response round's IPv4+UDP packets while resend
-    rounds are pending; it is None once the client ACKs or the last round
-    has been written."""
+    `packets` holds the response round's (IPv4+UDP packet, zero padding)
+    pairs while resend rounds are pending; it is None once the client ACKs
+    or the last round has been written."""
 
     __slots__ = ("server_cid", "client_cid", "five_tuple", "instance", "expires_at", "packets")
 
@@ -161,7 +162,7 @@ class Connection:
         self.five_tuple = five_tuple
         self.instance = instance
         self.expires_at = expires_at
-        self.packets: Optional[list[bytes]] = None
+        self.packets: Optional[list[tuple[bytes, int]]] = None
 
 
 class L7LBInstance(NamedTuple):
@@ -239,7 +240,7 @@ class ClusterConfig(CheckedTuple, _ClusterConfigFields):
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
         if not self.vips:
-            raise InvalidConfig("cluster needs at least one VIP")
+            raise InvalidConfig("cluster needs at least one VIP: vips is empty or vip_count is 0")
         host_ids = self.instance_host_ids()
         if not host_ids:
             raise InvalidConfig("cluster needs at least one L7LB instance")
@@ -607,10 +608,15 @@ class DeploymentSimulator:
             f"{cluster.name}: could not generate a unique server CID (profile scid_length {profile.scid_length})"
         )
 
-    def _response_datagrams(self, cluster: FrontendCluster, conn: Connection) -> list[Datagram]:
-        """Build the datagrams of one response round (Initial + Handshake),
-        from the VIP and port the client addressed back to the client."""
-        profile = cluster.profile
+    def _response_round(self, profile: StackProfile, conn: Connection) -> list[tuple[bytes, int]]:
+        """The (packet, padding) pairs of one response round (Initial +
+        Handshake), from the VIP and port the client addressed back to the
+        client: each payload is zero-padded up to its category's size in the
+        padding policy, and the packet leaves those zeros to the writer. IP
+        ID 0 and TTL 64 leave the checksums depending only on addresses,
+        ports and payload, so every round's packets are the same bytes."""
+        from .pcap import build_ipv4_udp
+
         dcid, scid = conn.client_cid, conn.server_cid
         initial = encode_long_header(_INITIAL, profile.version, dcid, scid, INITIAL_FILLER)
         handshake = encode_long_header(_HANDSHAKE, profile.version, dcid, scid, HANDSHAKE_FILLER)
@@ -618,14 +624,13 @@ class DeploymentSimulator:
             bodies = ((initial + handshake, "Initial & Handshake"),)
         else:
             bodies = ((initial, "Initial"), (handshake, "Handshake"))
-        now = self.clock.now
         client_ip, vip, client_port, vip_port, _ = conn.five_tuple
         policy = profile.padding_policy
-        # zero-padded up to the category's size in the padding policy
-        return [
-            Datagram(now, vip, client_ip, vip_port, client_port, body.ljust(policy.get(category, 0), b"\x00"))
-            for body, category in bodies
-        ]
+        pairs = []
+        for body, category in bodies:
+            padding = max(policy.get(category, 0) - len(body), 0)
+            pairs.append((build_ipv4_udp(vip, client_ip, vip_port, client_port, body, padding), padding))
+        return pairs
 
     def serve_initial(
         self,
@@ -664,14 +669,9 @@ class DeploymentSimulator:
                 )
             )
 
-        if self._capture is None:
-            return conn
-        from .pcap import build_ipv4_udp
-
-        # IP ID 0 and TTL 64 leave the checksums depending only on addresses,
-        # ports and payload, so every round's packets are the same bytes
-        conn.packets = [build_ipv4_udp(d) for d in self._response_datagrams(cluster, conn)]
-        self._emit_round(conn, profile, now, 0)
+        if self._capture is not None:
+            conn.packets = self._response_round(profile, conn)
+            self._emit_round(conn, profile, now, 0)
         return conn
 
     def _emit_round(self, conn: Connection, profile: StackProfile, start: float, k: int) -> None:
@@ -685,8 +685,8 @@ class DeploymentSimulator:
         if packets is None:
             return
         now = self.clock.now
-        for packet in packets:
-            self._capture.write(now, packet)
+        for packet, padding in packets:
+            self._capture.write(now, packet, padding)
         if k < profile.max_retransmissions:
             at = start + profile.initial_rto * profile.backoff_base**k
             self.clock.schedule(at, lambda: self._emit_round(conn, profile, start, k + 1))
@@ -725,7 +725,11 @@ class DeploymentSimulator:
 
     # -- flood scenario --
 
-    def run_flood(self, flood: FloodConfig) -> None:
+    def run_flood(self) -> None:
+        """Run the config's flood to its end: a capture record per server
+        datagram, and a truth row per served handshake. Deterministic given
+        (config, seed)."""
+        flood = self.config.flood
         vips = [vip for cluster in self.clusters for vip in cluster.vips]
         arrivals: list[tuple[float, str, str]] = []  # (time, source, vip)
         if flood.sessions_per_vip is not None:
@@ -767,18 +771,3 @@ class DeploymentSimulator:
         for at, src, vip in arrivals:
             self.clock.schedule(at, make_injector(src, vip))
         self.clock.run_until(flood.duration)
-
-
-def simulate_flood(
-    config: DeploymentConfig,
-    capture: Optional[PcapWriter] = None,
-    truth: Optional[list[SessionTruth] | TruthWriter] = None,
-) -> list[SessionTruth] | TruthWriter:
-    """Run the flood of a config that has one, streaming its capture to
-    `capture` and a truth row per served handshake to `truth`; returns
-    `truth`, or a new list of the rows when it is None. Deterministic given
-    (config, seed)."""
-    if truth is None:
-        truth = []
-    DeploymentSimulator(config, capture=capture, truth=truth).run_flood(config.flood)
-    return truth

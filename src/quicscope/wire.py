@@ -287,28 +287,6 @@ def split_coalesced(datagram_payload: bytes) -> list[LongHeader]:
     return packets
 
 
-class _DatagramFields(NamedTuple):
-    timestamp: float
-    src_ip: str
-    dst_ip: str
-    src_port: int
-    dst_port: int
-    payload: bytes
-
-
-class Datagram(_DatagramFields):
-    """One captured UDP datagram: an immutable tuple whose ports are checked."""
-
-    __slots__ = ()
-
-    def __new__(cls, timestamp: float, src_ip: str, dst_ip: str, src_port: int, dst_port: int, payload: bytes):
-        if not 0 <= src_port <= 65535:
-            raise ValueError(f"port {src_port} out of range")
-        if not 0 <= dst_port <= 65535:
-            raise ValueError(f"port {dst_port} out of range")
-        return tuple.__new__(cls, (timestamp, src_ip, dst_ip, src_port, dst_port, payload))
-
-
 def classify_direction(src_port: int, dst_port: int) -> Direction:
     """The direction of a UDP datagram with these ports. Source port 443
     marks a server response (backscatter); destination port 443 marks a

@@ -1,7 +1,7 @@
 """Shared builders for synthetic datagrams, records, and captures, the
-reference decoder of a capture's datagrams, and the reference sessionizer
-and store writers of the per-datagram stores that ingest wrote before it
-wrote its folds."""
+reference builder and decoder of a capture's datagrams, and the reference
+sessionizer and store writers of the per-datagram stores that ingest wrote
+before it wrote its folds."""
 
 import json
 import os
@@ -17,10 +17,10 @@ import pytest
 
 from quicscope import tables
 from quicscope.ingest import DEFAULT_IDLE_GAP, Session, Sessionizer, group_traits, ingest, store_key
-from quicscope.pcap import CaptureCounters, PcapReader, PcapWriter, build_ipv4_udp
+from quicscope.pcap import CaptureCounters, PcapReader, PcapWriter, _ip_checksum
 from quicscope.probe import HostIdHarvest
-from quicscope.sim import DeploymentConfig, SessionTruth, client_initial_payload, simulate_flood
-from quicscope.wire import Datagram, PacketType, encode_long_header
+from quicscope.sim import DeploymentConfig, DeploymentSimulator, SessionTruth, client_initial_payload
+from quicscope.wire import PacketType, encode_long_header
 
 
 def run_python(*args, **kwargs) -> subprocess.CompletedProcess:
@@ -30,6 +30,53 @@ def run_python(*args, **kwargs) -> subprocess.CompletedProcess:
     return subprocess.run(
         [sys.executable, *map(str, args)], env=env, capture_output=True, text=True, timeout=60, **kwargs
     )
+
+
+class _DatagramFields(NamedTuple):
+    timestamp: float
+    src_ip: str
+    dst_ip: str
+    src_port: int
+    dst_port: int
+    payload: bytes
+
+
+class Datagram(_DatagramFields):
+    """One captured UDP datagram: an immutable tuple whose ports are checked."""
+
+    __slots__ = ()
+
+    def __new__(cls, timestamp: float, src_ip: str, dst_ip: str, src_port: int, dst_port: int, payload: bytes):
+        if not 0 <= src_port <= 65535:
+            raise ValueError(f"port {src_port} out of range")
+        if not 0 <= dst_port <= 65535:
+            raise ValueError(f"port {dst_port} out of range")
+        return tuple.__new__(cls, (timestamp, src_ip, dst_ip, src_port, dst_port, payload))
+
+
+def build_ipv4_udp(d: Datagram) -> bytes:
+    """The reference builder: a Datagram as an IPv4+UDP packet, its whole
+    payload written (deterministic fields). pcap.build_ipv4_udp builds the
+    same packet from the fields and leaves its zero padding to the writer."""
+    src = socket.inet_aton(d.src_ip)
+    dst = socket.inet_aton(d.dst_ip)
+    udp_len = 8 + len(d.payload)
+    total_len = 20 + udp_len
+    header = struct.pack(">BBHHHBBH4s4s", 0x45, 0, total_len, 0, 0, 64, 17, 0, src, dst)
+    header = struct.pack(">BBHHHBBH4s4s", 0x45, 0, total_len, 0, 0, 64, 17, _ip_checksum(header), src, dst)
+    pseudo = struct.pack(">4s4sBBH", src, dst, 0, 17, udp_len)
+    # a computed 0 is sent as 0xFFFF; 0 means no checksum
+    checksum = _ip_checksum(pseudo + struct.pack(">HHHH", d.src_port, d.dst_port, udp_len, 0) + d.payload) or 0xFFFF
+    return header + struct.pack(">HHHH", d.src_port, d.dst_port, udp_len, checksum) + d.payload
+
+
+def write_pcap(path: Path, datagrams) -> int:
+    """Write all datagrams to `path` through the reference builder; returns the record count."""
+    with Path(path).open("wb") as fh:
+        writer = PcapWriter(fh)
+        for d in datagrams:
+            writer.write(d.timestamp, build_ipv4_udp(d))
+    return writer.records
 
 
 def parse_ipv4_udp(packet: bytes, timestamp: float, counters: CaptureCounters) -> Optional[Datagram]:
@@ -81,8 +128,9 @@ def packets_of(datagrams) -> list[tuple[float, bytes]]:
 def simulate_to_pcap(config: DeploymentConfig, path: Path) -> tuple[list[SessionTruth], list[Datagram]]:
     """Run `config`'s flood with its capture streamed to the pcap at `path`;
     returns the truth rows and the capture's datagrams read back."""
+    truth = []
     with Path(path).open("wb") as fh:
-        truth = simulate_flood(config, PcapWriter(fh))
+        DeploymentSimulator(config, PcapWriter(fh), truth).run_flood()
     return truth, read_datagrams(path)
 
 

@@ -142,12 +142,14 @@ class TestSimulate:
     def test_failed_run_leaves_no_capture(self, deploy_config, tmp_path, monkeypatch):
         from quicscope.sim import SessionTruth
 
-        def fail(config, capture, truth):
-            capture.write(0.0, b"partial")
-            truth.append(SessionTruth("203.0.113.1", "100.64.0.1", 1024, "Facebook", b"\x01", b"\x02", b"\x03", 7, 0))
+        def fail(simulator):
+            simulator._capture.write(0.0, b"partial")
+            simulator.truth.append(
+                SessionTruth("203.0.113.1", "100.64.0.1", 1024, "Facebook", b"\x01", b"\x02", b"\x03", 7, 0)
+            )
             raise OSError("disk full")
 
-        monkeypatch.setattr("quicscope.sim.simulate_flood", fail)
+        monkeypatch.setattr("quicscope.sim.DeploymentSimulator.run_flood", fail)
         # neither the capture nor truth.jsonl nor pairs.tsv is left
         with pytest.raises(OSError):
             run("simulate", "--config", deploy_config, "--out-dir", tmp_path / "o")
@@ -202,8 +204,7 @@ class TestIngest:
 
     def test_sanitization_counter_reports_removal(self, tmp_path, prefix_table):
         # capture dominated by scanner requests: counter must expose the share
-        from quicscope.pcap import write_pcap
-        from conftest import make_request, make_response
+        from conftest import make_request, make_response, write_pcap
 
         datagrams = [make_request(0.1 * i, src="172.16.5.5") for i in range(92)]
         datagrams += [make_response(10 + 0.1 * i, dst=f"172.16.9.{i}") for i in range(8)]
@@ -802,9 +803,8 @@ class TestScannerAndPrefixGolden:
     }
 
     def test_outputs_match_golden_digests(self, tmp_path):
-        from quicscope.pcap import write_pcap
         from quicscope.wire import PacketType
-        from conftest import make_request, make_response, old_stores
+        from conftest import make_request, make_response, old_stores, write_pcap
 
         datagrams = [make_request(0.1 * i, src=f"172.16.5.{i}", dst="198.51.100.7", scid=bytes([i]) * 8) for i in range(6)]
         datagrams += [
@@ -1261,7 +1261,7 @@ class TestStreamedStages:
     @pytest.fixture(scope="class")
     def captures(self, tmp_path_factory) -> dict[int, Path]:
         from quicscope.pcap import PcapWriter
-        from quicscope.sim import ClusterConfig, DeploymentConfig, FloodConfig, default_stack_profile, simulate_flood
+        from quicscope.sim import ClusterConfig, DeploymentConfig, DeploymentSimulator, FloodConfig, default_stack_profile
 
         base = tmp_path_factory.mktemp("floods")
         paths = {}
@@ -1274,7 +1274,7 @@ class TestStreamedStages:
             )
             paths[retransmissions] = base / f"r{retransmissions}.pcap"
             with paths[retransmissions].open("wb") as fh:
-                simulate_flood(config, PcapWriter(fh))
+                DeploymentSimulator(config, PcapWriter(fh)).run_flood()
         return paths
 
     @pytest.fixture(scope="class")
@@ -1336,8 +1336,7 @@ class TestStreamedStages:
         """Datagram stores ingested from 1,000 and 4,000 responses of one
         SCID and one shape, no two alike: each goes to its own telescope
         address, so each is a session of its own under the one key."""
-        from conftest import make_response
-        from quicscope.pcap import write_pcap
+        from conftest import make_response, write_pcap
 
         base = tmp_path_factory.mktemp("distinct")
         (base / "sessions.jsonl").write_text("")
@@ -1766,6 +1765,22 @@ class TestStoreRows:
             ("simulate", {"vips": ["1.2.3.4"], "l7lb_count": 2}, ": VIP 1.2.3.4 assigned to two clusters"),
             ("probe", {"vips": ["1.2.3.5"], "host_ids": [1, 1]}, ": duplicate host IDs in cluster"),
             ("simulate", {"vips": ["1.2.3.5"], "l7lb_count": 0}, ": cluster needs at least one L7LB instance"),
+            (
+                "simulate",
+                {"vip_base": "1.2.3.5", "vip_count": 0, "l7lb_count": 1},
+                ": cluster needs at least one VIP: vips is empty or vip_count is 0",
+            ),
+            ("simulate", {"vips": ["1.2.3.5"], "l7lb_count": 1, "operator": "Nobody"}, ": no profile for operator 'Nobody'"),
+            (
+                "simulate",
+                {"vips": ["1.2.3.5"], "l7lb_count": 1, "profile": {"initial_rto": 1.0, "max_retransmissions": -1}},
+                ": max_retransmissions must be >= 0, got -1",
+            ),
+            (
+                "simulate",
+                {"vips": ["1.2.3.5"], "l7lb_count": 1, "profile": {"max_retransmissions": 2}},
+                ": cluster 1 profile is missing 'initial_rto'",
+            ),
             ("probe", {"vips": ["1.2.3.5"], "host_ids": [1 << 16]}, ": host_id 65536 does not fit in 16 bits"),
             ("probe", {"vips": ["300.1.1.1"], "l7lb_count": 1}, ": key 'clusters': key 'vips': Octet 300 (> 255) not permitted in '300.1.1.1'"),
             ("simulate", {"vips": ["1.2.3.5"], "l7lb_count": 1, "workers": 0}, ": workers must be >= 1"),
@@ -1793,7 +1808,8 @@ class TestStoreRows:
             ),
         ],
         ids=[
-            "vip-in-two-clusters", "duplicate-host-ids", "no-instances", "host-id-width", "vip-not-ipv4", "no-workers",
+            "vip-in-two-clusters", "duplicate-host-ids", "no-instances", "no-vips", "operator-without-profile",
+            "negative-max-retransmissions", "profile-without-initial-rto", "host-id-width", "vip-not-ipv4", "no-workers",
             "worker-id-width", "scid-length", "negative-state-lifetime", "zero-state-lifetime",
             "negative-state-lifetime-probe", "zero-state-lifetime-probe", "backoff-base-below-one",
             "negative-backoff-base-probe",
@@ -1904,8 +1920,7 @@ class TestStageImports:
 
     @pytest.fixture
     def ingested(self, tmp_path, prefix_table):
-        from quicscope.pcap import write_pcap
-        from conftest import make_request, make_response
+        from conftest import make_request, make_response, write_pcap
 
         capture, scanners = tmp_path / "capture.pcap", tmp_path / "scanners.txt"
         write_pcap(capture, [make_response(0.0), make_request(0.5), make_response(1.0)])
@@ -1943,6 +1958,13 @@ class TestStageImports:
         # the analyses read the datagram store, never a capture
         assert not (fingerprint | scid | classify) & {"sim", "probe", "pcap", "socket", "dataclasses", "inspect"}
         assert not (fingerprint | scid | classify) & self.HASHLIB
+
+    def test_pcap_loads_no_other_quicscope_module(self):
+        # the simulator builds its packets from fields, so pcap needs no wire
+        script = "import sys, quicscope.pcap; print(*sorted(m for m in sys.modules if m.startswith('quicscope')))"
+        out = run_python("-c", script)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.split() == ["quicscope", "quicscope.pcap"]
 
     def test_probe_leaves_capture_and_analyses_out(self, deploy_config, tmp_path):
         loaded = self.loaded(

@@ -14,15 +14,16 @@ from quicscope.ingest import (
     ingest,
 )
 from quicscope import ingest as ingest_module, pcap, tables
-from quicscope.pcap import (
-    LINKTYPE_ETHERNET, LINKTYPE_RAW_IP, CaptureCounters, PcapReader, build_ipv4_udp, write_pcap,
-)
+from quicscope.pcap import LINKTYPE_ETHERNET, LINKTYPE_RAW_IP, CaptureCounters, PcapReader
 from quicscope.wire import (
-    Datagram, Direction, PacketType, PlausibilityConfig, VersionRegistry, classify_direction, is_plausible_quic,
+    Direction, PacketType, PlausibilityConfig, VersionRegistry, classify_direction, is_plausible_quic,
     split_coalesced,
 )
 
-from conftest import make_request, make_response, packets_of, parse_ipv4_udp, reference_sessions, sessions_of
+from conftest import (
+    Datagram, build_ipv4_udp, make_request, make_response, packets_of, parse_ipv4_udp, reference_sessions, sessions_of,
+    write_pcap,
+)
 
 
 def net(s):

@@ -5,6 +5,7 @@ counters are those of the reader and ingest.ingest, which decodes the IPv4
 and UDP headers in the pipeline."""
 
 import gc
+import io
 import random
 import struct
 import sys
@@ -12,7 +13,7 @@ import warnings
 
 import pytest
 
-from quicscope import InputError
+from quicscope import InputError, pcap
 from quicscope.ingest import ingest
 from quicscope.pcap import (
     LINKTYPE_ETHERNET,
@@ -20,13 +21,12 @@ from quicscope.pcap import (
     MAXIMUM_SNAPLEN,
     CaptureCounters,
     PcapReader,
+    PcapWriter,
     _ip_checksum,
-    build_ipv4_udp,
-    write_pcap,
 )
-from quicscope.wire import Datagram
+from quicscope.sim import MAX_UDP_PAYLOAD
 
-from conftest import read_datagrams, run_python
+from conftest import Datagram, build_ipv4_udp, read_datagrams, run_python, write_pcap
 
 
 def read_back(path) -> tuple[list[Datagram], CaptureCounters]:
@@ -315,3 +315,78 @@ class TestIpChecksum:
             assert reference_checksum(packet[:20]) == 0
             pseudo = packet[12:20] + struct.pack(">BBH", 0, 17, len(packet) - 20)
             assert reference_checksum(pseudo + packet[20:]) == 0
+
+
+class TestDatagramRecord:
+    @pytest.mark.parametrize("src_port,dst_port,bad", [(-1, 443, -1), (443, 65536, 65536), (65536, 70000, 65536)])
+    def test_out_of_range_port_message(self, src_port, dst_port, bad):
+        with pytest.raises(ValueError, match=f"^port {bad} out of range$"):
+            Datagram(0.0, "1.1.1.1", "2.2.2.2", src_port, dst_port, b"")
+
+    def test_port_range_ends_accepted(self):
+        d = Datagram(1.5, "1.1.1.1", "2.2.2.2", 0, 65535, b"x")
+        assert (d.timestamp, d.src_ip, d.dst_ip, d.src_port, d.dst_port, d.payload) == (
+            1.5, "1.1.1.1", "2.2.2.2", 0, 65535, b"x",
+        )
+
+    @pytest.mark.parametrize("attr", ["src_port", "payload", "extra"])
+    def test_immutable(self, attr):
+        d = Datagram(0.0, "1.1.1.1", "2.2.2.2", 443, 50000, b"")
+        with pytest.raises(AttributeError):
+            setattr(d, attr, 1)
+
+    def test_equal_fields_equal_and_hash_equal(self):
+        a = Datagram(2.0, "1.1.1.1", "2.2.2.2", 443, 50000, b"abc")
+        b = Datagram(2.0, "1.1.1.1", "2.2.2.2", 443, 50000, b"abc")
+        assert a is not b and a == b and hash(a) == hash(b)
+        assert a != Datagram(2.0, "1.1.1.1", "2.2.2.2", 443, 50001, b"abc")
+
+    def test_port_bounds_checked(self):
+        with pytest.raises(ValueError):
+            Datagram(0.0, "1.1.1.1", "2.2.2.2", 70000, 443, b"")
+
+
+PAYLOAD_LENGTHS = [0, 1, 2, 121, 146, 1199]
+PADDINGS = {"none": 0, "one": 1, "two": 2, "odd": 1053, "even": 1054, "to-the-bound": None}
+
+
+def padded_case(payload_length: int, padding_name: str) -> tuple[bytes, int]:
+    """A seeded payload of `payload_length` octets and its padding; the
+    padding to the bound fills the payload up to MAX_UDP_PAYLOAD."""
+    payload = random.Random(payload_length).randbytes(payload_length)
+    padding = PADDINGS[padding_name]
+    return payload, MAX_UDP_PAYLOAD - payload_length if padding is None else padding
+
+
+class TestPaddedPackets:
+    """pcap.build_ipv4_udp and PcapWriter.write leave a packet's zero
+    padding off until the record is written; held to the reference builder
+    over the padded payload."""
+
+    ADDRESSES = ("198.51.100.7", "172.16.0.9", 443, 50001)
+
+    @pytest.mark.parametrize("padding_name", PADDINGS)
+    @pytest.mark.parametrize("payload_length", PAYLOAD_LENGTHS)
+    def test_builder_matches_the_reference_over_the_padded_payload(self, payload_length, padding_name):
+        payload, padding = padded_case(payload_length, padding_name)
+        packet = pcap.build_ipv4_udp(*self.ADDRESSES, payload, padding)
+        assert len(packet) == 28 + payload_length
+        reference = build_ipv4_udp(Datagram(0.0, *self.ADDRESSES, payload + bytes(padding)))
+        assert packet + bytes(padding) == reference
+
+    @pytest.mark.parametrize("padding_name", PADDINGS)
+    @pytest.mark.parametrize("payload_length", PAYLOAD_LENGTHS)
+    def test_padded_record_matches_the_padded_packet_and_reads_back(self, tmp_path, payload_length, padding_name):
+        payload, padding = padded_case(payload_length, padding_name)
+        packet = pcap.build_ipv4_udp(*self.ADDRESSES, payload, padding)
+        padded, whole = io.BytesIO(), io.BytesIO()
+        writer = PcapWriter(padded)
+        writer.write(1.25, packet, padding)
+        PcapWriter(whole).write(1.25, packet + bytes(padding))
+        assert writer.records == 1
+        assert padded.getvalue() == whole.getvalue()
+        path = tmp_path / "padded.pcap"
+        path.write_bytes(padded.getvalue())
+        got, counters = read_back(path)
+        assert got == [Datagram(1.25, *self.ADDRESSES, payload + bytes(padding))]
+        assert (counters.records, counters.datagrams, counters.malformed) == (1, 1, 0)

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from quicscope.fingerprint import resend_rounds
 from quicscope.ingest import group_traits, ingest
-from quicscope.pcap import PcapWriter
+from quicscope.pcap import CaptureCounters, PcapWriter
 from quicscope.scid import FacebookScidFields, decode_facebook_scid, encode_facebook_scid
 from quicscope.sim import (
     _CLUSTER_FIELDS,
@@ -37,11 +37,10 @@ from quicscope.sim import (
     client_initial_payload,
     default_stack_profile,
     route,
-    simulate_flood,
 )
 from quicscope.wire import PacketType, TruncatedPacket, encode_long_header, parse_long_header, split_coalesced
 
-from conftest import NO_PACKET_PAYLOADS, packets_of, sessions_of, simulate_to_pcap
+from conftest import NO_PACKET_PAYLOADS, packets_of, parse_ipv4_udp, sessions_of, simulate_to_pcap
 
 
 def profile(operator="Facebook", **overrides):
@@ -443,6 +442,16 @@ class TestDeliver:
         assert sim.truth == [] and not cluster.connections
         assert all(not instance.connection_table for instance in cluster.instances)
 
+    @pytest.mark.parametrize("length", [0, 1, 7])
+    def test_echo_scheme_fills_a_short_client_dcid_to_8_octets(self, length):
+        # Google's server CID echoes the first 8 octets of the client's DCID;
+        # a shorter one is followed by random octets up to 8
+        sim = DeploymentSimulator(DeploymentConfig(clusters=[cluster_config(operator="Google")], seed=9), truth=[])
+        dcid = bytes(range(1, length + 1))
+        conn = sim.deliver("10.0.0.1", sim.clusters[0].vips[0], 4000, client_initial_payload(dcid, b"\x20" * 8))
+        assert len(conn.server_cid) == 8 and conn.server_cid.startswith(dcid)
+        assert (sim.truth[-1].client_dcid, sim.truth[-1].server_scid) == (dcid, conn.server_cid)
+
     def test_cut_payload_ends_inside_the_scid(self):
         with pytest.raises(TruncatedPacket, match="payload ends inside SCID"):
             parse_long_header(NO_PACKET_PAYLOADS["cut-inside-scid"])
@@ -604,11 +613,15 @@ class TestEncodedBytesGolden:
         cluster = sim.clusters[0]
         five_tuple = ("10.0.0.1", "203.0.113.1", 5555, 443, 17)
         conn = Connection(server_cid, b"\x20" * 8, five_tuple, cluster.instances[0], 240.0)
-        datagrams = sim._response_datagrams(cluster, conn)
+        pairs = sim._response_round(cluster.profile, conn)
+        # each packet leaves its padding off; the reference decoder reads it padded
+        datagrams = [parse_ipv4_udp(packet + bytes(padding), 0.0, CaptureCounters()) for packet, padding in pairs]
         assert all(
             (d.timestamp, d.src_ip, d.dst_ip, d.src_port, d.dst_port) == (0.0, "203.0.113.1", "10.0.0.1", 443, 5555)
             for d in datagrams
         )
+        # every body ends in its filler, so no packet holds a zero of its padding
+        assert all(packet[-1] != 0 for packet, _ in pairs)
         lengths = [len(d.payload) for d in datagrams]
         digest = hashlib.sha256(b"".join(d.payload for d in datagrams)).hexdigest()
         assert (lengths, digest) == self.EXPECTED[case]
@@ -629,8 +642,9 @@ class TestFloodDeterminism:
         assert pa.read_bytes() == pb.read_bytes()
 
     def test_different_seed_differs(self):
-        a = simulate_flood(self.make_config(7))
-        b = simulate_flood(self.make_config(8))
+        a, b = [], []
+        DeploymentSimulator(self.make_config(7), truth=a).run_flood()
+        DeploymentSimulator(self.make_config(8), truth=b).run_flood()
         assert [t.server_scid for t in a] != [t.server_scid for t in b]
 
     def test_rounds_bounded_by_config(self, tmp_path):
@@ -670,8 +684,9 @@ class TestFloodDeterminism:
             flood=FloodConfig(sources=["100.64.9.9"], duration=0.1, sessions_per_vip=3),
             seed=1,
         )
-        per_vip = {}
-        for t in simulate_flood(cfg):
+        per_vip, truth = {}, []
+        DeploymentSimulator(cfg, truth=truth).run_flood()
+        for t in truth:
             per_vip[t.vip] = per_vip.get(t.vip, 0) + 1
         assert per_vip == {vip: 3 for vip in cfg.clusters[0].vips}
 
@@ -689,23 +704,23 @@ def pcap_records(path):
 
 
 class TestStreamedCapture:
-    def flood_config(self, retransmissions, sources=1000):
+    def flood_config(self, retransmissions, sources=1000, **overrides):
         return DeploymentConfig(
             clusters=[
                 ClusterConfig(
                     vips=["203.0.113.1", "203.0.113.2"],
                     l7lb_count=8,
-                    profile=profile("Facebook", max_retransmissions=retransmissions),
+                    profile=profile("Facebook", max_retransmissions=retransmissions, **overrides),
                 )
             ],
             flood=FloodConfig(sources=[f"100.64.{i // 250}.{i % 250 + 1}" for i in range(sources)], duration=60.0),
             seed=5,
         )
 
-    def stream_flood(self, path, retransmissions):
+    def stream_flood(self, path, retransmissions, **overrides):
         with path.open("wb") as fh:
             capture = PcapWriter(fh)
-            simulate_flood(self.flood_config(retransmissions), capture)
+            DeploymentSimulator(self.flood_config(retransmissions, **overrides), capture).run_flood()
         assert capture.records == 1000 * 2 * (1 + retransmissions)
 
     def test_peak_memory_independent_of_rounds(self, tmp_path):
@@ -726,6 +741,25 @@ class TestStreamedCapture:
                 tracemalloc.stop()
         assert peaks[8] <= 1.5 * peaks[1]
         assert peaks[1] <= 1.5 * peaks[8]
+
+    def test_padding_costs_no_memory_until_written(self, tmp_path):
+        # each open connection holds its round without the zero padding, so
+        # Facebook's 1,200-octet Initials cost no more memory than unpadded
+        # ones; a round held padded reads about 1.8 times higher. The capture
+        # goes to a file, since a BytesIO would hold the padding itself.
+        shipped = default_stack_profile("Facebook")
+        retransmissions = shipped.max_retransmissions
+        self.stream_flood(tmp_path / "warm-up.pcap", retransmissions)
+        peaks = {}
+        for name, policy in (("shipped", shipped.padding_policy), ("unpadded", {})):
+            tracemalloc.start()
+            try:
+                self.stream_flood(tmp_path / f"{name}.pcap", retransmissions, padding_policy=policy)
+                peaks[name] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert (tmp_path / "shipped.pcap").stat().st_size > (tmp_path / "unpadded.pcap").stat().st_size
+        assert peaks["shipped"] <= 1.2 * peaks["unpadded"]
 
     def test_rounds_repeat_identical_packets(self, tmp_path):
         path = tmp_path / "capture.pcap"

@@ -20,7 +20,6 @@ from quicscope.wire import (
     FORM_BIT,
     MAX_CID_LENGTH,
     TYPE_MASK,
-    Datagram,
     Direction,
     InvalidCidLength,
     LongHeader,
@@ -311,35 +310,6 @@ class TestClassifyDirection:
         for _ in range(200):
             direction = classify_direction(rng.randint(0, 65535), rng.randint(0, 65535))
             assert direction in (Direction.REQUEST, Direction.RESPONSE, Direction.NON_QUIC)
-
-    def test_port_bounds_checked(self):
-        with pytest.raises(ValueError):
-            Datagram(0.0, "1.1.1.1", "2.2.2.2", 70000, 443, b"")
-
-
-class TestDatagramRecord:
-    @pytest.mark.parametrize("src_port,dst_port,bad", [(-1, 443, -1), (443, 65536, 65536), (65536, 70000, 65536)])
-    def test_out_of_range_port_message(self, src_port, dst_port, bad):
-        with pytest.raises(ValueError, match=f"^port {bad} out of range$"):
-            Datagram(0.0, "1.1.1.1", "2.2.2.2", src_port, dst_port, b"")
-
-    def test_port_range_ends_accepted(self):
-        d = Datagram(1.5, "1.1.1.1", "2.2.2.2", 0, 65535, b"x")
-        assert (d.timestamp, d.src_ip, d.dst_ip, d.src_port, d.dst_port, d.payload) == (
-            1.5, "1.1.1.1", "2.2.2.2", 0, 65535, b"x",
-        )
-
-    @pytest.mark.parametrize("attr", ["src_port", "payload", "extra"])
-    def test_immutable(self, attr):
-        d = Datagram(0.0, "1.1.1.1", "2.2.2.2", 443, 50000, b"")
-        with pytest.raises(AttributeError):
-            setattr(d, attr, 1)
-
-    def test_equal_fields_equal_and_hash_equal(self):
-        a = Datagram(2.0, "1.1.1.1", "2.2.2.2", 443, 50000, b"abc")
-        b = Datagram(2.0, "1.1.1.1", "2.2.2.2", 443, 50000, b"abc")
-        assert a is not b and a == b and hash(a) == hash(b)
-        assert a != Datagram(2.0, "1.1.1.1", "2.2.2.2", 443, 50001, b"abc")
 
 
 class TestPlausibility:
