@@ -159,7 +159,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_ingest(args) -> int:
     from . import tables
-    from .ingest import IngestCounters, Sessionizer, group_traits, ingest, store_key
+    from .ingest import IngestCounters, fold_capture
     from .pcap import PcapReader
     from .wire import PlausibilityConfig
 
@@ -179,15 +179,14 @@ def cmd_ingest(args) -> int:
     # a file that is not a capture fails here, before any output exists
     capture = PcapReader(capture_path)
     counters = IngestCounters()
-    records = ingest(capture.datagrams(), plausibility, counters, scanners, prefix_table, capture.counters)
-    sessionizer = Sessionizer(args.idle_gap)
-    traits = group_traits(map(sessionizer.add, records), store_key)
-    sessions = sessionizer.sessions
+    rows, sessions = fold_capture(
+        capture.datagrams(), plausibility, counters, scanners, prefix_table, capture.counters, args.idle_gap
+    )
 
     out = _out_dir(args)
     stores = out / "datagrams.jsonl", out / "sessions.jsonl"
     try:
-        tables.save_stores(*stores, traits, sessions)
+        tables.save_stores(*stores, rows, sessions)
     except BaseException:
         # no manifest names a store cut short, so none is left behind
         for path in stores:
@@ -488,12 +487,6 @@ def _build_transport(args):
     return probe.RawNetworkTransport(seed=args.seed), []
 
 
-def _port_strategy(value):
-    if value not in PORT_STRATEGIES:
-        raise ValueError(f"expected one of {', '.join(PORT_STRATEGIES)}, got {value!r}")
-    return value
-
-
 def cmd_probe(args) -> int:
     from . import probe, tables
 
@@ -504,7 +497,7 @@ def cmd_probe(args) -> int:
             {
                 "targets": lambda value: ",".join(tables.list_of(tables.of_type(str))(value)),
                 "handshakes_per_vip": tables.of_type(int),
-                "port_strategy": _port_strategy,
+                "port_strategy": tables.one_of({strategy: strategy for strategy in PORT_STRATEGIES}),
                 "inter_probe_gap": tables.of_type(float),
                 "seed": tables.of_type(int),
             },

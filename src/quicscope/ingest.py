@@ -1,13 +1,13 @@
-"""Telescope capture ingestion: filtering, sanitization, AS mapping, and the
-folds the analyses read.
+"""Telescope capture ingestion: filtering, sanitization, operator labels,
+and the folds the analyses read.
 
-ingest() is one lazy pass over a capture's IP datagrams that decodes,
-filters, sanitizes and labels each one and yields it as a finished,
-immutable record. Two folds consume that stream as it goes, so a capture
-streams through without being held: the Sessionizer keeps each session's
-offsets, and group_traits each store_key's shapes and SCIDs. What they
-keep is all the analyses read: the datagram store holds one KeyRow per
-store_key, and the analyses sum its rows under their own keys with
+fold_capture() is one pass over a capture's IP datagrams that decodes,
+filters, sanitizes and labels each one and folds it in at once, so a
+capture streams through without being held: each (direction, source
+address, operator) key keeps its datagrams per shape and its response
+SCIDs, and each session the offsets of its resend rounds. What they keep is
+all the analyses read: the datagram store holds one KeyRow per key, with
+the key's sessions, and the analyses sum its rows under their own keys with
 sum_traits; no analysis reads a datagram.
 Input captures are expected in timestamp order (standard for single-vantage
 telescope files); ordering is not re-checked.
@@ -19,7 +19,7 @@ import ipaddress
 import struct
 from array import array
 from bisect import bisect_right
-from typing import TYPE_CHECKING, Callable, Hashable, Iterable, Iterator, NamedTuple, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Hashable, Iterable, NamedTuple, Optional, Sequence
 
 # _socket holds the converter; the socket module around it adds about 8 ms
 # to every stage's start-up
@@ -29,7 +29,6 @@ from . import InputError
 from .wire import (
     TYPE_LABELS,
     Direction,
-    LongHeader,
     PacketType,
     PlausibilityConfig,
     VersionRegistry,
@@ -38,37 +37,12 @@ from .wire import (
     split_coalesced,
 )
 
-# pcap is imported where ingest() counts into a CaptureCounters of its own,
+# pcap is imported where fold_capture() counts into a CaptureCounters of its own,
 # so the stages that read only stores do not load it
 if TYPE_CHECKING:
     from .pcap import CaptureCounters
 
 DEFAULT_IDLE_GAP = 60.0
-
-
-class CaptureRecord(NamedTuple):
-    """One QUIC datagram with its parsed long-header packets.
-
-    `ingest()` builds each one once, complete.
-    `operator`/`asn` identify the server side (source of a response,
-    destination of a request), None where no prefix names it.
-    """
-
-    timestamp: float
-    src_ip: str
-    dst_ip: str
-    src_port: int
-    dst_port: int
-    direction: Direction
-    datagram_length: int
-    packets: list[LongHeader]
-    operator: Optional[str] = None
-    asn: Optional[int] = None
-
-    @property
-    def types(self) -> tuple[str, ...]:
-        """Display labels of the packet types, in datagram order."""
-        return tuple([TYPE_LABELS[p.packet_type] for p in self.packets])
 
 
 class IngestCounters:
@@ -155,28 +129,114 @@ _NO_UDP_HEADER = bytes(8)
 _PREFIX_HITS = 1 << 16
 
 
-def ingest(
+# the packet types whose offsets a session keeps: its resend rounds
+_ROUND_TYPES = frozenset((PacketType.INITIAL, PacketType.HANDSHAKE))
+
+
+class Session(NamedTuple):
+    """What the analyses read of one session: its source address, operator,
+    direction and version, and, in arrival order, the offsets of its Initial
+    and Handshake packets from its first packet."""
+
+    src_ip: str
+    operator: Optional[str]
+    direction: Direction
+    version: int
+    offsets: Sequence[float]
+
+
+class Traits(NamedTuple):
+    """What the analyses read of one group of datagrams: the datagrams per
+    shape, a shape being the (packet-type labels, datagram length) pair,
+    and the SCIDs of the group's responses."""
+
+    shapes: dict[tuple[tuple[str, ...], int], int]
+    scids: set[bytes]
+
+    def type_counts(self) -> dict[str, int]:
+        """Datagrams per packet-type combination over all lengths; a
+        coalesced combination such as `Initial & Handshake` is its own
+        category."""
+        counts: dict[str, int] = {}
+        for (types, _), n in self.shapes.items():
+            category = " & ".join(types)
+            counts[category] = counts.get(category, 0) + n
+        return counts
+
+    def top_shapes(self, k: int) -> list[tuple[tuple[str, ...], int, int]]:
+        """The k most common (types, length, datagrams), ties by shape."""
+        ranked = sorted(self.shapes.items(), key=lambda item: (-item[1], item[0]))
+        return [(types, length, n) for (types, length), n in ranked[:k]]
+
+    @property
+    def coalescence(self) -> bool:
+        """True iff some datagram carries two or more packets."""
+        return any(len(types) > 1 for types, _ in self.shapes)
+
+
+class KeyRow(NamedTuple):
+    """One row of the datagram store: the traits of the datagrams under one
+    (direction, source address, operator) key, and its sessions, which all
+    share the key. fold_capture's rows hold each Session; a row read back
+    holds what its reader keeps of each one's offsets
+    (tables.read_key_rows)."""
+
+    direction: Direction
+    src_ip: str
+    operator: Optional[str]
+    traits: Traits
+    sessions: list
+
+
+def sum_traits(rows: Iterable[KeyRow], key: Callable[[KeyRow], Hashable]) -> dict[Hashable, Traits]:
+    """The Traits of each key(row), summed over the store rows under it."""
+    groups: dict[Hashable, Traits] = {}
+    for row in rows:
+        k = key(row)
+        traits = groups.get(k)
+        if traits is None:
+            traits = groups[k] = Traits({}, set())
+        for shape, n in row.traits.shapes.items():
+            traits.shapes[shape] = traits.shapes.get(shape, 0) + n
+        traits.scids.update(row.traits.scids)
+    return groups
+
+
+def fold_capture(
     datagrams: Iterable[tuple[float, bytes]],
     config: Optional[PlausibilityConfig] = None,
     counters: Optional[IngestCounters] = None,
     scanners: Optional[ScannerList] = None,
     prefixes: Optional[PrefixTable] = None,
     capture: Optional[CaptureCounters] = None,
-) -> Iterator[CaptureRecord]:
-    """Yield the plausible QUIC records among the (timestamp, IPv4 datagram)
-    pairs of `datagrams`, as PcapReader.datagrams yields them, each built once
-    with the (asn, operator) that `prefixes` gives its server-side address;
+    idle_gap: float = DEFAULT_IDLE_GAP,
+) -> tuple[list[KeyRow], list[Session]]:
+    """Fold the plausible QUIC datagrams among the (timestamp, IPv4 datagram)
+    pairs of `datagrams`, as PcapReader.datagrams yields them, into what the
+    stores hold: one KeyRow per (direction, source address, operator) key
+    in the order it was first seen, and every Session in the order it
+    opened. The operator is what `prefixes` gives the server-side address;
     with no config, the shipped version registry decides.
 
     An IP datagram that is not IPv4, a fragment after the first, not UDP, or
     too short for its headers is counted in `capture` and skipped. Non-QUIC
-    ports and implausible payloads are counted, never emitted. A request
+    ports and implausible payloads are counted, never folded. A request
     whose source is in `scanners` is counted as emitted and as dropped, and
-    yields no record. Responses are never dropped: the sanitization target
-    is client-side scan traffic, and backscatter sources are the measurement
+    is not folded. Responses are never dropped: the sanitization target is
+    client-side scan traffic, and backscatter sources are the measurement
     signal. The server side is the source of a response and the destination
     of a request.
+
+    A session groups the long-header packets of one direction with the same
+    address pair, SCID and DCID. Every packet lands in exactly one session,
+    and the packets of a coalesced datagram share its offset. A gap of
+    `idle_gap` seconds or more closes the session, and a later packet under
+    the same key opens a new one. A session keeps its offsets packed, 8
+    bytes each, and no datagram is kept.
     """
+    # a gap of 0, below it or NaN makes every packet a session of its own
+    if not 0 < idle_gap < float("inf"):
+        raise InputError(f"idle gap must be positive and finite, got {idle_gap}")
     if counters is None:
         counters = IngestCounters()
     if capture is None:
@@ -187,7 +247,13 @@ def ingest(
         config = PlausibilityConfig(VersionRegistry.default())
     new = tuple.__new__
     non_quic, response = Direction.NON_QUIC, Direction.RESPONSE
-    hits: dict[bytes, Optional[tuple[int, str]]] = {}
+    labels, round_types = TYPE_LABELS, _ROUND_TYPES
+    operators: dict[bytes, Optional[str]] = {}
+    rows: dict[tuple[Direction, bytes, Optional[str]], KeyRow] = {}
+    sessions: list[Session] = []
+    # per (direction, source, destination, SCID, DCID) of an open session:
+    # [its offsets, its start, its last packet's time]
+    open_sessions: dict[tuple[Direction, bytes, bytes, bytes, bytes], list] = {}
     for timestamp, packet in datagrams:
         if len(packet) < 20 or packet[0] >> 4 != 4:
             capture.non_ipv4 += 1
@@ -237,150 +303,33 @@ def ingest(
                 continue
             server = dst
         try:
-            hit = hits[server]
+            operator = operators[server]
         except KeyError:
-            if len(hits) >= _PREFIX_HITS:
-                hits.clear()
-            hit = hits[server] = None if prefixes is None else prefixes.lookup(int.from_bytes(server, "big"))
-        asn, operator = (None, None) if hit is None else hit
-        # tuple.__new__ skips the Python-level call of CaptureRecord(...)
-        yield new(
-            CaptureRecord,
-            (
-                timestamp, inet_ntoa(src), inet_ntoa(dst), src_port, dst_port, direction, len(payload), packets,
-                operator, asn,
-            ),
-        )
-
-
-# the packet types whose offsets a session keeps: its resend rounds
-_ROUND_TYPES = frozenset((PacketType.INITIAL, PacketType.HANDSHAKE))
-
-
-class Session(NamedTuple):
-    """What the analyses read of one session: its source address, operator,
-    direction and version, and, in arrival order, the offsets of its Initial
-    and Handshake packets from its first packet."""
-
-    src_ip: str
-    operator: Optional[str]
-    direction: Direction
-    version: int
-    offsets: Sequence[float]
-
-
-class Traits(NamedTuple):
-    """What the analyses read of one group of records: the datagrams per
-    shape, a shape being the (packet-type labels, datagram length) pair,
-    and the SCIDs of the group's responses."""
-
-    shapes: dict[tuple[tuple[str, ...], int], int]
-    scids: set[bytes]
-
-    def type_counts(self) -> dict[str, int]:
-        """Datagrams per packet-type combination over all lengths; a
-        coalesced combination such as `Initial & Handshake` is its own
-        category."""
-        counts: dict[str, int] = {}
-        for (types, _), n in self.shapes.items():
-            category = " & ".join(types)
-            counts[category] = counts.get(category, 0) + n
-        return counts
-
-    def top_shapes(self, k: int) -> list[tuple[tuple[str, ...], int, int]]:
-        """The k most common (types, length, datagrams), ties by shape."""
-        ranked = sorted(self.shapes.items(), key=lambda item: (-item[1], item[0]))
-        return [(types, length, n) for (types, length), n in ranked[:k]]
-
-    @property
-    def coalescence(self) -> bool:
-        """True iff some datagram carries two or more packets."""
-        return any(len(types) > 1 for types, _ in self.shapes)
-
-
-def group_traits(records: Iterable[CaptureRecord], key: Callable[[CaptureRecord], Hashable]) -> dict[Hashable, Traits]:
-    """Fold records into the Traits of each key(record), in one pass."""
-    groups: dict[Hashable, Traits] = {}
-    response = Direction.RESPONSE
-    for record in records:
-        k = key(record)
-        traits = groups.get(k)
-        if traits is None:
-            traits = groups[k] = Traits({}, set())
-        shape = (record.types, record.datagram_length)
-        traits.shapes[shape] = traits.shapes.get(shape, 0) + 1
-        if record.direction is response:
-            traits.scids.update([p.scid for p in record.packets])
-    return groups
-
-
-def store_key(record: CaptureRecord | Session) -> tuple[Direction, str, Optional[str]]:
-    """The key of a record's row in the datagram store, which holds the
-    sessions of the key too: a session's packets share it."""
-    return record.direction, record.src_ip, record.operator
-
-
-class KeyRow(NamedTuple):
-    """One row of the datagram store: the traits of the records under one
-    store_key, and what its reader keeps of each of the key's sessions'
-    offsets (tables.read_key_rows)."""
-
-    direction: Direction
-    src_ip: str
-    operator: Optional[str]
-    traits: Traits
-    sessions: list
-
-
-def sum_traits(rows: Iterable[KeyRow], key: Callable[[KeyRow], Hashable]) -> dict[Hashable, Traits]:
-    """The Traits of each key(row), summed over the store rows under it."""
-    groups: dict[Hashable, Traits] = {}
-    for row in rows:
-        k = key(row)
-        traits = groups.get(k)
-        if traits is None:
-            traits = groups[k] = Traits({}, set())
-        for shape, n in row.traits.shapes.items():
-            traits.shapes[shape] = traits.shapes.get(shape, 0) + n
-        traits.scids.update(row.traits.scids)
-    return groups
-
-
-class Sessionizer:
-    """The session rule as a fold: add() timestamp-ordered records one at a
-    time; `sessions` lists every session in the order it opened.
-
-    A session groups the long-header packets of one direction with the same
-    address pair, SCID and DCID. Every packet lands in exactly one session,
-    and the packets of a coalesced datagram share its offset. A gap of
-    `idle_gap` seconds or more closes the session and a later packet under
-    the same key opens a new one. The fold keeps each session's offsets
-    packed, 8 bytes each, not the records.
-    """
-
-    def __init__(self, idle_gap: float = DEFAULT_IDLE_GAP):
-        # a gap of 0, below it or NaN makes every packet a session of its own
-        if not 0 < idle_gap < float("inf"):
-            raise InputError(f"idle gap must be positive and finite, got {idle_gap}")
-        self.idle_gap = idle_gap
-        self.sessions: list[Session] = []
-        # per key of an open session: [its offsets, its start, its last packet's time]
-        self._open: dict[tuple[Direction, str, str, bytes, bytes], list] = {}
-
-    def add(self, record: CaptureRecord) -> CaptureRecord:
-        """Fold one record in; returns it, so the fold can sit in a stream
-        that another consumer drains, as in `map(sessionizer.add, records)`."""
-        ts, src_ip, dst_ip, _, _, direction, _, packets, operator, _ = record
-        open_sessions = self._open
-        for packet in packets:
-            key = (direction, src_ip, dst_ip, packet.scid, packet.dcid)
+            if len(operators) >= _PREFIX_HITS:
+                operators.clear()
+            hit = None if prefixes is None else prefixes.lookup(int.from_bytes(server, "big"))
+            operator = operators[server] = None if hit is None else hit[1]
+        row = rows.get((direction, src, operator))
+        if row is None:
+            # tuple.__new__ skips the Python-level calls of KeyRow(...) and Session(...)
+            row = rows[direction, src, operator] = new(
+                KeyRow, (direction, inet_ntoa(src), operator, Traits({}, set()), [])
+            )
+        shapes = row.traits.shapes
+        shape = (tuple([labels[p.packet_type] for p in packets]), len(payload))
+        shapes[shape] = shapes.get(shape, 0) + 1
+        if direction is response:
+            row.traits.scids.update([p.scid for p in packets])
+        for p in packets:
+            key = (direction, src, dst, p.scid, p.dcid)
             state = open_sessions.get(key)
-            if state is None or not ts - state[2] < self.idle_gap:
+            if state is None or not timestamp - state[2] < idle_gap:
                 offsets = array("d")
-                # tuple.__new__ skips the Python-level call of Session(...)
-                self.sessions.append(tuple.__new__(Session, (src_ip, operator, direction, packet.version, offsets)))
-                state = open_sessions[key] = [offsets, ts, ts]
-            if packet.packet_type in _ROUND_TYPES:
-                state[0].append(ts - state[1])
-            state[2] = ts
-        return record
+                session = new(Session, (row.src_ip, operator, direction, p.version, offsets))
+                sessions.append(session)
+                row.sessions.append(session)
+                state = open_sessions[key] = [offsets, timestamp, timestamp]
+            if p.packet_type in round_types:
+                state[0].append(timestamp - state[1])
+            state[2] = timestamp
+    return list(rows.values()), sessions

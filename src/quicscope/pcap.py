@@ -2,7 +2,7 @@
 
 Reading supports both byte orders, microsecond and nanosecond magics, and
 link types Ethernet (1) and raw IP (101); it yields each record's IP
-datagram, which `ingest.ingest` decodes. Writing always produces
+datagram, which `ingest.fold_capture` decodes. Writing always produces
 little-endian microsecond files with raw-IP framing, which keeps simulator
 output minimal and byte-reproducible.
 """
@@ -41,8 +41,9 @@ _UDP_PSEUDO_HEADER = struct.Struct(">4s4sBBH")
 
 class CaptureCounters:
     """Per-read accounting for everything that was skipped: PcapReader
-    counts the records and what their link layer rules out, `ingest.ingest`
-    what the IPv4 and UDP headers do, and the datagrams it decodes."""
+    counts the records and what their link layer rules out,
+    `ingest.fold_capture` what the IPv4 and UDP headers do, and the
+    datagrams it decodes."""
 
     records = 0
     malformed = 0
@@ -113,7 +114,8 @@ class PcapReader:
 
     def datagrams(self) -> Iterator[tuple[float, bytes]]:
         """Yield (timestamp, IP datagram) for each record, its link-layer
-        header stripped; `ingest.ingest` decodes the IPv4 and UDP headers.
+        header stripped; `ingest.fold_capture` decodes the IPv4 and UDP
+        headers.
 
         The file is read READ_BLOCK octets at a time, and each datagram is a
         slice of the block. A cut or damaged record ends the read and counts

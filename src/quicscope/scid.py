@@ -68,8 +68,7 @@ class NybbleFrequencyMatrix(NamedTuple):
         return len(self.counts)
 
     def relative(self) -> tuple[tuple[float, ...], ...]:
-        if self.total == 0:
-            return tuple((0.0,) * 16 for _ in self.counts)
+        # an empty population, the only one of total 0, has no positions
         return tuple(tuple(c / self.total for c in row) for row in self.counts)
 
     def rows(self) -> Iterable[tuple[int, int, int, float]]:

@@ -179,18 +179,21 @@ class L7LBInstance(NamedTuple):
 class VirtualClock:
     """Event-driven clock over a heap of (time, seq, callback); identical
     schedules replay identically, since entries order by (time, seq), a
-    total order. Nothing is cancelled: a callback with nothing left to do
-    returns at once."""
+    total order while at most one entry is scheduled `first` at a time.
+    Nothing is cancelled: a callback with nothing left to do returns at
+    once."""
 
     def __init__(self) -> None:
         self.now = 0.0
         self._heap: list[tuple[float, int, Callable[[], None]]] = []
         self._seq = 0
 
-    def schedule(self, at: float, fn: Callable[[], None]) -> None:
+    def schedule(self, at: float, fn: Callable[[], None], first: bool = False) -> None:
+        """Fire `fn` at time `at`, after the events scheduled earlier for
+        that time, or with `first` before every other event at that time."""
         if at < self.now:
             raise SimError(f"cannot schedule at {at} before now {self.now}")
-        heapq.heappush(self._heap, (at, self._seq, fn))
+        heapq.heappush(self._heap, (at, -1 if first else self._seq, fn))
         self._seq += 1
 
     def run_until(self, t: float) -> None:
@@ -405,17 +408,23 @@ def _address_range(section: dict, stem: str, where: str) -> list[str]:
     return [str(base + i) for i in range(_required(section, f"{stem}_count", where))]
 
 
-def _build(cls, section: dict, where: str):
+def _build(cls, section: dict, where: str, name_checks: bool = False):
     """`cls` from the keys of a parsed section that are its fields; the other
     keys are the ones from_dict derives fields from. A field with no default
-    that the section lacks raises InvalidConfig naming it."""
+    that the section lacks raises InvalidConfig naming it, and with
+    `name_checks`, so does a check of `cls` that fails, as `where: ...`."""
     values = {}
     for name in cls._fields:
         if name in section:
             values[name] = section[name]
         elif name not in cls._field_defaults:
             raise InvalidConfig(f"{where} is missing {name!r}")
-    return cls(**values)
+    if not name_checks:
+        return cls(**values)
+    try:
+        return cls(**values)
+    except InvalidConfig as exc:
+        raise InvalidConfig(f"{where}: {exc}") from None
 
 
 _str, _int, _float = of_type(str), of_type(int), of_type(float)
@@ -518,14 +527,17 @@ class DeploymentConfig(CheckedTuple, _DeploymentConfigFields):
             operator = c.get("operator", raw.get("operator"))
             if "profile" in c:
                 profile = {"operator": operator or "custom", **c["profile"]}
-                c["profile"] = _build(StackProfile, profile, f"{where} profile")
+                c["profile"] = _build(StackProfile, profile, f"{where} profile", name_checks=True)
             elif operator is not None:
-                c["profile"] = default_stack_profile(operator)
+                try:
+                    c["profile"] = default_stack_profile(operator)
+                except InvalidConfig as exc:
+                    raise InvalidConfig(f"{where}: {exc}") from None
             else:
                 raise InvalidConfig(f"{where}: neither operator nor profile given")
             if not c.get("vips"):
                 c["vips"] = _address_range(c, "vip", where)
-            clusters[i] = _build(ClusterConfig, {"name": f"cluster{i}", **c}, where)
+            clusters[i] = _build(ClusterConfig, {"name": f"cluster{i}", **c}, where, name_checks=True)
         if "flood" in raw:
             flood = raw["flood"]
             if not flood.get("sources"):
@@ -745,29 +757,30 @@ class DeploymentSimulator:
                 vip = self.rng.choice(vips)
                 at = self.rng.uniform(0.0, flood.arrival_window) if flood.arrival_window else 0.0
                 arrivals.append((at, src, vip))
+        # Only the next arrival waits on the clock, scheduled first at its
+        # time: each fires before any other event at its time, in sorted
+        # order, as if all were scheduled up front. The list is popped from
+        # its end, so it is reversed after the stable sort.
         arrivals.sort(key=lambda a: a[0])
+        arrivals.reverse()
 
-        def make_injector(src: str, vip: str) -> Callable[[], None]:
-            def inject() -> None:
-                src_port = self.rng.randint(1024, 65535)
-                dcid = self.rng.randbytes(8)
-                scid = self.rng.randbytes(8)
-                body = client_initial_payload(dcid, scid)
-                conn = self.deliver(src, vip, src_port, body)
-                # the ACK draw happens whether or not a connection opened, so
-                # the random stream does not depend on it
-                if (
-                    flood.ack_probability > 0
-                    and self.rng.random() < flood.ack_probability
-                    and conn is not None
-                ):
-                    ack_body = client_ack_payload(conn.server_cid, scid)
-                    self.clock.schedule(
-                        self.clock.now + flood.ack_delay, lambda: self.deliver(src, vip, src_port, ack_body)
-                    )
+        def arrive() -> None:
+            _, src, vip = arrivals.pop()
+            if arrivals:
+                self.clock.schedule(arrivals[-1][0], arrive, first=True)
+            src_port = self.rng.randint(1024, 65535)
+            dcid = self.rng.randbytes(8)
+            scid = self.rng.randbytes(8)
+            body = client_initial_payload(dcid, scid)
+            conn = self.deliver(src, vip, src_port, body)
+            # the ACK draw happens whether or not a connection opened, so
+            # the random stream does not depend on it
+            if flood.ack_probability > 0 and self.rng.random() < flood.ack_probability and conn is not None:
+                ack_body = client_ack_payload(conn.server_cid, scid)
+                self.clock.schedule(
+                    self.clock.now + flood.ack_delay, lambda: self.deliver(src, vip, src_port, ack_body)
+                )
 
-            return inject
-
-        for at, src, vip in arrivals:
-            self.clock.schedule(at, make_injector(src, vip))
+        # a flood has at least one source and a deployment at least one VIP
+        self.clock.schedule(arrivals[-1][0], arrive, first=True)
         self.clock.run_until(flood.duration)

@@ -1,13 +1,15 @@
 """Line-delimited stores, plot-ready tables and the readers of every input file.
 
 `ingest` hands its folds to the analyses in two JSONL stores, each row
-written as `json.dumps(row, sort_keys=True)`. The datagram store holds
-one row per (direction, source address, operator) key: the key's
-datagrams per shape, its unique SCIDs and the offsets of each of its
-sessions. The session store holds one row per session: its key fields,
-version and offsets. read_key_rows and read_sessions read them back a row
-at a time through load_lines and the object_of, of_type and list_of
-parsers, which check every value's JSON type and range.
+written as `json.dumps(row, sort_keys=True)`. save_stores writes the
+KeyRows and Sessions of ingest.fold_capture as they come: the datagram
+store holds one row per (direction, source address, operator) key, with
+the key's datagrams per shape, its unique SCIDs and the offsets of each of
+its sessions, and the session store one row per session, with its key
+fields, version and offsets. read_key_rows and read_sessions read them
+back as the same types, a row at a time, through load_lines and the
+object_of, of_type and list_of parsers, which check every value's JSON
+type and range.
 TruthWriter writes `simulate`'s truth rows and pairs table with one format
 string per file, a row per served handshake. Analysis outputs land as TSV
 with a one-line header, which read_table reads back for the next stage.
@@ -35,9 +37,9 @@ from . import InputError
 # The store and list readers import ingest's and wire's types where they
 # use them, so a stage that reads only tables (report) loads neither.
 if TYPE_CHECKING:
-    from .ingest import KeyRow, PrefixTable, ScannerList, Session, Traits
+    from .ingest import KeyRow, PrefixTable, ScannerList, Session
     from .sim import SessionTruth
-    from .wire import Direction, VersionRegistry
+    from .wire import VersionRegistry
 
 T = TypeVar("T")
 
@@ -283,35 +285,28 @@ def _offsets_text(offsets: Iterable[float]) -> str:
     return " ".join([repr(offset).removesuffix(".0") for offset in offsets])
 
 
-def save_stores(
-    datagrams: Path, sessions: Path, traits: dict[tuple[Direction, str, Optional[str]], Traits], folded: list[Session]
-) -> None:
-    """Write the datagram store, one row per ingest.store_key of `traits`
-    with the offsets of the key's sessions, and the session store, one row
-    per session of `folded`, each in the order of its input.
+def save_stores(datagrams: Path, sessions: Path, rows: Iterable[KeyRow], folded: Iterable[Session]) -> None:
+    """Write the datagram store, one row per KeyRow of `rows` with the
+    offsets of its sessions, and the session store, one row per session of
+    `folded`, each in the order of its input.
 
     Offsets are written as their float reprs, which read back exactly,
     separated by spaces, and a key row's sessions as one string with a `;`
     after each session's offsets. So a row decodes to one string, where
     JSON arrays would make a float object per packet: a reader's memory
     follows the longest row's text, not its sessions' packets."""
-    from .ingest import store_key
-
-    by_key: dict[tuple, list[Session]] = {}
-    for s in folded:
-        by_key.setdefault(store_key(s), []).append(s)
     _save_rows(
         datagrams,
         (
             {
-                "direction": direction.value,
-                "src": src,
-                "operator": operator,
-                "shapes": sorted([types, length, n] for (types, length), n in t.shapes.items()),
-                "scids": sorted(scid.hex() for scid in t.scids),
-                "sessions": "".join(_offsets_text(s.offsets) + ";" for s in by_key.get((direction, src, operator), ())),
+                "direction": row.direction.value,
+                "src": row.src_ip,
+                "operator": row.operator,
+                "shapes": sorted([types, length, n] for (types, length), n in row.traits.shapes.items()),
+                "scids": sorted(scid.hex() for scid in row.traits.scids),
+                "sessions": "".join(_offsets_text(s.offsets) + ";" for s in row.sessions),
             }
-            for (direction, src, operator), t in traits.items()
+            for row in rows
         ),
     )
     _save_rows(

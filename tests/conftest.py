@@ -1,8 +1,10 @@
-"""Shared builders for synthetic datagrams, records, and captures, the
-reference builder and decoder of a capture's datagrams, and the reference
+"""Shared builders for synthetic datagrams and captures, the reference
+builder and decoder of a capture's datagrams, the reference record stream
+and folds that ingest.fold_capture must equal, and the reference
 sessionizer and store writers of the per-datagram stores that ingest wrote
 before it wrote its folds."""
 
+import ipaddress
 import json
 import os
 import socket
@@ -10,17 +12,23 @@ import struct
 import subprocess
 import sys
 import time
+from array import array
 from pathlib import Path
-from typing import NamedTuple, Optional
+from typing import Iterator, NamedTuple, Optional
 
 import pytest
 
 from quicscope import tables
-from quicscope.ingest import DEFAULT_IDLE_GAP, Session, Sessionizer, group_traits, ingest, store_key
+from quicscope.ingest import (
+    DEFAULT_IDLE_GAP, IngestCounters, KeyRow, PrefixTable, Session, Traits, fold_capture,
+)
 from quicscope.pcap import CaptureCounters, PcapReader, PcapWriter, _ip_checksum
 from quicscope.probe import HostIdHarvest
 from quicscope.sim import DeploymentConfig, DeploymentSimulator, SessionTruth, client_initial_payload
-from quicscope.wire import PacketType, encode_long_header
+from quicscope.wire import (
+    TYPE_LABELS, Direction, LongHeader, PacketType, PlausibilityConfig, VersionRegistry, classify_direction,
+    encode_long_header, is_plausible_quic, split_coalesced,
+)
 
 
 def run_python(*args, **kwargs) -> subprocess.CompletedProcess:
@@ -82,7 +90,7 @@ def write_pcap(path: Path, datagrams) -> int:
 def parse_ipv4_udp(packet: bytes, timestamp: float, counters: CaptureCounters) -> Optional[Datagram]:
     """The reference decoder of one IP datagram: a Datagram, or None (and
     counts why) for anything that is not a complete first-fragment UDP
-    packet. ingest.ingest decodes the same fields its own way."""
+    packet. ingest.fold_capture decodes the same fields its own way."""
     if len(packet) < 20 or packet[0] >> 4 != 4:
         counters.non_ipv4 += 1
         return None
@@ -141,25 +149,128 @@ def written_datagrams(buffer, path: Path) -> list[Datagram]:
     return read_datagrams(path)
 
 
-def sessions_of(records, idle_gap: float = DEFAULT_IDLE_GAP) -> list[Session]:
-    """The sessions of `records`, folded one at a time."""
-    sessionizer = Sessionizer(idle_gap)
+class CaptureRecord(NamedTuple):
+    """One QUIC datagram with its parsed long-header packets, as ingest
+    yielded it before it folded each datagram as it decoded it.
+    `operator`/`asn` identify the server side (source of a response,
+    destination of a request), None where no prefix names it."""
+
+    timestamp: float
+    src_ip: str
+    dst_ip: str
+    src_port: int
+    dst_port: int
+    direction: Direction
+    datagram_length: int
+    packets: list[LongHeader]
+    operator: Optional[str] = None
+    asn: Optional[int] = None
+
+    @property
+    def types(self) -> tuple[str, ...]:
+        """Display labels of the packet types, in datagram order."""
+        return tuple([TYPE_LABELS[p.packet_type] for p in self.packets])
+
+
+def reference_ingest(
+    datagrams, config=None, counters: Optional[IngestCounters] = None, scanners=None, prefixes=None
+) -> Iterator[CaptureRecord]:
+    """The records of decoded Datagrams as ingest yielded them, parsed with
+    split_coalesced: the oracle of the decoding, filtering, sanitization
+    and labels of fold_capture."""
+    config = config or PlausibilityConfig(VersionRegistry.default())
+    counters = counters or IngestCounters()
+    for d in datagrams:
+        counters.total += 1
+        direction = classify_direction(d.src_port, d.dst_port)
+        if direction is Direction.NON_QUIC:
+            counters.non_quic_port += 1
+            continue
+        packets = split_coalesced(d.payload)
+        if not is_plausible_quic(packets, config):
+            if not packets and d.payload and d.payload[0] and not d.payload[0] & 0x80:
+                counters.short_header_only += 1
+            else:
+                counters.implausible += 1
+            continue
+        counters.emitted += 1
+        if direction is Direction.RESPONSE:
+            counters.responses_seen += 1
+            server_ip = d.src_ip
+        else:
+            counters.requests_seen += 1
+            if scanners is not None and int.from_bytes(socket.inet_aton(d.src_ip), "big") in scanners:
+                counters.requests_dropped += 1
+                continue
+            server_ip = d.dst_ip
+        hit = None if prefixes is None else prefixes.lookup(int.from_bytes(socket.inet_aton(server_ip), "big"))
+        asn, operator = hit or (None, None)
+        yield CaptureRecord(
+            d.timestamp, d.src_ip, d.dst_ip, d.src_port, d.dst_port, direction, len(d.payload), packets, operator, asn
+        )
+
+
+def group_traits(records, key) -> dict:
+    """The reference fold of records into the Traits of each key(record)."""
+    groups = {}
     for record in records:
-        sessionizer.add(record)
-    return sessionizer.sessions
+        traits = groups.setdefault(key(record), Traits({}, set()))
+        shape = (record.types, record.datagram_length)
+        traits.shapes[shape] = traits.shapes.get(shape, 0) + 1
+        if record.direction is Direction.RESPONSE:
+            traits.scids.update([p.scid for p in record.packets])
+    return groups
 
 
-def folds(records) -> tuple[dict, list[Session]]:
-    """The traits of each store_key and the sessions of `records`, folded as ingest folds them."""
-    sessionizer = Sessionizer()
-    return group_traits(map(sessionizer.add, records), store_key), sessionizer.sessions
+def store_key(record):
+    """The key of a record's or a session's row in the datagram store."""
+    return record.direction, record.src_ip, record.operator
 
 
-def save_folds(directory: Path, records) -> tuple[Path, Path]:
-    """datagrams.jsonl and sessions.jsonl in `directory`, folded from
-    `records` and written as ingest writes them."""
+def reference_folds(records, idle_gap: float = DEFAULT_IDLE_GAP) -> tuple[list[KeyRow], list[Session]]:
+    """ingest's two folds as they were over timestamp-ordered `records`, the
+    oracle of fold_capture: the sessionizer's sessions in the order they
+    opened, each keyed by direction, address pair, SCID and DCID and closed
+    by a gap of `idle_gap` or more, and group_traits' traits of each
+    store_key in first-seen order, each a KeyRow holding the sessions of
+    its key, as the store writer regrouped them."""
+    sessions, open_sessions = [], {}
+
+    def sessionize(record):
+        for p in record.packets:
+            key = (record.direction, record.src_ip, record.dst_ip, p.scid, p.dcid)
+            state = open_sessions.get(key)
+            if state is None or not record.timestamp - state[2] < idle_gap:
+                offsets = array("d")
+                sessions.append(Session(record.src_ip, record.operator, record.direction, p.version, offsets))
+                state = open_sessions[key] = [offsets, record.timestamp, record.timestamp]
+            if p.packet_type in (PacketType.INITIAL, PacketType.HANDSHAKE):
+                state[0].append(record.timestamp - state[1])
+            state[2] = record.timestamp
+        return record
+
+    traits = group_traits(map(sessionize, records), store_key)
+    by_key = {}
+    for s in sessions:
+        by_key.setdefault(store_key(s), []).append(s)
+    return [KeyRow(*key, t, by_key.get(key, [])) for key, t in traits.items()], sessions
+
+
+def fold(datagrams, **options) -> tuple[list[KeyRow], list[Session]]:
+    """fold_capture's rows and sessions of Datagrams, each built as an IPv4 packet."""
+    return fold_capture(packets_of(datagrams), **options)
+
+
+def every_server_as(operator: str) -> PrefixTable:
+    """A prefix table that labels every server address `operator`."""
+    return PrefixTable([(ipaddress.IPv4Network("0.0.0.0/0"), 0, operator)])
+
+
+def save_folds(directory: Path, folded) -> tuple[Path, Path]:
+    """datagrams.jsonl and sessions.jsonl in `directory`, written as ingest
+    writes the (rows, sessions) of `folded`."""
     paths = directory / "datagrams.jsonl", directory / "sessions.jsonl"
-    tables.save_stores(*paths, *folds(records))
+    tables.save_stores(*paths, *folded)
     return paths
 
 
@@ -180,7 +291,7 @@ class ReferenceSession(NamedTuple):
 def reference_sessions(records, idle_gap: float = DEFAULT_IDLE_GAP) -> list[ReferenceSession]:
     """The reference sessionizer: the sessions of timestamp-ordered
     `records` under a key without the direction, ordered by (start, key).
-    A gap of `idle_gap` or more closes a session, as in the Sessionizer."""
+    A gap of `idle_gap` or more closes a session, as in reference_folds."""
     finished, open_sessions = [], {}
     for r in records:
         for p in r.packets:
@@ -234,8 +345,8 @@ def old_session_store(sessions: list[ReferenceSession]) -> bytes:
 
 def old_stores(capture: Path, prefixes=None, scanners=None) -> dict[str, bytes]:
     """datagrams.jsonl and sessions.jsonl as ingest wrote them per datagram,
-    serialized from ingest()'s record stream over `capture`."""
-    records = list(ingest(PcapReader(capture).datagrams(), scanners=scanners, prefixes=prefixes))
+    serialized from the reference record stream over `capture`."""
+    records = list(reference_ingest(read_datagrams(capture), scanners=scanners, prefixes=prefixes))
     return {
         "datagrams.jsonl": old_datagram_store(records),
         "sessions.jsonl": old_session_store(reference_sessions(records)),

@@ -14,7 +14,7 @@ import numpy as np
 from quicscope import fingerprint as fp
 from quicscope import offnet, probe, scid
 from quicscope.cli import main as cli_main
-from quicscope.ingest import PrefixTable, group_traits, ingest
+from quicscope.ingest import PrefixTable, sum_traits
 from quicscope.scid import (
     FacebookScidFields,
     PositionVerdict,
@@ -41,7 +41,7 @@ from quicscope.wire import (
     TruncatedPacket,
 )
 
-from conftest import harvest_from_ids, packets_of, sessions_of, simulate_to_pcap
+from conftest import fold, harvest_from_ids, simulate_to_pcap
 from test_scid import oracle_pack
 
 
@@ -98,8 +98,7 @@ def test_criterion_1_known_profile_round_trip(tmp_path):
     for operator in ("Cloudflare", "Facebook", "Google"):
         truth, datagrams = simulate_operator(operator, tmp_path / f"{operator}.pcap")
         assert len(truth) >= 500
-        records = list(ingest(packets_of(datagrams), prefixes=table))
-        sessions = sessions_of(records)
+        rows, sessions = fold(datagrams, prefixes=table)
         assert len(sessions) >= 500
         assert all(s.operator == operator for s in sessions)
 
@@ -109,7 +108,7 @@ def test_criterion_1_known_profile_round_trip(tmp_path):
         lo, hi = estimate.max_retransmissions
         assert lo <= configured[operator] <= hi
 
-        traits = group_traits(records, lambda r: r.operator or "Unknown")[operator]
+        traits = sum_traits(rows, lambda r: r.operator or "Unknown")[operator]
         assert traits.coalescence == default_stack_profile(operator).coalescence
 
         scids = sorted(traits.scids)
@@ -352,10 +351,10 @@ def test_criterion_7_classifier_metrics(tmp_path):
         seed=77,
     )
     _, datagrams = simulate_to_pcap(config, tmp_path / "capture.pcap")
-    records = list(ingest(packets_of(datagrams)))
-    traits = group_traits(records, lambda r: r.src_ip)
+    rows, sessions = fold(datagrams)
+    traits = sum_traits(rows, lambda r: r.src_ip)
     rounds = {}
-    for session in sessions_of(records):
+    for session in sessions:
         rounds.setdefault(session.src_ip, []).append(fp.resend_rounds(session.offsets))
     truth_labels = {vip: "Facebook" for vip in config.clusters[0].vips}
     truth_labels.update({vip: offnet.NOT_OPERATOR for vip in bg_vips})

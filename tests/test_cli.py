@@ -19,7 +19,7 @@ from quicscope import tables
 from quicscope.cli import build_parser, main
 from quicscope.scid import decode_facebook_scid, encode_facebook_scid
 
-from conftest import packets_of, run_python, save_folds
+from conftest import fold, run_python, save_folds
 
 DEPLOY = {
     "seed": 7,
@@ -169,7 +169,7 @@ class TestSimulate:
         profile = {"initial_rto": 0.4, "max_retransmissions": 1, "padding_policy": {"Initial": size}}
         config.write_text(json.dumps(dict(DEPLOY, clusters=[dict(DEPLOY["clusters"][0], profile=profile)])))
         assert run("simulate", "--config", config, "--out-dir", tmp_path / "sim") == 2
-        assert f"{config}: padding_policy 'Initial': size must be 0 to 65507, got {size}" in capsys.readouterr().err
+        assert f"{config}: cluster 0 profile: padding_policy 'Initial': size must be 0 to 65507, got {size}" in capsys.readouterr().err
         assert not (tmp_path / "sim").exists()
 
 
@@ -252,6 +252,24 @@ class TestIngest:
         monkeypatch.setattr(PcapReader, "datagrams", fail_midway)
         with pytest.raises(OSError):
             run("ingest", "--capture", sim_out / "capture.pcap", "--out-dir", ing)
+        assert not (ing / "datagrams.jsonl").exists() and not (ing / "sessions.jsonl").exists()
+
+    def test_failed_store_write_leaves_no_partial_stores(self, deploy_config, tmp_path, monkeypatch):
+        # the datagram store is whole when the session store's write fails
+        sim_out, ing = tmp_path / "sim", tmp_path / "ing"
+        run("simulate", "--config", deploy_config, "--out-dir", sim_out)
+        save_rows, written = tables._save_rows, []
+
+        def fail_on_sessions(path, rows):
+            if path.name == "sessions.jsonl":
+                raise OSError("disk full")
+            save_rows(path, rows)
+            written.append(path.name)
+
+        monkeypatch.setattr(tables, "_save_rows", fail_on_sessions)
+        with pytest.raises(OSError):
+            run("ingest", "--capture", sim_out / "capture.pcap", "--out-dir", ing)
+        assert written == ["datagrams.jsonl"]
         assert not (ing / "datagrams.jsonl").exists() and not (ing / "sessions.jsonl").exists()
 
 
@@ -374,17 +392,14 @@ class TestScidCommand:
         assert "Traceback" not in out.stderr
 
     @staticmethod
-    def save_store(directory, datagrams, operators):
-        from quicscope.ingest import ingest
-
-        records = [record._replace(operator=operators(record)) for record in ingest(packets_of(datagrams))]
-        return save_folds(directory, records)[0]
+    def save_store(directory, datagrams, prefixes=None):
+        return save_folds(directory, fold(datagrams, prefixes=prefixes))[0]
 
     def test_zero_length_scids_are_insufficient_data(self, tmp_path):
         from conftest import make_response
 
         datagrams = [make_response(0.1 * i, scid=b"", dst=f"172.16.0.{i}") for i in range(5)]
-        store = self.save_store(tmp_path, datagrams, lambda record: None)
+        store = self.save_store(tmp_path, datagrams)
         out = run_python("-m", "quicscope.cli", "scid", "--datagrams", store, "--min-samples", "1", "--out-dir", tmp_path / "scid")
         assert out.returncode == 0, out.stderr
         assert "Traceback" not in out.stderr
@@ -392,13 +407,17 @@ class TestScidCommand:
         assert schemes[1].split("\t") == ["Unknown", "1", "0", "insufficient_data", "", "false"]
 
     def test_operator_with_only_requests_has_no_population(self, tmp_path):
+        import ipaddress
+
+        from quicscope.ingest import PrefixTable
         from conftest import make_request, make_response
 
         datagrams = [make_response(0.1 * i, scid=bytes([i]) * 8, dst=f"172.16.0.{i}") for i in range(4)]
         datagrams += [make_request(1 + 0.1 * i, dst="192.0.2.9") for i in range(4)]
-        store = self.save_store(
-            tmp_path, datagrams, lambda record: "Responder" if record.src_ip == "198.51.100.1" else "Requested"
-        )
+        # the responses' server labelled Responder, the requests' Requested
+        labels = {"198.51.100.1": "Responder", "192.0.2.9": "Requested"}
+        prefixes = PrefixTable((ipaddress.ip_network(server), 0, label) for server, label in labels.items())
+        store = self.save_store(tmp_path, datagrams, prefixes)
         assert run("scid", "--datagrams", store, "--min-samples", "1", "--out-dir", tmp_path / "scid") == 0
         lengths = (tmp_path / "scid" / "scid_lengths.tsv").read_text().splitlines()
         assert lengths[1:] == ["Responder\t8\t4"]
@@ -629,6 +648,15 @@ class TestProbeCommand:
         campaign.write_text(json.dumps({"targets": ["198.51.100.0"], "inter_probe_gap": -1.0}))
         out = tmp_path / "p"
         assert run("probe", "--sim-config", deploy_config, "--campaign-config", campaign, "--out-dir", out) == 3
+        assert not out.exists()
+
+    def test_campaign_file_unknown_port_strategy_is_input_error(self, deploy_config, tmp_path, capsys, no_handshakes):
+        campaign = tmp_path / "campaign.json"
+        campaign.write_text(json.dumps({"targets": ["198.51.100.0"], "port_strategy": "bogus"}))
+        out = tmp_path / "p"
+        assert run("probe", "--sim-config", deploy_config, "--campaign-config", campaign, "--out-dir", out) == 2
+        message = 'key \'port_strategy\': expected one of "decreasing_from_max", "random_seeded", got "bogus"'
+        assert f"{campaign}: {message}" in capsys.readouterr().err
         assert not out.exists()
 
     def test_campaign_file_infinite_gap_is_input_error(self, deploy_config, tmp_path, capsys, no_handshakes):
@@ -1406,12 +1434,11 @@ class TestStoreRowTypes:
     @staticmethod
     def inputs(tmp_path: Path) -> Path:
         """Both stores of three responses from three sources, a key row each, and a truth table."""
-        from quicscope.ingest import ingest
         from conftest import make_response
 
         datagrams = [make_response(0.1 * i, src=f"198.51.100.{i + 1}", dst=f"172.16.0.{i}") for i in range(3)]
         (tmp_path / "truth.tsv").write_text("".join(f"198.51.100.{i + 1}\tFacebook\n" for i in range(3)))
-        return save_folds(tmp_path, ingest(packets_of(datagrams)))[0]
+        return save_folds(tmp_path, fold(datagrams))[0]
 
     @pytest.mark.parametrize("stage", sorted(STAGES))
     @pytest.mark.parametrize(
@@ -1529,11 +1556,10 @@ class TestStoreRows:
     def test_datagram_store_last_row_malformed(self, tmp_path, stage, argv):
         # the store is read as the stage runs, so a bad row at its end must
         # still stop the stage before it writes anything
-        from quicscope.ingest import ingest
         from conftest import make_response
 
         datagrams = [make_response(0.1 * i, src=f"198.51.100.{i + 1}") for i in range(5)]
-        store = save_folds(tmp_path, ingest(packets_of(datagrams)))[0]
+        store = save_folds(tmp_path, fold(datagrams))[0]
         with store.open("a") as fh:
             fh.write(json.dumps({"direction": "response", "src": "198.51.100.9"}) + "\n")
         (tmp_path / "truth.tsv").write_text("".join(f"198.51.100.{i + 1}\tFacebook\n" for i in range(5)))
@@ -1653,6 +1679,21 @@ class TestStoreRows:
 
     @pytest.mark.parametrize(
         "key, value, message",
+        [("initial_rto", 0, "initial RTO must be positive"), ("retransmission_range", [9, 7], "retransmission range inverted")],
+        ids=["zero-initial-rto", "inverted-retransmission-range"],
+    )
+    def test_profile_table_row_that_is_no_rto_signature(self, tmp_path, capsys, key, value, message):
+        stores, profiles = tmp_path / "empty.jsonl", tmp_path / "prof.json"
+        stores.write_text("")
+        shipped = tables.read_profiles(None)
+        profiles.write_text(json.dumps({"profiles": dict(shipped, Facebook=dict(shipped["Facebook"], **{key: value}))}))
+        argv = ["fingerprint", "--sessions", stores, "--datagrams", stores, "--profiles", profiles]
+        assert run(*argv, "--out-dir", tmp_path / "out") == 2
+        assert f"{profiles}: profile 'Facebook': {message}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "key, value, message",
         [
             ("coalescence", "false", "expected boolean, got \"false\""),
             ("initial_rto", True, "expected number, got true"),
@@ -1763,48 +1804,48 @@ class TestStoreRows:
         "command,cluster,message",
         [
             ("simulate", {"vips": ["1.2.3.4"], "l7lb_count": 2}, ": VIP 1.2.3.4 assigned to two clusters"),
-            ("probe", {"vips": ["1.2.3.5"], "host_ids": [1, 1]}, ": duplicate host IDs in cluster"),
-            ("simulate", {"vips": ["1.2.3.5"], "l7lb_count": 0}, ": cluster needs at least one L7LB instance"),
+            ("probe", {"vips": ["1.2.3.5"], "host_ids": [1, 1]}, ": cluster 1: duplicate host IDs in cluster"),
+            ("simulate", {"vips": ["1.2.3.5"], "l7lb_count": 0}, ": cluster 1: cluster needs at least one L7LB instance"),
             (
                 "simulate",
                 {"vip_base": "1.2.3.5", "vip_count": 0, "l7lb_count": 1},
-                ": cluster needs at least one VIP: vips is empty or vip_count is 0",
+                ": cluster 1: cluster needs at least one VIP: vips is empty or vip_count is 0",
             ),
-            ("simulate", {"vips": ["1.2.3.5"], "l7lb_count": 1, "operator": "Nobody"}, ": no profile for operator 'Nobody'"),
+            ("simulate", {"vips": ["1.2.3.5"], "l7lb_count": 1, "operator": "Nobody"}, ": cluster 1: no profile for operator 'Nobody'"),
             (
                 "simulate",
                 {"vips": ["1.2.3.5"], "l7lb_count": 1, "profile": {"initial_rto": 1.0, "max_retransmissions": -1}},
-                ": max_retransmissions must be >= 0, got -1",
+                ": cluster 1 profile: max_retransmissions must be >= 0, got -1",
             ),
             (
                 "simulate",
                 {"vips": ["1.2.3.5"], "l7lb_count": 1, "profile": {"max_retransmissions": 2}},
                 ": cluster 1 profile is missing 'initial_rto'",
             ),
-            ("probe", {"vips": ["1.2.3.5"], "host_ids": [1 << 16]}, ": host_id 65536 does not fit in 16 bits"),
+            ("probe", {"vips": ["1.2.3.5"], "host_ids": [1 << 16]}, ": cluster 1: host_id 65536 does not fit in 16 bits"),
             ("probe", {"vips": ["300.1.1.1"], "l7lb_count": 1}, ": key 'clusters': key 'vips': Octet 300 (> 255) not permitted in '300.1.1.1'"),
-            ("simulate", {"vips": ["1.2.3.5"], "l7lb_count": 1, "workers": 0}, ": workers must be >= 1"),
-            ("simulate", {"vips": ["1.2.3.5"], "l7lb_count": 1, "workers": 257}, ": worker_id 256 does not fit in 8 bits"),
+            ("simulate", {"vips": ["1.2.3.5"], "l7lb_count": 1, "workers": 0}, ": cluster 1: workers must be >= 1"),
+            ("simulate", {"vips": ["1.2.3.5"], "l7lb_count": 1, "workers": 257}, ": cluster 1: worker_id 256 does not fit in 8 bits"),
             (
                 "simulate",
                 {"vips": ["1.2.3.5"], "l7lb_count": 1, "profile": {"initial_rto": 1.0, "max_retransmissions": 1, "scid_length": 21}},
-                ": scid_length must be 1 to 20",
+                ": cluster 1 profile: scid_length must be 1 to 20",
             ),
             # with no lifetime, every connection expires before its next datagram
-            ("simulate", {"vips": ["1.2.3.5"], "l7lb_count": 1, "state_lifetime": -5}, ": state_lifetime must be > 0"),
-            ("simulate", {"vips": ["1.2.3.5"], "l7lb_count": 1, "state_lifetime": 0}, ": state_lifetime must be > 0"),
-            ("probe", {"vips": ["1.2.3.5"], "l7lb_count": 1, "state_lifetime": -5}, ": state_lifetime must be > 0"),
-            ("probe", {"vips": ["1.2.3.5"], "l7lb_count": 1, "state_lifetime": 0}, ": state_lifetime must be > 0"),
+            ("simulate", {"vips": ["1.2.3.5"], "l7lb_count": 1, "state_lifetime": -5}, ": cluster 1: state_lifetime must be > 0"),
+            ("simulate", {"vips": ["1.2.3.5"], "l7lb_count": 1, "state_lifetime": 0}, ": cluster 1: state_lifetime must be > 0"),
+            ("probe", {"vips": ["1.2.3.5"], "l7lb_count": 1, "state_lifetime": -5}, ": cluster 1: state_lifetime must be > 0"),
+            ("probe", {"vips": ["1.2.3.5"], "l7lb_count": 1, "state_lifetime": 0}, ": cluster 1: state_lifetime must be > 0"),
             # a base below 1 schedules each resend before the one it follows
             (
                 "simulate",
                 {"vips": ["1.2.3.5"], "l7lb_count": 1, "profile": {"initial_rto": 0.4, "max_retransmissions": 3, "backoff_base": 0.5}},
-                ": backoff_base must be >= 1, got 0.5",
+                ": cluster 1 profile: backoff_base must be >= 1, got 0.5",
             ),
             (
                 "probe",
                 {"vips": ["1.2.3.5"], "l7lb_count": 1, "profile": {"initial_rto": 0.4, "max_retransmissions": 3, "backoff_base": -2}},
-                ": backoff_base must be >= 1, got -2",
+                ": cluster 1 profile: backoff_base must be >= 1, got -2",
             ),
         ],
         ids=[
@@ -1824,6 +1865,24 @@ class TestStoreRows:
         assert out.returncode == 2
         assert f"{config}{message}" in out.stderr
         assert "Traceback" not in out.stderr
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "cluster,message",
+        [
+            ({"vip_base": "1.2.3.5", "vip_count": 0, "l7lb_count": 1}, ": cluster 0: cluster needs at least one VIP"),
+            (
+                {"vips": ["1.2.3.5"], "l7lb_count": 1, "profile": {"initial_rto": 0, "max_retransmissions": 1}},
+                ": cluster 0 profile: initial_rto must be positive",
+            ),
+        ],
+        ids=["no-vips", "zero-initial-rto"],
+    )
+    def test_first_cluster_at_fault_is_named(self, tmp_path, capsys, cluster, message):
+        config = tmp_path / "deploy.json"
+        config.write_text(json.dumps(dict(DEPLOY, clusters=[cluster, {"vips": ["1.2.3.4"], "l7lb_count": 2}])))
+        assert run("simulate", "--config", config, "--out-dir", tmp_path / "out") == 2
+        assert f"{config}{message}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(

@@ -19,11 +19,11 @@ from quicscope.fingerprint import (
     rto_distance,
     version_tally,
 )
-from quicscope.ingest import KeyRow, PrefixTable, Session, group_traits, ingest, store_key, sum_traits
+from quicscope.ingest import PrefixTable, Session, sum_traits
 from quicscope.tables import read_profiles
 from quicscope.wire import Direction, PacketType, VersionRegistry
 
-from conftest import make_response, packets_of, sessions_of
+from conftest import every_server_as, fold, group_traits, make_response, reference_ingest
 
 
 def session_from_offsets(offsets, direction=Direction.RESPONSE, version=1, operator=None):
@@ -37,6 +37,11 @@ def doubling_offsets(rto: float, resends: int) -> list[float]:
 
 
 class TestVersionTally:
+    def test_share_of_a_role_with_no_sessions_is_zero(self):
+        tally = version_tally([session_from_offsets([0.0], direction=Direction.RESPONSE)], VersionRegistry.default())
+        assert tally.role_total("client") == 0
+        assert tally.share("client", "QUICv1") == 0.0
+
     def test_table_shaped_mix(self):
         registry = VersionRegistry.default()
         mix = [(0x00000001, 7770), (0xFACEB002, 2120), (0xFF00001D, 50), (0xDEAD0001, 60)]
@@ -56,8 +61,7 @@ class TestVersionTally:
     def test_session_counted_once_despite_many_datagrams(self):
         registry = VersionRegistry.default()
 
-        records = list(ingest(packets_of([make_response(t) for t in (0.0, 0.3, 0.6, 0.9, 1.2)])))
-        sessions = sessions_of(records)
+        _, sessions = fold([make_response(t) for t in (0.0, 0.3, 0.6, 0.9, 1.2)])
         tally = version_tally(sessions, registry)
         assert tally.counts == {("server", "QUICv1"): 1}
 
@@ -91,9 +95,11 @@ class TestVersionTally:
         assert a.counts == b.counts
 
 
-def traits_by_operator(records):
-    """The fold as fingerprint keys it."""
-    return group_traits(records, lambda r: r.operator or "Unknown")
+def traits_by_operator(datagrams, operator=None):
+    """The traits of `datagrams` as fingerprint keys them, every server
+    labelled `operator` if one is given."""
+    rows, _ = fold(datagrams, prefixes=operator and every_server_as(operator))
+    return sum_traits(rows, lambda r: r.operator or "Unknown")
 
 
 def percentages(traits) -> dict[str, float]:
@@ -104,16 +110,11 @@ def percentages(traits) -> dict[str, float]:
 
 class TestPacketTypeStats:
     def test_coalesced_is_its_own_category(self):
-        records = list(
-            ingest(
-                packets_of([
-                    make_response(0.0, types=(PacketType.INITIAL, PacketType.HANDSHAKE)),
-                    make_response(0.1, types=(PacketType.INITIAL,), dst="172.16.0.2"),
-                ])
-            )
-        )
-        records = [r._replace(operator="Google") for r in records]
-        traits = traits_by_operator(records)["Google"]
+        datagrams = [
+            make_response(0.0, types=(PacketType.INITIAL, PacketType.HANDSHAKE)),
+            make_response(0.1, types=(PacketType.INITIAL,), dst="172.16.0.2"),
+        ]
+        traits = traits_by_operator(datagrams, "Google")["Google"]
         assert traits.type_counts() == {"Initial & Handshake": 1, "Initial": 1}
         assert traits.coalescence
         pct = percentages(traits)
@@ -121,17 +122,13 @@ class TestPacketTypeStats:
         assert pct["Initial"] == 50.0
 
     def test_facebook_coalesced_share_is_exactly_zero(self):
-        records = [
-            r._replace(operator="Facebook")
-            for r in ingest(packets_of([make_response(0.1 * i, dst=f"172.16.0.{i}") for i in range(10)]))
-        ]
-        traits = traits_by_operator(records)["Facebook"]
+        datagrams = [make_response(0.1 * i, dst=f"172.16.0.{i}") for i in range(10)]
+        traits = traits_by_operator(datagrams, "Facebook")["Facebook"]
         assert percentages(traits) == {"Initial": 100.0}
         assert not traits.coalescence
 
     def test_single_initial_corpus(self):
-        records = list(ingest(packets_of([make_response(0.0)])))
-        assert percentages(traits_by_operator(records)["Unknown"]) == {"Initial": 100.0}
+        assert percentages(traits_by_operator([make_response(0.0)])["Unknown"]) == {"Initial": 100.0}
 
     def test_percentages_sum_to_100(self):
         rng = random.Random(2)
@@ -143,88 +140,77 @@ class TestPacketTypeStats:
                 else (rng.choice([PacketType.INITIAL, PacketType.HANDSHAKE]),)
             )
             datagrams.append(make_response(0.01 * i, dst=f"172.16.{i % 9}.1", types=types))
-        records = list(ingest(packets_of(datagrams)))
-        traits = traits_by_operator(records)["Unknown"]
+        traits = traits_by_operator(datagrams)["Unknown"]
         assert sum(traits.type_counts().values()) == 200
         assert abs(sum(percentages(traits).values()) - 100.0) < 0.01
 
 
 class TestLengthHistogram:
     def test_padded_initial_corpus(self):
-        records = list(
-            ingest(packets_of([make_response(0.1 * i, dst=f"172.16.0.{i}", pad_to=1200) for i in range(5)]))
-        )
-        top = traits_by_operator(records)["Unknown"].top_shapes(1)
+        datagrams = [make_response(0.1 * i, dst=f"172.16.0.{i}", pad_to=1200) for i in range(5)]
+        top = traits_by_operator(datagrams)["Unknown"].top_shapes(1)
         assert top == [(("Initial",), 1200, 5)]
 
     def test_coalesced_key(self):
-        records = list(
-            ingest(
-                packets_of([
-                    make_response(
-                        0.0, types=(PacketType.INITIAL, PacketType.HANDSHAKE), pad_to=1252
-                    )
-                ])
-            )
-        )
-        assert traits_by_operator(records)["Unknown"].top_shapes(7) == [(("Initial", "Handshake"), 1252, 1)]
+        datagrams = [make_response(0.0, types=(PacketType.INITIAL, PacketType.HANDSHAKE), pad_to=1252)]
+        assert traits_by_operator(datagrams)["Unknown"].top_shapes(7) == [(("Initial", "Handshake"), 1252, 1)]
 
     def test_empty(self):
         assert traits_by_operator([]) == {}
 
     def test_ties_rank_by_shape(self):
-        records = list(
-            ingest(
-                packets_of([make_response(0.1 * i, dst=f"172.16.0.{i}", pad_to=1300) for i in range(3)]
-                + [make_response(1 + 0.1 * i, dst=f"172.16.1.{i}", pad_to=1200) for i in range(3)]
-                + [make_response(2.0, dst="172.16.2.1", pad_to=1250)])
-            )
+        datagrams = (
+            [make_response(0.1 * i, dst=f"172.16.0.{i}", pad_to=1300) for i in range(3)]
+            + [make_response(1 + 0.1 * i, dst=f"172.16.1.{i}", pad_to=1200) for i in range(3)]
+            + [make_response(2.0, dst="172.16.2.1", pad_to=1250)]
         )
-        assert traits_by_operator(records)["Unknown"].top_shapes(2) == [
+        assert traits_by_operator(datagrams)["Unknown"].top_shapes(2) == [
             (("Initial",), 1200, 3),
             (("Initial",), 1300, 3),
         ]
 
 
-class TestGroupTraits:
+class TestSumTraits:
     def test_scids_come_from_responses_only(self):
         from conftest import make_request
 
-        records = list(
-            ingest(packets_of([make_response(0.0, scid=b"\x01" * 8), make_request(0.5, scid=b"\x02" * 8)]))
-        )
-        traits = traits_by_operator(records)["Unknown"]
+        datagrams = [make_response(0.0, scid=b"\x01" * 8), make_request(0.5, scid=b"\x02" * 8)]
+        traits = traits_by_operator(datagrams)["Unknown"]
         assert traits.scids == {b"\x01" * 8}
         assert sum(traits.shapes.values()) == 2
 
     def test_operator_with_only_requests_has_no_scids(self):
         from conftest import make_request
 
-        requests = packets_of([make_request(0.1 * i, dst="192.0.2.9") for i in range(3)])
-        records = [r._replace(operator="Requested") for r in ingest(requests)]
-        traits = traits_by_operator(records)["Requested"]
+        requests = [make_request(0.1 * i, dst="192.0.2.9") for i in range(3)]
+        traits = traits_by_operator(requests, "Requested")["Requested"]
         assert traits.scids == set()
         assert traits.type_counts() == {"Initial": 3}
 
     def test_key_rows_summed_equal_the_traits_of_their_records(self):
-        # fingerprint's traits come from the store's key rows, each the traits of one store_key
+        # fingerprint's traits come from the store's key rows, each the
+        # traits of one (direction, source, operator) key; summed, they
+        # equal the reference fold of the records under fingerprint's key
         from conftest import make_request
 
         table = PrefixTable([(ipaddress.ip_network("198.51.100.0/24"), 32934, "Facebook")])
         datagrams = [make_response(0.1 * i, src=f"198.51.100.{i % 3}", scid=bytes([i]) * 8) for i in range(9)]
         datagrams += [make_response(1.0, src="192.0.2.1", types=(PacketType.INITIAL, PacketType.HANDSHAKE))]
         datagrams += [make_request(1.5 + 0.1 * i, dst=f"198.51.100.{i}") for i in range(2)]
-        records = list(ingest(packets_of(datagrams), prefixes=table))
-        rows = [
-            KeyRow(direction, src, operator, traits, [])
-            for (direction, src, operator), traits in group_traits(records, store_key).items()
-        ]
+        rows, _ = fold(datagrams, prefixes=table)
         assert len(rows) == 5
         key = lambda r: r.operator or "Unknown"  # noqa: E731
-        assert sum_traits(rows, key) == group_traits(records, key)
+        assert sum_traits(rows, key) == group_traits(reference_ingest(datagrams, prefixes=table), key)
 
 
 class TestEstimateRto:
+    def test_sessions_with_exactly_two_resends_give_no_backoff(self):
+        # two resends make one gap, and a backoff ratio needs two
+        rounds = [resend_rounds(doubling_offsets(0.3, 2)) for _ in range(5)]
+        assert all(len(r) == 3 for r in rounds)
+        with pytest.raises(InsufficientData, match="^no session has enough resends to estimate backoff$"):
+            estimate_rto(rounds, min_sessions=5)
+
     def test_doubling_oracle_schedule(self):
         sessions = [session_from_offsets(doubling_offsets(0.3, 5)) for i in range(40)]
         est = estimate_rto((resend_rounds(s.offsets) for s in sessions))

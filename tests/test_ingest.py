@@ -6,23 +6,15 @@ from pathlib import Path
 
 import pytest
 
-from quicscope.ingest import (
-    CaptureRecord,
-    IngestCounters,
-    PrefixTable,
-    ScannerList,
-    ingest,
-)
-from quicscope import ingest as ingest_module, pcap, tables
+from quicscope import InputError, pcap, tables
+from quicscope import ingest as ingest_module
+from quicscope.ingest import IngestCounters, PrefixTable, ScannerList, fold_capture
 from quicscope.pcap import LINKTYPE_ETHERNET, LINKTYPE_RAW_IP, CaptureCounters, PcapReader
-from quicscope.wire import (
-    Direction, PacketType, PlausibilityConfig, VersionRegistry, classify_direction, is_plausible_quic,
-    split_coalesced,
-)
+from quicscope.wire import Direction, PacketType, PlausibilityConfig, VersionRegistry
 
 from conftest import (
-    Datagram, build_ipv4_udp, make_request, make_response, packets_of, parse_ipv4_udp, reference_sessions, sessions_of,
-    write_pcap,
+    Datagram, build_ipv4_udp, fold, make_request, make_response, parse_ipv4_udp, reference_folds, reference_ingest,
+    reference_sessions, write_pcap,
 )
 
 
@@ -46,57 +38,66 @@ class TestIngest:
         path = tmp_path / "c.pcap"
         write_pcap(path, datagrams)
         counters = IngestCounters()
-        records = list(ingest(PcapReader(path).datagrams(), counters=counters))
-        assert len(records) == 3
+        rows, sessions = fold_capture(PcapReader(path).datagrams(), counters=counters)
+        assert sum(n for row in rows for n in row.traits.shapes.values()) == 3 and len(sessions) == 3
         assert counters.total == 4
         assert counters.non_quic_port == 1
         assert counters.emitted == 3
 
     def test_request_and_response_both_pass(self):
         counters = IngestCounters()
-        records = list(ingest(packets_of([make_request(0.0), make_response(0.1)]), counters=counters))
-        assert [r.direction for r in records] == [Direction.REQUEST, Direction.RESPONSE]
+        rows, sessions = fold([make_request(0.0), make_response(0.1)], counters=counters)
+        assert [r.direction for r in rows] == [s.direction for s in sessions] == [Direction.REQUEST, Direction.RESPONSE]
         assert counters.requests_seen == 1 and counters.responses_seen == 1
 
     def test_empty_capture(self, tmp_path):
         path = tmp_path / "empty.pcap"
         write_pcap(path, [])
         counters = IngestCounters()
-        assert list(ingest(PcapReader(path).datagrams(), counters=counters)) == []
+        assert fold_capture(PcapReader(path).datagrams(), counters=counters) == ([], [])
         assert counters.total == 0
 
     def test_implausible_payload_counted(self):
         junk = Datagram(0.0, "198.51.100.1", "172.16.5.5", 443, 50000, b"\x00" * 100)
         counters = IngestCounters()
-        assert list(ingest(packets_of([junk]), counters=counters)) == []
+        assert fold([junk], counters=counters) == ([], [])
         assert counters.implausible == 1
 
-    def test_record_packets_nonempty(self):
-        for record in ingest(packets_of([make_response(0.0, types=(PacketType.INITIAL, PacketType.HANDSHAKE))])):
-            assert record.packets
-            assert len(record.packets) == 2
-
-    def test_record_is_immutable(self):
-        (record,) = ingest(packets_of([make_response(0.0)]))
-        with pytest.raises(AttributeError):
-            record.operator = "Facebook"
-        assert record._replace(operator="Facebook").operator == "Facebook" and record.operator is None
+    def test_coalesced_packets_fold_as_one_datagram(self):
+        response = make_response(0.0, types=(PacketType.INITIAL, PacketType.HANDSHAKE))
+        (row,), sessions = fold([response])
+        assert row.traits.shapes == {(("Initial", "Handshake"), len(response.payload)): 1}
+        assert len(sessions) == 1 and list(sessions[0].offsets) == [0.0, 0.0]
 
     def test_short_header_counted_not_emitted(self):
         # form bit clear, non-zero first octet: a 1-RTT short-header packet
         short = Datagram(0.0, "198.51.100.1", "172.16.5.5", 443, 50000, b"\x41" + b"\x99" * 24)
         counters = IngestCounters()
-        assert list(ingest(packets_of([short]), counters=counters)) == []
+        assert fold([short], counters=counters) == ([], [])
         assert counters.short_header_only == 1
         assert counters.implausible == 0
+
+    def test_one_dotted_source_per_key(self):
+        # every session of a key shares the key row's source string
+        rows, sessions = fold([make_response(0.1 * i, dcid=bytes([i]) * 8) for i in range(3)])
+        (row,) = rows
+        assert row.sessions == sessions and all(s.src_ip is row.src_ip for s in sessions)
+
+    @pytest.mark.parametrize("gap", [0.0, -1.0, float("inf"), float("nan")])
+    def test_idle_gap_not_positive_and_finite_rejected_before_reading(self, gap):
+        def unread():
+            raise AssertionError("the capture was read")
+            yield
+
+        with pytest.raises(InputError, match="idle gap must be positive and finite"):
+            fold_capture(unread(), idle_gap=gap)
 
 
 class TestSanitize:
     def test_request_from_listed_prefix_dropped(self):
         scanners = ScannerList([net("172.16.0.0/12")])
         counters = IngestCounters()
-        request = packets_of([make_request(0.0, src="172.16.5.5")])
-        assert list(ingest(request, counters=counters, scanners=scanners)) == []
+        assert fold([make_request(0.0, src="172.16.5.5")], counters=counters, scanners=scanners) == ([], [])
         assert counters.requests_dropped == 1
         # a dropped request was emitted, as counters.tsv has always counted it
         assert counters.emitted == counters.requests_seen == 1
@@ -104,13 +105,13 @@ class TestSanitize:
     def test_response_from_listed_prefix_kept(self):
         scanners = ScannerList([net("198.51.100.0/24")])
         counters = IngestCounters()
-        kept = list(ingest(packets_of([make_response(0.0, src="198.51.100.1")]), counters=counters, scanners=scanners))
+        kept, _ = fold([make_response(0.0, src="198.51.100.1")], counters=counters, scanners=scanners)
         assert len(kept) == 1
         assert counters.requests_dropped == 0
 
     def test_empty_scanner_list_is_identity(self):
         datagrams = [make_request(0.0), make_response(0.1)]
-        assert list(ingest(packets_of(datagrams), scanners=ScannerList())) == list(ingest(packets_of(datagrams)))
+        assert fold(datagrams, scanners=ScannerList()) == fold(datagrams)
 
     def test_nested_and_adjacent_prefixes(self):
         scanners = ScannerList(
@@ -129,7 +130,7 @@ class TestSanitize:
             make_request(0.4, src="192.0.2.77"),
             make_response(0.6),
         ]
-        kept = list(ingest(packets_of(datagrams), scanners=scanners))
+        kept, _ = fold(datagrams, scanners=scanners)
         assert [(r.direction, r.src_ip) for r in kept] == [
             (Direction.REQUEST, "192.0.2.77"),
             (Direction.RESPONSE, "198.51.100.1"),
@@ -188,8 +189,8 @@ class TestPrefixTable:
             make_response(0.2, src="192.0.2.1", dst="198.51.100.1"),
             make_request(0.3, src="198.51.100.1", dst="192.0.2.1"),
         ]
-        records = list(ingest(packets_of(datagrams), prefixes=table))
-        assert [(r.operator, r.asn) for r in records] == [("Facebook", 32934)] * 2 + [(None, None)] * 2
+        rows, sessions = fold(datagrams, prefixes=table)
+        assert [r.operator for r in rows] == [s.operator for s in sessions] == ["Facebook"] * 2 + [None] * 2
 
     def test_prefix_hits_cleared_at_their_bound_label_as_before(self, monkeypatch):
         # ingest keeps at most _PREFIX_HITS server addresses' hits; with a
@@ -198,54 +199,46 @@ class TestPrefixTable:
         servers = [f"198.51.{100 + i % 2}.{40 * (i % 3) + i}" for i in range(12)]
         datagrams = [make_response(0.1 * i, src=server) for i, server in enumerate(servers + servers[::-1])]
         datagrams += [make_request(5.0 + 0.1 * i, dst=server) for i, server in enumerate(servers)]
-        unbounded = list(ingest(packets_of(datagrams), prefixes=table))
+        unbounded = fold(datagrams, prefixes=table)
         monkeypatch.setattr(ingest_module, "_PREFIX_HITS", 3)
         lookups = []
         monkeypatch.setattr(table, "lookup", lambda address: lookups.append(address) or PrefixTable.lookup(table, address))
-        assert list(ingest(packets_of(datagrams), prefixes=table)) == unbounded
+        assert fold(datagrams, prefixes=table) == unbounded
         assert len(lookups) > len(servers)
-        assert {(r.operator, r.asn) for r in unbounded} == {("Facebook", 32934), ("Cloudflare", 13335), (None, None)}
+        assert {r.operator for r in unbounded[0]} == {"Facebook", "Cloudflare", None}
 
 
 class TestSessionize:
     def test_resend_series_is_one_session(self):
         offsets = [0.0, 0.4, 0.8, 1.6, 3.2, 6.4, 9.0, 11.1, 13.0, 14.5]
-        records = list(ingest(packets_of([make_response(1000.0 + o) for o in offsets])))
-        sessions = sessions_of(records)
+        _, sessions = fold([make_response(1000.0 + o) for o in offsets])
         assert len(sessions) == 1
         assert [round(offset, 3) for offset in sessions[0].offsets] == offsets
 
     def test_idle_gap_splits_sessions(self):
-        records = list(ingest(packets_of([make_response(0.0), make_response(600.0)])))
-        sessions = sessions_of(records, idle_gap=60.0)
+        _, sessions = fold([make_response(0.0), make_response(600.0)], idle_gap=60.0)
         assert len(sessions) == 2
         assert all(list(s.offsets) == [0.0] for s in sessions)
 
     def test_different_dcid_different_session(self):
-        records = list(
-            ingest(packets_of([make_response(0.0, dcid=b"\x01" * 8), make_response(0.1, dcid=b"\x02" * 8)]))
-        )
-        sessions = sessions_of(records)
+        _, sessions = fold([make_response(0.0, dcid=b"\x01" * 8), make_response(0.1, dcid=b"\x02" * 8)])
         assert len(sessions) == 2
 
     def test_cids_one_octet_apart_are_different_sessions(self):
         datagrams = [make_response(0.0, scid=b"\x01", dcid=b"\x02"), make_response(0.1, scid=b"\x01", dcid=b"\x03")]
         datagrams.append(make_response(0.2, scid=b"\x01", dcid=b"\x02"))
-        sessions = sessions_of(ingest(packets_of(datagrams)))
+        _, sessions = fold(datagrams)
         assert [list(s.offsets) for s in sessions] == [[0.0, 0.2], [0.0]]
 
     def test_coalesced_entries_share_offset(self):
-        records = list(
-            ingest(packets_of([make_response(5.0, types=(PacketType.INITIAL, PacketType.HANDSHAKE))]))
-        )
-        sessions = sessions_of(records)
+        _, sessions = fold([make_response(5.0, types=(PacketType.INITIAL, PacketType.HANDSHAKE))])
         assert len(sessions) == 1
         assert list(sessions[0].offsets) == [0.0, 0.0]
 
     def test_offsets_of_initial_and_handshake_packets_only(self):
         types = [(PacketType.INITIAL,), (PacketType.ZERO_RTT,), (PacketType.HANDSHAKE,), (PacketType.ZERO_RTT,)]
         datagrams = [make_response(0.1 * i + 0.2, types=t) for i, t in enumerate(types)]
-        (session,) = sessions_of(ingest(packets_of(datagrams)))
+        _, (session,) = fold(datagrams)
         assert list(session.offsets) == [0.0, (0.1 * 2 + 0.2) - 0.2]
 
     def test_partition_property(self):
@@ -265,9 +258,9 @@ class TestSessionize:
                 )
             )
         datagrams.append(make_request(20.0, src="172.16.5.1", dst="198.51.100.1"))
-        records = list(ingest(packets_of(datagrams)))
+        records = list(reference_ingest(datagrams))
         total_packets = sum(len(r.packets) for r in records)
-        sessions = sessions_of(records)
+        _, sessions = fold(datagrams)
         assert sum(len(s.offsets) for s in sessions) == total_packets
         reference = reference_sessions(records)
         assert [(s.key[0], s.operator, s.direction, s.version, [e[0] for e in s.timeline]) for s in reference] == [
@@ -278,14 +271,13 @@ class TestSessionize:
         # the reference's key has no direction, so it took them for one session
         response = make_response(0.0, src="198.51.100.1", dst="172.16.5.5", scid=b"\x01" * 8, dcid=b"\x02" * 8)
         request = make_request(0.5, src="198.51.100.1", dst="172.16.5.5", scid=b"\x01" * 8, dcid=b"\x02" * 8)
-        records = list(ingest(packets_of([response, request])))
+        records = list(reference_ingest([response, request]))
         assert [r.direction for r in records] == [Direction.RESPONSE, Direction.REQUEST]
-        assert [s.direction for s in sessions_of(records)] == [Direction.RESPONSE, Direction.REQUEST]
+        assert [s.direction for s in fold([response, request])[1]] == [Direction.RESPONSE, Direction.REQUEST]
         assert len(reference_sessions(records)) == 1
 
     def test_offsets_non_decreasing(self):
-        records = list(ingest(packets_of([make_response(t) for t in (0.0, 0.5, 0.5, 2.0)])))
-        sessions = sessions_of(records)
+        _, sessions = fold([make_response(t) for t in (0.0, 0.5, 0.5, 2.0)])
         for s in sessions:
             offsets = list(s.offsets)
             assert offsets == sorted(offsets)
@@ -293,44 +285,11 @@ class TestSessionize:
 
     def test_session_carries_metadata(self):
         table = PrefixTable([(net("198.51.100.0/24"), 15169, "Google")])
-        records = ingest(packets_of([make_response(0.0, version=1)]), prefixes=table)
-        sessions = sessions_of(records)
+        _, sessions = fold([make_response(0.0, version=1)], prefixes=table)
         assert sessions[0].operator == "Google"
         assert sessions[0].version == 1
         assert sessions[0].direction == Direction.RESPONSE
         assert sessions[0].src_ip == "198.51.100.1"
-
-
-def reference_ingest(datagrams, config, counters, scanners, prefixes):
-    """ingest() as it was over decoded Datagrams, with split_coalesced: the
-    oracle of the IPv4 and UDP decoding that ingest() now does itself."""
-    for d in datagrams:
-        counters.total += 1
-        direction = classify_direction(d.src_port, d.dst_port)
-        if direction is Direction.NON_QUIC:
-            counters.non_quic_port += 1
-            continue
-        packets = split_coalesced(d.payload)
-        if not is_plausible_quic(packets, config):
-            if not packets and d.payload and d.payload[0] and not d.payload[0] & 0x80:
-                counters.short_header_only += 1
-            else:
-                counters.implausible += 1
-            continue
-        counters.emitted += 1
-        if direction is Direction.RESPONSE:
-            counters.responses_seen += 1
-            server_ip = d.src_ip
-        else:
-            counters.requests_seen += 1
-            if addr(d.src_ip) in scanners:
-                counters.requests_dropped += 1
-                continue
-            server_ip = d.dst_ip
-        asn, operator = prefixes.lookup(addr(server_ip)) or (None, None)
-        yield CaptureRecord(
-            d.timestamp, d.src_ip, d.dst_ip, d.src_port, d.dst_port, direction, len(d.payload), packets, operator, asn
-        )
 
 
 def reference_read(path, counters):
@@ -373,9 +332,10 @@ def reference_read(path, counters):
 
 
 class TestBlockDecoderOracle:
-    """PcapReader's blocks plus ingest() give the records and counters of the
-    record-at-a-time reader, the reference IPv4/UDP decoder, split_coalesced
-    and the ingest() that read Datagrams, on odd and truncated captures."""
+    """PcapReader's blocks plus fold_capture give the rows, sessions and
+    counters of the record-at-a-time reader, the reference IPv4/UDP decoder,
+    the reference record stream and its folds, on odd and truncated
+    captures."""
 
     SCANNERS = ScannerList([net("172.16.9.0/24")])
     PREFIXES = PrefixTable([(net("198.51.100.0/24"), 32934, "Facebook"), (net("192.0.2.0/28"), 64500, "Lab")])
@@ -457,19 +417,18 @@ class TestBlockDecoderOracle:
     @pytest.mark.parametrize("block", [16, 100, 1500, pcap.READ_BLOCK])
     @pytest.mark.parametrize("cut", ["none", "header", "body"])
     @pytest.mark.parametrize("linktype", [LINKTYPE_RAW_IP, LINKTYPE_ETHERNET])
-    def test_same_records_and_counters(self, tmp_path, monkeypatch, linktype, cut, block):
+    def test_same_folds_and_counters(self, tmp_path, monkeypatch, linktype, cut, block):
         path = self.capture(tmp_path, linktype, cut)
         config = PlausibilityConfig(VersionRegistry.default())
         monkeypatch.setattr(pcap, "READ_BLOCK", block)
 
         reader, counters = PcapReader(path), IngestCounters()
-        records = list(ingest(reader.datagrams(), config, counters, self.SCANNERS, self.PREFIXES, reader.counters))
+        folded = fold_capture(reader.datagrams(), config, counters, self.SCANNERS, self.PREFIXES, reader.counters)
 
         reference_capture, reference = CaptureCounters(), IngestCounters()
-        expected = list(
-            reference_ingest(reference_read(path, reference_capture), config, reference, self.SCANNERS, self.PREFIXES)
-        )
-        assert records == expected
+        datagrams = reference_read(path, reference_capture)
+        records = reference_ingest(datagrams, config, reference, self.SCANNERS, self.PREFIXES)
+        assert folded == reference_folds(records)
         assert reader.counters.as_dict() == reference_capture.as_dict()
         assert counters.as_dict() == reference.as_dict()
         # every counter meets a datagram above

@@ -6,7 +6,7 @@ import pytest
 
 from quicscope import fingerprint
 from quicscope.fingerprint import RtoEstimate, resend_rounds
-from quicscope.ingest import group_traits, ingest
+from quicscope.ingest import sum_traits
 from quicscope.offnet import (
     NOT_OPERATOR,
     RULE_NAMES,
@@ -23,7 +23,7 @@ from quicscope.scid import FacebookScidFields, encode_facebook_scid
 from quicscope.sim import DeploymentConfig, FloodConfig, ClusterConfig, RoutingMode, default_stack_profile
 from quicscope.wire import Direction
 
-from conftest import make_response, packets_of, sessions_of, simulate_to_pcap
+from conftest import fold, make_response, simulate_to_pcap
 
 
 def features(**overrides) -> SourceFeatures:
@@ -39,12 +39,12 @@ def features(**overrides) -> SourceFeatures:
     return SourceFeatures(**base)
 
 
-def source_features(records, source, min_rto_sessions=5) -> SourceFeatures:
-    """Features of one source address, folded from its response records
-    the way classify folds them."""
-    responses = [r for r in records if r.direction is Direction.RESPONSE]
-    traits = group_traits(responses, lambda r: r.src_ip)
-    rounds = [resend_rounds(s.offsets) for s in sessions_of(responses) if s.src_ip == source]
+def source_features(folded, source, min_rto_sessions=5) -> SourceFeatures:
+    """Features of one source address, summed from the response rows of
+    fold_capture's (rows, sessions) the way classify sums them."""
+    responses = [row for row in folded[0] if row.direction is Direction.RESPONSE]
+    traits = sum_traits(responses, lambda row: row.src_ip)
+    rounds = [resend_rounds(s.offsets) for row in responses if row.src_ip == source for s in row.sessions]
     return extract_features(traits[source], rounds, min_rto_sessions=min_rto_sessions)
 
 
@@ -68,12 +68,12 @@ class TestExtractFeatures:
             seed=21,
         )
         _, datagrams = simulate_to_pcap(cfg, tmp_path / "capture.pcap")
-        return list(ingest(packets_of(datagrams)))
+        return fold(datagrams)
 
     def test_facebook_source_features(self, tmp_path):
-        records = self.run_flood(tmp_path, "Facebook")
+        folded = self.run_flood(tmp_path, "Facebook")
         # the source is the VIP that emitted the backscatter
-        f = source_features(records, "203.0.113.1", min_rto_sessions=3)
+        f = source_features(folded, "203.0.113.1", min_rto_sessions=3)
         assert f.scid_scheme_match == "Facebook"
         assert f.scid_structured
         assert not f.coalescence
@@ -82,42 +82,35 @@ class TestExtractFeatures:
         assert f.low_host_id is True
 
     def test_high_host_ids_not_low(self, tmp_path):
-        records = self.run_flood(tmp_path, "Facebook", host_base=9000)
-        f = source_features(records, "203.0.113.1", min_rto_sessions=3)
+        folded = self.run_flood(tmp_path, "Facebook", host_base=9000)
+        f = source_features(folded, "203.0.113.1", min_rto_sessions=3)
         assert f.scid_scheme_match == "Facebook"
         assert f.low_host_id is False
 
     def test_cloudflare_scheme_match(self, tmp_path):
-        records = self.run_flood(tmp_path, "Cloudflare")
-        f = source_features(records, "203.0.113.1", min_rto_sessions=3)
+        folded = self.run_flood(tmp_path, "Cloudflare")
+        f = source_features(folded, "203.0.113.1", min_rto_sessions=3)
         assert f.scid_scheme_match == "Cloudflare"
         assert f.coalescence
 
     def test_single_packet_source_has_no_rto(self):
-        records = list(ingest(packets_of([make_response(0.0, src="198.51.100.9")])))
-        f = source_features(records, "198.51.100.9")
+        f = source_features(fold([make_response(0.0, src="198.51.100.9")]), "198.51.100.9")
         assert f.rto_signature is None
 
     def test_random_scids_do_not_match_facebook(self):
         rng = random.Random(1)
         # 4 random SCIDs: the chance all four decode as valid versions is 1/16
-        records = list(
-            ingest(
-                packets_of([
-                    make_response(0.1 * i, src="198.51.100.9", scid=rng.randbytes(8), dcid=rng.randbytes(8))
-                    for i in range(4)
-                ])
-            )
-        )
-        f = source_features(records, "198.51.100.9")
+        folded = fold([
+            make_response(0.1 * i, src="198.51.100.9", scid=rng.randbytes(8), dcid=rng.randbytes(8)) for i in range(4)
+        ])
+        f = source_features(folded, "198.51.100.9")
         # seeded draw picks at least one scid with version bits outside {1,2}
         assert f.scid_scheme_match is None
 
     def test_mixed_lengths_match_no_scheme(self):
         scids = [facebook_scid(5), facebook_scid(6, bits=(1 << 37) - 1), b"\x01" * 20]
         responses = [make_response(0.1 * i, src="198.51.100.9", scid=s, dst=f"172.16.0.{i}") for i, s in enumerate(scids)]
-        records = list(ingest(packets_of(responses)))
-        f = source_features(records, "198.51.100.9")
+        f = source_features(fold(responses), "198.51.100.9")
         assert f.scid_scheme_match is None
         assert not f.scid_structured
         # the two 8-octet SCIDs still decode under the v1 layout
@@ -133,7 +126,7 @@ class TestExtractFeatures:
         datagrams = [
             make_response(0.1 * i, src="198.51.100.9", scid=scids[i % 3], dst=f"172.16.0.{i}") for i in range(9)
         ]
-        source_features(list(ingest(packets_of(datagrams))), "198.51.100.9")
+        source_features(fold(datagrams), "198.51.100.9")
         assert sorted(calls) == sorted(scids[:2])
 
 

@@ -1,8 +1,8 @@
 """pcap round trips plus reader behavior on ethernet framing and bad input.
 
 The datagrams read back are decoded by conftest's reference decoder; the
-counters are those of the reader and ingest.ingest, which decodes the IPv4
-and UDP headers in the pipeline."""
+counters are those of the reader and ingest.fold_capture, which decodes the
+IPv4 and UDP headers in the pipeline."""
 
 import gc
 import io
@@ -14,7 +14,7 @@ import warnings
 import pytest
 
 from quicscope import InputError, pcap
-from quicscope.ingest import ingest
+from quicscope.ingest import fold_capture
 from quicscope.pcap import (
     LINKTYPE_ETHERNET,
     LINKTYPE_RAW_IP,
@@ -31,10 +31,9 @@ from conftest import Datagram, build_ipv4_udp, read_datagrams, run_python, write
 
 def read_back(path) -> tuple[list[Datagram], CaptureCounters]:
     """The datagrams of the capture at `path`, and the counters that the
-    reader and ingest() keep over it, which the reference decoder's equal."""
+    reader and fold_capture keep over it, which the reference decoder's equal."""
     reader = PcapReader(path)
-    for _ in ingest(reader.datagrams(), capture=reader.counters):
-        pass
+    fold_capture(reader.datagrams(), capture=reader.counters)
     reference = CaptureCounters()
     datagrams = read_datagrams(path, reference)
     assert reference.as_dict() == reader.counters.as_dict()

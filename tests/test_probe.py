@@ -282,6 +282,10 @@ class TestDiscoveryCurve:
 
 
 class TestJaccardClustering:
+    def test_one_vip_rejected(self):
+        with pytest.raises(ProbeError, match="^clustering needs at least two VIPs$"):
+            cluster_vips({"a": harvest_from_ids("a", [1, 2])})
+
     def test_jaccard_basics(self):
         assert jaccard(frozenset({1, 2}), frozenset({1, 2})) == 1.0
         assert jaccard(frozenset({1, 2}), frozenset({3})) == 0.0
@@ -394,6 +398,22 @@ class TestDetectLbType:
         transport = SimulatorTransport(sim)
         with pytest.raises(TransportUnavailable):
             detect_lb_type("198.18.0.1", transport)
+
+    def test_no_reply_to_the_first_handshake(self):
+        class Silent:
+            """A transport that no server answers."""
+
+            def handshake(self, vip, port, dcid=None, scid=None):
+                return None
+
+            def now(self):
+                return 0.0
+
+            def sleep(self, seconds):
+                raise AssertionError("probing went on after the first handshake failed")
+
+        with pytest.raises(TransportUnavailable, match="^initial handshake with 203.0.113.1 failed$"):
+            detect_lb_type("203.0.113.1", Silent())
 
     def test_inconclusive_when_window_exceeds_max_wait(self):
         sim = make_sim(l7lb_count=10, mode=RoutingMode.CID_AWARE)

@@ -18,6 +18,7 @@ from quicscope.scid import (
     MixedLengths,
     PositionVerdict,
     SchemeKind,
+    ScidAnalysisError,
     UnknownScidVersion,
     chi2_sf_15,
     classify_scheme,
@@ -293,6 +294,10 @@ class TestNybbleFrequencies:
         assert m.total == 0
         assert m.positions == 0
 
+    def test_empty_population_has_no_relative_rows(self):
+        assert nybble_frequencies([]).relative() == ()
+        assert list(nybble_frequencies([]).rows()) == []
+
     def test_mixed_lengths_rejected(self):
         with pytest.raises(MixedLengths):
             nybble_frequencies([b"\x01" * 8, b"\x02" * 20])
@@ -491,6 +496,10 @@ class TestCloudflareSignature:
     def test_wrong_first_byte(self):
         scids = [b"\x02" + bytes(19)]
         assert detect_cloudflare_signature(scids) is False
+
+    def test_empty_population_rejected(self):
+        with pytest.raises(ScidAnalysisError, match="^signature check needs at least one SCID$"):
+            detect_cloudflare_signature([])
 
     def test_monotone_under_nonconforming_additions(self):
         rng = np.random.default_rng(11)

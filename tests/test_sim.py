@@ -3,6 +3,7 @@ connection-state semantics, and capture determinism."""
 
 import hashlib
 import io
+import json
 import re
 import struct
 import tracemalloc
@@ -12,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from quicscope.fingerprint import resend_rounds
-from quicscope.ingest import group_traits, ingest
+from quicscope.ingest import sum_traits
 from quicscope.pcap import CaptureCounters, PcapWriter
 from quicscope.scid import FacebookScidFields, decode_facebook_scid, encode_facebook_scid
 from quicscope.sim import (
@@ -40,7 +41,7 @@ from quicscope.sim import (
 )
 from quicscope.wire import PacketType, TruncatedPacket, encode_long_header, parse_long_header, split_coalesced
 
-from conftest import NO_PACKET_PAYLOADS, packets_of, parse_ipv4_udp, sessions_of, simulate_to_pcap
+from conftest import NO_PACKET_PAYLOADS, every_server_as, fold, parse_ipv4_udp, simulate_to_pcap
 
 
 def profile(operator="Facebook", **overrides):
@@ -237,8 +238,9 @@ class TestVirtualClock:
         clock.schedule(2.0, lambda: fired.append("b"))
         clock.schedule(1.0, lambda: fired.append("a"))
         clock.schedule(2.0, lambda: fired.append("c"))
+        clock.schedule(2.0, lambda: fired.append("first"), first=True)
         clock.run_until(5.0)
-        assert fired == ["a", "b", "c"]
+        assert fired == ["a", "first", "b", "c"]
         assert clock.now == 5.0
 
     @given(
@@ -641,6 +643,49 @@ class TestFloodDeterminism:
         simulate_to_pcap(self.make_config(7), pb)
         assert pa.read_bytes() == pb.read_bytes()
 
+    # every arrival and every ACK falls at time 0
+    ZERO_WINDOW = json.dumps({
+        "seed": 3,
+        "clusters": [
+            {"operator": "Facebook", "vip_base": "157.240.1.1", "vip_count": 3, "l7lb_count": 4},
+            {"operator": "Google", "vip_base": "142.250.1.1", "vip_count": 2, "l7lb_count": 3},
+        ],
+        "flood": {
+            "source_base": "100.64.0.1", "source_count": 40, "sessions_per_vip": 6, "duration": 30.0,
+            "arrival_window": 0.0, "ack_delay": 0.0, "ack_probability": 1.0,
+        },
+    })
+    # pinned while every arrival was scheduled on the clock up front
+    ZERO_WINDOW_SHA256 = {
+        "capture.pcap": "158f1c520a4f053576e673253568dc5dfd7a474fd6971a2fb7868e096cccaf05",
+        "truth.jsonl": "ddd85cf9b2803ee1e5340154ebaeaec915eadb57f81cf80f484cf9009a67da63",
+        "pairs.tsv": "4a649bb9c26c8d2e02bca9dcdaf1f05773e2ec5bb908abc4c73c8a7ef371bddb",
+    }
+
+    def test_zero_window_acking_flood_matches_pinned_digests(self, tmp_path):
+        from quicscope.cli import main
+
+        config = tmp_path / "deploy.json"
+        config.write_text(self.ZERO_WINDOW)
+        assert main(["simulate", "--config", str(config), "--out-dir", str(tmp_path / "sim")]) == 0
+        digests = {
+            name: hashlib.sha256((tmp_path / "sim" / name).read_bytes()).hexdigest() for name in self.ZERO_WINDOW_SHA256
+        }
+        assert digests == self.ZERO_WINDOW_SHA256
+
+    def test_arrivals_fire_before_acks_at_their_time(self, monkeypatch):
+        # each arrival fires before any other event at its time, as when all
+        # were scheduled up front: every Initial (padded to 1,200 octets) is
+        # delivered before the first ACK
+        lengths = []
+        deliver = DeploymentSimulator.deliver
+        monkeypatch.setattr(
+            DeploymentSimulator, "deliver", lambda sim, *args: lengths.append(len(args[3])) or deliver(sim, *args)
+        )
+        config = DeploymentConfig.from_dict(json.loads(self.ZERO_WINDOW))
+        DeploymentSimulator(config, PcapWriter(io.BytesIO())).run_flood()
+        assert len(lengths) == 2 * 30 and lengths == sorted(lengths, reverse=True) and lengths[0] >= 1200
+
     def test_different_seed_differs(self):
         a, b = [], []
         DeploymentSimulator(self.make_config(7), truth=a).run_flood()
@@ -650,8 +695,7 @@ class TestFloodDeterminism:
     def test_rounds_bounded_by_config(self, tmp_path):
         _, datagrams = simulate_to_pcap(self.make_config(7), tmp_path / "capture.pcap")
         prof = default_stack_profile("Facebook")
-        records = list(ingest(packets_of(datagrams)))
-        sessions = sessions_of(records)
+        _, sessions = fold(datagrams)
         assert len(sessions) == 39
         for s in sessions:
             assert len(resend_rounds(s.offsets)) <= 1 + prof.max_retransmissions
@@ -666,12 +710,11 @@ class TestFloodDeterminism:
                 seed=2,
             )
             _, datagrams = simulate_to_pcap(cfg, tmp_path / f"{operator}.pcap")
-            records = [r._replace(operator=operator) for r in ingest(packets_of(datagrams))]
-            sessions = sessions_of(records)
+            rows, sessions = fold(datagrams, prefixes=every_server_as(operator))
             hist = resend_count_distribution(resend_rounds(s.offsets) for s in sessions)
             mode = max(hist, key=hist.get)
             assert low <= mode <= high
-            counts = group_traits(records, lambda r: r.operator)[operator].type_counts()
+            counts = sum_traits(rows, lambda r: r.operator)[operator].type_counts()
             if operator == "Google":
                 # coalescing stack: the combined category dominates outright
                 assert counts["Initial & Handshake"] > sum(counts.values()) / 2
@@ -760,6 +803,17 @@ class TestStreamedCapture:
                 tracemalloc.stop()
         assert (tmp_path / "shipped.pcap").stat().st_size > (tmp_path / "unpadded.pcap").stat().st_size
         assert peaks["shipped"] <= 1.2 * peaks["unpadded"]
+
+    def test_one_arrival_waits_on_the_clock_when_it_starts(self, monkeypatch):
+        # the arrivals are drawn and sorted up front, but only the next one
+        # waits on the clock, not one scheduled callback per source
+        pending = []
+        run_until = VirtualClock.run_until
+        monkeypatch.setattr(
+            VirtualClock, "run_until", lambda clock, t: pending.append(len(clock._heap)) or run_until(clock, t)
+        )
+        DeploymentSimulator(self.flood_config(1), PcapWriter(io.BytesIO())).run_flood()
+        assert pending == [1]
 
     def test_rounds_repeat_identical_packets(self, tmp_path):
         path = tmp_path / "capture.pcap"

@@ -10,11 +10,11 @@ from array import array
 import pytest
 
 from quicscope import InputError, tables
-from quicscope.ingest import CaptureRecord, KeyRow, PrefixTable, Session, Traits, ingest
+from quicscope.ingest import KeyRow, PrefixTable, Session, Traits
 from quicscope.sim import SessionTruth
 from quicscope.wire import Direction, PacketType
 
-from conftest import folds, make_request, make_response, packets_of, save_folds
+from conftest import fold, make_request, make_response, save_folds
 
 
 class TestOfType:
@@ -24,9 +24,9 @@ class TestOfType:
             tables.of_type(float)(value)
 
 
-def train_records() -> list[CaptureRecord]:
-    """Resend trains next to datagrams of their own: a coalesced response,
-    an unlabeled one and a request."""
+def train_folds() -> tuple[list[KeyRow], list[Session]]:
+    """The folds of resend trains next to datagrams of their own: a
+    coalesced response, an unlabeled one and a request."""
     table = PrefixTable([(ipaddress.ip_network("198.51.100.0/24"), 32934, "Facebook")])
     datagrams = [make_response(ts, pad_to=1200) for ts in (0.0, 0.4, 1.2, 2.8, 6.0)]
     datagrams += [make_response(ts, scid=b"\x01" * 8, types=(PacketType.HANDSHAKE,)) for ts in (0.1, 0.5, 1.3)]
@@ -36,12 +36,13 @@ def train_records() -> list[CaptureRecord]:
         make_request(0.6),
     ]
     datagrams.sort(key=lambda d: d.timestamp)
-    return list(ingest(packets_of(datagrams), prefixes=table))
+    return fold(datagrams, prefixes=table)
 
 
-def saved_folds(tmp_path, records) -> tuple:
-    """Both stores of `records`, written as ingest writes them, with the folds written."""
-    return save_folds(tmp_path, records), *folds(records)
+def saved_folds(tmp_path) -> tuple:
+    """Both stores of train_folds(), written as ingest writes them, with the folds written."""
+    folded = train_folds()
+    return save_folds(tmp_path, folded), *folded
 
 
 def session_fields(session: Session) -> tuple:
@@ -57,36 +58,39 @@ def read_back(datagrams, sessions) -> tuple:
     )
 
 
-def expected(traits, sessions) -> tuple:
-    by_key = {key: (t, []) for key, t in traits.items()}
-    for s in sessions:
-        by_key[s.direction, s.src_ip, s.operator][1].append(list(s.offsets))
-    return by_key, [session_fields(s) for s in sessions]
+def expected(rows, sessions) -> tuple:
+    return (
+        {(r.direction, r.src_ip, r.operator): (r.traits, [list(s.offsets) for s in r.sessions]) for r in rows},
+        [session_fields(s) for s in sessions],
+    )
 
 
 class TestStores:
-    """The datagram store's rows, one per store_key, and the session
-    store's, one per session, against the folds that ingest writes."""
+    """The datagram store's rows, one per (direction, source, operator)
+    key, and the session store's, one per session, against the folds that
+    ingest writes."""
 
     def test_round_trip_keeps_every_fold(self, tmp_path):
-        paths, traits, sessions = saved_folds(tmp_path, train_records())
-        assert len(traits) == 3 and len(sessions) == 5
-        assert read_back(*paths) == expected(traits, sessions)
+        paths, rows, sessions = saved_folds(tmp_path)
+        assert len(rows) == 3 and len(sessions) == 5
+        assert read_back(*paths) == expected(rows, sessions)
 
     def test_rows_equal_sorted_json_dumps(self, tmp_path):
         fb, cafe = 'Say "cheese" \\ co', "Café ✓ 東京"
-        traits = {
-            (Direction.RESPONSE, "198.51.100.1", fb): Traits(
-                {(("Initial", "Handshake"), 1200): 3, (("Initial",), 42): 1}, {b"\x01" * 20, b""}
-            ),
-            (Direction.REQUEST, "172.16.5.5", None): Traits({(("Initial",), 1252): 2}, set()),
-            (Direction.RESPONSE, "192.0.2.7", cafe): Traits({(("Retry",), 0): 1}, {b"\xff" * 8}),
-        }
         sessions = [
             Session("198.51.100.1", fb, Direction.RESPONSE, 1, array("d", [0.0, 0.0, 0.1 + 0.2, 1e-07])),
             Session("172.16.5.5", None, Direction.REQUEST, 0xFACEB002, array("d", [0.0])),
             Session("198.51.100.1", fb, Direction.RESPONSE, 0xFF00001D, array("d")),
             Session("192.0.2.7", cafe, Direction.RESPONSE, 1, array("d", [1e22, 2.5])),
+        ]
+        rows = [
+            KeyRow(
+                Direction.RESPONSE, "198.51.100.1", fb,
+                Traits({(("Initial", "Handshake"), 1200): 3, (("Initial",), 42): 1}, {b"\x01" * 20, b""}),
+                [sessions[0], sessions[2]],
+            ),
+            KeyRow(Direction.REQUEST, "172.16.5.5", None, Traits({(("Initial",), 1252): 2}, set()), [sessions[1]]),
+            KeyRow(Direction.RESPONSE, "192.0.2.7", cafe, Traits({(("Retry",), 0): 1}, {b"\xff" * 8}), [sessions[3]]),
         ]
         key_rows = [
             {"direction": "response", "src": "198.51.100.1", "operator": fb,
@@ -105,32 +109,32 @@ class TestStores:
             {"direction": "response", "src": "192.0.2.7", "operator": cafe, "version": 1, "offsets": "1e+22 2.5"},
         ]
         paths = tmp_path / "datagrams.jsonl", tmp_path / "sessions.jsonl"
-        tables.save_stores(*paths, traits, sessions)
-        for path, rows in zip(paths, (key_rows, session_rows)):
-            assert path.read_text() == "".join(json.dumps(row, sort_keys=True) + "\n" for row in rows)
-        assert read_back(*paths) == expected(traits, sessions)
+        tables.save_stores(*paths, rows, sessions)
+        for path, written in zip(paths, (key_rows, session_rows)):
+            assert path.read_text() == "".join(json.dumps(row, sort_keys=True) + "\n" for row in written)
+        assert read_back(*paths) == expected(rows, sessions)
 
     def test_rows_in_any_key_order_or_spacing_load_as_canonical_rows(self, tmp_path):
-        paths, traits, sessions = saved_folds(tmp_path, train_records())
+        paths, rows, sessions = saved_folds(tmp_path)
         for path in paths:
-            rows = [json.loads(line) for line in path.read_text().splitlines()]
+            written = [json.loads(line) for line in path.read_text().splitlines()]
             path.write_text(
                 "\n \t\n".join(
                     " " * (i % 3)
                     + json.dumps(dict(reversed(row.items())), separators=(" ,  ", " :\t"))
                     + ("\t \r" if i % 2 else "")
-                    for i, row in enumerate(rows)
+                    for i, row in enumerate(written)
                 )
             )
-        assert read_back(*paths) == expected(traits, sessions)
+        assert read_back(*paths) == expected(rows, sessions)
 
     def test_each_session_keeps_what_the_reader_keeps(self, tmp_path):
-        (datagrams, _), traits, sessions = saved_folds(tmp_path, train_records())
-        rows = list(tables.read_key_rows(datagrams, len))
-        assert sorted(n for row in rows for n in row.sessions) == sorted(len(s.offsets) for s in sessions)
-        rows = list(tables.read_key_rows(datagrams))
-        assert [row.sessions for row in rows] == [[]] * len(traits)
-        assert {(r.direction, r.src_ip, r.operator): r.traits for r in rows} == traits
+        (datagrams, _), rows, sessions = saved_folds(tmp_path)
+        kept = list(tables.read_key_rows(datagrams, len))
+        assert sorted(n for row in kept for n in row.sessions) == sorted(len(s.offsets) for s in sessions)
+        read = list(tables.read_key_rows(datagrams))
+        assert [row.sessions for row in read] == [[]] * len(rows)
+        assert [row._replace(sessions=[]) for row in rows] == read
 
     # a row of each store, and the edits that make it bad, with what the reader
     # says: an edit is a line that replaces the whole row, or values that
@@ -256,7 +260,7 @@ class TestStores:
         """The rows before a bad row read as they were written, and the bad
         row fails naming its line, whether or not the sessions are kept."""
         edit, message = self.BAD_KEY_ROWS[bad]
-        (path, _), _, _ = saved_folds(tmp_path, train_records())
+        (path, _), _, _ = saved_folds(tmp_path)
         good = list(tables.read_key_rows(path, keep))
         rows, lineno, error = self.read_bad_store(path, lambda p: tables.read_key_rows(p, keep), edit, place)
         assert str(error) == f"{path}:{lineno}: {message}"
@@ -266,7 +270,7 @@ class TestStores:
     @pytest.mark.parametrize("bad", sorted(BAD_SESSION_ROWS))
     def test_bad_session_row_names_file_line_and_key(self, tmp_path, bad, place):
         edit, message = self.BAD_SESSION_ROWS[bad]
-        (_, path), _, _ = saved_folds(tmp_path, train_records())
+        (_, path), _, _ = saved_folds(tmp_path)
         good = list(tables.read_sessions(path))
         rows, lineno, error = self.read_bad_store(path, tables.read_sessions, edit, place)
         assert str(error) == f"{path}:{lineno}: {message}"

@@ -190,6 +190,10 @@ class TestVarint:
         with pytest.raises(ValueError):
             encode_varint(1 << 62)
 
+    def test_negative_rejected(self):
+        with pytest.raises(ValueError, match="^varint cannot be negative$"):
+            encode_varint(-1)
+
 
 def round_trip(packet_type, version, dcid, scid, token=b"", payload=b""):
     """Encode the fields, parse them back, and require the same header; a
