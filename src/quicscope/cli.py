@@ -136,7 +136,11 @@ def cmd_simulate(args) -> int:
     out = _out_dir(args)
     stores = capture_path, truth_path, pairs_path = out / "capture.pcap", out / "truth.jsonl", out / "pairs.tsv"
     try:
-        with capture_path.open("wb") as fh, truth_path.open("w") as truth_fh, pairs_path.open("w") as pairs_fh:
+        with (
+            capture_path.open("wb", buffering=tables.WRITE_BLOCK) as fh,
+            truth_path.open("w", buffering=tables.WRITE_BLOCK) as truth_fh,
+            pairs_path.open("w", buffering=tables.WRITE_BLOCK) as pairs_fh,
+        ):
             capture, truth = PcapWriter(fh), tables.TruthWriter(truth_fh, pairs_fh)
             sim.DeploymentSimulator(config, capture, truth).run_flood()
     except BaseException:
@@ -495,11 +499,11 @@ def cmd_probe(args) -> int:
         campaign_file = tables.read_json_fields(
             _require(args.campaign_config, "campaign config"),
             {
-                "targets": lambda value: ",".join(tables.list_of(tables.of_type(str))(value)),
-                "handshakes_per_vip": tables.of_type(int),
+                "targets": lambda value: ",".join(map(tables.json_string, tables.json_array(value))),
+                "handshakes_per_vip": tables.json_integer,
                 "port_strategy": tables.one_of({strategy: strategy for strategy in PORT_STRATEGIES}),
-                "inter_probe_gap": tables.of_type(float),
-                "seed": tables.of_type(int),
+                "inter_probe_gap": tables.json_number,
+                "seed": tables.json_integer,
             },
         )
     # each setting comes from its flag, else the campaign file, else its default

@@ -14,7 +14,7 @@ from typing import Iterable, NamedTuple, Optional, Sequence
 from . import CheckedTuple, InputError, PreconditionError
 from .ingest import Session, Traits
 from .scid import ScidScheme, SchemeKind
-from .tables import list_of, object_of, of_type, read_profiles
+from .tables import json_array, json_integer, json_number, object_of, of_type, read_profiles
 from .wire import Direction, VersionRegistry
 
 DEFAULT_MIN_SESSIONS = 30
@@ -179,19 +179,19 @@ class FingerprintProfile(NamedTuple):
 
 
 def _int_pair(value) -> tuple[int, int]:
-    lo, hi = list_of(of_type(int))(value)
+    lo, hi = [json_integer(item) for item in json_array(value)]
     return lo, hi
 
 
 _KNOWN_PROFILE_FIELDS = {
     "retransmission_range": _int_pair,
-    "initial_rto": of_type(float),
-    "backoff_base": of_type(float),
+    "initial_rto": json_number,
+    "backoff_base": json_number,
     "coalescence": of_type(bool),
     "structured_scids": of_type(bool),
 }
 _known_profile = object_of(
-    {**_KNOWN_PROFILE_FIELDS, "simulated_retransmissions": of_type(int)}, required=tuple(_KNOWN_PROFILE_FIELDS)
+    {**_KNOWN_PROFILE_FIELDS, "simulated_retransmissions": json_integer}, required=tuple(_KNOWN_PROFILE_FIELDS)
 )
 
 

@@ -96,25 +96,25 @@ class ScannerList:
 
 
 class PrefixTable:
-    """Longest-prefix-match table mapping IPv4 addresses to (ASN, operator)."""
+    """Longest-prefix-match table mapping IPv4 addresses to operators."""
 
-    def __init__(self, entries: Iterable[tuple[ipaddress.IPv4Network, int, str]] = ()):
-        by_length: dict[int, dict[int, tuple[int, str]]] = {}
-        for network, asn, label in entries:
-            by_length.setdefault(network.prefixlen, {})[int(network.network_address)] = (asn, label)
-        # (netmask, network address -> entry), longest prefix first
+    def __init__(self, entries: Iterable[tuple[ipaddress.IPv4Network, str]] = ()):
+        by_length: dict[int, dict[int, str]] = {}
+        for network, label in entries:
+            by_length.setdefault(network.prefixlen, {})[int(network.network_address)] = label
+        # (netmask, network address -> operator), longest prefix first
         self._buckets = [
             ((0xFFFFFFFF << (32 - length)) & 0xFFFFFFFF, by_length[length])
             for length in sorted(by_length, reverse=True)
         ]
 
-    def lookup(self, addr: int) -> Optional[tuple[int, str]]:
-        """The entry of the longest prefix holding the IPv4 address `addr`,
-        as an integer; None where no prefix holds it."""
+    def lookup(self, addr: int) -> Optional[str]:
+        """The operator of the longest prefix holding the IPv4 address
+        `addr`, as an integer; None where no prefix holds it."""
         for mask, bucket in self._buckets:
-            hit = bucket.get(addr & mask)
-            if hit is not None:
-                return hit
+            label = bucket.get(addr & mask)
+            if label is not None:
+                return label
         return None
 
 
@@ -307,8 +307,8 @@ def fold_capture(
         except KeyError:
             if len(operators) >= _PREFIX_HITS:
                 operators.clear()
-            hit = None if prefixes is None else prefixes.lookup(int.from_bytes(server, "big"))
-            operator = operators[server] = None if hit is None else hit[1]
+            address = int.from_bytes(server, "big")
+            operator = operators[server] = None if prefixes is None else prefixes.lookup(address)
         row = rows.get((direction, src, operator))
         if row is None:
             # tuple.__new__ skips the Python-level calls of KeyRow(...) and Session(...)

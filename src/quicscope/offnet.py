@@ -17,7 +17,7 @@ from .fingerprint import (
 )
 from .ingest import Traits
 from .scid import detect_cloudflare_signature, facebook_fields, low_host_id
-from .tables import list_of, load_listing, of_type, read_json_fields
+from .tables import json_array, json_number, json_string, list_of, load_listing, read_json_fields
 
 NOT_OPERATOR = "NotOperator"
 DEFAULT_SOURCE_MIN_SESSIONS = 5
@@ -119,11 +119,8 @@ class RuleParams(NamedTuple):
         raise InputError(f"{profiles or 'shipped profile table'}: no profile for {self.target_operator!r}")
 
 
-_number = of_type(float)
-
-
 def _tolerance(value) -> float:
-    if _number(value) < 0:  # a negative tolerance would reject every RTO signature
+    if json_number(value) < 0:  # a negative tolerance would reject every RTO signature
         raise ValueError(f"expected a number >= 0, got {value}")
     return value
 
@@ -131,7 +128,7 @@ def _tolerance(value) -> float:
 def _shape(value) -> tuple[tuple[str, ...], int]:
     if not isinstance(value, list) or len(value) != 2:
         raise ValueError(f"expected [[packet type, ...], datagram length], got {value}")
-    return tuple(list_of(of_type(str))(value[0])), _number(value[1])
+    return tuple(map(json_string, json_array(value[0]))), json_number(value[1])
 
 
 def _reference_shapes(value) -> Optional[frozenset[tuple[tuple[str, ...], int]]]:
@@ -146,7 +143,7 @@ def _moved_to_profiles(value):
 
 
 _RULE_FIELDS = {
-    "target_operator": of_type(str),
+    "target_operator": json_string,
     "rto_tolerance": _tolerance,
     "backoff_tolerance": _tolerance,
     "reference_shapes": _reference_shapes,

@@ -31,7 +31,9 @@ from _blake2 import blake2b
 
 from . import CheckedTuple, InputError
 from .scid import CodecError, FacebookScidFields, encode_facebook_scid, facebook_host_id
-from .tables import list_of, object_of, of_type, read_json, read_profiles
+from .tables import (
+    json_integer, json_number, json_object, json_string, list_of, object_of, of_type, read_json, read_profiles,
+)
 from .wire import MAX_CID_LENGTH, LongHeader, PacketType, WireError, encode_long_header, parse_long_header
 
 if TYPE_CHECKING:
@@ -427,7 +429,7 @@ def _build(cls, section: dict, where: str, name_checks: bool = False):
         raise InvalidConfig(f"{where}: {exc}") from None
 
 
-_str, _int, _float = of_type(str), of_type(int), of_type(float)
+_str, _int, _float = json_string, json_integer, json_number
 
 
 def _ipv4(value) -> str:
@@ -450,7 +452,7 @@ _PROFILE_FIELDS = {
     "scid_length": _int,
     "version": _int,
     "process_id": _int,
-    "padding_policy": lambda value: {category: _int(size) for category, size in of_type(dict)(value).items()},
+    "padding_policy": lambda value: {category: _int(size) for category, size in json_object(value).items()},
 }
 _CLUSTER_FIELDS = {
     "operator": _str,

@@ -1,20 +1,22 @@
 """Line-delimited stores, plot-ready tables and the readers of every input file.
 
 `ingest` hands its folds to the analyses in two JSONL stores, each row
-written as `json.dumps(row, sort_keys=True)`. save_stores writes the
-KeyRows and Sessions of ingest.fold_capture as they come: the datagram
-store holds one row per (direction, source address, operator) key, with
-the key's datagrams per shape, its unique SCIDs and the offsets of each of
-its sessions, and the session store one row per session, with its key
-fields, version and offsets. read_key_rows and read_sessions read them
-back as the same types, a row at a time, through load_lines and the
-object_of, of_type and list_of parsers, which check every value's JSON
-type and range.
+written from one fixed template per store as `json.dumps(row,
+sort_keys=True)` would write it. save_stores writes the KeyRows and
+Sessions of ingest.fold_capture as they come: the datagram store holds one
+row per (direction, source address, operator) key, with the key's
+datagrams per shape, its unique SCIDs and the offsets of each of its
+sessions, and the session store one row per session, with its key fields,
+version and offsets. read_key_rows and read_sessions read them back as the
+same types, a row at a time, through load_lines and the object_of, of_type
+and list_of parsers, which check every value's JSON type and range; each
+parser is built once, not per value it checks.
 TruthWriter writes `simulate`'s truth rows and pairs table with one format
 string per file, a row per served handshake. Analysis outputs land as TSV
 with a one-line header, which read_table reads back for the next stage.
 All writers are byte-deterministic for identical inputs, which is what
-makes whole-pipeline runs reproducible.
+makes whole-pipeline runs reproducible, and every file quicscope writes
+goes through a WRITE_BLOCK buffer.
 Every reader here, the prefix-table, scanner-list, version-registry, profile
 and JSON-settings readers included, turns a file it cannot open or decode,
 and a line or value it cannot read, into an InputError that names the file
@@ -62,10 +64,15 @@ def fmt_value(value) -> str:
     return str(value)
 
 
+# the buffer of every file quicscope writes: the capture, the truth rows, the
+# pairs table, both stores and every TSV table
+WRITE_BLOCK = 1 << 16
+
+
 def write_table(path: str | Path, header: Sequence[str], rows: Iterable[Sequence]) -> Path:
     """Write a table as TSV with a one-line header; returns the path."""
     path = Path(path)
-    with path.open("w") as fh:
+    with path.open("w", buffering=WRITE_BLOCK) as fh:
         fh.write("\t".join(header) + "\n")
         # str and int cells skip fmt_value by exact type: a bool is an int
         # subclass, and another subclass may format otherwise
@@ -144,17 +151,19 @@ def load_scanner_list(path: str | Path) -> ScannerList:
     return ScannerList(load_listing(path, ipaddress.IPv4Network))
 
 
-def _prefix_entry(line: str) -> tuple[ipaddress.IPv4Network, int, str]:
+def _prefix_entry(line: str) -> tuple[ipaddress.IPv4Network, str]:
     fields = line.split("\t")
     if len(fields) != 3:
         raise ValueError(f"expected 3 tab-separated fields (prefix, ASN, operator), got {len(fields)}")
     prefix, asn, label = fields
+    int(asn)  # checked, though no output reads it
     # captures are IPv4 only, and lookups mask addresses to 32 bits
-    return ipaddress.IPv4Network(prefix), int(asn), label
+    return ipaddress.IPv4Network(prefix), label
 
 
 def load_prefix_table(path: str | Path) -> PrefixTable:
-    """Read a prefix table: `prefix<TAB>ASN<TAB>operator` per line."""
+    """Read a prefix table: `prefix<TAB>ASN<TAB>operator` per line. The ASN
+    must be an integer, and only the operator is kept."""
     from .ingest import PrefixTable
 
     return PrefixTable(load_listing(path, _prefix_entry))
@@ -177,9 +186,14 @@ def of_type(*kinds: type) -> Callable[[Any], Any]:
     `kinds`: float accepts any finite number, and true and false are no
     numbers. json reads NaN and Infinity, which no setting can mean."""
     accepted = kinds + (int,) if float in kinds else kinds
+    # the types json.loads gives that pass as they are: a float still needs
+    # its finiteness checked, and a subclass takes the isinstance rule
+    exact = frozenset(int if kind is float else kind for kind in kinds)
     names = " or ".join(_JSON_TYPES[kind] for kind in kinds)
 
     def parse(value: Any) -> Any:
+        if type(value) in exact:
+            return value
         if not isinstance(value, accepted) or (isinstance(value, bool) and bool not in kinds):
             raise TypeError(f"expected {names}, got {json.dumps(value)}")
         if isinstance(value, float) and not math.isfinite(value):
@@ -189,12 +203,14 @@ def of_type(*kinds: type) -> Callable[[Any], Any]:
     return parse
 
 
+# the parsers of one JSON type each, built once for every reader to share
+json_object, json_array, json_string = of_type(dict), of_type(list), of_type(str)
+json_integer, json_number = of_type(int), of_type(float)
+
+
 def list_of(parse: Callable[[Any], T]) -> Callable[[Any], list[T]]:
     """A parser for read_json_fields that accepts a list of what `parse` accepts."""
-    return lambda value: [parse(item) for item in of_type(list)(value)]
-
-
-_json_object = of_type(dict)
+    return lambda value: [parse(item) for item in json_array(value)]
 
 
 def object_of(parsers: dict[str, Callable[[Any], T]], required: Sequence[str] = ()) -> Callable[[Any], dict[str, T]]:
@@ -204,7 +220,7 @@ def object_of(parsers: dict[str, Callable[[Any], T]], required: Sequence[str] = 
     rejects ValueError, naming the key."""
 
     def parse(value: Any) -> dict[str, T]:
-        raw = _json_object(value)
+        raw = json_object(value)
         out = {}
         for key, parse_value in parsers.items():
             if key not in raw:
@@ -246,7 +262,7 @@ def read_profiles(path: Optional[str | Path]) -> dict[str, dict]:
     when `path` is None."""
     if path is None:
         return json.loads(resources.files("quicscope").joinpath("data/profiles.json").read_text())["profiles"]
-    return read_json_fields(path, {"profiles": _json_object}, required=("profiles",))["profiles"]
+    return read_json_fields(path, {"profiles": json_object}, required=("profiles",))["profiles"]
 
 
 def one_of(choices: dict[str, T]) -> Callable[[Any], T]:
@@ -265,7 +281,7 @@ def integer_in(low: int, high: int) -> Callable[[Any], int]:
     """A parser for read_json_fields that accepts an integer from `low` to `high`."""
 
     def parse(value: Any) -> int:
-        if not low <= of_type(int)(value) <= high:
+        if not low <= json_integer(value) <= high:
             raise ValueError(f"expected an integer from {low} to {high}, got {value}")
         return value
 
@@ -275,9 +291,18 @@ def integer_in(low: int, high: int) -> Callable[[Any], int]:
 # --- stores ------------------------------------------------------------------
 
 
-def _save_rows(path: Path, rows: Iterable[dict]) -> None:
-    with path.open("w") as fh:
-        fh.writelines(json.dumps(row, sort_keys=True) + "\n" for row in rows)
+# One row of each store with its keys in sorted order, as
+# json.dumps(row, sort_keys=True) writes it. The direction and the offsets
+# texts need no escaping; operators and source addresses go through
+# json.dumps once per distinct string, and a key row's SCIDs and shapes
+# through one json.dumps each.
+_KEY_ROW = '{"direction": "%s", "operator": %s, "scids": %s, "sessions": "%s", "shapes": %s, "src": %s}\n'
+_SESSION_ROW = '{"direction": "%s", "offsets": "%s", "operator": %s, "src": %s, "version": %d}\n'
+
+
+def _save_rows(path: Path, rows: Iterable[str]) -> None:
+    with path.open("w", buffering=WRITE_BLOCK) as fh:
+        fh.writelines(rows)
 
 
 def _offsets_text(offsets: Iterable[float]) -> str:
@@ -295,25 +320,26 @@ def save_stores(datagrams: Path, sessions: Path, rows: Iterable[KeyRow], folded:
     after each session's offsets. So a row decodes to one string, where
     JSON arrays would make a float object per packet: a reader's memory
     follows the longest row's text, not its sessions' packets."""
+    text = cache(json.dumps)
     _save_rows(
         datagrams,
         (
-            {
-                "direction": row.direction.value,
-                "src": row.src_ip,
-                "operator": row.operator,
-                "shapes": sorted([types, length, n] for (types, length), n in row.traits.shapes.items()),
-                "scids": sorted(scid.hex() for scid in row.traits.scids),
-                "sessions": "".join(_offsets_text(s.offsets) + ";" for s in row.sessions),
-            }
+            _KEY_ROW
+            % (
+                row.direction.value,
+                text(row.operator),
+                json.dumps(sorted([scid.hex() for scid in row.traits.scids])),
+                "".join([_offsets_text(s.offsets) + ";" for s in row.sessions]),
+                json.dumps(sorted([[types, length, n] for (types, length), n in row.traits.shapes.items()])),
+                text(row.src_ip),
+            )
             for row in rows
         ),
     )
     _save_rows(
         sessions,
         (
-            {"direction": s.direction.value, "src": s.src_ip, "operator": s.operator, "version": s.version,
-             "offsets": _offsets_text(s.offsets)}
+            _SESSION_ROW % (s.direction.value, _offsets_text(s.offsets), text(s.operator), text(s.src_ip), s.version)
             for s in folded
         ),
     )
@@ -326,7 +352,7 @@ _OFFSET_BOUND = 2.0**1022
 def _offsets(value: Any) -> array:
     """A session's offsets from their text in a store row: numbers within
     ±2**1022."""
-    texts = of_type(str)(value).split()
+    texts = json_string(value).split()
     offsets = array("d", map(float, texts))
     if not all(map(_OFFSET_BOUND.__ge__, map(abs, offsets))):  # NaN fails the comparison too
         bad = next(text for text in texts if not abs(float(text)) <= _OFFSET_BOUND)
@@ -334,15 +360,40 @@ def _offsets(value: Any) -> array:
     return offsets
 
 
+_optional_string = of_type(str, type(None))
+
+
+# The parsers of the fields both stores' rows hold, and of those only key
+# rows hold but their sessions, each built once, at the first read: they
+# use wire's types.
+@cache
 def _row_fields() -> dict[str, Callable[[Any], Any]]:
-    """The parsers of the fields both stores' rows hold."""
     from .wire import Direction
 
-    return {
-        "direction": one_of({d.value: d for d in (Direction.REQUEST, Direction.RESPONSE)}),
-        "src": of_type(str),
-        "operator": of_type(str, type(None)),
-    }
+    directions = one_of({d.value: d for d in (Direction.REQUEST, Direction.RESPONSE)})
+    return {"direction": directions, "src": json_string, "operator": _optional_string}
+
+
+@cache
+def _key_row_fields() -> dict[str, Callable[[Any], Any]]:
+    from .wire import TYPE_LABELS, check_cid_lengths
+
+    label = one_of({label: label for label in TYPE_LABELS.values()})
+    # datagram counts that a float holds exactly, as the percentages of fingerprint need
+    length, count = integer_in(0, 0xFFFF), integer_in(1, 2**53)
+
+    def shape(value: Any) -> tuple[tuple[tuple[str, ...], int], int]:
+        fields = json_array(value)
+        if len(fields) != 3 or not json_array(fields[0]):
+            raise ValueError(f"expected [[packet type, ...], datagram length, datagrams], got {json.dumps(value)}")
+        return (tuple(map(label, fields[0])), length(fields[1])), count(fields[2])
+
+    def scid(value: Any) -> bytes:
+        cid = bytes.fromhex(json_string(value))
+        check_cid_lengths(b"", cid)
+        return cid
+
+    return dict(_row_fields(), shapes=list_of(shape), scids=list_of(scid))
 
 
 def read_key_rows(path: str | Path, keep: Optional[Callable[[array], Any]] = None) -> Iterator[KeyRow]:
@@ -354,25 +405,9 @@ def read_key_rows(path: str | Path, keep: Optional[Callable[[array], Any]] = Non
     without a packet type or an SCID of more than 20 octets, raises
     InputError naming the file, the line and the key."""
     from .ingest import KeyRow, Traits
-    from .wire import TYPE_LABELS, check_cid_lengths
-
-    labels = list_of(one_of({label: label for label in TYPE_LABELS.values()}))
-    # datagram counts that a float holds exactly, as the percentages of fingerprint need
-    length, count = integer_in(0, 0xFFFF), integer_in(1, 2**53)
-
-    def shape(value: Any) -> tuple[tuple[tuple[str, ...], int], int]:
-        fields = of_type(list)(value)
-        if len(fields) != 3 or not of_type(list)(fields[0]):
-            raise ValueError(f"expected [[packet type, ...], datagram length, datagrams], got {json.dumps(value)}")
-        return (tuple(labels(fields[0])), length(fields[1])), count(fields[2])
-
-    def scid(value: Any) -> bytes:
-        cid = bytes.fromhex(of_type(str)(value))
-        check_cid_lengths(b"", cid)
-        return cid
 
     def kept(value: Any) -> list:
-        text = of_type(str)(value)
+        text = json_string(value)
         if text and not text.endswith(";"):
             raise ValueError("expected a ';' after each session's offsets")
         # one session's text at a time: a split would hold a string per session at once
@@ -385,7 +420,7 @@ def read_key_rows(path: str | Path, keep: Optional[Callable[[array], Any]] = Non
             start = end + 1
         return sessions
 
-    fields = dict(_row_fields(), shapes=list_of(shape), scids=list_of(scid), sessions=kept)
+    fields = dict(_key_row_fields(), sessions=kept)
     parse = object_of(fields, required=tuple(fields))
 
     def from_line(line: str) -> KeyRow:
@@ -403,7 +438,7 @@ def read_sessions(path: str | Path) -> Iterator[Session]:
     iterates; a bad row raises InputError as read_key_rows does."""
     from .ingest import Session
 
-    fields = dict(_row_fields(), version=of_type(int), offsets=_offsets)
+    fields = dict(_row_fields(), version=json_integer, offsets=_offsets)
     parse = object_of(fields, required=tuple(fields))
 
     def from_line(line: str) -> Session:

@@ -172,12 +172,37 @@ class CaptureRecord(NamedTuple):
         return tuple([TYPE_LABELS[p.packet_type] for p in self.packets])
 
 
+def prefix_rows(path: Path) -> list[tuple[ipaddress.IPv4Network, int, str]]:
+    """The (prefix, ASN, operator) rows of a prefix table file, ASN
+    included, which tables.load_prefix_table does not keep."""
+    rows = []
+    for line in Path(path).read_text().splitlines():
+        if line.strip() and not line.lstrip().startswith("#"):
+            prefix, asn, label = line.strip().split("\t")
+            rows.append((ipaddress.IPv4Network(prefix), int(asn), label))
+    return rows
+
+
+def reference_lookup(rows, address: str) -> tuple[Optional[int], Optional[str]]:
+    """The (ASN, operator) of the longest prefix among the (prefix, ASN,
+    operator) `rows` that holds the dotted `address`, a later row winning
+    for the same prefix; (None, None) where none holds it. The oracle of
+    PrefixTable.lookup, which keeps only the operator."""
+    ip = ipaddress.IPv4Address(address)
+    best = None
+    for network, asn, label in rows:
+        if ip in network and (best is None or network.prefixlen >= best[0]):
+            best = network.prefixlen, asn, label
+    return (None, None) if best is None else best[1:]
+
+
 def reference_ingest(
-    datagrams, config=None, counters: Optional[IngestCounters] = None, scanners=None, prefixes=None
+    datagrams, config=None, counters: Optional[IngestCounters] = None, scanners=None, prefixes=()
 ) -> Iterator[CaptureRecord]:
     """The records of decoded Datagrams as ingest yielded them, parsed with
     split_coalesced: the oracle of the decoding, filtering, sanitization
-    and labels of fold_capture."""
+    and labels of fold_capture, each server address labelled by
+    reference_lookup over the (prefix, ASN, operator) rows `prefixes`."""
     config = config or PlausibilityConfig(VersionRegistry.default())
     counters = counters or IngestCounters()
     for d in datagrams:
@@ -203,8 +228,7 @@ def reference_ingest(
                 counters.requests_dropped += 1
                 continue
             server_ip = d.dst_ip
-        hit = None if prefixes is None else prefixes.lookup(int.from_bytes(socket.inet_aton(server_ip), "big"))
-        asn, operator = hit or (None, None)
+        asn, operator = reference_lookup(prefixes, server_ip)
         yield CaptureRecord(
             d.timestamp, d.src_ip, d.dst_ip, d.src_port, d.dst_port, direction, len(d.payload), packets, operator, asn
         )
@@ -263,7 +287,7 @@ def fold(datagrams, **options) -> tuple[list[KeyRow], list[Session]]:
 
 def every_server_as(operator: str) -> PrefixTable:
     """A prefix table that labels every server address `operator`."""
-    return PrefixTable([(ipaddress.IPv4Network("0.0.0.0/0"), 0, operator)])
+    return PrefixTable([(ipaddress.IPv4Network("0.0.0.0/0"), operator)])
 
 
 def save_folds(directory: Path, folded) -> tuple[Path, Path]:
@@ -343,10 +367,12 @@ def old_session_store(sessions: list[ReferenceSession]) -> bytes:
     ).encode()
 
 
-def old_stores(capture: Path, prefixes=None, scanners=None) -> dict[str, bytes]:
+def old_stores(capture: Path, prefixes: Optional[Path] = None, scanners=None) -> dict[str, bytes]:
     """datagrams.jsonl and sessions.jsonl as ingest wrote them per datagram,
-    serialized from the reference record stream over `capture`."""
-    records = list(reference_ingest(read_datagrams(capture), scanners=scanners, prefixes=prefixes))
+    serialized from the reference record stream over `capture`, with the
+    ASNs and operators of the prefix table file `prefixes`."""
+    rows = prefix_rows(prefixes) if prefixes else ()
+    records = list(reference_ingest(read_datagrams(capture), scanners=scanners, prefixes=rows))
     return {
         "datagrams.jsonl": old_datagram_store(records),
         "sessions.jsonl": old_session_store(reference_sessions(records)),

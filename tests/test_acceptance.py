@@ -88,10 +88,7 @@ def test_criterion_1_known_profile_round_trip(tmp_path):
     import ipaddress
 
     start = time.monotonic()
-    table = PrefixTable(
-        (ipaddress.ip_network(prefix), 64500, operator)
-        for operator, prefix in OPERATOR_PREFIX.items()
-    )
+    table = PrefixTable((ipaddress.ip_network(prefix), operator) for operator, prefix in OPERATOR_PREFIX.items())
     known = fp.load_known_profiles()
     configured = {"Cloudflare": 4, "Facebook": 8, "Google": 4}
 

@@ -416,7 +416,7 @@ class TestScidCommand:
         datagrams += [make_request(1 + 0.1 * i, dst="192.0.2.9") for i in range(4)]
         # the responses' server labelled Responder, the requests' Requested
         labels = {"198.51.100.1": "Responder", "192.0.2.9": "Requested"}
-        prefixes = PrefixTable((ipaddress.ip_network(server), 0, label) for server, label in labels.items())
+        prefixes = PrefixTable((ipaddress.ip_network(server), label) for server, label in labels.items())
         store = self.save_store(tmp_path, datagrams, prefixes)
         assert run("scid", "--datagrams", store, "--min-samples", "1", "--out-dir", tmp_path / "scid") == 0
         lengths = (tmp_path / "scid" / "scid_lengths.tsv").read_text().splitlines()
@@ -766,7 +766,7 @@ class TestReproducibility:
         from conftest import old_stores
 
         assert run("simulate", "--config", deploy_config, "--out-dir", tmp_path / "sim") == 0
-        stores = old_stores(tmp_path / "sim" / "capture.pcap", prefixes=tables.load_prefix_table(prefix_table))
+        stores = old_stores(tmp_path / "sim" / "capture.pcap", prefixes=prefix_table)
         assert {name: hashlib.sha256(data).hexdigest() for name, data in stores.items()} == self.PER_DATAGRAM
 
 
@@ -794,7 +794,7 @@ class TestFreeBitEquivalence:
         assert run("simulate", "--config", deploy_config, "--out-dir", tmp_path / "sim") == 0
         assert run("ingest", "--capture", tmp_path / "sim" / "capture.pcap", "--prefix-table", prefix_table, "--out-dir", tmp_path / "ing") == 0
         (tmp_path / "per-datagram").mkdir()
-        stores = old_stores(tmp_path / "sim" / "capture.pcap", prefixes=tables.load_prefix_table(prefix_table))
+        stores = old_stores(tmp_path / "sim" / "capture.pcap", prefixes=prefix_table)
         for name, data in stores.items():
             (tmp_path / "per-datagram" / name).write_bytes(data)
         truth = [json.loads(line) for line in (tmp_path / "sim" / "truth.jsonl").read_text().splitlines()]
@@ -858,7 +858,7 @@ class TestScannerAndPrefixGolden:
         assert stdout.getvalue() == "ingest: 16 records, 7 sessions, 37.5% removed by sanitization\n"
         digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in self.GOLDEN}
         assert digests == self.GOLDEN
-        stores = old_stores(capture, tables.load_prefix_table(prefixes), tables.load_scanner_list(scanners))
+        stores = old_stores(capture, prefixes, tables.load_scanner_list(scanners))
         assert {name: hashlib.sha256(data).hexdigest() for name, data in stores.items()} == self.PER_DATAGRAM
 
 

@@ -193,14 +193,15 @@ class TestSumTraits:
         # equal the reference fold of the records under fingerprint's key
         from conftest import make_request
 
-        table = PrefixTable([(ipaddress.ip_network("198.51.100.0/24"), 32934, "Facebook")])
+        prefixes = [(ipaddress.ip_network("198.51.100.0/24"), 32934, "Facebook")]
+        table = PrefixTable([(network, label) for network, _, label in prefixes])
         datagrams = [make_response(0.1 * i, src=f"198.51.100.{i % 3}", scid=bytes([i]) * 8) for i in range(9)]
         datagrams += [make_response(1.0, src="192.0.2.1", types=(PacketType.INITIAL, PacketType.HANDSHAKE))]
         datagrams += [make_request(1.5 + 0.1 * i, dst=f"198.51.100.{i}") for i in range(2)]
         rows, _ = fold(datagrams, prefixes=table)
         assert len(rows) == 5
         key = lambda r: r.operator or "Unknown"  # noqa: E731
-        assert sum_traits(rows, key) == group_traits(reference_ingest(datagrams, prefixes=table), key)
+        assert sum_traits(rows, key) == group_traits(reference_ingest(datagrams, prefixes=prefixes), key)
 
 
 class TestEstimateRto:

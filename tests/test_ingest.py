@@ -1,6 +1,7 @@
 """Ingestion filtering, scanner sanitization, prefix mapping, sessionization."""
 
 import ipaddress
+import re
 import struct
 from pathlib import Path
 
@@ -14,7 +15,7 @@ from quicscope.wire import Direction, PacketType, PlausibilityConfig, VersionReg
 
 from conftest import (
     Datagram, build_ipv4_udp, fold, make_request, make_response, parse_ipv4_udp, reference_folds, reference_ingest,
-    reference_sessions, write_pcap,
+    reference_lookup, reference_sessions, write_pcap,
 )
 
 
@@ -147,42 +148,56 @@ class TestSanitize:
 
 class TestPrefixTable:
     def test_longest_prefix_wins(self):
-        table = PrefixTable(
-            [
-                (net("128.0.0.0/9"), 65000, "big"),
-                (net("128.64.3.0/24"), 65001, "small"),
-            ]
-        )
-        assert table.lookup(addr("128.64.3.10")) == (65001, "small")
-        assert table.lookup(addr("128.64.4.10")) == (65000, "big")
+        table = PrefixTable([(net("128.0.0.0/9"), "big"), (net("128.64.3.0/24"), "small")])
+        assert table.lookup(addr("128.64.3.10")) == "small"
+        assert table.lookup(addr("128.64.4.10")) == "big"
 
     def test_unknown_ip(self):
-        table = PrefixTable([(net("198.51.100.0/24"), 64512, "ExampleCDN")])
+        table = PrefixTable([(net("198.51.100.0/24"), "ExampleCDN")])
         assert table.lookup(addr("8.8.8.8")) is None
 
     def test_single_operator_label(self):
-        table = PrefixTable([(net("198.51.100.0/24"), 32934, "Facebook")])
-        assert table.lookup(addr("198.51.100.77")) == (32934, "Facebook")
+        table = PrefixTable([(net("198.51.100.0/24"), "Facebook")])
+        assert table.lookup(addr("198.51.100.77")) == "Facebook"
 
     def test_order_independence(self):
-        entries = [
-            (net("10.0.0.0/8"), 1, "a"),
-            (net("10.1.0.0/16"), 2, "b"),
-            (net("10.1.2.0/24"), 3, "c"),
-        ]
+        entries = [(net("10.0.0.0/8"), "a"), (net("10.1.0.0/16"), "b"), (net("10.1.2.0/24"), "c")]
         forward = PrefixTable(entries)
         backward = PrefixTable(entries[::-1])
         for ip in ("10.1.2.3", "10.1.9.9", "10.9.9.9"):
             assert forward.lookup(addr(ip)) == backward.lookup(addr(ip))
 
+    def test_lookup_gives_the_reference_operator(self):
+        rows = [
+            (net("0.0.0.0/1"), 1, "half"), (net("10.0.0.0/8"), 2, "a"), (net("10.1.0.0/16"), 3, "b"),
+            (net("10.1.2.0/24"), 4, "c"), (net("10.1.2.3/32"), 5, "host"), (net("192.0.2.0/28"), 6, "Lab"),
+        ]
+        table = PrefixTable((network, label) for network, _, label in rows)
+        for ip in ("10.1.2.3", "10.1.2.4", "10.1.9.9", "10.9.9.9", "127.0.0.1", "192.0.2.15", "192.0.2.16", "255.255.255.255"):
+            assert table.lookup(addr(ip)) == reference_lookup(rows, ip)[1], ip
+
     def test_load_from_tsv(self, tmp_path):
         f = tmp_path / "prefixes.tsv"
         f.write_text("198.51.100.0/24\t32934\tFacebook\n203.0.113.0/24\t13335\tCloudflare\n")
         table = tables.load_prefix_table(f)
-        assert table.lookup(addr("203.0.113.8")) == (13335, "Cloudflare")
+        assert table.lookup(addr("203.0.113.8")) == "Cloudflare"
+        assert table.lookup(addr("198.51.100.1")) == "Facebook"
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("198.51.100.0/24\tAS32934\tFacebook", "invalid literal for int() with base 10: 'AS32934'"),
+            ("198.51.100.0/24\tFacebook", "expected 3 tab-separated fields (prefix, ASN, operator), got 2"),
+        ],
+    )
+    def test_load_still_requires_an_integer_asn(self, tmp_path, line, message):
+        f = tmp_path / "prefixes.tsv"
+        f.write_text(f"203.0.113.0/24\t13335\tCloudflare\n{line}\n")
+        with pytest.raises(InputError, match=f"^{re.escape(f'{f}:2: {message}')}$"):
+            tables.load_prefix_table(f)
 
     def test_ingest_labels_the_server_side(self):
-        table = PrefixTable([(net("198.51.100.0/24"), 32934, "Facebook")])
+        table = PrefixTable([(net("198.51.100.0/24"), "Facebook")])
         datagrams = [
             make_response(0.0, src="198.51.100.1"),
             make_request(0.1, dst="198.51.100.1"),
@@ -195,7 +210,7 @@ class TestPrefixTable:
     def test_prefix_hits_cleared_at_their_bound_label_as_before(self, monkeypatch):
         # ingest keeps at most _PREFIX_HITS server addresses' hits; with a
         # bound of 3, twelve servers, each seen twice, clear the cache often
-        table = PrefixTable([(net("198.51.100.0/26"), 32934, "Facebook"), (net("198.51.100.0/24"), 13335, "Cloudflare")])
+        table = PrefixTable([(net("198.51.100.0/26"), "Facebook"), (net("198.51.100.0/24"), "Cloudflare")])
         servers = [f"198.51.{100 + i % 2}.{40 * (i % 3) + i}" for i in range(12)]
         datagrams = [make_response(0.1 * i, src=server) for i, server in enumerate(servers + servers[::-1])]
         datagrams += [make_request(5.0 + 0.1 * i, dst=server) for i, server in enumerate(servers)]
@@ -284,7 +299,7 @@ class TestSessionize:
             assert offsets[0] == 0.0
 
     def test_session_carries_metadata(self):
-        table = PrefixTable([(net("198.51.100.0/24"), 15169, "Google")])
+        table = PrefixTable([(net("198.51.100.0/24"), "Google")])
         _, sessions = fold([make_response(0.0, version=1)], prefixes=table)
         assert sessions[0].operator == "Google"
         assert sessions[0].version == 1
@@ -338,7 +353,8 @@ class TestBlockDecoderOracle:
     captures."""
 
     SCANNERS = ScannerList([net("172.16.9.0/24")])
-    PREFIXES = PrefixTable([(net("198.51.100.0/24"), 32934, "Facebook"), (net("192.0.2.0/28"), 64500, "Lab")])
+    PREFIX_ROWS = [(net("198.51.100.0/24"), 32934, "Facebook"), (net("192.0.2.0/28"), 64500, "Lab")]
+    PREFIXES = PrefixTable((network, label) for network, _, label in PREFIX_ROWS)
 
     @staticmethod
     def edited(packet: bytes, at: int, octets: bytes) -> bytes:
@@ -427,7 +443,7 @@ class TestBlockDecoderOracle:
 
         reference_capture, reference = CaptureCounters(), IngestCounters()
         datagrams = reference_read(path, reference_capture)
-        records = reference_ingest(datagrams, config, reference, self.SCANNERS, self.PREFIXES)
+        records = reference_ingest(datagrams, config, reference, self.SCANNERS, self.PREFIX_ROWS)
         assert folded == reference_folds(records)
         assert reader.counters.as_dict() == reference_capture.as_dict()
         assert counters.as_dict() == reference.as_dict()

@@ -1,11 +1,13 @@
 """The stores ingest writes and the table and JSON readers: what is read back
 equals what was written, and every bad value names its file and line."""
 
+import enum
 import ipaddress
 import json
 import math
 import re
 from array import array
+from pathlib import Path
 
 import pytest
 
@@ -17,17 +19,90 @@ from quicscope.wire import Direction, PacketType
 from conftest import fold, make_request, make_response, save_folds
 
 
+class Name(str):
+    pass
+
+
+class Count(int):
+    pass
+
+
+class Level(enum.IntEnum):
+    ONE = 1
+
+
+def isinstance_rule(kinds: tuple, value):
+    """The rule of_type's parser must agree with on every value: JSON types
+    checked through isinstance, true and false no numbers, and a float
+    finite."""
+    accepted = kinds + (int,) if float in kinds else kinds
+    if not isinstance(value, accepted) or (isinstance(value, bool) and bool not in kinds):
+        raise TypeError(f"expected {' or '.join(tables._JSON_TYPES[kind] for kind in kinds)}, got {json.dumps(value)}")
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ValueError(f"expected a finite number, got {json.dumps(value)}")
+    return value
+
+
+def outcome(parse, value) -> tuple:
+    """What `parse` gives `value`: the very value, or the error's type and text."""
+    try:
+        result = parse(value)
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+    assert result is value
+    return "accepted", type(value)
+
+
 class TestOfType:
+    # every kind tuple the package builds, as its source spells it
+    KINDS = {
+        "dict": (dict,), "list": (list,), "str": (str,), "int": (int,), "float": (float,), "bool": (bool,),
+        "str, type(None)": (str, type(None)),
+    }
+    VALUES = [
+        True, False, 1, 0, -7, 2**70, 1.0, 1.5, math.nan, math.inf, None, "", "Facebook", Name("sub"), Count(3),
+        Level.ONE, [], [1], {}, {"a": 1},
+    ]
+
+    def test_kinds_cover_every_parser_the_package_builds(self):
+        source = "".join(path.read_text() for path in sorted(Path(tables.__file__).parent.glob("*.py")))
+        built = set(re.findall(r"\bof_type\(([^)*]*\)?)\)", source))
+        assert built == set(self.KINDS)
+
+    @pytest.mark.parametrize("value", VALUES, ids=repr)
+    @pytest.mark.parametrize("kinds", KINDS)
+    def test_accepts_exactly_what_the_isinstance_rule_accepts(self, kinds, value):
+        kinds = self.KINDS[kinds]
+        assert outcome(tables.of_type(*kinds), value) == outcome(lambda v: isinstance_rule(kinds, v), value)
+
     @pytest.mark.parametrize("value, shown", [(math.nan, "NaN"), (math.inf, "Infinity"), (-math.inf, "-Infinity")])
     def test_float_rejects_non_finite_numbers(self, value, shown):
         with pytest.raises(ValueError, match=f"^expected a finite number, got {shown}$"):
             tables.of_type(float)(value)
 
+    def test_reading_a_store_builds_no_parser_per_row(self, tmp_path, monkeypatch):
+        """A 1-row and a 50-row store of each kind take as many parsers to read."""
+        built = []
+        of_type = tables.of_type
+        monkeypatch.setattr(tables, "of_type", lambda *kinds: built.append(kinds) or of_type(*kinds))
+        counts = []
+        for n in (1, 50, 1, 50):
+            for name, row, read in (
+                ("datagrams", TestStores.KEY_ROW, lambda path: tables.read_key_rows(path, list)),
+                ("sessions", TestStores.SESSION_ROW, tables.read_sessions),
+            ):
+                path = tmp_path / f"{name}-{n}.jsonl"
+                path.write_text("".join(json.dumps(dict(row, src=f"198.51.100.{i}")) + "\n" for i in range(n)))
+                built.clear()
+                assert len(list(read(path))) == n
+                counts.append(len(built))
+        assert counts[:2] == counts[2:4] == counts[4:6] == counts[6:]
+
 
 def train_folds() -> tuple[list[KeyRow], list[Session]]:
     """The folds of resend trains next to datagrams of their own: a
     coalesced response, an unlabeled one and a request."""
-    table = PrefixTable([(ipaddress.ip_network("198.51.100.0/24"), 32934, "Facebook")])
+    table = PrefixTable([(ipaddress.ip_network("198.51.100.0/24"), "Facebook")])
     datagrams = [make_response(ts, pad_to=1200) for ts in (0.0, 0.4, 1.2, 2.8, 6.0)]
     datagrams += [make_response(ts, scid=b"\x01" * 8, types=(PacketType.HANDSHAKE,)) for ts in (0.1, 0.5, 1.3)]
     datagrams += [
@@ -77,11 +152,14 @@ class TestStores:
 
     def test_rows_equal_sorted_json_dumps(self, tmp_path):
         fb, cafe = 'Say "cheese" \\ co', "Café ✓ 東京"
+        # no address the simulator writes needs escaping, but the row holds any string
+        odd = 'host "7"\\ \t✓'
+
         sessions = [
             Session("198.51.100.1", fb, Direction.RESPONSE, 1, array("d", [0.0, 0.0, 0.1 + 0.2, 1e-07])),
             Session("172.16.5.5", None, Direction.REQUEST, 0xFACEB002, array("d", [0.0])),
             Session("198.51.100.1", fb, Direction.RESPONSE, 0xFF00001D, array("d")),
-            Session("192.0.2.7", cafe, Direction.RESPONSE, 1, array("d", [1e22, 2.5])),
+            Session(odd, cafe, Direction.RESPONSE, 1, array("d", [1e22, 2.5])),
         ]
         rows = [
             KeyRow(
@@ -90,7 +168,7 @@ class TestStores:
                 [sessions[0], sessions[2]],
             ),
             KeyRow(Direction.REQUEST, "172.16.5.5", None, Traits({(("Initial",), 1252): 2}, set()), [sessions[1]]),
-            KeyRow(Direction.RESPONSE, "192.0.2.7", cafe, Traits({(("Retry",), 0): 1}, {b"\xff" * 8}), [sessions[3]]),
+            KeyRow(Direction.RESPONSE, odd, cafe, Traits({(("Retry",), 0): 1}, {b"\xff" * 8}), [sessions[3]]),
         ]
         key_rows = [
             {"direction": "response", "src": "198.51.100.1", "operator": fb,
@@ -98,7 +176,7 @@ class TestStores:
              "sessions": "0 0 0.30000000000000004 1e-07;;"},
             {"direction": "request", "src": "172.16.5.5", "operator": None,
              "shapes": [[["Initial"], 1252, 2]], "scids": [], "sessions": "0;"},
-            {"direction": "response", "src": "192.0.2.7", "operator": cafe,
+            {"direction": "response", "src": odd, "operator": cafe,
              "shapes": [[["Retry"], 0, 1]], "scids": ["ff" * 8], "sessions": "1e+22 2.5;"},
         ]
         session_rows = [
@@ -106,7 +184,7 @@ class TestStores:
              "offsets": "0 0 0.30000000000000004 1e-07"},
             {"direction": "request", "src": "172.16.5.5", "operator": None, "version": 0xFACEB002, "offsets": "0"},
             {"direction": "response", "src": "198.51.100.1", "operator": fb, "version": 0xFF00001D, "offsets": ""},
-            {"direction": "response", "src": "192.0.2.7", "operator": cafe, "version": 1, "offsets": "1e+22 2.5"},
+            {"direction": "response", "src": odd, "operator": cafe, "version": 1, "offsets": "1e+22 2.5"},
         ]
         paths = tmp_path / "datagrams.jsonl", tmp_path / "sessions.jsonl"
         tables.save_stores(*paths, rows, sessions)
