@@ -179,7 +179,10 @@ class FingerprintProfile(NamedTuple):
 
 
 def _int_pair(value) -> tuple[int, int]:
-    lo, hi = [json_integer(item) for item in json_array(value)]
+    pair = [json_integer(item) for item in json_array(value)]
+    if len(pair) != 2:
+        raise ValueError(f"expected [low, high], got {len(pair)} value{'' if len(pair) == 1 else 's'}")
+    lo, hi = pair
     return lo, hi
 
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from enum import Enum
-from typing import Collection, Iterable, NamedTuple, Optional, Sequence
+from typing import Callable, Collection, Iterable, NamedTuple, Optional, Sequence
 
 from . import CheckedTuple, InputError, PreconditionError
 
@@ -278,6 +278,35 @@ def _fb_codec(layout: dict[str, tuple[int, int]]) -> tuple:
 
 
 _FB_CODECS = {version: _fb_codec(layout) for version, layout in _FB_LAYOUTS.items()}
+# the host ID's (shift, mask) indexed by the version bits; None where no layout decodes
+_FB_HOST_FIELDS = tuple(_FB_CODECS[v][1][0] if v in _FB_CODECS else None for v in range(1 << _VERSION_FIELD[1]))
+
+
+def facebook_scid_packer(
+    scid_version: int, host_id: int, process_id: int, workers: int
+) -> Callable[[int, Optional[int]], bytes]:
+    """The packer of one L7LB process's SCIDs: a function of (worker ID,
+    random bits) that gives the 8-octet SCID `encode_facebook_scid` gives
+    for those fields. Every field is checked here, once, in
+    FacebookScidFields order, the worker ID at its largest (`workers` - 1),
+    so FieldOverflow is raised when the packer is built; the packer itself
+    checks nothing and takes worker IDs from 0 to `workers` - 1."""
+    packers, _, runs = _FB_CODECS.get(scid_version) or _FB_CODECS[1]
+    for value, (_, limit, width, name) in zip((scid_version, host_id, workers - 1, process_id), packers):
+        if value < 0 or value >= limit:
+            raise FieldOverflow(f"{name} {value} does not fit in {width} bits")
+    version_shift, host_shift, worker_shift, process_shift = (shift for shift, *_ in packers)
+    base = scid_version << version_shift | host_id << host_shift | process_id << process_shift
+
+    def pack(worker_id: int, random_bits: Optional[int] = None) -> bytes:
+        acc = base | worker_id << worker_shift
+        if random_bits is not None:
+            # each run's mask stops at the n-th bit, so higher bits never land
+            for drop, mask, shift in runs:
+                acc |= (random_bits >> drop & mask) << shift
+        return acc.to_bytes(FACEBOOK_SCID_OCTETS, "big")
+
+    return pack
 
 
 def encode_facebook_scid(fields: FacebookScidFields, random_bits: Optional[int] = None) -> bytes:
@@ -290,19 +319,11 @@ def encode_facebook_scid(fields: FacebookScidFields, random_bits: Optional[int] 
     the last free bit (bit 63) the least. Higher bits of `random_bits` are
     ignored, so a 64-bit draw fills either layout. The layout follows
     fields.scid_version; version values outside {1, 2} are packed with the
-    v1 layout and will not decode.
+    v1 layout and will not decode. A field that does not fit raises
+    FieldOverflow naming the first such field.
     """
-    packers, _, runs = _FB_CODECS.get(fields.scid_version) or _FB_CODECS[1]
-    acc = 0
-    for value, (shift, limit, width, name) in zip(fields, packers):
-        if value < 0 or value >= limit:
-            raise FieldOverflow(f"{name} {value} does not fit in {width} bits")
-        acc |= value << shift
-    if random_bits is not None:
-        # each run's mask stops at the n-th bit, so higher bits never land
-        for drop, mask, shift in runs:
-            acc |= (random_bits >> drop & mask) << shift
-    return acc.to_bytes(FACEBOOK_SCID_OCTETS, "big")
+    version, host_id, worker_id, process_id = fields
+    return facebook_scid_packer(version, host_id, process_id, worker_id + 1)(worker_id, random_bits)
 
 
 def decode_facebook_scid(scid: bytes) -> FacebookScidFields:
@@ -336,10 +357,17 @@ def facebook_fields(scid: bytes) -> Optional[FacebookScidFields]:
 
 
 def facebook_host_id(scid: bytes) -> Optional[int]:
-    """The host ID of an SCID read as a Facebook SCID; None for one that does
-    not decode."""
-    fields = facebook_fields(scid)
-    return None if fields is None else fields.host_id
+    """The host ID of an SCID read as a Facebook SCID, `facebook_fields(scid)
+    .host_id`; None for one that does not decode. Read straight from the
+    SCID's bits, since routing and harvesting read it per handshake."""
+    if len(scid) != FACEBOOK_SCID_OCTETS:
+        return None
+    raw = int.from_bytes(scid, "big")
+    field = _FB_HOST_FIELDS[raw >> _VERSION_SHIFT]
+    if field is None:
+        return None
+    shift, mask = field
+    return raw >> shift & mask
 
 
 def low_host_id(fields: FacebookScidFields) -> bool:

@@ -30,7 +30,7 @@ from typing import TYPE_CHECKING, Callable, NamedTuple, Optional
 from _blake2 import blake2b
 
 from . import CheckedTuple, InputError
-from .scid import CodecError, FacebookScidFields, encode_facebook_scid, facebook_host_id
+from .scid import CodecError, facebook_host_id, facebook_scid_packer
 from .tables import (
     json_integer, json_number, json_object, json_string, list_of, object_of, of_type, read_json, read_profiles,
 )
@@ -169,10 +169,14 @@ class Connection:
 
 class L7LBInstance(NamedTuple):
     """One layer-7 load balancer endpoint behind the cluster's VIPs; its
-    table holds the live connections, keyed by server CID."""
+    table holds the live connections, keyed by server CID. Under a Facebook
+    SCID scheme it packs its SCIDs with its own `facebook_scid_packer`, a
+    function of (worker ID, random bits); under any other, `pack_scid` is
+    None."""
 
     host_id: int
     connection_table: dict[bytes, Connection]
+    pack_scid: Optional[Callable[[int, Optional[int]], bytes]]
 
 
 # --- virtual clock -----------------------------------------------------------
@@ -260,9 +264,7 @@ class ClusterConfig(CheckedTuple, _ClusterConfigFields):
             # the lowest and highest IDs the cluster's SCIDs carry must fit the codec's fields
             try:
                 for host_id in (min(host_ids), max(host_ids)):
-                    encode_facebook_scid(
-                        FacebookScidFields(version, host_id, self.workers - 1, self.profile.process_id)
-                    )
+                    facebook_scid_packer(version, host_id, self.profile.process_id, self.workers)
             except CodecError as exc:
                 raise InvalidConfig(str(exc)) from None
         return self
@@ -284,13 +286,17 @@ class FrontendCluster:
     def __init__(self, config: ClusterConfig):
         self.vips = list(config.vips)
         self.vip_set = set(config.vips)
-        self.instances = [L7LBInstance(h, {}) for h in config.instance_host_ids()]
+        # the codec version of a Facebook scheme, else None; read per handshake
+        self.scid_version = version = FACEBOOK_SCID_VERSIONS.get(config.profile.scid_scheme)
+        process_id, workers = config.profile.process_id, config.workers
+        self.instances = [
+            L7LBInstance(h, {}, None if version is None else facebook_scid_packer(version, h, process_id, workers))
+            for h in config.instance_host_ids()
+        ]
         self.cid_aware = config.routing_mode is RoutingMode.CID_AWARE
         self.profile = config.profile
         self.workers = config.workers
         self.state_lifetime = config.state_lifetime
-        # the codec version of a Facebook scheme, else None; read per handshake
-        self.scid_version = FACEBOOK_SCID_VERSIONS.get(config.profile.scid_scheme)
         self.name = config.name or config.vips[0]
         self.by_host_id = {inst.host_id: inst for inst in self.instances}
         self.cid_directory: dict[bytes, Connection] = {}
@@ -358,9 +364,9 @@ def route(cluster: FrontendCluster, five_tuple: tuple, dcid: Optional[bytes] = N
         conn = cluster.cid_directory.get(dcid)
         if conn is not None:
             return conn.instance
-        host_id = None if cluster.scid_version is None else facebook_host_id(dcid)
-        if host_id in cluster.by_host_id:
-            return cluster.by_host_id[host_id]
+        instance = None if cluster.scid_version is None else cluster.by_host_id.get(facebook_host_id(dcid))
+        if instance is not None:
+            return instance
     return cluster.rendezvous(five_tuple)
 
 
@@ -600,12 +606,12 @@ class DeploymentSimulator:
     ) -> tuple[bytes, Optional[int]]:
         profile = cluster.profile
         scheme = profile.scid_scheme
+        pack_scid = instance.pack_scid
         for _ in range(8):
             worker_id: Optional[int] = None
-            if cluster.scid_version is not None:
+            if pack_scid is not None:
                 worker_id = self.rng.randrange(cluster.workers)
-                fields = FacebookScidFields(cluster.scid_version, instance.host_id, worker_id, profile.process_id)
-                scid = encode_facebook_scid(fields, random_bits=self.rng.getrandbits(64))
+                scid = pack_scid(worker_id, self.rng.getrandbits(64))
             elif scheme is ScidSchemeKind.CLOUDFLARE_FIXED:
                 scid = b"\x01" + self.rng.randbytes(profile.scid_length - 1)
             elif scheme is ScidSchemeKind.ECHO_CLIENT_DCID:
@@ -667,8 +673,8 @@ class DeploymentSimulator:
         # route() reads the directory only in CID-aware mode
         if cluster.cid_aware:
             cluster.cid_directory[scid] = conn
-        client_ip, vip, client_port = five_tuple[:3]
         if self.truth is not None:
+            client_ip, vip, client_port = five_tuple[:3]
             self.truth.append(
                 SessionTruth(
                     vip=vip,

@@ -2,7 +2,8 @@
 builder and decoder of a capture's datagrams, the reference record stream
 and folds that ingest.fold_capture must equal, and the reference
 sessionizer and store writers of the per-datagram stores that ingest wrote
-before it wrote its folds."""
+before it wrote its folds; and the reference Facebook SCID packer that
+scid.facebook_scid_packer must equal."""
 
 import ipaddress
 import json
@@ -24,6 +25,7 @@ from quicscope.ingest import (
 )
 from quicscope.pcap import CaptureCounters, PcapReader, PcapWriter, _ip_checksum
 from quicscope.probe import HostIdHarvest
+from quicscope.scid import _FB_CODECS, FACEBOOK_SCID_OCTETS, FacebookScidFields, FieldOverflow
 from quicscope.sim import DeploymentConfig, DeploymentSimulator, SessionTruth, client_initial_payload
 from quicscope.wire import (
     TYPE_LABELS, Direction, LongHeader, PacketType, PlausibilityConfig, VersionRegistry, classify_direction,
@@ -420,6 +422,21 @@ NO_PACKET_PAYLOADS = {
     "zero-first-octet": b"\x00" + _CLIENT_INITIAL[1:],
     "cut-inside-scid": _CLIENT_INITIAL[:20],
 }
+
+
+def reference_encode_facebook_scid(fields: FacebookScidFields, random_bits: Optional[int] = None) -> bytes:
+    """encode_facebook_scid as it was before it packed through
+    facebook_scid_packer: every field checked and packed on each call."""
+    packers, _, runs = _FB_CODECS.get(fields.scid_version) or _FB_CODECS[1]
+    acc = 0
+    for value, (shift, limit, width, name) in zip(fields, packers):
+        if value < 0 or value >= limit:
+            raise FieldOverflow(f"{name} {value} does not fit in {width} bits")
+        acc |= value << shift
+    if random_bits is not None:
+        for drop, mask, shift in runs:
+            acc |= (random_bits >> drop & mask) << shift
+    return acc.to_bytes(FACEBOOK_SCID_OCTETS, "big")
 
 
 def harvest_from_ids(vip: str, host_ids) -> HostIdHarvest:

@@ -693,6 +693,27 @@ class TestProbeCommand:
         verdicts = (out / "verdicts.tsv").read_text()
         assert "cid_aware" in verdicts
 
+    def test_lbtype_verdicts_match_golden_digest(self, tmp_path):
+        # one five-tuple and one CID-aware cluster: the digest holds each
+        # verdict, fail window and host ID, and with them the random draws
+        # of the path detect_lb_type drives through the simulator
+        config = {
+            "seed": 3,
+            "operator": "Facebook",
+            "clusters": [
+                {"vip_base": "198.51.100.0", "vip_count": 1, "l7lb_count": 40, "routing_mode": "five_tuple"},
+                {"vip_base": "198.51.100.8", "vip_count": 1, "l7lb_count": 40, "routing_mode": "cid_aware"},
+            ],
+        }
+        config_path = tmp_path / "c.json"
+        config_path.write_text(json.dumps(config))
+        out = tmp_path / "lb"
+        argv = ["probe", "--sim-config", config_path, "--mode", "lbtype", "--targets", "all", "--seed", "3"]
+        assert run(*argv, "--out-dir", out) == 0
+        verdicts = (out / "verdicts.tsv").read_bytes()
+        assert [row["verdict"] for row in tables.read_table(out / "verdicts.tsv")] == ["five_tuple", "cid_aware"]
+        assert hashlib.sha256(verdicts).hexdigest() == "7bd9a3293df7c8b011dd61f2f5b68d3ec8ada59538a9fc710d8aa427ddf70594"
+
 
 class TestReproducibility:
     # sha256 of every non-manifest output of the chain below; manifests
@@ -1714,6 +1735,23 @@ class TestStoreRows:
         assert out.returncode == 2
         assert f"{profiles}: profile 'Facebook': key '{key}': {message}" in out.stderr
         assert "Traceback" not in out.stderr
+
+    @pytest.mark.parametrize(
+        "value, message",
+        [([1, 2, 3], "expected [low, high], got 3 values"), ([4], "expected [low, high], got 1 value")],
+        ids=["three-values", "one-value"],
+    )
+    def test_profile_table_range_not_a_pair(self, tmp_path, capsys, value, message):
+        stores, profiles = tmp_path / "empty.jsonl", tmp_path / "prof.json"
+        stores.write_text("")
+        shipped = tables.read_profiles(None)
+        profiles.write_text(json.dumps({"profiles": dict(shipped, X=dict(shipped["Google"], retransmission_range=value))}))
+        argv = ["fingerprint", "--sessions", stores, "--datagrams", stores, "--profiles", profiles]
+        assert run(*argv, "--out-dir", tmp_path / "out") == 2
+        err = capsys.readouterr().err
+        assert f"{profiles}: profile 'X': key 'retransmission_range': {message}" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
 
     def test_registry_line_not_hex(self, tmp_path):
         registry, capture = tmp_path / "reg.tsv", tmp_path / "capture.pcap"

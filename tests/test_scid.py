@@ -25,6 +25,9 @@ from quicscope.scid import (
     decode_facebook_scid,
     detect_cloudflare_signature,
     encode_facebook_scid,
+    facebook_fields,
+    facebook_host_id,
+    facebook_scid_packer,
     low_host_id,
     nybble_frequencies,
     position_chi2,
@@ -32,7 +35,7 @@ from quicscope.scid import (
 )
 from quicscope.wire import PacketType, encode_long_header, parse_long_header
 
-from conftest import run_python
+from conftest import reference_encode_facebook_scid, run_python
 
 
 def oracle_pack(fields: FacebookScidFields) -> bytes:
@@ -254,6 +257,75 @@ class TestFacebookScidRandomBits:
                 assert scid ^ base == 1 << (63 - free[len(free) - 1 - j])
             else:
                 assert scid == base
+
+
+class TestFacebookScidPacker:
+    """facebook_scid_packer and facebook_host_id against the per-call
+    reference: the packer built once per L7LB process must give the SCIDs
+    the reference packs field by field, and the host ID read from the bits
+    must be the one facebook_fields decodes."""
+
+    @pytest.mark.parametrize("version", [1, 2, 3])
+    @pytest.mark.parametrize("process", [0, 1])
+    def test_every_worker_matches_reference(self, version, process):
+        host_max = (1 << (24 if version == 2 else 16)) - 1
+        rng = random.Random(version * 2 + process)
+        for host in (0, host_max):
+            for workers in (1, 7, 256):
+                pack = facebook_scid_packer(version, host, process, workers)
+                for worker in range(workers):
+                    fields = FacebookScidFields(version, host, worker, process)
+                    bits = rng.getrandbits(64)
+                    assert pack(worker, bits) == reference_encode_facebook_scid(fields, bits)
+                    assert pack(worker) == reference_encode_facebook_scid(fields)
+                    assert encode_facebook_scid(fields, bits) == reference_encode_facebook_scid(fields, bits)
+
+    @pytest.mark.parametrize("version", [1, 2, 3])
+    def test_seeded_draws_match_reference(self, version):
+        host_max = (1 << (24 if version == 2 else 16)) - 1
+        rng = random.Random(100 + version)
+        for i in range(200):
+            workers = rng.randint(1, 256)
+            fields = FacebookScidFields(version, rng.randint(0, host_max), rng.randrange(workers), rng.randint(0, 1))
+            # every fourth draw is wider than 64 bits, whose high bits must not land
+            bits = rng.getrandbits(64) if i % 4 else rng.getrandbits(64) | rng.getrandbits(130) << 64
+            pack = facebook_scid_packer(fields.scid_version, fields.host_id, fields.process_id, workers)
+            assert pack(fields.worker_id, bits) == reference_encode_facebook_scid(fields, bits)
+
+    @pytest.mark.parametrize(
+        "version, host, process, workers, message",
+        [
+            (4, 0, 0, 1, "scid_version 4 does not fit in 2 bits"),
+            (1, 1 << 16, 0, 1, "host_id 65536 does not fit in 16 bits"),
+            (3, 1 << 16, 0, 1, "host_id 65536 does not fit in 16 bits"),
+            (2, 1 << 24, 0, 1, "host_id 16777216 does not fit in 24 bits"),
+            (1, -1, 0, 1, "host_id -1 does not fit in 16 bits"),
+            # the largest worker ID, workers - 1, is checked
+            (2, 0, 0, 257, "worker_id 256 does not fit in 8 bits"),
+            (1, 0, 0, 0, "worker_id -1 does not fit in 8 bits"),
+            (1, 0, 2, 1, "process_id 2 does not fit in 1 bits"),
+            # fields are checked in FacebookScidFields order
+            (1, -1, 2, 300, "host_id -1 does not fit in 16 bits"),
+            (1, 0, 2, 300, "worker_id 299 does not fit in 8 bits"),
+        ],
+    )
+    def test_overflow_raises_when_built(self, version, host, process, workers, message):
+        with pytest.raises(FieldOverflow) as exc:
+            facebook_scid_packer(version, host, process, workers)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("version_bits", [0, 1, 2, 3])
+    @pytest.mark.parametrize("length", range(21))
+    def test_host_id_matches_decoded_fields(self, length, version_bits):
+        rng = random.Random(length * 4 + version_bits)
+        for _ in range(50):
+            scid = rng.randbytes(length)
+            if scid:
+                scid = bytes([scid[0] & 0x3F | version_bits << 6]) + scid[1:]
+            fields = facebook_fields(scid)
+            assert facebook_host_id(scid) == (None if fields is None else fields.host_id)
+            if length == 8 and version_bits in (1, 2):
+                assert facebook_host_id(scid) is not None
 
 
 class TestLowHostId:

@@ -89,6 +89,16 @@ class TestBuildCluster:
         cluster = FrontendCluster(cluster_config(l7lb_count=5, host_id_base=100))
         assert set(cluster.by_host_id) == {100, 101, 102, 103, 104}
 
+    def test_each_facebook_instance_packs_its_own_host_id(self):
+        cluster = FrontendCluster(cluster_config(l7lb_count=5, host_id_base=100, workers=3))
+        process_id = cluster.profile.process_id
+        for inst in cluster.instances:
+            for worker in range(3):
+                fields = FacebookScidFields(1, inst.host_id, worker, process_id)
+                assert inst.pack_scid(worker, 0x5EED) == encode_facebook_scid(fields, random_bits=0x5EED)
+        for operator in ("Google", "Cloudflare"):
+            assert all(inst.pack_scid is None for inst in FrontendCluster(cluster_config(operator=operator)).instances)
+
 
 class TestRoute:
     def test_not_a_vip(self):

@@ -5,12 +5,15 @@ Extracts the parent and the change with `git archive` into a temporary
 directory, refuses (exit 2) unless their `bench/` trees are identical, and
 runs `bench/run.py --workload W --seed S --seconds T --trace 0` on each
 side for N pairs, alternating which side runs first. For each end-to-end
-metric of the parent's BENCHMARK.json it prints each side's median and
-quartiles, the pairs the change wins (ties count for neither side), and
-whether a claimed gain holds: the change wins at least 9 of every 10 pairs,
-and its median is better than the parent's by more than the parent's
-interquartile range. The temporary directory is removed on every exit, and
-an interrupted run stops its benchmark process group first.
+metric of the parent's BENCHMARK.json (with `--workload all`, of each
+workload, named `<workload>/<metric>` as bench/run.py names it) it prints
+each side's median and quartiles, the pairs the change wins (ties count for
+neither side), whether a claimed gain holds (the change wins at least 9 of
+every 10 pairs, and its median is better than the parent's by more than the
+parent's interquartile range) and whether the change is worse (its median is
+worse than the parent's by more than that range). The temporary directory is
+removed on every exit, and an interrupted run stops its benchmark process
+group first.
 
 Run from the repository, for example:
 
@@ -35,8 +38,8 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-# the longest one benchmark run may take beyond its --seconds: set-up,
-# input generation and the last chain
+# the longest one benchmark run may take beyond its --seconds per workload:
+# set-up, input generation and the last chain
 RUN_GRACE_S = 600.0
 
 
@@ -65,7 +68,7 @@ def run_bench(tree: Path, work: Path, args: argparse.Namespace) -> dict[str, flo
         argv, cwd=tree, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, start_new_session=True
     )
     try:
-        out, err = proc.communicate(timeout=args.seconds + RUN_GRACE_S)
+        out, err = proc.communicate(timeout=args.seconds * args.workloads + RUN_GRACE_S)
     except BaseException:
         stop(proc)
         raise
@@ -101,14 +104,35 @@ def summary(values: list[float]) -> dict[str, float]:
 
 
 def verdict(base: list[float], change: list[float], better: str) -> dict:
-    """Each side's median and quartiles, the change's pair wins, and whether
-    a gain could be claimed from these pairs."""
+    """Each side's median and quartiles, the change's pair wins, whether a
+    gain could be claimed from these pairs, and whether the change is worse
+    by more than the parent's interquartile range."""
     sign = 1.0 if better == "lower" else -1.0
     wins = sum(sign * (b - c) > 0 for b, c in zip(base, change))
     b, c = summary(base), summary(change)
     gain = sign * (b["median"] - c["median"])
-    claim = wins * 10 >= 9 * len(base) and gain > b["q3"] - b["q1"]
-    return {"base": b, "change": c, "wins": wins, "pairs": len(base), "gain": gain, "claim_holds": claim}
+    iqr = b["q3"] - b["q1"]
+    claim = wins * 10 >= 9 * len(base) and gain > iqr
+    return {
+        "base": b, "change": c, "wins": wins, "pairs": len(base), "gain": gain, "claim_holds": claim,
+        "worse": -gain > iqr,
+    }
+
+
+def metric_names(spec: dict, workload: str) -> list[tuple[str, str]]:
+    """(name, better) of each end-to-end metric as bench/run.py names it in
+    its result: `<workload>/<metric>` for every workload under `all`."""
+    if workload != "all":
+        return [(m["name"], m["better"]) for m in spec["end_to_end"]]
+    return [(f"{w['name']}/{m['name']}", m["better"]) for w in spec["workloads"] for m in spec["end_to_end"]]
+
+
+def verdicts(runs: dict[str, list[dict[str, float]]], names: list[tuple[str, str]]) -> dict[str, dict]:
+    """The verdict of each named metric over the runs of both sides."""
+    return {
+        name: verdict([r[name] for r in runs["base"]], [r[name] for r in runs["change"]], better)
+        for name, better in names
+    }
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -137,6 +161,8 @@ def main(argv: list[str] | None = None) -> int:
     spec = json.loads(git("show", f"{revs['base']}:BENCHMARK.json"))
     if args.seconds is None:
         args.seconds = float(spec["run_seconds"])
+    names = metric_names(spec, args.workload)
+    args.workloads = len(spec["workloads"]) if args.workload == "all" else 1
 
     runs: dict[str, list[dict[str, float]]] = {"base": [], "change": []}
     tmp = Path(tempfile.mkdtemp(prefix="abbench-"))
@@ -149,7 +175,7 @@ def main(argv: list[str] | None = None) -> int:
             for side in order:
                 metrics = run_bench(trees[side], tmp / f"work-{side}", args)
                 runs[side].append(metrics)
-                shown = " ".join(f"{m['name']}={metrics[m['name']]:.4g}" for m in spec["end_to_end"])
+                shown = " ".join(f"{name}={metrics[name]:.4g}" for name, _ in names)
                 print(f"# pair {i + 1} {side} {shown}", file=sys.stderr, flush=True)
     except (OSError, RuntimeError, ValueError, KeyError, subprocess.SubprocessError) as exc:
         print(f"abbench: {type(exc).__name__}: {exc}", file=sys.stderr)
@@ -157,22 +183,21 @@ def main(argv: list[str] | None = None) -> int:
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
 
-    verdicts = {}
+    found = verdicts(runs, names)
     print(
         f"{args.workload} seed {args.seed}, {args.pairs} pairs of {args.seconds:g} s: "
         f"{args.base} ({revs['base'][:12]}) -> {args.change} ({revs['change'][:12]})"
     )
-    print(f"{'metric':<16} {'base q1/median/q3':>28} {'change q1/median/q3':>28} {'wins':>7}  claim")
-    for metric in spec["end_to_end"]:
-        name = metric["name"]
-        base, change = [r[name] for r in runs["base"]], [r[name] for r in runs["change"]]
-        v = verdicts[name] = verdict(base, change, metric["better"])
+    width = max(len(name) for name, _ in names)
+    print(f"{'metric':<{width}} {'base q1/median/q3':>28} {'change q1/median/q3':>28} {'wins':>7}  {'claim':<7}  worse")
+    for name, v in found.items():
         b, c = v["base"], v["change"]
         print(
-            f"{name:<16} {b['q1']:>8.4g} {b['median']:>9.4g} {b['q3']:>9.4g} {c['q1']:>8.4g} {c['median']:>9.4g} "
-            f"{c['q3']:>9.4g} {v['wins']:>3}/{v['pairs']:<3}  {'holds' if v['claim_holds'] else 'not met'}"
+            f"{name:<{width}} {b['q1']:>8.4g} {b['median']:>9.4g} {b['q3']:>9.4g} {c['q1']:>8.4g} {c['median']:>9.4g} "
+            f"{c['q3']:>9.4g} {v['wins']:>3}/{v['pairs']:<3}  {'holds' if v['claim_holds'] else 'not met':<7}  "
+            f"{'worse' if v['worse'] else '-'}"
         )
-    summary_row = {"workload": args.workload, "seed": args.seed, "revisions": revs, "runs": runs, "verdicts": verdicts}
+    summary_row = {"workload": args.workload, "seed": args.seed, "revisions": revs, "runs": runs, "verdicts": found}
     print(json.dumps(summary_row))
     return 0
 
